@@ -158,12 +158,6 @@ class NumberSectorMixture:
     def mean_n(self) -> float:
         return float(sum(w * s.n_total for w, s in self.sectors))
 
-    def number_moments(self) -> tuple[float, float]:
-        """(<N>, <N^2>) of the sector-weight distribution."""
-        mean = self.mean_n
-        second = float(sum(w * s.n_total**2 for w, s in self.sectors))
-        return mean, second
-
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSpec:

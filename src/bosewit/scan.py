@@ -8,6 +8,7 @@ theorems for these states. Reports are deterministic per seed.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +63,11 @@ class _BoundTracker:
     def record(self, value: float, sample_payload: dict):
         self.evaluations += 1
         value = float(value)
+        if not math.isfinite(value):
+            # A NaN compares False against the bound and would pass; inf would
+            # become a worst value that JSON cannot carry. Both are failures.
+            self.violations += 1
+            return
         adverse = (
             self.worst_value is None
             or (self.direction == "upper" and value > self.worst_value)

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._factorials import log_binomial
+from ._factorials import log_binomial_row
 from .errors import SectorTooLarge, WitnessError
 from .fock import DEFAULT_N_MAX, FockVector, NumberSectorMixture, SectorDensity
 
@@ -123,11 +123,6 @@ class FluctuatingEnsemble:
     def mean_n(self) -> float:
         return float(sum(n * p for n, p in self.number_weights))
 
-    def number_moments(self) -> tuple[float, float]:
-        mean = self.mean_n
-        second = float(sum(n * n * p for n, p in self.number_weights))
-        return mean, second
-
 
 @dataclass(frozen=True)
 class NumberDistribution:
@@ -172,22 +167,6 @@ class NumberDistribution:
             return _poisson_weights(self.params[0])
         if self.kind == "binomial":
             return _binomial_weights(self.params[0], self.params[1])
-        raise ValueError(f"unknown distribution kind {self.kind!r}")
-
-    def mass_at(self, n: int) -> float:
-        """Point mass at n before any truncation (exact formulas)."""
-        if self.kind == "deterministic":
-            return 1.0 if n == self.params[0] else 0.0
-        if self.kind == "poisson":
-            lam = self.params[0]
-            if lam == 0.0:
-                return 1.0 if n == 0 else 0.0
-            return math.exp(-lam + n * math.log(lam) - math.lgamma(n + 1))
-        if self.kind == "binomial":
-            trials, prob = self.params
-            if not 0 <= n <= trials:
-                return 0.0
-            return float(math.comb(trials, n) * prob**n * (1.0 - prob) ** (trials - n))
         raise ValueError(f"unknown distribution kind {self.kind!r}")
 
 
@@ -237,15 +216,11 @@ def to_fock(state: CoherentSpinState) -> FockVector:
         amps[n] = np.exp(1j * n * state.phi)
         return FockVector(amps)
     k = np.arange(n + 1)
-    log_choose = _log_binomial_row(n)
+    log_choose = log_binomial_row(n)
     half_log = 0.5 * (log_choose + k * math.log(state.z) + (n - k) * math.log1p(-state.z))
     amps = np.exp(half_log + 1j * k * state.phi)
     amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
     return FockVector(amps)
-
-
-def _log_binomial_row(n: int) -> np.ndarray:
-    return np.array([log_binomial(n, int(k)) for k in range(n + 1)])
 
 
 def ensemble_to_state(ensemble, n_max: int = DEFAULT_N_MAX):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._factorials import balanced_factorial_ratio, falling_factorial
+from ._factorials import balanced_factorial_ratio, falling_factorial_row
 from .errors import (
     DegenerateLocalCorrelation,
     EmptyState,
@@ -92,19 +92,20 @@ class WitnessReport:
 # --- integrated correlators -----------------------------------------------------
 
 
-def _population_integrals(populations: np.ndarray, n: int, m: int) -> tuple[float, float, float]:
+def _population_integrals(populations: np.ndarray, n: int, m: int) -> CorrelationIntegrals:
     # All three correlators are diagonal in the |k, N-k> basis:
     #   <a^dag^{2m} a^{2m}>          = sum_k P(k) k!/(k-2m)!
     #   <b^dag^{2m} b^{2m}>          = sum_k P(k) (N-k)!/(N-k-2m)!
     #   <a^dag^m b^dag^m b^m a^m>    = sum_k P(k) k!/(k-m)! (N-k)!/(N-k-m)!
-    ff_a_2m = np.array([falling_factorial(k, 2 * m) for k in range(n + 1)])
+    # and the prefactor alpha_2m = N!/(N-2m)! is the last entry of the 2m row.
+    ff_a_2m = falling_factorial_row(n, 2 * m)
     ff_b_2m = ff_a_2m[::-1]
-    ff_a_m = np.array([falling_factorial(k, m) for k in range(n + 1)])
+    ff_a_m = falling_factorial_row(n, m)
     ff_b_m = ff_a_m[::-1]
     g_aa = float(np.dot(populations, ff_a_2m))
     g_bb = float(np.dot(populations, ff_b_2m))
     g_ab = float(np.dot(populations, ff_a_m * ff_b_m))
-    return g_aa, g_bb, g_ab
+    return CorrelationIntegrals(m, g_aa, g_bb, g_ab, float(ff_a_2m[n]))
 
 
 def integrated_g2m(state, m: int) -> CorrelationIntegrals:
@@ -131,9 +132,7 @@ def integrated_g2m(state, m: int) -> CorrelationIntegrals:
         n = state.n_total
         if 2 * m > n:
             return CorrelationIntegrals(m, 0.0, 0.0, 0.0, 0.0)
-        populations = state.occupation_probabilities()
-        g_aa, g_bb, g_ab = _population_integrals(populations, n, m)
-        return CorrelationIntegrals(m, g_aa, g_bb, g_ab, falling_factorial(n, 2 * m))
+        return _population_integrals(state.occupation_probabilities(), n, m)
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 

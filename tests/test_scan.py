@@ -1,8 +1,11 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from bosewit.fock import GeneratorSpec
-from bosewit.scan import run_scan
+from bosewit.scan import _BoundTracker, run_scan
 from bosewit.separable import NumberDistribution, ensemble_to_state, sample_ensemble
 from bosewit.witnesses import csi_ratio, integrated_g2m, qfi
 
@@ -81,3 +84,28 @@ def test_scan_argument_validation():
         run_scan(samples=2, seed=1, n_total=6, csi_orders=[4])
     with pytest.raises(ValueError, match="direction"):
         run_scan(samples=2, seed=1, n_total=6, n_directions=0)
+
+
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_value_is_a_violation(direction, value):
+    tracker = _BoundTracker("probe", 1.0, direction, 1e-9)
+    tracker.record(value, {"sample": 0})
+    report = tracker.report()
+    assert report["violations"] == 1
+    assert report["evaluations"] == 1
+    assert report["worst_value"] is None
+    assert report["worst_sample"] is None
+    json.dumps(report, allow_nan=False)
+
+
+@pytest.mark.parametrize(("direction", "worst", "milder"), [("upper", 0.75, 0.5), ("lower", 1.25, 1.5)])
+def test_finite_worst_value_survives_a_nan(direction, worst, milder):
+    tracker = _BoundTracker("probe", 1.0, direction, 1e-9)
+    for sample, value in enumerate((math.nan, worst, math.nan, milder)):
+        tracker.record(value, {"sample": sample})
+    report = tracker.report()
+    assert report["worst_value"] == worst
+    assert report["worst_sample"] == {"sample": 1}
+    assert report["violations"] == 2
+    assert report["evaluations"] == 4
