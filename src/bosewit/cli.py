@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -25,7 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ._version import __version__
-from .errors import SectorTooLarge, StateSpecError, WitnessError
+from .errors import NonFiniteWitnessValue, SectorTooLarge, StateSpecError, WitnessError
 from .fock import (
     DEFAULT_N_MAX,
     FockVector,
@@ -37,7 +38,7 @@ from .scan import run_scan
 from .separable import PRNG_NAME, NumberDistribution
 from .statespec import parse_state_file
 from .witnesses import (
-    WITNESS_TOLERANCE,
+    classify,
     csi_ratio,
     integrated_g2m,
     number_squeezing_direct,
@@ -45,6 +46,7 @@ from .witnesses import (
     spin_squeezing,
     twin_fock_csi_approx,
     twin_fock_csi_exact,
+    witness_verdict,
 )
 
 EXIT_OK = 0
@@ -248,55 +250,49 @@ def _witness_key(kind: str, param) -> str:
 
 
 def _evaluate_witnesses(state, n_reference: float, requests) -> tuple:
-    """Returns ({key: entry}, had_error). Each entry has value/bound/flag
-    or error/message; witness failures never abort the other witnesses."""
+    """Returns ({key: entry}, verdicts, had_error). Each entry has
+    value/bound/flag or error/message; witness failures never abort the
+    other witnesses. verdicts is None when no witness computed."""
     entries = {}
+    computed = {"csi_by_order": {}, "qfi_by_generator": {}}
     had_error = False
     for kind, param in requests:
         key = _witness_key(kind, param)
         try:
             if kind == "csi":
                 value = csi_ratio(integrated_g2m(state, param))
-                bound = 1.0
-                flag = value > bound + WITNESS_TOLERANCE
             elif kind == "eta2":
                 value = number_squeezing_direct(state)
-                bound = None
-                flag = None
             elif kind == "xi2":
                 value = spin_squeezing(state)
-                bound = 1.0
-                flag = value < bound - WITNESS_TOLERANCE
             else:
                 value = qfi(state, param)
-                bound = float(n_reference)
-                flag = value > bound + WITNESS_TOLERANCE
+            if not math.isfinite(value):
+                raise NonFiniteWitnessValue(
+                    f"{key} evaluated to {value!r}, which no bound can judge"
+                )
         except WitnessError as exc:
             had_error = True
             entries[key] = {"error": type(exc).__name__, "message": str(exc)}
             continue
+        bound, flag = witness_verdict(kind, value, n_reference)
         entries[key] = {"value": value, "bound": bound, "flag": flag}
-    return entries, had_error
-
-
-def _verdicts(entries: dict) -> dict | None:
-    computed = {k: e for k, e in entries.items() if "value" in e}
-    if not computed:
-        return None
-    return {
-        "entangled_by_csi": any(
-            e["flag"] for k, e in computed.items() if k.startswith("csi:")
-        ),
-        "entangled_by_qfi": any(
-            e["flag"] for k, e in computed.items() if k.startswith("qfi:")
-        ),
-        "entangled_by_spin_squeezing": any(
-            e["flag"] for k, e in computed.items() if k == "xi2"
-        ),
-        "any_entangled": any(
-            e["flag"] for e in computed.values() if e["flag"] is not None
-        ),
+        if kind == "csi":
+            computed["csi_by_order"][param] = value
+        elif kind == "qfi":
+            computed["qfi_by_generator"][key] = value
+        else:
+            computed[kind] = value
+    if all("error" in entry for entry in entries.values()):
+        return entries, None, had_error
+    report = classify(n_reference, **computed)
+    verdicts = {
+        "entangled_by_csi": report.entangled_by_csi,
+        "entangled_by_qfi": report.entangled_by_qfi,
+        "entangled_by_spin_squeezing": report.entangled_by_spin_squeezing,
+        "any_entangled": report.any_entangled,
     }
+    return entries, verdicts, had_error
 
 
 def _cmd_witness(args, argv) -> int:
@@ -316,19 +312,19 @@ def _cmd_witness(args, argv) -> int:
     else:
         n_reference = state.mean_n
     manifest = RunManifest.create("witness", argv, None, args.timestamp)
-    entries, had_error = _evaluate_witnesses(state, n_reference, requests)
+    entries, verdicts, had_error = _evaluate_witnesses(state, n_reference, requests)
     payload = {
         "manifest": asdict(manifest),
         "state": spec.describe(),
         "n_reference": n_reference,
         "witnesses": entries,
-        "verdicts": _verdicts(entries),
+        "verdicts": verdicts,
     }
     if args.per_sector:
         if isinstance(state, NumberSectorMixture):
             sector_reports = []
             for weight, sector in state.sectors:
-                sector_entries, sector_error = _evaluate_witnesses(
+                sector_entries, sector_verdicts, sector_error = _evaluate_witnesses(
                     sector, float(sector.n_total), requests
                 )
                 had_error = had_error or sector_error
@@ -337,7 +333,7 @@ def _cmd_witness(args, argv) -> int:
                         "n": sector.n_total,
                         "weight": weight,
                         "witnesses": sector_entries,
-                        "verdicts": _verdicts(sector_entries),
+                        "verdicts": sector_verdicts,
                     }
                 )
             payload["per_sector"] = sector_reports

@@ -41,6 +41,10 @@ class ZeroMeanSpinDirection(WitnessError):
     """The mean spin has no transverse component to normalize against."""
 
 
+class NonFiniteWitnessValue(WitnessError):
+    """A witness evaluated to NaN or an infinity, which no bound can judge."""
+
+
 class PovmError(BosewitError):
     """Base for malformed or inconsistently used measurement sets."""
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -415,12 +414,3 @@ def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionFailure(str(exc)) from exc
     return evals, evecs
-
-
-def mixture_expectation(
-    mix: NumberSectorMixture, sector_functional: Callable[[SectorDensity], float]
-) -> float:
-    """Probability-weighted sector sum sum_N p_N f(rho_N)."""
-    if not isinstance(mix, NumberSectorMixture):
-        raise TypeError("mixture_expectation needs a NumberSectorMixture")
-    return float(sum(w * float(sector_functional(sector)) for w, sector in mix.sectors))

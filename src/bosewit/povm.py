@@ -27,7 +27,7 @@ from .errors import (
     UnknownLabel,
 )
 from .fock import FockVector, SectorDensity, normally_ordered_moment
-from .witnesses import CorrelationIntegrals, csi_ratio
+from .witnesses import CorrelationIntegrals
 
 _COMPLETENESS_TOL = 1e-10
 _POSITIVITY_TOL = 1e-12
@@ -283,16 +283,6 @@ def second_quantized_g2(state, povm: PovmSet, label_1: str, label_2: str) -> flo
         r = (sigma == 1) + (nu == 1)
         total += coeff * normally_ordered_moment(state, p, q, r, s)
     return float(total.real)
-
-
-def csi_povm(integrals: CorrelationIntegrals) -> float:
-    """Cauchy-Schwarz ratio of measurement-integrated correlators.
-
-    The bound C <= 1 for separable states holds for any positive
-    operator-valued measurement, so this is the same ratio as
-    witnesses.csi_ratio re-exported under the measurement vocabulary.
-    """
-    return csi_ratio(integrals)
 
 
 def random_complete_povm(rng: np.random.Generator, dim: int, n_elements: int) -> PovmSet:

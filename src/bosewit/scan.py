@@ -14,14 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import WitnessError
-from .fock import (
-    DEFAULT_N_MAX,
-    GeneratorSpec,
-    NumberSectorMixture,
-    SectorDensity,
-    generator_matrix,
-    hermitian_eig,
-)
+from .fock import DEFAULT_N_MAX
 from .separable import (
     FluctuatingEnsemble,
     NumberDistribution,
@@ -32,17 +25,14 @@ from .separable import (
     sample_fluctuating_ensemble,
 )
 from .witnesses import (
-    _qfi_spectral_weights,
+    WITNESS_TOLERANCE,
     csi_ratio,
     integrated_g2m,
+    qfi,
     spin_squeezing,
 )
 
-CSI_TOLERANCE = 1e-9
-SQUEEZING_TOLERANCE = 1e-9
 QFI_TOLERANCE = 1e-6
-
-_AXES = tuple(GeneratorSpec.axis(name) for name in ("x", "y", "z"))
 
 
 class _BoundTracker:
@@ -136,41 +126,6 @@ def _ensemble_payload(ensemble) -> dict:
     raise TypeError(f"unsupported ensemble type {type(ensemble).__name__}")
 
 
-def _qfi_directions_sector(sector: SectorDensity, directions: np.ndarray) -> np.ndarray:
-    """F_Q of one sector for every direction, diagonalizing only once.
-
-    The generator is linear in the direction, so the eigenbasis overlaps
-    W_n = nx Wx + ny Wy + nz Wz reuse three fixed matrix products.
-    """
-    evals, evecs = hermitian_eig(sector.matrix)
-    pair_weights = _qfi_spectral_weights(evals)
-    overlaps = [
-        evecs.conj().T @ generator_matrix(sector.n_total, axis) @ evecs
-        for axis in _AXES
-    ]
-    values = np.empty(len(directions))
-    for i, direction in enumerate(directions):
-        w = (
-            direction[0] * overlaps[0]
-            + direction[1] * overlaps[1]
-            + direction[2] * overlaps[2]
-        )
-        values[i] = float(np.sum(pair_weights * np.abs(w) ** 2))
-    return values
-
-
-def _qfi_directions(state, directions: np.ndarray) -> np.ndarray:
-    if isinstance(state, SectorDensity):
-        return _qfi_directions_sector(state, directions)
-    if isinstance(state, NumberSectorMixture):
-        total = np.zeros(len(directions))
-        for weight, sector in state.sectors:
-            if weight > 0.0:
-                total += weight * _qfi_directions_sector(sector, directions)
-        return total
-    raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
 def run_scan(
     samples: int,
     seed: int,
@@ -223,10 +178,10 @@ def run_scan(
     qfi_bound = None  # set after the first state (mean N is sample independent)
     for m in orders:
         trackers[f"csi_order_{m}"] = _BoundTracker(
-            f"csi_order_{m}", 1.0, "upper", CSI_TOLERANCE
+            f"csi_order_{m}", 1.0, "upper", WITNESS_TOLERANCE
         )
     trackers["spin_squeezing"] = _BoundTracker(
-        "spin_squeezing", 1.0, "lower", SQUEEZING_TOLERANCE
+        "spin_squeezing", 1.0, "lower", WITNESS_TOLERANCE
     )
 
     for index, child_seed in enumerate(sample_seeds):
@@ -258,7 +213,7 @@ def run_scan(
                 continue
             tracker.record(value, {**base_payload, "order_m": m})
 
-        qfi_values = _qfi_directions(state, directions)
+        qfi_values = qfi(state, directions)
         worst_direction = int(np.argmax(qfi_values))
         trackers["qfi"].record(
             float(qfi_values[worst_direction]),

@@ -34,7 +34,7 @@ from .separable import (
 )
 
 _KINDS = ("twin_fock", "coherent_spin", "dicke", "mixture", "fluctuating")
-_PURE_SECTOR_KINDS = ("twin_fock", "coherent_spin", "dicke")
+_PURE_KINDS = ("twin_fock", "coherent_spin", "dicke")
 _WEIGHT_SUM_TOL = 1e-9
 
 
@@ -307,21 +307,31 @@ def _check_weight_sum(weights, source, line, col, what):
     return total
 
 
+def _z_phi(reader: _Reader) -> tuple:
+    """A coherent spin direction: z in [0, 1] and phi (default 0) wrapped
+    into [-pi, pi]."""
+    z = reader.number("z", low=0.0, high=1.0)
+    phi = reader.number("phi", required=False, default=0.0)
+    return z, math.remainder(phi, math.tau)
+
+
 def _parse_components(reader: _Reader, source: str) -> tuple:
     blocks = reader.child_blocks("component")
     components = []
     for entry in blocks:
         sub = _Reader(entry.value, source, "component")
         weight = sub.number("weight", low=0.0)
-        z = sub.number("z", low=0.0, high=1.0)
-        phi = sub.number("phi", required=False, default=0.0)
+        z, phi = _z_phi(sub)
         sub.finish()
-        components.append((weight, z, math.remainder(phi, math.tau)))
+        components.append((weight, z, phi))
     return tuple(components)
 
 
-def _parse_pure_sector(reader: _Reader, source: str, n: int, block: _Block) -> StateSpec:
-    kind = reader.string("kind", choices=_PURE_SECTOR_KINDS)
+def _parse_pure_sector(
+    reader: _Reader, source: str, kind: str, n: int, block: _Block
+) -> StateSpec:
+    """A twin_fock, coherent_spin or dicke state of n particles, at top level
+    or in a sector block; errors not tied to one key point at `block`."""
     params: dict = {"n": n}
     if kind == "twin_fock":
         if n <= 0 or n % 2:
@@ -332,10 +342,7 @@ def _parse_pure_sector(reader: _Reader, source: str, n: int, block: _Block) -> S
                 block.col,
             )
     elif kind == "coherent_spin":
-        params["z"] = reader.number("z", low=0.0, high=1.0)
-        params["phi"] = math.remainder(
-            reader.number("phi", required=False, default=0.0), math.tau
-        )
+        params["z"], params["phi"] = _z_phi(reader)
     elif kind == "dicke":
         k = reader.integer("k", minimum=0)
         if k > n:
@@ -378,8 +385,7 @@ def _parse_fluctuating(reader: _Reader, source: str, top: _Block) -> StateSpec:
             n_fixed = sub.integer("n", minimum=0)
             distribution = NumberDistribution.deterministic(n_fixed)
         sub.finish()
-        z = reader.number("z", low=0.0, high=1.0)
-        phi = math.remainder(reader.number("phi", required=False, default=0.0), math.tau)
+        z, phi = _z_phi(reader)
         reader.finish()
         sectors = tuple(
             (
@@ -419,7 +425,8 @@ def _parse_fluctuating(reader: _Reader, source: str, top: _Block) -> StateSpec:
                 "mixture", source, {"n": n, "components": components}
             )
         else:
-            spec = _parse_pure_sector(sub, source, n, block)
+            kind = sub.string("kind", choices=_PURE_KINDS)
+            spec = _parse_pure_sector(sub, source, kind, n, block)
             sub.finish()
         sectors.append((weight, spec))
     reader.finish()
@@ -443,26 +450,10 @@ def parse_state_text(text: str, source: str = "<string>") -> StateSpec:
     if kind == "fluctuating":
         return _parse_fluctuating(reader, source, top)
     n = reader.integer("n", minimum=0)
-    if kind == "twin_fock":
-        if n <= 0 or n % 2:
-            raise StateSpecError(
-                f"twin_fock needs a positive even n; got {n}", source, top.line, top.col
-            )
+    if kind in _PURE_KINDS:
+        spec = _parse_pure_sector(reader, source, kind, n, top)
         reader.finish()
-        return StateSpec(kind, source, {"n": n})
-    if kind == "coherent_spin":
-        z = reader.number("z", low=0.0, high=1.0)
-        phi = math.remainder(reader.number("phi", required=False, default=0.0), math.tau)
-        reader.finish()
-        return StateSpec(kind, source, {"n": n, "z": z, "phi": phi})
-    if kind == "dicke":
-        k = reader.integer("k", minimum=0)
-        if k > n:
-            raise StateSpecError(
-                f"dicke occupation k={k} exceeds n={n}", source, top.line, top.col
-            )
-        reader.finish()
-        return StateSpec(kind, source, {"n": n, "k": k})
+        return spec
     # mixture
     components = _parse_components(reader, source)
     reader.finish()

@@ -17,7 +17,9 @@ and wraps the verdicts in a report.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .errors import (
     ZeroMeanSpinDirection,
 )
 from .fock import (
+    _UNIT_TOL,
     DEFAULT_N_MAX,
     FockVector,
     GeneratorSpec,
@@ -53,6 +56,8 @@ _DEGENERATE_PRODUCT = 1e-24
 _EMPTY_STATE_TOL = 1e-12
 _QFI_SPECTRAL_CUTOFF = 1e-12
 _MEAN_SPIN_GUARD = 1e-18
+
+_AXES = tuple(GeneratorSpec.axis(name) for name in "xyz")
 
 
 @dataclass(frozen=True)
@@ -264,14 +269,28 @@ def _qfi_spectral_weights(evals: np.ndarray) -> np.ndarray:
     return 2.0 * ratio
 
 
-def _qfi_sector(sector: SectorDensity, g: GeneratorSpec) -> float:
+def _qfi_sector(sector: SectorDensity, direction_terms: list) -> list:
+    """F_Q of one sector for every direction, diagonalizing once.
+
+    J_n is linear in n, so its eigenbasis overlap is the sum of n_a W_a
+    over the axes a. Each direction comes as its nonzero (a, n_a) pairs,
+    and W_a is built only for an axis some direction uses, so a
+    single-axis request costs one product.
+    """
     evals, evecs = hermitian_eig(sector.matrix)
-    jmat = generator_matrix(sector.n_total, g)
-    w = evecs.conj().T @ jmat @ evecs
-    return float(np.sum(_qfi_spectral_weights(evals) * np.abs(w) ** 2))
+    pair_weights = _qfi_spectral_weights(evals)
+    overlaps = {
+        axis: evecs.conj().T @ generator_matrix(sector.n_total, _AXES[axis]) @ evecs
+        for axis in {axis for terms in direction_terms for axis, _ in terms}
+    }
+    values = []
+    for terms in direction_terms:
+        w = reduce(operator.add, (c * overlaps[axis] for axis, c in terms))
+        values.append(float(np.sum(pair_weights * np.abs(w) ** 2)))
+    return values
 
 
-def qfi(state, g: GeneratorSpec) -> float:
+def qfi(state, g):
     """Quantum Fisher information for rotations generated by J_n.
 
     Pure states: F_Q = 4 Var(J_n). Sector densities: the spectral formula
@@ -280,15 +299,35 @@ def qfi(state, g: GeneratorSpec) -> float:
     generators conserve N, so the matrix is block diagonal and F_Q is the
     weight-averaged sector value. Any separable state obeys F_Q <= N
     (or <N> for fluctuating number); more is entanglement.
+
+    `g` is one GeneratorSpec, which returns a float, or a (k, 3) stack of
+    unit directions, which returns the k values as an array. A stack
+    diagonalizes each sector once for all its directions, and each value
+    equals the one its direction gives alone.
     """
+    single = isinstance(g, GeneratorSpec)
+    if single:
+        rows = [g.direction.tolist()]
+    else:
+        directions = np.asarray(g, dtype=float)
+        rows = directions.tolist()
+        if directions.ndim != 2 or directions.shape[1] != 3 or not all(
+            abs(math.hypot(*row) - 1.0) <= _UNIT_TOL for row in rows
+        ):
+            raise ValueError("directions must be a GeneratorSpec or a (k, 3) stack of unit vectors")
     if isinstance(state, FockVector):
-        _, variance = angular_moments(state, g)
-        return 4.0 * variance
-    if isinstance(state, SectorDensity):
-        return _qfi_sector(state, g)
-    if isinstance(state, NumberSectorMixture):
-        return float(sum(w * _qfi_sector(s, g) for w, s in state.sectors if w > 0.0))
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+        specs = [g] if single else [GeneratorSpec(row) for row in rows]
+        values = [4.0 * angular_moments(state, spec)[1] for spec in specs]
+    elif isinstance(state, (SectorDensity, NumberSectorMixture)):
+        terms = [[(axis, c) for axis, c in enumerate(row) if c != 0.0] for row in rows]
+        sectors = state.sectors if isinstance(state, NumberSectorMixture) else ((1.0, state),)
+        values = [0.0] * len(terms)
+        for weight, sector in sectors:
+            if weight > 0.0:
+                values = [v + weight * f for v, f in zip(values, _qfi_sector(sector, terms))]
+    else:
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    return values[0] if single else np.array(values)
 
 
 # --- spin squeezing ----------------------------------------------------------------
@@ -348,6 +387,25 @@ def spin_squeezing(state, fluctuating: bool | None = None) -> float:
 # --- combined verdicts ---------------------------------------------------------------
 
 
+def witness_verdict(kind: str, value: float, n_reference: float) -> tuple:
+    """(bound, flag) of one witness value against its separable bound.
+
+    C_2m <= 1 and F_Q <= n_reference flag a value above the bound, xi^2 >= 1
+    one below it, each beyond WITNESS_TOLERANCE. Number squeezing eta^2 has
+    no bound of its own (sub-shot-noise fluctuations alone do not certify
+    entanglement) and gives (None, None).
+    """
+    if kind == "csi":
+        return 1.0, value > 1.0 + WITNESS_TOLERANCE
+    if kind == "qfi":
+        return float(n_reference), value > n_reference + WITNESS_TOLERANCE
+    if kind == "xi2":
+        return 1.0, value < 1.0 - WITNESS_TOLERANCE
+    if kind == "eta2":
+        return None, None
+    raise ValueError(f"unknown witness kind {kind!r}")
+
+
 def classify(
     n_reference: float,
     csi_by_order: dict | None = None,
@@ -355,29 +413,29 @@ def classify(
     xi2: float | None = None,
     qfi_by_generator: dict | None = None,
 ) -> WitnessReport:
-    """Assemble witness values into verdicts at WITNESS_TOLERANCE.
+    """Assemble witness values into verdicts by witness_verdict.
 
     Flags: any C_2m > 1, any F_Q > n_reference, or xi^2 < 1, each beyond
-    the 1e-9 margin. Number squeezing eta^2 is reported but never flags on
-    its own (sub-shot-noise fluctuations alone do not certify
-    entanglement). At least one witness value must be supplied.
+    the 1e-9 margin; eta^2 is reported but never flags. At least one
+    witness value must be supplied.
     """
     if csi_by_order is None and eta2 is None and xi2 is None and qfi_by_generator is None:
         raise ValueError("at least one computed witness is required")
     csi = dict(csi_by_order or {})
     qfi_values = dict(qfi_by_generator or {})
-    by_csi = any(v > 1.0 + WITNESS_TOLERANCE for v in csi.values())
-    by_qfi = any(v > n_reference + WITNESS_TOLERANCE for v in qfi_values.values())
-    by_squeezing = xi2 is not None and xi2 < 1.0 - WITNESS_TOLERANCE
+
+    def flags(kind, values):
+        return any(witness_verdict(kind, v, n_reference)[1] for v in values)
+
     return WitnessReport(
         n_reference=float(n_reference),
         csi_by_order=csi,
         eta2=eta2,
         xi2=xi2,
         qfi_by_generator=qfi_values,
-        entangled_by_csi=by_csi,
-        entangled_by_qfi=by_qfi,
-        entangled_by_spin_squeezing=by_squeezing,
+        entangled_by_csi=flags("csi", csi.values()),
+        entangled_by_qfi=flags("qfi", qfi_values.values()),
+        entangled_by_spin_squeezing=xi2 is not None and flags("xi2", [xi2]),
     )
 
 

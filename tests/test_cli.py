@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bosewit.cli import main
+from bosewit.witnesses import classify
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TS = "2026-01-01T00:00:00+00:00"
@@ -219,6 +221,80 @@ def test_witness_csv_format(capsys):
     assert lines[1] == "scope,witness,value,bound,flag,error"
     scopes = {line.split(",")[0] for line in lines[2:]}
     assert scopes == {"overall", "n=4", "n=20"}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def strict_json(text):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("name", ["css_050", "masked_mixture", "twin_fock_20"])
+def test_witness_verdicts_equal_classify(name, capsys):
+    code, out, _ = run_cli(
+        capsys, "witness", "--state", os.path.join(DATA, f"{name}.state"),
+        "--witness", "all", "--witness", "qfi:x", "--witness", "csi:2", "--per-sector",
+        "--timestamp", TS,
+    )
+    payload = strict_json(out)
+    scopes = [(payload["n_reference"], payload)] + [
+        (float(s["n"]), s) for s in payload.get("per_sector", [])
+    ]
+    for n_reference, scope in scopes:
+        values = {k: e["value"] for k, e in scope["witnesses"].items() if "value" in e}
+        report = classify(
+            n_reference,
+            csi_by_order={int(k[4:]): v for k, v in values.items() if k.startswith("csi:")},
+            eta2=values.get("eta2"),
+            xi2=values.get("xi2"),
+            qfi_by_generator={k: v for k, v in values.items() if k.startswith("qfi:")},
+        )
+        assert scope["verdicts"] == {
+            "entangled_by_csi": report.entangled_by_csi,
+            "entangled_by_qfi": report.entangled_by_qfi,
+            "entangled_by_spin_squeezing": report.entangled_by_spin_squeezing,
+            "any_entangled": report.any_entangled,
+        }
+    assert code == (0 if name == "css_050" else 3)
+
+
+def test_witness_all_failed_gives_null_verdicts(capsys):
+    code, out, _ = run_cli(
+        capsys, "witness", "--state", os.path.join(DATA, "twin_fock_20.state"),
+        "--witness", "csi:11", "--witness", "xi2", "--timestamp", TS,
+    )
+    assert code == 3
+    payload = strict_json(out)
+    assert payload["verdicts"] is None
+    assert payload["witnesses"]["csi:11"]["error"] == "DegenerateLocalCorrelation"
+    assert payload["witnesses"]["xi2"]["error"] == "ZeroMeanSpinDirection"
+
+
+def test_witness_non_finite_value_is_a_named_error(tmp_path, capsys):
+    # C_100 of the twin-Fock state at N = 400 overflows the raw correlators
+    # to inf/inf; the report must stay strict JSON and exit 3.
+    pure = tmp_path / "tf400.state"
+    pure.write_text("kind = twin_fock\nn = 400\n")
+    mixed = tmp_path / "tf400_sector.state"
+    mixed.write_text(
+        "kind = fluctuating\nsector:\n    weight = 1.0\n    n = 400\n    kind = twin_fock\n"
+    )
+    for path, extra in ((pure, []), (mixed, ["--per-sector", "--n-max", "400"])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, _ = run_cli(
+                capsys, "witness", "--state", str(path), "--witness", "csi:1",
+                "--witness", "csi:100", *extra, "--timestamp", TS,
+            )
+        assert code == 3
+        payload = strict_json(out)
+        scopes = [payload] + payload.get("per_sector", [])
+        assert len(scopes) == (2 if extra else 1)
+        for scope in scopes:
+            assert scope["witnesses"]["csi:100"]["error"] == "NonFiniteWitnessValue"
+            assert scope["witnesses"]["csi:1"]["flag"] is True
+            assert scope["verdicts"]["entangled_by_csi"] is True
 
 
 def test_scan_smoke_and_round_trip(capsys):

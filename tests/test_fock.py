@@ -16,7 +16,6 @@ from bosewit.fock import (
     basis_state,
     generator_matrix,
     hermitian_eig,
-    mixture_expectation,
     normally_ordered_moment,
     rotate,
     twin_fock,
@@ -289,12 +288,3 @@ def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert issubclass(EigendecompositionFailure, Exception)
-
-
-def test_mixture_expectation():
-    rho2 = SectorDensity.from_pure(twin_fock(2))
-    rho4 = SectorDensity.from_pure(twin_fock(4))
-    single = NumberSectorMixture(((1.0, rho4),))
-    assert mixture_expectation(single, lambda s: s.n_total) == pytest.approx(4.0)
-    mix = NumberSectorMixture(((0.5, rho2), (0.5, rho4)))
-    assert mixture_expectation(mix, lambda s: s.n_total) == pytest.approx(3.0, abs=1e-12)

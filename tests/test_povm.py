@@ -14,7 +14,6 @@ from bosewit.povm import (
     PovmElement,
     PovmSet,
     SingleParticleState,
-    csi_povm,
     integrated_gm_separable,
     random_complete_povm,
     region_response,
@@ -22,7 +21,7 @@ from bosewit.povm import (
     validate_povm,
 )
 from bosewit.separable import CoherentSpinState, SeparableEnsemble, ensemble_to_state
-from bosewit.witnesses import integrated_g2m
+from bosewit.witnesses import csi_ratio, integrated_g2m
 
 from oracles import random_pure_amplitudes
 
@@ -108,7 +107,7 @@ def test_single_component_integrals_balanced():
     assert integrals.g_aa == pytest.approx(3.0, abs=1e-12)
     assert integrals.g_bb == pytest.approx(3.0, abs=1e-12)
     assert integrals.g_ab == pytest.approx(3.0, abs=1e-12)
-    assert csi_povm(integrals) == pytest.approx(1.0, abs=1e-12)
+    assert csi_ratio(integrals) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_component_saturates_any_measurement():
@@ -124,7 +123,7 @@ def test_single_component_saturates_any_measurement():
             integrals = integrated_gm_separable(
                 povm, [(1.0, state)], 12, m, region_a, region_b
             )
-            assert csi_povm(integrals) == pytest.approx(1.0, abs=1e-12)
+            assert csi_ratio(integrals) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_component_mixture_drops_below_bound():
@@ -136,7 +135,7 @@ def test_two_component_mixture_drops_below_bound():
     integrals = integrated_gm_separable(
         povm, components, 10, 1, OutcomeRegion.of("a"), OutcomeRegion.of("b")
     )
-    ratio = csi_povm(integrals)
+    ratio = csi_ratio(integrals)
     assert ratio == pytest.approx(0.09 / 0.41, rel=1e-12)
     assert ratio < 1.0
 

@@ -318,6 +318,43 @@ def test_error_duplicate_sector_number():
         )
 
 
+def _in_sector(body):
+    """The same lines as the one sector of a fluctuating state, three lines
+    further down and four columns further in."""
+    return "kind = fluctuating\nsector:\n    weight = 1.0\n" + textwrap.indent(body, "    ")
+
+
+# The pure-kind cases of the error tests above: (text, message, line of the
+# offending key, or None where the error points at the enclosing block).
+PURE_KIND_ERRORS = [
+    ("kind = twin_fock\nn = 7\n", "twin_fock needs a positive even n; got 7", None),
+    ("kind = twin_fock\nn = 8\nflavor = up\n", "unknown key 'flavor' in {context}", 3),
+    ("kind = twin_fock\nn = 4\nn = 6\n", "duplicate key 'n'", 3),
+    ("kind = coherent_spin\nn = 50\nz = blue\n", "'z' must be a number; got 'blue'", 3),
+    ("kind = coherent_spin\nn = 4\nz = 1.5\n", "'z' must lie in [0.0, 1.0]; got 1.5", 3),
+    ("kind = coherent_spin\nn = 4\nz = 0.5\nphi = up\n", "'phi' must be a number; got 'up'", 4),
+    ("kind = coherent_spin\nn = 10\n", "{context} needs 'z'", None),
+    ("kind = dicke\nn = 6\nk = 9\n", "dicke occupation k=9 exceeds n=6", None),
+    ("kind = dicke\nn = 6\n", "{context} needs 'k'", None),
+]
+
+
+@pytest.mark.parametrize("text,message,line", PURE_KIND_ERRORS)
+def test_pure_kind_errors_read_the_same_in_a_sector(text, message, line):
+    with pytest.raises(StateSpecError) as top:
+        parse_state_text(text, source="sample.state")
+    with pytest.raises(StateSpecError) as sector:
+        parse_state_text(_in_sector(text), source="sample.state")
+    assert top.value.message == message.format(context="state description")
+    assert sector.value.message == message.format(context="sector")
+    if line is None:
+        assert (top.value.line, top.value.col) == (1, 1)
+        assert (sector.value.line, sector.value.col) == (2, 1)
+    else:
+        assert (top.value.line, top.value.col) == (line, 1)
+        assert (sector.value.line, sector.value.col) == (line + 3, 5)
+
+
 def test_parse_file_and_missing_file(tmp_path):
     path = tmp_path / "tf.state"
     path.write_text("kind = twin_fock\nn = 4\n")

@@ -43,6 +43,7 @@ from bosewit.witnesses import (
     spin_squeezing,
     twin_fock_csi_approx,
     twin_fock_csi_exact,
+    witness_verdict,
 )
 
 import oracles
@@ -278,6 +279,61 @@ def test_qfi_mixture_is_sector_weighted():
     assert qfi(mix, g) == pytest.approx(0.4 * qfi(rho3, g) + 0.6 * qfi(rho6, g), abs=1e-10)
 
 
+def _qfi_dense_oracle(matrix, direction):
+    """The spectral QFI formula, with J_n built as one dense matrix from
+    the ladder operators."""
+    n = matrix.shape[0] - 1
+    jn = (
+        direction[0] * oracles.jx_dense(n)
+        + direction[1] * oracles.jy_dense(n)
+        + direction[2] * oracles.jz_dense(n)
+    )
+    lam, vecs = np.linalg.eigh(matrix)
+    w = vecs.conj().T @ jn @ vecs
+    total = 0.0
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if lam[i] + lam[j] > 1e-12:
+                total += 2 * (lam[i] - lam[j]) ** 2 / (lam[i] + lam[j]) * abs(w[i, j]) ** 2
+    return total
+
+
+def _stack_case(kind):
+    rng = np.random.default_rng(109)
+    if kind == "pure":
+        state = FockVector(oracles.random_pure_amplitudes(rng, 9))
+        return state, [(1.0, np.outer(state.amplitudes, state.amplitudes.conj()))]
+    rho3 = SectorDensity(oracles.random_density_matrix(rng, 3))
+    rho8 = SectorDensity(oracles.random_density_matrix(rng, 8))
+    if kind == "density":
+        return rho8, [(1.0, rho8.matrix)]
+    return NumberSectorMixture(((0.4, rho3), (0.6, rho8))), [(0.4, rho3.matrix), (0.6, rho8.matrix)]
+
+
+@pytest.mark.parametrize("kind", ["pure", "density", "mixture"])
+def test_qfi_direction_stack_matches_single_directions(kind):
+    state, weighted_matrices = _stack_case(kind)
+    rng = np.random.default_rng(113)
+    random_directions = rng.normal(size=(6, 3))
+    random_directions /= np.linalg.norm(random_directions, axis=1)[:, None]
+    stack = np.vstack([np.eye(3), random_directions, [[0.6, 0.8, 0.0]]])
+    values = qfi(state, stack)
+    assert values.shape == (len(stack),)
+    for axis, value in zip("xyz", values[:3]):
+        assert value == qfi(state, GeneratorSpec.axis(axis))
+    for direction, value in zip(stack[3:], values[3:]):
+        assert value == pytest.approx(qfi(state, GeneratorSpec(direction)), rel=1e-12)
+        oracle = sum(w * _qfi_dense_oracle(m, direction) for w, m in weighted_matrices)
+        assert value == pytest.approx(oracle, rel=1e-10)
+
+
+def test_qfi_rejects_malformed_direction_stacks():
+    rho = SectorDensity.from_pure(twin_fock(4))
+    for bad in (np.ones(3), np.ones((2, 2)), [[1.0, 1.0, 0.0]], [[np.nan, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="unit"):
+            qfi(rho, bad)
+
+
 def test_spin_squeezing_examples():
     css = to_fock(CoherentSpinState(0.5, 0.0, 50))
     assert spin_squeezing(css) == pytest.approx(1.0, abs=1e-10)
@@ -341,6 +397,22 @@ def test_classify_split_ensemble_is_clean():
     )
     assert report.eta2 == pytest.approx(0.84, abs=1e-10)
     assert not report.any_entangled
+
+
+@pytest.mark.parametrize(
+    "kind,below,above",
+    [("csi", False, True), ("qfi", False, True), ("xi2", True, False)],
+)
+def test_witness_verdict_flags_only_beyond_the_tolerance(kind, below, above):
+    bound = 12.0 if kind == "qfi" else 1.0
+    for within in (bound - 0.5e-9, bound, bound + 0.5e-9):
+        assert witness_verdict(kind, within, 12.0) == (bound, False)
+    assert witness_verdict(kind, bound - 2e-9, 12.0) == (bound, below)
+    assert witness_verdict(kind, bound + 2e-9, 12.0) == (bound, above)
+
+
+def test_witness_verdict_never_flags_eta2():
+    assert witness_verdict("eta2", 0.1, 12.0) == (None, None)
 
 
 def test_classify_requires_a_witness():
