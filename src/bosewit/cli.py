@@ -252,7 +252,20 @@ def _witness_key(kind: str, param) -> str:
 def _evaluate_witnesses(state, n_reference: float, requests) -> tuple:
     """Returns ({key: entry}, verdicts, had_error). Each entry has
     value/bound/flag or error/message; witness failures never abort the
-    other witnesses. verdicts is None when no witness computed."""
+    other witnesses. verdicts is None when no witness computed.
+
+    All qfi requests are evaluated by one qfi call on their direction
+    stack, so each sector is factorized once; if that call fails, every
+    qfi entry carries the error.
+    """
+    qfi_params = [param for kind, param in requests if kind == "qfi"]
+    qfi_values, qfi_error = {}, None
+    if qfi_params:
+        try:
+            stack = np.array([param.direction for param in qfi_params])
+            qfi_values = dict(zip((p.key() for p in qfi_params), qfi(state, stack)))
+        except WitnessError as exc:
+            qfi_error = exc
     entries = {}
     computed = {"csi_by_order": {}, "qfi_by_generator": {}}
     had_error = False
@@ -266,7 +279,9 @@ def _evaluate_witnesses(state, n_reference: float, requests) -> tuple:
             elif kind == "xi2":
                 value = spin_squeezing(state)
             else:
-                value = qfi(state, param)
+                if qfi_error is not None:
+                    raise qfi_error
+                value = float(qfi_values[param.key()])
             if not math.isfinite(value):
                 raise NonFiniteWitnessValue(
                     f"{key} evaluated to {value!r}, which no bound can judge"

@@ -1,12 +1,14 @@
 """Exact linear algebra on two-mode bosonic number sectors.
 
 A fixed-N two-mode state lives in the (N+1)-dimensional sector spanned by
-|k>_a |N-k>_b. Pure states are amplitude vectors over k, mixed states are
-hermitian sector densities, and superselected states carry one density per
-particle number. Mode moments are evaluated by repeated ladder action on
-amplitude vectors, which keeps pure-state expectation values O(N); dense
-operator matrices appear only where rotations, mixed states, or
-eigendecompositions genuinely need them.
+|k>_a |N-k>_b. Pure states are amplitude vectors over k. A mixed sector
+state is held in factored form, rho = sum_i w_i |v_i><v_i|, as K
+nonnegative weights and K amplitude rows; superselected states carry one
+such sector per particle number. Mode and spin moments act on amplitude
+rows by ladder and tridiagonal generator actions, so a pure state costs
+O(N) and a K-row sector O(K N). Dense (N+1)^2 matrices appear only where
+a caller hands one in, asks for one (``SectorDensity.matrix``), or needs
+a rotation.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ _EIG_HERMITICITY_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _WEIGHT_SUM_TOL = 1e-10
 _UNIT_TOL = 1e-12
+# A dense density with an eigenvalue below -_PSD_TOL is not a state; its
+# eigenvalues up to _EIGENVALUE_CUTOFF are rounding noise and are dropped.
+_PSD_TOL = 1e-10
+_EIGENVALUE_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,20 +85,25 @@ def twin_fock(n_total: int) -> FockVector:
     return basis_state(n_total, n_total // 2)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SectorDensity:
-    """Hermitian unit-trace density matrix on one fixed-N sector.
+    """Positive semidefinite unit-trace density on one fixed-N sector,
+    held as factors: rho = sum_i weights[i] |vectors[i]><vectors[i]|.
 
-    The stored matrix is symmetrized, so downstream eigensolves see an
-    exactly hermitian operand. Positive semidefiniteness is a contract on
-    values rather than a per-construction eigensolve; it is exercised by
-    the property tests and by every spectral consumer.
+    ``weights`` has shape (K,) and ``vectors`` shape (K, N+1); both are
+    read-only. ``SectorDensity(matrix)`` takes a dense hermitian matrix
+    and factorizes it once by its eigendecomposition, keeping eigenvalues
+    above 1e-12 and refusing any below -1e-10 (not positive semidefinite).
+    ``from_factors`` builds one from weights and rows directly, with no
+    dense matrix and no eigensolve; every separable ensemble and pure
+    sector is built that way.
     """
 
-    matrix: np.ndarray
+    weights: np.ndarray
+    vectors: np.ndarray
 
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.complex128, copy=True)
+    def __init__(self, matrix):
+        mat = np.array(matrix, dtype=np.complex128, copy=True)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
             raise ValueError("density must be a non-empty square matrix")
         if not np.all(np.isfinite(mat.view(np.float64))):
@@ -105,20 +116,61 @@ class SectorDensity:
         trace = float(mat.trace().real)
         if abs(trace - 1.0) > _TRACE_TOL:
             raise ValueError(f"density trace is {trace!r}, expected 1")
-        mat = (mat + mat.conj().T) / 2.0
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        evals, evecs = hermitian_eig(mat)
+        if evals[0] < -_PSD_TOL:
+            raise ValueError(
+                f"density has eigenvalue {float(evals[0])!r} below -{_PSD_TOL:g}; "
+                "it is not positive semidefinite"
+            )
+        keep = evals > _EIGENVALUE_CUTOFF
+        self._set(evals[keep], evecs[:, keep].T)
+
+    @classmethod
+    def from_factors(cls, weights, vectors) -> "SectorDensity":
+        """The density sum_i weights[i] |vectors[i]><vectors[i]|.
+
+        Weights must be finite and nonnegative, rows finite, and the trace
+        sum_i weights[i] |vectors[i]|^2 within 1e-10 of 1. Rows need not be
+        orthogonal, distinct or fewer than N+1.
+        """
+        w = np.array(weights, dtype=float, copy=True)
+        vecs = np.array(vectors, dtype=np.complex128, copy=True)
+        if w.ndim != 1 or vecs.ndim != 2 or vecs.shape[0] != w.size or vecs.size == 0:
+            raise ValueError("factors must be K weights and a (K, N+1) array of rows")
+        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+            raise ValueError("factor weights must be finite and nonnegative")
+        if not np.all(np.isfinite(vecs.view(np.float64))):
+            raise ValueError("factor rows must be finite")
+        trace = float(w @ np.sum(np.abs(vecs) ** 2, axis=1))
+        if abs(trace - 1.0) > _TRACE_TOL:
+            raise ValueError(f"density trace is {trace!r}, expected 1")
+        density = cls.__new__(cls)
+        density._set(w, vecs)
+        return density
+
+    def _set(self, weights: np.ndarray, vectors: np.ndarray) -> None:
+        weights.setflags(write=False)
+        vectors.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def n_total(self) -> int:
-        return self.matrix.shape[0] - 1
+        return self.vectors.shape[1] - 1
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (N+1) x (N+1) matrix, built on each access."""
+        mat = (self.vectors.T * self.weights) @ self.vectors.conj()
+        mat.setflags(write=False)
+        return mat
 
     @classmethod
     def from_pure(cls, state: FockVector) -> "SectorDensity":
-        return cls(np.outer(state.amplitudes, state.amplitudes.conj()))
+        return cls.from_factors([1.0], state.amplitudes[None, :])
 
     def occupation_probabilities(self) -> np.ndarray:
-        return np.clip(self.matrix.diagonal().real, 0.0, None)
+        return np.clip(self.weights @ (np.abs(self.vectors) ** 2), 0.0, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,40 +259,27 @@ class GeneratorSpec:
 # a |k, N-k> = sqrt(k) |k-1, N-k>  and  b |k, N-k> = sqrt(N-k) |k, N-1-k>;
 # both land in sector N-1, so a sector-N amplitude vector just shrinks by one
 # entry per application. A vector of size zero is the annihilated result.
+# The actions work on the last axis, so a (K, N+1) stack of rows is K vectors.
 
 
 def _apply_a(vec: np.ndarray) -> np.ndarray:
-    k = np.arange(1, vec.size)
-    return np.sqrt(k) * vec[1:]
+    k = np.arange(1, vec.shape[-1])
+    return np.sqrt(k) * vec[..., 1:]
 
 
 def _apply_b(vec: np.ndarray) -> np.ndarray:
-    n = vec.size - 1
+    n = vec.shape[-1] - 1
     k = np.arange(0, max(n, 0))
-    return np.sqrt(n - k) * vec[:-1]
+    return np.sqrt(n - k) * vec[..., :-1]
 
 
-def _apply_a_rows(mat: np.ndarray) -> np.ndarray:
-    k = np.arange(1, mat.shape[0])
-    return np.sqrt(k)[:, None] * mat[1:, :]
-
-
-def _apply_b_rows(mat: np.ndarray) -> np.ndarray:
-    n = mat.shape[0] - 1
-    k = np.arange(0, max(n, 0))
-    return np.sqrt(n - k)[:, None] * mat[:-1, :]
-
-
-def _apply_a_cols(mat: np.ndarray) -> np.ndarray:
-    # right-multiplication by a^dag: (M a^dag)[:, j] = sqrt(j+1) M[:, j+1]
-    k = np.arange(1, mat.shape[1])
-    return np.sqrt(k)[None, :] * mat[:, 1:]
-
-
-def _apply_b_cols(mat: np.ndarray) -> np.ndarray:
-    n = mat.shape[1] - 1
-    k = np.arange(0, max(n, 0))
-    return np.sqrt(n - k)[None, :] * mat[:, :-1]
+def _lower(vec: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
+    """b^n_b a^n_a applied to an amplitude vector or a stack of rows."""
+    for _ in range(n_a):
+        vec = _apply_a(vec)
+    for _ in range(n_b):
+        vec = _apply_b(vec)
+    return vec
 
 
 def normally_ordered_moment(state, p: int, q: int, r: int, s: int) -> complex:
@@ -248,9 +287,9 @@ def normally_ordered_moment(state, p: int, q: int, r: int, s: int) -> complex:
 
     Exactly zero whenever p + q != r + s (particle-number conservation
     kills every off-diagonal block) or when the annihilators exhaust each
-    occupied basis component. Pure states cost O((p+q) N); densities cost
-    O((p+q) N^2) via left action of b^r a^s and right action of the
-    daggered pair, then a trace.
+    occupied basis component. A pure state costs O((p+q) N): the moment is
+    the overlap of b^q a^p |psi> with b^r a^s |psi>. A sector density is
+    the weighted sum of that overlap over its K rows, O((p+q) K N).
     """
     for name, value in (("p", p), ("q", q), ("r", r), ("s", s)):
         if not isinstance(value, (int, np.integer)) or value < 0:
@@ -258,49 +297,52 @@ def normally_ordered_moment(state, p: int, q: int, r: int, s: int) -> complex:
     if p + q != r + s:
         return 0j
     if isinstance(state, FockVector):
-        ket = state.amplitudes
-        for _ in range(s):
-            ket = _apply_a(ket)
-        for _ in range(r):
-            ket = _apply_b(ket)
+        ket = _lower(state.amplitudes, s, r)
         if ket.size == 0:
             return 0j
-        bra = state.amplitudes
-        for _ in range(p):
-            bra = _apply_a(bra)
-        for _ in range(q):
-            bra = _apply_b(bra)
-        return complex(np.vdot(bra, ket))
+        return complex(np.vdot(_lower(state.amplitudes, p, q), ket))
     if isinstance(state, SectorDensity):
         if r + s > state.n_total:
             return 0j
-        mat = state.matrix
-        for _ in range(s):
-            mat = _apply_a_rows(mat)
-        for _ in range(r):
-            mat = _apply_b_rows(mat)
-        for _ in range(p):
-            mat = _apply_a_cols(mat)
-        for _ in range(q):
-            mat = _apply_b_cols(mat)
-        return complex(np.trace(mat))
+        kets = _lower(state.vectors, s, r)
+        bras = _lower(state.vectors, p, q)
+        return complex(state.weights @ np.sum(bras.conj() * kets, axis=1))
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
 # --- collective-spin generators ----------------------------------------------
 
 
-def _apply_generator(vec: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """J_n applied to a sector amplitude vector (tridiagonal action, O(N))."""
-    n = vec.size - 1
+def _apply_generator(vec: np.ndarray, direction) -> np.ndarray:
+    """J_n applied to an amplitude vector or to each row of a stack
+    (tridiagonal action, O(N) per vector)."""
+    n = vec.shape[-1] - 1
     nx, ny, nz = (float(c) for c in direction)
     k = np.arange(n + 1)
     out = (nz * (k - n / 2.0)) * vec
     if n > 0:
         j = np.arange(1, n + 1)
         coupling = 0.5 * np.sqrt(j * (n - j + 1.0))
-        out[1:] += (nx - 1j * ny) * coupling * vec[:-1]
-        out[:-1] += (nx + 1j * ny) * coupling * vec[1:]
+        out[..., 1:] += (nx - 1j * ny) * coupling * vec[..., :-1]
+        out[..., :-1] += (nx + 1j * ny) * coupling * vec[..., 1:]
+    return out
+
+
+def _axis_actions(rows: np.ndarray) -> np.ndarray:
+    """J_x, J_y and J_z applied to each of K amplitude rows, as one
+    (3, K, N+1) array (the tridiagonal actions, O(K N))."""
+    n = rows.shape[-1] - 1
+    out = np.zeros((3,) + rows.shape, dtype=np.complex128)
+    out[2] = (np.arange(n + 1) - n / 2.0) * rows
+    if n > 0:
+        j = np.arange(1, n + 1)
+        coupling = 0.5 * np.sqrt(j * (n - j + 1.0))
+        raised = coupling * rows[:, :-1]  # the a^dag b part, onto k = 1..N
+        lowered = coupling * rows[:, 1:]  # the b^dag a part, onto k = 0..N-1
+        out[0, :, 1:] = raised
+        out[0, :, :-1] += lowered
+        out[1, :, 1:] = -1j * raised
+        out[1, :, :-1] += 1j * lowered
     return out
 
 
@@ -333,10 +375,9 @@ def _generator_first_two(state, g: GeneratorSpec) -> tuple[float, float]:
         second = float(np.vdot(jv, jv).real)
         return mean, second
     if isinstance(state, SectorDensity):
-        jmat = generator_matrix(state.n_total, g)
-        w = state.matrix @ jmat
-        mean = float(np.trace(w).real)
-        second = float(np.trace(w @ jmat).real)
+        jv = _apply_generator(state.vectors, g.direction)
+        mean = float(state.weights @ np.sum(state.vectors.conj() * jv, axis=1).real)
+        second = float(state.weights @ np.sum(np.abs(jv) ** 2, axis=1))
         return mean, second
     if isinstance(state, NumberSectorMixture):
         mean = 0.0

@@ -34,6 +34,13 @@ from .witnesses import (
 
 QFI_TOLERANCE = 1e-6
 
+# Input caps, checked before any array is built: the seed array grows with
+# the samples, the direction stack with the directions, and every sector's
+# factor rows with the components.
+MAX_SAMPLES = 10**7
+MAX_DIRECTIONS = 1000
+MAX_COMPONENTS = 1000
+
 
 class _BoundTracker:
     """Running worst case for one bound, in the adverse direction."""
@@ -146,10 +153,19 @@ def run_scan(
 
     The master seed fixes the generator directions and one child seed per
     sample, so reports are reproducible and individual samples can be
-    replayed in isolation.
+    replayed in isolation. `samples` above MAX_SAMPLES, `n_directions`
+    above MAX_DIRECTIONS and `n_components` above MAX_COMPONENTS raise
+    ValueError before anything is built.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    for name, value, cap in (
+        ("samples", samples, MAX_SAMPLES),
+        ("n_directions", n_directions, MAX_DIRECTIONS),
+        ("n_components", n_components, MAX_COMPONENTS),
+    ):
+        if value > cap:
+            raise ValueError(f"{name} must be at most {cap}; got {value}")
     if (n_total is None) == (distribution is None):
         raise ValueError("give exactly one of n_total or distribution")
     if n_directions < 1:

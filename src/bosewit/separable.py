@@ -200,35 +200,48 @@ def _binomial_weights(trials: int, prob: float) -> tuple:
     return tuple((k, p / total) for k, p in raw)
 
 
-def to_fock(state: CoherentSpinState) -> FockVector:
-    """Amplitude vector sqrt(C(N,k)) z^{k/2} (1-z)^{(N-k)/2} e^{i k phi}.
+def _coherent_rows(n_total: int, z, phi) -> np.ndarray:
+    """Amplitude rows sqrt(C(N,k)) z^{k/2} (1-z)^{(N-k)/2} e^{i k phi}, one
+    per (z, phi) pair, as a (K, N+1) complex array.
 
     Amplitudes are built in log space (so N up to 10^6 cannot overflow)
-    and renormalized once, keeping the norm at 1 to machine precision.
+    and each row is renormalized once, keeping its norm at 1 to machine
+    precision. z = 0 and z = 1 give the basis rows |0, N> and
+    e^{i N phi} |N, 0> exactly.
     """
-    n = state.n_total
-    if state.z == 0.0:
-        amps = np.zeros(n + 1, dtype=np.complex128)
-        amps[0] = 1.0
-        return FockVector(amps)
-    if state.z == 1.0:
-        amps = np.zeros(n + 1, dtype=np.complex128)
-        amps[n] = np.exp(1j * n * state.phi)
-        return FockVector(amps)
-    k = np.arange(n + 1)
-    log_choose = log_binomial_row(n)
-    half_log = 0.5 * (log_choose + k * math.log(state.z) + (n - k) * math.log1p(-state.z))
-    amps = np.exp(half_log + 1j * k * state.phi)
-    amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-    return FockVector(amps)
+    n = int(n_total)
+    z = np.asarray(z, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    rows = np.zeros((z.size, n + 1), dtype=np.complex128)
+    inner = (z > 0.0) & (z < 1.0)
+    if inner.any():
+        # math.log and math.log1p per row keep every row bit-identical to
+        # the one-row case; numpy's vector log may round differently.
+        log_z = np.array([math.log(v) for v in z[inner]])[:, None]
+        log_rest = np.array([math.log1p(-v) for v in z[inner]])[:, None]
+        k = np.arange(n + 1)
+        half_log = 0.5 * (log_binomial_row(n) + k * log_z + (n - k) * log_rest)
+        amps = np.exp(half_log + 1j * k * phi[inner][:, None])
+        amps /= np.sqrt(np.sum(np.abs(amps) ** 2, axis=1))[:, None]
+        rows[inner] = amps
+    rows[z == 0.0, 0] = 1.0
+    top = z == 1.0
+    rows[top, n] = np.exp(1j * n * phi[top])
+    return rows
+
+
+def to_fock(state: CoherentSpinState) -> FockVector:
+    """Amplitude vector of one coherent spin state (see _coherent_rows)."""
+    return FockVector(_coherent_rows(state.n_total, [state.z], [state.phi])[0])
 
 
 def ensemble_to_state(ensemble, n_max: int = DEFAULT_N_MAX):
     """Exact density of an ensemble: SectorDensity, or NumberSectorMixture
     for a fluctuating particle number.
 
-    Refuses to allocate sectors above ``n_max`` (dense (N+1)^2 matrices)
-    with SectorTooLarge.
+    Each sector is held as its K component weights and coherent amplitude
+    rows, so building it costs O(K N). Sectors above ``n_max`` are still
+    refused with SectorTooLarge.
     """
     if isinstance(ensemble, SeparableEnsemble):
         n = ensemble.n_total
@@ -236,11 +249,10 @@ def ensemble_to_state(ensemble, n_max: int = DEFAULT_N_MAX):
             raise SectorTooLarge(
                 f"sector N={n} exceeds the dense-matrix cap n_max={n_max}"
             )
-        rho = np.zeros((n + 1, n + 1), dtype=np.complex128)
-        for weight, comp in ensemble.components:
-            amps = to_fock(comp).amplitudes
-            rho += weight * np.outer(amps, amps.conj())
-        return SectorDensity(rho)
+        weights, z, phi = np.array(
+            [(w, comp.z, comp.phi) for w, comp in ensemble.components]
+        ).T
+        return SectorDensity.from_factors(weights, _coherent_rows(n, z, phi))
     if isinstance(ensemble, FluctuatingEnsemble):
         worst = max(n for n, _ in ensemble.number_weights)
         if worst > n_max:

@@ -36,6 +36,9 @@ from .separable import (
 _KINDS = ("twin_fock", "coherent_spin", "dicke", "mixture", "fluctuating")
 _PURE_KINDS = ("twin_fock", "coherent_spin", "dicke")
 _WEIGHT_SUM_TOL = 1e-9
+# Largest particle number of a pure state: the range to_fock's log-space
+# amplitudes are documented for. Checked before anything is allocated.
+_PURE_N_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -333,6 +336,14 @@ def _parse_pure_sector(
     """A twin_fock, coherent_spin or dicke state of n particles, at top level
     or in a sector block; errors not tied to one key point at `block`."""
     params: dict = {"n": n}
+    if n > _PURE_N_MAX:
+        entry = reader.block.scalars("n")[0]
+        raise StateSpecError(
+            f"'n' must be <= {_PURE_N_MAX} for a {kind} state; got {n}",
+            source,
+            entry.line,
+            entry.col,
+        )
     if kind == "twin_fock":
         if n <= 0 or n % 2:
             raise StateSpecError(

@@ -17,15 +17,14 @@ and wraps the verdicts in a report.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from ._factorials import balanced_factorial_ratio, falling_factorial_row
 from .errors import (
     DegenerateLocalCorrelation,
+    EigendecompositionFailure,
     EmptyState,
     OrderTooHigh,
     ZeroMeanSpinDirection,
@@ -37,9 +36,8 @@ from .fock import (
     GeneratorSpec,
     NumberSectorMixture,
     SectorDensity,
+    _axis_actions,
     angular_moments,
-    generator_matrix,
-    hermitian_eig,
     normally_ordered_moment,
 )
 from .separable import (
@@ -56,8 +54,6 @@ _DEGENERATE_PRODUCT = 1e-24
 _EMPTY_STATE_TOL = 1e-12
 _QFI_SPECTRAL_CUTOFF = 1e-12
 _MEAN_SPIN_GUARD = 1e-18
-
-_AXES = tuple(GeneratorSpec.axis(name) for name in "xyz")
 
 
 @dataclass(frozen=True)
@@ -256,53 +252,55 @@ def number_squeezing_symmetric(c2: float, g_aa: float, n_tot: float) -> float:
 # --- quantum Fisher information ---------------------------------------------------
 
 
-def _qfi_spectral_weights(evals: np.ndarray) -> np.ndarray:
-    """The pair matrix 2 (lam_i - lam_j)^2 / (lam_i + lam_j), with pairs
-    below the spectral cutoff zeroed."""
-    lam_i = evals[:, None]
-    lam_j = evals[None, :]
-    denom = lam_i + lam_j
-    numer = (lam_i - lam_j) ** 2
-    mask = denom > _QFI_SPECTRAL_CUTOFF
-    ratio = np.zeros_like(denom)
-    np.divide(numer, denom, out=ratio, where=mask)
-    return 2.0 * ratio
+def _qfi_sector(sector: SectorDensity, directions: np.ndarray) -> np.ndarray:
+    """F_Q of one factored sector for each row of a (k, 3) direction stack.
 
+    A thin SVD of the (N+1) x K matrix with columns sqrt(w_i) v_i gives the
+    support of rho: eigenvalues lam_i = sigma_i^2 above the 1e-12 cutoff
+    and their eigenvectors |i>. Restricted to the support,
 
-def _qfi_sector(sector: SectorDensity, direction_terms: list) -> list:
-    """F_Q of one sector for every direction, diagonalizing once.
+        F_Q = 4 sum_i lam_i <i|J_n^2|i>
+              - 8 sum_{ij} lam_i lam_j / (lam_i + lam_j) |<i|J_n|j>|^2,
 
-    J_n is linear in n, so its eigenbasis overlap is the sum of n_a W_a
-    over the axes a. Each direction comes as its nonzero (a, n_a) pairs,
-    and W_a is built only for an axis some direction uses, so a
-    single-axis request costs one product.
+    and J_n = sum_a n_a J_a makes F_Q = n^T T n for one real symmetric
+    3 x 3 matrix T per sector, built from the three axis generators applied
+    tridiagonally to the support. The cost is O(N K min(N, K)), and no
+    dense (N+1)^2 matrix is formed.
     """
-    evals, evecs = hermitian_eig(sector.matrix)
-    pair_weights = _qfi_spectral_weights(evals)
-    overlaps = {
-        axis: evecs.conj().T @ generator_matrix(sector.n_total, _AXES[axis]) @ evecs
-        for axis in {axis for terms in direction_terms for axis, _ in terms}
-    }
-    values = []
-    for terms in direction_terms:
-        w = reduce(operator.add, (c * overlaps[axis] for axis, c in terms))
-        values.append(float(np.sum(pair_weights * np.abs(w) ** 2)))
-    return values
+    scaled = np.sqrt(sector.weights)[:, None] * sector.vectors
+    try:
+        # rho = scaled^T conj(scaled) = vh^T diag(sigma^2) conj(vh), so the
+        # rows of vh are the eigenvectors themselves
+        _, sigma, support = np.linalg.svd(scaled, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigendecompositionFailure(str(exc)) from exc
+    lam = sigma**2
+    keep = lam > _QFI_SPECTRAL_CUTOFF
+    lam, support = lam[keep], support[keep]
+    actions = _axis_actions(support)
+    # <J_a i|J_b i> summed with weights lam_i, and <i|J_a|j> for every pair
+    spread = (np.sqrt(lam)[:, None] * actions).reshape(3, -1)
+    overlaps = (support.conj() @ actions.transpose(0, 2, 1)).reshape(3, -1)
+    pair = (lam[:, None] * lam[None, :] / (lam[:, None] + lam[None, :])).ravel()
+    form = 4.0 * (spread.conj() @ spread.T).real - 8.0 * ((overlaps * pair) @ overlaps.conj().T).real
+    return np.einsum("ka,ab,kb->k", directions, form, directions)
 
 
 def qfi(state, g):
     """Quantum Fisher information for rotations generated by J_n.
 
-    Pure states: F_Q = 4 Var(J_n). Sector densities: the spectral formula
-    F_Q = 2 sum_{ij} (lam_i - lam_j)^2 / (lam_i + lam_j) |<i|J_n|j>|^2
-    with pairs below the 1e-12 spectral cutoff skipped. Number mixtures:
-    generators conserve N, so the matrix is block diagonal and F_Q is the
-    weight-averaged sector value. Any separable state obeys F_Q <= N
-    (or <N> for fluctuating number); more is entanglement.
+    Pure states: F_Q = 4 Var(J_n), O(N). Sector densities: the spectral
+    formula F_Q = 2 sum_{ij} (lam_i - lam_j)^2 / (lam_i + lam_j)
+    |<i|J_n|j>|^2, evaluated on the support of rho (eigenvalues above the
+    1e-12 cutoff) from its K factor rows in O(N K min(N, K)); see
+    _qfi_sector. Number mixtures: generators conserve N, so the matrix is
+    block diagonal and F_Q is the weight-averaged sector value. Any
+    separable state obeys F_Q <= N (or <N> for fluctuating number); more
+    is entanglement.
 
     `g` is one GeneratorSpec, which returns a float, or a (k, 3) stack of
     unit directions, which returns the k values as an array. A stack
-    diagonalizes each sector once for all its directions, and each value
+    factorizes each sector once for all its directions, and each value
     equals the one its direction gives alone.
     """
     single = isinstance(g, GeneratorSpec)
@@ -317,17 +315,17 @@ def qfi(state, g):
             raise ValueError("directions must be a GeneratorSpec or a (k, 3) stack of unit vectors")
     if isinstance(state, FockVector):
         specs = [g] if single else [GeneratorSpec(row) for row in rows]
-        values = [4.0 * angular_moments(state, spec)[1] for spec in specs]
+        values = np.array([4.0 * angular_moments(state, spec)[1] for spec in specs])
     elif isinstance(state, (SectorDensity, NumberSectorMixture)):
-        terms = [[(axis, c) for axis, c in enumerate(row) if c != 0.0] for row in rows]
+        stack = np.array(rows)
         sectors = state.sectors if isinstance(state, NumberSectorMixture) else ((1.0, state),)
-        values = [0.0] * len(terms)
+        values = np.zeros(len(rows))
         for weight, sector in sectors:
             if weight > 0.0:
-                values = [v + weight * f for v, f in zip(values, _qfi_sector(sector, terms))]
+                values += weight * _qfi_sector(sector, stack)
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    return values[0] if single else np.array(values)
+    return float(values[0]) if single else values
 
 
 # --- spin squeezing ----------------------------------------------------------------

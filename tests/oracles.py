@@ -114,3 +114,58 @@ def random_density_matrix(rng, n, rank=3):
         psi = random_pure_amplitudes(rng, n)
         rho += w * np.outer(psi, psi.conj())
     return (rho + rho.conj().T) / 2.0
+
+
+def coherent_amplitudes_scalar(n, z, phi):
+    """One coherent-spin amplitude vector by the one-state log-space formula
+    (log binomials, z^{k/2} (1-z)^{(N-k)/2} e^{i k phi}, one renormalization).
+    The stacked row builder must reproduce it bit for bit."""
+    from bosewit._factorials import log_binomial_row
+
+    if z == 0.0:
+        amps = np.zeros(n + 1, dtype=np.complex128)
+        amps[0] = 1.0
+        return amps
+    if z == 1.0:
+        amps = np.zeros(n + 1, dtype=np.complex128)
+        amps[n] = np.exp(1j * n * phi)
+        return amps
+    k = np.arange(n + 1)
+    half_log = 0.5 * (log_binomial_row(n) + k * math.log(z) + (n - k) * math.log1p(-z))
+    amps = np.exp(half_log + 1j * k * phi)
+    amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+    return amps
+
+
+def dense_density(weights, rows):
+    """sum_i w_i |v_i><v_i| accumulated one outer product at a time."""
+    rows = np.asarray(rows, dtype=complex)
+    rho = np.zeros((rows.shape[1], rows.shape[1]), dtype=complex)
+    for w, row in zip(weights, rows):
+        rho += w * np.outer(row, row.conj())
+    return rho
+
+
+def qfi_dense(matrix, directions):
+    """F_Q of a dense sector density for each row of a (k, 3) direction
+    stack, by the full spectral formula
+
+        F_Q = sum_{ij} 2 (lam_i - lam_j)^2 / (lam_i + lam_j) |<i|J_n|j>|^2
+
+    over the whole eigenbasis, pairs with lam_i + lam_j <= 1e-12 skipped,
+    and <i|J_n|j> from dense J_x, J_y, J_z built out of the ladder
+    operators."""
+    rho = np.asarray(matrix, dtype=complex)
+    n = rho.shape[0] - 1
+    lam, vecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    lam_i, lam_j = lam[:, None], lam[None, :]
+    denom = lam_i + lam_j
+    mask = denom > 1e-12
+    pair = np.zeros_like(denom)
+    np.divide(2.0 * (lam_i - lam_j) ** 2, denom, out=pair, where=mask)
+    axes = [vecs.conj().T @ op @ vecs for op in (jx_dense(n), jy_dense(n), jz_dense(n))]
+    values = []
+    for direction in np.atleast_2d(directions):
+        overlap = sum(c * w for c, w in zip(direction, axes))
+        values.append(float(np.sum(pair * np.abs(overlap) ** 2)))
+    return np.array(values)

@@ -395,3 +395,67 @@ def test_version_and_missing_subcommand(capsys):
     assert "0.1.0" in out
     code, _, err = run_cli(capsys)
     assert code == 2
+
+
+def test_qfi_requests_share_one_factorization_per_sector(capsys, monkeypatch):
+    from bosewit import witnesses
+
+    calls = []
+    original = witnesses._qfi_sector
+
+    def counting(sector, directions):
+        calls.append((sector.n_total, len(directions)))
+        return original(sector, directions)
+
+    monkeypatch.setattr(witnesses, "_qfi_sector", counting)
+    argv = ["witness", "--state", os.path.join(DATA, "masked_mixture.state"),
+            "--witness", "all", "--witness", "qfi:x", "--witness", "qfi:y", "--timestamp", TS]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # two sectors, one factorization each, all three directions at once
+    assert calls == [(4, 3), (20, 3)]
+    assert sorted(strict_json(out)["witnesses"]) == ["csi:1", "eta2", "qfi:x", "qfi:y", "qfi:z", "xi2"]
+    calls.clear()
+    run_cli(capsys, *argv, "--per-sector")
+    assert calls == [(4, 3), (20, 3), (4, 3), (20, 3)]
+
+
+def test_failed_qfi_call_marks_every_qfi_entry(capsys, monkeypatch):
+    from bosewit.errors import EmptyState
+
+    def failing(state, g):
+        raise EmptyState("no particles")
+
+    monkeypatch.setattr("bosewit.cli.qfi", failing)
+    code, out, _ = run_cli(
+        capsys, "witness", "--state", os.path.join(DATA, "css_050.state"),
+        "--witness", "csi:1", "--witness", "qfi:x", "--witness", "qfi:0,0.6,0.8", "--timestamp", TS,
+    )
+    assert code == 3
+    entries = strict_json(out)["witnesses"]
+    assert "value" in entries["csi:1"]
+    for key in ("qfi:x", "qfi:0,0.6,0.8"):
+        assert entries[key] == {"error": "EmptyState", "message": "no particles"}
+
+
+def test_pure_state_n_above_the_cap_exits_2(capsys, tmp_path):
+    path = tmp_path / "big.state"
+    path.write_text("kind = coherent_spin\nn = 1000001\nz = 0.5\n")
+    code, out, err = run_cli(capsys, "witness", "--state", str(path))
+    assert code == 2
+    assert out == ""
+    assert "big.state:2:1: 'n' must be <= 1000000" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--samples", "10000001"), ("--directions", "1001"), ("--components", "1001")]
+)
+def test_scan_caps_exit_2(capsys, flag, value):
+    argv = {"--samples": "2", "--directions": "10", "--components": "4"}
+    argv[flag] = value
+    code, out, err = run_cli(
+        capsys, "scan-separable", "--n", "12", *[x for kv in argv.items() for x in kv]
+    )
+    assert code == 2
+    assert out == ""
+    assert "must be at most" in err

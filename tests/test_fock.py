@@ -61,6 +61,16 @@ def test_sector_density_validation():
         SectorDensity(np.eye(3, dtype=complex))  # trace 3
 
 
+def test_sector_density_enforces_positivity():
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        SectorDensity(np.diag([1.5, -0.5]))
+    # eigenvalues down to -1e-10 are rounding noise: accepted, then dropped
+    rho = SectorDensity(np.diag([1.0 + 5e-11, -5e-11, 0.0]))
+    assert rho.weights.tolist() == [1.0 + 5e-11]
+    assert rho.n_total == 2
+    assert rho.occupation_probabilities()[0] == pytest.approx(1.0, abs=1e-10)
+
+
 def test_mixture_validation():
     rho4 = SectorDensity.from_pure(twin_fock(4))
     rho2 = SectorDensity.from_pure(twin_fock(2))

@@ -109,3 +109,21 @@ def test_finite_worst_value_survives_a_nan(direction, worst, milder):
     assert report["worst_sample"] == {"sample": 1}
     assert report["violations"] == 2
     assert report["evaluations"] == 4
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"samples": 10**7 + 1}, "samples must be at most 10000000"),
+        ({"n_directions": 1001}, "n_directions must be at most 1000"),
+        ({"n_components": 1001}, "n_components must be at most 1000"),
+    ],
+)
+def test_scan_caps_are_checked_before_anything_is_built(overrides, message, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was built before the caps were checked")
+
+    monkeypatch.setattr("bosewit.scan.np.random.default_rng", refuse)
+    arguments = {"samples": 2, "seed": 1, "n_total": 6, **overrides}
+    with pytest.raises(ValueError, match=message):
+        run_scan(**arguments)

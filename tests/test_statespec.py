@@ -336,6 +336,10 @@ PURE_KIND_ERRORS = [
     ("kind = coherent_spin\nn = 10\n", "{context} needs 'z'", None),
     ("kind = dicke\nn = 6\nk = 9\n", "dicke occupation k=9 exceeds n=6", None),
     ("kind = dicke\nn = 6\n", "{context} needs 'k'", None),
+    # one above the largest pure-state particle number
+    ("kind = twin_fock\nn = 1000001\n", "'n' must be <= 1000000 for a twin_fock state; got 1000001", 2),
+    ("kind = coherent_spin\nn = 1000001\nz = 0.5\n", "'n' must be <= 1000000 for a coherent_spin state; got 1000001", 2),
+    ("kind = dicke\nn = 1000001\nk = 0\n", "'n' must be <= 1000000 for a dicke state; got 1000001", 2),
 ]
 
 
@@ -363,3 +367,8 @@ def test_parse_file_and_missing_file(tmp_path):
     assert spec.source == str(path)
     with pytest.raises(StateSpecError, match="cannot read"):
         parse_state_file(str(tmp_path / "absent.state"))
+
+
+def test_pure_state_n_cap_is_inclusive():
+    spec = parse_state_text("kind = dicke\nn = 1000000\nk = 3\n")
+    assert spec.params["n"] == 10**6

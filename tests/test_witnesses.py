@@ -279,25 +279,6 @@ def test_qfi_mixture_is_sector_weighted():
     assert qfi(mix, g) == pytest.approx(0.4 * qfi(rho3, g) + 0.6 * qfi(rho6, g), abs=1e-10)
 
 
-def _qfi_dense_oracle(matrix, direction):
-    """The spectral QFI formula, with J_n built as one dense matrix from
-    the ladder operators."""
-    n = matrix.shape[0] - 1
-    jn = (
-        direction[0] * oracles.jx_dense(n)
-        + direction[1] * oracles.jy_dense(n)
-        + direction[2] * oracles.jz_dense(n)
-    )
-    lam, vecs = np.linalg.eigh(matrix)
-    w = vecs.conj().T @ jn @ vecs
-    total = 0.0
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if lam[i] + lam[j] > 1e-12:
-                total += 2 * (lam[i] - lam[j]) ** 2 / (lam[i] + lam[j]) * abs(w[i, j]) ** 2
-    return total
-
-
 def _stack_case(kind):
     rng = np.random.default_rng(109)
     if kind == "pure":
@@ -323,7 +304,7 @@ def test_qfi_direction_stack_matches_single_directions(kind):
         assert value == qfi(state, GeneratorSpec.axis(axis))
     for direction, value in zip(stack[3:], values[3:]):
         assert value == pytest.approx(qfi(state, GeneratorSpec(direction)), rel=1e-12)
-        oracle = sum(w * _qfi_dense_oracle(m, direction) for w, m in weighted_matrices)
+        oracle = sum(w * oracles.qfi_dense(m, direction)[0] for w, m in weighted_matrices)
         assert value == pytest.approx(oracle, rel=1e-10)
 
 
