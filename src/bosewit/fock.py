@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,13 +138,7 @@ class SectorDensity:
         vecs = np.array(vectors, dtype=np.complex128, copy=True)
         if w.ndim != 1 or vecs.ndim != 2 or vecs.shape[0] != w.size or vecs.size == 0:
             raise ValueError("factors must be K weights and a (K, N+1) array of rows")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise ValueError("factor weights must be finite and nonnegative")
-        if not np.all(np.isfinite(vecs.view(np.float64))):
-            raise ValueError("factor rows must be finite")
-        trace = float(w @ np.sum(np.abs(vecs) ** 2, axis=1))
-        if abs(trace - 1.0) > _TRACE_TOL:
-            raise ValueError(f"density trace is {trace!r}, expected 1")
+        _check_factors(w, vecs)
         density = cls.__new__(cls)
         density._set(w, vecs)
         return density
@@ -170,7 +165,30 @@ class SectorDensity:
         return cls.from_factors([1.0], state.amplitudes[None, :])
 
     def occupation_probabilities(self) -> np.ndarray:
-        return np.clip(self.weights @ (np.abs(self.vectors) ** 2), 0.0, None)
+        return _factor_populations(self.weights, self.vectors)
+
+
+def _check_factors(weights: np.ndarray, vectors: np.ndarray) -> None:
+    """The contract of factored sectors, checked over a whole stack:
+    weights (..., K) finite and nonnegative, rows (..., K, W) finite, and
+    each sector's trace sum_i weights[i] |vectors[i]|^2 within 1e-10 of 1.
+    Raises ValueError naming the first failure."""
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+        raise ValueError("factor weights must be finite and nonnegative")
+    if not np.all(np.isfinite(vectors.view(np.float64))):
+        raise ValueError("factor rows must be finite")
+    traces = np.sum(weights * np.sum(np.abs(vectors) ** 2, axis=-1), axis=-1)
+    bad = np.abs(traces - 1.0) > _TRACE_TOL
+    if np.any(bad):
+        raise ValueError(f"density trace is {float(traces[bad].flat[0])!r}, expected 1")
+
+
+def _factor_populations(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Occupation probabilities sum_i weights[i] |vectors[i, k]|^2 of factored
+    sectors: (K,) weights and (K, W) rows give (W,), a (..., K) and
+    (..., K, W) stack gives (..., W)."""
+    populations = (weights[..., None, :] @ (np.abs(vectors) ** 2))[..., 0, :]
+    return np.clip(populations, 0.0, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,21 +346,55 @@ def _apply_generator(vec: np.ndarray, direction) -> np.ndarray:
     return out
 
 
-def _axis_actions(rows: np.ndarray) -> np.ndarray:
-    """J_x, J_y and J_z applied to each of K amplitude rows, as one
-    (3, K, N+1) array (the tridiagonal actions, O(K N))."""
-    n = rows.shape[-1] - 1
-    out = np.zeros((3,) + rows.shape, dtype=np.complex128)
-    out[2] = (np.arange(n + 1) - n / 2.0) * rows
-    if n > 0:
-        j = np.arange(1, n + 1)
-        coupling = 0.5 * np.sqrt(j * (n - j + 1.0))
-        raised = coupling * rows[:, :-1]  # the a^dag b part, onto k = 1..N
-        lowered = coupling * rows[:, 1:]  # the b^dag a part, onto k = 0..N-1
-        out[0, :, 1:] = raised
-        out[0, :, :-1] += lowered
-        out[1, :, 1:] = -1j * raised
-        out[1, :, :-1] += 1j * lowered
+def _build_spin_coefficients(n: int, width: int) -> tuple:
+    k = np.arange(width)
+    diagonal = np.where(k <= n, k - n / 2.0, 0.0)
+    j = k[1:]
+    coupling = 0.5 * np.sqrt(np.maximum(j * (n - j + 1.0), 0.0))
+    diagonal.setflags(write=False)
+    coupling.setflags(write=False)
+    return diagonal, coupling
+
+
+# Tables of sectors up to DEFAULT_N_MAX padded to at most DEFAULT_N_MAX + 1
+# columns are memoized (at most 1024 x 2 x 257 x 8 B = 4.2 MB); a scan or a
+# per-sector report asks for the same few dozen again and again.
+_cached_spin_coefficients = lru_cache(maxsize=1024)(_build_spin_coefficients)
+
+
+def _spin_coefficients(n: int, width: int) -> tuple:
+    """(diagonal, coupling) of an n-particle sector padded to `width`
+    columns: J_z has k - n/2 on its diagonal and J_x, J_y couple k-1 and k
+    through 0.5 sqrt(k (n - k + 1)); both are zero past k = n. Read-only."""
+    if width <= DEFAULT_N_MAX + 1:
+        return _cached_spin_coefficients(n, width)
+    return _build_spin_coefficients(n, width)
+
+
+def _axis_actions(rows: np.ndarray, numbers) -> np.ndarray:
+    """J_x, J_y and J_z applied to each amplitude row of a padded (B, K, W)
+    stack, as one (B, 3, K, W) array (the tridiagonal actions, O(B K W)).
+
+    Sector b holds numbers[b] particles in the first numbers[b] + 1
+    columns of its rows. Past that, both the coupling and the diagonal
+    are zero, so padding columns neither feed nor receive any amplitude.
+    """
+    tables = [_spin_coefficients(int(n), rows.shape[-1]) for n in numbers]
+    diagonal = np.array([d for d, _ in tables])[:, None, :]
+    coupling = np.array([c for _, c in tables])[:, None, :]
+    out = np.empty((rows.shape[0], 3) + rows.shape[1:], dtype=np.complex128)
+    jx, jy, jz = out[:, 0], out[:, 1], out[:, 2]
+    # raised (a^dag b, onto k = 1..W-1) into jx, lowered (b^dag a, onto
+    # k = 0..W-2) into jz for the moment: J_x = raised + lowered and
+    # J_y = -i (raised - lowered)
+    jx[..., 0] = 0.0
+    np.multiply(coupling, rows[..., :-1], out=jx[..., 1:])
+    jz[..., -1] = 0.0
+    np.multiply(coupling, rows[..., 1:], out=jz[..., :-1])
+    np.subtract(jx, jz, out=jy)
+    jy *= -1j
+    jx += jz
+    np.multiply(diagonal, rows, out=jz)
     return out
 
 

@@ -1,34 +1,36 @@
 """Stochastic certification that separable states respect every bound.
 
-Random separable ensembles are drawn, converted to exact densities, and
-every witness is evaluated against its separability bound. Any violation
-beyond tolerance marks an implementation bug, not physics: the bounds are
-theorems for these states. Reports are deterministic per seed.
+Random separable ensembles are drawn, converted to exact factored
+densities, and every witness is evaluated against its separability bound.
+Any violation beyond tolerance marks an implementation bug, not physics:
+the bounds are theorems for these states. Reports are deterministic per
+seed.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .errors import WitnessError
-from .fock import DEFAULT_N_MAX
+from .fock import DEFAULT_N_MAX, _check_factors, _factor_populations
 from .separable import (
     FluctuatingEnsemble,
     NumberDistribution,
     PRNG_NAME,
     SeparableEnsemble,
-    ensemble_to_state,
+    _coherent_rows,
+    _check_sector_cap,
     sample_ensemble,
     sample_fluctuating_ensemble,
 )
 from .witnesses import (
+    STACK_AMPLITUDES,
     WITNESS_TOLERANCE,
-    csi_ratio,
-    integrated_g2m,
-    qfi,
+    _csi_ratios,
+    _population_integrals,
+    _qfi_forms,
     spin_squeezing,
 )
 
@@ -58,30 +60,38 @@ class _BoundTracker:
         self.violations = 0
 
     def record(self, value: float, sample_payload: dict):
-        self.evaluations += 1
-        value = float(value)
-        if not math.isfinite(value):
-            # A NaN compares False against the bound and would pass; inf would
-            # become a worst value that JSON cannot carry. Both are failures.
-            self.violations += 1
-            return
-        adverse = (
-            self.worst_value is None
-            or (self.direction == "upper" and value > self.worst_value)
-            or (self.direction == "lower" and value < self.worst_value)
-        )
-        if adverse:
-            self.worst_value = value
-            self.worst_sample = sample_payload
-        if self.direction == "upper":
-            violated = value > self.bound + self.tolerance
-        else:
-            violated = value < self.bound - self.tolerance
-        if violated:
-            self.violations += 1
+        self.record_values([value], lambda _: sample_payload)
 
-    def skip(self):
-        self.skipped += 1
+    def record_values(self, values, payload_of) -> None:
+        """Record values in sample order, as one record call each would.
+
+        The first of the most adverse values becomes the worst value if it
+        beats the current one, and only then is `payload_of(i)` called for
+        its index i in `values`.
+        """
+        values = np.asarray(values, dtype=float)
+        self.evaluations += values.size
+        finite = np.isfinite(values)
+        # A NaN compares False against the bound and would pass; inf would
+        # become a worst value that JSON cannot carry. Both are failures.
+        self.violations += int(values.size - np.count_nonzero(finite))
+        if not finite.any():
+            return
+        if self.direction == "upper":
+            violated = values > self.bound + self.tolerance
+            index = int(np.argmax(np.where(finite, values, -np.inf)))
+            adverse = self.worst_value is None or values[index] > self.worst_value
+        else:
+            violated = values < self.bound - self.tolerance
+            index = int(np.argmin(np.where(finite, values, np.inf)))
+            adverse = self.worst_value is None or values[index] < self.worst_value
+        self.violations += int(np.count_nonzero(violated & finite))
+        if adverse:
+            self.worst_value = float(values[index])
+            self.worst_sample = payload_of(index)
+
+    def skip(self, count: int = 1):
+        self.skipped += count
 
     def report(self) -> dict:
         return {
@@ -133,6 +143,54 @@ def _ensemble_payload(ensemble) -> dict:
     raise TypeError(f"unsupported ensemble type {type(ensemble).__name__}")
 
 
+def _chunk_factors(sector_ensembles: list, numbers: tuple, width: int) -> tuple:
+    """(weights (S, J, K), rows (S, J, K, W)) of S samples with one
+    separable ensemble per particle number in `numbers` (J of them). Each
+    sector's rows come from one _coherent_rows call for all S samples, so
+    they equal to_fock's bit for bit; columns past a sector's N are zero."""
+    params = np.array(
+        [
+            [[(w, comp.z, comp.phi) for w, comp in ensemble.components] for ensemble in sample]
+            for sample in sector_ensembles
+        ]
+    )
+    count, depth = len(sector_ensembles), params.shape[2]
+    rows = np.zeros((count, len(numbers), depth, width), dtype=np.complex128)
+    for j, n in enumerate(numbers):
+        z, phi = params[:, j, :, 1].ravel(), params[:, j, :, 2].ravel()
+        rows[:, j, :, : n + 1] = _coherent_rows(n, z, phi).reshape(count, depth, n + 1)
+    return params[..., 0], rows
+
+
+def _evaluate_chunk(weights, rows, numbers, probabilities, orders, directions) -> tuple:
+    """C_2m of every order with its degenerate mask, both (S, M), and F_Q
+    of every direction, (S, k), for S samples given as (S, J, K) weights
+    and (S, J, K, W) rows over J particle numbers.
+
+    Each sector's populations meet all orders in one product, and the
+    number probabilities average the correlators in sector order, as
+    integrated_g2m does. Batched SVDs, one per STACK_AMPLITUDES of the
+    stack, give the F_Q forms of all S * J sectors, which the
+    probabilities average per sample."""
+    _check_factors(weights, rows)
+    populations = _factor_populations(weights, rows)
+    g_aa = g_bb = g_ab = 0.0
+    for j, n in enumerate(numbers):
+        part_aa, part_bb, part_ab, _ = _population_integrals(populations[:, j, : n + 1], n, orders)
+        g_aa = g_aa + probabilities[j] * part_aa
+        g_bb = g_bb + probabilities[j] * part_bb
+        g_ab = g_ab + probabilities[j] * part_ab
+    ratios, degenerate = _csi_ratios(g_aa, g_bb, g_ab)
+    count, sectors, depth, width = rows.shape
+    forms = _qfi_forms(
+        weights.reshape(count * sectors, depth),
+        rows.reshape(count * sectors, depth, width),
+        numbers * count,
+    )
+    forms = (probabilities @ forms.reshape(count, sectors, 9)).reshape(count, 3, 3)
+    return ratios, degenerate, np.einsum("ka,sab,kb->sk", directions, forms, directions)
+
+
 def run_scan(
     samples: int,
     seed: int,
@@ -155,7 +213,15 @@ def run_scan(
     sample, so reports are reproducible and individual samples can be
     replayed in isolation. `samples` above MAX_SAMPLES, `n_directions`
     above MAX_DIRECTIONS and `n_components` above MAX_COMPONENTS raise
-    ValueError before anything is built.
+    ValueError before anything is built; a sector above `n_max` raises
+    SectorTooLarge.
+
+    Samples are evaluated in chunks of about STACK_AMPLITUDES complex
+    amplitudes (at least one sample each): every sector of every sample
+    in a chunk goes into one padded factor stack, its populations give all
+    CSI orders in one product, and one batched SVD gives all their F_Q
+    forms. Each value equals, to rounding, the one the sample's own
+    density gives through integrated_g2m, csi_ratio and qfi.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -184,65 +250,83 @@ def run_scan(
             orders = tuple(int(m) for m in csi_orders)
             if any(m < 1 or 2 * m > n_total for m in orders):
                 raise ValueError("csi orders must satisfy 1 <= m and 2m <= n_total")
+        number_weights = ((int(n_total), 1.0),)
+        qfi_bound = float(n_total)
     else:
         mode = "fluctuating"
         orders = (1,) if csi_orders is None else tuple(int(m) for m in csi_orders)
         if any(m < 1 for m in orders):
             raise ValueError("csi orders must be positive")
+        number_weights = distribution.weights()
+        qfi_bound = float(sum(n * p for n, p in number_weights))
+    numbers = tuple(n for n, _ in number_weights)
+    probabilities = np.array([p for _, p in number_weights])
+    width = max(numbers) + 1
+    _check_sector_cap(width - 1, n_max)
 
     trackers = {}
-    qfi_bound = None  # set after the first state (mean N is sample independent)
     for m in orders:
         trackers[f"csi_order_{m}"] = _BoundTracker(
             f"csi_order_{m}", 1.0, "upper", WITNESS_TOLERANCE
         )
+    trackers["qfi"] = _BoundTracker("qfi", qfi_bound, "upper", QFI_TOLERANCE)
     trackers["spin_squeezing"] = _BoundTracker(
         "spin_squeezing", 1.0, "lower", WITNESS_TOLERANCE
     )
+    csi_trackers = [trackers[f"csi_order_{m}"] for m in orders]
 
-    for index, child_seed in enumerate(sample_seeds):
-        child_seed = int(child_seed)
+    chunk = max(1, STACK_AMPLITUDES // (len(numbers) * n_components * width))
+    for start in range(0, samples, chunk):
+        seeds = [int(s) for s in sample_seeds[start : start + chunk]]
         if mode == "fixed":
-            ensemble = sample_ensemble(child_seed, int(n_total), n_components)
+            ensembles = [sample_ensemble(s, int(n_total), n_components) for s in seeds]
+            sector_ensembles = [(ensemble,) for ensemble in ensembles]
         else:
-            ensemble = sample_fluctuating_ensemble(child_seed, distribution, n_components)
-        state = ensemble_to_state(ensemble, n_max=n_max)
-        base_payload = {
-            "sample_index": index,
-            "sample_seed": child_seed,
-            "ensemble": _ensemble_payload(ensemble),
-        }
-
-        if qfi_bound is None:
-            if mode == "fixed":
-                qfi_bound = float(n_total)
-            else:
-                qfi_bound = state.mean_n
-            trackers["qfi"] = _BoundTracker("qfi", qfi_bound, "upper", QFI_TOLERANCE)
-
-        for m in orders:
-            tracker = trackers[f"csi_order_{m}"]
-            try:
-                value = csi_ratio(integrated_g2m(state, m))
-            except WitnessError:
-                tracker.skip()
-                continue
-            tracker.record(value, {**base_payload, "order_m": m})
-
-        qfi_values = qfi(state, directions)
-        worst_direction = int(np.argmax(qfi_values))
-        trackers["qfi"].record(
-            float(qfi_values[worst_direction]),
-            {**base_payload, "generator": directions[worst_direction].tolist()},
+            ensembles = [
+                sample_fluctuating_ensemble(s, distribution, n_components) for s in seeds
+            ]
+            sector_ensembles = [
+                tuple(ensemble.per_sector[n] for n in numbers) for ensemble in ensembles
+            ]
+        count = len(seeds)
+        ratios, degenerate, qfi_values = _evaluate_chunk(
+            *_chunk_factors(sector_ensembles, numbers, width),
+            numbers, probabilities, orders, directions,
         )
 
-        tracker = trackers["spin_squeezing"]
-        try:
-            value = spin_squeezing(ensemble)
-        except WitnessError:
-            tracker.skip()
-        else:
-            tracker.record(value, dict(base_payload))
+        payloads = {}
+
+        def payload_of(index, **extra):
+            if index not in payloads:
+                payloads[index] = {
+                    "sample_index": start + index,
+                    "sample_seed": seeds[index],
+                    "ensemble": _ensemble_payload(ensembles[index]),
+                }
+            return {**payloads[index], **extra}
+
+        for tracker, m, column, skipped in zip(csi_trackers, orders, ratios.T, degenerate.T):
+            kept = np.flatnonzero(~skipped)
+            tracker.skip(count - kept.size)
+            tracker.record_values(
+                column[kept], lambda i, kept=kept, m=m: payload_of(int(kept[i]), order_m=m)
+            )
+
+        worst_directions = np.argmax(qfi_values, axis=1)
+        trackers["qfi"].record_values(
+            qfi_values[np.arange(count), worst_directions],
+            lambda i: payload_of(i, generator=directions[worst_directions[i]].tolist()),
+        )
+
+        squeezing, squeezed = [], []
+        for index, ensemble in enumerate(ensembles):
+            try:
+                squeezing.append(spin_squeezing(ensemble))
+            except WitnessError:
+                continue
+            squeezed.append(index)
+        trackers["spin_squeezing"].skip(count - len(squeezed))
+        trackers["spin_squeezing"].record_values(squeezing, lambda i: payload_of(squeezed[i]))
 
     bounds = [trackers[f"csi_order_{m}"].report() for m in orders]
     bounds.append(trackers["qfi"].report())

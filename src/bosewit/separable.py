@@ -28,6 +28,12 @@ PRNG_NAME = "PCG64"
 _WEIGHT_SUM_TOL = 1e-10
 _POISSON_MASS = 1.0 - 1e-12
 
+# The most particles a state may hold, the range to_fock's log-space
+# amplitudes are documented for: the cap on a pure state's n in a state
+# file and on the support of a number distribution, checked before
+# anything is allocated.
+MAX_PARTICLES = 10**6
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -130,7 +136,10 @@ class NumberDistribution:
 
     Kinds: ``deterministic`` (a single N), ``poisson`` (truncated once the
     cumulative mass reaches 1 - 1e-12, then renormalized) and ``binomial``
-    (full exact support).
+    (full exact support). The constructors refuse, with ValueError, any
+    parameters whose support reaches past MAX_PARTICLES = 10^6: the
+    deterministic n, the binomial trials, or the Poisson truncation point
+    int(mean + 20 sqrt(mean) + 60).
     """
 
     kind: str
@@ -140,6 +149,7 @@ class NumberDistribution:
     def deterministic(cls, n: int) -> "NumberDistribution":
         if n < 0:
             raise ValueError("particle number must be nonnegative")
+        _check_reach("deterministic n", int(n))
         return cls("deterministic", (int(n),))
 
     @classmethod
@@ -147,6 +157,7 @@ class NumberDistribution:
         mean = float(mean)
         if not math.isfinite(mean) or mean < 0.0:
             raise ValueError("poisson mean must be finite and nonnegative")
+        _check_reach(f"poisson mean {mean!r}", _poisson_cap(mean))
         return cls("poisson", (mean,))
 
     @classmethod
@@ -157,6 +168,7 @@ class NumberDistribution:
             raise ValueError("trial count must be nonnegative")
         if not 0.0 <= prob <= 1.0:
             raise ValueError("success probability must lie in [0, 1]")
+        _check_reach("binomial trials", trials)
         return cls("binomial", (trials, prob))
 
     def weights(self) -> tuple:
@@ -170,13 +182,25 @@ class NumberDistribution:
         raise ValueError(f"unknown distribution kind {self.kind!r}")
 
 
+def _check_reach(what: str, largest_n: int) -> None:
+    if largest_n > MAX_PARTICLES:
+        raise ValueError(
+            f"{what} reaches N = {largest_n}; distributions may reach at most "
+            f"{MAX_PARTICLES} particles"
+        )
+
+
+def _poisson_cap(lam: float) -> int:
+    """The last particle number the Poisson truncation may reach."""
+    return int(lam + 20.0 * math.sqrt(lam) + 60.0)
+
+
 def _poisson_weights(lam: float) -> tuple:
     if lam == 0.0:
         return ((0, 1.0),)
     entries = []
     cumulative = 0.0
-    cap = int(lam + 20.0 * math.sqrt(lam) + 60.0)
-    for k in range(cap + 1):
+    for k in range(_poisson_cap(lam) + 1):
         p = math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
         entries.append((k, p))
         cumulative += p
@@ -188,12 +212,22 @@ def _poisson_weights(lam: float) -> tuple:
 
 
 def _binomial_weights(trials: int, prob: float) -> tuple:
+    # log-pmf through lgamma, as for the Poisson weights: finite and O(1)
+    # per entry for every accepted trial count
     if prob == 0.0:
         return ((0, 1.0),)
     if prob == 1.0:
         return ((trials, 1.0),)
+    log_p, log_q = math.log(prob), math.log1p(-prob)
+    top = math.lgamma(trials + 1)
     raw = [
-        (k, float(math.comb(trials, k) * prob**k * (1.0 - prob) ** (trials - k)))
+        (
+            k,
+            math.exp(
+                top - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+                + k * log_p + (trials - k) * log_q
+            ),
+        )
         for k in range(trials + 1)
     ]
     total = sum(p for _, p in raw)
@@ -235,6 +269,12 @@ def to_fock(state: CoherentSpinState) -> FockVector:
     return FockVector(_coherent_rows(state.n_total, [state.z], [state.phi])[0])
 
 
+def _check_sector_cap(n: int, n_max: int) -> None:
+    """Raise SectorTooLarge for a sector of more than n_max particles."""
+    if n > n_max:
+        raise SectorTooLarge(f"sector N={n} exceeds the dense-matrix cap n_max={n_max}")
+
+
 def ensemble_to_state(ensemble, n_max: int = DEFAULT_N_MAX):
     """Exact density of an ensemble: SectorDensity, or NumberSectorMixture
     for a fluctuating particle number.
@@ -245,20 +285,13 @@ def ensemble_to_state(ensemble, n_max: int = DEFAULT_N_MAX):
     """
     if isinstance(ensemble, SeparableEnsemble):
         n = ensemble.n_total
-        if n > n_max:
-            raise SectorTooLarge(
-                f"sector N={n} exceeds the dense-matrix cap n_max={n_max}"
-            )
+        _check_sector_cap(n, n_max)
         weights, z, phi = np.array(
             [(w, comp.z, comp.phi) for w, comp in ensemble.components]
         ).T
         return SectorDensity.from_factors(weights, _coherent_rows(n, z, phi))
     if isinstance(ensemble, FluctuatingEnsemble):
-        worst = max(n for n, _ in ensemble.number_weights)
-        if worst > n_max:
-            raise SectorTooLarge(
-                f"sector N={worst} exceeds the dense-matrix cap n_max={n_max}"
-            )
+        _check_sector_cap(max(n for n, _ in ensemble.number_weights), n_max)
         sectors = tuple(
             (p, ensemble_to_state(ensemble.per_sector[n], n_max))
             for n, p in ensemble.number_weights

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .errors import StateSpecError
 from .fock import DEFAULT_N_MAX, NumberSectorMixture, SectorDensity, basis_state, twin_fock
 from .separable import (
+    MAX_PARTICLES,
     CoherentSpinState,
     NumberDistribution,
     SeparableEnsemble,
@@ -36,9 +37,6 @@ from .separable import (
 _KINDS = ("twin_fock", "coherent_spin", "dicke", "mixture", "fluctuating")
 _PURE_KINDS = ("twin_fock", "coherent_spin", "dicke")
 _WEIGHT_SUM_TOL = 1e-9
-# Largest particle number of a pure state: the range to_fock's log-space
-# amplitudes are documented for. Checked before anything is allocated.
-_PURE_N_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -336,10 +334,10 @@ def _parse_pure_sector(
     """A twin_fock, coherent_spin or dicke state of n particles, at top level
     or in a sector block; errors not tied to one key point at `block`."""
     params: dict = {"n": n}
-    if n > _PURE_N_MAX:
+    if n > MAX_PARTICLES:
         entry = reader.block.scalars("n")[0]
         raise StateSpecError(
-            f"'n' must be <= {_PURE_N_MAX} for a {kind} state; got {n}",
+            f"'n' must be <= {MAX_PARTICLES} for a {kind} state; got {n}",
             source,
             entry.line,
             entry.col,
@@ -386,15 +384,17 @@ def _parse_fluctuating(reader: _Reader, source: str, top: _Block) -> StateSpec:
         sub = _Reader(entry.value, source, "distribution")
         dist_kind = sub.string("kind", choices=("poisson", "binomial", "deterministic"))
         if dist_kind == "poisson":
-            mean = sub.number("mean", low=0.0)
-            distribution = NumberDistribution.poisson(mean)
+            make, args = NumberDistribution.poisson, (sub.number("mean", low=0.0),)
         elif dist_kind == "binomial":
             trials = sub.integer("trials", minimum=0)
             prob = sub.number("prob", low=0.0, high=1.0)
-            distribution = NumberDistribution.binomial(trials, prob)
+            make, args = NumberDistribution.binomial, (trials, prob)
         else:
-            n_fixed = sub.integer("n", minimum=0)
-            distribution = NumberDistribution.deterministic(n_fixed)
+            make, args = NumberDistribution.deterministic, (sub.integer("n", minimum=0),)
+        try:
+            distribution = make(*args)
+        except ValueError as exc:  # a support past MAX_PARTICLES
+            raise StateSpecError(str(exc), source, entry.line, entry.col) from None
         sub.finish()
         z, phi = _z_phi(reader)
         reader.finish()

@@ -54,6 +54,14 @@ _DEGENERATE_PRODUCT = 1e-24
 _EMPTY_STATE_TOL = 1e-12
 _QFI_SPECTRAL_CUTOFF = 1e-12
 _MEAN_SPIN_GUARD = 1e-18
+_TINY = np.finfo(float).tiny
+
+# Complex amplitudes in one padded factor stack (1 MiB of rows). The F_Q
+# kernel takes longer stacks in slices of this size, a mixture's sectors
+# are stacked in runs of at most this size, and a scan chunk holds as many
+# samples as fit (never fewer than one sector or sample), so the stacked
+# temporaries stay within a fixed multiple of it.
+STACK_AMPLITUDES = 2**16
 
 
 @dataclass(frozen=True)
@@ -93,20 +101,26 @@ class WitnessReport:
 # --- integrated correlators -----------------------------------------------------
 
 
-def _population_integrals(populations: np.ndarray, n: int, m: int) -> CorrelationIntegrals:
-    # All three correlators are diagonal in the |k, N-k> basis:
-    #   <a^dag^{2m} a^{2m}>          = sum_k P(k) k!/(k-2m)!
-    #   <b^dag^{2m} b^{2m}>          = sum_k P(k) (N-k)!/(N-k-2m)!
-    #   <a^dag^m b^dag^m b^m a^m>    = sum_k P(k) k!/(k-m)! (N-k)!/(N-k-m)!
-    # and the prefactor alpha_2m = N!/(N-2m)! is the last entry of the 2m row.
-    ff_a_2m = falling_factorial_row(n, 2 * m)
-    ff_b_2m = ff_a_2m[::-1]
-    ff_a_m = falling_factorial_row(n, m)
-    ff_b_m = ff_a_m[::-1]
-    g_aa = float(np.dot(populations, ff_a_2m))
-    g_bb = float(np.dot(populations, ff_b_2m))
-    g_ab = float(np.dot(populations, ff_a_m * ff_b_m))
-    return CorrelationIntegrals(m, g_aa, g_bb, g_ab, float(ff_a_2m[n]))
+def _population_integrals(populations: np.ndarray, n: int, orders) -> tuple:
+    """(G_aa, G_bb, G_ab, alpha) of every order m in `orders` from the
+    populations of N = n particle sectors, any leading shape (..., n+1).
+
+    All three correlators are diagonal in the |k, N-k> basis:
+      <a^dag^{2m} a^{2m}>          = sum_k P(k) k!/(k-2m)!
+      <b^dag^{2m} b^{2m}>          = sum_k P(k) (N-k)!/(N-k-2m)!
+      <a^dag^m b^dag^m b^m a^m>    = sum_k P(k) k!/(k-m)! (N-k)!/(N-k-m)!
+    and the prefactor alpha_2m = N!/(N-2m)! is the last entry of the 2m
+    row. The correlators come back with shape (..., M), alpha with (M,);
+    orders with 2m > N give exact zeros.
+    """
+    ff_2m = np.array([falling_factorial_row(n, 2 * m) for m in orders])
+    ff_m = np.array([falling_factorial_row(n, m) for m in orders])
+    # contiguous rows keep every product on the BLAS dot kernel, so one
+    # order of 1-D populations sums exactly as np.dot does
+    g_aa = np.dot(populations, ff_2m.T)
+    g_bb = np.dot(populations, ff_2m[:, ::-1].copy().T)
+    g_ab = np.dot(populations, (ff_m * ff_m[:, ::-1]).T)
+    return g_aa, g_bb, g_ab, ff_2m[:, n]
 
 
 def integrated_g2m(state, m: int) -> CorrelationIntegrals:
@@ -130,11 +144,27 @@ def integrated_g2m(state, m: int) -> CorrelationIntegrals:
             alpha += weight * part.prefactor_alpha
         return CorrelationIntegrals(m, g_aa, g_bb, g_ab, alpha)
     if isinstance(state, (FockVector, SectorDensity)):
-        n = state.n_total
-        if 2 * m > n:
-            return CorrelationIntegrals(m, 0.0, 0.0, 0.0, 0.0)
-        return _population_integrals(state.occupation_probabilities(), n, m)
+        values = _population_integrals(state.occupation_probabilities(), state.n_total, (m,))
+        return CorrelationIntegrals(m, *(float(v[0]) for v in values))
     raise TypeError(f"unsupported state type {type(state).__name__}")
+
+
+def _csi_ratios(g_aa, g_bb, g_ab) -> tuple:
+    """(C_2m, degenerate) elementwise for correlator values or arrays.
+
+    C_2m = G_ab / sqrt(G_aa G_bb). `degenerate` marks the products
+    G_aa G_bb <= _DEGENERATE_PRODUCT, where both local correlators vanish
+    and the ratio is 0/0; those entries carry no ratio. When the product
+    overflows while both factors are finite, and only then, the root is
+    taken factor by factor, sqrt(G_aa) sqrt(G_bb), so the ratio stays
+    finite; every other entry keeps the bits of G_ab / sqrt(G_aa G_bb).
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        product = np.multiply(g_aa, g_bb)
+        root = np.sqrt(product)
+        # where a factor is itself inf, sqrt(G_aa) sqrt(G_bb) is inf as well
+        root = np.where(np.isinf(root), np.sqrt(g_aa) * np.sqrt(g_bb), root)
+        return g_ab / root, product <= _DEGENERATE_PRODUCT
 
 
 def csi_ratio(integrals: CorrelationIntegrals) -> float:
@@ -142,15 +172,17 @@ def csi_ratio(integrals: CorrelationIntegrals) -> float:
 
     Separable states satisfy C_2m <= 1; any excess beyond numerical noise
     witnesses particle entanglement. Raises DegenerateLocalCorrelation
-    when both local correlators vanish and the ratio is 0/0.
+    when both local correlators vanish and the ratio is 0/0. A product
+    G_aa G_bb past the float range with finite factors is divided out
+    factor by factor (see _csi_ratios).
     """
-    product = integrals.g_aa * integrals.g_bb
-    if product <= _DEGENERATE_PRODUCT:
+    ratio, degenerate = _csi_ratios(integrals.g_aa, integrals.g_bb, integrals.g_ab)
+    if degenerate:
         raise DegenerateLocalCorrelation(
-            f"local correlators G_aa*G_bb = {product!r} too small for a ratio "
-            f"at order 2m = {2 * integrals.order_m}"
+            f"local correlators G_aa*G_bb = {integrals.g_aa * integrals.g_bb!r} too small "
+            f"for a ratio at order 2m = {2 * integrals.order_m}"
         )
-    return integrals.g_ab / math.sqrt(product)
+    return float(ratio)
 
 
 def twin_fock_csi_exact(n_total: int, m: int) -> float:
@@ -252,38 +284,96 @@ def number_squeezing_symmetric(c2: float, g_aa: float, n_tot: float) -> float:
 # --- quantum Fisher information ---------------------------------------------------
 
 
-def _qfi_sector(sector: SectorDensity, directions: np.ndarray) -> np.ndarray:
-    """F_Q of one factored sector for each row of a (k, 3) direction stack.
+def _qfi_forms(weights, rows, numbers) -> np.ndarray:
+    """The F_Q quadratic forms of B factored sectors, as a (B, 3, 3) array:
+    F_Q(J_n) of sector b is n^T forms[b] n.
 
-    A thin SVD of the (N+1) x K matrix with columns sqrt(w_i) v_i gives the
-    support of rho: eigenvalues lam_i = sigma_i^2 above the 1e-12 cutoff
-    and their eigenvectors |i>. Restricted to the support,
+    Sector b is rho_b = sum_i weights[b, i] |rows[b, i]><rows[b, i]|, with
+    numbers[b] particles in the first numbers[b] + 1 columns of its rows;
+    weights is (B, K) and rows (B, K, W). A batched thin SVD of the rows
+    scaled by sqrt(w) gives each support: eigenvalues lam_i = sigma_i^2
+    above the 1e-12 cutoff and their eigenvectors |i>. Restricted to the
+    support,
 
         F_Q = 4 sum_i lam_i <i|J_n^2|i>
               - 8 sum_{ij} lam_i lam_j / (lam_i + lam_j) |<i|J_n|j>|^2,
 
     and J_n = sum_a n_a J_a makes F_Q = n^T T n for one real symmetric
     3 x 3 matrix T per sector, built from the three axis generators applied
-    tridiagonally to the support. The cost is O(N K min(N, K)), and no
-    dense (N+1)^2 matrix is formed.
+    tridiagonally to the support. Eigenvalues at or below the cutoff, among
+    them those of zero-weight padding rows, are set to zero, and the pair
+    weights of two such eigenvalues are masked, so they add nothing and no
+    0/0 arises. The cost is O(B W K min(W, K)); no dense W^2 matrix is
+    formed, and a stack of more than STACK_AMPLITUDES amplitudes is taken
+    in slices of at most that many (at least one sector each).
     """
-    scaled = np.sqrt(sector.weights)[:, None] * sector.vectors
+    step = max(1, STACK_AMPLITUDES // (rows.shape[1] * rows.shape[2]))
+    if len(numbers) > step:
+        return np.concatenate(
+            [
+                _qfi_forms(weights[i : i + step], rows[i : i + step], numbers[i : i + step])
+                for i in range(0, len(numbers), step)
+            ]
+        )
     try:
-        # rho = scaled^T conj(scaled) = vh^T diag(sigma^2) conj(vh), so the
-        # rows of vh are the eigenvectors themselves
-        _, sigma, support = np.linalg.svd(scaled, full_matrices=False)
+        # with scaled = sqrt(w) rows, rho = scaled^T conj(scaled) =
+        # vh^T diag(sigma^2) conj(vh), so the rows of vh are the eigenvectors
+        _, sigma, support = np.linalg.svd(
+            np.sqrt(weights)[..., None] * rows, full_matrices=False
+        )
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionFailure(str(exc)) from exc
     lam = sigma**2
-    keep = lam > _QFI_SPECTRAL_CUTOFF
-    lam, support = lam[keep], support[keep]
-    actions = _axis_actions(support)
-    # <J_a i|J_b i> summed with weights lam_i, and <i|J_a|j> for every pair
-    spread = (np.sqrt(lam)[:, None] * actions).reshape(3, -1)
-    overlaps = (support.conj() @ actions.transpose(0, 2, 1)).reshape(3, -1)
-    pair = (lam[:, None] * lam[None, :] / (lam[:, None] + lam[None, :])).ravel()
-    form = 4.0 * (spread.conj() @ spread.T).real - 8.0 * ((overlaps * pair) @ overlaps.conj().T).real
-    return np.einsum("ka,ab,kb->k", directions, form, directions)
+    lam[lam <= _QFI_SPECTRAL_CUTOFF] = 0.0
+    count = lam.shape[0]
+    actions = _axis_actions(support, numbers)
+    # <j|J_a|i> for every pair (the pair weights are symmetric, so the form
+    # needs no transpose), then <J_a i|J_b i> summed with weights lam_i: the
+    # actions are scaled in place once the overlaps no longer need them
+    overlaps = (actions @ support.conj().transpose(0, 2, 1)[:, None]).reshape(count, 3, -1)
+    actions *= np.sqrt(lam)[:, None, :, None]
+    lam_i, lam_j = lam[:, :, None], lam[:, None, :]
+    # a kept pair sums to more than the cutoff, so the floor only turns the
+    # 0/0 of two dropped eigenvalues into 0
+    pair = lam_i * lam_j / np.maximum(lam_i + lam_j, _TINY)
+    weighted = overlaps * pair.reshape(count, 1, -1)
+    # Re(sum_i conj(x_i) y_i) is the real dot product of the (re, im) views
+    spread = actions.reshape(count, 3, -1).view(np.float64)
+    overlaps = overlaps.view(np.float64)
+    return (
+        4.0 * (spread @ spread.transpose(0, 2, 1))
+        - 8.0 * (weighted.view(np.float64) @ overlaps.transpose(0, 2, 1))
+    )
+
+
+def _padded_stacks(sectors):
+    """Yield (weights (B, K), rows (B, K, W), numbers) for runs of
+    consecutive sector densities: each run is one padded stack of at most
+    STACK_AMPLITUDES amplitudes, or a single sector, with zero-weight zero
+    rows below its shallower sectors and zero columns past each N."""
+    run, depth, width = [], 0, 0
+    for sector in sectors:
+        grown = (max(depth, sector.weights.size), max(width, sector.n_total + 1))
+        if run and (len(run) + 1) * grown[0] * grown[1] > STACK_AMPLITUDES:
+            yield _padded_stack(run)
+            run, grown = [], (sector.weights.size, sector.n_total + 1)
+        run.append(sector)
+        depth, width = grown
+    yield _padded_stack(run)
+
+
+def _padded_stack(sectors) -> tuple:
+    if len(sectors) == 1:
+        (sector,) = sectors
+        return sector.weights[None], sector.vectors[None], [sector.n_total]
+    numbers = [sector.n_total for sector in sectors]
+    depth = max(sector.weights.size for sector in sectors)
+    weights = np.zeros((len(sectors), depth))
+    rows = np.zeros((len(sectors), depth, max(numbers) + 1), dtype=np.complex128)
+    for b, sector in enumerate(sectors):
+        weights[b, : sector.weights.size] = sector.weights
+        rows[b, : sector.weights.size, : sector.n_total + 1] = sector.vectors
+    return weights, rows, numbers
 
 
 def qfi(state, g):
@@ -293,10 +383,12 @@ def qfi(state, g):
     formula F_Q = 2 sum_{ij} (lam_i - lam_j)^2 / (lam_i + lam_j)
     |<i|J_n|j>|^2, evaluated on the support of rho (eigenvalues above the
     1e-12 cutoff) from its K factor rows in O(N K min(N, K)); see
-    _qfi_sector. Number mixtures: generators conserve N, so the matrix is
-    block diagonal and F_Q is the weight-averaged sector value. Any
-    separable state obeys F_Q <= N (or <N> for fluctuating number); more
-    is entanglement.
+    _qfi_forms. Number mixtures: generators conserve N, so the matrix is
+    block diagonal and F_Q is the weight-averaged sector value; their
+    sectors go through padded stacks of up to STACK_AMPLITUDES amplitudes,
+    and the number weights average their quadratic forms. Any separable
+    state obeys F_Q <= N (or <N> for fluctuating number); more is
+    entanglement.
 
     `g` is one GeneratorSpec, which returns a float, or a (k, 3) stack of
     unit directions, which returns the k values as an array. A stack
@@ -317,12 +409,14 @@ def qfi(state, g):
         specs = [g] if single else [GeneratorSpec(row) for row in rows]
         values = np.array([4.0 * angular_moments(state, spec)[1] for spec in specs])
     elif isinstance(state, (SectorDensity, NumberSectorMixture)):
-        stack = np.array(rows)
         sectors = state.sectors if isinstance(state, NumberSectorMixture) else ((1.0, state),)
-        values = np.zeros(len(rows))
-        for weight, sector in sectors:
-            if weight > 0.0:
-                values += weight * _qfi_sector(sector, stack)
+        sectors = [(weight, sector) for weight, sector in sectors if weight > 0.0]
+        stacks = _padded_stacks([sector for _, sector in sectors])
+        forms = np.concatenate([_qfi_forms(*stack) for stack in stacks])
+        number_weights = np.array([weight for weight, _ in sectors])
+        form = (number_weights @ forms.reshape(len(sectors), 9)).reshape(3, 3)
+        directions = np.array(rows)
+        values = np.einsum("ka,ab,kb->k", directions, form, directions)
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
     return float(values[0]) if single else values

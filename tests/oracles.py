@@ -169,3 +169,67 @@ def qfi_dense(matrix, directions):
         overlap = sum(c * w for c, w in zip(direction, axes))
         values.append(float(np.sum(pair * np.abs(overlap) ** 2)))
     return np.array(values)
+
+
+def scan_per_sample(samples, seed, n_total=None, distribution=None, n_components=4,
+                    n_directions=10, csi_orders=None):
+    """The scan evaluated one sample at a time through the public witnesses:
+    ensemble_to_state, integrated_g2m and csi_ratio per order, qfi over the
+    direction stack, spin_squeezing of the ensemble. Draws the same
+    directions, child seeds and ensembles as run_scan.
+
+    Returns {bound name: [one value per sample, in sample order]}, None
+    marking a skip; for qfi the value is the largest over the directions.
+    """
+    from bosewit.errors import WitnessError
+    from bosewit.scan import _unit_directions
+    from bosewit.separable import ensemble_to_state, sample_ensemble, sample_fluctuating_ensemble
+    from bosewit.witnesses import csi_ratio, integrated_g2m, qfi, spin_squeezing
+
+    master = np.random.default_rng(seed)
+    directions = _unit_directions(master, n_directions)
+    sample_seeds = master.integers(2**63, size=samples)
+    if n_total is not None:
+        orders = csi_orders or range(1, n_total // 2 + 1)
+    else:
+        orders = csi_orders or (1,)
+    values = {f"csi_order_{m}": [] for m in orders}
+    values["qfi"], values["spin_squeezing"] = [], []
+    for child_seed in sample_seeds:
+        if n_total is not None:
+            ensemble = sample_ensemble(int(child_seed), n_total, n_components)
+        else:
+            ensemble = sample_fluctuating_ensemble(int(child_seed), distribution, n_components)
+        state = ensemble_to_state(ensemble)
+        for m in orders:
+            try:
+                values[f"csi_order_{m}"].append(csi_ratio(integrated_g2m(state, m)))
+            except WitnessError:
+                values[f"csi_order_{m}"].append(None)
+        values["qfi"].append(float(np.max(qfi(state, directions))))
+        try:
+            values["spin_squeezing"].append(spin_squeezing(ensemble))
+        except WitnessError:
+            values["spin_squeezing"].append(None)
+    return values
+
+
+def bound_summary(values, bound, direction, tolerance):
+    """evaluations, skipped, violations, worst value and its first sample
+    index of one bound's per-sample values (None = skipped), in the order
+    a sequential scan meets them; a non-finite value is a violation."""
+    evaluated = [(i, v) for i, v in enumerate(values) if v is not None]
+    finite = [(i, v) for i, v in evaluated if math.isfinite(v)]
+    if direction == "upper":
+        violations = sum(v > bound + tolerance for _, v in finite)
+        worst = max(finite, key=lambda item: (item[1], -item[0]), default=(None, None))
+    else:
+        violations = sum(v < bound - tolerance for _, v in finite)
+        worst = min(finite, key=lambda item: (item[1], item[0]), default=(None, None))
+    return {
+        "evaluations": len(evaluated),
+        "skipped": len(values) - len(evaluated),
+        "violations": violations + len(evaluated) - len(finite),
+        "worst_index": worst[0],
+        "worst_value": worst[1],
+    }

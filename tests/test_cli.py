@@ -401,23 +401,24 @@ def test_qfi_requests_share_one_factorization_per_sector(capsys, monkeypatch):
     from bosewit import witnesses
 
     calls = []
-    original = witnesses._qfi_sector
+    original = witnesses._qfi_forms
 
-    def counting(sector, directions):
-        calls.append((sector.n_total, len(directions)))
-        return original(sector, directions)
+    def counting(weights, rows, numbers):
+        calls.append(list(numbers))
+        return original(weights, rows, numbers)
 
-    monkeypatch.setattr(witnesses, "_qfi_sector", counting)
+    monkeypatch.setattr(witnesses, "_qfi_forms", counting)
     argv = ["witness", "--state", os.path.join(DATA, "masked_mixture.state"),
             "--witness", "all", "--witness", "qfi:x", "--witness", "qfi:y", "--timestamp", TS]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    # two sectors, one factorization each, all three directions at once
-    assert calls == [(4, 3), (20, 3)]
+    # both sectors in one stacked factorization, which serves all three
+    # directions at once
+    assert calls == [[4, 20]]
     assert sorted(strict_json(out)["witnesses"]) == ["csi:1", "eta2", "qfi:x", "qfi:y", "qfi:z", "xi2"]
     calls.clear()
     run_cli(capsys, *argv, "--per-sector")
-    assert calls == [(4, 3), (20, 3), (4, 3), (20, 3)]
+    assert calls == [[4, 20], [4], [20]]
 
 
 def test_failed_qfi_call_marks_every_qfi_entry(capsys, monkeypatch):
@@ -459,3 +460,51 @@ def test_scan_caps_exit_2(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert "must be at most" in err
+
+
+@pytest.mark.parametrize(
+    "dist,message",
+    [
+        ("poisson:1e12", "poisson mean 1000000000000.0 reaches N = 1000020000060"),
+        ("binomial:2000000,0.5", "binomial trials reaches N = 2000000"),
+        ("binomial:2000,0.5", "sector N=2000 exceeds the dense-matrix cap n_max=256"),
+    ],
+)
+def test_scan_distribution_past_a_cap_exits_2(capsys, dist, message):
+    code, out, err = run_cli(capsys, "scan-separable", "--samples", "1", "--fluctuating", dist)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_witness_distribution_past_the_particle_cap_exits_2(capsys, tmp_path):
+    path = tmp_path / "huge.state"
+    path.write_text("kind = fluctuating\nz = 0.3\ndistribution:\n    kind = poisson\n    mean = 1e12\n")
+    code, out, err = run_cli(capsys, "witness", "--state", str(path))
+    assert code == 2
+    assert out == ""
+    assert "huge.state:3:1: poisson mean 1000000000000.0 reaches N = 1000020000060" in err
+
+
+def test_witness_csi_past_the_product_overflow(capsys, tmp_path):
+    path = tmp_path / "tf400.state"
+    path.write_text("kind = twin_fock\nn = 400\n")
+    code, out, _ = run_cli(
+        capsys, "witness", "--state", str(path), "--witness", "csi:50", "--witness", "csi:75", "--timestamp", TS
+    )
+    entries = strict_json(out)["witnesses"]
+    assert entries["csi:50"]["value"] == pytest.approx(22547867.43929954, rel=1e-14)
+    assert entries["csi:50"]["flag"] is True
+    # here a local correlator is itself not finite; that stays a named error
+    assert entries["csi:75"]["error"] == "NonFiniteWitnessValue"
+    assert code == 3
+
+
+def test_scan_spanning_several_chunks(capsys):
+    code, out, _ = run_cli(
+        capsys, "scan-separable", "--samples", "12", "--n", "12", "--components", "1000", "--timestamp", TS
+    )
+    assert code == 0
+    report = strict_json(out)
+    assert report["total_violations"] == 0
+    assert all(b["evaluations"] + b["skipped"] == 12 for b in report["bounds"])

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,3 +128,25 @@ def test_scan_caps_are_checked_before_anything_is_built(overrides, message, monk
     arguments = {"samples": 2, "seed": 1, "n_total": 6, **overrides}
     with pytest.raises(ValueError, match=message):
         run_scan(**arguments)
+
+
+def test_scan_at_n_200_certifies_finite_values_up_to_the_local_overflow():
+    report = run_scan(samples=3, seed=5, n_total=200)
+    worst = {b["name"]: b["worst_value"] for b in report["bounds"]}
+    # orders whose local product G_aa G_bb overflows while both stay finite
+    # now have a real ratio instead of a vacuous 0.0
+    for m in range(1, 75):
+        assert worst[f"csi_order_{m}"] > 0.0, m
+    # the worst C_100 against exact rational sums over the same populations
+    record = next(b for b in report["bounds"] if b["name"] == "csi_order_50")
+    state = ensemble_to_state(sample_ensemble(record["worst_sample"]["sample_seed"], 200, 4))
+    populations = [Fraction(float(p)) for p in state.occupation_probabilities()]
+
+    def falling(k, order):
+        return math.prod(range(k - order + 1, k + 1)) if k >= order else 0
+
+    g_aa = sum(p * falling(k, 100) for k, p in enumerate(populations))
+    g_bb = sum(p * falling(200 - k, 100) for k, p in enumerate(populations))
+    g_ab = sum(p * falling(k, 50) * falling(200 - k, 50) for k, p in enumerate(populations))
+    exact = math.sqrt(float(g_ab**2 / (g_aa * g_bb)))
+    assert worst["csi_order_50"] == pytest.approx(exact, rel=1e-12)

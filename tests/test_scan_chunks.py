@@ -1,0 +1,160 @@
+"""The chunked scan against the scan evaluated one sample at a time.
+
+run_scan puts every sample and sector of a chunk into one padded factor
+stack. These tests hold it to `oracles.scan_per_sample`, which builds each
+sample's density and calls the public witnesses on it, on scans that span
+at least three chunks with a short last one, and hold the padded QFI stack
+to the dense oracle sector by sector.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from bosewit import scan, witnesses
+from bosewit.fock import NumberSectorMixture, SectorDensity, _axis_actions
+from bosewit.scan import QFI_TOLERANCE, run_scan
+from bosewit.separable import NumberDistribution, _coherent_rows
+from bosewit.witnesses import STACK_AMPLITUDES, WITNESS_TOLERANCE, qfi
+
+import oracles
+
+CASES = {
+    "fixed-6": dict(samples=20, seed=11, n_total=6, n_components=1000),
+    "fixed-12": dict(samples=12, seed=12, n_total=12, n_components=1000),
+    "fixed-40": dict(samples=8, seed=13, n_total=40, n_components=400),
+    "poisson-6": dict(
+        samples=10, seed=14, distribution=NumberDistribution.poisson(6.0), n_components=20
+    ),
+    "binomial-10": dict(
+        samples=5, seed=15, distribution=NumberDistribution.binomial(10, 0.5),
+        n_components=200, csi_orders=[1, 5, 6],
+    ),
+}
+
+
+def _chunk_size(case):
+    if "n_total" in case:
+        numbers = [case["n_total"]]
+    else:
+        numbers = [n for n, _ in case["distribution"].weights()]
+    return max(1, STACK_AMPLITUDES // (len(numbers) * case["n_components"] * (max(numbers) + 1)))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_chunked_scan_matches_the_per_sample_loop(name, monkeypatch):
+    case = CASES[name]
+    chunk = _chunk_size(case)
+    # at least three chunks, the last one short
+    assert case["samples"] > 2 * chunk and case["samples"] % chunk
+    if "distribution" in case:
+        assert {0, 1} <= {n for n, _ in case["distribution"].weights()}
+
+    masks = []
+
+    def recording(g_aa, g_bb, g_ab):
+        ratios, degenerate = witnesses._csi_ratios(g_aa, g_bb, g_ab)
+        masks.append(degenerate)
+        return ratios, degenerate
+
+    monkeypatch.setattr(scan, "_csi_ratios", recording)
+    report = run_scan(**case)
+    sizes = [chunk] * (len(masks) - 1) + [case["samples"] % chunk]
+    assert [len(mask) for mask in masks] == sizes
+
+    expected = oracles.scan_per_sample(**case)
+    assert [b["name"] for b in report["bounds"]] == list(expected)
+    for column, bound in enumerate(b for b in report["bounds"] if b["name"].startswith("csi")):
+        skipped_at = np.concatenate(masks)[:, column]
+        assert list(skipped_at) == [v is None for v in expected[bound["name"]]]
+    for bound in report["bounds"]:
+        tolerance = QFI_TOLERANCE if bound["name"] == "qfi" else WITNESS_TOLERANCE
+        summary = oracles.bound_summary(
+            expected[bound["name"]], bound["bound"], bound["direction"], tolerance
+        )
+        assert bound["evaluations"] == summary["evaluations"], bound["name"]
+        assert bound["skipped"] == summary["skipped"], bound["name"]
+        assert bound["violations"] == summary["violations"], bound["name"]
+        if summary["worst_index"] is None:
+            assert bound["worst_value"] is None and bound["worst_sample"] is None
+            continue
+        assert bound["worst_sample"]["sample_index"] == summary["worst_index"], bound["name"]
+        assert bound["worst_value"] == pytest.approx(summary["worst_value"], rel=1e-12), bound["name"]
+
+
+def _sector(n, weights, seed):
+    rng = np.random.default_rng(seed)
+    z, phi = rng.random(len(weights)), rng.uniform(-math.pi, math.pi, len(weights))
+    rows = _coherent_rows(n, z, phi)
+    return SectorDensity.from_factors(weights, rows)
+
+
+def test_padded_stack_matches_the_dense_oracle_per_sector():
+    sectors = [
+        _sector(0, [1.0], 1),
+        _sector(1, [0.0, 0.7, 0.3], 2),
+        _sector(2, [0.5, 0.0, 0.0, 0.5], 3),
+        _sector(59, [0.25, 0.0, 0.75], 4),
+    ]
+    (stack,) = witnesses._padded_stacks(sectors)
+    weights, rows, numbers = stack
+    assert weights.shape == (4, 4) and rows.shape == (4, 4, 60) and list(numbers) == [0, 1, 2, 59]
+    for b, sector in enumerate(sectors):
+        depth = sector.weights.size
+        assert not weights[b, depth:].any() and not rows[b, depth:].any()
+        assert not rows[b, :, sector.n_total + 1 :].any()
+    forms = witnesses._qfi_forms(weights, rows, numbers)
+    rng = np.random.default_rng(5)
+    directions = np.vstack([np.eye(3), rng.normal(size=(4, 3))])
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    for sector, form in zip(sectors, forms):
+        oracle = oracles.qfi_dense(oracles.dense_density(sector.weights, sector.vectors), directions)
+        values = np.einsum("ka,ab,kb->k", directions, form, directions)
+        np.testing.assert_allclose(values, oracle, rtol=1e-10, atol=1e-10)
+    mixture = NumberSectorMixture(tuple(zip((0.1, 0.2, 0.3, 0.4), sectors)))
+    expected = sum(
+        w * oracles.qfi_dense(oracles.dense_density(s.weights, s.vectors), directions)
+        for w, s in mixture.sectors
+    )
+    np.testing.assert_allclose(qfi(mixture, directions), expected, rtol=1e-10)
+
+
+def test_padding_columns_neither_feed_nor_receive():
+    rng = np.random.default_rng(8)
+    numbers = [0, 1, 5, 9]
+    rows = rng.normal(size=(4, 3, 10)) + 1j * rng.normal(size=(4, 3, 10))
+    actions = _axis_actions(rows, numbers)
+    for b, n in enumerate(numbers):
+        alone = _axis_actions(rows[b : b + 1, :, : n + 1], [n])[0]
+        np.testing.assert_array_equal(actions[b, :, :, : n + 1], alone)
+        assert not actions[b, :, :, n + 1 :].any()
+
+
+def test_a_mixture_is_stacked_in_runs_within_the_budget():
+    # one wide sector among narrow ones: padding all of them to its width
+    # would take 6 x 20001 amplitudes
+    sectors = [_sector(n, [0.5, 0.5], n) for n in (0, 1, 2, 3, 4)] + [_sector(20000, [1.0], 9)]
+    stacks = list(witnesses._padded_stacks(sectors))
+    assert [list(numbers) for _, _, numbers in stacks] == [[0, 1, 2, 3, 4], [20000]]
+    for weights, rows, _ in stacks:
+        assert rows.size <= STACK_AMPLITUDES or len(rows) == 1
+    mixture = NumberSectorMixture(tuple(zip((0.1, 0.1, 0.2, 0.2, 0.2, 0.2), sectors)))
+    directions = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, 1.0, 0.0]])
+    expected = sum(w * qfi(s, directions) for w, s in mixture.sectors)
+    np.testing.assert_allclose(qfi(mixture, directions), expected, rtol=1e-12)
+
+
+def test_a_stack_past_the_budget_is_taken_in_slices():
+    rng = np.random.default_rng(21)
+    numbers = list(rng.integers(0, 60, size=40))
+    sectors = [_sector(int(n), list(rng.dirichlet(np.ones(40))), i) for i, n in enumerate(numbers)]
+    weights = np.array([s.weights for s in sectors])
+    rows = np.zeros((40, 40, 60), dtype=np.complex128)
+    for b, s in enumerate(sectors):
+        rows[b, :, : s.n_total + 1] = s.vectors
+    assert rows.size > STACK_AMPLITUDES
+    forms = witnesses._qfi_forms(weights, rows, numbers)
+    for b, s in enumerate(sectors):
+        alone = witnesses._qfi_forms(s.weights[None], s.vectors[None], [s.n_total])[0]
+        np.testing.assert_allclose(forms[b], alone, rtol=1e-12, atol=1e-12 * np.abs(alone).max())

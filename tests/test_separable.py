@@ -169,6 +169,33 @@ def test_number_distributions():
         NumberDistribution.binomial(5, 1.5)
 
 
+def test_distribution_support_is_capped_at_a_million_particles():
+    # the Poisson truncation point int(mean + 20 sqrt(mean) + 60) decides
+    edge = 980_140.0  # reaches exactly 10^6; edge + 1 reaches 10^6 + 1
+    assert NumberDistribution.poisson(edge).params == (edge,)
+    for refused in (
+        lambda: NumberDistribution.poisson(edge + 1.0),
+        lambda: NumberDistribution.poisson(1e12),
+        lambda: NumberDistribution.binomial(10**6 + 1, 0.5),
+        lambda: NumberDistribution.deterministic(10**6 + 1),
+    ):
+        with pytest.raises(ValueError, match="at most 1000000 particles"):
+            refused()
+    assert NumberDistribution.binomial(10**6, 0.5).params == (10**6, 0.5)
+    assert NumberDistribution.deterministic(10**6).weights() == ((10**6, 1.0),)
+
+
+def test_binomial_weights_stay_finite_for_many_trials():
+    weights = NumberDistribution.binomial(2000, 0.5).weights()
+    probabilities = np.array([p for _, p in weights])
+    assert len(weights) == 2001 and np.all(np.isfinite(probabilities))
+    assert probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+    assert sum(n * p for n, p in weights) == pytest.approx(1000.0, rel=1e-12)
+    # the middle weight against the exact integer pmf
+    exact = math.comb(2000, 1000) / 2**2000
+    assert weights[1000][1] == pytest.approx(exact, rel=1e-11)
+
+
 def test_sampler_determinism_and_ranges():
     a = sample_ensemble(1234, 12, 4)
     b = sample_ensemble(1234, 12, 4)

@@ -1,3 +1,4 @@
+import math
 import textwrap
 
 import numpy as np
@@ -372,3 +373,25 @@ def test_parse_file_and_missing_file(tmp_path):
 def test_pure_state_n_cap_is_inclusive():
     spec = parse_state_text("kind = dicke\nn = 1000000\nk = 3\n")
     assert spec.params["n"] == 10**6
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("kind = poisson\n    mean = 1e12", "poisson mean 1000000000000.0 reaches N = 1000020000060"),
+        ("kind = binomial\n    trials = 1000001\n    prob = 0.5", "binomial trials reaches N = 1000001"),
+        ("kind = deterministic\n    n = 1000001", "deterministic n reaches N = 1000001"),
+    ],
+)
+def test_distribution_past_the_particle_cap_is_an_error_at_its_block(body, message):
+    text = f"kind = fluctuating\nz = 0.3\ndistribution:\n    {body}\n"
+    with pytest.raises(StateSpecError) as error:
+        parse_state_text(text, source="big.state")
+    assert error.value.message.startswith(message)
+    assert (error.value.line, error.value.col) == (3, 1)
+
+
+def test_binomial_distribution_with_many_trials_parses():
+    spec = parse_state_text("kind = fluctuating\nz = 0.3\ndistribution:\n    kind = binomial\n    trials = 2000\n    prob = 0.5\n")
+    weights = [w for w, _ in spec.params["sectors"]]
+    assert len(weights) == 2001 and all(math.isfinite(w) for w in weights)

@@ -99,6 +99,30 @@ def test_csi_ratio_examples():
         csi_ratio(integrated_g2m(twin_fock(4), 2))
 
 
+@pytest.mark.parametrize("m", [40, 50, 60])
+def test_csi_survives_an_overflowing_local_product(m):
+    integrals = integrated_g2m(twin_fock(400), m)
+    assert math.isfinite(integrals.g_aa) and math.isfinite(integrals.g_bb)
+    assert math.isinf(integrals.g_aa * integrals.g_bb)
+    assert csi_ratio(integrals) == pytest.approx(twin_fock_csi_exact(400, m), rel=1e-14)
+
+
+@pytest.mark.parametrize("m", [25, 30])
+def test_csi_of_a_large_coherent_state_stays_one(m):
+    integrals = integrated_g2m(to_fock(CoherentSpinState(0.5, 0.0, 10**4)), m)
+    assert math.isinf(integrals.g_aa * integrals.g_bb)
+    assert csi_ratio(integrals) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_csi_ratio_keeps_the_bits_of_a_finite_product():
+    rng = np.random.default_rng(29)
+    for g_aa, g_bb, g_ab in 10.0 ** rng.uniform(-12, 150, size=(200, 3)):
+        value = csi_ratio(CorrelationIntegrals(1, g_aa, g_bb, g_ab, 1.0))
+        assert value == g_ab / math.sqrt(g_aa * g_bb)
+    # an infinite factor is not rescued: the ratio is 0 as before
+    assert csi_ratio(CorrelationIntegrals(1, math.inf, 1.0, 5.0, 1.0)) == 0.0
+
+
 def test_csi_is_one_for_single_coherent_component():
     rng = np.random.default_rng(73)
     for _ in range(15):
