@@ -1,18 +1,25 @@
 """Factorial-ratio helpers that stay stable for large particle numbers.
 
-Small products are done in exact integer arithmetic and rounded once at the
-end, so every desk-scale value is correct to 1 ulp; genuinely huge orders
-fall back to float products or log-Gamma with documented error growth.
+Scalar helpers work in exact integers for small products (1 ulp at desk
+scale) and fall back to float products or log-Gamma for huge orders.
 
-The row builders ``falling_factorial_row`` and ``log_binomial_row`` return
-one whole sector's worth of the scalar helpers, entry for entry the same
-floats. Rows with n <= ``fock.DEFAULT_N_MAX`` (256, the largest sector a
-scan or a dense density reaches) are memoized in one LRU cache per builder:
-512 falling-factorial rows (at most 512 x 257 x 8 B = 1.05 MB) and one
-log-binomial row per n (at most 257 rows, 0.26 MB), so the caches retain
-about 1.3 MB at most, whatever the input. Larger sectors build their rows
-on every call. Rows are read-only numpy arrays, because a memoized row is
-shared by every caller.
+Row helpers give one sector's worth of values as numpy arrays:
+
+- ``ratio_rows(n, ks)`` streams the normalized falling-factorial rows
+  R_k(j) = [j!/(j-k)!] / [n!/(n-k)!], j = 0..n, for ascending k by the
+  recurrence R_{k+1}(j) = R_k(j) (j-k)/(n-k). Every entry lies in [0, 1],
+  so no row overflows; row k takes 2k - 1 roundings, within k eps of the
+  exact ratio wherever that is a normal float. No table of all orders is
+  held. ``ratio_row(n, k)`` is one such row, and ``correlator_rows(n, m)``
+  stacks [R_2m, reverse(R_2m), R_m * reverse(R_m)] for order 2m.
+- ``log_binomial_row(n)`` is [log_binomial(n, i) for i in 0..n], bit for
+  bit, from one table of log-factorials (``log_factorials``).
+
+Rows with n <= ``fock.DEFAULT_N_MAX`` (256, the largest sector a scan or a
+dense density reaches) are memoized, read-only, in one LRU cache per
+builder: 512 ratio rows (at most 512 x 257 x 8 B = 1.05 MB) and one
+log-binomial row per n (at most 0.26 MB); ``order_scales`` keeps 1024
+quadruples of floats. Larger sectors stream their rows on every call.
 """
 
 import math
@@ -21,6 +28,9 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import DEFAULT_N_MAX
+
+# Entries of the factor rows ratio_rows forms at once (128 kB).
+_ROW_BLOCK = 2**14
 
 # Largest number of factors evaluated in exact integer arithmetic. Integer
 # products of this size cost microseconds; beyond it the float fallbacks
@@ -75,6 +85,32 @@ def balanced_factorial_ratio(n: int, m: int) -> float:
     return value
 
 
+@lru_cache(maxsize=1024)
+def order_scales(n: int, m: int) -> tuple:
+    """(alpha, log alpha, kappa, log kappa) of the order-2m correlators at
+    n particles, with alpha = falling_factorial(n, 2m) = n!/(n-2m)! and
+    kappa = balanced_factorial_ratio(n, m) = n!(n-2m)!/((n-m)!)^2, each inf
+    where it passes the float range.
+
+    log alpha and, where kappa is inf, log kappa are sums of logs,
+    sum_{i<2m} log(n-i) and sum_{k=1..m} log1p(m/(n-2m+k)), to about eps
+    relative. Orders with 2m > n give (0.0, -inf, 1.0, 0.0). Memoized per
+    (n, m).
+    """
+    if 2 * m > n:
+        return 0.0, -math.inf, 1.0, 0.0
+    log_alpha = float(np.sum(np.log(np.arange(n - 2 * m + 1, n + 1, dtype=float))))
+    try:
+        kappa = balanced_factorial_ratio(n, m)
+    except OverflowError:  # an exact integer quotient past the float range
+        kappa = math.inf
+    if math.isinf(kappa):
+        log_kappa = float(np.sum(np.log1p(m / np.arange(n - 2 * m + 1, n - m + 1, dtype=float))))
+    else:
+        log_kappa = math.log(kappa)
+    return falling_factorial(n, 2 * m), log_alpha, kappa, log_kappa
+
+
 def log_binomial(n: int, k: int) -> float:
     """log of the binomial coefficient C(n, k) via lgamma."""
     if not 0 <= k <= n:
@@ -82,31 +118,70 @@ def log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def _read_only(values: list) -> np.ndarray:
+def _read_only(values) -> np.ndarray:
     row = np.array(values, dtype=float)
     row.flags.writeable = False
     return row
 
 
-def _build_falling_factorial_row(n: int, k: int) -> np.ndarray:
-    return _read_only([falling_factorial(i, k) for i in range(n + 1)])
+def log_factorials(n: int) -> np.ndarray:
+    """[lgamma(i + 1) for i in 0..n], the logs of 0!..n!, as an array."""
+    return np.array([math.lgamma(i + 1) for i in range(n + 1)])
 
 
 def _build_log_binomial_row(n: int) -> np.ndarray:
-    return _read_only([log_binomial(n, i) for i in range(n + 1)])
+    # the scalar loop's operations in its order: (g[n] - g[i]) - g[n - i]
+    g = log_factorials(n)
+    return _read_only(g[n] - g - g[::-1])
 
 
-# 512 rows hold the 192 distinct (n, k) of a full-order scan at n = 256 with
+def _build_ratio_row(n: int, k: int) -> np.ndarray:
+    (row,) = ratio_rows(n, (k,))
+    return _read_only(row)
+
+
+# 512 rows hold the 256 distinct (n, k) of a full-order scan at n = 256 with
 # room to spare, so a scan never cycles the LRU order.
-_cached_falling_factorial_row = lru_cache(maxsize=512)(_build_falling_factorial_row)
+_cached_ratio_row = lru_cache(maxsize=512)(_build_ratio_row)
 _cached_log_binomial_row = lru_cache(maxsize=DEFAULT_N_MAX + 1)(_build_log_binomial_row)
 
 
-def falling_factorial_row(n: int, k: int) -> np.ndarray:
-    """[falling_factorial(i, k) for i in 0..n] as a read-only array."""
+def ratio_rows(n: int, ks):
+    """Yield R_k = [j!/(j-k)! / (n!/(n-k)!) for j in 0..n] for each k of the
+    ascending orders `ks`, streamed over k (rows past k = n are zero).
+
+    The factors (j-i)/(n-i) of the recurrence R_{i+1}(j) = R_i(j)
+    (j-i)/(n-i) are formed in blocks of at most _ROW_BLOCK entries. The
+    factor at i = n zeroes every entry, so the recurrence stops there and
+    an order far past n costs no more than k = n + 1."""
+    row, done, columns = np.ones(n + 1), 0, np.arange(n + 1.0)
+    step = max(1, _ROW_BLOCK // (n + 1))
+    for k in ks:
+        last = min(k, n + 1)
+        while done < last:
+            steps = np.arange(done, min(last, done + step))
+            # zero for j <= i, so every row from i = n on is zero
+            factors = np.maximum(columns - steps[:, None], 0.0)
+            factors /= np.maximum(n - steps, 1)[:, None]
+            for factor in factors:
+                row = row * factor
+            done += steps.size
+        yield row
+
+
+def ratio_row(n: int, k: int) -> np.ndarray:
+    """R_k of ratio_rows as a read-only array, memoized for n <= DEFAULT_N_MAX."""
     if n <= DEFAULT_N_MAX:
-        return _cached_falling_factorial_row(n, k)
-    return _build_falling_factorial_row(n, k)
+        return _cached_ratio_row(n, k)
+    return _build_ratio_row(n, k)
+
+
+def correlator_rows(n: int, m: int) -> np.ndarray:
+    """The rows [R_2m, reverse(R_2m), R_m * reverse(R_m)] of one n-particle
+    sector at order 2m as a (3, n+1) array: a population row P gives the
+    normalized correlators a, b, c as rows @ P."""
+    r_m, r_2m = ratio_row(n, m), ratio_row(n, 2 * m)
+    return np.array([r_2m, r_2m[::-1], r_m * r_m[::-1]])
 
 
 def log_binomial_row(n: int) -> np.ndarray:

@@ -20,15 +20,16 @@ from .separable import (
     NumberDistribution,
     PRNG_NAME,
     SeparableEnsemble,
-    _coherent_rows,
     _check_sector_cap,
+    _coherent_rows,
+    _sample_fluctuating,
     sample_ensemble,
-    sample_fluctuating_ensemble,
 )
 from .witnesses import (
     STACK_AMPLITUDES,
     WITNESS_TOLERANCE,
     _csi_ratios,
+    _log_scales,
     _population_integrals,
     _qfi_forms,
     spin_squeezing,
@@ -167,20 +168,16 @@ def _evaluate_chunk(weights, rows, numbers, probabilities, orders, directions) -
     of every direction, (S, k), for S samples given as (S, J, K) weights
     and (S, J, K, W) rows over J particle numbers.
 
-    Each sector's populations meet all orders in one product, and the
-    number probabilities average the correlators in sector order, as
-    integrated_g2m does. Batched SVDs, one per STACK_AMPLITUDES of the
-    stack, give the F_Q forms of all S * J sectors, which the
+    The number probabilities weight each sector's populations, and one
+    padded product gives every order's normalized correlators for all
+    samples and sectors at once (witnesses._population_integrals, the
+    routine behind integrated_g2m). Batched SVDs, one per STACK_AMPLITUDES
+    of the stack, give the F_Q forms of all S * J sectors, which the
     probabilities average per sample."""
     _check_factors(weights, rows)
-    populations = _factor_populations(weights, rows)
-    g_aa = g_bb = g_ab = 0.0
-    for j, n in enumerate(numbers):
-        part_aa, part_bb, part_ab, _ = _population_integrals(populations[:, j, : n + 1], n, orders)
-        g_aa = g_aa + probabilities[j] * part_aa
-        g_bb = g_bb + probabilities[j] * part_bb
-        g_ab = g_ab + probabilities[j] * part_ab
-    ratios, degenerate = _csi_ratios(g_aa, g_bb, g_ab)
+    weighted = _factor_populations(weights, rows) * probabilities[:, None]
+    sums, logs = _population_integrals([(weighted, numbers)], orders)
+    ratios, degenerate = _csi_ratios(sums, logs, _log_scales(max(numbers), orders))
     count, sectors, depth, width = rows.shape
     forms = _qfi_forms(
         weights.reshape(count * sectors, depth),
@@ -282,9 +279,7 @@ def run_scan(
             ensembles = [sample_ensemble(s, int(n_total), n_components) for s in seeds]
             sector_ensembles = [(ensemble,) for ensemble in ensembles]
         else:
-            ensembles = [
-                sample_fluctuating_ensemble(s, distribution, n_components) for s in seeds
-            ]
+            ensembles = [_sample_fluctuating(s, number_weights, n_components) for s in seeds]
             sector_ensembles = [
                 tuple(ensemble.per_sector[n] for n in numbers) for ensemble in ensembles
             ]

@@ -34,6 +34,12 @@ _POISSON_MASS = 1.0 - 1e-12
 # anything is allocated.
 MAX_PARTICLES = 10**6
 
+# The most amplitudes a number distribution may expand into: the sum of
+# N + 1 over the particle numbers its support may reach (one coherent row
+# per sector, 64 MiB of complex amplitudes). NumberDistribution.weights
+# checks it before any weight or row is built.
+MAX_EXPANDED_SIZE = 2**22
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -139,7 +145,9 @@ class NumberDistribution:
     (full exact support). The constructors refuse, with ValueError, any
     parameters whose support reaches past MAX_PARTICLES = 10^6: the
     deterministic n, the binomial trials, or the Poisson truncation point
-    int(mean + 20 sqrt(mean) + 60).
+    int(mean + 20 sqrt(mean) + 60). ``weights``, the one method that
+    expands the support, first refuses with ValueError a support that
+    expands into more than MAX_EXPANDED_SIZE amplitudes (see expanded_size).
     """
 
     kind: str
@@ -171,15 +179,40 @@ class NumberDistribution:
         _check_reach("binomial trials", trials)
         return cls("binomial", (trials, prob))
 
+    def expanded_size(self) -> int:
+        """The sum of N + 1 over the particle numbers the support may reach
+        (a Poisson support up to its truncation point int(mean + 20
+        sqrt(mean) + 60)), from the parameters alone."""
+        if self.kind == "deterministic":
+            return self.params[0] + 1
+        if self.kind == "poisson":
+            top = _poisson_cap(self.params[0]) if self.params[0] > 0.0 else 0
+            return (top + 1) * (top + 2) // 2
+        if self.kind != "binomial":
+            raise ValueError(f"unknown distribution kind {self.kind!r}")
+        trials, prob = self.params
+        if prob == 0.0:
+            return 1
+        if prob == 1.0:
+            return trials + 1
+        return (trials + 1) * (trials + 2) // 2
+
     def weights(self) -> tuple:
-        """Sorted (n, probability) pairs; probabilities sum to 1."""
+        """Sorted (n, probability) pairs; probabilities sum to 1. Raises
+        ValueError, before any weight is built, when the support expands
+        into more than MAX_EXPANDED_SIZE amplitudes."""
+        size = self.expanded_size()
+        if size > MAX_EXPANDED_SIZE:
+            raise ValueError(
+                f"{self.kind} distribution {list(self.params)} expands into {size} "
+                f"amplitudes (the sum of N + 1 over its support); distributions may "
+                f"expand into at most {MAX_EXPANDED_SIZE}"
+            )
         if self.kind == "deterministic":
             return ((self.params[0], 1.0),)
         if self.kind == "poisson":
             return _poisson_weights(self.params[0])
-        if self.kind == "binomial":
-            return _binomial_weights(self.params[0], self.params[1])
-        raise ValueError(f"unknown distribution kind {self.kind!r}")
+        return _binomial_weights(self.params[0], self.params[1])
 
 
 def _check_reach(what: str, largest_n: int) -> None:
@@ -328,10 +361,17 @@ def sample_fluctuating_ensemble(
 ) -> FluctuatingEnsemble:
     """Seeded fluctuating-number ensemble with an independent random
     separable ensemble in every sector the distribution supports."""
+    return _sample_fluctuating(seed, distribution.weights(), n_components)
+
+
+def _sample_fluctuating(
+    seed: int, number_weights: tuple, n_components: int
+) -> FluctuatingEnsemble:
+    """sample_fluctuating_ensemble on the distribution's weights, which a
+    scan computes once for all its samples."""
     rng = np.random.default_rng(seed)
-    weights = distribution.weights()
-    per_sector = {n: _sample_components(rng, n, n_components) for n, _ in weights}
-    return FluctuatingEnsemble(weights, per_sector)
+    per_sector = {n: _sample_components(rng, n, n_components) for n, _ in number_weights}
+    return FluctuatingEnsemble(number_weights, per_sector)
 
 
 # --- closed-form collective-spin moments --------------------------------------

@@ -392,8 +392,8 @@ def _parse_fluctuating(reader: _Reader, source: str, top: _Block) -> StateSpec:
         else:
             make, args = NumberDistribution.deterministic, (sub.integer("n", minimum=0),)
         try:
-            distribution = make(*args)
-        except ValueError as exc:  # a support past MAX_PARTICLES
+            number_weights = make(*args).weights()
+        except ValueError as exc:  # a support past MAX_PARTICLES or MAX_EXPANDED_SIZE
             raise StateSpecError(str(exc), source, entry.line, entry.col) from None
         sub.finish()
         z, phi = _z_phi(reader)
@@ -403,7 +403,7 @@ def _parse_fluctuating(reader: _Reader, source: str, top: _Block) -> StateSpec:
                 weight,
                 StateSpec("coherent_spin", source, {"n": n, "z": z, "phi": phi}),
             )
-            for n, weight in distribution.weights()
+            for n, weight in number_weights
         )
         return StateSpec("fluctuating", source, {"sectors": sectors})
     if not sector_blocks:

@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._factorials import balanced_factorial_ratio, falling_factorial_row
+from ._factorials import (
+    balanced_factorial_ratio,
+    correlator_rows,
+    log_factorials,
+    order_scales,
+    ratio_rows,
+)
 from .errors import (
     DegenerateLocalCorrelation,
     EigendecompositionFailure,
@@ -51,10 +57,14 @@ from .separable import (
 WITNESS_TOLERANCE = 1e-9
 
 _DEGENERATE_PRODUCT = 1e-24
+_LOG_DEGENERATE_PRODUCT = math.log(_DEGENERATE_PRODUCT)
+# A normalized correlator sum below this may have lost terms to underflow,
+# so it is recomputed by a log-sum-exp (see _population_integrals).
+_NORMALIZED_FLOOR = 1e-250
 _EMPTY_STATE_TOL = 1e-12
 _QFI_SPECTRAL_CUTOFF = 1e-12
 _MEAN_SPIN_GUARD = 1e-18
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 
 # Complex amplitudes in one padded factor stack (1 MiB of rows). The F_Q
 # kernel takes longer stacks in slices of this size, a mixture's sectors
@@ -67,13 +77,19 @@ STACK_AMPLITUDES = 2**16
 @dataclass(frozen=True)
 class CorrelationIntegrals:
     """The three integrated correlators of one order plus the prefactor
-    alpha_2m = N!/(N-2m)! shared by all of them."""
+    alpha_2m = N!/(N-2m)! shared by all of them (its number-weighted mean
+    for a mixture). Values past the float range are inf.
+
+    `normalized` carries the (sums, logs, scales) _csi_ratios takes for
+    this order when the integrals come from a state, so csi_ratio never
+    forms G_aa G_bb; it is None for integrals built from values."""
 
     order_m: int
     g_aa: float
     g_bb: float
     g_ab: float
     prefactor_alpha: float
+    normalized: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -101,70 +117,245 @@ class WitnessReport:
 # --- integrated correlators -----------------------------------------------------
 
 
-def _population_integrals(populations: np.ndarray, n: int, orders) -> tuple:
-    """(G_aa, G_bb, G_ab, alpha) of every order m in `orders` from the
-    populations of N = n particle sectors, any leading shape (..., n+1).
+def _population_integrals(runs, orders) -> tuple:
+    """Normalized correlators (sums, logs) of every order m in `orders`,
+    for runs of weighted sector populations: each run is (weighted,
+    numbers), p_j P_j (..., J, W) of J sectors with numbers[j] particles
+    each (zero past a sector's own count, W the run's largest count + 1),
+    and every run has the same leading shape. N is the largest count of
+    all runs.
 
-    All three correlators are diagonal in the |k, N-k> basis:
-      <a^dag^{2m} a^{2m}>          = sum_k P(k) k!/(k-2m)!
-      <b^dag^{2m} b^{2m}>          = sum_k P(k) (N-k)!/(N-k-2m)!
-      <a^dag^m b^dag^m b^m a^m>    = sum_k P(k) k!/(k-m)! (N-k)!/(N-k-m)!
-    and the prefactor alpha_2m = N!/(N-2m)! is the last entry of the 2m
-    row. The correlators come back with shape (..., M), alpha with (M,);
-    orders with 2m > N give exact zeros.
+    The correlators are diagonal in the |l, n-l> basis. With the ratio
+    rows R_k(l) = [l!/(l-k)!] / [N!/(N-k)!] in [0, 1] (_factorials), alpha
+    = N!/(N-2m)! and kappa = N!(N-2m)!/((N-m)!)^2, G_aa = alpha a, G_bb =
+    alpha b and G_ab = alpha kappa c, where
+        a = sum_j p_j P_j . R_2m,
+        b = sum_j p_j P_j . R_2m(n_j - .),
+        c = sum_j p_j P_j . (R_m * R_m(n_j - .));
+    one sector gives a = P . R_2m, b = P . reverse(R_2m) and c = P . (R_m *
+    reverse(R_m)). So C_2m = kappa c / sqrt(a b), and a, b, c never
+    overflow. A run of W columns takes the first W entries of each row, so
+    the rows are streamed once, over the orders, however many runs there
+    are; each run meets the rows of every order in one BLAS product per
+    block of at most STACK_AMPLITUDES row entries, so no table of all
+    orders is held. One sector of N <= DEFAULT_N_MAX takes memoized rows
+    (_factorials.correlator_rows). A sum is within about 2k eps relative
+    for row k.
+
+    A sum below _NORMALIZED_FLOOR may have lost terms to underflow: only
+    that entry is recomputed, as a log-sum-exp over log(p_j P_j(l)) plus
+    log R_k from one lgamma table, within about eps N log N absolute.
+
+    Returns sums and logs, both (3, ..., M): a, b, c and their logs (the
+    scales of N come from _log_scales). Orders with 2m > N give zero sums.
     """
-    ff_2m = np.array([falling_factorial_row(n, 2 * m) for m in orders])
-    ff_m = np.array([falling_factorial_row(n, m) for m in orders])
-    # contiguous rows keep every product on the BLAS dot kernel, so one
-    # order of 1-D populations sums exactly as np.dot does
-    g_aa = np.dot(populations, ff_2m.T)
-    g_bb = np.dot(populations, ff_2m[:, ::-1].copy().T)
-    g_ab = np.dot(populations, (ff_m * ff_m[:, ::-1]).T)
-    return g_aa, g_bb, g_ab, ff_2m[:, n]
+    n = max(max(numbers) for _, numbers in runs)
+    lead = runs[0][0].shape[:-2]
+    flats = [weighted.reshape(-1, weighted.shape[-2] * weighted.shape[-1]) for weighted, _ in runs]
+    orders = [int(m) for m in orders]
+    total = len(orders)
+    widths = [weighted.shape[-1] for weighted, _ in runs]
+    mirrors = [_mirror(width, numbers) for width, (_, numbers) in zip(widths, runs)]
+    if len(runs) == 1 and len(runs[0][1]) == 1 and n <= DEFAULT_N_MAX:
+        rows = [correlator_rows(n, m) for m in orders]
+        sums = flats[0] @ (rows[0] if total == 1 else np.concatenate(rows)).T
+    else:
+        # sums[:, 3 i + kind] of order i; kinds a, b, c
+        sums = np.empty((len(flats[0]), 3 * total))
+        blocks, targets = [[] for _ in runs], []
+        columns = sum(flat.shape[1] for flat in flats)
+        at_single, at_double = {}, {}
+        for i, m in enumerate(orders):
+            at_single.setdefault(m, []).append(i)
+            at_double.setdefault(2 * m, []).append(i)
+        wanted = sorted(at_single.keys() | at_double.keys())
+        for k, row in zip(wanted, ratio_rows(n, wanted)):
+            for block, width, mirror, (_, numbers) in zip(blocks, widths, mirrors, runs):
+                head = row[:width]
+                for _ in at_double.get(k, ()):
+                    block += [np.tile(head, len(numbers)), head[mirror].ravel()]
+                for _ in at_single.get(k, ()):
+                    block.append((head * head[mirror]).ravel())
+            for i in at_double.get(k, ()):
+                targets += [3 * i, 3 * i + 1]
+            targets += [3 * i + 2 for i in at_single.get(k, ())]
+            if len(targets) * columns >= STACK_AMPLITUDES or k == wanted[-1]:
+                sums[:, targets] = sum(flat @ np.array(block).T for flat, block in zip(flats, blocks))
+                blocks, targets = [[] for _ in runs], []
+    sums = sums.reshape(-1, total, 3)
+
+    lost = sums < _NORMALIZED_FLOOR
+    if not lost.any():
+        return _by_kind(sums, lead), _by_kind(np.log(sums), lead)
+    # orders with 2m > N have all-zero rows, so their zero sums are exact
+    lost &= np.array([2 * m <= n for m in orders])[:, None]
+    with np.errstate(divide="ignore"):
+        logs = np.log(sums)
+        if lost.any():
+            log_flats = [np.log(flat) for flat in flats]
+            log_rows = _log_ratio_rows(n)
+            for i, kind in zip(*np.nonzero(lost.any(axis=0))):
+                m = orders[i]
+                row = log_rows(m if kind == 2 else 2 * m)
+                samples = np.flatnonzero(lost[:, i, kind])
+                parts = []
+                for log_flat, width, mirror, (_, numbers) in zip(log_flats, widths, mirrors, runs):
+                    head = row[:width]
+                    if kind == 2:
+                        terms = (head + head[mirror]).ravel()
+                    else:
+                        terms = np.tile(head, len(numbers)) if kind == 0 else head[mirror].ravel()
+                    parts.append(_log_sum_exp(log_flat[samples] + terms))
+                logs[samples, i, kind] = np.logaddexp.reduce(parts)
+    return _by_kind(sums, lead), _by_kind(logs, lead)
+
+
+def _mirror(width: int, numbers):
+    """Index of the mode-b occupation n_j - l of column l in each sector
+    j of a run `width` columns wide; a column past n_j holds no population
+    and keeps its own index. One full-width sector is a reversal."""
+    if len(numbers) == 1 and numbers[0] == width - 1:
+        return slice(None, None, -1)
+    columns, sizes = np.arange(width), np.array(numbers)[:, None]
+    return np.where(columns <= sizes, sizes - columns, columns)
+
+
+def _by_kind(values: np.ndarray, lead: tuple) -> np.ndarray:
+    """(S, M, 3) values as (3, *lead, M)."""
+    return values.transpose(2, 0, 1).reshape(3, *lead, values.shape[1])
+
+
+def _log_scales(n: int, orders) -> np.ndarray:
+    """(log alpha, kappa, log kappa) of N = n for every order, as (3, M):
+    the scales _csi_ratios takes with the sums of _population_integrals."""
+    return np.array([order_scales(n, int(m))[1:] for m in orders]).T
+
+
+def _log_ratio_rows(n: int):
+    """k -> log R_k(l) for l = 0..n (-inf below l = k) from one lgamma
+    table g: (g[l] - g[l-k]) - (g[n] - g[n-k])."""
+    g = log_factorials(n)
+
+    def row(k):
+        values = np.full(n + 1, -np.inf)
+        if k <= n:
+            values[k:] = (g[k:] - g[: n + 1 - k]) - (g[n] - g[n - k])
+        return values
+
+    return row
+
+
+def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis; -inf where every term is -inf."""
+    top = np.max(terms, axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    return np.log(np.sum(np.exp(terms - top), axis=-1)) + top[..., 0]
+
+
+def _log(value: float) -> float:
+    """math.log that gives -inf at 0 and nan below it."""
+    if value > 0.0:
+        return math.log(value)
+    return -math.inf if value == 0.0 else math.nan
+
+
+def _scaled(value: float, log_value: float, scale: float, log_scale: float) -> float:
+    """value * scale as a float (inf past the float range), from the logs
+    where the value may have lost terms or the scale is inf."""
+    if value >= _NORMALIZED_FLOOR and scale < math.inf:
+        return value * scale
+    try:
+        return math.exp(log_value + log_scale)
+    except OverflowError:
+        return math.inf
 
 
 def integrated_g2m(state, m: int) -> CorrelationIntegrals:
     """Integrated correlators of order 2m for a state or mixture.
 
     The operators are diagonal in the sector basis, so the values come
-    from occupation populations in O(N); the ladder-moment route through
-    normally_ordered_moment gives identical numbers and the tests hold the
-    two to each other. Orders with 2m > N vanish identically.
+    from occupation populations in O(N) per sector, through the normalized
+    rows of _population_integrals (a mixture's sectors in padded runs of
+    consecutive sectors, _stack_runs, so a wide sector never pads narrow
+    ones to its width); the ladder-moment route through normally_ordered_moment
+    gives the same numbers and the tests hold the two to each other.
+    Orders with 2m > N vanish identically. A G value past the float range
+    is inf, but the normalized sums travel with it, so csi_ratio stays
+    finite wherever the true C_2m is.
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError("correlation order m must be a positive integer")
     m = int(m)
     if isinstance(state, NumberSectorMixture):
-        g_aa = g_bb = g_ab = alpha = 0.0
-        for weight, sector in state.sectors:
-            part = integrated_g2m(sector, m)
-            g_aa += weight * part.g_aa
-            g_bb += weight * part.g_bb
-            g_ab += weight * part.g_ab
-            alpha += weight * part.prefactor_alpha
-        return CorrelationIntegrals(m, g_aa, g_bb, g_ab, alpha)
-    if isinstance(state, (FockVector, SectorDensity)):
-        values = _population_integrals(state.occupation_probabilities(), state.n_total, (m,))
-        return CorrelationIntegrals(m, *(float(v[0]) for v in values))
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+        sectors = state.sectors
+    elif isinstance(state, (FockVector, SectorDensity)):
+        sectors = ((1.0, state),)
+    else:
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    numbers = [sector.n_total for _, sector in sectors]
+    alpha, log_alpha, kappa, log_kappa = order_scales(max(numbers), m)
+    if len(sectors) == 1:
+        ((weight, sector),) = sectors
+        runs = [((weight * sector.occupation_probabilities())[None], numbers)]
+        prefactor = weight * alpha
+    else:
+        runs = []
+        for run in _stack_runs([(1, n + 1) for n in numbers]):
+            weighted = np.zeros((len(run), max(numbers[j] for j in run) + 1))
+            for row, j in zip(weighted, run):
+                weight, sector = sectors[j]
+                row[: numbers[j] + 1] = weight * sector.occupation_probabilities()
+            runs.append((weighted, numbers[run.start : run.stop]))
+        prefactor = sum(
+            weight * order_scales(sector.n_total, m)[0] for weight, sector in sectors
+        )
+    sums, logs = _population_integrals(runs, (m,))
+    sums, logs = sums[:, 0].tolist(), logs[:, 0].tolist()
+    g_aa, g_bb, g_ab = map(
+        _scaled,
+        sums,
+        logs,
+        (alpha, alpha, alpha * kappa),
+        (log_alpha, log_alpha, log_alpha + log_kappa),
+    )
+    normalized = (sums, logs, (log_alpha, kappa, log_kappa))
+    return CorrelationIntegrals(m, g_aa, g_bb, g_ab, prefactor, normalized)
 
 
-def _csi_ratios(g_aa, g_bb, g_ab) -> tuple:
-    """(C_2m, degenerate) elementwise for correlator values or arrays.
+def _csi_ratios(sums, logs, scales) -> tuple:
+    """(C_2m, degenerate) elementwise from normalized correlators: sums
+    (a, b, c) and their logs as _population_integrals returns them, with
+    the scales (log alpha, kappa, log kappa) of _log_scales, for values or
+    arrays. Plain correlator values (G_aa, G_bb, G_ab) go in with scales
+    (0, 1, 0).
 
-    C_2m = G_ab / sqrt(G_aa G_bb). `degenerate` marks the products
-    G_aa G_bb <= _DEGENERATE_PRODUCT, where both local correlators vanish
-    and the ratio is 0/0; those entries carry no ratio. When the product
-    overflows while both factors are finite, and only then, the root is
-    taken factor by factor, sqrt(G_aa) sqrt(G_bb), so the ratio stays
-    finite; every other entry keeps the bits of G_ab / sqrt(G_aa G_bb).
+    C_2m = kappa c / sqrt(a b). `degenerate` marks the products G_aa G_bb
+    <= _DEGENERATE_PRODUCT, tested as log a + log b + 2 log alpha, where
+    both local correlators vanish and the ratio is 0/0; those entries carry
+    no ratio. Where a sum lies below _NORMALIZED_FLOOR or kappa is inf, the
+    ratio is exp(log kappa + log c - (log a + log b)/2), so only a C_2m
+    whose true value passes the float range is inf. A product a b outside
+    the normal float range is rooted factor by factor, sqrt(a) sqrt(b);
+    every other entry keeps the bits of c / sqrt(a b) * kappa (for plain
+    values, G_ab / sqrt(G_aa G_bb)).
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        product = np.multiply(g_aa, g_bb)
-        root = np.sqrt(product)
-        # where a factor is itself inf, sqrt(G_aa) sqrt(G_bb) is inf as well
-        root = np.where(np.isinf(root), np.sqrt(g_aa) * np.sqrt(g_bb), root)
-        return g_ab / root, product <= _DEGENERATE_PRODUCT
+    (a, b, c), (log_a, log_b, log_c), (log_alpha, kappa, log_kappa) = sums, logs, scales
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        product = a * b
+        ratio = c / np.sqrt(product) * kappa
+        normal = (product >= _TINY) & (product < math.inf)
+        linear = (a >= _NORMALIZED_FLOOR) & (b >= _NORMALIZED_FLOOR) & (c >= _NORMALIZED_FLOOR)
+        exact = normal & linear & (kappa < math.inf)
+        # one value gives a bool, which has no .all()
+        if not (exact if isinstance(exact, bool) else exact.all()):
+            # where a factor is itself inf, sqrt(a) sqrt(b) is inf as well
+            root = np.where(normal, np.sqrt(product), np.sqrt(a) * np.sqrt(b))
+            ratio = np.where(
+                linear & (kappa < math.inf),
+                c / root * kappa,
+                np.exp(log_kappa + log_c - 0.5 * (log_a + log_b)),
+            )
+        return ratio, log_a + log_b + 2.0 * log_alpha <= _LOG_DEGENERATE_PRODUCT
 
 
 def csi_ratio(integrals: CorrelationIntegrals) -> float:
@@ -172,11 +363,16 @@ def csi_ratio(integrals: CorrelationIntegrals) -> float:
 
     Separable states satisfy C_2m <= 1; any excess beyond numerical noise
     witnesses particle entanglement. Raises DegenerateLocalCorrelation
-    when both local correlators vanish and the ratio is 0/0. A product
-    G_aa G_bb past the float range with finite factors is divided out
-    factor by factor (see _csi_ratios).
+    when both local correlators vanish and the ratio is 0/0. Integrals from
+    integrated_g2m give the ratio from their normalized sums, so it is
+    finite wherever the true C_2m is; integrals built from values give
+    G_ab / sqrt(G_aa G_bb) (see _csi_ratios).
     """
-    ratio, degenerate = _csi_ratios(integrals.g_aa, integrals.g_bb, integrals.g_ab)
+    normalized = integrals.normalized
+    if normalized is None:
+        sums = (integrals.g_aa, integrals.g_bb, integrals.g_ab)
+        normalized = (sums, [_log(value) for value in sums], (0.0, 1.0, 0.0))
+    ratio, degenerate = _csi_ratios(*normalized)
     if degenerate:
         raise DegenerateLocalCorrelation(
             f"local correlators G_aa*G_bb = {integrals.g_aa * integrals.g_bb!r} too small "
@@ -346,20 +542,27 @@ def _qfi_forms(weights, rows, numbers) -> np.ndarray:
     )
 
 
+def _stack_runs(shapes):
+    """Split consecutive (depth, width) shapes into runs whose padded stack,
+    length x largest depth x largest width, holds at most STACK_AMPLITUDES
+    entries, or a single shape; yield each run's index range."""
+    start, depth, width = 0, 0, 0
+    for i, shape in enumerate(shapes):
+        grown = (max(depth, shape[0]), max(width, shape[1]))
+        if i > start and (i - start + 1) * grown[0] * grown[1] > STACK_AMPLITUDES:
+            yield range(start, i)
+            start, grown = i, shape
+        depth, width = grown
+    yield range(start, len(shapes))
+
+
 def _padded_stacks(sectors):
     """Yield (weights (B, K), rows (B, K, W), numbers) for runs of
-    consecutive sector densities: each run is one padded stack of at most
-    STACK_AMPLITUDES amplitudes, or a single sector, with zero-weight zero
-    rows below its shallower sectors and zero columns past each N."""
-    run, depth, width = [], 0, 0
-    for sector in sectors:
-        grown = (max(depth, sector.weights.size), max(width, sector.n_total + 1))
-        if run and (len(run) + 1) * grown[0] * grown[1] > STACK_AMPLITUDES:
-            yield _padded_stack(run)
-            run, grown = [], (sector.weights.size, sector.n_total + 1)
-        run.append(sector)
-        depth, width = grown
-    yield _padded_stack(run)
+    consecutive sector densities (_stack_runs): each run is one padded
+    stack, with zero-weight zero rows below its shallower sectors and zero
+    columns past each N."""
+    for run in _stack_runs([(sector.weights.size, sector.n_total + 1) for sector in sectors]):
+        yield _padded_stack([sectors[j] for j in run])
 
 
 def _padded_stack(sectors) -> tuple:

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
-import numpy as np
 import pytest
 
+from bosewit import separable
 from bosewit.cli import main
-from bosewit.witnesses import classify
+from bosewit.witnesses import classify, twin_fock_csi_exact
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TS = "2026-01-01T00:00:00+00:00"
@@ -273,28 +274,45 @@ def test_witness_all_failed_gives_null_verdicts(capsys):
 
 
 def test_witness_non_finite_value_is_a_named_error(tmp_path, capsys):
-    # C_100 of the twin-Fock state at N = 400 overflows the raw correlators
-    # to inf/inf; the report must stay strict JSON and exit 3.
-    pure = tmp_path / "tf400.state"
-    pure.write_text("kind = twin_fock\nn = 400\n")
-    mixed = tmp_path / "tf400_sector.state"
+    # C_2000 of the twin-Fock state at N = 4000 is C(2000, 1000) ~ 2e600,
+    # past the float range; the report must stay strict JSON and exit 3.
+    pure = tmp_path / "tf4000.state"
+    pure.write_text("kind = twin_fock\nn = 4000\n")
+    mixed = tmp_path / "tf4000_sector.state"
     mixed.write_text(
-        "kind = fluctuating\nsector:\n    weight = 1.0\n    n = 400\n    kind = twin_fock\n"
+        "kind = fluctuating\nsector:\n    weight = 1.0\n    n = 4000\n    kind = twin_fock\n"
     )
-    for path, extra in ((pure, []), (mixed, ["--per-sector", "--n-max", "400"])):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, _ = run_cli(
-                capsys, "witness", "--state", str(path), "--witness", "csi:1",
-                "--witness", "csi:100", *extra, "--timestamp", TS,
-            )
+    for path, extra in ((pure, []), (mixed, ["--per-sector", "--n-max", "4000"])):
+        code, out, _ = run_cli(
+            capsys, "witness", "--state", str(path), "--witness", "csi:1",
+            "--witness", "csi:1000", *extra, "--timestamp", TS,
+        )
         assert code == 3
         payload = strict_json(out)
         scopes = [payload] + payload.get("per_sector", [])
         assert len(scopes) == (2 if extra else 1)
         for scope in scopes:
-            assert scope["witnesses"]["csi:100"]["error"] == "NonFiniteWitnessValue"
+            assert scope["witnesses"]["csi:1000"]["error"] == "NonFiniteWitnessValue"
             assert scope["witnesses"]["csi:1"]["flag"] is True
             assert scope["verdicts"]["entangled_by_csi"] is True
+
+
+def test_witness_csi_order_far_past_n_exits_3_at_once(tmp_path, capsys):
+    # every correlator of an order 2m > N vanishes; an order of 10^9 must not
+    # step the row recurrence 2 * 10^9 times before it says so
+    mixed = tmp_path / "poisson.state"
+    mixed.write_text("kind = fluctuating\nz = 0.3\ndistribution:\n    kind = poisson\n    mean = 300\n")
+    cases = ((os.path.join(DATA, "twin_fock_20.state"), []), (str(mixed), ["--per-sector", "--n-max", "1000"]))
+    start = time.perf_counter()
+    for path, extra in cases:
+        code, out, _ = run_cli(
+            capsys, "witness", "--state", path, "--witness", "csi:1000000000", *extra, "--timestamp", TS
+        )
+        assert code == 3
+        payload = strict_json(out)
+        for scope in [payload] + payload.get("per_sector", []):
+            assert scope["witnesses"]["csi:1000000000"]["error"] == "DegenerateLocalCorrelation"
+    assert time.perf_counter() - start < 30.0
 
 
 def test_scan_smoke_and_round_trip(capsys):
@@ -486,6 +504,25 @@ def test_witness_distribution_past_the_particle_cap_exits_2(capsys, tmp_path):
     assert "huge.state:3:1: poisson mean 1000000000000.0 reaches N = 1000020000060" in err
 
 
+def test_distribution_past_the_expanded_size_cap_exits_2(capsys, tmp_path, monkeypatch):
+    # Poisson mean 5000 stays below 10^6 particles but expands into about
+    # 2.1e7 amplitudes; nothing may be built before the refusal
+    def refuse(*_):
+        raise AssertionError("weights built before the size check")
+
+    monkeypatch.setattr(separable, "_poisson_weights", refuse)
+    path = tmp_path / "wide.state"
+    path.write_text("kind = fluctuating\nz = 0.3\ndistribution:\n    kind = poisson\n    mean = 5000\n")
+    code, out, err = run_cli(capsys, "witness", "--state", str(path))
+    assert (code, out) == (2, "")
+    assert "wide.state:3:1: poisson distribution [5000.0] expands into 20966050 amplitudes" in err
+    code, out, err = run_cli(
+        capsys, "scan-separable", "--samples", "1", "--fluctuating", "poisson:5000", "--n-max", "10000"
+    )
+    assert (code, out) == (2, "")
+    assert "expands into 20966050 amplitudes" in err
+
+
 def test_witness_csi_past_the_product_overflow(capsys, tmp_path):
     path = tmp_path / "tf400.state"
     path.write_text("kind = twin_fock\nn = 400\n")
@@ -495,9 +532,11 @@ def test_witness_csi_past_the_product_overflow(capsys, tmp_path):
     entries = strict_json(out)["witnesses"]
     assert entries["csi:50"]["value"] == pytest.approx(22547867.43929954, rel=1e-14)
     assert entries["csi:50"]["flag"] is True
-    # here a local correlator is itself not finite; that stays a named error
-    assert entries["csi:75"]["error"] == "NonFiniteWitnessValue"
-    assert code == 3
+    # here the local correlators themselves pass the float range; the
+    # normalized sums still give the exact ratio
+    assert entries["csi:75"]["value"] == pytest.approx(twin_fock_csi_exact(400, 75), rel=1e-14)
+    assert entries["csi:75"]["flag"] is True
+    assert code == 0
 
 
 def test_scan_spanning_several_chunks(capsys):

@@ -150,3 +150,19 @@ def test_scan_at_n_200_certifies_finite_values_up_to_the_local_overflow():
     g_ab = sum(p * falling(k, 50) * falling(200 - k, 50) for k, p in enumerate(populations))
     exact = math.sqrt(float(g_ab**2 / (g_aa * g_bb)))
     assert worst["csi_order_50"] == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "arguments",
+    [dict(samples=3, seed=5, n_total=200), dict(samples=20, seed=5, n_total=300, n_max=300)],
+)
+def test_scans_past_n_150_certify_every_order(arguments):
+    # the raw falling-factorial rows overflowed here: exit 4 with 24 and
+    # 1500 false violations, and vacuous 0.0 worst values
+    report = run_scan(**arguments)
+    assert report["total_violations"] == 0
+    csi = [b for b in report["bounds"] if b["name"].startswith("csi")]
+    assert len(csi) == arguments["n_total"] // 2
+    for bound in csi:
+        assert bound["skipped"] == 0 and bound["evaluations"] == arguments["samples"]
+        assert math.isfinite(bound["worst_value"]) and 0.0 < bound["worst_value"] <= 1.0, bound["name"]

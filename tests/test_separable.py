@@ -16,10 +16,12 @@ from bosewit.fock import (
     normally_ordered_moment,
 )
 from bosewit.separable import (
+    MAX_EXPANDED_SIZE,
     CoherentSpinState,
     FluctuatingEnsemble,
     NumberDistribution,
     SeparableEnsemble,
+    _sample_fluctuating,
     analytic_spin_moments,
     ensemble_to_state,
     maximize_witness,
@@ -183,6 +185,51 @@ def test_distribution_support_is_capped_at_a_million_particles():
             refused()
     assert NumberDistribution.binomial(10**6, 0.5).params == (10**6, 0.5)
     assert NumberDistribution.deterministic(10**6).weights() == ((10**6, 1.0),)
+
+
+def test_expanded_size_is_the_sum_of_sector_widths():
+    for distribution in (
+        NumberDistribution.deterministic(7),
+        NumberDistribution.binomial(12, 0.4),
+        NumberDistribution.binomial(12, 0.0),
+        NumberDistribution.binomial(12, 1.0),
+        NumberDistribution.poisson(0.0),
+    ):
+        size = sum(n + 1 for n, _ in distribution.weights())
+        assert distribution.expanded_size() == size
+    # a Poisson support is bounded by its truncation point, int(mean + 20 sqrt(mean) + 60)
+    poisson = NumberDistribution.poisson(20.0)
+    assert poisson.expanded_size() == 170 * 171 // 2
+    assert poisson.expanded_size() >= sum(n + 1 for n, _ in poisson.weights())
+
+
+def test_expanded_size_cap_accepts_the_workloads_and_refuses_beyond():
+    for accepted in (
+        NumberDistribution.poisson(20.0),
+        NumberDistribution.poisson(1900.0),
+        NumberDistribution.binomial(2000, 0.5),
+        NumberDistribution.deterministic(10**6),
+    ):
+        assert accepted.expanded_size() <= MAX_EXPANDED_SIZE
+    # weights() checks the size before it expands anything
+    for refused, size in (
+        (NumberDistribution.poisson(5000.0), 20966050),
+        (NumberDistribution.binomial(3000, 0.5), 4504501),
+        (NumberDistribution.poisson(980_140.0), 500001500001),
+    ):
+        assert refused.expanded_size() == size > MAX_EXPANDED_SIZE
+        with pytest.raises(ValueError, match=f"expands into {size} .* at most {MAX_EXPANDED_SIZE}"):
+            refused.weights()
+
+
+def test_private_sampler_on_precomputed_weights_draws_the_same_ensemble():
+    distribution = NumberDistribution.poisson(6.0)
+    public = sample_fluctuating_ensemble(17, distribution, 3)
+    private = _sample_fluctuating(17, distribution.weights(), 3)
+    assert public.number_weights == private.number_weights
+    assert public.per_sector.keys() == private.per_sector.keys()
+    for n in public.per_sector:
+        assert public.per_sector[n].components == private.per_sector[n].components
 
 
 def test_binomial_weights_stay_finite_for_many_trials():

@@ -391,6 +391,14 @@ def test_distribution_past_the_particle_cap_is_an_error_at_its_block(body, messa
     assert (error.value.line, error.value.col) == (3, 1)
 
 
+def test_distribution_past_the_expanded_size_cap_is_an_error_at_its_block():
+    text = "kind = fluctuating\nz = 0.3\ndistribution:\n    kind = binomial\n    trials = 3000\n    prob = 0.5\n"
+    with pytest.raises(StateSpecError) as error:
+        parse_state_text(text, source="wide.state")
+    assert error.value.message.startswith("binomial distribution [3000, 0.5] expands into 4504501 amplitudes")
+    assert (error.value.line, error.value.col) == (3, 1)
+
+
 def test_binomial_distribution_with_many_trials_parses():
     spec = parse_state_text("kind = fluctuating\nz = 0.3\ndistribution:\n    kind = binomial\n    trials = 2000\n    prob = 0.5\n")
     weights = [w for w, _ in spec.params["sectors"]]

@@ -2,10 +2,14 @@
 quantum Fisher information, and combined verdicts."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bosewit import witnesses
+from bosewit._factorials import ratio_rows
 from bosewit.errors import (
     DegenerateLocalCorrelation,
     EmptyState,
@@ -26,6 +30,7 @@ from bosewit.fock import (
 )
 from bosewit.separable import (
     CoherentSpinState,
+    NumberDistribution,
     SeparableEnsemble,
     ensemble_to_state,
     sample_ensemble,
@@ -121,6 +126,114 @@ def test_csi_ratio_keeps_the_bits_of_a_finite_product():
         assert value == g_ab / math.sqrt(g_aa * g_bb)
     # an infinite factor is not rescued: the ratio is 0 as before
     assert csi_ratio(CorrelationIntegrals(1, math.inf, 1.0, 5.0, 1.0)) == 0.0
+
+
+@pytest.mark.parametrize("n", [20, 100, 400])
+def test_integrated_route_is_exact_for_twin_fock_at_every_order(n):
+    state = twin_fock(n)
+    for m in range(1, n // 4 + 1):
+        expected = twin_fock_csi_exact(n, m)
+        assert csi_ratio(integrated_g2m(state, m)) == pytest.approx(expected, rel=1e-14), m
+
+
+def test_integrated_route_is_exact_for_twin_fock_at_n_2000():
+    # the highest orders fall below the floor of the normalized sums and
+    # come from the log-sum-exp; HEAD of the raw rows got 454 of 500 wrong
+    state = twin_fock(2000)
+    logged = 0
+    for m in range(1, 501):
+        integrals = integrated_g2m(state, m)
+        logged += min(integrals.normalized[0]) < witnesses._NORMALIZED_FLOOR
+        assert csi_ratio(integrals) == pytest.approx(twin_fock_csi_exact(2000, m), rel=1e-11), m
+    assert logged > 0
+
+
+def test_csi_of_a_large_coherent_state_is_one_at_every_order_to_100():
+    state = to_fock(CoherentSpinState(0.37, 0.8, 10**4))
+    for m in range(1, 101):
+        assert csi_ratio(integrated_g2m(state, m)) == pytest.approx(1.0, abs=1e-12), m
+
+
+def test_csi_past_the_float_range_is_inf():
+    # C_2000 of twin-Fock N = 4000 is C(2000, 1000) ~ 2e600
+    integrals = integrated_g2m(twin_fock(4000), 1000)
+    assert math.isinf(csi_ratio(integrals))
+    assert csi_ratio(integrated_g2m(twin_fock(4000), 250)) == pytest.approx(
+        twin_fock_csi_exact(4000, 250), rel=1e-11
+    )
+
+
+def test_mixture_csi_against_exact_integer_sums():
+    # twin-Fock sectors of 1000 and 2000 particles: in the common scale of
+    # the larger sector the smaller one's terms pass the floor, so some
+    # orders take the log-sum-exp of a two-sector mixture
+    mix = NumberSectorMixture(
+        ((0.25, SectorDensity.from_pure(twin_fock(1000))), (0.75, SectorDensity.from_pure(twin_fock(2000))))
+    )
+    weights = {1000: Fraction(1, 4), 2000: Fraction(3, 4)}
+
+    def falling(k, order):
+        return math.perm(k, order) if k >= order else 0
+
+    logged = 0
+    for m in (1, 7, 60, 160, 250, 450, 500):
+        integrals = integrated_g2m(mix, m)
+        logged += min(integrals.normalized[0]) < witnesses._NORMALIZED_FLOOR
+        g_aa = sum(w * falling(n // 2, 2 * m) for n, w in weights.items())
+        g_ab = sum(w * falling(n // 2, m) ** 2 for n, w in weights.items())
+        # symmetric sectors: G_bb = G_aa, so C = G_ab / G_aa
+        assert csi_ratio(integrals) == pytest.approx(float(g_ab / g_aa), rel=1e-11), m
+    assert logged > 0
+
+
+def test_mixture_wider_than_one_stack_is_summed_over_sector_runs():
+    # 370 sectors of up to 369 particles pass STACK_AMPLITUDES, so the
+    # sectors are taken in runs; coherent sectors of one (z, phi) give C = 1
+    weights = NumberDistribution.poisson(250.0).weights()
+    mix = NumberSectorMixture(
+        tuple((w, SectorDensity.from_pure(to_fock(CoherentSpinState(0.3, 0.5, n)))) for n, w in weights)
+    )
+    assert len(weights) * len(weights) > witnesses.STACK_AMPLITUDES
+    for m in (1, 10, 100):
+        integrals = integrated_g2m(mix, m)
+        assert csi_ratio(integrals) == pytest.approx(1.0, abs=1e-12), m
+        if m < 100:  # the sector sums below pass the float range at m = 100
+            parts = [(w, integrated_g2m(sector, m)) for w, sector in mix.sectors]
+            for name in ("g_aa", "g_bb", "g_ab"):
+                total = sum(w * getattr(part, name) for w, part in parts)
+                assert getattr(integrals, name) == pytest.approx(total, rel=1e-13), (m, name)
+
+
+def test_mixture_of_one_wide_and_many_narrow_sectors_streams_the_wide_rows_once(monkeypatch):
+    # 200 narrow sectors beside one of 2 * 10^4 particles: padding every
+    # sector to the wide one would hold 32 MB and stream its rows once per
+    # run of narrow sectors; each run takes only its own columns instead
+    numbers = list(range(1, 201)) + [20_000]
+    weight = 1.0 / len(numbers)
+    mix = NumberSectorMixture(
+        tuple((weight, SectorDensity.from_pure(to_fock(CoherentSpinState(0.3, 0.5, n)))) for n in numbers)
+    )
+    streamed = []
+
+    def counting_rows(n, ks):
+        streamed.append(n)
+        return ratio_rows(n, ks)
+
+    for m in (1, 10):
+        monkeypatch.setattr(witnesses, "ratio_rows", counting_rows)
+        tracemalloc.start()
+        integrals = integrated_g2m(mix, m)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        monkeypatch.undo()
+        assert streamed == [20_000]
+        assert peak < 8e6, peak
+        streamed.clear()
+        assert csi_ratio(integrals) == pytest.approx(1.0, abs=1e-12), m
+        parts = [(w, integrated_g2m(sector, m)) for w, sector in mix.sectors]
+        for name in ("g_aa", "g_bb", "g_ab"):
+            total = sum(w * getattr(part, name) for w, part in parts)
+            assert getattr(integrals, name) == pytest.approx(total, rel=1e-13), (m, name)
 
 
 def test_csi_is_one_for_single_coherent_component():
