@@ -73,25 +73,17 @@ class RunManifest:
         return cls(command, list(argv), seed, PRNG_NAME, __version__, timestamp)
 
 
-def _jsonable(value):
-    """Recursively strip numpy types so json.dumps output is canonical."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
+def _json_default(value):
+    """json.dumps hook for numpy values: arrays as nested lists, scalars as
+    the Python values they hold. (numpy's float64 subclasses float, which
+    json writes through float.__repr__, so it never gets here.)"""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
     _write_text(text, out)
 
 
@@ -104,7 +96,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _manifest_comment(manifest: RunManifest) -> str:
-    return "# manifest: " + json.dumps(_jsonable(asdict(manifest)), sort_keys=True)
+    return "# manifest: " + json.dumps(asdict(manifest), sort_keys=True, default=_json_default)
 
 
 def _fail(message: str) -> int:

@@ -13,17 +13,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import WitnessError
 from .fock import DEFAULT_N_MAX, _check_factors, _factor_populations
 from .separable import (
-    FluctuatingEnsemble,
     NumberDistribution,
     PRNG_NAME,
-    SeparableEnsemble,
+    _check_draws,
     _check_sector_cap,
     _coherent_rows,
-    _sample_fluctuating,
-    sample_ensemble,
+    _draw_components,
+    _spin_moments,
 )
 from .witnesses import (
     STACK_AMPLITUDES,
@@ -32,7 +30,7 @@ from .witnesses import (
     _log_scales,
     _population_integrals,
     _qfi_forms,
-    spin_squeezing,
+    _squeezing,
 )
 
 QFI_TOLERANCE = 1e-6
@@ -121,46 +119,32 @@ def _unit_directions(rng: np.random.Generator, count: int) -> np.ndarray:
     return directions
 
 
-def _ensemble_payload(ensemble) -> dict:
-    if isinstance(ensemble, SeparableEnsemble):
-        return {
-            "n_total": ensemble.n_total,
-            "components": [
-                {"weight": w, "z": c.z, "phi": c.phi}
-                for w, c in ensemble.components
-            ],
-        }
-    if isinstance(ensemble, FluctuatingEnsemble):
-        return {
-            "number_weights": [[n, w] for n, w in ensemble.number_weights],
-            "sectors": {
-                str(n): [
-                    {"weight": w, "z": c.z, "phi": c.phi}
-                    for w, c in sector.components
-                ]
-                for n, sector in sorted(ensemble.per_sector.items())
-            },
-        }
-    raise TypeError(f"unsupported ensemble type {type(ensemble).__name__}")
+def _draw_chunk(seeds, sectors: int, n_components: int) -> np.ndarray:
+    """(weights, z, phi) of one ensemble per seed, as a (3, S, J, K) array:
+    each seed's generator draws its J sectors in turn, as sample_ensemble
+    and sample_fluctuating_ensemble do for that seed."""
+    draws = np.empty((3, len(seeds), sectors, n_components))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for j in range(sectors):
+            draws[:, i, j] = _draw_components(rng, n_components)
+    _check_draws(*draws)
+    return draws
 
 
-def _chunk_factors(sector_ensembles: list, numbers: tuple, width: int) -> tuple:
-    """(weights (S, J, K), rows (S, J, K, W)) of S samples with one
-    separable ensemble per particle number in `numbers` (J of them). Each
-    sector's rows come from one _coherent_rows call for all S samples, so
-    they equal to_fock's bit for bit; columns past a sector's N are zero."""
-    params = np.array(
-        [
-            [[(w, comp.z, comp.phi) for w, comp in ensemble.components] for ensemble in sample]
-            for sample in sector_ensembles
-        ]
-    )
-    count, depth = len(sector_ensembles), params.shape[2]
-    rows = np.zeros((count, len(numbers), depth, width), dtype=np.complex128)
-    for j, n in enumerate(numbers):
-        z, phi = params[:, j, :, 1].ravel(), params[:, j, :, 2].ravel()
-        rows[:, j, :, : n + 1] = _coherent_rows(n, z, phi).reshape(count, depth, n + 1)
-    return params[..., 0], rows
+def _ensemble_payload(number_weights, fixed: bool, weights, z, phi) -> dict:
+    """The report form of one sample's ensemble from its (J, K) weights, z
+    and phi over the sectors of `number_weights`."""
+    sectors = [
+        [{"weight": w, "z": zi, "phi": p} for w, zi, p in zip(*sector)]
+        for sector in zip(weights.tolist(), z.tolist(), phi.tolist())
+    ]
+    if fixed:
+        return {"n_total": number_weights[0][0], "components": sectors[0]}
+    return {
+        "number_weights": [[n, p] for n, p in number_weights],
+        "sectors": {str(n): sector for (n, _), sector in zip(number_weights, sectors)},
+    }
 
 
 def _evaluate_chunk(weights, rows, numbers, probabilities, orders, directions) -> tuple:
@@ -214,11 +198,14 @@ def run_scan(
     SectorTooLarge.
 
     Samples are evaluated in chunks of about STACK_AMPLITUDES complex
-    amplitudes (at least one sample each): every sector of every sample
-    in a chunk goes into one padded factor stack, its populations give all
-    CSI orders in one product, and one batched SVD gives all their F_Q
-    forms. Each value equals, to rounding, the one the sample's own
-    density gives through integrated_g2m, csi_ratio and qfi.
+    amplitudes (at least one sample each) as (S, J, K) arrays of weights,
+    z and phi, drawn as sample_ensemble and sample_fluctuating_ensemble
+    draw them; no ensemble object is built, and a worst-case payload only
+    when needed. One _coherent_rows call gives the chunk's padded factor
+    stack, whose populations give all CSI orders in one product and whose
+    F_Q forms come from one batched SVD, and one _spin_moments call gives
+    every xi^2 (bit for bit that of the ensemble object). C_2m and F_Q
+    equal, to rounding, those of each sample's own density.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -233,6 +220,8 @@ def run_scan(
         raise ValueError("give exactly one of n_total or distribution")
     if n_directions < 1:
         raise ValueError("need at least one generator direction")
+    if n_components < 1:
+        raise ValueError("need at least one component")
     master = np.random.default_rng(seed)
     directions = _unit_directions(master, n_directions)
     sample_seeds = master.integers(2**63, size=samples)
@@ -275,18 +264,14 @@ def run_scan(
     chunk = max(1, STACK_AMPLITUDES // (len(numbers) * n_components * width))
     for start in range(0, samples, chunk):
         seeds = [int(s) for s in sample_seeds[start : start + chunk]]
-        if mode == "fixed":
-            ensembles = [sample_ensemble(s, int(n_total), n_components) for s in seeds]
-            sector_ensembles = [(ensemble,) for ensemble in ensembles]
-        else:
-            ensembles = [_sample_fluctuating(s, number_weights, n_components) for s in seeds]
-            sector_ensembles = [
-                tuple(ensemble.per_sector[n] for n in numbers) for ensemble in ensembles
-            ]
         count = len(seeds)
+        weights, z, phi = _draw_chunk(seeds, len(numbers), n_components)
         ratios, degenerate, qfi_values = _evaluate_chunk(
-            *_chunk_factors(sector_ensembles, numbers, width),
+            weights, _coherent_rows(numbers, z, phi),
             numbers, probabilities, orders, directions,
+        )
+        squeezing, zero_spin = _squeezing(
+            qfi_bound, *_spin_moments(number_weights, weights, z, phi, mode == "fluctuating")
         )
 
         payloads = {}
@@ -296,7 +281,9 @@ def run_scan(
                 payloads[index] = {
                     "sample_index": start + index,
                     "sample_seed": seeds[index],
-                    "ensemble": _ensemble_payload(ensembles[index]),
+                    "ensemble": _ensemble_payload(
+                        number_weights, mode == "fixed", weights[index], z[index], phi[index]
+                    ),
                 }
             return {**payloads[index], **extra}
 
@@ -313,15 +300,11 @@ def run_scan(
             lambda i: payload_of(i, generator=directions[worst_directions[i]].tolist()),
         )
 
-        squeezing, squeezed = [], []
-        for index, ensemble in enumerate(ensembles):
-            try:
-                squeezing.append(spin_squeezing(ensemble))
-            except WitnessError:
-                continue
-            squeezed.append(index)
-        trackers["spin_squeezing"].skip(count - len(squeezed))
-        trackers["spin_squeezing"].record_values(squeezing, lambda i: payload_of(squeezed[i]))
+        squeezed = np.flatnonzero(~zero_spin)
+        trackers["spin_squeezing"].skip(count - squeezed.size)
+        trackers["spin_squeezing"].record_values(
+            squeezing[squeezed], lambda i: payload_of(int(squeezed[i]))
+        )
 
     bounds = [trackers[f"csi_order_{m}"].report() for m in orders]
     bounds.append(trackers["qfi"].report())

@@ -267,34 +267,70 @@ def _binomial_weights(trials: int, prob: float) -> tuple:
     return tuple((k, p / total) for k, p in raw)
 
 
-def _coherent_rows(n_total: int, z, phi) -> np.ndarray:
+def _coherent_rows(numbers, z, phi) -> np.ndarray:
     """Amplitude rows sqrt(C(N,k)) z^{k/2} (1-z)^{(N-k)/2} e^{i k phi}, one
-    per (z, phi) pair, as a (K, N+1) complex array.
+    per (z, phi) pair. `numbers` is one N for every pair, with z and phi
+    (..., K) arrays, which gives (..., K, N+1) rows; or the J numbers of a
+    padded stack, with z and phi (..., J, K) arrays whose axis -2 runs over
+    them, which gives (..., J, K, W) rows, W = max N + 1, zero past each N.
 
     Amplitudes are built in log space (so N up to 10^6 cannot overflow)
-    and each row is renormalized once, keeping its norm at 1 to machine
-    precision. z = 0 and z = 1 give the basis rows |0, N> and
-    e^{i N phi} |N, 0> exactly.
+    from one stacked table of log-binomial rows, and each row is
+    renormalized once over its own N + 1 columns, keeping its norm at 1 to
+    machine precision. z = 0 and z = 1 give the basis rows |0, N> and
+    e^{i N phi} |N, 0> exactly. A row is, bit for bit, the one its (N, z,
+    phi) gives alone.
     """
-    n = int(n_total)
+    single = np.ndim(numbers) == 0
+    sizes = [int(numbers)] if single else [int(n) for n in numbers]
     z = np.asarray(z, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    rows = np.zeros((z.size, n + 1), dtype=np.complex128)
+    if single:
+        z, phi = z[..., None, :], phi[..., None, :]
+    width = max(sizes) + 1
+    table = np.zeros((len(sizes), 1, width))
+    for row, n in zip(table, sizes):
+        row[0, : n + 1] = log_binomial_row(n)
     inner = (z > 0.0) & (z < 1.0)
-    if inner.any():
-        # math.log and math.log1p per row keep every row bit-identical to
-        # the one-row case; numpy's vector log may round differently.
-        log_z = np.array([math.log(v) for v in z[inner]])[:, None]
-        log_rest = np.array([math.log1p(-v) for v in z[inner]])[:, None]
-        k = np.arange(n + 1)
-        half_log = 0.5 * (log_binomial_row(n) + k * log_z + (n - k) * log_rest)
-        amps = np.exp(half_log + 1j * k * phi[inner][:, None])
-        amps /= np.sqrt(np.sum(np.abs(amps) ** 2, axis=1))[:, None]
-        rows[inner] = amps
+    # math.log and math.log1p per value keep every row bit-identical to the
+    # one-row case; numpy's vector log may round differently. Boundary rows
+    # are set below; meanwhile they take z = 1/2, which overflows at no N.
+    values = np.where(inner, z, 0.5).ravel().tolist()
+    log_z = np.array([math.log(v) for v in values]).reshape(*z.shape, 1)
+    log_rest = np.array([math.log1p(-v) for v in values]).reshape(*z.shape, 1)
+    k = np.arange(width)
+    n = np.array(sizes)[:, None, None]
+    # the operations of 0.5 (table + k log z + (n - k) log(1 - z)) + i k phi,
+    # taken in place; a padded stack takes only the columns up to each N
+    half_log = k * log_z
+    half_log += table
+    half_log += (n - k) * log_rest
+    half_log *= 0.5
+    if min(sizes) == max(sizes):
+        rows = 1j * k * phi[..., None]
+        rows += half_log
+        np.exp(rows, out=rows)
+    else:
+        valid = np.broadcast_to(k <= n, half_log.shape)
+        amps = np.broadcast_to(1j * k, valid.shape)[valid]
+        amps *= np.broadcast_to(phi[..., None], valid.shape)[valid]
+        amps += half_log[valid]
+        rows = np.zeros(valid.shape, dtype=np.complex128)
+        rows[valid] = np.exp(amps, out=amps)
+    # each norm sums its own N + 1 columns: a sum over the padded width
+    # would group numpy's pairwise summation differently
+    power = np.abs(rows)
+    power *= power
+    norms = np.empty(z.shape)
+    for j, size in enumerate(sizes):
+        np.sum(power[..., j, :, : size + 1], axis=-1, out=norms[..., j, :])
+    rows /= np.sqrt(norms)[..., None]
+    rows[~inner] = 0.0
     rows[z == 0.0, 0] = 1.0
     top = z == 1.0
-    rows[top, n] = np.exp(1j * n * phi[top])
-    return rows
+    tops = np.array(sizes)[np.nonzero(top)[-2]]
+    rows[top, tops] = np.exp(1j * tops * phi[top])
+    return rows[..., 0, :, :] if single else rows
 
 
 def to_fock(state: CoherentSpinState) -> FockVector:
@@ -336,17 +372,29 @@ def ensemble_to_state(ensemble, n_max: int = DEFAULT_N_MAX):
 # --- seeded sampling ----------------------------------------------------------
 
 
-def _sample_components(rng: np.random.Generator, n_total: int, n_components: int) -> SeparableEnsemble:
+def _draw_components(rng: np.random.Generator, n_components: int) -> tuple:
+    """(weights, z, phi) of one sector's components, each (n_components,):
+    z uniform on [0,1), phi uniform on [-pi,pi), weights from a flat
+    Dirichlet simplex draw, in that order from `rng`, for every sampler."""
     if n_components < 1:
         raise ValueError("need at least one component")
     z = rng.random(n_components)
     phi = rng.uniform(-math.pi, math.pi, n_components)
     weights = rng.dirichlet(np.ones(n_components))
-    comps = tuple(
-        (float(w), CoherentSpinState(float(zi), float(pi), n_total))
-        for w, zi, pi in zip(weights, z, phi)
-    )
-    return SeparableEnsemble(n_total, comps)
+    return weights, z, phi
+
+
+def _check_draws(weights, z, phi) -> None:
+    """The checks of CoherentSpinState and SeparableEnsemble on (..., K)
+    arrays of drawn components (a NaN fails every comparison)."""
+    in_range = ((z >= 0.0) & (z <= 1.0)).all() and (np.abs(phi) <= math.pi).all()
+    sums = np.sum(weights, axis=-1)
+    if not (in_range and (weights >= 0.0).all() and (np.abs(sums - 1.0) <= _WEIGHT_SUM_TOL).all()):
+        raise ValueError("drawn components leave z in [0, 1], phi in [-pi, pi] or the simplex")
+
+
+def _sample_components(rng: np.random.Generator, n_total: int, n_components: int) -> SeparableEnsemble:
+    return _ensemble_from_arrays(n_total, *_draw_components(rng, n_components))
 
 
 def sample_ensemble(seed: int, n_total: int, n_components: int) -> SeparableEnsemble:
@@ -360,16 +408,10 @@ def sample_fluctuating_ensemble(
     seed: int, distribution: NumberDistribution, n_components: int
 ) -> FluctuatingEnsemble:
     """Seeded fluctuating-number ensemble with an independent random
-    separable ensemble in every sector the distribution supports."""
-    return _sample_fluctuating(seed, distribution.weights(), n_components)
-
-
-def _sample_fluctuating(
-    seed: int, number_weights: tuple, n_components: int
-) -> FluctuatingEnsemble:
-    """sample_fluctuating_ensemble on the distribution's weights, which a
-    scan computes once for all its samples."""
+    separable ensemble in every sector the distribution supports, drawn
+    from one generator in ascending N."""
     rng = np.random.default_rng(seed)
+    number_weights = distribution.weights()
     per_sector = {n: _sample_components(rng, n, n_components) for n, _ in number_weights}
     return FluctuatingEnsemble(number_weights, per_sector)
 
@@ -394,43 +436,65 @@ def analytic_spin_moments(ensemble) -> tuple[float, float, float]:
                   - (sum_N p_N N E_N[z-1/2])^2
     The deterministic-N limit fixes that coefficient uniquely: a
     (<N^2> - <N>^2) variant would collapse to N/4 - N^2 (...)^2 for a
-    single sector and go negative.
+    single sector and go negative. The scan evaluates the same closed
+    forms on whole chunks through _spin_moments.
     """
     if isinstance(ensemble, SeparableEnsemble):
-        n = ensemble.n_total
-        s_cos, s_sin, m1, m2 = _component_sums(ensemble)
-        jx = n * s_cos
-        jy = -n * s_sin
-        var_z = n / 4.0 + n * (n - 1.0) * m2 - (n * m1) ** 2
-        return jx, jy, var_z
-    if isinstance(ensemble, FluctuatingEnsemble):
-        jx = 0.0
-        jy = 0.0
-        second = 0.0
-        first = 0.0
-        for n, p in ensemble.number_weights:
-            s_cos, s_sin, m1, m2 = _component_sums(ensemble.per_sector[n])
-            jx += p * n * s_cos
-            jy += -p * n * s_sin
-            second += p * (n / 4.0 + n * (n - 1.0) * m2)
-            first += p * n * m1
-        return jx, jy, second - first * first
-    raise TypeError(f"unsupported ensemble type {type(ensemble).__name__}")
+        number_weights, fluctuating = ((ensemble.n_total, 1.0),), False
+        sectors = (ensemble,)
+    elif isinstance(ensemble, FluctuatingEnsemble):
+        number_weights, fluctuating = ensemble.number_weights, True
+        sectors = [ensemble.per_sector[n] for n, _ in number_weights]
+    else:
+        raise TypeError(f"unsupported ensemble type {type(ensemble).__name__}")
+    # zero-weight padding for sectors with fewer components adds exact zeros
+    params = np.zeros((3, len(sectors), max(len(s.components) for s in sectors)))
+    for j, sector in enumerate(sectors):
+        params[:, j, : len(sector.components)] = np.array(
+            [(w, comp.z, comp.phi) for w, comp in sector.components]
+        ).T
+    moments = _spin_moments(number_weights, *params, fluctuating)
+    return tuple(float(value) for value in moments)
 
 
-def _component_sums(ensemble: SeparableEnsemble) -> tuple[float, float, float, float]:
-    s_cos = 0.0
-    s_sin = 0.0
-    m1 = 0.0
-    m2 = 0.0
-    for w, comp in ensemble.components:
-        radius = math.sqrt(comp.z * (1.0 - comp.z))
-        s_cos += w * radius * math.cos(comp.phi)
-        s_sin += w * radius * math.sin(comp.phi)
-        centered = comp.z - 0.5
-        m1 += w * centered
-        m2 += w * centered * centered
-    return s_cos, s_sin, m1, m2
+def _spin_moments(number_weights, weights, z, phi, fluctuating: bool) -> tuple:
+    """(<J_x>, <J_y>, Var J_z) of the closed forms of analytic_spin_moments,
+    each (...,), for ensembles given as (..., J, K) component weights, z
+    and phi over the J sectors of `number_weights` ((n, p) pairs; one
+    sector with fluctuating False).
+
+    The sums run in order from 0.0, and cos, sin and the fixed-N square go
+    through math and float per value, so every value is, bit for bit, the
+    one a scalar loop over the components gives.
+    """
+    radius = np.sqrt(z * (1.0 - z))
+    phases = phi.ravel().tolist()
+    cos = np.array([math.cos(v) for v in phases]).reshape(phi.shape)
+    sin = np.array([math.sin(v) for v in phases]).reshape(phi.shape)
+    s_cos = _in_order(weights * radius * cos)
+    s_sin = _in_order(weights * radius * sin)
+    centered = z - 0.5
+    m1 = _in_order(weights * centered)
+    m2 = _in_order(weights * centered * centered)
+    if not fluctuating:
+        ((n, _),) = number_weights
+        shift = n * m1[..., 0]
+        squares = np.array([v**2 for v in shift.ravel().tolist()]).reshape(shift.shape)
+        var_z = n / 4.0 + n * (n - 1.0) * m2[..., 0] - squares
+        return n * s_cos[..., 0], -n * s_sin[..., 0], var_z
+    n = np.array([n for n, _ in number_weights])
+    p = np.array([p for _, p in number_weights])
+    jx = _in_order(p * n * s_cos)
+    jy = _in_order(-p * n * s_sin)
+    second = _in_order(p * (n / 4.0 + n * (n - 1.0) * m2))
+    first = _in_order(p * n * m1)
+    return jx, jy, second - first * first
+
+
+def _in_order(terms: np.ndarray) -> np.ndarray:
+    """Sums over the last axis taken in order from 0.0, as a loop would
+    (adding 0.0 turns an all-(-0.0) sum into the loop's 0.0)."""
+    return np.cumsum(terms, axis=-1)[..., -1] + 0.0
 
 
 # --- stochastic maximization ---------------------------------------------------

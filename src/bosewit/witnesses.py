@@ -670,13 +670,23 @@ def spin_squeezing(state, fluctuating: bool | None = None) -> float:
             f"fluctuating={fluctuating} contradicts the input type "
             f"{type(state).__name__}"
         )
-    denom = jx * jx + jy * jy
-    if denom <= _MEAN_SPIN_GUARD * max(n_ref * n_ref, 1.0):
+    value, zero = _squeezing(n_ref, jx, jy, var_z)
+    if zero:
         raise ZeroMeanSpinDirection(
-            f"mean transverse spin squared {denom!r} is negligible against "
+            f"mean transverse spin squared {jx * jx + jy * jy!r} is negligible against "
             f"n_ref = {n_ref!r}"
         )
-    return n_ref * var_z / denom
+    return float(value)
+
+
+def _squeezing(n_ref: float, jx, jy, var_z) -> tuple:
+    """(xi^2, zero) elementwise from the spin moments, for values or
+    arrays: `zero` marks a mean transverse spin <J_x>^2 + <J_y>^2 at or
+    below 1e-18 max(n_ref^2, 1), which leaves no direction to reference the
+    variance against; those entries carry no ratio."""
+    denom = jx * jx + jy * jy
+    zero = denom <= _MEAN_SPIN_GUARD * max(n_ref * n_ref, 1.0)
+    return n_ref * var_z / np.where(zero, 1.0, denom), zero
 
 
 # --- combined verdicts ---------------------------------------------------------------

@@ -233,3 +233,50 @@ def bound_summary(values, bound, direction, tolerance):
         "worst_index": worst[0],
         "worst_value": worst[1],
     }
+
+
+def spin_moments_loop(ensemble):
+    """(<J_x>, <J_y>, Var J_z) of a SeparableEnsemble or FluctuatingEnsemble
+    by a plain loop over components and sectors in Python floats: the
+    closed forms of analytic_spin_moments, accumulated from 0.0."""
+    from bosewit.separable import SeparableEnsemble
+
+    def sums(sector):
+        s_cos = s_sin = m1 = m2 = 0.0
+        for w, comp in sector.components:
+            radius = math.sqrt(comp.z * (1.0 - comp.z))
+            s_cos += w * radius * math.cos(comp.phi)
+            s_sin += w * radius * math.sin(comp.phi)
+            centered = comp.z - 0.5
+            m1 += w * centered
+            m2 += w * centered * centered
+        return s_cos, s_sin, m1, m2
+
+    if isinstance(ensemble, SeparableEnsemble):
+        n = ensemble.n_total
+        s_cos, s_sin, m1, m2 = sums(ensemble)
+        return n * s_cos, -n * s_sin, n / 4.0 + n * (n - 1.0) * m2 - (n * m1) ** 2
+    jx = jy = second = first = 0.0
+    for n, p in ensemble.number_weights:
+        s_cos, s_sin, m1, m2 = sums(ensemble.per_sector[n])
+        jx += p * n * s_cos
+        jy += -p * n * s_sin
+        second += p * (n / 4.0 + n * (n - 1.0) * m2)
+        first += p * n * m1
+    return jx, jy, second - first * first
+
+
+def ensemble_payload(ensemble):
+    """The report form of an ensemble object, as a scan report carries its
+    worst-case samples."""
+    from bosewit.separable import SeparableEnsemble
+
+    def components(sector):
+        return [{"weight": w, "z": c.z, "phi": c.phi} for w, c in sector.components]
+
+    if isinstance(ensemble, SeparableEnsemble):
+        return {"n_total": ensemble.n_total, "components": components(ensemble)}
+    return {
+        "number_weights": [[n, w] for n, w in ensemble.number_weights],
+        "sectors": {str(n): components(s) for n, s in sorted(ensemble.per_sector.items())},
+    }

@@ -4,10 +4,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from bosewit import separable
-from bosewit.cli import main
+from bosewit.cli import RunManifest, _emit_json, _manifest_comment, main
 from bosewit.witnesses import classify, twin_fock_csi_exact
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -547,3 +548,48 @@ def test_scan_spanning_several_chunks(capsys):
     report = strict_json(out)
     assert report["total_violations"] == 0
     assert all(b["evaluations"] + b["skipped"] == 12 for b in report["bounds"])
+
+
+def test_emit_writes_numpy_values_as_the_plain_values_they_hold(capsys):
+    payload = {
+        "float": np.float64(0.1),
+        "small": np.float32(0.5),
+        "count": np.int64(7),
+        "flag": np.bool_(True),
+        "rows": np.array([[1.5, -2.0], [1e-300, 3.0]]),
+        "pair": (np.int32(1), np.bool_(False)),
+        "nothing": None,
+        "nested": [{"z": np.float64(2.0 / 3.0), "n": np.uint16(3)}],
+    }
+    plain = {
+        "float": 0.1,
+        "small": 0.5,
+        "count": 7,
+        "flag": True,
+        "rows": [[1.5, -2.0], [1e-300, 3.0]],
+        "pair": [1, False],
+        "nothing": None,
+        "nested": [{"z": 2.0 / 3.0, "n": 3}],
+    }
+    _emit_json(payload, None)
+    text = capsys.readouterr().out
+    assert text == json.dumps(plain, sort_keys=True, indent=2) + "\n"
+    assert '"flag": true' in text and '"z": 0.6666666666666666' in text
+    manifest = RunManifest("scan-separable", ["--seed", "3"], np.int64(3), "PCG64", "0", TS)
+    assert _manifest_comment(manifest) == "# manifest: " + json.dumps(
+        {"arguments": ["--seed", "3"], "command": "scan-separable", "prng": "PCG64",
+         "seed": 3, "timestamp": TS, "version": "0"},
+        sort_keys=True,
+    )
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _emit_json({"state": object()}, None)
+
+
+@pytest.mark.parametrize("components", ["0", "-1"])
+def test_scan_without_components_exits_2(capsys, components):
+    code, out, err = run_cli(
+        capsys, "scan-separable", "--samples", "2", "--n", "12", "--components", components
+    )
+    assert code == 2
+    assert out == ""
+    assert "need at least one component" in err

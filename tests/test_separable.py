@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bosewit.errors import SectorTooLarge
+from bosewit.scan import _draw_chunk
 from bosewit.fock import (
     FockVector,
     GeneratorSpec,
@@ -21,7 +22,6 @@ from bosewit.separable import (
     FluctuatingEnsemble,
     NumberDistribution,
     SeparableEnsemble,
-    _sample_fluctuating,
     analytic_spin_moments,
     ensemble_to_state,
     maximize_witness,
@@ -222,14 +222,24 @@ def test_expanded_size_cap_accepts_the_workloads_and_refuses_beyond():
             refused.weights()
 
 
-def test_private_sampler_on_precomputed_weights_draws_the_same_ensemble():
+def test_scan_draws_match_the_public_samplers():
     distribution = NumberDistribution.poisson(6.0)
-    public = sample_fluctuating_ensemble(17, distribution, 3)
-    private = _sample_fluctuating(17, distribution.weights(), 3)
-    assert public.number_weights == private.number_weights
-    assert public.per_sector.keys() == private.per_sector.keys()
-    for n in public.per_sector:
-        assert public.per_sector[n].components == private.per_sector[n].components
+    numbers = [n for n, _ in distribution.weights()]
+    weights, z, phi = _draw_chunk([17, 18], len(numbers), 3)
+    for i, seed in enumerate([17, 18]):
+        public = sample_fluctuating_ensemble(seed, distribution, 3)
+        assert [n for n, _ in public.number_weights] == numbers
+        for j, n in enumerate(numbers):
+            drawn = tuple(
+                (w, CoherentSpinState(zi, p, n))
+                for w, zi, p in zip(weights[i, j].tolist(), z[i, j].tolist(), phi[i, j].tolist())
+            )
+            assert public.per_sector[n].components == drawn
+    weights, z, phi = _draw_chunk([5], 1, 4)
+    fixed = sample_ensemble(5, 12, 4)
+    assert [(w, c.z, c.phi) for w, c in fixed.components] == list(
+        zip(weights[0, 0].tolist(), z[0, 0].tolist(), phi[0, 0].tolist())
+    )
 
 
 def test_binomial_weights_stay_finite_for_many_trials():
