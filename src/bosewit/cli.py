@@ -27,13 +27,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import NonFiniteWitnessValue, SectorTooLarge, StateSpecError, WitnessError
-from .fock import (
-    DEFAULT_N_MAX,
-    FockVector,
-    GeneratorSpec,
-    NumberSectorMixture,
-    SectorDensity,
-)
+from .fock import DEFAULT_N_MAX, GeneratorSpec, NumberSectorMixture
 from .scan import run_scan
 from .separable import PRNG_NAME, NumberDistribution
 from .statespec import parse_state_file
@@ -310,14 +304,9 @@ def _cmd_witness(args, argv) -> int:
     try:
         spec = parse_state_file(args.state)
         state = spec.build(n_max=args.n_max)
-    except StateSpecError as exc:
+    except (StateSpecError, SectorTooLarge) as exc:
         return _fail(str(exc))
-    except SectorTooLarge as exc:
-        return _fail(str(exc))
-    if isinstance(state, (FockVector, SectorDensity)):
-        n_reference = float(state.n_total)
-    else:
-        n_reference = state.mean_n
+    n_reference = state.mean_n
     manifest = RunManifest.create("witness", argv, None, args.timestamp)
     entries, verdicts, had_error = _evaluate_witnesses(state, n_reference, requests)
     payload = {

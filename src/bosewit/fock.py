@@ -1,14 +1,16 @@
 """Exact linear algebra on two-mode bosonic number sectors.
 
 A fixed-N two-mode state lives in the (N+1)-dimensional sector spanned by
-|k>_a |N-k>_b. Pure states are amplitude vectors over k. A mixed sector
-state is held in factored form, rho = sum_i w_i |v_i><v_i|, as K
-nonnegative weights and K amplitude rows; superselected states carry one
-such sector per particle number. Mode and spin moments act on amplitude
-rows by ladder and tridiagonal generator actions, so a pure state costs
-O(N) and a K-row sector O(K N). Dense (N+1)^2 matrices appear only where
-a caller hands one in, asks for one (``SectorDensity.matrix``), or needs
-a rotation.
+|k>_a |N-k>_b. Every sector state is held in factored form, rho = sum_i
+w_i |v_i><v_i|, as K nonnegative weights and K amplitude rows
+(SectorDensity); a pure state (FockVector) is the one-row case, weight 1.
+A superselected state carries one sector per particle number
+(NumberSectorMixture), and a lone sector is read as the one-sector
+mixture (_sectors), so every kernel takes one path. Mode and spin moments
+act on the rows by ladder and tridiagonal generator actions, O(K N) per
+sector. Dense (N+1)^2 matrices appear only where a caller hands one in,
+asks for one (``SectorDensity.matrix``), or needs a rotation. The
+package's one table of tolerances and cutoffs is below.
 """
 
 from __future__ import annotations
@@ -25,65 +27,33 @@ from .errors import EigendecompositionFailure, NonHermitianInput
 # that would allocate them implicitly (see separable.ensemble_to_state).
 DEFAULT_N_MAX = 256
 
-_NORM_GUARD = 1e-8
-_HERMITICITY_TOL = 1e-12
-_EIG_HERMITICITY_TOL = 1e-10
-_TRACE_TOL = 1e-10
-_WEIGHT_SUM_TOL = 1e-10
-_UNIT_TOL = 1e-12
-# A dense density with an eigenvalue below -_PSD_TOL is not a state; its
-# eigenvalues up to _EIGENVALUE_CUTOFF are rounding noise and are dropped.
-_PSD_TOL = 1e-10
-_EIGENVALUE_CUTOFF = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class FockVector:
-    """Pure two-mode state at fixed particle number.
-
-    ``amplitudes[k]`` multiplies |k>_a |n_total - k>_b; the vector is
-    complex, one-dimensional and unit-norm.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.amplitudes, dtype=np.complex128, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("amplitudes must form a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
-        norm_sq = float(np.sum(np.abs(arr) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_GUARD:
-            raise ValueError(f"amplitude norm^2 is {norm_sq!r}, expected 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
-
-    @property
-    def n_total(self) -> int:
-        return self.amplitudes.size - 1
-
-    def occupation_probabilities(self) -> np.ndarray:
-        """|amplitude|^2 per mode-a occupation number k."""
-        return np.abs(self.amplitudes) ** 2
-
-
-def basis_state(n_total: int, k: int) -> FockVector:
-    """The number state |k>_a |n_total - k>_b."""
-    if n_total < 0:
-        raise ValueError("particle number must be nonnegative")
-    if not 0 <= k <= n_total:
-        raise ValueError(f"occupation k={k} outside sector 0..{n_total}")
-    amps = np.zeros(n_total + 1, dtype=np.complex128)
-    amps[k] = 1.0
-    return FockVector(amps)
-
-
-def twin_fock(n_total: int) -> FockVector:
-    """The balanced number state |N/2>_a |N/2>_b (N even and positive)."""
-    if n_total <= 0 or n_total % 2:
-        raise ValueError("twin-Fock state needs a positive even particle number")
-    return basis_state(n_total, n_total // 2)
+# --- tolerances and cutoffs: every one of the package, all absolute ----------
+# input checks: a value outside its tolerance is refused
+_NORM_GUARD = 1e-8  # |amplitudes|^2 of a FockVector against 1
+_STATE_NORM_TOL = 1e-10  # |phi| of a povm.SingleParticleState against 1
+_TRACE_TOL = 1e-10  # trace of a sector density against 1
+_WEIGHT_SUM_TOL = 1e-10  # weights of a mixture, ensemble or draw against 1
+_INPUT_WEIGHT_SUM_TOL = 1e-9  # weights in a state file or a POVM ensemble against 1
+_UNIT_TOL = 1e-12  # |n| of a generator direction against 1
+_HERMITICITY_TOL = 1e-12  # max |rho - rho^dag| of a dense density
+_EIG_HERMITICITY_TOL = 1e-10  # max |A - A^dag| of a matrix hermitian_eig takes
+_ELEMENT_HERMITICITY_TOL = 1e-10  # max |E - E^dag| of a POVM element
+_PSD_TOL = 1e-10  # how far below 0 an eigenvalue of a dense density may go
+_POSITIVITY_TOL = 1e-12  # how far below 0 an eigenvalue of a POVM element may go
+_COMPLETENESS_TOL = 1e-10  # max |sum E - I| of a POVM
+# cutoffs: a quantity at or below its cutoff counts as zero
+_SPECTRAL_CUTOFF = 1e-12  # eigenvalues of a density at or below it are not its support
+_DEGENERATE_PRODUCT = 1e-24  # G_aa G_bb at or below it: C_2m is 0/0
+_EMPTY_STATE_TOL = 1e-12  # <N> at or below it: eta^2 has no reference
+_MEAN_SPIN_GUARD = 1e-18  # <J_x>^2 + <J_y>^2 at or below it x max(n^2, 1): no xi^2
+_NORMALIZED_FLOOR = 1e-250  # normalized correlator sums below it are redone in logs
+_POISSON_MASS = 1.0 - 1e-12  # cumulative mass at which a Poisson support ends
+_AXIS_CUTOFF = 1e-15  # rotation angle or axis norm below it is zero (aligning_rotation_axis)
+_DRAW_NORM_GUARD = 1e-8  # Gaussian draws of smaller norm give no scan direction
+_DEGENERATE_DRAW = 1e-12  # smallest eigenvalue of a random POVM's sum at or below it
+# verdict margins: a witness flags entanglement only this far past its bound
+WITNESS_TOLERANCE = 1e-9  # C_2m, F_Q and xi^2 in witness reports; C_2m and xi^2 in scans
+QFI_TOLERANCE = 1e-6  # F_Q in separable scans
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -96,8 +66,8 @@ class SectorDensity:
     and factorizes it once by its eigendecomposition, keeping eigenvalues
     above 1e-12 and refusing any below -1e-10 (not positive semidefinite).
     ``from_factors`` builds one from weights and rows directly, with no
-    dense matrix and no eigensolve; every separable ensemble and pure
-    sector is built that way.
+    dense matrix and no eigensolve; every separable ensemble is built that
+    way, and a pure state is the subclass FockVector, one row of weight 1.
     """
 
     weights: np.ndarray
@@ -123,7 +93,7 @@ class SectorDensity:
                 f"density has eigenvalue {float(evals[0])!r} below -{_PSD_TOL:g}; "
                 "it is not positive semidefinite"
             )
-        keep = evals > _EIGENVALUE_CUTOFF
+        keep = evals > _SPECTRAL_CUTOFF
         self._set(evals[keep], evecs[:, keep].T)
 
     @classmethod
@@ -139,7 +109,8 @@ class SectorDensity:
         if w.ndim != 1 or vecs.ndim != 2 or vecs.shape[0] != w.size or vecs.size == 0:
             raise ValueError("factors must be K weights and a (K, N+1) array of rows")
         _check_factors(w, vecs)
-        density = cls.__new__(cls)
+        # K weighted rows are no pure state, so never a FockVector
+        density = SectorDensity.__new__(SectorDensity)
         density._set(w, vecs)
         return density
 
@@ -162,10 +133,64 @@ class SectorDensity:
 
     @classmethod
     def from_pure(cls, state: FockVector) -> "SectorDensity":
+        """A plain SectorDensity copy of a pure state's one row."""
         return cls.from_factors([1.0], state.amplitudes[None, :])
+
+    @property
+    def mean_n(self) -> float:
+        return float(self.n_total)
 
     def occupation_probabilities(self) -> np.ndarray:
         return _factor_populations(self.weights, self.vectors)
+
+
+class FockVector(SectorDensity):
+    """Pure two-mode state at fixed particle number: the one-row sector of
+    weight 1.
+
+    ``amplitudes[k]`` multiplies |k>_a |n_total - k>_b; the constructor
+    takes a complex 1-D vector whose norm^2 is within 1e-8 of 1.
+    ``amplitudes`` is the read-only row ``vectors[0]``. A pure state may
+    hold up to 10^6 particles, so it offers no dense ``matrix``;
+    ``SectorDensity.from_pure(state).matrix`` builds one.
+    """
+
+    def __init__(self, amplitudes):
+        arr = np.array(amplitudes, dtype=np.complex128, copy=True)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("amplitudes must form a non-empty 1-D sequence")
+        if not np.all(np.isfinite(arr.view(np.float64))):
+            raise ValueError("amplitudes must be finite")
+        norm_sq = float(np.sum(np.abs(arr) ** 2))
+        if abs(norm_sq - 1.0) > _NORM_GUARD:
+            raise ValueError(f"amplitude norm^2 is {norm_sq!r}, expected 1")
+        self._set(np.ones(1), arr[None])
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        return self.vectors[0]
+
+    @property
+    def matrix(self):
+        raise AttributeError("a FockVector offers no dense matrix; use SectorDensity.from_pure")
+
+
+def basis_state(n_total: int, k: int) -> FockVector:
+    """The number state |k>_a |n_total - k>_b."""
+    if n_total < 0:
+        raise ValueError("particle number must be nonnegative")
+    if not 0 <= k <= n_total:
+        raise ValueError(f"occupation k={k} outside sector 0..{n_total}")
+    amps = np.zeros(n_total + 1, dtype=np.complex128)
+    amps[k] = 1.0
+    return FockVector(amps)
+
+
+def twin_fock(n_total: int) -> FockVector:
+    """The balanced number state |N/2>_a |N/2>_b (N even and positive)."""
+    if n_total <= 0 or n_total % 2:
+        raise ValueError("twin-Fock state needs a positive even particle number")
+    return basis_state(n_total, n_total // 2)
 
 
 def _check_factors(weights: np.ndarray, vectors: np.ndarray) -> None:
@@ -226,6 +251,17 @@ class NumberSectorMixture:
     @property
     def mean_n(self) -> float:
         return float(sum(w * s.n_total for w, s in self.sectors))
+
+
+def _sectors(state) -> tuple:
+    """The (weight, SectorDensity) pairs of a state: a number mixture's
+    sectors, or a lone sector (a pure state among them) as the one-sector
+    mixture ((1.0, state),). Any other type raises TypeError."""
+    if isinstance(state, NumberSectorMixture):
+        return state.sectors
+    if isinstance(state, SectorDensity):
+        return ((1.0, state),)
+    raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,45 +341,28 @@ def normally_ordered_moment(state, p: int, q: int, r: int, s: int) -> complex:
 
     Exactly zero whenever p + q != r + s (particle-number conservation
     kills every off-diagonal block) or when the annihilators exhaust each
-    occupied basis component. A pure state costs O((p+q) N): the moment is
-    the overlap of b^q a^p |psi> with b^r a^s |psi>. A sector density is
-    the weighted sum of that overlap over its K rows, O((p+q) K N).
+    occupied basis component. With the rows u_i = sqrt(w_i) v_i of a
+    sector, the moment is one overlap of the stacks b^q a^p u and b^r a^s
+    u, O((p+q) K N); a pure state is the case K = 1, and a number mixture
+    weights its sectors' moments.
     """
     for name, value in (("p", p), ("q", q), ("r", r), ("s", s)):
         if not isinstance(value, (int, np.integer)) or value < 0:
             raise ValueError(f"{name} must be a nonnegative integer")
     if p + q != r + s:
         return 0j
-    if isinstance(state, FockVector):
-        ket = _lower(state.amplitudes, s, r)
-        if ket.size == 0:
-            return 0j
-        return complex(np.vdot(_lower(state.amplitudes, p, q), ket))
-    if isinstance(state, SectorDensity):
-        if r + s > state.n_total:
-            return 0j
-        kets = _lower(state.vectors, s, r)
-        bras = _lower(state.vectors, p, q)
-        return complex(state.weights @ np.sum(bras.conj() * kets, axis=1))
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+    total = 0j
+    for weight, sector in _sectors(state):
+        if r + s <= sector.n_total:
+            rows = np.sqrt(sector.weights)[:, None] * sector.vectors
+            ket = _lower(rows, s, r)
+            # a diagonal moment (p, q) = (s, r) is the squared norm of the ket
+            bra = ket if (p, q) == (s, r) else _lower(rows, p, q)
+            total += weight * complex(np.vdot(bra, ket))
+    return total
 
 
 # --- collective-spin generators ----------------------------------------------
-
-
-def _apply_generator(vec: np.ndarray, direction) -> np.ndarray:
-    """J_n applied to an amplitude vector or to each row of a stack
-    (tridiagonal action, O(N) per vector)."""
-    n = vec.shape[-1] - 1
-    nx, ny, nz = (float(c) for c in direction)
-    k = np.arange(n + 1)
-    out = (nz * (k - n / 2.0)) * vec
-    if n > 0:
-        j = np.arange(1, n + 1)
-        coupling = 0.5 * np.sqrt(j * (n - j + 1.0))
-        out[..., 1:] += (nx - 1j * ny) * coupling * vec[..., :-1]
-        out[..., :-1] += (nx + 1j * ny) * coupling * vec[..., 1:]
-    return out
 
 
 def _build_spin_coefficients(n: int, width: int) -> tuple:
@@ -420,31 +439,25 @@ def generator_matrix(n_total: int, g: GeneratorSpec) -> np.ndarray:
     return _generator_dense(n_total, g.direction)
 
 
-def _generator_first_two(state, g: GeneratorSpec) -> tuple[float, float]:
-    if isinstance(state, FockVector):
-        jv = _apply_generator(state.amplitudes, g.direction)
-        mean = float(np.vdot(state.amplitudes, jv).real)
-        second = float(np.vdot(jv, jv).real)
-        return mean, second
-    if isinstance(state, SectorDensity):
-        jv = _apply_generator(state.vectors, g.direction)
-        mean = float(state.weights @ np.sum(state.vectors.conj() * jv, axis=1).real)
-        second = float(state.weights @ np.sum(np.abs(jv) ** 2, axis=1))
-        return mean, second
-    if isinstance(state, NumberSectorMixture):
-        mean = 0.0
-        second = 0.0
-        for weight, sector in state.sectors:
-            m1, m2 = _generator_first_two(sector, g)
-            mean += weight * m1
-            second += weight * m2
-        return mean, second
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+def _generator_first_two(state, directions) -> tuple:
+    """(<J_n>, <J_n^2>) for each row n of a (k, 3) array of directions, as
+    two lists of k floats. With the rows u_i = sqrt(w_i) v_i of a sector
+    and J_n u = n . (J_x u, J_y u, J_z u) from one _axis_actions call,
+    <J_n> = sum_i <u_i|J_n|u_i> and <J_n^2> = sum_i |J_n u_i|^2, each one
+    overlap of the stacks; a number mixture weights its sectors' values."""
+    means, seconds = [0.0] * len(directions), [0.0] * len(directions)
+    for weight, sector in _sectors(state):
+        rows = np.sqrt(sector.weights)[:, None] * sector.vectors
+        actions = _axis_actions(rows[None], [sector.n_total])[0]
+        for i, jv in enumerate(np.tensordot(directions, actions, axes=1)):
+            means[i] += weight * float(np.vdot(rows, jv).real)
+            seconds[i] += weight * float(np.vdot(jv, jv).real)
+    return means, seconds
 
 
 def angular_moments(state, g: GeneratorSpec) -> tuple[float, float]:
     """(<J_n>, Var J_n) for a pure state, sector density, or mixture."""
-    mean, second = _generator_first_two(state, g)
+    (mean,), (second,) = _generator_first_two(state, [g.direction])
     return mean, second - mean * mean
 
 
@@ -476,11 +489,11 @@ def aligning_rotation_axis(g: GeneratorSpec) -> np.ndarray:
     """
     nx, ny, nz = (float(c) for c in g.direction)
     angle = math.acos(min(1.0, max(-1.0, nz)))
-    if angle < 1e-15:
+    if angle < _AXIS_CUTOFF:
         return np.zeros(3)
     # rotation axis n x z_hat = (ny, -nx, 0); degenerate only when n ~ -z_hat
     norm = math.hypot(nx, ny)
-    if norm < 1e-15:
+    if norm < _AXIS_CUTOFF:
         return np.array([angle, 0.0, 0.0])
     return (angle / norm) * np.array([ny, -nx, 0.0])
 

@@ -26,14 +26,16 @@ from .errors import (
     OrderTooHigh,
     UnknownLabel,
 )
-from .fock import FockVector, SectorDensity, normally_ordered_moment
+from .fock import (
+    _COMPLETENESS_TOL,
+    _DEGENERATE_DRAW,
+    _ELEMENT_HERMITICITY_TOL,
+    _INPUT_WEIGHT_SUM_TOL,
+    _POSITIVITY_TOL,
+    _STATE_NORM_TOL,
+    normally_ordered_moment,
+)
 from .witnesses import CorrelationIntegrals
-
-_COMPLETENESS_TOL = 1e-10
-_POSITIVITY_TOL = 1e-12
-_ELEMENT_HERMITICITY_TOL = 1e-10
-_STATE_NORM_TOL = 1e-10
-_WEIGHT_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +242,7 @@ def integrated_gm_separable(
     if any(w < 0.0 for w, _ in pairs):
         raise ValueError("ensemble weights must be nonnegative")
     total_weight = sum(w for w, _ in pairs)
-    if abs(total_weight - 1.0) > _WEIGHT_SUM_TOL:
+    if abs(total_weight - 1.0) > _INPUT_WEIGHT_SUM_TOL:
         raise ValueError(f"ensemble weights sum to {total_weight!r}, expected 1")
     alpha = falling_factorial(int(n_total), 2 * int(m))
     g_aa = g_bb = g_ab = 0.0
@@ -260,12 +262,11 @@ def second_quantized_g2(state, povm: PovmSet, label_1: str, label_2: str) -> flo
         sum_{mu nu rho sigma} E(xi)_{mu nu} E(xi')_{rho sigma}
             <c^dag_mu c^dag_rho c_sigma c_nu>.
 
-    Only d = 2 measurements fit the two-mode sector engine; anything else
-    raises DimensionMismatch. Summing over all outcome pairs of a complete
-    POVM gives N(N-1) exactly.
+    Any state normally_ordered_moment takes is accepted (a number mixture
+    weights its sectors). Only d = 2 measurements fit the two-mode sector
+    engine; anything else raises DimensionMismatch. Summing over all
+    outcome pairs of a complete POVM gives <N(N-1)> exactly.
     """
-    if not isinstance(state, (FockVector, SectorDensity)):
-        raise TypeError(f"unsupported state type {type(state).__name__}")
     if povm.dim != 2:
         raise DimensionMismatch(
             f"two-mode coincidences need d = 2 outcomes, got d = {povm.dim}"
@@ -297,7 +298,7 @@ def random_complete_povm(rng: np.random.Generator, dim: int, n_elements: int) ->
         draws.append(g.conj().T @ g)
     total = np.sum(draws, axis=0)
     evals, evecs = np.linalg.eigh(total)
-    if float(evals[0]) <= 1e-12:
+    if float(evals[0]) <= _DEGENERATE_DRAW:
         raise ValueError("degenerate draw; retry with a different generator state")
     inv_sqrt = (evecs * (1.0 / np.sqrt(evals))) @ evecs.conj().T
     elements = tuple(

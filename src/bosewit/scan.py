@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import DEFAULT_N_MAX, _check_factors, _factor_populations
+from .fock import _DRAW_NORM_GUARD, DEFAULT_N_MAX, QFI_TOLERANCE, _check_factors, _factor_populations
 from .separable import (
     NumberDistribution,
     PRNG_NAME,
@@ -32,8 +32,6 @@ from .witnesses import (
     _qfi_forms,
     _squeezing,
 )
-
-QFI_TOLERANCE = 1e-6
 
 # Input caps, checked before any array is built: the seed array grows with
 # the samples, the direction stack with the directions, and every sector's
@@ -112,7 +110,7 @@ def _unit_directions(rng: np.random.Generator, count: int) -> np.ndarray:
     while filled < count:
         draw = rng.normal(size=3)
         norm = float(np.linalg.norm(draw))
-        if norm < 1e-8:
+        if norm < _DRAW_NORM_GUARD:
             continue
         directions[filled] = draw / norm
         filled += 1

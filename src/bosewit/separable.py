@@ -19,14 +19,18 @@ import numpy as np
 
 from ._factorials import log_binomial_row
 from .errors import SectorTooLarge, WitnessError
-from .fock import DEFAULT_N_MAX, FockVector, NumberSectorMixture, SectorDensity
+from .fock import (
+    _POISSON_MASS,
+    _WEIGHT_SUM_TOL,
+    DEFAULT_N_MAX,
+    FockVector,
+    NumberSectorMixture,
+    SectorDensity,
+)
 
 # Name of the bit generator behind numpy.random.default_rng, recorded in
 # run manifests so published numbers can be regenerated exactly.
 PRNG_NAME = "PCG64"
-
-_WEIGHT_SUM_TOL = 1e-10
-_POISSON_MASS = 1.0 - 1e-12
 
 # The most particles a state may hold, the range to_fock's log-space
 # amplitudes are documented for: the cap on a pure state's n in a state

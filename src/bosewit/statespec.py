@@ -24,19 +24,26 @@ import math
 from dataclasses import dataclass
 
 from .errors import StateSpecError
-from .fock import DEFAULT_N_MAX, NumberSectorMixture, SectorDensity, basis_state, twin_fock
+from .fock import (
+    _INPUT_WEIGHT_SUM_TOL,
+    DEFAULT_N_MAX,
+    FockVector,
+    NumberSectorMixture,
+    basis_state,
+    twin_fock,
+)
 from .separable import (
     MAX_PARTICLES,
     CoherentSpinState,
     NumberDistribution,
     SeparableEnsemble,
+    _coherent_rows,
     ensemble_to_state,
-    to_fock,
 )
+from .witnesses import _stack_runs
 
 _KINDS = ("twin_fock", "coherent_spin", "dicke", "mixture", "fluctuating")
 _PURE_KINDS = ("twin_fock", "coherent_spin", "dicke")
-_WEIGHT_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -249,12 +256,13 @@ class StateSpec:
     def build(self, n_max: int = DEFAULT_N_MAX):
         """Construct the described state (FockVector, SectorDensity, or
         NumberSectorMixture). Sector sizes above n_max raise SectorTooLarge
-        from the construction layer."""
+        from the construction layer. The coherent spin states of a state,
+        its own or its sectors', come from _coherent_states."""
         p = self.params
         if self.kind == "twin_fock":
             return twin_fock(p["n"])
         if self.kind == "coherent_spin":
-            return to_fock(CoherentSpinState(p["z"], p["phi"], p["n"]))
+            return _coherent_states([self])[0]
         if self.kind == "dicke":
             return basis_state(p["n"], p["k"])
         if self.kind == "mixture":
@@ -267,15 +275,14 @@ class StateSpec:
             )
             return ensemble_to_state(ensemble, n_max=n_max)
         if self.kind == "fluctuating":
-            sectors = []
-            for weight, sector_spec in p["sectors"]:
-                pure_or_mixed = sector_spec.build(n_max=n_max)
-                if isinstance(pure_or_mixed, SectorDensity):
-                    sector = pure_or_mixed
-                else:
-                    sector = SectorDensity.from_pure(pure_or_mixed)
-                sectors.append((weight, sector))
-            return NumberSectorMixture(tuple(sectors))
+            coherent = [spec for _, spec in p["sectors"] if spec.kind == "coherent_spin"]
+            built = iter(_coherent_states(coherent) if coherent else ())
+            return NumberSectorMixture(
+                tuple(
+                    (weight, next(built) if spec.kind == "coherent_spin" else spec.build(n_max))
+                    for weight, spec in p["sectors"]
+                )
+            )
         raise AssertionError(f"unreachable kind {self.kind!r}")
 
     def describe(self) -> str:
@@ -293,12 +300,26 @@ class StateSpec:
         raise AssertionError(f"unreachable kind {self.kind!r}")
 
 
+def _coherent_states(specs) -> list:
+    """The FockVectors of coherent_spin specs, in order, from one
+    _coherent_rows call per run whose padded stack holds at most
+    STACK_AMPLITUDES amplitudes (_stack_runs; one run for a lone state or a
+    poisson:20 block). Each row is, bit for bit, the one to_fock gives."""
+    states = []
+    for run in _stack_runs([(1, spec.params["n"] + 1) for spec in specs]):
+        params = [specs[j].params for j in run]
+        numbers = [q["n"] for q in params]
+        rows = _coherent_rows(numbers, [[q["z"]] for q in params], [[q["phi"]] for q in params])
+        states += [FockVector(row[0, : n + 1]) for row, n in zip(rows, numbers)]
+    return states
+
+
 def _check_weight_sum(weights, source, line, col, what):
     """Validate the 1e-9 normalization contract, then return the exact
     normalizer so downstream constructors (which are stricter) never see
     the slack."""
     total = float(sum(weights))
-    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+    if abs(total - 1.0) > _INPUT_WEIGHT_SUM_TOL:
         raise StateSpecError(
             f"{what} weights sum to {total!r}, expected 1 within 1e-9",
             source,

@@ -36,14 +36,19 @@ from .errors import (
     ZeroMeanSpinDirection,
 )
 from .fock import (
+    _DEGENERATE_PRODUCT,
+    _EMPTY_STATE_TOL,
+    _MEAN_SPIN_GUARD,
+    _NORMALIZED_FLOOR,
+    _SPECTRAL_CUTOFF,
     _UNIT_TOL,
     DEFAULT_N_MAX,
-    FockVector,
+    WITNESS_TOLERANCE,
     GeneratorSpec,
     NumberSectorMixture,
-    SectorDensity,
     _axis_actions,
-    angular_moments,
+    _generator_first_two,
+    _sectors,
     normally_ordered_moment,
 )
 from .separable import (
@@ -53,17 +58,8 @@ from .separable import (
     ensemble_to_state,
 )
 
-# A witness flags entanglement only beyond this margin past its bound.
-WITNESS_TOLERANCE = 1e-9
-
-_DEGENERATE_PRODUCT = 1e-24
+# The tolerances and cutoffs, WITNESS_TOLERANCE among them, are in fock.
 _LOG_DEGENERATE_PRODUCT = math.log(_DEGENERATE_PRODUCT)
-# A normalized correlator sum below this may have lost terms to underflow,
-# so it is recomputed by a log-sum-exp (see _population_integrals).
-_NORMALIZED_FLOOR = 1e-250
-_EMPTY_STATE_TOL = 1e-12
-_QFI_SPECTRAL_CUTOFF = 1e-12
-_MEAN_SPIN_GUARD = 1e-18
 _TINY = float(np.finfo(float).tiny)
 
 # Complex amplitudes in one padded factor stack (1 MiB of rows). The F_Q
@@ -144,7 +140,9 @@ def _population_integrals(runs, orders) -> tuple:
 
     A sum below _NORMALIZED_FLOOR may have lost terms to underflow: only
     that entry is recomputed, as a log-sum-exp over log(p_j P_j(l)) plus
-    log R_k from one lgamma table, within about eps N log N absolute.
+    log R_k from one lgamma table, within about eps N log N absolute. A sum
+    with no population where its row is nonzero is zero by structure and
+    is not recomputed.
 
     Returns sums and logs, both (3, ..., M): a, b, c and their logs (the
     scales of N come from _log_scales). Orders with 2m > N give zero sums.
@@ -173,9 +171,9 @@ def _population_integrals(runs, orders) -> tuple:
             for block, width, mirror, (_, numbers) in zip(blocks, widths, mirrors, runs):
                 head = row[:width]
                 for _ in at_double.get(k, ()):
-                    block += [np.tile(head, len(numbers)), head[mirror].ravel()]
+                    block += [_kind_row(head, mirror, len(numbers), kind, None) for kind in (0, 1)]
                 for _ in at_single.get(k, ()):
-                    block.append((head * head[mirror]).ravel())
+                    block.append(_kind_row(head, mirror, len(numbers), 2, np.multiply))
             for i in at_double.get(k, ()):
                 targets += [3 * i, 3 * i + 1]
             targets += [3 * i + 2 for i in at_single.get(k, ())]
@@ -187,27 +185,42 @@ def _population_integrals(runs, orders) -> tuple:
     lost = sums < _NORMALIZED_FLOOR
     if not lost.any():
         return _by_kind(sums, lead), _by_kind(np.log(sums), lead)
-    # orders with 2m > N have all-zero rows, so their zero sums are exact
-    lost &= np.array([2 * m <= n for m in orders])[:, None]
+    # A sum with no population where its row is nonzero (l >= k; mirrored
+    # for b, both for c), as every sum of an order with 2m > N, is zero by
+    # structure: its log is -inf, which the fallback would give as well.
+    for i, kind in zip(*np.nonzero(lost.any(axis=0))):
+        samples = np.flatnonzero(lost[:, i, kind])
+        k = orders[i] if kind == 2 else 2 * orders[i]
+        reached = False
+        for flat, width, mirror, (_, numbers) in zip(flats, widths, mirrors, runs):
+            support = _kind_row(np.arange(width) >= k, mirror, len(numbers), kind, np.logical_and)
+            reached = reached | (flat[samples][:, support] > 0.0).any(axis=1)
+        lost[samples, i, kind] = reached
     with np.errstate(divide="ignore"):
         logs = np.log(sums)
         if lost.any():
             log_flats = [np.log(flat) for flat in flats]
             log_rows = _log_ratio_rows(n)
             for i, kind in zip(*np.nonzero(lost.any(axis=0))):
-                m = orders[i]
-                row = log_rows(m if kind == 2 else 2 * m)
+                row = log_rows(orders[i] if kind == 2 else 2 * orders[i])
                 samples = np.flatnonzero(lost[:, i, kind])
                 parts = []
                 for log_flat, width, mirror, (_, numbers) in zip(log_flats, widths, mirrors, runs):
-                    head = row[:width]
-                    if kind == 2:
-                        terms = (head + head[mirror]).ravel()
-                    else:
-                        terms = np.tile(head, len(numbers)) if kind == 0 else head[mirror].ravel()
+                    terms = _kind_row(row[:width], mirror, len(numbers), kind, np.add)
                     parts.append(_log_sum_exp(log_flat[samples] + terms))
                 logs[samples, i, kind] = np.logaddexp.reduce(parts)
     return _by_kind(sums, lead), _by_kind(logs, lead)
+
+
+def _kind_row(head, mirror, count: int, kind: int, pair):
+    """One order's row over a run's flattened (J W) columns, from its first
+    W entries `head`: head in each of the `count` sectors (kind a), its
+    mirror (b), or pair(head, mirror) (c)."""
+    if kind == 0:
+        return np.tile(head, count)
+    if kind == 1:
+        return head[mirror].ravel()
+    return pair(head, head[mirror]).ravel()
 
 
 def _mirror(width: int, numbers):
@@ -286,29 +299,17 @@ def integrated_g2m(state, m: int) -> CorrelationIntegrals:
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError("correlation order m must be a positive integer")
     m = int(m)
-    if isinstance(state, NumberSectorMixture):
-        sectors = state.sectors
-    elif isinstance(state, (FockVector, SectorDensity)):
-        sectors = ((1.0, state),)
-    else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
+    sectors = _sectors(state)
     numbers = [sector.n_total for _, sector in sectors]
     alpha, log_alpha, kappa, log_kappa = order_scales(max(numbers), m)
-    if len(sectors) == 1:
-        ((weight, sector),) = sectors
-        runs = [((weight * sector.occupation_probabilities())[None], numbers)]
-        prefactor = weight * alpha
-    else:
-        runs = []
-        for run in _stack_runs([(1, n + 1) for n in numbers]):
-            weighted = np.zeros((len(run), max(numbers[j] for j in run) + 1))
-            for row, j in zip(weighted, run):
-                weight, sector = sectors[j]
-                row[: numbers[j] + 1] = weight * sector.occupation_probabilities()
-            runs.append((weighted, numbers[run.start : run.stop]))
-        prefactor = sum(
-            weight * order_scales(sector.n_total, m)[0] for weight, sector in sectors
-        )
+    runs = []
+    for run in _stack_runs([(1, n + 1) for n in numbers]):
+        weighted = np.zeros((len(run), max(numbers[j] for j in run) + 1))
+        for row, j in zip(weighted, run):
+            weight, sector = sectors[j]
+            row[: numbers[j] + 1] = weight * sector.occupation_probabilities()
+        runs.append((weighted, numbers[run.start : run.stop]))
+    prefactor = sum(weight * order_scales(sector.n_total, m)[0] for weight, sector in sectors)
     sums, logs = _population_integrals(runs, (m,))
     sums, logs = sums[:, 0].tolist(), logs[:, 0].tolist()
     g_aa, g_bb, g_ab = map(
@@ -417,28 +418,17 @@ def twin_fock_csi_approx(n_total: int, m: int) -> float:
 # --- number squeezing ------------------------------------------------------------
 
 
-def _raw_number_moments(state) -> tuple[float, float, float, float, float]:
-    """(<n_a>, <n_b>, G_aa, G_bb, G_ab) at order m = 1."""
-    if isinstance(state, NumberSectorMixture):
-        acc = np.zeros(5)
-        for weight, sector in state.sectors:
-            acc += weight * np.array(_raw_number_moments(sector))
-        return tuple(acc)  # type: ignore[return-value]
-    na = normally_ordered_moment(state, 1, 0, 0, 1).real
-    nb = normally_ordered_moment(state, 0, 1, 1, 0).real
-    gaa = normally_ordered_moment(state, 2, 0, 0, 2).real
-    gbb = normally_ordered_moment(state, 0, 2, 2, 0).real
-    gab = normally_ordered_moment(state, 1, 1, 1, 1).real
-    return na, nb, gaa, gbb, gab
-
-
 def number_squeezing_direct(state) -> float:
     """eta^2 = Var(n_a - n_b) / <n_a + n_b> from first principles.
 
     Uses <n_i^2> = <i^dag^2 i^2> + <n_i>, so only normally ordered
     moments enter. Raises EmptyState when the state carries no particles.
     """
-    na, nb, gaa, gbb, gab = _raw_number_moments(state)
+    # <n_a>, <n_b> and the order m = 1 correlators G_aa, G_bb, G_ab
+    na, nb, gaa, gbb, gab = (
+        normally_ordered_moment(state, *orders).real
+        for orders in ((1, 0, 0, 1), (0, 1, 1, 0), (2, 0, 0, 2), (0, 2, 2, 0), (1, 1, 1, 1))
+    )
     n_tot = na + nb
     if n_tot <= _EMPTY_STATE_TOL:
         raise EmptyState(f"total particle number {n_tot!r} is too small")
@@ -488,7 +478,9 @@ def _qfi_forms(weights, rows, numbers) -> np.ndarray:
     numbers[b] particles in the first numbers[b] + 1 columns of its rows;
     weights is (B, K) and rows (B, K, W). A batched thin SVD of the rows
     scaled by sqrt(w) gives each support: eigenvalues lam_i = sigma_i^2
-    above the 1e-12 cutoff and their eigenvectors |i>. Restricted to the
+    above the 1e-12 cutoff and their eigenvectors |i>. A stack of depth
+    K = 1 (pure states, one-component ensembles) needs no SVD: its one
+    eigenpair is lam = w |v|^2 with support v / |v|. Restricted to the
     support,
 
         F_Q = 4 sum_i lam_i <i|J_n^2|i>
@@ -511,16 +503,21 @@ def _qfi_forms(weights, rows, numbers) -> np.ndarray:
                 for i in range(0, len(numbers), step)
             ]
         )
-    try:
-        # with scaled = sqrt(w) rows, rho = scaled^T conj(scaled) =
-        # vh^T diag(sigma^2) conj(vh), so the rows of vh are the eigenvectors
-        _, sigma, support = np.linalg.svd(
-            np.sqrt(weights)[..., None] * rows, full_matrices=False
-        )
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionFailure(str(exc)) from exc
+    scaled = np.sqrt(weights)[..., None] * rows
+    if rows.shape[1] == 1:
+        # one row u = sqrt(w) v per sector: its one eigenpair is lam = |u|^2
+        # with support u / |u| (a zero row keeps a zero support and lam = 0)
+        sigma = np.linalg.norm(scaled, axis=-1)
+        support = scaled / np.maximum(sigma, _TINY)[..., None]
+    else:
+        try:
+            # rho = scaled^T conj(scaled) = vh^T diag(sigma^2) conj(vh), so
+            # the rows of vh are the eigenvectors
+            _, sigma, support = np.linalg.svd(scaled, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise EigendecompositionFailure(str(exc)) from exc
     lam = sigma**2
-    lam[lam <= _QFI_SPECTRAL_CUTOFF] = 0.0
+    lam[lam <= _SPECTRAL_CUTOFF] = 0.0
     count = lam.shape[0]
     actions = _axis_actions(support, numbers)
     # <j|J_a|i> for every pair (the pair weights are symmetric, so the form
@@ -562,35 +559,29 @@ def _padded_stacks(sectors):
     stack, with zero-weight zero rows below its shallower sectors and zero
     columns past each N."""
     for run in _stack_runs([(sector.weights.size, sector.n_total + 1) for sector in sectors]):
-        yield _padded_stack([sectors[j] for j in run])
-
-
-def _padded_stack(sectors) -> tuple:
-    if len(sectors) == 1:
-        (sector,) = sectors
-        return sector.weights[None], sector.vectors[None], [sector.n_total]
-    numbers = [sector.n_total for sector in sectors]
-    depth = max(sector.weights.size for sector in sectors)
-    weights = np.zeros((len(sectors), depth))
-    rows = np.zeros((len(sectors), depth, max(numbers) + 1), dtype=np.complex128)
-    for b, sector in enumerate(sectors):
-        weights[b, : sector.weights.size] = sector.weights
-        rows[b, : sector.weights.size, : sector.n_total + 1] = sector.vectors
-    return weights, rows, numbers
+        group = [sectors[j] for j in run]
+        numbers = [sector.n_total for sector in group]
+        weights = np.zeros((len(group), max(sector.weights.size for sector in group)))
+        rows = np.zeros(weights.shape + (max(numbers) + 1,), dtype=np.complex128)
+        for b, sector in enumerate(group):
+            weights[b, : sector.weights.size] = sector.weights
+            rows[b, : sector.weights.size, : sector.n_total + 1] = sector.vectors
+        yield weights, rows, numbers
 
 
 def qfi(state, g):
     """Quantum Fisher information for rotations generated by J_n.
 
-    Pure states: F_Q = 4 Var(J_n), O(N). Sector densities: the spectral
-    formula F_Q = 2 sum_{ij} (lam_i - lam_j)^2 / (lam_i + lam_j)
-    |<i|J_n|j>|^2, evaluated on the support of rho (eigenvalues above the
-    1e-12 cutoff) from its K factor rows in O(N K min(N, K)); see
-    _qfi_forms. Number mixtures: generators conserve N, so the matrix is
-    block diagonal and F_Q is the weight-averaged sector value; their
-    sectors go through padded stacks of up to STACK_AMPLITUDES amplitudes,
-    and the number weights average their quadratic forms. Any separable
-    state obeys F_Q <= N (or <N> for fluctuating number); more is
+    Every state goes through one routine, _qfi_forms: the spectral formula
+    F_Q = 2 sum_{ij} (lam_i - lam_j)^2 / (lam_i + lam_j) |<i|J_n|j>|^2,
+    evaluated on the support of each sector (eigenvalues above the 1e-12
+    cutoff) from its K factor rows in O(N K min(N, K)). A pure state is
+    the one-row sector, whose eigenpair needs no SVD, and its F_Q is 4
+    Var(J_n) to rounding. Generators conserve N, so a number mixture's
+    matrix is block diagonal and F_Q is the weight-averaged sector value;
+    the sectors go through padded stacks of up to STACK_AMPLITUDES
+    amplitudes, and the number weights average their quadratic forms. Any
+    separable state obeys F_Q <= N (or <N> for fluctuating number); more is
     entanglement.
 
     `g` is one GeneratorSpec, which returns a float, or a (k, 3) stack of
@@ -608,20 +599,13 @@ def qfi(state, g):
             abs(math.hypot(*row) - 1.0) <= _UNIT_TOL for row in rows
         ):
             raise ValueError("directions must be a GeneratorSpec or a (k, 3) stack of unit vectors")
-    if isinstance(state, FockVector):
-        specs = [g] if single else [GeneratorSpec(row) for row in rows]
-        values = np.array([4.0 * angular_moments(state, spec)[1] for spec in specs])
-    elif isinstance(state, (SectorDensity, NumberSectorMixture)):
-        sectors = state.sectors if isinstance(state, NumberSectorMixture) else ((1.0, state),)
-        sectors = [(weight, sector) for weight, sector in sectors if weight > 0.0]
-        stacks = _padded_stacks([sector for _, sector in sectors])
-        forms = np.concatenate([_qfi_forms(*stack) for stack in stacks])
-        number_weights = np.array([weight for weight, _ in sectors])
-        form = (number_weights @ forms.reshape(len(sectors), 9)).reshape(3, 3)
-        directions = np.array(rows)
-        values = np.einsum("ka,ab,kb->k", directions, form, directions)
-    else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
+    sectors = [(weight, sector) for weight, sector in _sectors(state) if weight > 0.0]
+    stacks = _padded_stacks([sector for _, sector in sectors])
+    forms = np.concatenate([_qfi_forms(*stack) for stack in stacks])
+    number_weights = np.array([weight for weight, _ in sectors])
+    form = (number_weights @ forms.reshape(len(sectors), 9)).reshape(3, 3)
+    directions = np.array(rows)
+    values = np.einsum("ka,ab,kb->k", directions, form, directions)
     return float(values[0]) if single else values
 
 
@@ -633,38 +617,26 @@ def spin_squeezing(state, fluctuating: bool | None = None) -> float:
     xi^2 >= 1, and xi^2 < 1 witnesses entanglement useful for phase
     estimation.
 
-    Accepts exact states (FockVector, SectorDensity, NumberSectorMixture)
-    and parameterized ensembles (SeparableEnsemble, FluctuatingEnsemble;
-    evaluated from the closed-form moments). n_ref is the total particle
-    number, or its mean when the number fluctuates. The ``fluctuating``
+    Accepts exact states (SectorDensity, a pure FockVector among them, and
+    NumberSectorMixture) and parameterized ensembles (SeparableEnsemble,
+    FluctuatingEnsemble; evaluated from the closed-form moments). n_ref is
+    the total particle number, or its mean when the number fluctuates. The ``fluctuating``
     flag is inferred from the input type; passing it explicitly merely
     asserts the expectation and raises ValueError on a mismatch.
 
     Raises ZeroMeanSpinDirection when the mean spin has no transverse
     component to reference the variance against.
     """
-    if isinstance(state, (FockVector, SectorDensity)):
-        inferred = False
-        n_ref = float(state.n_total)
-        jx, _ = angular_moments(state, GeneratorSpec.axis("x"))
-        jy, _ = angular_moments(state, GeneratorSpec.axis("y"))
-        _, var_z = angular_moments(state, GeneratorSpec.axis("z"))
-    elif isinstance(state, NumberSectorMixture):
-        inferred = True
-        n_ref = state.mean_n
-        jx, _ = angular_moments(state, GeneratorSpec.axis("x"))
-        jy, _ = angular_moments(state, GeneratorSpec.axis("y"))
-        _, var_z = angular_moments(state, GeneratorSpec.axis("z"))
-    elif isinstance(state, SeparableEnsemble):
-        inferred = False
-        n_ref = float(state.n_total)
-        jx, jy, var_z = analytic_spin_moments(state)
-    elif isinstance(state, FluctuatingEnsemble):
-        inferred = True
-        n_ref = state.mean_n
+    if isinstance(state, (SeparableEnsemble, FluctuatingEnsemble)):
+        inferred = isinstance(state, FluctuatingEnsemble)
+        n_ref = state.mean_n if inferred else float(state.n_total)
         jx, jy, var_z = analytic_spin_moments(state)
     else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
+        # any other type than an exact state raises TypeError here
+        (jx, jy, jz), (_, _, second_z) = _generator_first_two(state, np.eye(3))
+        var_z = second_z - jz * jz
+        inferred = isinstance(state, NumberSectorMixture)
+        n_ref = state.mean_n
     if fluctuating is not None and bool(fluctuating) != inferred:
         raise ValueError(
             f"fluctuating={fluctuating} contradicts the input type "

@@ -1,10 +1,11 @@
-"""Byte-identity of scan-separable reports.
+"""Byte-identity of scan-separable and witness reports.
 
-With the manifest timestamp pinned, a scan report is a pure function of
-its arguments. These digests pin the full JSON text of four reports, so a
-change to the sampling, the row builder, the witness kernels or the JSON
-emit that moves any value by one bit, or any byte of the layout, fails
-here. They were recorded with numpy 2.4 and OpenBLAS on x86-64; a BLAS
+With the manifest timestamp pinned, a report is a pure function of its
+arguments. These digests pin the full text of four scan reports, and of
+the JSON and CSV witness reports of six pure states asking for C_2m, eta^2
+and xi^2, so a change to the sampling, the row builder, the state build,
+the witness kernels or the emit that moves any value by one bit, or any
+byte of the layout, fails here. They were recorded with numpy 2.4 and OpenBLAS on x86-64; a BLAS
 whose SVD rounds differently moves the F_Q worst values and so the digest
 of every report.
 """
@@ -44,4 +45,47 @@ def test_scan_report_is_byte_identical(name, capsys):
     code = main(["scan-separable", *arguments, "--timestamp", TS])
     out = capsys.readouterr().out
     assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Pure states written to a bare file name in a temporary working directory,
+# so the manifest's arguments carry no machine path.
+WITNESS_STATES = {
+    "coherent-50": "kind = coherent_spin\nn = 50\nz = 0.5\n",
+    "coherent-300": "kind = coherent_spin\nn = 300\nz = 0.3\nphi = 0.7\n",
+    "coherent-10000": "kind = coherent_spin\nn = 10000\nz = 0.3\n",
+    # xi^2 has no mean spin to reference (exit 3)
+    "twin-fock-20": "kind = twin_fock\nn = 20\n",
+    # G_aa of csi:1 is zero by structure, so the ratio is degenerate (exit 3)
+    "dicke-40-1": "kind = dicke\nn = 40\nk = 1\n",
+    "dicke-80-30": "kind = dicke\nn = 80\nk = 30\n",
+}
+
+WITNESS_DIGESTS = {
+    ("coherent-50", "json"): (0, "676de6cf0394d0937d76c220e94519e692a2f67d7910e58f5ddf88842669b343"),
+    ("coherent-50", "csv"): (0, "9784ef0744e857a3aa165127dd65c28534fc88d6b193c50b0010ab54613fd966"),
+    ("coherent-300", "json"): (0, "4a12d49a79a77e6118d9bd35dbcf41b4854182ab9f301ad2445b895b9a01e34e"),
+    ("coherent-300", "csv"): (0, "afc2a407b9aea9f577e0725685404392894a9623e9c48fb151b5a8687934a29d"),
+    ("coherent-10000", "json"): (0, "767c661b0b282571e64a79b954e55016eed325860cf513d29a8627823a32d33c"),
+    ("coherent-10000", "csv"): (0, "784eb9e459104583f75cb46b0da59a711bb02d1ac4830e07307be43293edb52b"),
+    ("twin-fock-20", "json"): (3, "fe1ee45ae2c07a9278465c587031c76c6e638e728f4f8070c386e18ff8f8c44d"),
+    ("twin-fock-20", "csv"): (3, "65cae099ea5b1152afa29409a1bbfcd465fd2d49e26f96ee2190f2bd49b368b1"),
+    ("dicke-40-1", "json"): (3, "c7424d03d27f3d3de1456cbb3c44cf7c581efbb9a5146d74386b61c1833f8f36"),
+    ("dicke-40-1", "csv"): (3, "3d4897feccc95cf6634740ef7cf5adfffbb2a29942cea0d2e00330f9bc91f477"),
+    ("dicke-80-30", "json"): (3, "cd7e2c5d5d8a3650e8a31749940cce33047debffdedb28efa12bbb0ca225246b"),
+    ("dicke-80-30", "csv"): (3, "296799dd7826fd94e78a1b6f666de3969cd5c143b2dfa08f9cb66ceb439de6a3"),
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(WITNESS_DIGESTS))
+def test_pure_state_witness_report_is_byte_identical(name, fmt, tmp_path, monkeypatch, capsys):
+    expected_code, digest = WITNESS_DIGESTS[name, fmt]
+    (tmp_path / f"{name}.state").write_text(WITNESS_STATES[name])
+    monkeypatch.chdir(tmp_path)
+    requests = [arg for r in ("csi:1", "csi:7", "eta2", "xi2") for arg in ("--witness", r)]
+    code = main(
+        ["witness", "--state", f"{name}.state", "--format", fmt, "--timestamp", TS, *requests]
+    )
+    out = capsys.readouterr().out
+    assert code == expected_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
