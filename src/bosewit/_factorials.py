@@ -13,7 +13,9 @@ Row helpers give one sector's worth of values as numpy arrays:
   held. ``ratio_row(n, k)`` is one such row, and ``correlator_rows(n, m)``
   stacks [R_2m, reverse(R_2m), R_m * reverse(R_m)] for order 2m.
 - ``log_binomial_row(n)`` is [log_binomial(n, i) for i in 0..n], bit for
-  bit, from one table of log-factorials (``log_factorials``).
+  bit, from one table of log-factorials (``log_factorials``);
+  ``log_binomial_rows(sizes)`` gives the rows of many sizes, and those past
+  the memo below all come from one table of the largest size.
 
 Rows with n <= ``fock.DEFAULT_N_MAX`` (256, the largest sector a scan or a
 dense density reaches) are memoized, read-only, in one LRU cache per
@@ -129,10 +131,14 @@ def log_factorials(n: int) -> np.ndarray:
     return np.array([math.lgamma(i + 1) for i in range(n + 1)])
 
 
+def _log_binomial_from(g: np.ndarray, n: int) -> np.ndarray:
+    # the scalar loop's operations in its order: (g[n] - g[i]) - g[n - i];
+    # g may run past n, its entries up to n are the same
+    return g[n] - g[: n + 1] - g[n::-1]
+
+
 def _build_log_binomial_row(n: int) -> np.ndarray:
-    # the scalar loop's operations in its order: (g[n] - g[i]) - g[n - i]
-    g = log_factorials(n)
-    return _read_only(g[n] - g - g[::-1])
+    return _read_only(_log_binomial_from(log_factorials(n), n))
 
 
 def _build_ratio_row(n: int, k: int) -> np.ndarray:
@@ -189,3 +195,15 @@ def log_binomial_row(n: int) -> np.ndarray:
     if n <= DEFAULT_N_MAX:
         return _cached_log_binomial_row(n)
     return _build_log_binomial_row(n)
+
+
+def log_binomial_rows(sizes) -> list:
+    """[log_binomial_row(n) for n in sizes], bit for bit, with one lgamma
+    table of the largest n for every row past the memo (rows of those
+    sizes are not read-only)."""
+    top = max(sizes)
+    g = log_factorials(top) if top > DEFAULT_N_MAX else None
+    return [
+        _cached_log_binomial_row(n) if n <= DEFAULT_N_MAX else _log_binomial_from(g, n)
+        for n in sizes
+    ]

@@ -22,6 +22,8 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .statespec import parse_state_file
 from .witnesses import (
     classify,
     csi_ratio,
-    integrated_g2m,
+    integrated_g2m_orders,
     number_squeezing_direct,
     qfi,
     spin_squeezing,
@@ -76,9 +78,99 @@ def _json_default(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+# --- report writer -----------------------------------------------------------------
+#
+# _json_text(value) is json.dumps(value, sort_keys=True, indent=2,
+# default=_json_default), byte for byte. json.dumps writes an indented dump
+# through nested pure-Python generators (the C encoder of CPython 3.10 and
+# 3.11 takes no indent), each chunk passing up through every enclosing one;
+# this writer appends each piece once to one list. The recursion is a
+# module-level function handed the list's append, so a call leaves no
+# reference cycle behind.
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar_text(value) -> str | None:
+    """The JSON text json.dumps gives a str, None, bool, int or float (a
+    float subclass, such as numpy's float64, included); None for any other
+    value."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_WORDS.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return None
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(text)
+
+
+def _put_value(value, pad: str, put) -> None:
+    """Append the text of `value`, indented from `pad`, piece by piece."""
+    if isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = pad + "  "
+        separator = "{\n" + inner
+        for key, item in sorted(value.items()):
+            text = _scalar_text(item)
+            if text is None:
+                put(separator + _key_text(key) + ": ")
+                _put_value(item, inner, put)
+            else:
+                put(separator + _key_text(key) + ": " + text)
+            separator = ",\n" + inner
+        put("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = pad + "  "
+        texts = list(map(_scalar_text, value))
+        if None not in texts:
+            put("[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]")
+            return
+        separator = "[\n" + inner
+        for item, text in zip(value, texts):
+            if text is None:
+                put(separator)
+                _put_value(item, inner, put)
+            else:
+                put(separator + text)
+            separator = ",\n" + inner
+        put("\n" + pad + "]")
+    else:
+        text = _scalar_text(value)
+        if text is None:
+            _put_value(_json_default(value), pad, put)
+        else:
+            put(text)
+
+
+def _json_text(value) -> str:
+    chunks = []
+    _put_value(value, "", chunks.append)
+    return "".join(chunks)
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
-    _write_text(text, out)
+    _write_text(_json_text(payload) + "\n", out)
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -240,33 +332,42 @@ def _evaluate_witnesses(state, n_reference: float, requests) -> tuple:
     value/bound/flag or error/message; witness failures never abort the
     other witnesses. verdicts is None when no witness computed.
 
-    All qfi requests are evaluated by one qfi call on their direction
-    stack, so each sector is factorized once; if that call fails, every
-    qfi entry carries the error.
+    All csi requests are evaluated by one integrated_g2m_orders call, and
+    all qfi requests by one qfi call on their direction stack, so the
+    correlator rows are streamed once and each sector is factorized once;
+    if the qfi call fails, every qfi entry carries the error.
     """
+    csi_orders = [param for kind, param in requests if kind == "csi"]
+    csi_integrals = {}
+    if csi_orders:
+        csi_integrals = dict(zip(csi_orders, integrated_g2m_orders(state, csi_orders)))
     qfi_params = [param for kind, param in requests if kind == "qfi"]
-    qfi_values, qfi_error = {}, None
+    qfi_values, qfi_failure = {}, None
     if qfi_params:
         try:
             stack = np.array([param.direction for param in qfi_params])
             qfi_values = dict(zip((p.key() for p in qfi_params), qfi(state, stack)))
         except WitnessError as exc:
-            qfi_error = exc
+            # kept as its entry: the exception would hold this frame through
+            # its traceback, a reference cycle
+            qfi_failure = {"error": type(exc).__name__, "message": str(exc)}
     entries = {}
     computed = {"csi_by_order": {}, "qfi_by_generator": {}}
     had_error = False
     for kind, param in requests:
         key = _witness_key(kind, param)
+        if kind == "qfi" and qfi_failure is not None:
+            had_error = True
+            entries[key] = dict(qfi_failure)
+            continue
         try:
             if kind == "csi":
-                value = csi_ratio(integrated_g2m(state, param))
+                value = csi_ratio(csi_integrals[param])
             elif kind == "eta2":
                 value = number_squeezing_direct(state)
             elif kind == "xi2":
                 value = spin_squeezing(state)
             else:
-                if qfi_error is not None:
-                    raise qfi_error
                 value = float(qfi_values[param.key()])
             if not math.isfinite(value):
                 raise NonFiniteWitnessValue(
@@ -490,12 +591,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parse_args keeps no
+    state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     return args.handler(args, list(argv))

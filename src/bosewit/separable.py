@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._factorials import log_binomial_row
+from ._factorials import log_binomial_rows
 from .errors import SectorTooLarge, WitnessError
 from .fock import (
     _POISSON_MASS,
@@ -293,8 +293,8 @@ def _coherent_rows(numbers, z, phi) -> np.ndarray:
         z, phi = z[..., None, :], phi[..., None, :]
     width = max(sizes) + 1
     table = np.zeros((len(sizes), 1, width))
-    for row, n in zip(table, sizes):
-        row[0, : n + 1] = log_binomial_row(n)
+    for row, n, values in zip(table, sizes, log_binomial_rows(sizes)):
+        row[0, : n + 1] = values
     inner = (z > 0.0) & (z < 1.0)
     # math.log and math.log1p per value keep every row bit-identical to the
     # one-row case; numpy's vector log may round differently. Boundary rows

@@ -113,7 +113,7 @@ class WitnessReport:
 # --- integrated correlators -----------------------------------------------------
 
 
-def _population_integrals(runs, orders) -> tuple:
+def _population_integrals(runs, orders, per_order: bool = False) -> tuple:
     """Normalized correlators (sums, logs) of every order m in `orders`,
     for runs of weighted sector populations: each run is (weighted,
     numbers), p_j P_j (..., J, W) of J sectors with numbers[j] particles
@@ -138,6 +138,12 @@ def _population_integrals(runs, orders) -> tuple:
     (_factorials.correlator_rows). A sum is within about 2k eps relative
     for row k.
 
+    A BLAS product rounds a row's sum differently with the number of rows
+    it takes. With `per_order`, every order keeps a block of its own, so
+    each order gets the bits a call with that order alone gives; an order
+    then holds its R_m rows, below STACK_AMPLITUDES entries, until R_2m
+    comes. Otherwise the orders share their blocks.
+
     A sum below _NORMALIZED_FLOOR may have lost terms to underflow: only
     that entry is recomputed, as a log-sum-exp over log(p_j P_j(l)) plus
     log R_k from one lgamma table, within about eps N log N absolute. A sum
@@ -156,30 +162,37 @@ def _population_integrals(runs, orders) -> tuple:
     mirrors = [_mirror(width, numbers) for width, (_, numbers) in zip(widths, runs)]
     if len(runs) == 1 and len(runs[0][1]) == 1 and n <= DEFAULT_N_MAX:
         rows = [correlator_rows(n, m) for m in orders]
-        sums = flats[0] @ (rows[0] if total == 1 else np.concatenate(rows)).T
+        blocks = [[order_rows] for order_rows in rows] if per_order else [rows]
+        sums = np.hstack([flats[0] @ np.concatenate(block).T for block in blocks])
     else:
         # sums[:, 3 i + kind] of order i; kinds a, b, c
         sums = np.empty((len(flats[0]), 3 * total))
-        blocks, targets = [[] for _ in runs], []
         columns = sum(flat.shape[1] for flat in flats)
-        at_single, at_double = {}, {}
+        group = range(total) if per_order else [0] * total  # the block of each order
+        at_single, at_double, last = {}, {}, {}
         for i, m in enumerate(orders):
             at_single.setdefault(m, []).append(i)
             at_double.setdefault(2 * m, []).append(i)
+            last[group[i]] = max(last.get(group[i], 0), 2 * m)
         wanted = sorted(at_single.keys() | at_double.keys())
+        pending = {}  # group -> (a block of rows per run, their columns of sums)
         for k, row in zip(wanted, ratio_rows(n, wanted)):
-            for block, width, mirror, (_, numbers) in zip(blocks, widths, mirrors, runs):
-                head = row[:width]
-                for _ in at_double.get(k, ()):
-                    block += [_kind_row(head, mirror, len(numbers), kind, None) for kind in (0, 1)]
-                for _ in at_single.get(k, ()):
-                    block.append(_kind_row(head, mirror, len(numbers), 2, np.multiply))
+            heads = [row[:width] for width in widths]
             for i in at_double.get(k, ()):
+                blocks, targets = pending.setdefault(group[i], ([[] for _ in runs], []))
+                for block, head, mirror, (_, numbers) in zip(blocks, heads, mirrors, runs):
+                    block += [_kind_row(head, mirror, len(numbers), kind, None) for kind in (0, 1)]
                 targets += [3 * i, 3 * i + 1]
-            targets += [3 * i + 2 for i in at_single.get(k, ())]
-            if len(targets) * columns >= STACK_AMPLITUDES or k == wanted[-1]:
-                sums[:, targets] = sum(flat @ np.array(block).T for flat, block in zip(flats, blocks))
-                blocks, targets = [[] for _ in runs], []
+            for i in at_single.get(k, ()):
+                blocks, targets = pending.setdefault(group[i], ([[] for _ in runs], []))
+                for block, head, mirror, (_, numbers) in zip(blocks, heads, mirrors, runs):
+                    block.append(_kind_row(head, mirror, len(numbers), 2, np.multiply))
+                targets.append(3 * i + 2)
+            for g in {group[i] for i in at_double.get(k, []) + at_single.get(k, [])}:
+                blocks, targets = pending[g]
+                if len(targets) * columns >= STACK_AMPLITUDES or k == last[g]:
+                    sums[:, targets] = sum(flat @ np.array(block).T for flat, block in zip(flats, blocks))
+                    del pending[g]
     sums = sums.reshape(-1, total, 3)
 
     lost = sums < _NORMALIZED_FLOOR
@@ -296,12 +309,21 @@ def integrated_g2m(state, m: int) -> CorrelationIntegrals:
     is inf, but the normalized sums travel with it, so csi_ratio stays
     finite wherever the true C_2m is.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError("correlation order m must be a positive integer")
-    m = int(m)
+    (integrals,) = integrated_g2m_orders(state, (m,))
+    return integrals
+
+
+def integrated_g2m_orders(state, orders) -> list:
+    """[integrated_g2m(state, m) for m in orders], bit for bit, from one
+    pass over the populations and the ratio rows: each row is streamed
+    once for all the orders, where one call per order streams every row
+    from k = 0 again."""
+    for m in orders:
+        if not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError("correlation order m must be a positive integer")
+    orders = [int(m) for m in orders]
     sectors = _sectors(state)
     numbers = [sector.n_total for _, sector in sectors]
-    alpha, log_alpha, kappa, log_kappa = order_scales(max(numbers), m)
     runs = []
     for run in _stack_runs([(1, n + 1) for n in numbers]):
         weighted = np.zeros((len(run), max(numbers[j] for j in run) + 1))
@@ -309,18 +331,22 @@ def integrated_g2m(state, m: int) -> CorrelationIntegrals:
             weight, sector = sectors[j]
             row[: numbers[j] + 1] = weight * sector.occupation_probabilities()
         runs.append((weighted, numbers[run.start : run.stop]))
-    prefactor = sum(weight * order_scales(sector.n_total, m)[0] for weight, sector in sectors)
-    sums, logs = _population_integrals(runs, (m,))
-    sums, logs = sums[:, 0].tolist(), logs[:, 0].tolist()
-    g_aa, g_bb, g_ab = map(
-        _scaled,
-        sums,
-        logs,
-        (alpha, alpha, alpha * kappa),
-        (log_alpha, log_alpha, log_alpha + log_kappa),
-    )
-    normalized = (sums, logs, (log_alpha, kappa, log_kappa))
-    return CorrelationIntegrals(m, g_aa, g_bb, g_ab, prefactor, normalized)
+    all_sums, all_logs = _population_integrals(runs, orders, per_order=True)
+    integrals = []
+    for i, m in enumerate(orders):
+        alpha, log_alpha, kappa, log_kappa = order_scales(max(numbers), m)
+        prefactor = sum(weight * order_scales(sector.n_total, m)[0] for weight, sector in sectors)
+        sums, logs = all_sums[:, i].tolist(), all_logs[:, i].tolist()
+        g_aa, g_bb, g_ab = map(
+            _scaled,
+            sums,
+            logs,
+            (alpha, alpha, alpha * kappa),
+            (log_alpha, log_alpha, log_alpha + log_kappa),
+        )
+        normalized = (sums, logs, (log_alpha, kappa, log_kappa))
+        integrals.append(CorrelationIntegrals(m, g_aa, g_bb, g_ab, prefactor, normalized))
+    return integrals
 
 
 def _csi_ratios(sums, logs, scales) -> tuple:

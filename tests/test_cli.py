@@ -593,3 +593,46 @@ def test_scan_without_components_exits_2(capsys, components):
     assert code == 2
     assert out == ""
     assert "need at least one component" in err
+
+
+def test_csi_requests_share_one_correlator_pass(capsys, monkeypatch):
+    # every csi order of a scope comes from one integrated_g2m_orders call,
+    # with the bits of one integrated_g2m call per order and its errors per entry
+    from bosewit import cli
+    from bosewit.errors import DegenerateLocalCorrelation
+    from bosewit.statespec import parse_state_file
+    from bosewit.witnesses import csi_ratio, integrated_g2m
+
+    calls = []
+    shared = cli.integrated_g2m_orders
+
+    def counting(state, orders):
+        calls.append(list(orders))
+        return shared(state, orders)
+
+    monkeypatch.setattr(cli, "integrated_g2m_orders", counting)
+    path = os.path.join(DATA, "masked_mixture.state")
+    orders = [3, 1, 7, 2, 12]
+    argv = ["witness", "--state", path, "--per-sector", "--witness", "qfi:x"]
+    for m in orders:
+        argv += ["--witness", f"csi:{m}"]
+    code, out, _ = run_cli(capsys, *argv, "--timestamp", TS)
+    payload = json.loads(out)
+    state = parse_state_file(path).build()
+    scopes = [(state, payload["witnesses"])]
+    for (_, sector), report in zip(state.sectors, payload["per_sector"]):
+        scopes.append((sector, report["witnesses"]))
+    assert calls == [orders] * len(scopes)
+    errors = 0
+    for scope_state, entries in scopes:
+        for m in orders:
+            entry = entries[f"csi:{m}"]
+            try:
+                expected = csi_ratio(integrated_g2m(scope_state, m))
+            except DegenerateLocalCorrelation:
+                errors += 1
+                assert entry["error"] == "DegenerateLocalCorrelation"
+            else:
+                assert entry["value"] == expected
+        assert "value" in entries["qfi:x"]
+    assert errors > 0 and code == 3

@@ -166,3 +166,33 @@ def test_rows_above_the_dense_cap_are_not_retained():
     log_binomial_row(n)
     assert _factorials._cached_ratio_row.cache_info() == rows
     assert _factorials._cached_log_binomial_row.cache_info() == binomial
+
+
+def test_log_binomial_rows_share_one_lgamma_table(monkeypatch):
+    sizes = [3, 300, 0, 4200, 256, 257, 1000]
+    expected = [log_binomial_row(n).tobytes() for n in sizes]
+    tables = []
+    build = _factorials.log_factorials
+
+    def counting(n):
+        tables.append(n)
+        return build(n)
+
+    monkeypatch.setattr(_factorials, "log_factorials", counting)
+    rows = _factorials.log_binomial_rows(sizes)
+    assert [row.tobytes() for row in rows] == expected
+    assert tables == [4200]
+    assert _factorials.log_binomial_rows([5, 256]) and tables == [4200]
+
+
+def test_coherent_rows_past_the_memo_equal_each_sector_alone():
+    from bosewit.separable import _coherent_rows
+
+    rng = np.random.default_rng(5)
+    numbers = [257, 40, 1000, 300]
+    z = rng.random((len(numbers), 2))
+    phi = rng.uniform(-math.pi, math.pi, z.shape)
+    rows = _coherent_rows(numbers, z, phi)
+    for j, n in enumerate(numbers):
+        alone = _coherent_rows(n, z[j], phi[j])
+        assert rows[j, :, : n + 1].tobytes() == alone.tobytes()

@@ -536,3 +536,43 @@ def test_witness_verdict_never_flags_eta2():
 def test_classify_requires_a_witness():
     with pytest.raises(ValueError):
         classify(n_reference=10.0)
+
+
+def _integral_bits(integrals):
+    return repr(
+        (
+            integrals.order_m,
+            integrals.g_aa,
+            integrals.g_bb,
+            integrals.g_ab,
+            integrals.prefactor_alpha,
+            integrals.normalized,
+        )
+    )
+
+
+# one memoized sector, one streamed sector, a mixture of several runs, and
+# a sector whose R_m rows pass STACK_AMPLITUDES on their own
+_ORDER_PASS_STATES = {
+    "coherent-50": lambda: to_fock(CoherentSpinState(0.5, 0.3, 50)),
+    "coherent-300": lambda: to_fock(CoherentSpinState(0.3, 0.7, 300)),
+    "twin-fock-400": lambda: twin_fock(400),
+    "poisson-250": lambda: NumberSectorMixture(
+        tuple(
+            (w, SectorDensity.from_pure(to_fock(CoherentSpinState(0.3, 0.5, n))))
+            for n, w in NumberDistribution.poisson(250.0).weights()
+        )
+    ),
+    "coherent-70000": lambda: to_fock(CoherentSpinState(0.4, 0.0, 70000)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_PASS_STATES))
+def test_all_orders_in_one_pass_equal_one_call_per_order(name):
+    state = _ORDER_PASS_STATES[name]()
+    n = max(sector.n_total for _, sector in witnesses._sectors(state))
+    orders = [3, 1, 2, 7, 1, n // 2, n // 2 + 1, 10**9] if n < 1000 else [3, 1, 2]
+    together = witnesses.integrated_g2m_orders(state, orders)
+    assert [_integral_bits(i) for i in together] == [
+        _integral_bits(integrated_g2m(state, m)) for m in orders
+    ]
