@@ -17,8 +17,8 @@ Row helpers give one sector's worth of values as numpy arrays:
   ``log_binomial_rows(sizes)`` gives the rows of many sizes, and those past
   the memo below all come from one table of the largest size.
 
-Rows with n <= ``fock.DEFAULT_N_MAX`` (256, the largest sector a scan or a
-dense density reaches) are memoized, read-only, in one LRU cache per
+Rows with n <= ``fock.DEFAULT_N_MAX`` (256, the cap of ensemble_to_state
+and the desk-scale sectors) are memoized, read-only, in one LRU cache per
 builder: 512 ratio rows (at most 512 x 257 x 8 B = 1.05 MB) and one
 log-binomial row per n (at most 0.26 MB); ``order_scales`` keeps 1024
 quadruples of floats. Larger sectors stream their rows on every call.

@@ -28,13 +28,12 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from ._version import __version__
-from .errors import NonFiniteWitnessValue, SectorTooLarge, StateSpecError, WitnessError
-from .fock import DEFAULT_N_MAX, GeneratorSpec, NumberSectorMixture
+from .errors import NonFiniteWitnessValue, StateSpecError, WitnessError
+from .fock import GeneratorSpec, NumberSectorMixture
 from .scan import run_scan
 from .separable import PRNG_NAME, NumberDistribution
 from .statespec import parse_state_file
 from .witnesses import (
-    classify,
     csi_ratio,
     integrated_g2m_orders,
     number_squeezing_direct,
@@ -330,7 +329,8 @@ def _witness_key(kind: str, param) -> str:
 def _evaluate_witnesses(state, n_reference: float, requests) -> tuple:
     """Returns ({key: entry}, verdicts, had_error). Each entry has
     value/bound/flag or error/message; witness failures never abort the
-    other witnesses. verdicts is None when no witness computed.
+    other witnesses. verdicts, the verdicts of classify, come from the
+    flags witness_verdict set, and are None when no witness computed.
 
     All csi requests are evaluated by one integrated_g2m_orders call, and
     all qfi requests by one qfi call on their direction stack, so the
@@ -352,7 +352,7 @@ def _evaluate_witnesses(state, n_reference: float, requests) -> tuple:
             # its traceback, a reference cycle
             qfi_failure = {"error": type(exc).__name__, "message": str(exc)}
     entries = {}
-    computed = {"csi_by_order": {}, "qfi_by_generator": {}}
+    flagged = set()
     had_error = False
     for kind, param in requests:
         key = _witness_key(kind, param)
@@ -379,20 +379,15 @@ def _evaluate_witnesses(state, n_reference: float, requests) -> tuple:
             continue
         bound, flag = witness_verdict(kind, value, n_reference)
         entries[key] = {"value": value, "bound": bound, "flag": flag}
-        if kind == "csi":
-            computed["csi_by_order"][param] = value
-        elif kind == "qfi":
-            computed["qfi_by_generator"][key] = value
-        else:
-            computed[kind] = value
+        if flag:
+            flagged.add(kind)
     if all("error" in entry for entry in entries.values()):
         return entries, None, had_error
-    report = classify(n_reference, **computed)
     verdicts = {
-        "entangled_by_csi": report.entangled_by_csi,
-        "entangled_by_qfi": report.entangled_by_qfi,
-        "entangled_by_spin_squeezing": report.entangled_by_spin_squeezing,
-        "any_entangled": report.any_entangled,
+        "entangled_by_csi": "csi" in flagged,
+        "entangled_by_qfi": "qfi" in flagged,
+        "entangled_by_spin_squeezing": "xi2" in flagged,
+        "any_entangled": bool(flagged),
     }
     return entries, verdicts, had_error
 
@@ -404,8 +399,8 @@ def _cmd_witness(args, argv) -> int:
         return _fail(str(exc))
     try:
         spec = parse_state_file(args.state)
-        state = spec.build(n_max=args.n_max)
-    except (StateSpecError, SectorTooLarge) as exc:
+        state = spec.build()
+    except StateSpecError as exc:
         return _fail(str(exc))
     n_reference = state.mean_n
     manifest = RunManifest.create("witness", argv, None, args.timestamp)
@@ -507,9 +502,8 @@ def _cmd_scan(args, argv) -> int:
             distribution=distribution,
             n_components=args.components,
             n_directions=args.directions,
-            n_max=args.n_max,
         )
-    except (ValueError, SectorTooLarge) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     payload = {"manifest": asdict(manifest), **report}
     _emit_json(payload, args.out)
@@ -564,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also evaluate each particle-number sector of a fluctuating state",
     )
-    witness.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     witness.add_argument("--format", choices=("json", "csv"), default="json")
     witness.add_argument("--out", default=None)
     witness.add_argument("--timestamp", default=None)
@@ -584,7 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--seed", type=int, default=42)
     scan.add_argument("--components", type=int, default=4)
     scan.add_argument("--directions", type=int, default=10)
-    scan.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     scan.add_argument("--out", default=None)
     scan.add_argument("--timestamp", default=None)
     scan.set_defaults(handler=_cmd_scan)

@@ -14,7 +14,7 @@ class EigendecompositionFailure(BosewitError):
 
 
 class SectorTooLarge(BosewitError):
-    """A dense sector matrix would exceed the configured dimension cap."""
+    """A sector passes the dense-sector cap n_max of ensemble_to_state."""
 
 
 class WitnessError(BosewitError):

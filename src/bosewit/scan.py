@@ -13,12 +13,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import _DRAW_NORM_GUARD, DEFAULT_N_MAX, QFI_TOLERANCE, _check_factors, _factor_populations
+from .fock import _DRAW_NORM_GUARD, QFI_TOLERANCE, _check_factors, _factor_populations
 from .separable import (
+    MAX_PARTICLES,
     NumberDistribution,
     PRNG_NAME,
     _check_draws,
-    _check_sector_cap,
+    _check_expanded_size,
     _coherent_rows,
     _draw_components,
     _spin_moments,
@@ -145,10 +146,11 @@ def _ensemble_payload(number_weights, fixed: bool, weights, z, phi) -> dict:
     }
 
 
-def _evaluate_chunk(weights, rows, numbers, probabilities, orders, directions) -> tuple:
+def _evaluate_chunk(weights, rows, numbers, probabilities, orders, scales, directions) -> tuple:
     """C_2m of every order with its degenerate mask, both (S, M), and F_Q
     of every direction, (S, k), for S samples given as (S, J, K) weights
-    and (S, J, K, W) rows over J particle numbers.
+    and (S, J, K, W) rows over J particle numbers, with the scales of
+    _log_scales(max N, orders).
 
     The number probabilities weight each sector's populations, and one
     padded product gives every order's normalized correlators for all
@@ -159,7 +161,7 @@ def _evaluate_chunk(weights, rows, numbers, probabilities, orders, directions) -
     _check_factors(weights, rows)
     weighted = _factor_populations(weights, rows) * probabilities[:, None]
     sums, logs = _population_integrals([(weighted, numbers)], orders)
-    ratios, degenerate = _csi_ratios(sums, logs, _log_scales(max(numbers), orders))
+    ratios, degenerate = _csi_ratios(sums, logs, scales)
     count, sectors, depth, width = rows.shape
     forms = _qfi_forms(
         weights.reshape(count * sectors, depth),
@@ -178,7 +180,6 @@ def run_scan(
     n_components: int = 4,
     n_directions: int = 10,
     csi_orders: Sequence[int] | None = None,
-    n_max: int = DEFAULT_N_MAX,
 ) -> dict:
     """Draw `samples` random separable ensembles and test every bound.
 
@@ -190,10 +191,11 @@ def run_scan(
 
     The master seed fixes the generator directions and one child seed per
     sample, so reports are reproducible and individual samples can be
-    replayed in isolation. `samples` above MAX_SAMPLES, `n_directions`
-    above MAX_DIRECTIONS and `n_components` above MAX_COMPONENTS raise
-    ValueError before anything is built; a sector above `n_max` raises
-    SectorTooLarge.
+    replayed in isolation. Before anything is drawn, ValueError refuses
+    inputs past MAX_SAMPLES, MAX_DIRECTIONS, MAX_COMPONENTS or (n_total)
+    MAX_PARTICLES, and past MAX_EXPANDED_SIZE amplitudes a sample's padded
+    stack J K (max N + 1) or the largest order's ratio rows m (max N + 1),
+    which bound the orders too: a full-order fixed scan reaches N = 2895.
 
     Samples are evaluated in chunks of about STACK_AMPLITUDES complex
     amplitudes (at least one sample each) as (S, J, K) arrays of weights,
@@ -207,22 +209,20 @@ def run_scan(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if (n_total is None) == (distribution is None):
+        raise ValueError("give exactly one of n_total or distribution")
     for name, value, cap in (
         ("samples", samples, MAX_SAMPLES),
         ("n_directions", n_directions, MAX_DIRECTIONS),
         ("n_components", n_components, MAX_COMPONENTS),
+        ("n_total", n_total or 0, MAX_PARTICLES),
     ):
         if value > cap:
             raise ValueError(f"{name} must be at most {cap}; got {value}")
-    if (n_total is None) == (distribution is None):
-        raise ValueError("give exactly one of n_total or distribution")
     if n_directions < 1:
         raise ValueError("need at least one generator direction")
     if n_components < 1:
         raise ValueError("need at least one component")
-    master = np.random.default_rng(seed)
-    directions = _unit_directions(master, n_directions)
-    sample_seeds = master.integers(2**63, size=samples)
 
     if n_total is not None:
         if n_total < 2:
@@ -245,28 +245,30 @@ def run_scan(
         qfi_bound = float(sum(n * p for n, p in number_weights))
     numbers = tuple(n for n, _ in number_weights)
     probabilities = np.array([p for _, p in number_weights])
-    width = max(numbers) + 1
-    _check_sector_cap(width - 1, n_max)
+    width, top, stack = max(numbers) + 1, max(orders, default=0), len(numbers) * n_components
+    _check_expanded_size(f"a sample of {len(numbers)} sectors x {n_components} components",
+                         stack * width, "its padded stack, J K (max N + 1)")
+    _check_expanded_size(f"csi order m = {top} at max N = {width - 1}", top * width,
+                         "its ratio rows, m (max N + 1)")
+    scales = _log_scales(width - 1, orders)
+    master = np.random.default_rng(seed)
+    directions = _unit_directions(master, n_directions)
+    sample_seeds = master.integers(2**63, size=samples)
 
-    trackers = {}
-    for m in orders:
-        trackers[f"csi_order_{m}"] = _BoundTracker(
-            f"csi_order_{m}", 1.0, "upper", WITNESS_TOLERANCE
-        )
-    trackers["qfi"] = _BoundTracker("qfi", qfi_bound, "upper", QFI_TOLERANCE)
-    trackers["spin_squeezing"] = _BoundTracker(
-        "spin_squeezing", 1.0, "lower", WITNESS_TOLERANCE
-    )
-    csi_trackers = [trackers[f"csi_order_{m}"] for m in orders]
+    # one tracker per distinct order, shared by repeats of it
+    by_order = {m: _BoundTracker(f"csi_order_{m}", 1.0, "upper", WITNESS_TOLERANCE) for m in orders}
+    csi_trackers = [by_order[m] for m in orders]
+    qfi_tracker = _BoundTracker("qfi", qfi_bound, "upper", QFI_TOLERANCE)
+    squeezing_tracker = _BoundTracker("spin_squeezing", 1.0, "lower", WITNESS_TOLERANCE)
 
-    chunk = max(1, STACK_AMPLITUDES // (len(numbers) * n_components * width))
+    chunk = max(1, STACK_AMPLITUDES // (stack * width))
     for start in range(0, samples, chunk):
         seeds = [int(s) for s in sample_seeds[start : start + chunk]]
         count = len(seeds)
         weights, z, phi = _draw_chunk(seeds, len(numbers), n_components)
         ratios, degenerate, qfi_values = _evaluate_chunk(
             weights, _coherent_rows(numbers, z, phi),
-            numbers, probabilities, orders, directions,
+            numbers, probabilities, orders, scales, directions,
         )
         squeezing, zero_spin = _squeezing(
             qfi_bound, *_spin_moments(number_weights, weights, z, phi, mode == "fluctuating")
@@ -293,20 +295,18 @@ def run_scan(
             )
 
         worst_directions = np.argmax(qfi_values, axis=1)
-        trackers["qfi"].record_values(
+        qfi_tracker.record_values(
             qfi_values[np.arange(count), worst_directions],
             lambda i: payload_of(i, generator=directions[worst_directions[i]].tolist()),
         )
 
         squeezed = np.flatnonzero(~zero_spin)
-        trackers["spin_squeezing"].skip(count - squeezed.size)
-        trackers["spin_squeezing"].record_values(
+        squeezing_tracker.skip(count - squeezed.size)
+        squeezing_tracker.record_values(
             squeezing[squeezed], lambda i: payload_of(int(squeezed[i]))
         )
 
-    bounds = [trackers[f"csi_order_{m}"].report() for m in orders]
-    bounds.append(trackers["qfi"].report())
-    bounds.append(trackers["spin_squeezing"].report())
+    bounds = [tracker.report() for tracker in (*csi_trackers, qfi_tracker, squeezing_tracker)]
     total_violations = int(sum(b["violations"] for b in bounds))
     report = {
         "mode": mode,

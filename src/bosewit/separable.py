@@ -38,10 +38,11 @@ PRNG_NAME = "PCG64"
 # anything is allocated.
 MAX_PARTICLES = 10**6
 
-# The most amplitudes a number distribution may expand into: the sum of
-# N + 1 over the particle numbers its support may reach (one coherent row
-# per sector, 64 MiB of complex amplitudes). NumberDistribution.weights
-# checks it before any weight or row is built.
+# The most amplitudes one input may expand into (64 MiB of complex
+# amplitudes), checked by _check_expanded_size before anything is built:
+# a number distribution (the sum of N + 1 over its support), a state file
+# (the sum of K (N + 1) over its sectors of K components), a scan sample's
+# padded stack (J K (max N + 1)) and a scan's ratio rows (max m (N + 1)).
 MAX_EXPANDED_SIZE = 2**22
 
 _TWO_PI = 2.0 * math.pi
@@ -205,18 +206,26 @@ class NumberDistribution:
         """Sorted (n, probability) pairs; probabilities sum to 1. Raises
         ValueError, before any weight is built, when the support expands
         into more than MAX_EXPANDED_SIZE amplitudes."""
-        size = self.expanded_size()
-        if size > MAX_EXPANDED_SIZE:
-            raise ValueError(
-                f"{self.kind} distribution {list(self.params)} expands into {size} "
-                f"amplitudes (the sum of N + 1 over its support); distributions may "
-                f"expand into at most {MAX_EXPANDED_SIZE}"
-            )
+        _check_expanded_size(
+            f"{self.kind} distribution {list(self.params)}",
+            self.expanded_size(),
+            "the sum of N + 1 over its support",
+        )
         if self.kind == "deterministic":
             return ((self.params[0], 1.0),)
         if self.kind == "poisson":
             return _poisson_weights(self.params[0])
         return _binomial_weights(self.params[0], self.params[1])
+
+
+def _check_expanded_size(what: str, size: int, rule: str) -> None:
+    """The one size rule for inputs: ValueError when `what` expands into
+    more than MAX_EXPANDED_SIZE amplitudes, counted by `rule`."""
+    if size > MAX_EXPANDED_SIZE:
+        raise ValueError(
+            f"{what} expands into {size} amplitudes ({rule}); an input may "
+            f"expand into at most {MAX_EXPANDED_SIZE}"
+        )
 
 
 def _check_reach(what: str, largest_n: int) -> None:
@@ -343,7 +352,8 @@ def to_fock(state: CoherentSpinState) -> FockVector:
 
 
 def _check_sector_cap(n: int, n_max: int) -> None:
-    """Raise SectorTooLarge for a sector of more than n_max particles."""
+    """Raise SectorTooLarge for a sector of more than n_max particles: the
+    cap of ensemble_to_state, whose callers may densify what it builds."""
     if n > n_max:
         raise SectorTooLarge(f"sector N={n} exceeds the dense-matrix cap n_max={n_max}")
 
@@ -353,8 +363,9 @@ def ensemble_to_state(ensemble, n_max: int = DEFAULT_N_MAX):
     for a fluctuating particle number.
 
     Each sector is held as its K component weights and coherent amplitude
-    rows, so building it costs O(K N). Sectors above ``n_max`` are still
-    refused with SectorTooLarge.
+    rows, so building it costs O(K N). Sectors above ``n_max`` are refused
+    with SectorTooLarge, since callers may densify the result (``.matrix``,
+    an eigensolve); state files and scans are bounded by MAX_EXPANDED_SIZE.
     """
     if isinstance(ensemble, SeparableEnsemble):
         n = ensemble.n_total

@@ -23,22 +23,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import StateSpecError
 from .fock import (
     _INPUT_WEIGHT_SUM_TOL,
-    DEFAULT_N_MAX,
     FockVector,
     NumberSectorMixture,
+    SectorDensity,
     basis_state,
     twin_fock,
 )
 from .separable import (
+    MAX_EXPANDED_SIZE,
     MAX_PARTICLES,
-    CoherentSpinState,
     NumberDistribution,
-    SeparableEnsemble,
+    _check_expanded_size,
     _coherent_rows,
-    ensemble_to_state,
 )
 from .witnesses import _stack_runs
 
@@ -253,11 +254,13 @@ class StateSpec:
     source: str
     params: dict
 
-    def build(self, n_max: int = DEFAULT_N_MAX):
+    def build(self):
         """Construct the described state (FockVector, SectorDensity, or
-        NumberSectorMixture). Sector sizes above n_max raise SectorTooLarge
-        from the construction layer. The coherent spin states of a state,
-        its own or its sectors', come from _coherent_states."""
+        NumberSectorMixture). Parsing has bounded it to MAX_EXPANDED_SIZE
+        amplitudes, so no cap is applied here. The coherent spin states of
+        a state, its own or its sectors', come from _coherent_states; a
+        mixture's are the K rows of its factored SectorDensity, bit for bit
+        those of ensemble_to_state."""
         p = self.params
         if self.kind == "twin_fock":
             return twin_fock(p["n"])
@@ -266,20 +269,14 @@ class StateSpec:
         if self.kind == "dicke":
             return basis_state(p["n"], p["k"])
         if self.kind == "mixture":
-            ensemble = SeparableEnsemble(
-                p["n"],
-                tuple(
-                    (w, CoherentSpinState(z, phi, p["n"]))
-                    for w, z, phi in p["components"]
-                ),
-            )
-            return ensemble_to_state(ensemble, n_max=n_max)
+            weights, z, phi = np.array(p["components"]).T
+            return SectorDensity.from_factors(weights, _coherent_rows(p["n"], z, phi))
         if self.kind == "fluctuating":
             coherent = [spec for _, spec in p["sectors"] if spec.kind == "coherent_spin"]
             built = iter(_coherent_states(coherent) if coherent else ())
             return NumberSectorMixture(
                 tuple(
-                    (weight, next(built) if spec.kind == "coherent_spin" else spec.build(n_max))
+                    (weight, next(built) if spec.kind == "coherent_spin" else spec.build())
                     for weight, spec in p["sectors"]
                 )
             )
@@ -337,23 +334,27 @@ def _z_phi(reader: _Reader) -> tuple:
     return z, math.remainder(phi, math.tau)
 
 
-def _parse_components(reader: _Reader, source: str) -> tuple:
-    blocks = reader.child_blocks("component")
-    components = []
-    for entry in blocks:
-        sub = _Reader(entry.value, source, "component")
-        weight = sub.number("weight", low=0.0)
-        z, phi = _z_phi(sub)
-        sub.finish()
-        components.append((weight, z, phi))
-    return tuple(components)
+def _claim_amplitudes(used: int, n: int, blocks, source: str) -> int:
+    """`used` plus n + 1 amplitudes for each of `blocks` (the components of
+    one sector, or a pure sector's own block), so that K (N + 1) sums over
+    a state's sectors; a StateSpecError at the first block that takes the
+    sum past MAX_EXPANDED_SIZE."""
+    total = used + len(blocks) * (n + 1)
+    try:
+        _check_expanded_size("the state", total, "K (N + 1) summed over its sectors so far")
+    except ValueError as exc:
+        block = blocks[(MAX_EXPANDED_SIZE - used) // (n + 1)]
+        raise StateSpecError(str(exc), source, block.line, block.col) from None
+    return total
 
 
-def _parse_pure_sector(
+def _parse_sector(
     reader: _Reader, source: str, kind: str, n: int, block: _Block
 ) -> StateSpec:
-    """A twin_fock, coherent_spin or dicke state of n particles, at top level
-    or in a sector block; errors not tied to one key point at `block`."""
+    """A twin_fock, coherent_spin, dicke or mixture state of n particles, at
+    top level or in a sector block; errors not tied to one key point at
+    `block`. A mixture holds one coherent spin state per `component:`
+    block, its weights renormalized after the 1e-9 check."""
     params: dict = {"n": n}
     if n > MAX_PARTICLES:
         entry = reader.block.scalars("n")[0]
@@ -380,6 +381,22 @@ def _parse_pure_sector(
                 f"dicke occupation k={k} exceeds n={n}", source, block.line, block.col
             )
         params["k"] = k
+    else:
+        components = []
+        for entry in reader.child_blocks("component"):
+            sub = _Reader(entry.value, source, "component")
+            weight = sub.number("weight", low=0.0)
+            z, phi = _z_phi(sub)
+            sub.finish()
+            components.append((weight, z, phi))
+        if not components:
+            raise StateSpecError(
+                "mixture needs at least one component block", source, block.line, block.col
+            )
+        total = _check_weight_sum(
+            [w for w, _, _ in components], source, block.line, block.col, "component"
+        )
+        params["components"] = tuple((w / total, z, phi) for w, z, phi in components)
     return StateSpec(kind, source, params)
 
 
@@ -436,6 +453,7 @@ def _parse_fluctuating(reader: _Reader, source: str, top: _Block) -> StateSpec:
         )
     sectors = []
     seen_numbers = set()
+    amplitudes = 0
     for entry in sector_blocks:
         block = entry.value
         sub = _Reader(block, source, "sector")
@@ -446,20 +464,11 @@ def _parse_fluctuating(reader: _Reader, source: str, top: _Block) -> StateSpec:
                 f"duplicate sector n={n}", source, block.line, block.col
             )
         seen_numbers.add(n)
-        components = _parse_components(sub, source)
-        if components:
-            sub.finish()
-            total = _check_weight_sum(
-                [w for w, _, _ in components], source, block.line, block.col, "component"
-            )
-            components = tuple((w / total, z, phi) for w, z, phi in components)
-            spec = StateSpec(
-                "mixture", source, {"n": n, "components": components}
-            )
-        else:
-            kind = sub.string("kind", choices=_PURE_KINDS)
-            spec = _parse_pure_sector(sub, source, kind, n, block)
-            sub.finish()
+        components = block.blocks("component")
+        kind = "mixture" if components else sub.string("kind", choices=_PURE_KINDS)
+        spec = _parse_sector(sub, source, kind, n, block)
+        sub.finish()
+        amplitudes = _claim_amplitudes(amplitudes, n, components or [entry], source)
         sectors.append((weight, spec))
     reader.finish()
     total = _check_weight_sum([w for w, _ in sectors], source, top.line, top.col, "sector")
@@ -482,22 +491,10 @@ def parse_state_text(text: str, source: str = "<string>") -> StateSpec:
     if kind == "fluctuating":
         return _parse_fluctuating(reader, source, top)
     n = reader.integer("n", minimum=0)
-    if kind in _PURE_KINDS:
-        spec = _parse_pure_sector(reader, source, kind, n, top)
-        reader.finish()
-        return spec
-    # mixture
-    components = _parse_components(reader, source)
+    spec = _parse_sector(reader, source, kind, n, top)
     reader.finish()
-    if not components:
-        raise StateSpecError(
-            "mixture needs at least one component block", source, top.line, top.col
-        )
-    total = _check_weight_sum(
-        [w for w, _, _ in components], source, top.line, top.col, "component"
-    )
-    components = tuple((w / total, z, phi) for w, z, phi in components)
-    return StateSpec(kind, source, {"n": n, "components": components})
+    _claim_amplitudes(0, n, top.blocks("component") or [top], source)
+    return spec
 
 
 def parse_state_file(path: str) -> StateSpec:

@@ -283,7 +283,7 @@ def test_witness_non_finite_value_is_a_named_error(tmp_path, capsys):
     mixed.write_text(
         "kind = fluctuating\nsector:\n    weight = 1.0\n    n = 4000\n    kind = twin_fock\n"
     )
-    for path, extra in ((pure, []), (mixed, ["--per-sector", "--n-max", "4000"])):
+    for path, extra in ((pure, []), (mixed, ["--per-sector"])):
         code, out, _ = run_cli(
             capsys, "witness", "--state", str(path), "--witness", "csi:1",
             "--witness", "csi:1000", *extra, "--timestamp", TS,
@@ -303,7 +303,7 @@ def test_witness_csi_order_far_past_n_exits_3_at_once(tmp_path, capsys):
     # step the row recurrence 2 * 10^9 times before it says so
     mixed = tmp_path / "poisson.state"
     mixed.write_text("kind = fluctuating\nz = 0.3\ndistribution:\n    kind = poisson\n    mean = 300\n")
-    cases = ((os.path.join(DATA, "twin_fock_20.state"), []), (str(mixed), ["--per-sector", "--n-max", "1000"]))
+    cases = ((os.path.join(DATA, "twin_fock_20.state"), []), (str(mixed), ["--per-sector"]))
     start = time.perf_counter()
     for path, extra in cases:
         code, out, _ = run_cli(
@@ -486,7 +486,7 @@ def test_scan_caps_exit_2(capsys, flag, value):
     [
         ("poisson:1e12", "poisson mean 1000000000000.0 reaches N = 1000020000060"),
         ("binomial:2000000,0.5", "binomial trials reaches N = 2000000"),
-        ("binomial:2000,0.5", "sector N=2000 exceeds the dense-matrix cap n_max=256"),
+        ("binomial:2000,0.5", "a sample of 2001 sectors x 4 components expands into 16016004 amplitudes"),
     ],
 )
 def test_scan_distribution_past_a_cap_exits_2(capsys, dist, message):
@@ -518,7 +518,7 @@ def test_distribution_past_the_expanded_size_cap_exits_2(capsys, tmp_path, monke
     assert (code, out) == (2, "")
     assert "wide.state:3:1: poisson distribution [5000.0] expands into 20966050 amplitudes" in err
     code, out, err = run_cli(
-        capsys, "scan-separable", "--samples", "1", "--fluctuating", "poisson:5000", "--n-max", "10000"
+        capsys, "scan-separable", "--samples", "1", "--fluctuating", "poisson:5000"
     )
     assert (code, out) == (2, "")
     assert "expands into 20966050 amplitudes" in err

@@ -154,7 +154,11 @@ def test_scan_at_n_200_certifies_finite_values_up_to_the_local_overflow():
 
 @pytest.mark.parametrize(
     "arguments",
-    [dict(samples=3, seed=5, n_total=200), dict(samples=20, seed=5, n_total=300, n_max=300)],
+    [
+        dict(samples=3, seed=5, n_total=200),
+        dict(samples=20, seed=5, n_total=300),
+        dict(samples=3, seed=42, n_total=1000),
+    ],
 )
 def test_scans_past_n_150_certify_every_order(arguments):
     # the raw falling-factorial rows overflowed here: exit 4 with 24 and

@@ -141,6 +141,9 @@ def test_ensemble_to_state_sector_cap():
         ensemble_to_state(big)
     rho = ensemble_to_state(big, n_max=300)
     assert rho.n_total == 300
+    # the cap stays where results may be densified, past the scan budget too
+    with pytest.raises(SectorTooLarge):
+        ensemble_to_state(sample_ensemble(3, 4000, 2))
 
 
 def test_fluctuating_ensemble_and_mixture():
