@@ -17,11 +17,11 @@ Row helpers give one sector's worth of values as numpy arrays:
   ``log_binomial_rows(sizes)`` gives the rows of many sizes, and those past
   the memo below all come from one table of the largest size.
 
-Rows with n <= ``fock.DEFAULT_N_MAX`` (256, the cap of ensemble_to_state
-and the desk-scale sectors) are memoized, read-only, in one LRU cache per
-builder: 512 ratio rows (at most 512 x 257 x 8 B = 1.05 MB) and one
-log-binomial row per n (at most 0.26 MB); ``order_scales`` keeps 1024
-quadruples of floats. Larger sectors stream their rows on every call.
+Rows with n <= ``fock._MEMO_N_MAX`` (256; what dropping the memos cost is
+noted there) are memoized, read-only, in one LRU cache per builder: 512
+ratio rows (at most 512 x 257 x 8 B = 1.05 MB) and one log-binomial row
+per n (at most 0.26 MB); ``order_scales`` keeps 1024 quadruples of
+floats. Larger sectors stream their rows on every call.
 """
 
 import math
@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import DEFAULT_N_MAX
+from .fock import _MEMO_N_MAX
 
 # Entries of the factor rows ratio_rows forms at once (128 kB).
 _ROW_BLOCK = 2**14
@@ -149,7 +149,7 @@ def _build_ratio_row(n: int, k: int) -> np.ndarray:
 # 512 rows hold the 256 distinct (n, k) of a full-order scan at n = 256 with
 # room to spare, so a scan never cycles the LRU order.
 _cached_ratio_row = lru_cache(maxsize=512)(_build_ratio_row)
-_cached_log_binomial_row = lru_cache(maxsize=DEFAULT_N_MAX + 1)(_build_log_binomial_row)
+_cached_log_binomial_row = lru_cache(maxsize=_MEMO_N_MAX + 1)(_build_log_binomial_row)
 
 
 def ratio_rows(n: int, ks):
@@ -176,8 +176,8 @@ def ratio_rows(n: int, ks):
 
 
 def ratio_row(n: int, k: int) -> np.ndarray:
-    """R_k of ratio_rows as a read-only array, memoized for n <= DEFAULT_N_MAX."""
-    if n <= DEFAULT_N_MAX:
+    """R_k of ratio_rows as a read-only array, memoized for n <= _MEMO_N_MAX."""
+    if n <= _MEMO_N_MAX:
         return _cached_ratio_row(n, k)
     return _build_ratio_row(n, k)
 
@@ -192,7 +192,7 @@ def correlator_rows(n: int, m: int) -> np.ndarray:
 
 def log_binomial_row(n: int) -> np.ndarray:
     """[log_binomial(n, i) for i in 0..n] as a read-only array."""
-    if n <= DEFAULT_N_MAX:
+    if n <= _MEMO_N_MAX:
         return _cached_log_binomial_row(n)
     return _build_log_binomial_row(n)
 
@@ -202,8 +202,8 @@ def log_binomial_rows(sizes) -> list:
     table of the largest n for every row past the memo (rows of those
     sizes are not read-only)."""
     top = max(sizes)
-    g = log_factorials(top) if top > DEFAULT_N_MAX else None
+    g = log_factorials(top) if top > _MEMO_N_MAX else None
     return [
-        _cached_log_binomial_row(n) if n <= DEFAULT_N_MAX else _log_binomial_from(g, n)
+        _cached_log_binomial_row(n) if n <= _MEMO_N_MAX else _log_binomial_from(g, n)
         for n in sizes
     ]

@@ -32,6 +32,7 @@ from .witnesses import (
     _population_integrals,
     _qfi_forms,
     _squeezing,
+    _stack_runs,
 )
 
 # Input caps, checked before any array is built: the seed array grows with
@@ -146,29 +147,29 @@ def _ensemble_payload(number_weights, fixed: bool, weights, z, phi) -> dict:
     }
 
 
-def _evaluate_chunk(weights, rows, numbers, probabilities, orders, scales, directions) -> tuple:
+def _evaluate_chunk(weights, z, phi, numbers, probabilities, orders, scales, directions) -> tuple:
     """C_2m of every order with its degenerate mask, both (S, M), and F_Q
-    of every direction, (S, k), for S samples given as (S, J, K) weights
-    and (S, J, K, W) rows over J particle numbers, with the scales of
+    of every direction, (S, k), for S samples given as (S, J, K) weights,
+    z and phi over J particle numbers, with the scales of
     _log_scales(max N, orders).
 
-    The number probabilities weight each sector's populations, and one
-    padded product gives every order's normalized correlators for all
-    samples and sectors at once (witnesses._population_integrals, the
-    routine behind integrated_g2m). Batched SVDs, one per STACK_AMPLITUDES
-    of the stack, give the F_Q forms of all S * J sectors, which the
-    probabilities average per sample."""
-    _check_factors(weights, rows)
-    weighted = _factor_populations(weights, rows) * probabilities[:, None]
-    sums, logs = _population_integrals([(weighted, numbers)], orders)
+    The sectors go in the runs of _stack_runs, each padded only to its own
+    width: one _coherent_rows call and one batched _qfi_forms call per run,
+    then one _population_integrals call over all runs (the routine behind
+    integrated_g2m) for every order. The number probabilities weight each
+    sector's populations and average its F_Q forms."""
+    count, _, depth = weights.shape
+    runs, forms = [], []
+    for run in _stack_runs([(count * depth, n + 1) for n in numbers]):
+        part, run_numbers = weights[:, run], numbers[run]
+        rows = _coherent_rows(run_numbers, z[:, run], phi[:, run])
+        _check_factors(part, rows)
+        runs.append((_factor_populations(part, rows) * probabilities[run, None], run_numbers))
+        stack = part.reshape(-1, depth), rows.reshape(-1, depth, rows.shape[-1])
+        forms.append(_qfi_forms(*stack, run_numbers * count).reshape(count, -1, 9))
+    sums, logs = _population_integrals(runs, orders)
     ratios, degenerate = _csi_ratios(sums, logs, scales)
-    count, sectors, depth, width = rows.shape
-    forms = _qfi_forms(
-        weights.reshape(count * sectors, depth),
-        rows.reshape(count * sectors, depth, width),
-        numbers * count,
-    )
-    forms = (probabilities @ forms.reshape(count, sectors, 9)).reshape(count, 3, 3)
+    forms = (probabilities @ np.concatenate(forms, axis=1)).reshape(count, 3, 3)
     return ratios, degenerate, np.einsum("ka,sab,kb->sk", directions, forms, directions)
 
 
@@ -193,19 +194,19 @@ def run_scan(
     sample, so reports are reproducible and individual samples can be
     replayed in isolation. Before anything is drawn, ValueError refuses
     inputs past MAX_SAMPLES, MAX_DIRECTIONS, MAX_COMPONENTS or (n_total)
-    MAX_PARTICLES, and past MAX_EXPANDED_SIZE amplitudes a sample's padded
-    stack J K (max N + 1) or the largest order's ratio rows m (max N + 1),
-    which bound the orders too: a full-order fixed scan reaches N = 2895.
+    MAX_PARTICLES, and past MAX_EXPANDED_SIZE amplitudes a sample's rows,
+    K (N + 1) summed over its sectors as for a state file, or the largest
+    order's ratio rows m (max N + 1), which bound the orders too: a
+    full-order fixed scan reaches N = 2895.
 
-    Samples are evaluated in chunks of about STACK_AMPLITUDES complex
-    amplitudes (at least one sample each) as (S, J, K) arrays of weights,
-    z and phi, drawn as sample_ensemble and sample_fluctuating_ensemble
-    draw them; no ensemble object is built, and a worst-case payload only
-    when needed. One _coherent_rows call gives the chunk's padded factor
-    stack, whose populations give all CSI orders in one product and whose
-    F_Q forms come from one batched SVD, and one _spin_moments call gives
-    every xi^2 (bit for bit that of the ensemble object). C_2m and F_Q
-    equal, to rounding, those of each sample's own density.
+    Samples are evaluated in chunks of as many as that sum lets fit in
+    STACK_AMPLITUDES (at least one sample each), as (S, J, K) arrays of
+    weights, z and phi drawn as sample_ensemble and
+    sample_fluctuating_ensemble draw them; no ensemble object is built,
+    and a worst-case payload only when needed. _evaluate_chunk takes the
+    chunk's sectors in padded runs, and one _spin_moments call gives every
+    xi^2 (bit for bit that of the ensemble object). C_2m and F_Q equal, to
+    rounding, those of each sample's own density.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -245,9 +246,10 @@ def run_scan(
         qfi_bound = float(sum(n * p for n, p in number_weights))
     numbers = tuple(n for n, _ in number_weights)
     probabilities = np.array([p for _, p in number_weights])
-    width, top, stack = max(numbers) + 1, max(orders, default=0), len(numbers) * n_components
+    width, top = max(numbers) + 1, max(orders, default=0)
+    amplitudes = n_components * sum(n + 1 for n in numbers)
     _check_expanded_size(f"a sample of {len(numbers)} sectors x {n_components} components",
-                         stack * width, "its padded stack, J K (max N + 1)")
+                         amplitudes, "K (N + 1) summed over its sectors")
     _check_expanded_size(f"csi order m = {top} at max N = {width - 1}", top * width,
                          "its ratio rows, m (max N + 1)")
     scales = _log_scales(width - 1, orders)
@@ -261,14 +263,13 @@ def run_scan(
     qfi_tracker = _BoundTracker("qfi", qfi_bound, "upper", QFI_TOLERANCE)
     squeezing_tracker = _BoundTracker("spin_squeezing", 1.0, "lower", WITNESS_TOLERANCE)
 
-    chunk = max(1, STACK_AMPLITUDES // (stack * width))
+    chunk = max(1, STACK_AMPLITUDES // amplitudes)
     for start in range(0, samples, chunk):
         seeds = [int(s) for s in sample_seeds[start : start + chunk]]
         count = len(seeds)
         weights, z, phi = _draw_chunk(seeds, len(numbers), n_components)
         ratios, degenerate, qfi_values = _evaluate_chunk(
-            weights, _coherent_rows(numbers, z, phi),
-            numbers, probabilities, orders, scales, directions,
+            weights, z, phi, numbers, probabilities, orders, scales, directions
         )
         squeezing, zero_spin = _squeezing(
             qfi_bound, *_spin_moments(number_weights, weights, z, phi, mode == "fluctuating")

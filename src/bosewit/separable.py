@@ -41,8 +41,8 @@ MAX_PARTICLES = 10**6
 # The most amplitudes one input may expand into (64 MiB of complex
 # amplitudes), checked by _check_expanded_size before anything is built:
 # a number distribution (the sum of N + 1 over its support), a state file
-# (the sum of K (N + 1) over its sectors of K components), a scan sample's
-# padded stack (J K (max N + 1)) and a scan's ratio rows (max m (N + 1)).
+# or a scan sample (the sum of K (N + 1) over its sectors of K components)
+# and a scan's ratio rows (max m (N + 1)).
 MAX_EXPANDED_SIZE = 2**22
 
 _TWO_PI = 2.0 * math.pi

@@ -304,7 +304,7 @@ def _coherent_states(specs) -> list:
     poisson:20 block). Each row is, bit for bit, the one to_fock gives."""
     states = []
     for run in _stack_runs([(1, spec.params["n"] + 1) for spec in specs]):
-        params = [specs[j].params for j in run]
+        params = [spec.params for spec in specs[run]]
         numbers = [q["n"] for q in params]
         rows = _coherent_rows(numbers, [[q["z"]] for q in params], [[q["phi"]] for q in params])
         states += [FockVector(row[0, : n + 1]) for row, n in zip(rows, numbers)]

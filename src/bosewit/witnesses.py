@@ -39,10 +39,10 @@ from .fock import (
     _DEGENERATE_PRODUCT,
     _EMPTY_STATE_TOL,
     _MEAN_SPIN_GUARD,
+    _MEMO_N_MAX,
     _NORMALIZED_FLOOR,
     _SPECTRAL_CUTOFF,
     _UNIT_TOL,
-    DEFAULT_N_MAX,
     WITNESS_TOLERANCE,
     GeneratorSpec,
     NumberSectorMixture,
@@ -62,10 +62,10 @@ from .separable import (
 _LOG_DEGENERATE_PRODUCT = math.log(_DEGENERATE_PRODUCT)
 _TINY = float(np.finfo(float).tiny)
 
-# Complex amplitudes in one padded factor stack (1 MiB of rows). The F_Q
-# kernel takes longer stacks in slices of this size, a mixture's sectors
-# are stacked in runs of at most this size, and a scan chunk holds as many
-# samples as fit (never fewer than one sector or sample), so the stacked
+# Complex amplitudes in one padded factor stack (1 MiB of rows): the
+# sectors of a mixture or a scan chunk go in runs of at most this many
+# (_stack_runs; a wider sector is a run of its own), and a scan chunk holds
+# as many samples as their rows fit in it (at least one), so the stacked
 # temporaries stay within a fixed multiple of it.
 STACK_AMPLITUDES = 2**16
 
@@ -134,7 +134,7 @@ def _population_integrals(runs, orders, per_order: bool = False) -> tuple:
     the rows are streamed once, over the orders, however many runs there
     are; each run meets the rows of every order in one BLAS product per
     block of at most STACK_AMPLITUDES row entries, so no table of all
-    orders is held. One sector of N <= DEFAULT_N_MAX takes memoized rows
+    orders is held. One sector of N <= _MEMO_N_MAX takes memoized rows
     (_factorials.correlator_rows). A sum is within about 2k eps relative
     for row k.
 
@@ -160,7 +160,7 @@ def _population_integrals(runs, orders, per_order: bool = False) -> tuple:
     total = len(orders)
     widths = [weighted.shape[-1] for weighted, _ in runs]
     mirrors = [_mirror(width, numbers) for width, (_, numbers) in zip(widths, runs)]
-    if len(runs) == 1 and len(runs[0][1]) == 1 and n <= DEFAULT_N_MAX:
+    if len(runs) == 1 and len(runs[0][1]) == 1 and n <= _MEMO_N_MAX:
         rows = [correlator_rows(n, m) for m in orders]
         blocks = [[order_rows] for order_rows in rows] if per_order else [rows]
         sums = np.hstack([flats[0] @ np.concatenate(block).T for block in blocks])
@@ -326,11 +326,10 @@ def integrated_g2m_orders(state, orders) -> list:
     numbers = [sector.n_total for _, sector in sectors]
     runs = []
     for run in _stack_runs([(1, n + 1) for n in numbers]):
-        weighted = np.zeros((len(run), max(numbers[j] for j in run) + 1))
-        for row, j in zip(weighted, run):
-            weight, sector = sectors[j]
-            row[: numbers[j] + 1] = weight * sector.occupation_probabilities()
-        runs.append((weighted, numbers[run.start : run.stop]))
+        weighted = np.zeros((len(numbers[run]), max(numbers[run]) + 1))
+        for row, (weight, sector) in zip(weighted, sectors[run]):
+            row[: sector.n_total + 1] = weight * sector.occupation_probabilities()
+        runs.append((weighted, numbers[run]))
     all_sums, all_logs = _population_integrals(runs, orders, per_order=True)
     integrals = []
     for i, m in enumerate(orders):
@@ -517,18 +516,9 @@ def _qfi_forms(weights, rows, numbers) -> np.ndarray:
     tridiagonally to the support. Eigenvalues at or below the cutoff, among
     them those of zero-weight padding rows, are set to zero, and the pair
     weights of two such eigenvalues are masked, so they add nothing and no
-    0/0 arises. The cost is O(B W K min(W, K)); no dense W^2 matrix is
-    formed, and a stack of more than STACK_AMPLITUDES amplitudes is taken
-    in slices of at most that many (at least one sector each).
+    0/0 arises. The cost is O(B W K min(W, K)) with no dense W^2 matrix;
+    the stack, a run of _stack_runs or one sector, is taken whole.
     """
-    step = max(1, STACK_AMPLITUDES // (rows.shape[1] * rows.shape[2]))
-    if len(numbers) > step:
-        return np.concatenate(
-            [
-                _qfi_forms(weights[i : i + step], rows[i : i + step], numbers[i : i + step])
-                for i in range(0, len(numbers), step)
-            ]
-        )
     scaled = np.sqrt(weights)[..., None] * rows
     if rows.shape[1] == 1:
         # one row u = sqrt(w) v per sector: its one eigenpair is lam = |u|^2
@@ -568,15 +558,15 @@ def _qfi_forms(weights, rows, numbers) -> np.ndarray:
 def _stack_runs(shapes):
     """Split consecutive (depth, width) shapes into runs whose padded stack,
     length x largest depth x largest width, holds at most STACK_AMPLITUDES
-    entries, or a single shape; yield each run's index range."""
+    entries, or a single shape; yield each run as a slice of the shapes."""
     start, depth, width = 0, 0, 0
     for i, shape in enumerate(shapes):
         grown = (max(depth, shape[0]), max(width, shape[1]))
         if i > start and (i - start + 1) * grown[0] * grown[1] > STACK_AMPLITUDES:
-            yield range(start, i)
+            yield slice(start, i)
             start, grown = i, shape
         depth, width = grown
-    yield range(start, len(shapes))
+    yield slice(start, len(shapes))
 
 
 def _padded_stacks(sectors):
@@ -585,7 +575,7 @@ def _padded_stacks(sectors):
     stack, with zero-weight zero rows below its shallower sectors and zero
     columns past each N."""
     for run in _stack_runs([(sector.weights.size, sector.n_total + 1) for sector in sectors]):
-        group = [sectors[j] for j in run]
+        group = sectors[run]
         numbers = [sector.n_total for sector in group]
         weights = np.zeros((len(group), max(sector.weights.size for sector in group)))
         rows = np.zeros(weights.shape + (max(numbers) + 1,), dtype=np.complex128)
@@ -745,20 +735,20 @@ def classify(
 # --- ready-made maximizer objectives --------------------------------------------------
 
 
-def csi_objective(m: int = 1, n_max: int = DEFAULT_N_MAX):
+def csi_objective(m: int = 1):
     """Objective returning C_2m of the ensemble's exact density."""
 
     def objective(ensemble: SeparableEnsemble) -> float:
-        return csi_ratio(integrated_g2m(ensemble_to_state(ensemble, n_max), m))
+        return csi_ratio(integrated_g2m(ensemble_to_state(ensemble), m))
 
     return objective
 
 
-def qfi_objective(g: GeneratorSpec, n_max: int = DEFAULT_N_MAX):
+def qfi_objective(g: GeneratorSpec):
     """Objective returning F_Q[rho, J_n] of the ensemble's exact density."""
 
     def objective(ensemble: SeparableEnsemble) -> float:
-        return qfi(ensemble_to_state(ensemble, n_max), g)
+        return qfi(ensemble_to_state(ensemble), g)
 
     return objective
 

@@ -486,7 +486,7 @@ def test_scan_caps_exit_2(capsys, flag, value):
     [
         ("poisson:1e12", "poisson mean 1000000000000.0 reaches N = 1000020000060"),
         ("binomial:2000000,0.5", "binomial trials reaches N = 2000000"),
-        ("binomial:2000,0.5", "a sample of 2001 sectors x 4 components expands into 16016004 amplitudes"),
+        ("binomial:2000,0.5", "a sample of 2001 sectors x 4 components expands into 8012004 amplitudes"),
     ],
 )
 def test_scan_distribution_past_a_cap_exits_2(capsys, dist, message):

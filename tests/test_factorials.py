@@ -13,7 +13,7 @@ from bosewit._factorials import (
     ratio_row,
     ratio_rows,
 )
-from bosewit.fock import DEFAULT_N_MAX
+from bosewit.fock import _MEMO_N_MAX
 from bosewit.separable import CoherentSpinState, to_fock
 from bosewit.witnesses import integrated_g2m
 
@@ -138,7 +138,7 @@ def test_rows_are_read_only(n):
 
 
 def test_full_order_scan_rows_are_cache_hits_on_the_second_pass():
-    n = DEFAULT_N_MAX
+    n = _MEMO_N_MAX
     state = to_fock(CoherentSpinState(0.3, 0.2, n))
     orders = range(1, n // 2 + 1)
     for m in orders:
@@ -158,7 +158,7 @@ def test_full_order_scan_rows_are_cache_hits_on_the_second_pass():
 
 
 def test_rows_above_the_dense_cap_are_not_retained():
-    n = DEFAULT_N_MAX + 1
+    n = _MEMO_N_MAX + 1
     rows = _factorials._cached_ratio_row.cache_info()
     binomial = _factorials._cached_log_binomial_row.cache_info()
     ratio_row(n, 3)

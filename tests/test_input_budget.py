@@ -8,6 +8,7 @@ from bosewit import scan, separable, statespec
 from bosewit.cli import main
 from bosewit.separable import (
     CoherentSpinState,
+    NumberDistribution,
     SeparableEnsemble,
     ensemble_to_state,
 )
@@ -84,12 +85,12 @@ def test_state_files_past_the_budget_exit_2_at_the_offending_block(
     [
         (
             ["--fluctuating", "binomial:256,0.5", "--components", "1000"],
-            "a sample of 257 sectors x 1000 components expands into 66049000 amplitudes",
+            "a sample of 257 sectors x 1000 components expands into 33153000 amplitudes",
         ),
         (["--n", "2896"], "csi order m = 1448 at max N = 2896 expands into 4194856 amplitudes"),
         (["--n", "1000001", "--components", "1"], "n_total must be at most 1000000"),
     ],
-    ids=["padded-stack", "orders", "particles"],
+    ids=["sample-amplitudes", "orders", "particles"],
 )
 def test_scans_past_the_budget_exit_2_before_any_row(argv, message, capsys, no_rows):
     code, out, err = run_cli(capsys, "scan-separable", "--samples", "1", *argv)
@@ -103,11 +104,18 @@ def test_scan_budget_is_inclusive(no_rows):
         scan.run_scan(samples=1, seed=1, n_total=4095, csi_orders=(1024,))
     with pytest.raises(ValueError, match="expands into 4198400 amplitudes"):
         scan.run_scan(samples=1, seed=1, n_total=4095, csi_orders=(1025,))
-    # J K (max N + 1) = 1000 * 4194 fits, 1000 * 4195 does not
+    # K (N + 1) summed over the sectors, the rule of state files: one
+    # sector of 1000 * 4194 fits, 1000 * 4195 does not
     with pytest.raises(AssertionError, match="amplitude rows built"):
         scan.run_scan(samples=1, seed=1, n_total=4193, n_components=1000, csi_orders=(1,))
     with pytest.raises(ValueError, match="expands into 4195000 amplitudes"):
         scan.run_scan(samples=1, seed=1, n_total=4194, n_components=1000, csi_orders=(1,))
+    # and 4 components over the sectors 0..1446 of binomial:1446,0.5 take
+    # 4 * 1447 * 1448 / 2 = 4190512; those of binomial:1447,0.5 take 4196304
+    with pytest.raises(AssertionError, match="amplitude rows built"):
+        scan.run_scan(samples=1, seed=1, distribution=NumberDistribution.binomial(1446, 0.5))
+    with pytest.raises(ValueError, match="expands into 4196304 amplitudes"):
+        scan.run_scan(samples=1, seed=1, distribution=NumberDistribution.binomial(1447, 0.5))
 
 
 def test_mixture_file_past_256_builds_the_bits_of_ensemble_to_state(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """The chunked scan against the scan evaluated one sample at a time.
 
-run_scan puts every sample and sector of a chunk into one padded factor
-stack. These tests hold it to `oracles.scan_per_sample`, which builds each
-sample's density and calls the public witnesses on it, on scans that span
-at least three chunks with a short last one, and hold the padded QFI stack
-to the dense oracle sector by sector.
+run_scan takes the sectors of every sample of a chunk in runs of padded
+factor stacks (witnesses._stack_runs). These tests hold it to
+`oracles.scan_per_sample`, which builds each sample's density and calls
+the public witnesses on it, on scans that span at least three chunks with
+a short last one and on a sample that spans several runs, and hold the
+padded QFI stack to the dense oracle sector by sector.
 """
 
 import math
@@ -25,10 +26,10 @@ CASES = {
     "fixed-12": dict(samples=12, seed=12, n_total=12, n_components=1000),
     "fixed-40": dict(samples=8, seed=13, n_total=40, n_components=400),
     "poisson-6": dict(
-        samples=10, seed=14, distribution=NumberDistribution.poisson(6.0), n_components=20
+        samples=15, seed=14, distribution=NumberDistribution.poisson(6.0), n_components=20
     ),
     "binomial-10": dict(
-        samples=5, seed=15, distribution=NumberDistribution.binomial(10, 0.5),
+        samples=10, seed=15, distribution=NumberDistribution.binomial(10, 0.5),
         n_components=200, csi_orders=[1, 5, 6],
     ),
 }
@@ -39,7 +40,7 @@ def _chunk_size(case):
         numbers = [case["n_total"]]
     else:
         numbers = [n for n, _ in case["distribution"].weights()]
-    return max(1, STACK_AMPLITUDES // (len(numbers) * case["n_components"] * (max(numbers) + 1)))
+    return max(1, STACK_AMPLITUDES // (case["n_components"] * sum(n + 1 for n in numbers)))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -64,24 +65,49 @@ def test_chunked_scan_matches_the_per_sample_loop(name, monkeypatch):
     assert [len(mask) for mask in masks] == sizes
 
     expected = oracles.scan_per_sample(**case)
-    assert [b["name"] for b in report["bounds"]] == list(expected)
     for column, bound in enumerate(b for b in report["bounds"] if b["name"].startswith("csi")):
         skipped_at = np.concatenate(masks)[:, column]
         assert list(skipped_at) == [v is None for v in expected[bound["name"]]]
+    _assert_matches_the_oracle(report, expected)
+
+
+def _assert_matches_the_oracle(report, expected):
+    assert [b["name"] for b in report["bounds"]] == list(expected)
     for bound in report["bounds"]:
         tolerance = QFI_TOLERANCE if bound["name"] == "qfi" else WITNESS_TOLERANCE
         summary = oracles.bound_summary(
             expected[bound["name"]], bound["bound"], bound["direction"], tolerance
         )
-        assert bound["evaluations"] == summary["evaluations"], bound["name"]
-        assert bound["skipped"] == summary["skipped"], bound["name"]
-        assert bound["violations"] == summary["violations"], bound["name"]
+        for key in ("evaluations", "skipped", "violations"):
+            assert bound[key] == summary[key], (bound["name"], key)
         if summary["worst_index"] is None:
             assert bound["worst_value"] is None and bound["worst_sample"] is None
             continue
         assert bound["worst_sample"]["sample_index"] == summary["worst_index"], bound["name"]
         assert bound["worst_value"] == pytest.approx(summary["worst_value"], rel=1e-12), bound["name"]
 
+
+def test_a_sample_past_the_stack_budget_is_taken_in_runs(monkeypatch):
+    # 40 components over the 61 sectors of binomial:60,0.5 take 40 x 1891 =
+    # 75640 amplitudes, past STACK_AMPLITUDES: one sample per chunk, and its
+    # sectors in several runs, each within the budget or a single sector
+    case = dict(samples=3, seed=16, distribution=NumberDistribution.binomial(60, 0.5), n_components=40)
+    shapes = []
+
+    def recording(numbers, z, phi):
+        rows = _coherent_rows(numbers, z, phi)
+        shapes.append(rows.shape)
+        return rows
+
+    monkeypatch.setattr(scan, "_coherent_rows", recording)
+    report = run_scan(**case)
+    per_sample = len(shapes) // case["samples"]
+    assert per_sample >= 2 and len(shapes) == per_sample * case["samples"]
+    for shape in shapes:
+        assert shape[0] == 1
+        assert math.prod(shape) <= STACK_AMPLITUDES or shape[1] == 1
+    assert sum(shape[1] for shape in shapes[:per_sample]) == 61
+    _assert_matches_the_oracle(report, oracles.scan_per_sample(**case))
 
 def _sector(n, weights, seed):
     rng = np.random.default_rng(seed)
@@ -145,7 +171,7 @@ def test_a_mixture_is_stacked_in_runs_within_the_budget():
     np.testing.assert_allclose(qfi(mixture, directions), expected, rtol=1e-12)
 
 
-def test_a_stack_past_the_budget_is_taken_in_slices():
+def test_qfi_forms_of_a_stack_match_each_sector_alone():
     rng = np.random.default_rng(21)
     numbers = list(rng.integers(0, 60, size=40))
     sectors = [_sector(int(n), list(rng.dirichlet(np.ones(40))), i) for i, n in enumerate(numbers)]
