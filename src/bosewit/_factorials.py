@@ -69,7 +69,8 @@ def balanced_factorial_ratio(n: int, m: int) -> float:
 
     Evaluated as prod_{k=1..m} (n-m+k)/(n-2m+k): exact integers for
     m <= 2048 (correctly rounded quotient), float ratio product beyond
-    (relative error ~ 2m * eps).
+    (relative error ~ 2m * eps). A ratio past the float range is inf on
+    either path.
     """
     if m < 0:
         raise ValueError("order must be nonnegative")
@@ -80,7 +81,10 @@ def balanced_factorial_ratio(n: int, m: int) -> float:
     if m <= _EXACT_TERM_LIMIT:
         num = math.prod(range(n - m + 1, n + 1))
         den = math.prod(range(n - 2 * m + 1, n - m + 1))
-        return num / den
+        try:
+            return num / den
+        except OverflowError:
+            return math.inf
     value = 1.0
     for k in range(1, m + 1):
         value *= (n - m + k) / (n - 2 * m + k)
@@ -102,10 +106,7 @@ def order_scales(n: int, m: int) -> tuple:
     if 2 * m > n:
         return 0.0, -math.inf, 1.0, 0.0
     log_alpha = float(np.sum(np.log(np.arange(n - 2 * m + 1, n + 1, dtype=float))))
-    try:
-        kappa = balanced_factorial_ratio(n, m)
-    except OverflowError:  # an exact integer quotient past the float range
-        kappa = math.inf
+    kappa = balanced_factorial_ratio(n, m)
     if math.isinf(kappa):
         log_kappa = float(np.sum(np.log1p(m / np.arange(n - 2 * m + 1, n - m + 1, dtype=float))))
     else:

@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -28,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from ._version import __version__
-from .errors import NonFiniteWitnessValue, StateSpecError, WitnessError
+from .errors import StateSpecError, WitnessError
 from .fock import GeneratorSpec, NumberSectorMixture
 from .scan import run_scan
 from .separable import PRNG_NAME, NumberDistribution
@@ -225,13 +224,12 @@ def _cmd_fig1(args, argv) -> int:
     for n in sorted(n_list):
         for order in sorted(orders):
             m = order // 2
-            exact = twin_fock_csi_exact(n, m)
-            if args.include_approx:
-                approx = twin_fock_csi_approx(n, m)
-                rel_dev = abs(approx - exact) / exact
-            else:
-                approx = None
-                rel_dev = None
+            try:
+                exact = twin_fock_csi_exact(n, m)
+                approx = twin_fock_csi_approx(n, m) if args.include_approx else None
+            except WitnessError as exc:
+                return _fail(f"the pair (N = {n}, 2m = {order}): {exc}")
+            rel_dev = None if approx is None else abs(approx - exact) / exact
             rows.append(
                 {
                     "n": n,
@@ -369,15 +367,11 @@ def _evaluate_witnesses(state, n_reference: float, requests) -> tuple:
                 value = spin_squeezing(state)
             else:
                 value = float(qfi_values[param.key()])
-            if not math.isfinite(value):
-                raise NonFiniteWitnessValue(
-                    f"{key} evaluated to {value!r}, which no bound can judge"
-                )
+            bound, flag = witness_verdict(kind, value, n_reference)
         except WitnessError as exc:
             had_error = True
             entries[key] = {"error": type(exc).__name__, "message": str(exc)}
             continue
-        bound, flag = witness_verdict(kind, value, n_reference)
         entries[key] = {"value": value, "bound": bound, "flag": flag}
         if flag:
             flagged.add(kind)

@@ -14,7 +14,7 @@ class EigendecompositionFailure(BosewitError):
 
 
 class SectorTooLarge(BosewitError):
-    """A sector passes the dense-sector cap n_max of ensemble_to_state."""
+    """A sector passes the dense-sector cap of ensemble_to_state (256 particles)."""
 
 
 class WitnessError(BosewitError):

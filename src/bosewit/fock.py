@@ -217,6 +217,25 @@ def _check_factors(weights: np.ndarray, vectors: np.ndarray) -> None:
         raise ValueError(f"density trace is {float(traces[bad].flat[0])!r}, expected 1")
 
 
+def _check_weights(weights, what: str, tol: float = _WEIGHT_SUM_TOL) -> np.ndarray:
+    """The contract of probability weights, over the last axis of an array:
+    at least one, each finite and nonnegative, and each set summing to 1
+    within `tol` (_WEIGHT_SUM_TOL; _INPUT_WEIGHT_SUM_TOL for weights read
+    from input). Returns the weights as a float array; raises ValueError
+    naming `what` and the first failure."""
+    w = np.asarray(weights, dtype=float)
+    if w.size == 0:
+        raise ValueError(f"need at least one {what} weight")
+    bad = ~(np.isfinite(w) & (w >= 0.0))
+    if bad.any():
+        raise ValueError(f"{what} weight {float(w[bad][0])!r} must be finite and nonnegative")
+    sums = np.sum(w, axis=-1)
+    off = np.abs(sums - 1.0) > tol
+    if off.any():
+        raise ValueError(f"{what} weights sum to {float(sums[off].flat[0])!r}, expected 1")
+    return w
+
+
 def _factor_populations(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Occupation probabilities sum_i weights[i] |vectors[i, k]|^2 of factored
     sectors: (K,) weights and (K, W) rows give (W,), a (..., K) and
@@ -237,25 +256,16 @@ class NumberSectorMixture:
     sectors: tuple
 
     def __post_init__(self):
-        entries = []
-        for item in self.sectors:
-            weight, sector = item
-            w = float(weight)
+        entries = tuple(self.sectors)
+        for _, sector in entries:
             if not isinstance(sector, SectorDensity):
                 raise TypeError("mixture entries must be (weight, SectorDensity)")
-            if not math.isfinite(w) or w < 0.0:
-                raise ValueError(f"sector weight {w!r} must be nonnegative")
-            entries.append((w, sector))
-        if not entries:
-            raise ValueError("mixture needs at least one sector")
-        entries.sort(key=lambda e: e[1].n_total)
+        entries = sorted(entries, key=lambda e: e[1].n_total)
         numbers = [s.n_total for _, s in entries]
         if len(set(numbers)) != len(numbers):
             raise ValueError("duplicate particle-number sector in mixture")
-        total = sum(w for w, _ in entries)
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"sector weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "sectors", tuple(entries))
+        weights = _check_weights([w for w, _ in entries], "sector").tolist()
+        object.__setattr__(self, "sectors", tuple(zip(weights, (s for _, s in entries))))
 
     @property
     def mean_n(self) -> float:
@@ -284,11 +294,7 @@ class GeneratorSpec:
     direction: np.ndarray
 
     def __post_init__(self):
-        vec = np.array(self.direction, dtype=float, copy=True)
-        if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-            raise ValueError("direction must be a finite 3-vector")
-        if abs(float(np.linalg.norm(vec)) - 1.0) > _UNIT_TOL:
-            raise ValueError("direction must have unit norm")
+        vec = _unit_directions(self.direction, 1)
         vec.setflags(write=False)
         object.__setattr__(self, "direction", vec)
 
@@ -316,6 +322,20 @@ class GeneratorSpec:
     def key(self) -> tuple[float, float, float]:
         """Hashable identity used when reporting per-generator results."""
         return (float(self.direction[0]), float(self.direction[1]), float(self.direction[2]))
+
+
+def _unit_directions(values, ndim: int) -> np.ndarray:
+    """The contract of generator directions: a float copy of `values` with
+    `ndim` axes (1 for one direction, 2 for a (k, 3) stack), the last
+    holding finite 3-vectors of unit norm within 1e-12. Raises ValueError."""
+    vec = np.array(values, dtype=float)
+    # a NaN or an infinity makes its norm fail the comparison
+    if vec.ndim != ndim or vec.shape[-1] != 3 or not all(
+        abs(math.hypot(*row) - 1.0) <= _UNIT_TOL for row in vec.reshape(-1, 3).tolist()
+    ):
+        shape = "(3,)" if ndim == 1 else "(k, 3)"
+        raise ValueError(f"directions must be finite unit 3-vectors in a {shape} array")
+    return vec
 
 
 # --- ladder actions ---------------------------------------------------------

@@ -33,9 +33,10 @@ from .fock import (
     _INPUT_WEIGHT_SUM_TOL,
     _POSITIVITY_TOL,
     _STATE_NORM_TOL,
+    _check_weights,
     normally_ordered_moment,
 )
-from .witnesses import CorrelationIntegrals
+from .witnesses import CorrelationIntegrals, _check_order
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +225,7 @@ def integrated_gm_separable(
     (not an error) because the bound itself survives. Orders with
     2m > n_total raise OrderTooHigh.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError("correlation order m must be a positive integer")
+    m = _check_order(m)
     if n_total < 0:
         raise ValueError("particle number must be nonnegative")
     if 2 * m > n_total:
@@ -236,23 +236,17 @@ def integrated_gm_separable(
             RuntimeWarning,
             stacklevel=2,
         )
-    pairs = [(float(w), s) for w, s in ensemble]
-    if not pairs:
-        raise ValueError("ensemble needs at least one component")
-    if any(w < 0.0 for w, _ in pairs):
-        raise ValueError("ensemble weights must be nonnegative")
-    total_weight = sum(w for w, _ in pairs)
-    if abs(total_weight - 1.0) > _INPUT_WEIGHT_SUM_TOL:
-        raise ValueError(f"ensemble weights sum to {total_weight!r}, expected 1")
-    alpha = falling_factorial(int(n_total), 2 * int(m))
+    pairs = tuple(ensemble)
+    weights = _check_weights([w for w, _ in pairs], "ensemble", _INPUT_WEIGHT_SUM_TOL).tolist()
+    alpha = falling_factorial(int(n_total), 2 * m)
     g_aa = g_bb = g_ab = 0.0
-    for weight, state in pairs:
+    for weight, (_, state) in zip(weights, pairs):
         fa = region_response(povm, region_a, state)
         fb = region_response(povm, region_b, state)
         g_aa += weight * fa ** (2 * m)
         g_bb += weight * fb ** (2 * m)
         g_ab += weight * fa**m * fb**m
-    return CorrelationIntegrals(int(m), alpha * g_aa, alpha * g_bb, alpha * g_ab, alpha)
+    return CorrelationIntegrals(m, alpha * g_aa, alpha * g_bb, alpha * g_ab, alpha)
 
 
 def second_quantized_g2(state, povm: PovmSet, label_1: str, label_2: str) -> float:

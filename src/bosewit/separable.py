@@ -21,11 +21,11 @@ from ._factorials import log_binomial_rows
 from .errors import SectorTooLarge, WitnessError
 from .fock import (
     _POISSON_MASS,
-    _WEIGHT_SUM_TOL,
     DEFAULT_N_MAX,
     FockVector,
     NumberSectorMixture,
     SectorDensity,
+    _check_weights,
 )
 
 # Name of the bit generator behind numpy.random.default_rng, recorded in
@@ -79,25 +79,16 @@ class SeparableEnsemble:
 
     def __post_init__(self):
         object.__setattr__(self, "n_total", int(self.n_total))
-        comps = []
-        for item in self.components:
-            weight, state = item
-            w = float(weight)
+        comps = tuple(self.components)
+        for _, state in comps:
             if not isinstance(state, CoherentSpinState):
                 raise TypeError("components must be (weight, CoherentSpinState)")
-            if not math.isfinite(w) or w < 0.0:
-                raise ValueError(f"component weight {w!r} must be nonnegative")
             if state.n_total != self.n_total:
                 raise ValueError(
                     f"component particle number {state.n_total} != ensemble {self.n_total}"
                 )
-            comps.append((w, state))
-        if not comps:
-            raise ValueError("ensemble needs at least one component")
-        total = sum(w for w, _ in comps)
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"component weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "components", tuple(comps))
+        weights = _check_weights([w for w, _ in comps], "component").tolist()
+        object.__setattr__(self, "components", tuple(zip(weights, (s for _, s in comps))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,25 +99,13 @@ class FluctuatingEnsemble:
     per_sector: Mapping[int, SeparableEnsemble]
 
     def __post_init__(self):
-        weights = []
-        for item in self.number_weights:
-            n, p = item
-            n = int(n)
-            p = float(p)
-            if n < 0:
-                raise ValueError("particle numbers must be nonnegative")
-            if not math.isfinite(p) or p < 0.0:
-                raise ValueError(f"number weight {p!r} must be nonnegative")
-            weights.append((n, p))
-        if not weights:
-            raise ValueError("need at least one particle-number sector")
-        weights.sort()
-        numbers = [n for n, _ in weights]
+        pairs = tuple(self.number_weights)
+        numbers = [int(n) for n, _ in pairs]
+        if any(n < 0 for n in numbers):
+            raise ValueError("particle numbers must be nonnegative")
         if len(set(numbers)) != len(numbers):
             raise ValueError("duplicate particle number in distribution")
-        total = sum(p for _, p in weights)
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"number weights sum to {total!r}, expected 1")
+        weights = sorted(zip(numbers, _check_weights([p for _, p in pairs], "number").tolist()))
         sectors = dict(self.per_sector)
         if set(sectors) != set(numbers):
             raise ValueError("per-sector ensembles must cover exactly the weighted numbers")
@@ -351,37 +330,32 @@ def to_fock(state: CoherentSpinState) -> FockVector:
     return FockVector(_coherent_rows(state.n_total, [state.z], [state.phi])[0])
 
 
-def _check_sector_cap(n: int, n_max: int) -> None:
-    """Raise SectorTooLarge for a sector of more than n_max particles: the
-    cap of ensemble_to_state, whose callers may densify what it builds."""
-    if n > n_max:
-        raise SectorTooLarge(f"sector N={n} exceeds the dense-matrix cap n_max={n_max}")
-
-
-def ensemble_to_state(ensemble, n_max: int = DEFAULT_N_MAX):
+def ensemble_to_state(ensemble):
     """Exact density of an ensemble: SectorDensity, or NumberSectorMixture
     for a fluctuating particle number.
 
     Each sector is held as its K component weights and coherent amplitude
-    rows, so building it costs O(K N). Sectors above ``n_max`` are refused
-    with SectorTooLarge, since callers may densify the result (``.matrix``,
-    an eigensolve); state files and scans are bounded by MAX_EXPANDED_SIZE.
+    rows, so building it costs O(K N). Before any is built, a sector above
+    DEFAULT_N_MAX = 256 particles is refused with SectorTooLarge, since
+    callers may densify the result (``.matrix``, an eigensolve); state files
+    and scans are bounded by MAX_EXPANDED_SIZE instead.
     """
-    if isinstance(ensemble, SeparableEnsemble):
-        n = ensemble.n_total
-        _check_sector_cap(n, n_max)
-        weights, z, phi = np.array(
-            [(w, comp.z, comp.phi) for w, comp in ensemble.components]
-        ).T
-        return SectorDensity.from_factors(weights, _coherent_rows(n, z, phi))
     if isinstance(ensemble, FluctuatingEnsemble):
-        _check_sector_cap(max(n for n, _ in ensemble.number_weights), n_max)
-        sectors = tuple(
-            (p, ensemble_to_state(ensemble.per_sector[n], n_max))
-            for n, p in ensemble.number_weights
-        )
-        return NumberSectorMixture(sectors)
-    raise TypeError(f"unsupported ensemble type {type(ensemble).__name__}")
+        parts = [ensemble.per_sector[n] for n, _ in ensemble.number_weights]
+    elif isinstance(ensemble, SeparableEnsemble):
+        parts = [ensemble]
+    else:
+        raise TypeError(f"unsupported ensemble type {type(ensemble).__name__}")
+    top = max(part.n_total for part in parts)
+    if top > DEFAULT_N_MAX:
+        raise SectorTooLarge(f"sector N={top} exceeds the dense-matrix cap n_max={DEFAULT_N_MAX}")
+    densities = []
+    for part in parts:
+        weights, z, phi = np.array([(w, comp.z, comp.phi) for w, comp in part.components]).T
+        densities.append(SectorDensity.from_factors(weights, _coherent_rows(part.n_total, z, phi)))
+    if isinstance(ensemble, SeparableEnsemble):
+        return densities[0]
+    return NumberSectorMixture(tuple(zip((p for _, p in ensemble.number_weights), densities)))
 
 
 # --- seeded sampling ----------------------------------------------------------
@@ -402,10 +376,9 @@ def _draw_components(rng: np.random.Generator, n_components: int) -> tuple:
 def _check_draws(weights, z, phi) -> None:
     """The checks of CoherentSpinState and SeparableEnsemble on (..., K)
     arrays of drawn components (a NaN fails every comparison)."""
-    in_range = ((z >= 0.0) & (z <= 1.0)).all() and (np.abs(phi) <= math.pi).all()
-    sums = np.sum(weights, axis=-1)
-    if not (in_range and (weights >= 0.0).all() and (np.abs(sums - 1.0) <= _WEIGHT_SUM_TOL).all()):
-        raise ValueError("drawn components leave z in [0, 1], phi in [-pi, pi] or the simplex")
+    if not (((z >= 0.0) & (z <= 1.0)).all() and (np.abs(phi) <= math.pi).all()):
+        raise ValueError("drawn components leave z in [0, 1] or phi in [-pi, pi]")
+    _check_weights(weights, "drawn components'")
 
 
 def _sample_components(rng: np.random.Generator, n_total: int, n_components: int) -> SeparableEnsemble:

@@ -32,6 +32,7 @@ from .errors import (
     DegenerateLocalCorrelation,
     EigendecompositionFailure,
     EmptyState,
+    NonFiniteWitnessValue,
     OrderTooHigh,
     ZeroMeanSpinDirection,
 )
@@ -42,13 +43,13 @@ from .fock import (
     _MEMO_N_MAX,
     _NORMALIZED_FLOOR,
     _SPECTRAL_CUTOFF,
-    _UNIT_TOL,
     WITNESS_TOLERANCE,
     GeneratorSpec,
-    NumberSectorMixture,
     _axis_actions,
+    _factor_populations,
     _generator_first_two,
     _sectors,
+    _unit_directions,
     normally_ordered_moment,
 )
 from .separable import (
@@ -108,6 +109,24 @@ class WitnessReport:
             or self.entangled_by_qfi
             or self.entangled_by_spin_squeezing
         )
+
+
+def _check_order(m) -> int:
+    """The contract of a correlation order: m as an int, or ValueError
+    unless it is a positive integer."""
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError("correlation order m must be a positive integer")
+    return int(m)
+
+
+def _judgeable(values, what: str):
+    """`values` unchanged when all are finite, else NonFiniteWitnessValue
+    naming `what` and the first NaN or infinity: no bound can judge it. Each
+    public witness returns its value through here; witness_verdict too."""
+    for value in values.ravel().tolist() if isinstance(values, np.ndarray) else (float(values),):
+        if not math.isfinite(value):
+            raise NonFiniteWitnessValue(f"{what} evaluated to {value!r}, which no bound can judge")
+    return values
 
 
 # --- integrated correlators -----------------------------------------------------
@@ -239,9 +258,7 @@ def _kind_row(head, mirror, count: int, kind: int, pair):
 def _mirror(width: int, numbers):
     """Index of the mode-b occupation n_j - l of column l in each sector
     j of a run `width` columns wide; a column past n_j holds no population
-    and keeps its own index. One full-width sector is a reversal."""
-    if len(numbers) == 1 and numbers[0] == width - 1:
-        return slice(None, None, -1)
+    and keeps its own index."""
     columns, sizes = np.arange(width), np.array(numbers)[:, None]
     return np.where(columns <= sizes, sizes - columns, columns)
 
@@ -318,18 +335,14 @@ def integrated_g2m_orders(state, orders) -> list:
     pass over the populations and the ratio rows: each row is streamed
     once for all the orders, where one call per order streams every row
     from k = 0 again."""
-    for m in orders:
-        if not isinstance(m, (int, np.integer)) or m < 1:
-            raise ValueError("correlation order m must be a positive integer")
-    orders = [int(m) for m in orders]
+    orders = [_check_order(m) for m in orders]
     sectors = _sectors(state)
     numbers = [sector.n_total for _, sector in sectors]
-    runs = []
-    for run in _stack_runs([(1, n + 1) for n in numbers]):
-        weighted = np.zeros((len(numbers[run]), max(numbers[run]) + 1))
-        for row, (weight, sector) in zip(weighted, sectors[run]):
-            row[: sector.n_total + 1] = weight * sector.occupation_probabilities()
-        runs.append((weighted, numbers[run]))
+    number_weights = np.array([weight for weight, _ in sectors])
+    runs = [
+        (_factor_populations(weights, rows) * number_weights[run, None], run_numbers)
+        for run, weights, rows, run_numbers in _padded_stacks([sector for _, sector in sectors])
+    ]
     all_sums, all_logs = _population_integrals(runs, orders, per_order=True)
     integrals = []
     for i, m in enumerate(orders):
@@ -389,7 +402,8 @@ def csi_ratio(integrals: CorrelationIntegrals) -> float:
 
     Separable states satisfy C_2m <= 1; any excess beyond numerical noise
     witnesses particle entanglement. Raises DegenerateLocalCorrelation
-    when both local correlators vanish and the ratio is 0/0. Integrals from
+    when both local correlators vanish and the ratio is 0/0, and
+    NonFiniteWitnessValue when it is NaN or infinite. Integrals from
     integrated_g2m give the ratio from their normalized sums, so it is
     finite wherever the true C_2m is; integrals built from values give
     G_ab / sqrt(G_aa G_bb) (see _csi_ratios).
@@ -404,7 +418,7 @@ def csi_ratio(integrals: CorrelationIntegrals) -> float:
             f"local correlators G_aa*G_bb = {integrals.g_aa * integrals.g_bb!r} too small "
             f"for a ratio at order 2m = {2 * integrals.order_m}"
         )
-    return float(ratio)
+    return _judgeable(float(ratio), f"csi:{integrals.order_m}")
 
 
 def twin_fock_csi_exact(n_total: int, m: int) -> float:
@@ -413,31 +427,38 @@ def twin_fock_csi_exact(n_total: int, m: int) -> float:
     With n = N/2: C_2m = n! (n-2m)! / ((n-m)!)^2, exceeding 1 for every
     feasible order. Exact to 1 ulp wherever the integer path applies
     (m <= 2048, any N). Orders with 2m > N/2 annihilate the cross
-    correlator's constituents and raise OrderTooHigh.
+    correlator's constituents and raise OrderTooHigh; a ratio past the
+    float range (N = 4000 at m = 1000, C(2000, 1000) ~ 2e600) raises
+    NonFiniteWitnessValue.
     """
     if n_total <= 0 or n_total % 2:
         raise ValueError("twin-Fock state needs a positive even particle number")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError("correlation order m must be a positive integer")
+    m = _check_order(m)
     if 2 * m > n_total // 2:
         raise OrderTooHigh(
             f"order 2m = {2 * m} exceeds N/2 = {n_total // 2} for the twin-Fock ratio"
         )
-    return balanced_factorial_ratio(n_total // 2, int(m))
+    value = balanced_factorial_ratio(n_total // 2, m)
+    return _judgeable(value, f"twin-Fock C_{2 * m} at N = {n_total}")
 
 
 def twin_fock_csi_approx(n_total: int, m: int) -> float:
     """Large-N approximation exp(eps^2 N / 2) with eps = 2m/N.
 
     Accurate to a few percent up to eps ~ 0.1 and to 0.1% for
-    eps <= 0.02; the m -> 0 limit is exactly 1.
+    eps <= 0.02; the m -> 0 limit is exactly 1. A value past the float
+    range raises NonFiniteWitnessValue.
     """
     if n_total < 2:
         raise ValueError("need at least two particles")
     if m < 0:
         raise ValueError("correlation order must be nonnegative")
     eps = 2.0 * m / n_total
-    return math.exp(eps * eps * n_total / 2.0)
+    try:
+        value = math.exp(eps * eps * n_total / 2.0)
+    except OverflowError:
+        value = math.inf
+    return _judgeable(value, f"exp(eps^2 N / 2) at N = {n_total}, 2m = {2 * m}")
 
 
 # --- number squeezing ------------------------------------------------------------
@@ -458,7 +479,7 @@ def number_squeezing_direct(state) -> float:
     if n_tot <= _EMPTY_STATE_TOL:
         raise EmptyState(f"total particle number {n_tot!r} is too small")
     second = gaa + na + gbb + nb - 2.0 * gab
-    return (second - (na - nb) ** 2) / n_tot
+    return _judgeable((second - (na - nb) ** 2) / n_tot, "eta2")
 
 
 def number_squeezing_from_g2(
@@ -472,7 +493,8 @@ def number_squeezing_from_g2(
         raise ValueError("number squeezing needs the order m = 1 integrals")
     if n_tot <= _EMPTY_STATE_TOL:
         raise EmptyState(f"total particle number {n_tot!r} is too small")
-    return 1.0 + (integrals.g_aa + integrals.g_bb - 2.0 * integrals.g_ab - n_mean_diff**2) / n_tot
+    value = 1.0 + (integrals.g_aa + integrals.g_bb - 2.0 * integrals.g_ab - n_mean_diff**2) / n_tot
+    return _judgeable(value, "eta2")
 
 
 def number_squeezing_symmetric(c2: float, g_aa: float, n_tot: float) -> float:
@@ -489,7 +511,7 @@ def number_squeezing_symmetric(c2: float, g_aa: float, n_tot: float) -> float:
     """
     if n_tot <= _EMPTY_STATE_TOL:
         raise EmptyState(f"total particle number {n_tot!r} is too small")
-    return 1.0 + 2.0 * (1.0 - c2) * g_aa / n_tot
+    return _judgeable(1.0 + 2.0 * (1.0 - c2) * g_aa / n_tot, "eta2")
 
 
 # --- quantum Fisher information ---------------------------------------------------
@@ -570,19 +592,23 @@ def _stack_runs(shapes):
 
 
 def _padded_stacks(sectors):
-    """Yield (weights (B, K), rows (B, K, W), numbers) for runs of
-    consecutive sector densities (_stack_runs): each run is one padded
-    stack, with zero-weight zero rows below its shallower sectors and zero
-    columns past each N."""
+    """Yield (run, weights (B, K), rows (B, K, W), numbers) for runs of
+    consecutive sector densities (_stack_runs; `run` slices the sectors):
+    each run is one padded stack, with zero-weight zero rows below its
+    shallower sectors and zero columns past each N. A run of one sector is
+    a read-only view of its own factors, with no copy."""
     for run in _stack_runs([(sector.weights.size, sector.n_total + 1) for sector in sectors]):
         group = sectors[run]
         numbers = [sector.n_total for sector in group]
+        if len(group) == 1:
+            yield run, group[0].weights[None], group[0].vectors[None], numbers
+            continue
         weights = np.zeros((len(group), max(sector.weights.size for sector in group)))
         rows = np.zeros(weights.shape + (max(numbers) + 1,), dtype=np.complex128)
         for b, sector in enumerate(group):
             weights[b, : sector.weights.size] = sector.weights
             rows[b, : sector.weights.size, : sector.n_total + 1] = sector.vectors
-        yield weights, rows, numbers
+        yield run, weights, rows, numbers
 
 
 def qfi(state, g):
@@ -601,34 +627,26 @@ def qfi(state, g):
     entanglement.
 
     `g` is one GeneratorSpec, which returns a float, or a (k, 3) stack of
-    unit directions, which returns the k values as an array. A stack
-    factorizes each sector once for all its directions, and each value
-    equals the one its direction gives alone.
+    unit directions (checked as GeneratorSpec checks its one), which returns
+    the k values as an array. A stack factorizes each sector once for all
+    its directions, and each value equals the one its direction gives
+    alone. A NaN or infinite value raises NonFiniteWitnessValue.
     """
     single = isinstance(g, GeneratorSpec)
-    if single:
-        rows = [g.direction.tolist()]
-    else:
-        directions = np.asarray(g, dtype=float)
-        rows = directions.tolist()
-        if directions.ndim != 2 or directions.shape[1] != 3 or not all(
-            abs(math.hypot(*row) - 1.0) <= _UNIT_TOL for row in rows
-        ):
-            raise ValueError("directions must be a GeneratorSpec or a (k, 3) stack of unit vectors")
+    directions = g.direction[None] if single else _unit_directions(g, 2)
     sectors = [(weight, sector) for weight, sector in _sectors(state) if weight > 0.0]
     stacks = _padded_stacks([sector for _, sector in sectors])
-    forms = np.concatenate([_qfi_forms(*stack) for stack in stacks])
+    forms = np.concatenate([_qfi_forms(*stack) for _, *stack in stacks])
     number_weights = np.array([weight for weight, _ in sectors])
     form = (number_weights @ forms.reshape(len(sectors), 9)).reshape(3, 3)
-    directions = np.array(rows)
-    values = np.einsum("ka,ab,kb->k", directions, form, directions)
+    values = _judgeable(np.einsum("ka,ab,kb->k", directions, form, directions), "qfi")
     return float(values[0]) if single else values
 
 
 # --- spin squeezing ----------------------------------------------------------------
 
 
-def spin_squeezing(state, fluctuating: bool | None = None) -> float:
+def spin_squeezing(state) -> float:
     """xi^2 = n_ref Var(J_z) / (<J_x>^2 + <J_y>^2); separable states give
     xi^2 >= 1, and xi^2 < 1 witnesses entanglement useful for phase
     estimation.
@@ -636,35 +654,28 @@ def spin_squeezing(state, fluctuating: bool | None = None) -> float:
     Accepts exact states (SectorDensity, a pure FockVector among them, and
     NumberSectorMixture) and parameterized ensembles (SeparableEnsemble,
     FluctuatingEnsemble; evaluated from the closed-form moments). n_ref is
-    the total particle number, or its mean when the number fluctuates. The ``fluctuating``
-    flag is inferred from the input type; passing it explicitly merely
-    asserts the expectation and raises ValueError on a mismatch.
+    the total particle number, or its mean when the number fluctuates, as
+    the input type says.
 
     Raises ZeroMeanSpinDirection when the mean spin has no transverse
-    component to reference the variance against.
+    component to reference the variance against, and NonFiniteWitnessValue
+    when xi^2 is NaN or infinite.
     """
     if isinstance(state, (SeparableEnsemble, FluctuatingEnsemble)):
-        inferred = isinstance(state, FluctuatingEnsemble)
-        n_ref = state.mean_n if inferred else float(state.n_total)
+        n_ref = state.mean_n if isinstance(state, FluctuatingEnsemble) else float(state.n_total)
         jx, jy, var_z = analytic_spin_moments(state)
     else:
         # any other type than an exact state raises TypeError here
         (jx, jy, jz), (_, _, second_z) = _generator_first_two(state, np.eye(3))
         var_z = second_z - jz * jz
-        inferred = isinstance(state, NumberSectorMixture)
         n_ref = state.mean_n
-    if fluctuating is not None and bool(fluctuating) != inferred:
-        raise ValueError(
-            f"fluctuating={fluctuating} contradicts the input type "
-            f"{type(state).__name__}"
-        )
     value, zero = _squeezing(n_ref, jx, jy, var_z)
     if zero:
         raise ZeroMeanSpinDirection(
             f"mean transverse spin squared {jx * jx + jy * jy!r} is negligible against "
             f"n_ref = {n_ref!r}"
         )
-    return float(value)
+    return _judgeable(float(value), "xi2")
 
 
 def _squeezing(n_ref: float, jx, jy, var_z) -> tuple:
@@ -686,8 +697,10 @@ def witness_verdict(kind: str, value: float, n_reference: float) -> tuple:
     C_2m <= 1 and F_Q <= n_reference flag a value above the bound, xi^2 >= 1
     one below it, each beyond WITNESS_TOLERANCE. Number squeezing eta^2 has
     no bound of its own (sub-shot-noise fluctuations alone do not certify
-    entanglement) and gives (None, None).
+    entanglement) and gives (None, None). A NaN or infinite value, of any
+    kind, raises NonFiniteWitnessValue: no bound can judge it.
     """
+    _judgeable(value, kind)
     if kind == "csi":
         return 1.0, value > 1.0 + WITNESS_TOLERANCE
     if kind == "qfi":
@@ -710,7 +723,8 @@ def classify(
 
     Flags: any C_2m > 1, any F_Q > n_reference, or xi^2 < 1, each beyond
     the 1e-9 margin; eta^2 is reported but never flags. At least one
-    witness value must be supplied.
+    witness value must be supplied, and every one is judged, so a NaN or
+    infinite value raises NonFiniteWitnessValue.
     """
     if csi_by_order is None and eta2 is None and xi2 is None and qfi_by_generator is None:
         raise ValueError("at least one computed witness is required")
@@ -718,8 +732,10 @@ def classify(
     qfi_values = dict(qfi_by_generator or {})
 
     def flags(kind, values):
-        return any(witness_verdict(kind, v, n_reference)[1] for v in values)
+        # a list, not a generator: any() would stop before judging the rest
+        return any([witness_verdict(kind, v, n_reference)[1] for v in values])
 
+    flags("eta2", [] if eta2 is None else [eta2])  # judged, though it never flags
     return WitnessReport(
         n_reference=float(n_reference),
         csi_by_order=csi,

@@ -63,6 +63,17 @@ def test_fig1_rejects_bad_pairs(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n, order", [(4000, 2000), (40000, 10000)])
+def test_fig1_pair_past_the_float_range_exits_2(capsys, n, order):
+    # 4000/2000: the exact integer quotient C(2000, 1000) ~ 2e600 overflows;
+    # 40000/10000: the float product is inf and exp(1250) overflows
+    for extra in ([], ["--format", "json"], ["--no-include-approx"]):
+        code, out, err = run_cli(capsys, "fig1", "--n", str(n), "--orders", f"2,{order}", *extra)
+        assert code == 2
+        assert out == ""
+        assert f"the pair (N = {n}, 2m = {order})" in err and "no bound can judge" in err
+
+
 def test_fig1_without_approximation(capsys):
     code, out, _ = run_cli(
         capsys, "fig1", "--n", "20", "--orders", "2,4", "--no-include-approx", "--timestamp", TS

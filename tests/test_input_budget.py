@@ -2,16 +2,12 @@
 the input and checked before any amplitude row is built, bounds every
 state file and every scan."""
 
+import numpy as np
 import pytest
 
 from bosewit import scan, separable, statespec
 from bosewit.cli import main
-from bosewit.separable import (
-    CoherentSpinState,
-    NumberDistribution,
-    SeparableEnsemble,
-    ensemble_to_state,
-)
+from bosewit.separable import CoherentSpinState, NumberDistribution, to_fock
 from bosewit.statespec import parse_state_text
 
 TS = "2026-01-01T00:00:00+00:00"
@@ -125,12 +121,12 @@ def test_mixture_file_past_256_builds_the_bits_of_ensemble_to_state(tmp_path, ca
         "component:\n    weight = 0.75\n    z = 0.7\n    phi = 1.0\n"
     )
     state = parse_state_text(text).build()
-    ensemble = SeparableEnsemble(
-        300, ((0.25, CoherentSpinState(0.2, 0.0, 300)), (0.75, CoherentSpinState(0.7, 1.0, 300)))
-    )
-    expected = ensemble_to_state(ensemble, n_max=300)
-    assert state.weights.tobytes() == expected.weights.tobytes()
-    assert state.vectors.tobytes() == expected.vectors.tobytes()
+    # ensemble_to_state refuses N = 300, but builds each sector's rows as
+    # to_fock builds each component's
+    components = (CoherentSpinState(0.2, 0.0, 300), CoherentSpinState(0.7, 1.0, 300))
+    expected = np.array([to_fock(component).amplitudes for component in components])
+    assert state.weights.tobytes() == np.array([0.25, 0.75]).tobytes()
+    assert state.vectors.tobytes() == expected.tobytes()
     path = tmp_path / "mixture300.state"
     path.write_text(text)
     code, out, _ = run_cli(capsys, "witness", "--state", str(path), "--timestamp", TS)

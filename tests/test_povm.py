@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,22 @@ def test_weight_validation_in_separable_integrals():
         integrated_gm_separable(
             projective_two_mode(),
             [(0.7, state)],
+            6,
+            1,
+            OutcomeRegion.of("a"),
+            OutcomeRegion.of("b"),
+        )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_separable_integrals_refuse_non_finite_weights(bad):
+    # a NaN weight passes every comparison of a hand-written check and would
+    # come back as NaN correlators
+    state = SingleParticleState.two_mode(0.4, 0.0)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        integrated_gm_separable(
+            projective_two_mode(),
+            [(1.0, state), (bad, state)],
             6,
             1,
             OutcomeRegion.of("a"),

@@ -123,8 +123,8 @@ def test_padded_stack_matches_the_dense_oracle_per_sector():
         _sector(2, [0.5, 0.0, 0.0, 0.5], 3),
         _sector(59, [0.25, 0.0, 0.75], 4),
     ]
-    (stack,) = witnesses._padded_stacks(sectors)
-    weights, rows, numbers = stack
+    ((run, weights, rows, numbers),) = witnesses._padded_stacks(sectors)
+    assert run == slice(0, 4)
     assert weights.shape == (4, 4) and rows.shape == (4, 4, 60) and list(numbers) == [0, 1, 2, 59]
     for b, sector in enumerate(sectors):
         depth = sector.weights.size
@@ -162,8 +162,9 @@ def test_a_mixture_is_stacked_in_runs_within_the_budget():
     # would take 6 x 20001 amplitudes
     sectors = [_sector(n, [0.5, 0.5], n) for n in (0, 1, 2, 3, 4)] + [_sector(20000, [1.0], 9)]
     stacks = list(witnesses._padded_stacks(sectors))
-    assert [list(numbers) for _, _, numbers in stacks] == [[0, 1, 2, 3, 4], [20000]]
-    for weights, rows, _ in stacks:
+    assert [run for run, *_ in stacks] == [slice(0, 5), slice(5, 6)]
+    assert [list(numbers) for *_, numbers in stacks] == [[0, 1, 2, 3, 4], [20000]]
+    for _, weights, rows, _ in stacks:
         assert rows.size <= STACK_AMPLITUDES or len(rows) == 1
     mixture = NumberSectorMixture(tuple(zip((0.1, 0.1, 0.2, 0.2, 0.2, 0.2), sectors)))
     directions = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, 1.0, 0.0]])

@@ -13,6 +13,7 @@ from bosewit._factorials import ratio_rows
 from bosewit.errors import (
     DegenerateLocalCorrelation,
     EmptyState,
+    NonFiniteWitnessValue,
     OrderTooHigh,
     ZeroMeanSpinDirection,
 )
@@ -154,10 +155,17 @@ def test_csi_of_a_large_coherent_state_is_one_at_every_order_to_100():
         assert csi_ratio(integrated_g2m(state, m)) == pytest.approx(1.0, abs=1e-12), m
 
 
-def test_csi_past_the_float_range_is_inf():
-    # C_2000 of twin-Fock N = 4000 is C(2000, 1000) ~ 2e600
+def test_csi_past_the_float_range_is_a_named_error():
+    # C_2000 of twin-Fock N = 4000 is C(2000, 1000) ~ 2e600: no bound can
+    # judge it, by the correlators or by the closed form
     integrals = integrated_g2m(twin_fock(4000), 1000)
-    assert math.isinf(csi_ratio(integrals))
+    with pytest.raises(NonFiniteWitnessValue, match=r"^csi:1000 evaluated to inf, which no bound"):
+        csi_ratio(integrals)
+    with pytest.raises(NonFiniteWitnessValue, match="C_2000 .* N = 4000 evaluated to inf"):
+        twin_fock_csi_exact(4000, 1000)
+    # exp(eps^2 N / 2) = exp(1250) passes the float range as well
+    with pytest.raises(NonFiniteWitnessValue, match="evaluated to inf"):
+        twin_fock_csi_approx(40000, 5000)
     assert csi_ratio(integrated_g2m(twin_fock(4000), 250)) == pytest.approx(
         twin_fock_csi_exact(4000, 250), rel=1e-11
     )
@@ -461,9 +469,6 @@ def test_spin_squeezing_examples():
     for seed in range(10):
         ens = sample_ensemble(seed, 24, 3)
         assert spin_squeezing(ens) >= 1.0 - 1e-9
-    # explicit flag must agree with the input type
-    with pytest.raises(ValueError):
-        spin_squeezing(css, fluctuating=True)
 
 
 def test_spin_squeezing_ensemble_matches_density():
@@ -531,6 +536,22 @@ def test_witness_verdict_flags_only_beyond_the_tolerance(kind, below, above):
 
 def test_witness_verdict_never_flags_eta2():
     assert witness_verdict("eta2", 0.1, 12.0) == (None, None)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["csi", "qfi", "xi2", "eta2"])
+def test_a_non_finite_value_is_judged_by_no_bound(kind, bad):
+    with pytest.raises(NonFiniteWitnessValue, match=f"^{kind} evaluated to {bad!r}"):
+        witness_verdict(kind, bad, 12.0)
+    # classify judges every value, also after one that already flags
+    values = {
+        "csi": {"csi_by_order": {1: 2.0, 2: bad}},
+        "qfi": {"qfi_by_generator": {(1.0, 0.0, 0.0): 20.0, (0.0, 0.0, 1.0): bad}},
+        "xi2": {"xi2": bad, "csi_by_order": {1: 2.0}},
+        "eta2": {"eta2": bad, "csi_by_order": {1: 2.0}},
+    }[kind]
+    with pytest.raises(NonFiniteWitnessValue):
+        classify(n_reference=12.0, **values)
 
 
 def test_classify_requires_a_witness():
