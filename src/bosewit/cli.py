@@ -33,6 +33,7 @@ from .scan import run_scan
 from .separable import PRNG_NAME, NumberDistribution
 from .statespec import parse_state_file
 from .witnesses import (
+    _check_order,
     csi_ratio,
     integrated_g2m_orders,
     number_squeezing_direct,
@@ -263,69 +264,54 @@ def _cmd_fig1(args, argv) -> int:
 # --- witness ---------------------------------------------------------------------
 
 
+# the requests `all` stands for, and the report key of each axis direction
+_ALL_WITNESSES = ("csi:1", "eta2", "xi2", "qfi:z")
+_AXIS_KEYS = {(1.0, 0.0, 0.0): "x", (0.0, 1.0, 0.0): "y", (0.0, 0.0, 1.0): "z"}
+
+
 def _parse_witness_request(text: str):
-    """One --witness value -> (kind, parameter). Raises ValueError."""
+    """One --witness value -> (report key, kind, parameter); the parameter
+    is a checked csi order, a checked unit qfi direction or None, and a qfi
+    key names a direction along an axis by its axis. Raises ValueError."""
     name, _, param = text.partition(":")
     name = name.strip().lower()
-    if name == "all":
-        if param:
-            raise ValueError("'all' takes no parameter")
-        return ("all", None)
-    if name == "csi":
-        m = int(param) if param else 1
-        if m < 1:
-            raise ValueError(f"csi order m must be >= 1; got {m}")
-        return ("csi", m)
-    if name in ("eta2", "xi2"):
+    if name in ("all", "eta2", "xi2"):
         if param:
             raise ValueError(f"{name!r} takes no parameter")
-        return (name, None)
+        return (name, name, None)
+    if name == "csi":
+        m = _check_order(int(param) if param else 1)
+        return (f"csi:{m}", "csi", m)
     if name == "qfi":
-        if not param:
-            return ("qfi", GeneratorSpec.axis("z"))
-        if param in ("x", "y", "z"):
-            return ("qfi", GeneratorSpec.axis(param))
-        parts = [float(p) for p in param.split(",")]
-        if len(parts) != 3:
-            raise ValueError("qfi direction needs 'x'|'y'|'z' or three components")
-        return ("qfi", GeneratorSpec.from_vector(np.array(parts)))
+        if param in ("", "x", "y", "z"):
+            generator = GeneratorSpec.axis(param or "z")
+        else:
+            parts = [float(p) for p in param.split(",")]
+            if len(parts) != 3:
+                raise ValueError("qfi direction needs 'x'|'y'|'z' or three components")
+            generator = GeneratorSpec.from_vector(np.array(parts))
+        key = generator.key()
+        label = _AXIS_KEYS.get(key) or "{:g},{:g},{:g}".format(*key)
+        return (f"qfi:{label}", "qfi", generator.direction)
     raise ValueError(f"unknown witness {text!r}")
 
 
 def _expand_witness_requests(raw_requests):
-    requests = []
+    """The (key, kind, parameter) requests of --witness values in order,
+    with `all` expanded; the first request of each report key wins, so a
+    report shows exactly what was judged."""
+    requests = {}
     for text in raw_requests:
-        kind, param = _parse_witness_request(text)
-        if kind == "all":
-            requests.extend(
-                [("csi", 1), ("eta2", None), ("xi2", None), ("qfi", GeneratorSpec.axis("z"))]
-            )
-        else:
-            requests.append((kind, param))
-    deduplicated = []
-    seen = set()
-    for kind, param in requests:
-        key = (kind, param.key() if isinstance(param, GeneratorSpec) else param)
-        if key not in seen:
-            seen.add(key)
-            deduplicated.append((kind, param))
-    return deduplicated
-
-
-def _witness_key(kind: str, param) -> str:
-    if kind == "csi":
-        return f"csi:{param}"
-    if kind == "qfi":
-        nx, ny, nz = param.direction
-        for axis in ("x", "y", "z"):
-            if param.key() == GeneratorSpec.axis(axis).key():
-                return f"qfi:{axis}"
-        return f"qfi:{nx:g},{ny:g},{nz:g}"
-    return kind
+        request = _parse_witness_request(text)
+        expanded = map(_parse_witness_request, _ALL_WITNESSES) if request[1] == "all" else [request]
+        for key, kind, param in expanded:
+            requests.setdefault(key, (key, kind, param))
+    return list(requests.values())
 
 
 def _evaluate_witnesses(state, n_reference: float, requests) -> tuple:
-    """Returns ({key: entry}, verdicts, had_error). Each entry has
+    """Returns ({key: entry}, verdicts, had_error) for the (key, kind,
+    parameter) requests of _expand_witness_requests. Each entry has
     value/bound/flag or error/message; witness failures never abort the
     other witnesses. verdicts, the verdicts of classify, come from the
     flags witness_verdict set, and are None when no witness computed.
@@ -335,16 +321,16 @@ def _evaluate_witnesses(state, n_reference: float, requests) -> tuple:
     correlator rows are streamed once and each sector is factorized once;
     if the qfi call fails, every qfi entry carries the error.
     """
-    csi_orders = [param for kind, param in requests if kind == "csi"]
+    csi_orders = [param for _, kind, param in requests if kind == "csi"]
     csi_integrals = {}
     if csi_orders:
         csi_integrals = dict(zip(csi_orders, integrated_g2m_orders(state, csi_orders)))
-    qfi_params = [param for kind, param in requests if kind == "qfi"]
+    qfi_requests = [(key, param) for key, kind, param in requests if kind == "qfi"]
     qfi_values, qfi_failure = {}, None
-    if qfi_params:
+    if qfi_requests:
         try:
-            stack = np.array([param.direction for param in qfi_params])
-            qfi_values = dict(zip((p.key() for p in qfi_params), qfi(state, stack)))
+            stack = np.array([direction for _, direction in qfi_requests])
+            qfi_values = dict(zip((key for key, _ in qfi_requests), qfi(state, stack)))
         except WitnessError as exc:
             # kept as its entry: the exception would hold this frame through
             # its traceback, a reference cycle
@@ -352,8 +338,7 @@ def _evaluate_witnesses(state, n_reference: float, requests) -> tuple:
     entries = {}
     flagged = set()
     had_error = False
-    for kind, param in requests:
-        key = _witness_key(kind, param)
+    for key, kind, param in requests:
         if kind == "qfi" and qfi_failure is not None:
             had_error = True
             entries[key] = dict(qfi_failure)
@@ -366,7 +351,7 @@ def _evaluate_witnesses(state, n_reference: float, requests) -> tuple:
             elif kind == "xi2":
                 value = spin_squeezing(state)
             else:
-                value = float(qfi_values[param.key()])
+                value = float(qfi_values[key])
             bound, flag = witness_verdict(kind, value, n_reference)
         except WitnessError as exc:
             had_error = True

@@ -5,8 +5,9 @@ class BosewitError(Exception):
     """Base class for every toolkit-specific error."""
 
 
-class NonHermitianInput(BosewitError):
-    """A matrix that must be hermitian deviates beyond tolerance."""
+class NonHermitianInput(BosewitError, ValueError):
+    """A matrix that must be hermitian deviates beyond tolerance; like every
+    other refused input it is a ValueError."""
 
 
 class EigendecompositionFailure(BosewitError):

@@ -83,16 +83,7 @@ class SectorDensity:
     vectors: np.ndarray
 
     def __init__(self, matrix):
-        mat = np.array(matrix, dtype=np.complex128, copy=True)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
-            raise ValueError("density must be a non-empty square matrix")
-        if not np.all(np.isfinite(mat.view(np.float64))):
-            raise ValueError("density entries must be finite")
-        deviation = float(np.max(np.abs(mat - mat.conj().T)))
-        if deviation > _HERMITICITY_TOL:
-            raise NonHermitianInput(
-                f"density deviates from hermiticity by {deviation:.3e}"
-            )
+        mat = _hermitian(matrix, "density", _HERMITICITY_TOL)
         trace = float(mat.trace().real)
         if abs(trace - 1.0) > _TRACE_TOL:
             raise ValueError(f"density trace is {trace!r}, expected 1")
@@ -168,8 +159,7 @@ class FockVector(SectorDensity):
         arr = np.array(amplitudes, dtype=np.complex128, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("amplitudes must form a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
+        _check_finite(arr, "amplitudes")
         norm_sq = float(np.sum(np.abs(arr) ** 2))
         if abs(norm_sq - 1.0) > _NORM_GUARD:
             raise ValueError(f"amplitude norm^2 is {norm_sq!r}, expected 1")
@@ -209,12 +199,39 @@ def _check_factors(weights: np.ndarray, vectors: np.ndarray) -> None:
     Raises ValueError naming the first failure."""
     if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
         raise ValueError("factor weights must be finite and nonnegative")
-    if not np.all(np.isfinite(vectors.view(np.float64))):
-        raise ValueError("factor rows must be finite")
+    _check_finite(vectors, "factor rows")
     traces = np.sum(weights * np.sum(np.abs(vectors) ** 2, axis=-1), axis=-1)
     bad = np.abs(traces - 1.0) > _TRACE_TOL
     if np.any(bad):
         raise ValueError(f"density trace is {float(traces[bad].flat[0])!r}, expected 1")
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """The contract of finite arrays: ValueError(f"{what} must be finite")
+    unless every entry of `values` is finite. A complex array (contiguous
+    along its last axis) is read through its float view, in one pass."""
+    if np.iscomplexobj(values):
+        values = values.view(values.real.dtype)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite")
+
+
+def _hermitian(matrix, what: str, tol: float) -> np.ndarray:
+    """The contract of hermitian matrices: a non-empty square matrix with
+    finite entries and max |A - A^dag| <= `tol` (one of the hermiticity
+    tolerances above). Returns (A + A^dag)/2 as a new complex array; raises
+    ValueError naming `what`, NonHermitianInput (a ValueError) for a
+    deviation past `tol`."""
+    mat = np.ascontiguousarray(matrix, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
+        raise ValueError(f"{what} must be a non-empty square matrix")
+    _check_finite(mat, f"{what} entries")
+    deviation = float(np.max(np.abs(mat - mat.conj().T)))
+    if deviation > tol:
+        raise NonHermitianInput(
+            f"{what} deviates from hermiticity by {deviation:.3e} (tolerance {tol:g})"
+        )
+    return (mat + mat.conj().T) / 2.0
 
 
 def _check_weights(weights, what: str, tol: float = _WEIGHT_SUM_TOL) -> np.ndarray:
@@ -447,17 +464,15 @@ def _axis_actions(rows: np.ndarray, numbers) -> np.ndarray:
 
 
 def _generator_dense(n_total: int, vector) -> np.ndarray:
-    """Dense matrix of vector . J (the vector need not be unit length)."""
+    """Dense matrix of vector . J (the vector need not be unit length), from
+    the sector's spin coefficients."""
     nx, ny, nz = (float(c) for c in vector)
-    dim = n_total + 1
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    k = np.arange(dim)
-    mat[k, k] = nz * (k - n_total / 2.0)
-    if n_total > 0:
-        j = np.arange(1, dim)
-        coupling = 0.5 * np.sqrt(j * (n_total - j + 1.0))
-        mat[j, j - 1] = (nx - 1j * ny) * coupling
-        mat[j - 1, j] = (nx + 1j * ny) * coupling
+    diagonal, coupling = _build_spin_coefficients(n_total, n_total + 1)
+    mat = np.zeros((n_total + 1, n_total + 1), dtype=np.complex128)
+    k = np.arange(n_total + 1)
+    mat[k, k] = nz * diagonal
+    mat[k[1:], k[:-1]] = (nx - 1j * ny) * coupling
+    mat[k[:-1], k[1:]] = (nx + 1j * ny) * coupling
     return mat
 
 
@@ -530,22 +545,15 @@ def aligning_rotation_axis(g: GeneratorSpec) -> np.ndarray:
 def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a hermitian matrix.
 
-    The input must be hermitian within 1e-10 in max-abs deviation, else
-    NonHermitianInput; solver non-convergence surfaces as
-    EigendecompositionFailure. Columns of the returned matrix are the
+    The input must be finite and hermitian within 1e-10 in max-abs
+    deviation, else ValueError or NonHermitianInput; solver non-convergence
+    surfaces as EigendecompositionFailure. Columns of the returned matrix are the
     eigenvectors, and A V = V diag(w) holds with residual far below
     1e-10 * ||A||_F.
     """
-    mat = np.asarray(matrix, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
-        raise ValueError("eigendecomposition needs a non-empty square matrix")
-    deviation = float(np.max(np.abs(mat - mat.conj().T)))
-    if deviation > _EIG_HERMITICITY_TOL:
-        raise NonHermitianInput(
-            f"matrix deviates from hermiticity by {deviation:.3e} (tolerance 1e-10)"
-        )
+    mat = _hermitian(matrix, "matrix", _EIG_HERMITICITY_TOL)
     try:
-        evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+        evals, evecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionFailure(str(exc)) from exc
     return evals, evecs

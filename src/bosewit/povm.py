@@ -33,7 +33,9 @@ from .fock import (
     _INPUT_WEIGHT_SUM_TOL,
     _POSITIVITY_TOL,
     _STATE_NORM_TOL,
+    _check_finite,
     _check_weights,
+    _hermitian,
     normally_ordered_moment,
 )
 from .witnesses import CorrelationIntegrals, _check_order
@@ -41,7 +43,9 @@ from .witnesses import CorrelationIntegrals, _check_order
 
 @dataclass(frozen=True, eq=False)
 class PovmElement:
-    """One outcome: a label and its hermitian effect matrix."""
+    """One outcome: a label and its hermitian effect matrix, finite and
+    hermitian within 1e-10 (else ValueError or NonHermitianInput), kept
+    as (E + E^dag)/2."""
 
     label: str
     matrix: np.ndarray
@@ -49,15 +53,7 @@ class PovmElement:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise ValueError("outcome label must be a non-empty string")
-        mat = np.array(self.matrix, dtype=np.complex128, copy=True)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
-            raise ValueError(f"element {self.label!r} must be a square matrix")
-        deviation = float(np.max(np.abs(mat - mat.conj().T)))
-        if deviation > _ELEMENT_HERMITICITY_TOL:
-            raise ValueError(
-                f"element {self.label!r} deviates from hermiticity by {deviation:.3e}"
-            )
-        mat = (mat + mat.conj().T) / 2.0
+        mat = _hermitian(self.matrix, f"element {self.label!r}", _ELEMENT_HERMITICITY_TOL)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -121,7 +117,7 @@ class OutcomeRegion:
 
 @dataclass(frozen=True, eq=False)
 class SingleParticleState:
-    """A normalized single-particle vector |phi>."""
+    """A finite single-particle vector |phi> of norm 1 within 1e-10."""
 
     vector: np.ndarray
 
@@ -129,6 +125,7 @@ class SingleParticleState:
         vec = np.array(self.vector, dtype=np.complex128, copy=True)
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError("state vector must be non-empty and 1-D")
+        _check_finite(vec, "state vector")
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > _STATE_NORM_TOL:
             raise ValueError(f"state norm {norm!r}, expected 1")

@@ -27,6 +27,7 @@ from .separable import (
 from .witnesses import (
     STACK_AMPLITUDES,
     WITNESS_TOLERANCE,
+    _check_order,
     _csi_ratios,
     _log_scales,
     _population_integrals,
@@ -106,7 +107,7 @@ class _BoundTracker:
         }
 
 
-def _unit_directions(rng: np.random.Generator, count: int) -> np.ndarray:
+def _draw_directions(rng: np.random.Generator, count: int) -> np.ndarray:
     directions = np.empty((count, 3))
     filled = 0
     while filled < count:
@@ -186,9 +187,10 @@ def run_scan(
 
     Exactly one of `n_total` (fixed particle number) or `distribution`
     (fluctuating) selects the mode. Fixed mode checks C_2m <= 1 for all
-    feasible orders (or `csi_orders`), F_Q(J_n) <= N over `n_directions`
-    random directions, and xi^2 >= 1. Fluctuating mode checks the averaged
-    C_2 <= 1, F_Q <= <N>, and the mean-number-referenced xi^2 >= 1.
+    feasible orders (or `csi_orders`, positive integers with 2m <= N),
+    F_Q(J_n) <= N over `n_directions` random directions, and xi^2 >= 1.
+    Fluctuating mode checks the averaged C_2 <= 1 (or C_2m at
+    `csi_orders`), F_Q <= <N>, and the mean-number-referenced xi^2 >= 1.
 
     The master seed fixes the generator directions and one child seed per
     sample, so reports are reproducible and individual samples can be
@@ -225,23 +227,20 @@ def run_scan(
     if n_components < 1:
         raise ValueError("need at least one component")
 
+    orders = None if csi_orders is None else tuple(_check_order(m) for m in csi_orders)
     if n_total is not None:
         if n_total < 2:
             raise ValueError("fixed-number scans need n_total >= 2")
         mode = "fixed"
-        if csi_orders is None:
+        if orders is None:
             orders = tuple(range(1, n_total // 2 + 1))
-        else:
-            orders = tuple(int(m) for m in csi_orders)
-            if any(m < 1 or 2 * m > n_total for m in orders):
-                raise ValueError("csi orders must satisfy 1 <= m and 2m <= n_total")
+        elif any(2 * m > n_total for m in orders):
+            raise ValueError("csi orders must satisfy 1 <= m and 2m <= n_total")
         number_weights = ((int(n_total), 1.0),)
         qfi_bound = float(n_total)
     else:
         mode = "fluctuating"
-        orders = (1,) if csi_orders is None else tuple(int(m) for m in csi_orders)
-        if any(m < 1 for m in orders):
-            raise ValueError("csi orders must be positive")
+        orders = (1,) if orders is None else orders
         number_weights = distribution.weights()
         qfi_bound = float(sum(n * p for n, p in number_weights))
     numbers = tuple(n for n, _ in number_weights)
@@ -254,7 +253,7 @@ def run_scan(
                          "its ratio rows, m (max N + 1)")
     scales = _log_scales(width - 1, orders)
     master = np.random.default_rng(seed)
-    directions = _unit_directions(master, n_directions)
+    directions = _draw_directions(master, n_directions)
     sample_seeds = master.integers(2**63, size=samples)
 
     # one tracker per distinct order, shared by repeats of it
@@ -315,7 +314,7 @@ def run_scan(
         "seed": int(seed),
         "n_components": int(n_components),
         "n_directions": int(n_directions),
-        "csi_orders": [int(m) for m in orders],
+        "csi_orders": list(orders),
         "directions": [d.tolist() for d in directions],
         "prng": PRNG_NAME,
         "bounds": bounds,

@@ -113,9 +113,9 @@ class WitnessReport:
 
 def _check_order(m) -> int:
     """The contract of a correlation order: m as an int, or ValueError
-    unless it is a positive integer."""
+    naming m unless it is a positive integer."""
     if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError("correlation order m must be a positive integer")
+        raise ValueError(f"correlation order m must be a positive integer; got {m}")
     return int(m)
 
 

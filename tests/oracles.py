@@ -182,12 +182,12 @@ def scan_per_sample(samples, seed, n_total=None, distribution=None, n_components
     marking a skip; for qfi the value is the largest over the directions.
     """
     from bosewit.errors import WitnessError
-    from bosewit.scan import _unit_directions
+    from bosewit.scan import _draw_directions
     from bosewit.separable import ensemble_to_state, sample_ensemble, sample_fluctuating_ensemble
     from bosewit.witnesses import csi_ratio, integrated_g2m, qfi, spin_squeezing
 
     master = np.random.default_rng(seed)
-    directions = _unit_directions(master, n_directions)
+    directions = _draw_directions(master, n_directions)
     sample_seeds = master.integers(2**63, size=samples)
     if n_total is not None:
         orders = csi_orders or range(1, n_total // 2 + 1)

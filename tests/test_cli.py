@@ -191,6 +191,43 @@ def test_witness_unknown_selection_exits_2(capsys):
     assert "parity" in err
 
 
+@pytest.mark.parametrize("request_text, message", [
+    ("csi:0", "correlation order m must be a positive integer; got 0"),
+    ("csi:-2", "correlation order m must be a positive integer; got -2"),
+    ("csi:1.5", "invalid literal for int()"),
+])
+def test_witness_bad_csi_order_exits_2(request_text, message, capsys):
+    code, out, err = run_cli(
+        capsys, "witness", "--state", os.path.join(DATA, "css_050.state"), "--witness", request_text
+    )
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_witness_requests_are_deduplicated_by_report_key(capsys):
+    # two directions 4e-7 apart both print as qfi:0.6,0.8,0; both used to be
+    # evaluated, with the later value reported
+    def witnesses(*directions):
+        argv = ["witness", "--state", os.path.join(DATA, "css_050.state"), "--timestamp", TS]
+        for direction in directions:
+            argv += ["--witness", f"qfi:{direction}"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        return json.loads(out)["witnesses"]
+
+    first, second = "0.6,0.8,0", "0.6000004,0.7999997,0"
+    alone = witnesses(first), witnesses(second)
+    assert list(alone[0]) == list(alone[1]) == ["qfi:0.6,0.8,0"]
+    assert alone[0] != alone[1]
+    assert witnesses(first, second) == alone[0]
+    assert witnesses(second, first) == alone[1]
+    # a direction along an axis is keyed, and deduplicated, by its axis
+    code, out, _ = run_cli(capsys, "witness", "--state", os.path.join(DATA, "css_050.state"),
+                           "--witness", "qfi:0,0,3", "--witness", "all", "--timestamp", TS)
+    assert code == 0
+    assert sorted(json.loads(out)["witnesses"]) == ["csi:1", "eta2", "qfi:z", "xi2"]
+
+
 def test_witness_per_sector_unmasks_hidden_sector(capsys):
     code, out, _ = run_cli(
         capsys,

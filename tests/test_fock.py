@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bosewit import fock
 from bosewit.errors import EigendecompositionFailure, NonHermitianInput
 from bosewit.fock import (
     FockVector,
@@ -297,4 +298,48 @@ def test_hermitian_eig_diagonal_example():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_hermitian_matrices_must_be_finite(bad):
+    # hermitian_eig used to return a NaN eigenvalue for a NaN entry
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        hermitian_eig(np.array([[bad, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="density entries must be finite"):
+        SectorDensity(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def test_hermitian_checks_name_their_input_and_tolerance():
+    with pytest.raises(NonHermitianInput, match=r"^density deviates .* \(tolerance 1e-12\)$"):
+        SectorDensity(np.array([[0.5, 1e-11], [0.0, 0.5]]))
+    with pytest.raises(NonHermitianInput, match=r"^matrix deviates .* \(tolerance 1e-10\)$"):
+        hermitian_eig(np.array([[0.5, 1e-9], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="^matrix must be a non-empty square matrix$"):
+        hermitian_eig(np.zeros((2, 3)))
+    # a matrix laid out column-major is read like any other
+    mat = np.asfortranarray(np.array([[1.0, 2j], [-2j, 1.0]]))
+    assert hermitian_eig(mat)[0].tolist() == [-1.0, 3.0]
+
+
+def test_generator_matrix_is_built_from_the_spin_coefficients(monkeypatch):
+    calls = []
+    build = fock._build_spin_coefficients
+
+    def spy(n, width):
+        calls.append((n, width))
+        return build(n, width)
+
+    monkeypatch.setattr(fock, "_build_spin_coefficients", spy)
+    for n in (0, 1, 7, 300):
+        for direction in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.48, -0.6, 0.64]):
+            g = GeneratorSpec(direction)
+            nx, ny, nz = g.direction
+            diagonal, coupling = build(n, n + 1)
+            expected = np.zeros((n + 1, n + 1), dtype=np.complex128)
+            k = np.arange(n + 1)
+            expected[k, k] = nz * diagonal
+            expected[k[1:], k[:-1]] = (nx - 1j * ny) * coupling
+            expected[k[:-1], k[1:]] = (nx + 1j * ny) * coupling
+            assert generator_matrix(n, g).tobytes() == expected.tobytes()
+    assert set(calls) == {(0, 1), (1, 2), (7, 8), (300, 301)}
     assert issubclass(EigendecompositionFailure, Exception)

@@ -7,6 +7,7 @@ from bosewit.errors import (
     DimensionMismatch,
     IncompletePovm,
     NegativeElement,
+    NonHermitianInput,
     OrderTooHigh,
     UnknownLabel,
 )
@@ -72,6 +73,29 @@ def test_validate_rejects_negative_element():
 def test_element_rejects_non_hermitian_matrix():
     with pytest.raises(ValueError, match="hermiticity"):
         PovmElement("x", np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_non_finite_povm_inputs_are_refused():
+    # a NaN element used to pass validate_povm with a NaN deviation, and a
+    # NaN or infinite state made region_response NaN
+    with pytest.raises(ValueError, match="element 'a' entries must be finite"):
+        validate_povm(
+            PovmSet(2, (PovmElement("a", [[math.nan, 0.0], [0.0, 0.5]]),
+                        PovmElement("b", np.diag([1.0, 0.5]))))
+        )
+    with pytest.raises(ValueError, match="state vector must be finite"):
+        SingleParticleState([math.nan, 1.0])
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
+        SingleParticleState.two_mode(0.5, math.inf)
+
+
+def test_non_hermitian_element_is_a_value_error():
+    with pytest.raises(NonHermitianInput, match=r"element 'x' deviates .* \(tolerance 1e-10\)"):
+        PovmElement("x", np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert issubclass(NonHermitianInput, ValueError)
+    # within the tolerance the element is kept as (E + E^dag)/2
+    element = PovmElement("x", np.array([[1.0, 4e-11], [0.0, 0.0]]))
+    assert element.matrix[0, 1] == element.matrix[1, 0] == 2e-11
 
 
 def test_region_response_edges():

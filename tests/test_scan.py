@@ -87,6 +87,14 @@ def test_scan_argument_validation():
         run_scan(samples=2, seed=1, n_total=6, n_directions=0)
 
 
+@pytest.mark.parametrize("orders, bad", [([1.7, 2.2], "1.7"), ([1.0], "1.0"), ([0], "0"), ([2, -1], "-1")])
+@pytest.mark.parametrize("mode", [{"n_total": 6}, {"distribution": NumberDistribution.poisson(3.0)}])
+def test_scan_orders_must_be_positive_integers(orders, bad, mode):
+    # fractional orders used to be truncated and reported as [1, 2]
+    with pytest.raises(ValueError, match=f"positive integer; got {bad}$"):
+        run_scan(samples=2, seed=1, csi_orders=orders, **mode)
+
+
 @pytest.mark.parametrize("direction", ["upper", "lower"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_value_is_a_violation(direction, value):
