@@ -139,12 +139,14 @@ class SingleParticleState:
     @classmethod
     def two_mode(cls, z: float, phi: float) -> "SingleParticleState":
         """sqrt(z) e^{i phi} |a> + sqrt(1-z) |b> on the d = 2 mode space."""
-        z = float(z)
+        z, phi = float(z), float(phi)
         if not 0.0 <= z <= 1.0:
             raise ValueError(f"population fraction z={z!r} outside [0, 1]")
+        if not math.isfinite(phi):
+            raise ValueError(f"relative phase phi={phi!r} must be finite")
         return cls(
             np.array(
-                [math.sqrt(z) * np.exp(1j * float(phi)), math.sqrt(1.0 - z)],
+                [math.sqrt(z) * np.exp(1j * phi), math.sqrt(1.0 - z)],
                 dtype=np.complex128,
             )
         )

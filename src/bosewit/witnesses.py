@@ -70,6 +70,12 @@ _TINY = float(np.finfo(float).tiny)
 # temporaries stay within a fixed multiple of it.
 STACK_AMPLITUDES = 2**16
 
+# _qfi_forms factors a stack of depth K and width W by a thin SVD only when
+# both pass this, and otherwise by an eigh of the smaller Gram matrix: past
+# it, on coherent rows at N ~ 10^3, forming the Gram matrix costs more than
+# the SVD (README, "State representation and cost")
+GRAM_SWITCH = 96
+
 
 @dataclass(frozen=True)
 class CorrelationIntegrals:
@@ -113,8 +119,8 @@ class WitnessReport:
 
 def _check_order(m) -> int:
     """The contract of a correlation order: m as an int, or ValueError
-    naming m unless it is a positive integer."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    naming m unless it is a positive integer (a bool is not one)."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"correlation order m must be a positive integer; got {m}")
     return int(m)
 
@@ -523,10 +529,14 @@ def _qfi_forms(weights, rows, numbers) -> np.ndarray:
 
     Sector b is rho_b = sum_i weights[b, i] |rows[b, i]><rows[b, i]|, with
     numbers[b] particles in the first numbers[b] + 1 columns of its rows;
-    weights is (B, K) and rows (B, K, W). A batched thin SVD of the rows
-    scaled by sqrt(w) gives each support: eigenvalues lam_i = sigma_i^2
-    above the 1e-12 cutoff and their eigenvectors |i>. A stack of depth
-    K = 1 (pure states, one-component ensembles) needs no SVD: its one
+    weights is (B, K) and rows (B, K, W). With S = sqrt(w) v the scaled
+    rows, rho = S^T conj(S), and a batched eigh of the smaller Gram matrix
+    gives each support, eigenvalues lam_i above the 1e-12 cutoff and their
+    eigenvectors |i>: for K <= W the K x K overlaps conj(S) S^T, whose
+    eigenvectors V give the rows V^T S / sqrt(lam), and for K > W the
+    W x W density itself. Once both K and W pass GRAM_SWITCH a thin SVD of
+    S gives them instead (lam_i = sigma_i^2). A stack of depth K = 1 (pure
+    states, one-component ensembles) needs no eigensolve: its one
     eigenpair is lam = w |v|^2 with support v / |v|. Restricted to the
     support,
 
@@ -536,25 +546,41 @@ def _qfi_forms(weights, rows, numbers) -> np.ndarray:
     and J_n = sum_a n_a J_a makes F_Q = n^T T n for one real symmetric
     3 x 3 matrix T per sector, built from the three axis generators applied
     tridiagonally to the support. Eigenvalues at or below the cutoff, among
-    them those of zero-weight padding rows, are set to zero, and the pair
-    weights of two such eigenvalues are masked, so they add nothing and no
-    0/0 arises. The cost is O(B W K min(W, K)) with no dense W^2 matrix;
-    the stack, a run of _stack_runs or one sector, is taken whole.
+    them those of zero-weight padding rows, are set to zero (and so is the
+    row V^T S of each), and the pair weights of two such eigenvalues are
+    masked, so they add nothing and no 0/0 arises. The cost is
+    O(B W K min(W, K)), with no square matrix wider than min(W, K); the
+    stack, a run of _stack_runs or one sector, is taken whole.
     """
     scaled = np.sqrt(weights)[..., None] * rows
-    if rows.shape[1] == 1:
+    depth, width = rows.shape[1:]
+    if depth == 1:
         # one row u = sqrt(w) v per sector: its one eigenpair is lam = |u|^2
         # with support u / |u| (a zero row keeps a zero support and lam = 0)
         sigma = np.linalg.norm(scaled, axis=-1)
         support = scaled / np.maximum(sigma, _TINY)[..., None]
+        lam = sigma**2
     else:
         try:
-            # rho = scaled^T conj(scaled) = vh^T diag(sigma^2) conj(vh), so
-            # the rows of vh are the eigenvectors
-            _, sigma, support = np.linalg.svd(scaled, full_matrices=False)
+            if min(depth, width) > GRAM_SWITCH:
+                # rho = scaled^T conj(scaled) = vh^T diag(sigma^2) conj(vh), so
+                # the rows of vh are the eigenvectors
+                _, sigma, support = np.linalg.svd(scaled, full_matrices=False)
+                lam = sigma**2
+            elif depth > width:
+                # the W x W density rho = X diag(lam) X^dag: the rows of X^T
+                # are the eigenvectors
+                lam, vectors = np.linalg.eigh(scaled.transpose(0, 2, 1) @ scaled.conj())
+                support = vectors.transpose(0, 2, 1)
+            else:
+                # the K x K overlaps <u_k|u_l> = (V diag(lam) V^dag)_kl share
+                # rho's nonzero eigenvalues, with eigenvectors V^T u / sqrt(lam);
+                # a row whose eigenvalue is cut is zero, never u / sqrt(tiny)
+                lam, vectors = np.linalg.eigh(scaled.conj() @ scaled.transpose(0, 2, 1))
+                scale = (lam > _SPECTRAL_CUTOFF) / np.sqrt(np.maximum(lam, _SPECTRAL_CUTOFF))
+                support = (vectors.transpose(0, 2, 1) @ scaled) * scale[..., None]
         except np.linalg.LinAlgError as exc:
             raise EigendecompositionFailure(str(exc)) from exc
-    lam = sigma**2
     lam[lam <= _SPECTRAL_CUTOFF] = 0.0
     count = lam.shape[0]
     actions = _axis_actions(support, numbers)
@@ -617,14 +643,15 @@ def qfi(state, g):
     Every state goes through one routine, _qfi_forms: the spectral formula
     F_Q = 2 sum_{ij} (lam_i - lam_j)^2 / (lam_i + lam_j) |<i|J_n|j>|^2,
     evaluated on the support of each sector (eigenvalues above the 1e-12
-    cutoff) from its K factor rows in O(N K min(N, K)). A pure state is
-    the one-row sector, whose eigenpair needs no SVD, and its F_Q is 4
-    Var(J_n) to rounding. Generators conserve N, so a number mixture's
-    matrix is block diagonal and F_Q is the weight-averaged sector value;
-    the sectors go through padded stacks of up to STACK_AMPLITUDES
-    amplitudes, and the number weights average their quadratic forms. Any
-    separable state obeys F_Q <= N (or <N> for fluctuating number); more is
-    entanglement.
+    cutoff) from its K factor rows in O(N K min(N, K)), by an eigh of the
+    smaller of its K x K and (N+1) x (N+1) Gram matrices (a thin SVD once
+    both pass GRAM_SWITCH). A pure state is the one-row sector, whose
+    eigenpair needs no eigensolve, and its F_Q is 4 Var(J_n) to rounding.
+    Generators conserve N, so a number mixture's matrix is block diagonal
+    and F_Q is the weight-averaged sector value; the sectors go through
+    padded stacks of up to STACK_AMPLITUDES amplitudes, and the number
+    weights average their quadratic forms. Any separable state obeys
+    F_Q <= N (or <N> for fluctuating number); more is entanglement.
 
     `g` is one GeneratorSpec, which returns a float, or a (k, 3) stack of
     unit directions (checked as GeneratorSpec checks its one), which returns

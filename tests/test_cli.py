@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from bosewit import separable
+from bosewit import cli, separable
 from bosewit.cli import RunManifest, _emit_json, _manifest_comment, main
 from bosewit.witnesses import classify, twin_fock_csi_exact
 
@@ -202,6 +202,24 @@ def test_witness_bad_csi_order_exits_2(request_text, message, capsys):
     )
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize("request_text, cause", [
+    ("csi:1.5", "invalid literal for int()"),
+    ("csi:0", "got 0"),
+    ("qfi:a,b,c", "could not convert string to float: 'a'"),
+    ("qfi:1,2", "got 2 components"),
+    ("qfi:0,0,0", "finite and nonzero"),
+])
+def test_a_refused_witness_value_is_quoted_with_its_form(request_text, cause, capsys):
+    # the raw parse error used to be all the message said
+    code, out, err = run_cli(
+        capsys, "witness", "--state", os.path.join(DATA, "css_050.state"), "--witness", request_text
+    )
+    assert (code, out) == (2, "")
+    name = request_text.partition(":")[0]
+    assert f"--witness {request_text!r} must take the form {cli._WITNESS_FORMS[name]} (" in err
+    assert cause in err
 
 
 def test_witness_requests_are_deduplicated_by_report_key(capsys):

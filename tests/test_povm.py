@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,16 @@ def test_non_finite_povm_inputs_are_refused():
         SingleParticleState([math.nan, 1.0])
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
         SingleParticleState.two_mode(0.5, math.inf)
+
+
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+def test_two_mode_refuses_a_non_finite_phase_before_any_warning(phi):
+    # np.exp(1j * inf) used to warn "invalid value encountered in exp"
+    # ahead of the ValueError, so under -W error the warning escaped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"relative phase phi={phi!r} must be finite"):
+            SingleParticleState.two_mode(0.5, phi)
 
 
 def test_non_hermitian_element_is_a_value_error():

@@ -5,9 +5,17 @@ arguments. These digests pin the full text of four scan reports, and of
 the JSON and CSV witness reports of six pure states asking for C_2m, eta^2
 and xi^2, so a change to the sampling, the row builder, the state build,
 the witness kernels or the emit that moves any value by one bit, or any
-byte of the layout, fails here. They were recorded with numpy 2.4 and OpenBLAS on x86-64; a BLAS
-whose SVD rounds differently moves the F_Q worst values and so the digest
-of every report.
+byte of the layout, fails here.
+
+They were recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64, and give
+the same bytes at 1, 2, 4 and 8 BLAS threads. Every F_Q of these scans
+comes from an eigh of a small Gram matrix: the 4 x 4 overlaps of the
+four-component scans, the 13 x 13 densities of the 1000-component chunks.
+(A thin SVD of those 1000 x 13 chunks gave a last-digit different F_Q at
+one thread than at two or more.) CI runs this module under
+OPENBLAS_NUM_THREADS=1 as well as at the default thread count. A
+BLAS or LAPACK that rounds differently moves the F_Q worst values and so
+the digest of every scan report; the witness reports here hold no F_Q.
 """
 
 import hashlib
@@ -21,20 +29,20 @@ TS = "2026-01-01T00:00:00+00:00"
 DIGESTS = {
     "fixed-40": (
         ("--samples", "20", "--n", "40", "--seed", "3"),
-        "2ff745354f31ec873681fb07a44fd53f8bf4eaf41fa4e06ce5d161a4a7bac090",
+        "c2f5aa548a3c9b0765af1756c65b3ea78da7548f084f22b2fdb3522c1cf3291a",
     ),
     "poisson-20": (
         ("--samples", "5", "--fluctuating", "poisson:20", "--seed", "3"),
-        "4135990dc5443fe0cc8bcf658628c75e710ce6a72b3c5ea2bb87f707d1b3fbfe",
+        "c6c1e28cfc13644d0281e3f633433c8870287721573425e024f765ec0b83a915",
     ),
     "binomial-10": (
         ("--samples", "5", "--fluctuating", "binomial:10,0.5", "--seed", "3"),
-        "c00f497dfed0d4ec8b164a87ea75943fc982072e5013e8e7e5b314d7026d224a",
+        "4c40dea5c9df596ee1dfe23b4d8a12cbd8268da349f7fee146d696b42c12cca1",
     ),
     # 12 samples of 1000 components at N = 12 take three chunks
     "fixed-12-multichunk": (
         ("--samples", "12", "--n", "12", "--components", "1000", "--seed", "3"),
-        "99d3d40eae5f4952dec5b9ec8cf70d77d18ea163d94b95f70484c1ad85082079",
+        "496eb1e2aa37f10eeaeb65d50b92c07d806b3e47a4c0689ec06142fe7d9cb762",
     ),
 }
 

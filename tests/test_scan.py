@@ -87,10 +87,13 @@ def test_scan_argument_validation():
         run_scan(samples=2, seed=1, n_total=6, n_directions=0)
 
 
-@pytest.mark.parametrize("orders, bad", [([1.7, 2.2], "1.7"), ([1.0], "1.0"), ([0], "0"), ([2, -1], "-1")])
+@pytest.mark.parametrize("orders, bad", [
+    ([1.7, 2.2], "1.7"), ([1.0], "1.0"), ([0], "0"), ([2, -1], "-1"), ([True], "True"), ([2, False], "False"),
+])
 @pytest.mark.parametrize("mode", [{"n_total": 6}, {"distribution": NumberDistribution.poisson(3.0)}])
 def test_scan_orders_must_be_positive_integers(orders, bad, mode):
-    # fractional orders used to be truncated and reported as [1, 2]
+    # fractional orders used to be truncated and reported as [1, 2], and
+    # [True] (bool subclasses int) ran as [1]
     with pytest.raises(ValueError, match=f"positive integer; got {bad}$"):
         run_scan(samples=2, seed=1, csi_orders=orders, **mode)
 

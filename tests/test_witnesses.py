@@ -70,6 +70,15 @@ def test_integrated_examples():
         integrated_g2m(twin_fock(4), 0)
 
 
+@pytest.mark.parametrize("order", [True, False])
+def test_a_bool_is_not_a_correlation_order(order):
+    # bool subclasses int: True used to give the order-1 integrals
+    with pytest.raises(ValueError, match=f"positive integer; got {order}$"):
+        integrated_g2m(twin_fock(4), order)
+    with pytest.raises(ValueError, match=f"positive integer; got {order}$"):
+        witnesses.integrated_g2m_orders(twin_fock(4), [1, order])
+
+
 def test_integrated_matches_ladder_moments():
     # population path against the independent normally ordered ladder route
     rng = np.random.default_rng(71)
