@@ -52,6 +52,7 @@ _POSITIVITY_TOL = 1e-12  # how far below 0 an eigenvalue of a POVM element may g
 _COMPLETENESS_TOL = 1e-10  # max |sum E - I| of a POVM
 # cutoffs: a quantity at or below its cutoff counts as zero
 _SPECTRAL_CUTOFF = 1e-12  # eigenvalues of a density at or below it are not its support
+_AMPLITUDE_FLUSH = 1e-150  # |sqrt(w) v| below it is zero in F_Q: no subnormal products
 _DEGENERATE_PRODUCT = 1e-24  # G_aa G_bb at or below it: C_2m is 0/0
 _EMPTY_STATE_TOL = 1e-12  # <N> at or below it: eta^2 has no reference
 _MEAN_SPIN_GUARD = 1e-18  # <J_x>^2 + <J_y>^2 at or below it x max(n^2, 1): no xi^2

@@ -37,6 +37,7 @@ from .errors import (
     ZeroMeanSpinDirection,
 )
 from .fock import (
+    _AMPLITUDE_FLUSH,
     _DEGENERATE_PRODUCT,
     _EMPTY_STATE_TOL,
     _MEAN_SPIN_GUARD,
@@ -70,12 +71,6 @@ _TINY = float(np.finfo(float).tiny)
 # temporaries stay within a fixed multiple of it.
 STACK_AMPLITUDES = 2**16
 
-# _qfi_forms factors a stack of depth K and width W by a thin SVD only when
-# both pass this, and otherwise by an eigh of the smaller Gram matrix: past
-# it, on coherent rows at N ~ 10^3, forming the Gram matrix costs more than
-# the SVD (README, "State representation and cost")
-GRAM_SWITCH = 96
-
 
 @dataclass(frozen=True)
 class CorrelationIntegrals:
@@ -84,8 +79,9 @@ class CorrelationIntegrals:
     for a mixture). Values past the float range are inf.
 
     `normalized` carries the (sums, logs, scales) _csi_ratios takes for
-    this order when the integrals come from a state, so csi_ratio never
-    forms G_aa G_bb; it is None for integrals built from values."""
+    this order when the integrals come from a state or from
+    povm.integrated_gm_separable, so csi_ratio never forms G_aa G_bb; it
+    is None for integrals built from values."""
 
     order_m: int
     g_aa: float
@@ -530,15 +526,16 @@ def _qfi_forms(weights, rows, numbers) -> np.ndarray:
     Sector b is rho_b = sum_i weights[b, i] |rows[b, i]><rows[b, i]|, with
     numbers[b] particles in the first numbers[b] + 1 columns of its rows;
     weights is (B, K) and rows (B, K, W). With S = sqrt(w) v the scaled
-    rows, rho = S^T conj(S), and a batched eigh of the smaller Gram matrix
-    gives each support, eigenvalues lam_i above the 1e-12 cutoff and their
-    eigenvectors |i>: for K <= W the K x K overlaps conj(S) S^T, whose
-    eigenvectors V give the rows V^T S / sqrt(lam), and for K > W the
-    W x W density itself. Once both K and W pass GRAM_SWITCH a thin SVD of
-    S gives them instead (lam_i = sigma_i^2). A stack of depth K = 1 (pure
-    states, one-component ensembles) needs no eigensolve: its one
-    eigenpair is lam = w |v|^2 with support v / |v|. Restricted to the
-    support,
+    rows, rho = S^T conj(S). Entries of S below 1e-150 in modulus are set to
+    zero first: they carry less than 1e-300 of a row's norm, and on coherent
+    tails at N ~ 10^3 their subnormal products would dominate the cost. A
+    batched eigh of the smaller Gram matrix then gives each support,
+    eigenvalues lam_i above the 1e-12 cutoff and their eigenvectors |i>: for
+    K <= W the K x K overlaps conj(S) S^T, whose eigenvectors V give the
+    rows V^T S / sqrt(lam), and for K > W the W x W density itself. A stack
+    of depth K = 1 (pure states, one-component ensembles) needs no
+    eigensolve: its one eigenpair is lam = w |v|^2 with support v / |v|.
+    Restricted to the support,
 
         F_Q = 4 sum_i lam_i <i|J_n^2|i>
               - 8 sum_{ij} lam_i lam_j / (lam_i + lam_j) |<i|J_n|j>|^2,
@@ -553,6 +550,7 @@ def _qfi_forms(weights, rows, numbers) -> np.ndarray:
     stack, a run of _stack_runs or one sector, is taken whole.
     """
     scaled = np.sqrt(weights)[..., None] * rows
+    scaled[np.abs(scaled) < _AMPLITUDE_FLUSH] = 0.0
     depth, width = rows.shape[1:]
     if depth == 1:
         # one row u = sqrt(w) v per sector: its one eigenpair is lam = |u|^2
@@ -562,12 +560,7 @@ def _qfi_forms(weights, rows, numbers) -> np.ndarray:
         lam = sigma**2
     else:
         try:
-            if min(depth, width) > GRAM_SWITCH:
-                # rho = scaled^T conj(scaled) = vh^T diag(sigma^2) conj(vh), so
-                # the rows of vh are the eigenvectors
-                _, sigma, support = np.linalg.svd(scaled, full_matrices=False)
-                lam = sigma**2
-            elif depth > width:
+            if depth > width:
                 # the W x W density rho = X diag(lam) X^dag: the rows of X^T
                 # are the eigenvectors
                 lam, vectors = np.linalg.eigh(scaled.transpose(0, 2, 1) @ scaled.conj())
@@ -644,14 +637,14 @@ def qfi(state, g):
     F_Q = 2 sum_{ij} (lam_i - lam_j)^2 / (lam_i + lam_j) |<i|J_n|j>|^2,
     evaluated on the support of each sector (eigenvalues above the 1e-12
     cutoff) from its K factor rows in O(N K min(N, K)), by an eigh of the
-    smaller of its K x K and (N+1) x (N+1) Gram matrices (a thin SVD once
-    both pass GRAM_SWITCH). A pure state is the one-row sector, whose
-    eigenpair needs no eigensolve, and its F_Q is 4 Var(J_n) to rounding.
-    Generators conserve N, so a number mixture's matrix is block diagonal
-    and F_Q is the weight-averaged sector value; the sectors go through
-    padded stacks of up to STACK_AMPLITUDES amplitudes, and the number
-    weights average their quadratic forms. Any separable state obeys
-    F_Q <= N (or <N> for fluctuating number); more is entanglement.
+    smaller of its K x K and (N+1) x (N+1) Gram matrices. A pure state is
+    the one-row sector, whose eigenpair needs no eigensolve, and its F_Q is
+    4 Var(J_n) to rounding. Generators conserve N, so a number mixture's
+    matrix is block diagonal and F_Q is the weight-averaged sector value;
+    the sectors go through padded stacks of up to STACK_AMPLITUDES
+    amplitudes, and the number weights average their quadratic forms. Any
+    separable state obeys F_Q <= N (or <N> for fluctuating number); more
+    is entanglement.
 
     `g` is one GeneratorSpec, which returns a float, or a (k, 3) stack of
     unit directions (checked as GeneratorSpec checks its one), which returns

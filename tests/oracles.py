@@ -171,6 +171,45 @@ def qfi_dense(matrix, directions):
     return np.array(values)
 
 
+def qfi_forms_svd(weights, rows, numbers):
+    """The (B, 3, 3) F_Q forms of witnesses._qfi_forms, from a thin SVD of
+    each sector's scaled rows S = sqrt(w) v as they come (no amplitude is
+    flushed):
+
+        T_ab = 4 sum_i lam_i Re <J_a i|J_b i>
+               - 8 sum_{ij} lam_i lam_j / (lam_i + lam_j) Re <i|J_a|j> <j|J_b|i>,
+
+    with lam = sigma^2, eigenvalues at or below 1e-12 set to zero, and the
+    pairs of two such eigenvalues skipped. J_x, J_y, J_z act on the first
+    numbers[b] + 1 columns through the ladder elements of jx_dense and
+    jy_dense, a^dag b |k> = sqrt((k+1)(N-k)) |k+1>, without forming a
+    matrix, so sectors of thousands of particles fit."""
+    scaled = np.sqrt(np.asarray(weights))[..., None] * np.asarray(rows, dtype=complex)
+    _, sigma, support = np.linalg.svd(scaled, full_matrices=False)
+    lam = np.where(sigma**2 > 1e-12, sigma**2, 0.0)
+    forms = []
+    for lam_b, vecs, n in zip(lam, support, numbers):
+        vecs = vecs[:, : n + 1]
+        k = np.arange(n)
+        ladder = np.sqrt((k + 1.0) * (n - k))
+        up, down = np.zeros_like(vecs), np.zeros_like(vecs)
+        up[:, 1:] = ladder * vecs[:, :-1]
+        down[:, :-1] = ladder * vecs[:, 1:]
+        actions = [(up + down) / 2.0, (up - down) / 2.0j, vecs * (np.arange(n + 1) - n / 2.0)]
+        elements = [vecs.conj() @ action.T for action in actions]
+        denom = lam_b[:, None] + lam_b[None, :]
+        pair = np.zeros_like(denom)
+        np.divide(np.outer(lam_b, lam_b), denom, out=pair, where=denom > 0.0)
+        form = np.empty((3, 3))
+        for a in range(3):
+            for b in range(3):
+                spread = np.einsum("i,ik,ik->", lam_b, actions[a].conj(), actions[b]).real
+                paired = np.sum(pair * elements[a] * elements[b].T).real
+                form[a, b] = 4.0 * spread - 8.0 * paired
+        forms.append(form)
+    return np.array(forms)
+
+
 def scan_per_sample(samples, seed, n_total=None, distribution=None, n_components=4,
                     n_directions=10, csi_orders=None):
     """The scan evaluated one sample at a time through the public witnesses:

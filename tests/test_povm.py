@@ -208,6 +208,30 @@ def test_separable_integrals_match_fock_route():
             assert via_povm.g_ab == pytest.approx(via_fock.g_ab, rel=1e-10, abs=1e-10)
 
 
+def test_high_order_ratio_past_the_float_range():
+    # alpha_2m and every G pass the float range at N = 400, m = 100; the
+    # ratio is held to sum w Fa^m Fb^m / sqrt(sum w Fa^2m sum w Fb^2m)
+    povm = random_complete_povm(np.random.default_rng(1), 4, 4)
+    region_a, region_b = OutcomeRegion.of("e0", "e1"), OutcomeRegion.of("e2", "e3")
+    rng = np.random.default_rng(2)
+    states = []
+    for _ in range(2):
+        vector = rng.normal(size=4) + 1j * rng.normal(size=4)
+        states.append(SingleParticleState(vector / np.linalg.norm(vector)))
+    ensemble = [(0.5, state) for state in states]
+    fa = np.array([region_response(povm, region_a, state) for state in states])
+    fb = np.array([region_response(povm, region_b, state) for state in states])
+    ratios = {}
+    for n, m in [(200, 50), (400, 100)]:
+        integrals = integrated_gm_separable(povm, ensemble, n, m, region_a, region_b)
+        expected = np.mean(fa**m * fb**m) / math.sqrt(np.mean(fa ** (2 * m)) * np.mean(fb ** (2 * m)))
+        ratios[n] = csi_ratio(integrals)
+        assert 0.0 <= ratios[n] <= 1.0
+        assert ratios[n] == pytest.approx(expected, rel=1e-12)
+    assert math.isinf(integrals.g_aa) and math.isinf(integrals.prefactor_alpha)
+    assert ratios[200] == pytest.approx(1.1566087112997927e-4, rel=1e-12)
+
+
 def test_separable_integrals_rejects_high_order():
     state = SingleParticleState.two_mode(0.5, 0.0)
     with pytest.raises(OrderTooHigh):

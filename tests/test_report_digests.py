@@ -9,10 +9,11 @@ byte of the layout, fails here.
 
 They were recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64, and give
 the same bytes at 1, 2, 4 and 8 BLAS threads. Every F_Q of these scans
-comes from an eigh of a small Gram matrix: the 4 x 4 overlaps of the
-four-component scans, the 13 x 13 densities of the 1000-component chunks.
-(A thin SVD of those 1000 x 13 chunks gave a last-digit different F_Q at
-one thread than at two or more.) CI runs this module under
+comes from an eigh of a small Gram matrix, the one eigensolve of F_Q: the
+4 x 4 overlaps of the four-component scans, the 13 x 13 densities of the
+1000-component chunks. (A thin SVD of those 1000 x 13 chunks, kept only
+as the test reference oracles.qfi_forms_svd, gives a last-digit different
+F_Q at one thread than at two or more.) CI runs this module under
 OPENBLAS_NUM_THREADS=1 as well as at the default thread count. A
 BLAS or LAPACK that rounds differently moves the F_Q worst values and so
 the digest of every scan report; the witness reports here hold no F_Q.
