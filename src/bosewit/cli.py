@@ -28,12 +28,12 @@ import numpy as np
 
 from ._version import __version__
 from .errors import StateSpecError, WitnessError
-from .fock import GeneratorSpec, NumberSectorMixture
+from .fock import NumberSectorMixture
 from .scan import run_scan
 from .separable import PRNG_NAME, NumberDistribution
 from .statespec import parse_state_file
 from .witnesses import (
-    _check_order,
+    _parse_witness_request,
     csi_ratio,
     integrated_g2m_orders,
     number_squeezing_direct,
@@ -264,45 +264,8 @@ def _cmd_fig1(args, argv) -> int:
 # --- witness ---------------------------------------------------------------------
 
 
-# the requests `all` stands for, and the report key of each axis direction
+# the requests `all` stands for
 _ALL_WITNESSES = ("csi:1", "eta2", "xi2", "qfi:z")
-_AXIS_KEYS = {(1.0, 0.0, 0.0): "x", (0.0, 1.0, 0.0): "y", (0.0, 0.0, 1.0): "z"}
-
-
-# the form of each --witness value that takes a parameter, quoted when a
-# value is refused
-_WITNESS_FORMS = {"csi": "csi:<m>, m a positive integer", "qfi": "qfi:x|y|z or qfi:<nx>,<ny>,<nz>"}
-
-
-def _parse_witness_request(text: str):
-    """One --witness value -> (report key, kind, parameter); the parameter
-    is a checked csi order, a checked unit qfi direction or None, and a qfi
-    key names a direction along an axis by its axis. Raises ValueError,
-    quoting a refused csi or qfi value and the form it takes."""
-    name, _, param = text.partition(":")
-    name = name.strip().lower()
-    if name in ("all", "eta2", "xi2"):
-        if param:
-            raise ValueError(f"{name!r} takes no parameter")
-        return (name, name, None)
-    if name not in _WITNESS_FORMS:
-        raise ValueError(f"unknown witness {text!r}")
-    try:
-        if name == "csi":
-            m = _check_order(int(param) if param else 1)
-            return (f"csi:{m}", "csi", m)
-        if param in ("", "x", "y", "z"):
-            generator = GeneratorSpec.axis(param or "z")
-        else:
-            parts = [float(p) for p in param.split(",")]
-            if len(parts) != 3:
-                raise ValueError(f"got {len(parts)} components")
-            generator = GeneratorSpec.from_vector(np.array(parts))
-    except ValueError as exc:
-        raise ValueError(f"--witness {text!r} must take the form {_WITNESS_FORMS[name]} ({exc})") from None
-    key = generator.key()
-    label = _AXIS_KEYS.get(key) or "{:g},{:g},{:g}".format(*key)
-    return (f"qfi:{label}", "qfi", generator.direction)
 
 
 def _expand_witness_requests(raw_requests):

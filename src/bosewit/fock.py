@@ -134,8 +134,11 @@ class SectorDensity:
 
     @classmethod
     def from_pure(cls, state: FockVector) -> "SectorDensity":
-        """A plain SectorDensity copy of a pure state's one row."""
-        return cls.from_factors([1.0], state.amplitudes[None, :])
+        """A plain SectorDensity copy of a pure state's one row, whose norm
+        the FockVector has judged already."""
+        density = SectorDensity.__new__(SectorDensity)
+        density._set(np.ones(1), np.array(state.vectors))
+        return density
 
     @property
     def mean_n(self) -> float:
@@ -318,14 +321,21 @@ class GeneratorSpec:
 
     @classmethod
     def from_vector(cls, vector) -> "GeneratorSpec":
-        """Normalize an arbitrary nonzero 3-vector into a generator."""
+        """Normalize an arbitrary finite nonzero 3-vector into a generator.
+        Where v / |v| is no unit vector, because |v|^2 underflowed or
+        overflowed, v is first divided by its largest |entry|."""
         vec = np.asarray(vector, dtype=float)
         if vec.shape != (3,):
             raise ValueError("direction must be a 3-vector")
-        norm = float(np.linalg.norm(vec))
-        if not math.isfinite(norm) or norm == 0.0:
+        top = float(np.max(np.abs(vec)))
+        if not (math.isfinite(top) and top > 0.0):
             raise ValueError("direction must be finite and nonzero")
-        return cls(vec / norm)
+        with np.errstate(all="ignore"):
+            try:
+                return cls(vec / np.linalg.norm(vec))
+            except ValueError:
+                vec = vec / top
+                return cls(vec / np.linalg.norm(vec))
 
     @classmethod
     def axis(cls, name: str) -> "GeneratorSpec":

@@ -1,27 +1,33 @@
 """Stochastic certification that separable states respect every bound.
 
-Random separable ensembles are drawn, converted to exact factored
-densities, and every witness is evaluated against its separability bound.
-Any violation beyond tolerance marks an implementation bug, not physics:
-the bounds are theorems for these states. Reports are deterministic per
-seed.
+Random separable ensembles are drawn as (weights, z, phi) arrays, and
+every witness is evaluated on them against its separability bound by the
+chunk kernels (coherent factor rows for C_2m and F_Q, closed-form spin
+moments for xi^2). Any violation beyond tolerance marks an implementation
+bug, not physics: the bounds are theorems for these states. Reports are
+deterministic per seed. maximize_witness climbs one witness toward its
+bound through the same kernels, one proposal per one-sample chunk.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
+from .errors import WitnessError
 from .fock import _DRAW_NORM_GUARD, QFI_TOLERANCE, _check_factors, _factor_populations
 from .separable import (
     MAX_PARTICLES,
     NumberDistribution,
     PRNG_NAME,
+    SeparableEnsemble,
     _check_draws,
     _check_expanded_size,
     _coherent_rows,
     _draw_components,
+    _ensemble_from_arrays,
     _spin_moments,
 )
 from .witnesses import (
@@ -30,6 +36,7 @@ from .witnesses import (
     _check_order,
     _csi_ratios,
     _log_scales,
+    _parse_witness_request,
     _population_integrals,
     _qfi_forms,
     _squeezing,
@@ -174,6 +181,49 @@ def _evaluate_chunk(weights, z, phi, numbers, probabilities, orders, scales, dir
     return ratios, degenerate, np.einsum("ka,sab,kb->sk", directions, forms, directions)
 
 
+def _checked_scan(samples, n_total, distribution, n_components, n_directions, csi_orders) -> tuple:
+    """run_scan's input checks, made before anything is drawn. Returns the
+    csi orders, the (n, p) sectors, a sample's amplitudes K (N + 1) summed
+    over them, and the _log_scales of the orders at the largest N."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if (n_total is None) == (distribution is None):
+        raise ValueError("give exactly one of n_total or distribution")
+    for name, value, cap in (
+        ("samples", samples, MAX_SAMPLES),
+        ("n_directions", n_directions, MAX_DIRECTIONS),
+        ("n_components", n_components, MAX_COMPONENTS),
+        ("n_total", n_total or 0, MAX_PARTICLES),
+    ):
+        if value > cap:
+            raise ValueError(f"{name} must be at most {cap}; got {value}")
+    if n_directions < 1:
+        raise ValueError("need at least one generator direction")
+    if n_components < 1:
+        raise ValueError("need at least one component")
+
+    orders = None if csi_orders is None else tuple(_check_order(m) for m in csi_orders)
+    if n_total is not None:
+        if n_total < 2:
+            raise ValueError("fixed-number scans need n_total >= 2")
+        if orders is None:
+            orders = tuple(range(1, n_total // 2 + 1))
+        elif any(2 * m > n_total for m in orders):
+            raise ValueError("csi orders must satisfy 1 <= m and 2m <= n_total")
+        number_weights = ((int(n_total), 1.0),)
+    else:
+        orders = (1,) if orders is None else orders
+        number_weights = distribution.weights()
+    numbers = tuple(n for n, _ in number_weights)
+    width, top = max(numbers) + 1, max(orders, default=0)
+    amplitudes = n_components * sum(n + 1 for n in numbers)
+    _check_expanded_size(f"a sample of {len(numbers)} sectors x {n_components} components",
+                         amplitudes, "K (N + 1) summed over its sectors")
+    _check_expanded_size(f"csi order m = {top} at max N = {width - 1}", top * width,
+                         "its ratio rows, m (max N + 1)")
+    return orders, number_weights, amplitudes, _log_scales(width - 1, orders)
+
+
 def run_scan(
     samples: int,
     seed: int,
@@ -210,48 +260,13 @@ def run_scan(
     xi^2 (bit for bit that of the ensemble object). C_2m and F_Q equal, to
     rounding, those of each sample's own density.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if (n_total is None) == (distribution is None):
-        raise ValueError("give exactly one of n_total or distribution")
-    for name, value, cap in (
-        ("samples", samples, MAX_SAMPLES),
-        ("n_directions", n_directions, MAX_DIRECTIONS),
-        ("n_components", n_components, MAX_COMPONENTS),
-        ("n_total", n_total or 0, MAX_PARTICLES),
-    ):
-        if value > cap:
-            raise ValueError(f"{name} must be at most {cap}; got {value}")
-    if n_directions < 1:
-        raise ValueError("need at least one generator direction")
-    if n_components < 1:
-        raise ValueError("need at least one component")
-
-    orders = None if csi_orders is None else tuple(_check_order(m) for m in csi_orders)
-    if n_total is not None:
-        if n_total < 2:
-            raise ValueError("fixed-number scans need n_total >= 2")
-        mode = "fixed"
-        if orders is None:
-            orders = tuple(range(1, n_total // 2 + 1))
-        elif any(2 * m > n_total for m in orders):
-            raise ValueError("csi orders must satisfy 1 <= m and 2m <= n_total")
-        number_weights = ((int(n_total), 1.0),)
-        qfi_bound = float(n_total)
-    else:
-        mode = "fluctuating"
-        orders = (1,) if orders is None else orders
-        number_weights = distribution.weights()
-        qfi_bound = float(sum(n * p for n, p in number_weights))
+    orders, number_weights, amplitudes, scales = _checked_scan(
+        samples, n_total, distribution, n_components, n_directions, csi_orders
+    )
+    mode = "fixed" if distribution is None else "fluctuating"
     numbers = tuple(n for n, _ in number_weights)
     probabilities = np.array([p for _, p in number_weights])
-    width, top = max(numbers) + 1, max(orders, default=0)
-    amplitudes = n_components * sum(n + 1 for n in numbers)
-    _check_expanded_size(f"a sample of {len(numbers)} sectors x {n_components} components",
-                         amplitudes, "K (N + 1) summed over its sectors")
-    _check_expanded_size(f"csi order m = {top} at max N = {width - 1}", top * width,
-                         "its ratio rows, m (max N + 1)")
-    scales = _log_scales(width - 1, orders)
+    qfi_bound = float(sum(n * p for n, p in number_weights))
     master = np.random.default_rng(seed)
     directions = _draw_directions(master, n_directions)
     sample_seeds = master.integers(2**63, size=samples)
@@ -329,3 +344,86 @@ def run_scan(
         }
         report["mean_n"] = qfi_bound
     return report
+
+
+# --- stochastic maximization ---------------------------------------------------
+
+
+def _project_simplex(values: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the probability simplex."""
+    u = np.sort(values)[::-1]
+    cumsum = np.cumsum(u)
+    rho_candidates = u * np.arange(1, values.size + 1) > (cumsum - 1.0)
+    rho = int(np.nonzero(rho_candidates)[0][-1])
+    tau = (cumsum[rho] - 1.0) / (rho + 1)
+    return np.maximum(values - tau, 0.0)
+
+
+def maximize_witness(request: str, n_total: int, budget: int, seed: int, n_components: int = 1,
+                     restarts: int = 20) -> tuple[float, SeparableEnsemble | None]:
+    """Stochastic hill climbing of one witness request, in the --witness
+    form, over separable ensembles: ``csi:<m>`` and ``qfi:x|y|z|nx,ny,nz``
+    are maximized, ``xi2`` is minimized. Each proposal is a one-sample
+    chunk of the scan's kernels (_evaluate_chunk for C_2m and F_Q, and
+    _squeezing of _spin_moments for xi^2), so no density is built. A
+    degenerate C_2m, a zero mean spin, a WitnessError or a non-finite value
+    makes a proposal infeasible: it is never kept.
+
+    ``budget`` counts evaluations in total, split across random restarts,
+    each starting from a draw as sample_ensemble makes one. Proposals
+    perturb z, phi and the weights, in that order, with Gaussian noise
+    (sigma 0.05 / 0.2 / 0.1), clip z to [0,1], wrap phi and project the
+    weights back onto the simplex. Deterministic for a fixed seed. Before
+    any draw, ValueError refuses eta2, `all`, what the parser or run_scan
+    (one sample of n_total particles) refuses, and a budget or restart
+    count below one. Returns (best value, best ensemble); the ensemble is
+    None, and the value -inf (inf for xi2), if no proposal was feasible.
+    """
+    _, kind, param = _parse_witness_request(request)
+    if kind not in ("csi", "qfi", "xi2"):
+        raise ValueError(f"maximize_witness climbs csi, qfi or xi2, not {request!r}")
+    if budget < 1 or restarts < 1:
+        raise ValueError("budget and restarts must be at least 1")
+    orders, number_weights, _, scales = _checked_scan(
+        1, n_total, None, n_components, 1, [param if kind == "csi" else 1]
+    )
+    numbers, probabilities = (number_weights[0][0],), np.ones(1)
+    directions = np.reshape(param if kind == "qfi" else [], (-1, 3))
+    sign = -1.0 if kind == "xi2" else 1.0
+
+    def score(weights, z, phi) -> float:
+        """sign * the witness of one ensemble, -inf if it is infeasible."""
+        chunk = weights[None, None], z[None, None], phi[None, None]
+        try:
+            if kind == "xi2":
+                value, skip = _squeezing(float(numbers[0]), *_spin_moments(number_weights, *chunk, False))
+            else:
+                ratios, degenerate, forms = _evaluate_chunk(
+                    *chunk, numbers, probabilities, orders, scales, directions
+                )
+                value, skip = (ratios, degenerate) if kind == "csi" else (forms, False)
+        except WitnessError:
+            return -math.inf
+        value = float(value.flat[0])
+        return sign * value if math.isfinite(value) and not np.any(skip) else -math.inf
+
+    rng = np.random.default_rng(seed)
+    per_restart = max(1, math.ceil(budget / restarts))
+    best_score, best = -math.inf, None
+    for step in range(budget):
+        if step % per_restart == 0:
+            proposal = _draw_components(rng, n_components)
+        else:
+            weights, z, phi = current
+            z = np.clip(z + rng.normal(0.0, 0.05, z.size), 0.0, 1.0)
+            phi = (phi + rng.normal(0.0, 0.2, phi.size) + math.pi) % (2.0 * math.pi) - math.pi
+            if weights.size > 1:
+                weights = _project_simplex(weights + rng.normal(0.0, 0.1, weights.size))
+            proposal = weights, z, phi
+        value = score(*proposal)
+        # the best score bounds the current one, so a new best is a new current point
+        if step % per_restart == 0 or value > current_score:
+            current, current_score = proposal, value
+        if value > best_score:
+            best_score, best = value, proposal
+    return sign * best_score, None if best is None else _ensemble_from_arrays(numbers[0], *best)

@@ -5,20 +5,21 @@ superposition of the two modes; finite positive mixtures of such states
 (optionally with a fluctuating total particle number) exhaust the
 separable states this toolkit certifies bounds against. Continuous
 ensembles are represented by discrete sampling. The module also carries
-the seeded samplers and the stochastic hill-climbing maximizer used to
-probe separability bounds.
+the seeded samplers that define the draw stream of the scans and of
+scan.maximize_witness, which evaluate the drawn (weights, z, phi) arrays
+directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from ._factorials import log_binomial_rows
-from .errors import SectorTooLarge, WitnessError
+from .errors import SectorTooLarge
 from .fock import (
     _POISSON_MASS,
     DEFAULT_N_MAX,
@@ -44,8 +45,6 @@ MAX_PARTICLES = 10**6
 # or a scan sample (the sum of K (N + 1) over its sectors of K components)
 # and a scan's ratio rows (max m (N + 1)).
 MAX_EXPANDED_SIZE = 2**22
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -381,15 +380,18 @@ def _check_draws(weights, z, phi) -> None:
     _check_weights(weights, "drawn components'")
 
 
-def _sample_components(rng: np.random.Generator, n_total: int, n_components: int) -> SeparableEnsemble:
-    return _ensemble_from_arrays(n_total, *_draw_components(rng, n_components))
+def _ensemble_from_arrays(n_total, weights, z, phi) -> SeparableEnsemble:
+    comps = tuple(
+        (float(w), CoherentSpinState(float(zi), float(pi), n_total))
+        for w, zi, pi in zip(weights, z, phi)
+    )
+    return SeparableEnsemble(n_total, comps)
 
 
 def sample_ensemble(seed: int, n_total: int, n_components: int) -> SeparableEnsemble:
     """Seeded random ensemble: z uniform on [0,1), phi uniform on [-pi,pi),
     weights from a flat Dirichlet simplex draw. Same seed, same ensemble."""
-    rng = np.random.default_rng(seed)
-    return _sample_components(rng, n_total, n_components)
+    return _ensemble_from_arrays(n_total, *_draw_components(np.random.default_rng(seed), n_components))
 
 
 def sample_fluctuating_ensemble(
@@ -400,7 +402,9 @@ def sample_fluctuating_ensemble(
     from one generator in ascending N."""
     rng = np.random.default_rng(seed)
     number_weights = distribution.weights()
-    per_sector = {n: _sample_components(rng, n, n_components) for n, _ in number_weights}
+    per_sector = {
+        n: _ensemble_from_arrays(n, *_draw_components(rng, n_components)) for n, _ in number_weights
+    }
     return FluctuatingEnsemble(number_weights, per_sector)
 
 
@@ -483,92 +487,3 @@ def _in_order(terms: np.ndarray) -> np.ndarray:
     """Sums over the last axis taken in order from 0.0, as a loop would
     (adding 0.0 turns an all-(-0.0) sum into the loop's 0.0)."""
     return np.cumsum(terms, axis=-1)[..., -1] + 0.0
-
-
-# --- stochastic maximization ---------------------------------------------------
-
-
-def _wrap_phase(values: np.ndarray) -> np.ndarray:
-    return (values + math.pi) % _TWO_PI - math.pi
-
-
-def _project_simplex(values: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(values)[::-1]
-    cumsum = np.cumsum(u)
-    rho_candidates = u * np.arange(1, values.size + 1) > (cumsum - 1.0)
-    rho = int(np.nonzero(rho_candidates)[0][-1])
-    tau = (cumsum[rho] - 1.0) / (rho + 1)
-    return np.maximum(values - tau, 0.0)
-
-
-def _ensemble_from_arrays(n_total, weights, z, phi) -> SeparableEnsemble:
-    comps = tuple(
-        (float(w), CoherentSpinState(float(zi), float(pi), n_total))
-        for w, zi, pi in zip(weights, z, phi)
-    )
-    return SeparableEnsemble(n_total, comps)
-
-
-def maximize_witness(
-    objective: Callable[[SeparableEnsemble], float],
-    n_total: int,
-    budget: int,
-    seed: int,
-    n_components: int = 1,
-    restarts: int = 20,
-) -> tuple[float, SeparableEnsemble | None]:
-    """Stochastic hill climbing of ``objective`` over separable ensembles.
-
-    ``budget`` counts objective evaluations in total, split across random
-    restarts. Proposals perturb (z, phi, weights) with Gaussian noise
-    (sigma 0.05 / 0.2 / 0.1), clip z to [0,1], wrap phi, and project the
-    weights back onto the simplex. A WitnessError from the objective marks
-    the proposal infeasible (treated as -inf) instead of aborting the
-    search. Deterministic for a fixed seed. Returns (best value, best
-    ensemble); the ensemble is None only if every evaluation errored.
-    """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    rng = np.random.default_rng(seed)
-    per_restart = max(1, math.ceil(budget / restarts))
-    evals_left = budget
-    best_value = -math.inf
-    best_ensemble: SeparableEnsemble | None = None
-
-    def evaluate(candidate: SeparableEnsemble) -> float:
-        try:
-            return float(objective(candidate))
-        except WitnessError:
-            return -math.inf
-
-    while evals_left > 0:
-        start = _sample_components(rng, n_total, n_components)
-        weights = np.array([w for w, _ in start.components])
-        z = np.array([c.z for _, c in start.components])
-        phi = np.array([c.phi for _, c in start.components])
-        current = start
-        current_value = evaluate(current)
-        evals_left -= 1
-        if current_value > best_value:
-            best_value, best_ensemble = current_value, current
-        for _ in range(per_restart - 1):
-            if evals_left <= 0:
-                break
-            z_new = np.clip(z + rng.normal(0.0, 0.05, z.size), 0.0, 1.0)
-            phi_new = _wrap_phase(phi + rng.normal(0.0, 0.2, phi.size))
-            if weights.size > 1:
-                w_new = _project_simplex(weights + rng.normal(0.0, 0.1, weights.size))
-            else:
-                w_new = weights
-            candidate = _ensemble_from_arrays(n_total, w_new, z_new, phi_new)
-            value = evaluate(candidate)
-            evals_left -= 1
-            if value > current_value:
-                current, current_value = candidate, value
-                weights, z, phi = w_new, z_new, phi_new
-                if value > best_value:
-                    best_value, best_ensemble = value, candidate
-    return best_value, best_ensemble

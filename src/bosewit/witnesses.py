@@ -53,12 +53,7 @@ from .fock import (
     _unit_directions,
     normally_ordered_moment,
 )
-from .separable import (
-    FluctuatingEnsemble,
-    SeparableEnsemble,
-    analytic_spin_moments,
-    ensemble_to_state,
-)
+from .separable import FluctuatingEnsemble, SeparableEnsemble, analytic_spin_moments
 
 # The tolerances and cutoffs, WITNESS_TOLERANCE among them, are in fock.
 _LOG_DEGENERATE_PRODUCT = math.log(_DEGENERATE_PRODUCT)
@@ -768,32 +763,45 @@ def classify(
     )
 
 
-# --- ready-made maximizer objectives --------------------------------------------------
+
+# --- witness requests ----------------------------------------------------------------
 
 
-def csi_objective(m: int = 1):
-    """Objective returning C_2m of the ensemble's exact density."""
-
-    def objective(ensemble: SeparableEnsemble) -> float:
-        return csi_ratio(integrated_g2m(ensemble_to_state(ensemble), m))
-
-    return objective
+# the report key of each axis direction, and the form of each request that
+# takes a parameter, quoted when a value is refused
+_AXIS_KEYS = {(1.0, 0.0, 0.0): "x", (0.0, 1.0, 0.0): "y", (0.0, 0.0, 1.0): "z"}
+_WITNESS_FORMS = {"csi": "csi:<m>, m a positive integer", "qfi": "qfi:x|y|z or qfi:<nx>,<ny>,<nz>"}
 
 
-def qfi_objective(g: GeneratorSpec):
-    """Objective returning F_Q[rho, J_n] of the ensemble's exact density."""
-
-    def objective(ensemble: SeparableEnsemble) -> float:
-        return qfi(ensemble_to_state(ensemble), g)
-
-    return objective
-
-
-def squeezing_objective():
-    """Objective returning -xi^2 from the closed-form ensemble moments,
-    so maximizing it searches for the strongest squeezing."""
-
-    def objective(ensemble: SeparableEnsemble) -> float:
-        return -spin_squeezing(ensemble)
-
-    return objective
+def _parse_witness_request(text: str):
+    """One witness request, the --witness form -> (report key, kind,
+    parameter); the parameter is a checked csi order, a checked unit qfi
+    direction or None, and a qfi key names a direction along an axis by its
+    axis. A name and an axis letter are read stripped and lower-cased.
+    Raises ValueError, quoting a refused csi or qfi value and the form it
+    takes."""
+    name, _, param = text.partition(":")
+    name = name.strip().lower()
+    if name in ("all", "eta2", "xi2"):
+        if param:
+            raise ValueError(f"{name!r} takes no parameter")
+        return (name, name, None)
+    if name not in _WITNESS_FORMS:
+        raise ValueError(f"unknown witness {text!r}")
+    try:
+        if name == "csi":
+            m = _check_order(int(param) if param else 1)
+            return (f"csi:{m}", "csi", m)
+        axis = param.strip().lower()
+        if axis in ("", "x", "y", "z"):
+            generator = GeneratorSpec.axis(axis or "z")
+        else:
+            parts = [float(p) for p in param.split(",")]
+            if len(parts) != 3:
+                raise ValueError(f"got {len(parts)} components")
+            generator = GeneratorSpec.from_vector(np.array(parts))
+    except ValueError as exc:
+        raise ValueError(f"--witness {text!r} must take the form {_WITNESS_FORMS[name]} ({exc})") from None
+    key = generator.key()
+    label = _AXIS_KEYS.get(key) or "{:g},{:g},{:g}".format(*key)
+    return (f"qfi:{label}", "qfi", generator.direction)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from bosewit import cli, separable
+from bosewit import cli, separable, witnesses
 from bosewit.cli import RunManifest, _emit_json, _manifest_comment, main
 from bosewit.witnesses import classify, twin_fock_csi_exact
 
@@ -218,8 +219,42 @@ def test_a_refused_witness_value_is_quoted_with_its_form(request_text, cause, ca
     )
     assert (code, out) == (2, "")
     name = request_text.partition(":")[0]
-    assert f"--witness {request_text!r} must take the form {cli._WITNESS_FORMS[name]} (" in err
+    assert f"--witness {request_text!r} must take the form {witnesses._WITNESS_FORMS[name]} (" in err
     assert cause in err
+
+
+@pytest.mark.parametrize("request_text, parsed", [
+    ("QFI:z", ("qfi:z", "qfi", (0.0, 0.0, 1.0))),
+    ("qfi:X", ("qfi:x", "qfi", (1.0, 0.0, 0.0))),
+    ("qfi: x", ("qfi:x", "qfi", (1.0, 0.0, 0.0))),
+    (" Qfi : Y ", ("qfi:y", "qfi", (0.0, 1.0, 0.0))),
+    ("qfi:", ("qfi:z", "qfi", (0.0, 0.0, 1.0))),
+    ("csi: 2", ("csi:2", "csi", 2)),
+    ("XI2", ("xi2", "xi2", None)),
+    ("qfi:1e-200,1e-200,0", ("qfi:0.707107,0.707107,0", "qfi", (0.5**0.5, 0.5**0.5, 0.0))),
+    ("qfi:3e-170,0,4e-170", ("qfi:0.6,0,0.8", "qfi", (0.6, 0.0, 0.8))),
+])
+def test_a_request_is_read_stripped_and_lower_cased(request_text, parsed):
+    # the name was read that way, the axis letter was not: qfi:X exited 2
+    key, kind, param = witnesses._parse_witness_request(request_text)
+    assert (key, kind) == parsed[:2]
+    if kind == "qfi":
+        np.testing.assert_allclose(param, parsed[2], rtol=0, atol=1e-15)
+    else:
+        assert param == parsed[2]
+
+
+def test_upper_case_axes_and_tiny_directions_reach_the_report(capsys):
+    # both requests exited 2: the axis letter was not lower-cased, and the
+    # squared norm of (1e-200, 1e-200, 0) underflowed to 0
+    code, out, err = run_cli(
+        capsys, "witness", "--state", os.path.join(DATA, "css_050.state"), "--timestamp", TS,
+        "--witness", "QFI:X", "--witness", "qfi:1e-200,1e-200,0",
+    )
+    assert (code, err) == (0, "")
+    entries = json.loads(out)["witnesses"]
+    assert sorted(entries) == ["qfi:0.707107,0.707107,0", "qfi:x"]
+    assert all(math.isfinite(entry["value"]) for entry in entries.values())
 
 
 def test_witness_requests_are_deduplicated_by_report_key(capsys):

@@ -93,10 +93,47 @@ def test_generator_spec():
     assert GeneratorSpec.axis("x").key() == (1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         GeneratorSpec(np.array([1.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
-        GeneratorSpec.from_vector([0.0, 0.0, 0.0])
+    for bad in ((0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0), (1e308, -np.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            GeneratorSpec.from_vector(bad)
     with pytest.raises(ValueError):
         GeneratorSpec.axis("w")
+
+
+@pytest.mark.parametrize("vector, unit", [
+    ((1e-200, 1e-200, 0.0), (0.5**0.5, 0.5**0.5, 0.0)),
+    ((3e-170, 0.0, 4e-170), (0.6, 0.0, 0.8)),
+    ((1e-160, -1e-160, 0.0), (0.5**0.5, -(0.5**0.5), 0.0)),
+    ((5e-324, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    ((1e308, 1e308, 0.0), (0.5**0.5, 0.5**0.5, 0.0)),
+    ((0.0, -3e300, 4e300), (0.0, -0.6, 0.8)),
+])
+def test_a_direction_whose_squared_norm_leaves_the_float_range(vector, unit):
+    # each was refused as "finite and nonzero" (1e308 with a RuntimeWarning)
+    # or as no unit vector
+    with np.errstate(all="raise"):
+        direction = GeneratorSpec.from_vector(vector).direction
+    np.testing.assert_allclose(direction, unit, rtol=0, atol=1e-15)
+
+
+def test_a_direction_in_the_float_range_keeps_its_bits():
+    rng = np.random.default_rng(3)
+    for vector in rng.normal(size=(2000, 3)) * np.exp(rng.uniform(-300, 300, (2000, 1))):
+        assert np.array_equal(
+            GeneratorSpec.from_vector(vector).direction, vector / float(np.linalg.norm(vector))
+        )
+
+
+def test_from_pure_takes_every_norm_a_fock_vector_takes():
+    # norm^2 1 + 5e-9 is within the FockVector guard (1e-8); from_pure used
+    # to judge the copy against the density trace tolerance (1e-10)
+    state = FockVector([math.sqrt(1.0 + 5e-9), 0.0, 0.0])
+    density = SectorDensity.from_pure(state)
+    assert type(density) is SectorDensity
+    assert density.weights.tolist() == [1.0]
+    assert np.array_equal(density.vectors, state.vectors)
+    assert not np.shares_memory(density.vectors, state.vectors)
+    assert not density.vectors.flags.writeable
 
 
 def test_twin_fock_ladder_moments():

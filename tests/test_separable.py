@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from bosewit import scan
 from bosewit.errors import SectorTooLarge
-from bosewit.scan import _draw_chunk
+from bosewit.scan import _draw_chunk, maximize_witness
 from bosewit.fock import (
     FockVector,
     GeneratorSpec,
@@ -24,12 +25,11 @@ from bosewit.separable import (
     SeparableEnsemble,
     analytic_spin_moments,
     ensemble_to_state,
-    maximize_witness,
     sample_ensemble,
     sample_fluctuating_ensemble,
     to_fock,
 )
-from bosewit.witnesses import csi_objective, qfi_objective, squeezing_objective
+from bosewit.witnesses import csi_ratio, integrated_g2m, qfi, spin_squeezing
 
 import oracles
 
@@ -325,31 +325,82 @@ def test_analytic_moments_match_fock_path_fluctuating():
 
 
 def test_maximize_csi_stays_bounded():
-    best, ensemble = maximize_witness(csi_objective(1), 20, budget=2000, seed=7)
+    best, ensemble = maximize_witness("csi:1", 20, budget=2000, seed=7)
     assert ensemble is not None
     assert best <= 1.0 + 1e-9
     assert best >= 0.999
 
 
 def test_maximize_qfi_approaches_supremum():
-    g = GeneratorSpec.axis("z")
-    best, ensemble = maximize_witness(qfi_objective(g), 20, budget=2000, seed=11)
+    best, ensemble = maximize_witness("qfi:z", 20, budget=2000, seed=11)
     assert ensemble is not None
     assert best <= 20.0 + 1e-6
     assert best >= 20.0 - 0.01
 
 
 def test_maximize_squeezing_cannot_beat_unity():
-    best, ensemble = maximize_witness(squeezing_objective(), 16, budget=1500, seed=3)
+    xi2, ensemble = maximize_witness("xi2", 16, budget=1500, seed=3)
     assert ensemble is not None
-    xi2 = -best
     assert xi2 >= 1.0 - 1e-9
 
 
 def test_maximize_is_deterministic():
-    a = maximize_witness(csi_objective(1), 8, budget=200, seed=5, n_components=2)
-    b = maximize_witness(csi_objective(1), 8, budget=200, seed=5, n_components=2)
+    a = maximize_witness("csi:1", 8, budget=200, seed=5, n_components=2)
+    b = maximize_witness("csi:1", 8, budget=200, seed=5, n_components=2)
     assert a[0] == b[0]
     assert a[1].components == b[1].components
     with pytest.raises(ValueError):
-        maximize_witness(csi_objective(1), 8, budget=0, seed=5)
+        maximize_witness("csi:1", 8, budget=0, seed=5)
+
+
+@pytest.mark.parametrize("n_total", [2, 20, 256])
+@pytest.mark.parametrize("request_text, n_components", [("csi:1", 1), ("csi:1", 3), ("qfi:z", 2), ("xi2", 3)])
+def test_the_climb_returns_the_value_of_its_ensemble(request_text, n_components, n_total):
+    # the climb evaluates arrays through the scan's kernels; its best value
+    # is the witness of the ensemble it returns, as a density gives it
+    best, ensemble = maximize_witness(request_text, n_total, budget=60, seed=n_total, n_components=n_components)
+    state = ensemble_to_state(ensemble)
+    if request_text == "csi:1":
+        expected = csi_ratio(integrated_g2m(state, 1))
+    elif request_text == "qfi:z":
+        expected = qfi(state, GeneratorSpec.axis("z"))
+    else:
+        expected = spin_squeezing(state)
+        assert best == spin_squeezing(ensemble)  # the closed form, bit for bit
+    assert best == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("request_text, bound", [("csi:1", 1.0), ("qfi:x", 300.0)])
+def test_a_climb_past_the_dense_cap_stays_within_its_bound(request_text, bound):
+    # the objectives built a density capped at DEFAULT_N_MAX = 256 particles
+    # for every proposal, so N = 300 raised SectorTooLarge
+    best, ensemble = maximize_witness(request_text, 300, budget=80, seed=2, n_components=2)
+    assert ensemble.n_total == 300
+    assert bound - 0.1 * bound < best <= bound + 1e-9 * bound
+    with pytest.raises(SectorTooLarge):
+        ensemble_to_state(ensemble)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("eta2", 20), {}, "not 'eta2'"),
+    (("all", 20), {}, "not 'all'"),
+    (("parity", 20), {}, "unknown witness 'parity'"),
+    (("xi2:1", 20), {}, "takes no parameter"),
+    (("csi:0", 20), {}, "must take the form"),
+    (("qfi:0,0,0", 20), {}, "must take the form"),
+    (("csi:11", 20), {}, "2m <= n_total"),
+    (("xi2", 1), {}, "n_total >= 2"),
+    (("qfi:z", 20), {"n_components": 0}, "at least one component"),
+    (("qfi:z", 20), {"n_components": 1001}, "n_components must be at most 1000"),
+    (("xi2", 10**6 + 1), {}, "n_total must be at most 1000000"),
+    (("xi2", 10**6), {"n_components": 5}, "an input may expand into at most 4194304"),
+    (("csi:5", 10**6), {}, "its ratio rows"),
+    (("csi:1", 20), {"restarts": 0}, "budget and restarts must be at least 1"),
+])
+def test_the_climb_refuses_what_a_scan_refuses_before_any_draw(args, kwargs, message, monkeypatch):
+    def no_draw(*_):
+        raise AssertionError("drew a proposal")
+
+    monkeypatch.setattr(scan, "_draw_components", no_draw)
+    with pytest.raises(ValueError, match=message):
+        maximize_witness(*args, budget=10, seed=1, **kwargs)
