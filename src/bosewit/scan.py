@@ -2,16 +2,21 @@
 
 Random separable ensembles are drawn as (weights, z, phi) arrays, and
 every witness is evaluated on them against its separability bound by the
-chunk kernels (coherent factor rows for C_2m and F_Q, closed-form spin
-moments for xi^2). Any violation beyond tolerance marks an implementation
-bug, not physics: the bounds are theorems for these states. Reports are
-deterministic per seed. maximize_witness climbs one witness toward its
-bound through the same kernels, one proposal per one-sample chunk.
+chunk kernels, each a half of its own: C_2m from the occupation
+populations of real modulus rows, F_Q from the K x K closed forms of the
+drawn product components (complex amplitude rows only where K > N + 1),
+and xi^2 from closed-form spin moments. Any violation beyond tolerance
+marks an implementation bug, not physics: the bounds are theorems for
+these states. Reports are deterministic per seed. maximize_witness climbs
+one witness toward its bound through the same kernels, one proposal per
+one-sample chunk, and computes only the witness it climbs.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +30,7 @@ from .separable import (
     SeparableEnsemble,
     _check_draws,
     _check_expanded_size,
+    _coherent_moduli,
     _coherent_rows,
     _draw_components,
     _ensemble_from_arrays,
@@ -38,6 +44,7 @@ from .witnesses import (
     _log_scales,
     _parse_witness_request,
     _population_integrals,
+    _product_forms,
     _qfi_forms,
     _squeezing,
     _stack_runs,
@@ -155,30 +162,88 @@ def _ensemble_payload(number_weights, fixed: bool, weights, z, phi) -> dict:
     }
 
 
-def _evaluate_chunk(weights, z, phi, numbers, probabilities, orders, scales, directions) -> tuple:
-    """C_2m of every order with its degenerate mask, both (S, M), and F_Q
-    of every direction, (S, k), for S samples given as (S, J, K) weights,
-    z and phi over J particle numbers, with the scales of
-    _log_scales(max N, orders).
+@dataclass(eq=False)
+class _Run:
+    """One run of a chunk's sectors (_stack_runs): (S, J, K) weights, z and
+    phi over its J particle numbers, with their probabilities.
 
-    The sectors go in the runs of _stack_runs, each padded only to its own
-    width: one _coherent_rows call and one batched _qfi_forms call per run,
-    then one _population_integrals call over all runs (the routine behind
-    integrated_g2m) for every order. The number probabilities weight each
-    sector's populations and average its F_Q forms."""
+    A deep run, one whose K exceeds its width W = max N + 1, takes F_Q from
+    its complex amplitude rows (_coherent_rows, then _qfi_forms on the W x W
+    density: O(K W^2) per sector) and its populations from the same rows.
+    Any other run takes F_Q from the K x K closed forms of _product_forms
+    (O(K^3) per sector, no row) and its populations from real modulus rows
+    (_coherent_moduli). Rows are checked by _check_factors and not kept: a
+    deep run's F_Q leaves its populations behind, so its rows are built
+    once when F_Q comes first.
+    """
+
+    weights: np.ndarray
+    z: np.ndarray
+    phi: np.ndarray
+    numbers: tuple
+    probabilities: np.ndarray
+
+    @property
+    def deep(self) -> bool:
+        return self.weights.shape[-1] > max(self.numbers) + 1
+
+    def _rows(self) -> np.ndarray:
+        if self.deep:
+            rows = _coherent_rows(self.numbers, self.z, self.phi)
+        else:
+            rows = _coherent_moduli(self.numbers, self.z)
+        _check_factors(self.weights, rows)
+        return rows
+
+    def _weighted(self, rows) -> np.ndarray:
+        return _factor_populations(self.weights, rows) * self.probabilities[:, None]
+
+    @cached_property
+    def populations(self) -> np.ndarray:
+        """p_j P_j, (S, J, W): the weighted occupation populations."""
+        return self._weighted(self._rows())
+
+    @cached_property
+    def forms(self) -> np.ndarray:
+        """The F_Q forms of the run's sectors, (S, J, 9)."""
+        count, _, depth = self.weights.shape
+        if not self.deep:
+            return _product_forms(self.weights, self.z, self.phi, self.numbers).reshape(count, -1, 9)
+        rows = self._rows()
+        if "populations" not in self.__dict__:
+            self.populations = self._weighted(rows)
+        stack = self.weights.reshape(-1, depth), rows.reshape(-1, depth, rows.shape[-1])
+        return _qfi_forms(*stack, self.numbers * count).reshape(count, -1, 9)
+
+
+def _chunk_runs(weights, z, phi, numbers, probabilities) -> list:
+    """The _Run list of S samples given as (S, J, K) weights, z and phi over
+    the J particle numbers (a tuple) with their probabilities: the runs of
+    _stack_runs, each padded only to its own width."""
     count, _, depth = weights.shape
-    runs, forms = [], []
-    for run in _stack_runs([(count * depth, n + 1) for n in numbers]):
-        part, run_numbers = weights[:, run], numbers[run]
-        rows = _coherent_rows(run_numbers, z[:, run], phi[:, run])
-        _check_factors(part, rows)
-        runs.append((_factor_populations(part, rows) * probabilities[run, None], run_numbers))
-        stack = part.reshape(-1, depth), rows.reshape(-1, depth, rows.shape[-1])
-        forms.append(_qfi_forms(*stack, run_numbers * count).reshape(count, -1, 9))
-    sums, logs = _population_integrals(runs, orders)
-    ratios, degenerate = _csi_ratios(sums, logs, scales)
-    forms = (probabilities @ np.concatenate(forms, axis=1)).reshape(count, 3, 3)
-    return ratios, degenerate, np.einsum("ka,sab,kb->sk", directions, forms, directions)
+    return [
+        _Run(weights[:, run], z[:, run], phi[:, run], numbers[run], probabilities[run])
+        for run in _stack_runs([(count * depth, n + 1) for n in numbers])
+    ]
+
+
+def _evaluate_csi(runs, orders, scales) -> tuple:
+    """The C_2m half of a chunk's evaluation: C_2m of every order with its
+    degenerate mask, both (S, M), for the _chunk_runs of S samples, with the
+    scales of _log_scales(max N, orders). One _population_integrals call
+    over all runs (the routine behind integrated_g2m) takes every order."""
+    sums, logs = _population_integrals([(run.populations, run.numbers) for run in runs], orders)
+    return _csi_ratios(sums, logs, scales)
+
+
+def _evaluate_qfi(runs, directions) -> np.ndarray:
+    """The F_Q half of a chunk's evaluation: F_Q of every direction, (S, k),
+    for the _chunk_runs of S samples. The number probabilities average each
+    sample's sector forms."""
+    probabilities = np.concatenate([run.probabilities for run in runs])
+    forms = np.concatenate([run.forms for run in runs], axis=1)
+    forms = (probabilities @ forms).reshape(-1, 3, 3)
+    return np.einsum("ka,sab,kb->sk", directions, forms, directions)
 
 
 def _checked_scan(samples, n_total, distribution, n_components, n_directions, csi_orders) -> tuple:
@@ -255,10 +320,16 @@ def run_scan(
     STACK_AMPLITUDES (at least one sample each), as (S, J, K) arrays of
     weights, z and phi drawn as sample_ensemble and
     sample_fluctuating_ensemble draw them; no ensemble object is built,
-    and a worst-case payload only when needed. _evaluate_chunk takes the
-    chunk's sectors in padded runs, and one _spin_moments call gives every
-    xi^2 (bit for bit that of the ensemble object). C_2m and F_Q equal, to
-    rounding, those of each sample's own density.
+    and a worst-case payload only when needed. _chunk_runs splits the
+    chunk's sectors into padded runs; _evaluate_qfi gives every F_Q, from
+    the K x K closed forms of the product components (_product_forms) in
+    each run with K <= W = max N + 1, and from complex amplitude rows and
+    _qfi_forms in a deeper run, where the K x K eigensolve would cost more
+    than the W x W one; _evaluate_csi gives every C_2m, from the populations
+    of real modulus rows (or of a deep run's complex rows, built once for
+    both). One _spin_moments call gives every xi^2 (bit for bit that of
+    the ensemble object). C_2m and F_Q equal, to rounding, those of each
+    sample's own density.
     """
     orders, number_weights, amplitudes, scales = _checked_scan(
         samples, n_total, distribution, n_components, n_directions, csi_orders
@@ -282,9 +353,10 @@ def run_scan(
         seeds = [int(s) for s in sample_seeds[start : start + chunk]]
         count = len(seeds)
         weights, z, phi = _draw_chunk(seeds, len(numbers), n_components)
-        ratios, degenerate, qfi_values = _evaluate_chunk(
-            weights, z, phi, numbers, probabilities, orders, scales, directions
-        )
+        runs = _chunk_runs(weights, z, phi, numbers, probabilities)
+        # F_Q first: a deep run's rows then give its populations on the way
+        qfi_values = _evaluate_qfi(runs, directions)
+        ratios, degenerate = _evaluate_csi(runs, orders, scales)
         squeezing, zero_spin = _squeezing(
             qfi_bound, *_spin_moments(number_weights, weights, z, phi, mode == "fluctuating")
         )
@@ -364,8 +436,9 @@ def maximize_witness(request: str, n_total: int, budget: int, seed: int, n_compo
     """Stochastic hill climbing of one witness request, in the --witness
     form, over separable ensembles: ``csi:<m>`` and ``qfi:x|y|z|nx,ny,nz``
     are maximized, ``xi2`` is minimized. Each proposal is a one-sample
-    chunk of the scan's kernels (_evaluate_chunk for C_2m and F_Q, and
-    _squeezing of _spin_moments for xi^2), so no density is built. A
+    chunk of the scan's kernel for that witness alone (_evaluate_csi,
+    _evaluate_qfi, or _squeezing of _spin_moments for xi^2), so no density
+    is built, and no other witness is computed. A
     degenerate C_2m, a zero mean spin, a WitnessError or a non-finite value
     makes a proposal infeasible: it is never kept.
 
@@ -397,11 +470,10 @@ def maximize_witness(request: str, n_total: int, budget: int, seed: int, n_compo
         try:
             if kind == "xi2":
                 value, skip = _squeezing(float(numbers[0]), *_spin_moments(number_weights, *chunk, False))
+            elif kind == "csi":
+                value, skip = _evaluate_csi(_chunk_runs(*chunk, numbers, probabilities), orders, scales)
             else:
-                ratios, degenerate, forms = _evaluate_chunk(
-                    *chunk, numbers, probabilities, orders, scales, directions
-                )
-                value, skip = (ratios, degenerate) if kind == "csi" else (forms, False)
+                value, skip = _evaluate_qfi(_chunk_runs(*chunk, numbers, probabilities), directions), False
         except WitnessError:
             return -math.inf
         value = float(value.flat[0])

@@ -25,6 +25,7 @@ from ._factorials import (
     balanced_factorial_ratio,
     correlator_rows,
     log_factorials,
+    log_order_scales,
     order_scales,
     ratio_rows,
 )
@@ -268,7 +269,7 @@ def _by_kind(values: np.ndarray, lead: tuple) -> np.ndarray:
 def _log_scales(n: int, orders) -> np.ndarray:
     """(log alpha, kappa, log kappa) of N = n for every order, as (3, M):
     the scales _csi_ratios takes with the sums of _population_integrals."""
-    return np.array([order_scales(n, int(m))[1:] for m in orders]).T
+    return np.array([log_order_scales(n, int(m)) for m in orders]).T
 
 
 def _log_ratio_rows(n: int):
@@ -589,6 +590,93 @@ def _qfi_forms(weights, rows, numbers) -> np.ndarray:
         4.0 * (spread @ spread.transpose(0, 2, 1))
         - 8.0 * (weighted.view(np.float64) @ overlaps.transpose(0, 2, 1))
     )
+
+
+def _product_forms(weights, z, phi, numbers) -> np.ndarray:
+    """The F_Q quadratic forms of _qfi_forms, (..., J, 3, 3), for sectors
+    that mix products: sector j of (..., J, K) weights, z and phi holds
+    rho = sum_k w_k |psi_k><psi_k|^{(x) N_j}, N_j = numbers[j], with psi_k =
+    (a_k, b_k) = (sqrt(z_k) e^{i phi_k}, sqrt(1 - z_k)), as scans draw them.
+
+    Every quantity the form needs has a closed form over the K components,
+    so no amplitude row is built and the cost does not grow with N. With
+    s_kl = <psi_k|psi_l> (s_kk set to exactly 1), the Gram matrix of the
+    scaled products is G_kl = sqrt(w_k w_l) s_kl^N, and the generator
+    blocks M_a,kl = sqrt(w_k w_l) N s_kl^{N-1} <psi_k|sigma_a/2|psi_l>
+    (zero at N = 0, and exact for orthogonal components, s = 0). A batched
+    eigh of G gives rho's eigenvalues lam_i and, through V, its support,
+    on which <i|J_a|j> = (V^dag M_a V)_ij / sqrt(lam_i lam_j). Then
+
+        T_ab = N sum_k w_k delta_ab + N (N - 1) sum_k w_k n_k,a n_k,b
+               - 8 sum_{ij kept} Re[(V^dag M_a V)_ij conj((V^dag M_b V)_ij)]
+                 / (lam_i + lam_j),
+
+    the first term 4 Tr(rho J_a J_b) from the Bloch vectors n_k = (2 Re
+    conj(a) b, 2 Im conj(a) b, 2z - 1), the second the pair term of
+    _qfi_forms over the pairs of eigenvalues above the 1e-12 cutoff, with
+    no division by sqrt(lam). The cost is O(K^3) per sector, so it pays
+    where K <= N + 1; a deeper sector is cheaper on its rows.
+    """
+    n = np.asarray(numbers, dtype=float)[:, None, None]
+    lead, depth = z.shape[:-1], z.shape[-1]
+    gram, blocks = _product_blocks(weights, z, phi, n)
+    try:
+        lam, vectors = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise EigendecompositionFailure(str(exc)) from exc
+    # V^dag M_a V for the three axes at once, as [i, a, j] and then [a, i, j]
+    blocks = blocks.reshape(*lead, 3 * depth, depth) @ vectors
+    blocks = vectors.conj().swapaxes(-1, -2) @ blocks.reshape(*lead, depth, 3 * depth)
+    elements = np.ascontiguousarray(blocks.reshape(*lead, depth, 3, depth).swapaxes(-3, -2))
+    kept = lam > _SPECTRAL_CUTOFF
+    pairs = kept[..., :, None] & kept[..., None, :]
+    inverse = np.zeros(pairs.shape)
+    np.divide(1.0, lam[..., :, None] + lam[..., None, :], out=inverse, where=pairs)
+    weighted = elements * inverse[..., None, :, :]
+    # Re(sum_ij conj(x_ij) y_ij) is the real dot product of the (re, im) views
+    elements = elements.reshape(*lead, 3, -1).view(np.float64)
+    weighted = weighted.reshape(*lead, 3, -1).view(np.float64)
+    radial = 2.0 * np.sqrt(z * (1.0 - z))
+    bloch = np.stack([radial * np.cos(phi), -radial * np.sin(phi), 2.0 * z - 1.0], axis=-1)
+    spread = (weights[..., None] * bloch).swapaxes(-1, -2) @ bloch
+    total = np.sum(weights, axis=-1)[..., None, None] * np.eye(3)
+    return n * total + n * (n - 1.0) * spread - 8.0 * (elements @ weighted.swapaxes(-1, -2))
+
+
+def _product_blocks(weights, z, phi, n) -> tuple:
+    """The Gram matrices G (..., J, K, K) and generator blocks M (..., J,
+    K, 3, K) of _product_forms, M_a,kl at [k, a, l], for N = n (J, 1, 1)."""
+    unit = np.exp(1j * phi)
+    a = np.sqrt(z) * unit
+    b = np.sqrt(1.0 - z)
+    # conj(a_k) a_l and b_k b_l from one square root each and a phase that
+    # is exactly 1 between equal phases, so two equal components overlap by
+    # exactly 1 (a product of the rounded a would miss it by an ulp, which
+    # s^N multiplies by N)
+    phase = unit.conj()[..., :, None] * unit[..., None, :]
+    phase[phi[..., :, None] == phi[..., None, :]] = 1.0
+    tops = np.sqrt(z[..., :, None] * z[..., None, :]) * phase
+    bottoms = np.sqrt((1.0 - z[..., :, None]) * (1.0 - z[..., None, :]))
+    overlap = tops + bottoms
+    depth = z.shape[-1]
+    overlap[..., range(depth), range(depth)] = 1.0
+    # 2 <psi_k|sigma_a/2|psi_l> at [k, a, l], a = x, y, z
+    cross, rising = a.conj()[..., :, None] * b[..., None, :], b[..., :, None] * a[..., None, :]
+    blocks = np.stack([cross + rising, 1j * (rising - cross), tops - bottoms], axis=-2)
+    # sqrt(w_k w_l) s^{N-1} (s^0 = 1, so N = 1 needs no case; at N = 0 the
+    # blocks are zero, and no Gram matrix can move a form), in polar form:
+    # a complex power costs several times more. The entries
+    # below 1e-150 change no eigenvalue and no form past rounding, and the
+    # subnormal products of far components would dominate the cost
+    exponent = np.maximum(n - 1.0, 0.0)
+    turn = exponent * np.angle(overlap)
+    lower = np.abs(overlap) ** exponent * np.sqrt(weights[..., :, None] * weights[..., None, :])
+    lower = lower * np.exp(1j * turn)
+    lower[np.abs(lower) < _AMPLITUDE_FLUSH] = 0.0
+    gram = lower * overlap
+    gram[np.abs(gram) < _AMPLITUDE_FLUSH] = 0.0
+    blocks *= (0.5 * n * lower)[..., :, None, :]
+    return gram, blocks
 
 
 def _stack_runs(shapes):

@@ -15,14 +15,16 @@ TS = "2026-01-01T00:00:00+00:00"
 
 @pytest.fixture
 def no_rows(monkeypatch):
-    """Make every binding of _coherent_rows raise, so that an input built
-    before its size check fails the test."""
+    """Make every binding of _coherent_rows, and the scan's real rows
+    _coherent_moduli, raise, so that an input built before its size check
+    fails the test."""
 
     def refuse(*_):
         raise AssertionError("amplitude rows built before the size check")
 
     for module in (separable, statespec, scan):
         monkeypatch.setattr(module, "_coherent_rows", refuse)
+    monkeypatch.setattr(scan, "_coherent_moduli", refuse)
 
 
 def run_cli(capsys, *argv):

@@ -1,12 +1,14 @@
-"""The eigenpairs behind F_Q: witnesses._qfi_forms against the dense oracle
-and a thin SVD.
+"""The eigenpairs behind F_Q: witnesses._qfi_forms and the scan's closed
+form witnesses._product_forms against the dense oracle and a thin SVD.
 
 A stack of depth K and width W is factored by an eigh of its smaller Gram
 matrix (the K x K overlaps when K <= W, the W x W density when K > W),
-after amplitudes below 1e-150 are flushed to zero. Every form here is held
-to `oracles.qfi_dense` and to `oracles.qfi_forms_svd`, a thin SVD of the
-unflushed rows, within FORM_TOLERANCE of the largest entry of the sector's
-form.
+after amplitudes below 1e-150 are flushed to zero. A mixture of products
+|psi_k>^{(x) N}, as scans draw them, has its K x K Gram matrix and
+generator blocks in closed form, with no amplitude row. Every form here is
+held to `oracles.qfi_dense` and to `oracles.qfi_forms_svd`, a thin SVD of
+the unflushed rows, within FORM_TOLERANCE of the largest entry of the
+sector's form, or to an exact form.
 """
 
 import math
@@ -18,7 +20,7 @@ from bosewit import scan, witnesses
 from bosewit.errors import EigendecompositionFailure
 from bosewit.fock import NumberSectorMixture, SectorDensity
 from bosewit.scan import run_scan
-from bosewit.separable import NumberDistribution, _coherent_rows
+from bosewit.separable import NumberDistribution, _coherent_rows, _draw_components
 from bosewit.witnesses import qfi
 
 import oracles
@@ -167,6 +169,104 @@ def test_a_failed_eigensolve_is_named(depth, n, monkeypatch):
     (sector,) = _ragged(np.random.default_rng(1), [n], [depth])
     with pytest.raises(EigendecompositionFailure, match="did not converge"):
         witnesses._qfi_forms(sector.weights[None], sector.vectors[None], [n])
+    weights, z, phi = (part[None, None] for part in _draw_components(np.random.default_rng(2), depth))
+    with pytest.raises(EigendecompositionFailure, match="did not converge"):
+        witnesses._product_forms(weights, z, phi, [n])
+
+
+# --- the closed form of product mixtures --------------------------------------
+
+EPS = float(np.finfo(float).eps)
+
+
+def _bloch(z, phi):
+    radial = 2.0 * math.sqrt(z * (1.0 - z))
+    return np.array([radial * math.cos(phi), -radial * math.sin(phi), 2.0 * z - 1.0])
+
+
+def _rows_route(weights, z, phi, numbers, forms=witnesses._qfi_forms):
+    """The forms of (..., J, K) product components from their complex
+    amplitude rows, through `forms` (_qfi_forms or the SVD oracle)."""
+    rows = _coherent_rows(list(numbers), z, phi)
+    depth, width = rows.shape[-2:]
+    count = math.prod(weights.shape[:-2])
+    stack = weights.reshape(-1, depth), rows.reshape(-1, depth, width), list(numbers) * count
+    return forms(*stack).reshape(*weights.shape[:-1], 3, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 1000, 2895])
+def test_orthogonal_components_give_the_exact_form(n):
+    # |0, N> and e^{i N phi} |N, 0> (z = 0 and z = 1) overlap by s = 0: the
+    # mixture has F_Q(J_x) = F_Q(J_y) = N and F_Q(J_z) = 0 for N >= 2. With
+    # dyadic weights every step of the closed form is exact.
+    z, phi = np.array([[0.0, 1.0]]), np.array([[0.3, -2.9]])
+    for weights in ([0.5, 0.5], [0.25, 0.75], [0.125, 0.875]):
+        forms = witnesses._product_forms(np.array([weights]), z, phi, [n])
+        np.testing.assert_array_equal(forms[0], np.diag([n, n, 0.0]))
+    forms = witnesses._product_forms(np.array([[0.3, 0.7]]), z, phi, [n])
+    np.testing.assert_allclose(forms[0], np.diag([n, n, 0.0]), rtol=0, atol=4 * EPS * n * n)
+
+
+@pytest.mark.parametrize("n", [2, 40, 1000, 2895, 10**5, 10**6])
+def test_one_coherent_state_split_in_two_components(n):
+    # two components with the same (z, phi) are that coherent state, whose
+    # form is N (I - b b^T) with b its Bloch vector; the two overlap by
+    # exactly 1, so the error stays at the rounding of N^2 terms (at most
+    # 5.8 eps N^2 over 300 random cases), where an overlap an ulp off 1
+    # would grow like N^3 eps
+    cases = [(0.3, 0.7, 0.37), (0.05, -2.0, 0.5), (0.5, 3.1, 0.9), (0.9, 0.0, 0.01),
+             (0.123, 1.234, 0.6), (0.77, -0.3, 0.2)]
+    for z, phi, weight in cases:
+        weights = np.array([[weight, 1.0 - weight]])
+        forms = witnesses._product_forms(weights, np.full((1, 2), z), np.full((1, 2), phi), [n])
+        exact = n * (np.eye(3) - np.outer(_bloch(z, phi), _bloch(z, phi)))
+        np.testing.assert_allclose(forms[0], exact, rtol=0, atol=8 * EPS * n * n)
+
+
+def test_sectors_of_zero_and_one_particle_and_single_components():
+    rng = np.random.default_rng(17)
+    weights, z, phi = (part[None, :] for part in _draw_components(rng, 5))
+    # no particle: no generator acts, and no 0 * s^-1 arises at s = 0
+    z[0, :2] = 0.0, 1.0
+    np.testing.assert_array_equal(witnesses._product_forms(weights, z, phi, [0])[0], np.zeros((3, 3)))
+    # one particle, five components: rank 2 from five rows
+    sectors = [SectorDensity.from_factors(weights[0], _coherent_rows(1, z[0], phi[0]))]
+    _assert_forms_match(witnesses._product_forms(weights, z, phi, [1]), sectors,
+                        _rows_route(weights, z, phi, [1], oracles.qfi_forms_svd))
+    # one component is the coherent state itself, at every N
+    for n in (0, 1, 2, 40, 2895):
+        form = witnesses._product_forms(np.ones((1, 1)), z[:, :1], phi[:, :1], [n])[0]
+        exact = n * (np.eye(3) - np.outer(_bloch(z[0, 0], phi[0, 0]), _bloch(z[0, 0], phi[0, 0])))
+        np.testing.assert_allclose(form, exact, rtol=0, atol=4 * EPS * max(n, 1) ** 2)
+
+
+# (numbers, depth, samples) of product stacks against the rows route
+PRODUCT_SHAPES = {
+    "poisson-like": ([0, 1, 2, 3, 7, 20, 41], 4, 3),
+    "deep-and-shallow": ([1, 2, 5, 30], 12, 2),
+    "wide": ([200], 64, 1),
+    "large N": ([1000, 2895], 4, 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PRODUCT_SHAPES))
+def test_random_product_stacks_match_the_rows_route_and_the_svd(shape):
+    numbers, depth, count = PRODUCT_SHAPES[shape]
+    rng = np.random.default_rng(sorted(PRODUCT_SHAPES).index(shape))
+    draws = np.array([[_draw_components(rng, depth) for _ in numbers] for _ in range(count)])
+    weights, z, phi = draws.transpose(2, 0, 1, 3)
+    # a duplicated component, a zero weight and both boundary values of z
+    z[..., 1], phi[..., 1] = z[..., 0], phi[..., 0]
+    z[0, :, 2], z[-1, :, 3 % depth] = 0.0, 1.0
+    weights[-1, :, -1] = 0.0
+    weights /= weights.sum(axis=-1, keepdims=True)
+    forms = witnesses._product_forms(weights, z, phi, numbers)
+    assert forms.shape == (count, len(numbers), 3, 3)
+    for reference in (_rows_route(weights, z, phi, numbers),
+                      _rows_route(weights, z, phi, numbers, oracles.qfi_forms_svd)):
+        for form, other in zip(forms.reshape(-1, 3, 3), reference.reshape(-1, 3, 3)):
+            scale = max(np.abs(other).max(), 1.0)
+            np.testing.assert_allclose(form, other, rtol=0, atol=FORM_TOLERANCE * scale)
 
 
 # the four scans whose reports tests/test_report_digests.py pins
@@ -180,10 +280,27 @@ DIGEST_SCANS = {
 
 @pytest.mark.parametrize("name", sorted(DIGEST_SCANS))
 def test_scan_worst_values_match_the_svd_route(name, monkeypatch):
+    # every F_Q of the patched scan comes from complex amplitude rows and a
+    # thin SVD: the closed form's sectors (K <= N + 1) through _rows_route,
+    # and the deep chunks of fixed-12-multichunk (K > N + 1) in place of
+    # _qfi_forms
+    calls = {"closed": 0, "rows": 0}
+
+    def closed(weights, z, phi, numbers):
+        calls["closed"] += 1
+        return _rows_route(weights, z, phi, numbers, oracles.qfi_forms_svd)
+
+    def rows(weights, vectors, numbers):
+        calls["rows"] += 1
+        return oracles.qfi_forms_svd(weights, vectors, numbers)
+
     report = run_scan(**DIGEST_SCANS[name])
     with monkeypatch.context() as patch:
-        patch.setattr(scan, "_qfi_forms", oracles.qfi_forms_svd)
+        patch.setattr(scan, "_product_forms", closed)
+        patch.setattr(scan, "_qfi_forms", rows)
         svd = run_scan(**DIGEST_SCANS[name])
+    deep = name == "fixed-12-multichunk"
+    assert (calls["closed"] > 0, calls["rows"] > 0) == (not deep, deep)
     for bound, other in zip(report["bounds"], svd["bounds"]):
         worst, expected = bound.pop("worst_value"), other.pop("worst_value")
         if bound["name"] == "qfi":

@@ -10,10 +10,13 @@ byte of the layout, fails here.
 They were recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64, and give
 the same bytes at 1, 2, 4 and 8 BLAS threads. Every F_Q of these scans
 comes from an eigh of a small Gram matrix, the one eigensolve of F_Q: the
-4 x 4 overlaps of the four-component scans, the 13 x 13 densities of the
-1000-component chunks. (A thin SVD of those 1000 x 13 chunks, kept only
-as the test reference oracles.qfi_forms_svd, gives a last-digit different
-F_Q at one thread than at two or more.) CI runs this module under
+4 x 4 closed-form Gram matrices of the four-component scans' product
+components (K <= N + 1, so no amplitude row is built for F_Q, and the C_2m
+populations come from real modulus rows), the 13 x 13 densities of the
+1000-component chunks (K > N + 1, from complex amplitude rows). (A thin SVD
+of those 1000 x 13 chunks, kept only as the test reference
+oracles.qfi_forms_svd, gives a last-digit different F_Q at one thread than
+at two or more.) CI runs this module under
 OPENBLAS_NUM_THREADS=1 as well as at the default thread count. A
 BLAS or LAPACK that rounds differently moves the F_Q worst values and so
 the digest of every scan report; the witness reports here hold no F_Q.
@@ -30,15 +33,15 @@ TS = "2026-01-01T00:00:00+00:00"
 DIGESTS = {
     "fixed-40": (
         ("--samples", "20", "--n", "40", "--seed", "3"),
-        "c2f5aa548a3c9b0765af1756c65b3ea78da7548f084f22b2fdb3522c1cf3291a",
+        "438e2ecee9f95ce7b10d8b60efd83f16fea0d7d5e7cfb1c5028a428564ebf514",
     ),
     "poisson-20": (
         ("--samples", "5", "--fluctuating", "poisson:20", "--seed", "3"),
-        "c6c1e28cfc13644d0281e3f633433c8870287721573425e024f765ec0b83a915",
+        "23cdd4bf83310df9c163e559843c28ab9a4f8a2367e23d2183523cf02d002305",
     ),
     "binomial-10": (
         ("--samples", "5", "--fluctuating", "binomial:10,0.5", "--seed", "3"),
-        "4c40dea5c9df596ee1dfe23b4d8a12cbd8268da349f7fee146d696b42c12cca1",
+        "0f5352fbe1546d2635f80583730baa61147371562b99745438dd618176e766eb",
     ),
     # 12 samples of 1000 components at N = 12 take three chunks
     "fixed-12-multichunk": (

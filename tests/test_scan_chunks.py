@@ -5,7 +5,9 @@ factor stacks (witnesses._stack_runs). These tests hold it to
 `oracles.scan_per_sample`, which builds each sample's density and calls
 the public witnesses on it, on scans that span at least three chunks with
 a short last one and on a sample that spans several runs, and hold the
-padded QFI stack to the dense oracle sector by sector.
+padded QFI stack to the dense oracle sector by sector. Runs with K > N + 1
+take F_Q from complex amplitude rows, the others from the K x K closed
+form of their product components; the cases cover both.
 """
 
 import math
@@ -16,11 +18,14 @@ import pytest
 from bosewit import scan, witnesses
 from bosewit.fock import NumberSectorMixture, SectorDensity, _axis_actions
 from bosewit.scan import QFI_TOLERANCE, run_scan
-from bosewit.separable import NumberDistribution, _coherent_rows
+from bosewit.separable import NumberDistribution, _coherent_moduli, _coherent_rows
 from bosewit.witnesses import STACK_AMPLITUDES, WITNESS_TOLERANCE, qfi
 
 import oracles
 
+# Each case with the F_Q routes its runs take: "rows" for runs with K > N + 1
+# (complex amplitude rows and _qfi_forms), "closed" for the others
+# (_product_forms).
 CASES = {
     "fixed-6": dict(samples=20, seed=11, n_total=6, n_components=1000),
     "fixed-12": dict(samples=12, seed=12, n_total=12, n_components=1000),
@@ -32,6 +37,24 @@ CASES = {
         samples=10, seed=15, distribution=NumberDistribution.binomial(10, 0.5),
         n_components=200, csi_orders=[1, 5, 6],
     ),
+    "fixed-200": dict(samples=12, seed=17, n_total=200, n_components=64, csi_orders=[1, 50, 100]),
+    "poisson-20": dict(
+        samples=19, seed=18, distribution=NumberDistribution.poisson(20.0), n_components=4
+    ),
+    # the first run of a 17-sample chunk (sectors up to N = 14) is deep
+    "binomial-20": dict(
+        samples=40, seed=19, distribution=NumberDistribution.binomial(20, 0.5), n_components=16
+    ),
+}
+ROUTES = {
+    "fixed-6": {"rows"},
+    "fixed-12": {"rows"},
+    "fixed-40": {"rows"},
+    "poisson-6": {"closed"},
+    "binomial-10": {"rows"},
+    "fixed-200": {"closed"},
+    "poisson-20": {"closed"},
+    "binomial-20": {"rows", "closed"},
 }
 
 
@@ -59,10 +82,22 @@ def test_chunked_scan_matches_the_per_sample_loop(name, monkeypatch):
         masks.append(degenerate)
         return ratios, degenerate
 
+    routes = set()
+
+    def route(name, forms):
+        def recorded(*args):
+            routes.add(name)
+            return forms(*args)
+
+        return recorded
+
     monkeypatch.setattr(scan, "_csi_ratios", recording)
+    monkeypatch.setattr(scan, "_qfi_forms", route("rows", witnesses._qfi_forms))
+    monkeypatch.setattr(scan, "_product_forms", route("closed", witnesses._product_forms))
     report = run_scan(**case)
     sizes = [chunk] * (len(masks) - 1) + [case["samples"] % chunk]
     assert [len(mask) for mask in masks] == sizes
+    assert routes == ROUTES[name]
 
     expected = oracles.scan_per_sample(**case)
     for column, bound in enumerate(b for b in report["bounds"] if b["name"].startswith("csi")):
@@ -94,12 +129,18 @@ def test_a_sample_past_the_stack_budget_is_taken_in_runs(monkeypatch):
     case = dict(samples=3, seed=16, distribution=NumberDistribution.binomial(60, 0.5), n_components=40)
     shapes = []
 
-    def recording(numbers, z, phi):
-        rows = _coherent_rows(numbers, z, phi)
-        shapes.append(rows.shape)
-        return rows
+    def recording(build):
+        def built(*args):
+            rows = build(*args)
+            shapes.append(rows.shape)
+            return rows
 
-    monkeypatch.setattr(scan, "_coherent_rows", recording)
+        return built
+
+    # the scan's row builders: complex rows where K > N + 1, real moduli
+    # elsewhere; each run is built once
+    monkeypatch.setattr(scan, "_coherent_rows", recording(_coherent_rows))
+    monkeypatch.setattr(scan, "_coherent_moduli", recording(_coherent_moduli))
     report = run_scan(**case)
     per_sample = len(shapes) // case["samples"]
     assert per_sample >= 2 and len(shapes) == per_sample * case["samples"]

@@ -370,6 +370,23 @@ def test_the_climb_returns_the_value_of_its_ensemble(request_text, n_components,
     assert best == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("request_text, n_total, n_components, skipped", [
+    ("csi:1", 20, 2, ("_evaluate_qfi", "_product_forms", "_qfi_forms")),
+    # K <= N + 1: F_Q from the closed form, with no amplitude row at all
+    ("qfi:z", 20, 2, ("_evaluate_csi", "_population_integrals", "_coherent_rows", "_coherent_moduli")),
+    # K > N + 1: F_Q from the complex rows, and still no correlator
+    ("qfi:z", 3, 5, ("_evaluate_csi", "_population_integrals", "_product_forms")),
+])
+def test_each_climb_computes_only_its_own_witness(request_text, n_total, n_components, skipped, monkeypatch):
+    def refused(*_):
+        raise AssertionError("the climb computed what its witness does not need")
+
+    for name in skipped:
+        monkeypatch.setattr(scan, name, refused)
+    best, ensemble = maximize_witness(request_text, n_total, budget=40, seed=6, n_components=n_components)
+    assert ensemble is not None and math.isfinite(best)
+
+
 @pytest.mark.parametrize("request_text, bound", [("csi:1", 1.0), ("qfi:x", 300.0)])
 def test_a_climb_past_the_dense_cap_stays_within_its_bound(request_text, bound):
     # the objectives built a density capped at DEFAULT_N_MAX = 256 particles
