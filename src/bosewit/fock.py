@@ -562,9 +562,13 @@ def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors, and A V = V diag(w) holds with residual far below
     1e-10 * ||A||_F.
     """
-    mat = _hermitian(matrix, "matrix", _EIG_HERMITICITY_TOL)
+    return _eigh(_hermitian(matrix, "matrix", _EIG_HERMITICITY_TOL))
+
+
+def _eigh(matrices) -> tuple:
+    """np.linalg.eigh of a stack of hermitian matrices; a LAPACK failure is
+    raised as EigendecompositionFailure."""
     try:
-        evals, evecs = np.linalg.eigh(mat)
+        return np.linalg.eigh(matrices)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionFailure(str(exc)) from exc
-    return evals, evecs

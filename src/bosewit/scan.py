@@ -73,11 +73,8 @@ class _BoundTracker:
         self.skipped = 0
         self.violations = 0
 
-    def record(self, value: float, sample_payload: dict):
-        self.record_values([value], lambda _: sample_payload)
-
     def record_values(self, values, payload_of) -> None:
-        """Record values in sample order, as one record call each would.
+        """Record values in sample order.
 
         The first of the most adverse values becomes the worst value if it
         beats the current one, and only then is `payload_of(i)` called for
@@ -168,13 +165,14 @@ class _Run:
     phi over its J particle numbers, with their probabilities.
 
     A deep run, one whose K exceeds its width W = max N + 1, takes F_Q from
-    its complex amplitude rows (_coherent_rows, then _qfi_forms on the W x W
-    density: O(K W^2) per sector) and its populations from the same rows.
-    Any other run takes F_Q from the K x K closed forms of _product_forms
-    (O(K^3) per sector, no row) and its populations from real modulus rows
-    (_coherent_moduli). Rows are checked by _check_factors and not kept: a
-    deep run's F_Q leaves its populations behind, so its rows are built
-    once when F_Q comes first.
+    its complex amplitude rows (_coherent_rows, then _qfi_forms, which an
+    eigh of the W x W density compresses to W rows: O(K W^2) per sector)
+    and its populations from the same rows. Any other run takes F_Q from
+    the K x K closed forms of _product_forms (O(K^3) per sector, no row)
+    and its populations from real modulus rows (_coherent_moduli). Both end
+    in the same K-space kernel, witnesses._gram_forms. Rows are checked by
+    _check_factors and not kept: a deep run's F_Q leaves its populations
+    behind, so its rows are built once when F_Q comes first.
     """
 
     weights: np.ndarray

@@ -31,7 +31,6 @@ from ._factorials import (
 )
 from .errors import (
     DegenerateLocalCorrelation,
-    EigendecompositionFailure,
     EmptyState,
     NonFiniteWitnessValue,
     OrderTooHigh,
@@ -48,6 +47,7 @@ from .fock import (
     WITNESS_TOLERANCE,
     GeneratorSpec,
     _axis_actions,
+    _eigh,
     _factor_populations,
     _generator_first_two,
     _sectors,
@@ -515,6 +515,41 @@ def number_squeezing_symmetric(c2: float, g_aa: float, n_tot: float) -> float:
 # --- quantum Fisher information ---------------------------------------------------
 
 
+def _gram_forms(gram, blocks, second) -> np.ndarray:
+    """The F_Q quadratic forms T (..., 3, 3) of densities rho = sum_k
+    |u_k><u_k| given in the space of their K vectors: F_Q(J_n) = n^T T n.
+
+    gram (..., K, K) holds G_kl = <u_k|u_l>, blocks (..., K, 3, K) the
+    generator blocks M_a,kl = <u_k|J_a|u_l> at [k, a, l], and second
+    (..., 3, 3) the first term 4 Tr(rho J_a J_b). A batched eigh of G gives
+    rho's eigenvalues lam_i and, through V, its support, on which <i|J_a|j>
+    = (V^dag M_a V)_ij / sqrt(lam_i lam_j). Then
+
+        T_ab = 4 Tr(rho J_a J_b)
+               - 8 sum_{ij kept} Re[(V^dag M_a V)_ij conj((V^dag M_b V)_ij)]
+                 / (lam_i + lam_j),
+
+    the pair term of the spectral formula over the pairs of eigenvalues
+    above the 1e-12 cutoff, with no division by sqrt(lam). The cost is
+    O(K^3) per density. _qfi_forms and _product_forms both end here.
+    """
+    lead, depth = gram.shape[:-2], gram.shape[-1]
+    lam, vectors = _eigh(gram)
+    # V^dag M_a V for the three axes at once, as [i, a, j] and then [a, i, j]
+    blocks = blocks.reshape(*lead, 3 * depth, depth) @ vectors
+    blocks = vectors.conj().swapaxes(-1, -2) @ blocks.reshape(*lead, depth, 3 * depth)
+    elements = np.ascontiguousarray(blocks.reshape(*lead, depth, 3, depth).swapaxes(-3, -2))
+    # an eigenvalue at or below the cutoff counts as infinite: its pairs
+    # weigh 1 / inf = 0, and no 0/0 arises
+    kept = np.where(lam > _SPECTRAL_CUTOFF, lam, np.inf)
+    inverse = 1.0 / (kept[..., :, None] + kept[..., None, :])
+    weighted = elements * inverse[..., None, :, :]
+    # Re(sum_ij conj(x_ij) y_ij) is the real dot product of the (re, im) views
+    elements = elements.reshape(*lead, 3, -1).view(np.float64)
+    weighted = weighted.reshape(*lead, 3, -1).view(np.float64)
+    return second - 8.0 * (elements @ weighted.swapaxes(-1, -2))
+
+
 def _qfi_forms(weights, rows, numbers) -> np.ndarray:
     """The F_Q quadratic forms of B factored sectors, as a (B, 3, 3) array:
     F_Q(J_n) of sector b is n^T forms[b] n.
@@ -522,74 +557,35 @@ def _qfi_forms(weights, rows, numbers) -> np.ndarray:
     Sector b is rho_b = sum_i weights[b, i] |rows[b, i]><rows[b, i]|, with
     numbers[b] particles in the first numbers[b] + 1 columns of its rows;
     weights is (B, K) and rows (B, K, W). With S = sqrt(w) v the scaled
-    rows, rho = S^T conj(S). Entries of S below 1e-150 in modulus are set to
-    zero first: they carry less than 1e-300 of a row's norm, and on coherent
-    tails at N ~ 10^3 their subnormal products would dominate the cost. A
-    batched eigh of the smaller Gram matrix then gives each support,
-    eigenvalues lam_i above the 1e-12 cutoff and their eigenvectors |i>: for
-    K <= W the K x K overlaps conj(S) S^T, whose eigenvectors V give the
-    rows V^T S / sqrt(lam), and for K > W the W x W density itself. A stack
-    of depth K = 1 (pure states, one-component ensembles) needs no
-    eigensolve: its one eigenpair is lam = w |v|^2 with support v / |v|.
-    Restricted to the support,
-
-        F_Q = 4 sum_i lam_i <i|J_n^2|i>
-              - 8 sum_{ij} lam_i lam_j / (lam_i + lam_j) |<i|J_n|j>|^2,
-
-    and J_n = sum_a n_a J_a makes F_Q = n^T T n for one real symmetric
-    3 x 3 matrix T per sector, built from the three axis generators applied
-    tridiagonally to the support. Eigenvalues at or below the cutoff, among
-    them those of zero-weight padding rows, are set to zero (and so is the
-    row V^T S of each), and the pair weights of two such eigenvalues are
-    masked, so they add nothing and no 0/0 arises. The cost is
-    O(B W K min(W, K)), with no square matrix wider than min(W, K); the
+    rows u_k, rho = S^T conj(S). Entries of S below 1e-150 in modulus are
+    set to zero first: they carry less than 1e-300 of a row's norm, and on
+    coherent tails at N ~ 10^3 their subnormal products would dominate the
+    cost. A stack deeper than it is wide (K > W) then swaps S for W rows
+    that carry the same density: the eigh rho = X diag(lam) X^dag of its
+    W x W density gives them as sqrt(lam) X^T. _gram_forms takes the rest
+    from G = conj(S) S^T, the blocks M_a,kl = <u_k|J_a|u_l> and the first
+    term 4 sum_k Re<J_a u_k|J_b u_k>, with the axis generators applied
+    tridiagonally to the rows (_axis_actions). The cost is O(B W K min(W,
+    K)) for the products and O(B min(W, K)^3) for the eigensolves; the
     stack, a run of _stack_runs or one sector, is taken whole.
     """
     scaled = np.sqrt(weights)[..., None] * rows
     scaled[np.abs(scaled) < _AMPLITUDE_FLUSH] = 0.0
-    depth, width = rows.shape[1:]
-    if depth == 1:
-        # one row u = sqrt(w) v per sector: its one eigenpair is lam = |u|^2
-        # with support u / |u| (a zero row keeps a zero support and lam = 0)
-        sigma = np.linalg.norm(scaled, axis=-1)
-        support = scaled / np.maximum(sigma, _TINY)[..., None]
-        lam = sigma**2
-    else:
-        try:
-            if depth > width:
-                # the W x W density rho = X diag(lam) X^dag: the rows of X^T
-                # are the eigenvectors
-                lam, vectors = np.linalg.eigh(scaled.transpose(0, 2, 1) @ scaled.conj())
-                support = vectors.transpose(0, 2, 1)
-            else:
-                # the K x K overlaps <u_k|u_l> = (V diag(lam) V^dag)_kl share
-                # rho's nonzero eigenvalues, with eigenvectors V^T u / sqrt(lam);
-                # a row whose eigenvalue is cut is zero, never u / sqrt(tiny)
-                lam, vectors = np.linalg.eigh(scaled.conj() @ scaled.transpose(0, 2, 1))
-                scale = (lam > _SPECTRAL_CUTOFF) / np.sqrt(np.maximum(lam, _SPECTRAL_CUTOFF))
-                support = (vectors.transpose(0, 2, 1) @ scaled) * scale[..., None]
-        except np.linalg.LinAlgError as exc:
-            raise EigendecompositionFailure(str(exc)) from exc
-    lam[lam <= _SPECTRAL_CUTOFF] = 0.0
-    count = lam.shape[0]
-    actions = _axis_actions(support, numbers)
-    # <j|J_a|i> for every pair (the pair weights are symmetric, so the form
-    # needs no transpose), then <J_a i|J_b i> summed with weights lam_i: the
-    # actions are scaled in place once the overlaps no longer need them
-    overlaps = (actions @ support.conj().transpose(0, 2, 1)[:, None]).reshape(count, 3, -1)
-    actions *= np.sqrt(lam)[:, None, :, None]
-    lam_i, lam_j = lam[:, :, None], lam[:, None, :]
-    # a kept pair sums to more than the cutoff, so the floor only turns the
-    # 0/0 of two dropped eigenvalues into 0
-    pair = lam_i * lam_j / np.maximum(lam_i + lam_j, _TINY)
-    weighted = overlaps * pair.reshape(count, 1, -1)
-    # Re(sum_i conj(x_i) y_i) is the real dot product of the (re, im) views
+    count, depth, width = scaled.shape
+    if depth > width:
+        # a rounded eigenvalue may lie just below zero
+        lam, vectors = _eigh(scaled.transpose(0, 2, 1) @ scaled.conj())
+        scaled = np.sqrt(np.maximum(lam, 0.0))[..., None] * vectors.transpose(0, 2, 1)
+        depth = width
+    bras = scaled.conj()
+    gram = bras @ scaled.transpose(0, 2, 1)
+    actions = _axis_actions(scaled, numbers)
+    # Re<J_a u|J_b u> is the real dot product of the (re, im) views
     spread = actions.reshape(count, 3, -1).view(np.float64)
-    overlaps = overlaps.view(np.float64)
-    return (
-        4.0 * (spread @ spread.transpose(0, 2, 1))
-        - 8.0 * (weighted.view(np.float64) @ overlaps.transpose(0, 2, 1))
-    )
+    second = 4.0 * (spread @ spread.transpose(0, 2, 1))
+    blocks = bras @ actions.reshape(count, 3 * depth, width).transpose(0, 2, 1)
+    del actions, spread  # the (3, K, W) actions are the largest array here
+    return _gram_forms(gram, blocks.reshape(count, depth, 3, depth), second)
 
 
 def _product_forms(weights, z, phi, numbers) -> np.ndarray:
@@ -598,54 +594,29 @@ def _product_forms(weights, z, phi, numbers) -> np.ndarray:
     rho = sum_k w_k |psi_k><psi_k|^{(x) N_j}, N_j = numbers[j], with psi_k =
     (a_k, b_k) = (sqrt(z_k) e^{i phi_k}, sqrt(1 - z_k)), as scans draw them.
 
-    Every quantity the form needs has a closed form over the K components,
-    so no amplitude row is built and the cost does not grow with N. With
-    s_kl = <psi_k|psi_l> (s_kk set to exactly 1), the Gram matrix of the
-    scaled products is G_kl = sqrt(w_k w_l) s_kl^N, and the generator
-    blocks M_a,kl = sqrt(w_k w_l) N s_kl^{N-1} <psi_k|sigma_a/2|psi_l>
-    (zero at N = 0, and exact for orthogonal components, s = 0). A batched
-    eigh of G gives rho's eigenvalues lam_i and, through V, its support,
-    on which <i|J_a|j> = (V^dag M_a V)_ij / sqrt(lam_i lam_j). Then
-
-        T_ab = N sum_k w_k delta_ab + N (N - 1) sum_k w_k n_k,a n_k,b
-               - 8 sum_{ij kept} Re[(V^dag M_a V)_ij conj((V^dag M_b V)_ij)]
-                 / (lam_i + lam_j),
-
-    the first term 4 Tr(rho J_a J_b) from the Bloch vectors n_k = (2 Re
-    conj(a) b, 2 Im conj(a) b, 2z - 1), the second the pair term of
-    _qfi_forms over the pairs of eigenvalues above the 1e-12 cutoff, with
-    no division by sqrt(lam). The cost is O(K^3) per sector, so it pays
-    where K <= N + 1; a deeper sector is cheaper on its rows.
+    Everything _gram_forms takes has a closed form over the K components,
+    so no amplitude row is built and the cost, O(K^3) per sector, does not
+    grow with N; it pays where K <= N + 1, and a deeper sector is cheaper
+    on its rows. _product_blocks gives G and M, and the first term is
+    4 Tr(rho J_a J_b) = N sum_k w_k delta_ab + N (N - 1) sum_k w_k n_k,a n_k,b
+    with the Bloch vectors n_k = (2 Re conj(a) b, 2 Im conj(a) b, 2z - 1).
     """
     n = np.asarray(numbers, dtype=float)[:, None, None]
-    lead, depth = z.shape[:-1], z.shape[-1]
     gram, blocks = _product_blocks(weights, z, phi, n)
-    try:
-        lam, vectors = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionFailure(str(exc)) from exc
-    # V^dag M_a V for the three axes at once, as [i, a, j] and then [a, i, j]
-    blocks = blocks.reshape(*lead, 3 * depth, depth) @ vectors
-    blocks = vectors.conj().swapaxes(-1, -2) @ blocks.reshape(*lead, depth, 3 * depth)
-    elements = np.ascontiguousarray(blocks.reshape(*lead, depth, 3, depth).swapaxes(-3, -2))
-    kept = lam > _SPECTRAL_CUTOFF
-    pairs = kept[..., :, None] & kept[..., None, :]
-    inverse = np.zeros(pairs.shape)
-    np.divide(1.0, lam[..., :, None] + lam[..., None, :], out=inverse, where=pairs)
-    weighted = elements * inverse[..., None, :, :]
-    # Re(sum_ij conj(x_ij) y_ij) is the real dot product of the (re, im) views
-    elements = elements.reshape(*lead, 3, -1).view(np.float64)
-    weighted = weighted.reshape(*lead, 3, -1).view(np.float64)
     radial = 2.0 * np.sqrt(z * (1.0 - z))
     bloch = np.stack([radial * np.cos(phi), -radial * np.sin(phi), 2.0 * z - 1.0], axis=-1)
     spread = (weights[..., None] * bloch).swapaxes(-1, -2) @ bloch
     total = np.sum(weights, axis=-1)[..., None, None] * np.eye(3)
-    return n * total + n * (n - 1.0) * spread - 8.0 * (elements @ weighted.swapaxes(-1, -2))
+    return _gram_forms(gram, blocks, n * total + n * (n - 1.0) * spread)
 
 
 def _product_blocks(weights, z, phi, n) -> tuple:
     """The Gram matrices G (..., J, K, K) and generator blocks M (..., J,
-    K, 3, K) of _product_forms, M_a,kl at [k, a, l], for N = n (J, 1, 1)."""
+    K, 3, K) of _product_forms, M_a,kl at [k, a, l], for N = n (J, 1, 1).
+
+    With s_kl = <psi_k|psi_l> (s_kk set to exactly 1), G_kl = sqrt(w_k w_l)
+    s_kl^N and M_a,kl = sqrt(w_k w_l) N s_kl^{N-1} <psi_k|sigma_a/2|psi_l>
+    (zero at N = 0, and exact for orthogonal components, s = 0)."""
     unit = np.exp(1j * phi)
     a = np.sqrt(z) * unit
     b = np.sqrt(1.0 - z)
@@ -719,11 +690,11 @@ def qfi(state, g):
     Every state goes through one routine, _qfi_forms: the spectral formula
     F_Q = 2 sum_{ij} (lam_i - lam_j)^2 / (lam_i + lam_j) |<i|J_n|j>|^2,
     evaluated on the support of each sector (eigenvalues above the 1e-12
-    cutoff) from its K factor rows in O(N K min(N, K)), by an eigh of the
-    smaller of its K x K and (N+1) x (N+1) Gram matrices. A pure state is
-    the one-row sector, whose eigenpair needs no eigensolve, and its F_Q is
-    4 Var(J_n) to rounding. Generators conserve N, so a number mixture's
-    matrix is block diagonal and F_Q is the weight-averaged sector value;
+    cutoff) from its K factor rows in O(N K min(N, K)), in the space of at
+    most min(K, N + 1) rows (_gram_forms). A pure state is the one-row
+    sector, and its F_Q is 4 Var(J_n) to rounding. Generators conserve N,
+    so a number mixture's matrix is block diagonal and F_Q is the
+    weight-averaged sector value;
     the sectors go through padded stacks of up to STACK_AMPLITUDES
     amplitudes, and the number weights average their quadratic forms. Any
     separable state obeys F_Q <= N (or <N> for fluctuating number); more

@@ -1,9 +1,10 @@
 """The eigenpairs behind F_Q: witnesses._qfi_forms and the scan's closed
 form witnesses._product_forms against the dense oracle and a thin SVD.
 
-A stack of depth K and width W is factored by an eigh of its smaller Gram
-matrix (the K x K overlaps when K <= W, the W x W density when K > W),
-after amplitudes below 1e-150 are flushed to zero. A mixture of products
+Both end in one kernel, witnesses._gram_forms, an eigh of the K x K Gram
+matrix of a stack's rows. _qfi_forms flushes amplitudes below 1e-150 to
+zero first, and compresses a stack deeper than it is wide (K > W) to W
+rows by an eigh of its W x W density. A mixture of products
 |psi_k>^{(x) N}, as scans draw them, has its K x K Gram matrix and
 generator blocks in closed form, with no amplitude row. Every form here is
 held to `oracles.qfi_dense` and to `oracles.qfi_forms_svd`, a thin SVD of
@@ -18,7 +19,7 @@ import pytest
 
 from bosewit import scan, witnesses
 from bosewit.errors import EigendecompositionFailure
-from bosewit.fock import NumberSectorMixture, SectorDensity
+from bosewit.fock import NumberSectorMixture, SectorDensity, twin_fock
 from bosewit.scan import run_scan
 from bosewit.separable import NumberDistribution, _coherent_rows, _draw_components
 from bosewit.witnesses import qfi
@@ -172,6 +173,24 @@ def test_a_failed_eigensolve_is_named(depth, n, monkeypatch):
     weights, z, phi = (part[None, None] for part in _draw_components(np.random.default_rng(2), depth))
     with pytest.raises(EigendecompositionFailure, match="did not converge"):
         witnesses._product_forms(weights, z, phi, [n])
+
+
+def test_every_route_forms_its_pair_term_in_the_one_kernel(monkeypatch):
+    # a pure state, a K <= W and a K > W sector, and a scan's closed form
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    shallow, deep = _ragged(np.random.default_rng(11), [20, 3], [4, 12])
+    assert shallow.weights.size <= shallow.n_total + 1 and deep.weights.size > deep.n_total + 1
+    monkeypatch.setattr(witnesses, "_gram_forms", reached)
+    for state in (twin_fock(20), shallow, deep):
+        with pytest.raises(Reached):
+            qfi(state, np.eye(3))
+    with pytest.raises(Reached):
+        run_scan(samples=1, seed=1, n_total=12)
 
 
 # --- the closed form of product mixtures --------------------------------------

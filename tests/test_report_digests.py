@@ -9,14 +9,15 @@ byte of the layout, fails here.
 
 They were recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64, and give
 the same bytes at 1, 2, 4 and 8 BLAS threads. Every F_Q of these scans
-comes from an eigh of a small Gram matrix, the one eigensolve of F_Q: the
-4 x 4 closed-form Gram matrices of the four-component scans' product
-components (K <= N + 1, so no amplitude row is built for F_Q, and the C_2m
-populations come from real modulus rows), the 13 x 13 densities of the
-1000-component chunks (K > N + 1, from complex amplitude rows). (A thin SVD
-of those 1000 x 13 chunks, kept only as the test reference
-oracles.qfi_forms_svd, gives a last-digit different F_Q at one thread than
-at two or more.) CI runs this module under
+ends in the one F_Q kernel, witnesses._gram_forms, an eigh of a small Gram
+matrix: the 4 x 4 closed-form Gram matrices of the four-component scans'
+product components (K <= N + 1, so no amplitude row is built for F_Q, and
+the C_2m populations come from real modulus rows), and for the
+1000-component chunks (K > N + 1, from complex amplitude rows) the 13 x 13
+Gram matrices of the 13 rows that an eigh of each 13 x 13 density
+compresses them to. (A thin SVD of those 1000 x 13 chunks, kept only as
+the test reference oracles.qfi_forms_svd, gives a last-digit different F_Q
+at one thread than at two or more.) CI runs this module under
 OPENBLAS_NUM_THREADS=1 as well as at the default thread count. A
 BLAS or LAPACK that rounds differently moves the F_Q worst values and so
 the digest of every scan report; the witness reports here hold no F_Q.
@@ -46,7 +47,7 @@ DIGESTS = {
     # 12 samples of 1000 components at N = 12 take three chunks
     "fixed-12-multichunk": (
         ("--samples", "12", "--n", "12", "--components", "1000", "--seed", "3"),
-        "496eb1e2aa37f10eeaeb65d50b92c07d806b3e47a4c0689ec06142fe7d9cb762",
+        "a891828d85a41db7ad3a143b21e910e3eb1c4d700c3a16a4403f5f2b7016662a",
     ),
 }
 

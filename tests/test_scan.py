@@ -102,7 +102,7 @@ def test_scan_orders_must_be_positive_integers(orders, bad, mode):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_value_is_a_violation(direction, value):
     tracker = _BoundTracker("probe", 1.0, direction, 1e-9)
-    tracker.record(value, {"sample": 0})
+    tracker.record_values([value], lambda _: {"sample": 0})
     report = tracker.report()
     assert report["violations"] == 1
     assert report["evaluations"] == 1
@@ -115,7 +115,7 @@ def test_non_finite_value_is_a_violation(direction, value):
 def test_finite_worst_value_survives_a_nan(direction, worst, milder):
     tracker = _BoundTracker("probe", 1.0, direction, 1e-9)
     for sample, value in enumerate((math.nan, worst, math.nan, milder)):
-        tracker.record(value, {"sample": sample})
+        tracker.record_values([value], lambda _: {"sample": sample})
     report = tracker.report()
     assert report["worst_value"] == worst
     assert report["worst_sample"] == {"sample": 1}

@@ -30,6 +30,7 @@ from bosewit.fock import (
     twin_fock,
 )
 from bosewit.separable import (
+    MAX_PARTICLES,
     CoherentSpinState,
     NumberDistribution,
     SeparableEnsemble,
@@ -53,6 +54,8 @@ from bosewit.witnesses import (
 )
 
 import oracles
+
+EPS = float(np.finfo(float).eps)
 
 
 def test_integrated_examples():
@@ -385,6 +388,30 @@ def test_qfi_pure_states():
     # twin-Fock: J_z is sharp, J_x carries N(N+2)/4 variance -> F_Q = 220 at N = 20
     assert qfi(twin_fock(20), GeneratorSpec.axis("z")) == pytest.approx(0.0, abs=1e-10)
     assert qfi(twin_fock(20), GeneratorSpec.axis("x")) == pytest.approx(220.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("z,phi", [(0.3, 0.7), (0.05, -2.0)])
+def test_qfi_of_a_coherent_state_at_the_largest_n(z, phi):
+    # a pure state is the one-row sector at every N it accepts, up to
+    # MAX_PARTICLES: F_Q = 4 Var(J_n) = n^T N (I - b b^T) n, b the Bloch
+    # vector, to the rounding of N^2 terms (about 8 eps N^2 here)
+    n = MAX_PARTICLES
+    radial = 2.0 * math.sqrt(z * (1.0 - z))
+    bloch = np.array([radial * math.cos(phi), -radial * math.sin(phi), 2.0 * z - 1.0])
+    exact = n * (1.0 - bloch**2)
+    values = qfi(to_fock(CoherentSpinState(z, phi, n)), np.eye(3))
+    np.testing.assert_allclose(values, exact, rtol=0, atol=16 * EPS * n * n)
+
+
+@pytest.mark.parametrize("k", [1, 300_000])
+def test_qfi_of_a_number_state_at_the_largest_n(k):
+    # |k, N - k> is the Dicke state |j, m>, j = N/2 and m = k - N/2: F_Q =
+    # 4 Var(J_x) = 2 (j (j + 1) - m^2) along x and y, and 0 along z
+    n = MAX_PARTICLES
+    j, m = n / 2, k - n / 2
+    exact = np.array([2.0 * (j * (j + 1.0) - m * m)] * 2 + [0.0])
+    values = qfi(basis_state(n, k), np.eye(3))
+    np.testing.assert_allclose(values, exact, rtol=0, atol=2 * EPS * exact.max())
 
 
 def test_qfi_rank_one_density_equals_pure():
