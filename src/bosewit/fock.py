@@ -8,9 +8,10 @@ A superselected state carries one sector per particle number
 (NumberSectorMixture), and a lone sector is read as the one-sector
 mixture (_sectors), so every kernel takes one path. Mode and spin moments
 act on the rows by ladder and tridiagonal generator actions, O(K N) per
-sector. Dense (N+1)^2 matrices appear only where a caller hands one in,
-asks for one (``SectorDensity.matrix``), or needs a rotation. The
-package's one table of tolerances and cutoffs is below.
+sector, and every spin variance is taken about its mean. Dense (N+1)^2
+matrices appear only where a caller hands one in, asks for one
+(``SectorDensity.matrix``), or needs a rotation. The package's one table
+of tolerances and cutoffs is below.
 """
 
 from __future__ import annotations
@@ -494,26 +495,35 @@ def generator_matrix(n_total: int, g: GeneratorSpec) -> np.ndarray:
     return _generator_dense(n_total, g.direction)
 
 
-def _generator_first_two(state, directions) -> tuple:
-    """(<J_n>, <J_n^2>) for each row n of a (k, 3) array of directions, as
-    two lists of k floats. With the rows u_i = sqrt(w_i) v_i of a sector
-    and J_n u = n . (J_x u, J_y u, J_z u) from one _axis_actions call,
-    <J_n> = sum_i <u_i|J_n|u_i> and <J_n^2> = sum_i |J_n u_i|^2, each one
-    overlap of the stacks; a number mixture weights its sectors' values."""
-    means, seconds = [0.0] * len(directions), [0.0] * len(directions)
+def _spin_mean_covariance(state) -> tuple:
+    """(mu, C): the mean (3,) of (J_x, J_y, J_z) and their symmetrized
+    covariance (3, 3). With the rows u_i = sqrt(w_i) v_i of a sector, one
+    _axis_actions call gives J_a u, mu_a = sum_i Re<u_i|J_a u_i>, and the
+    actions, centred in place, give C_ab = sum_i Re<(J_a - mu_a) u_i|(J_b -
+    mu_b) u_i>: each variance a sum of nonnegative terms (0 exactly on a
+    number state), never a difference of raw moments. Sectors combine by
+    the law of total variance, C = sum_N p_N [C_N + (mu_N - mu)(mu_N - mu)^T].
+    Peak memory: five times a sector's rows."""
+    parts = []
     for weight, sector in _sectors(state):
         rows = np.sqrt(sector.weights)[:, None] * sector.vectors
-        actions = _axis_actions(rows[None], [sector.n_total])[0]
-        for i, jv in enumerate(np.tensordot(directions, actions, axes=1)):
-            means[i] += weight * float(np.vdot(rows, jv).real)
-            seconds[i] += weight * float(np.vdot(jv, jv).real)
-    return means, seconds
+        # Re<x|y> of complex arrays is the dot product of their float views
+        actions = _axis_actions(rows[None], [sector.n_total]).view(float).reshape(3, -1)
+        flat = rows.view(float).ravel()
+        mean = actions @ flat
+        for action, value in zip(actions, mean):
+            action -= value * flat
+        parts.append((weight, mean, actions @ actions.T))
+    mu = sum(weight * mean for weight, mean, _ in parts)
+    cov = sum(weight * (cov + np.outer(mean - mu, mean - mu)) for weight, mean, cov in parts)
+    return mu, cov
 
 
 def angular_moments(state, g: GeneratorSpec) -> tuple[float, float]:
-    """(<J_n>, Var J_n) for a pure state, sector density, or mixture."""
-    (mean,), (second,) = _generator_first_two(state, [g.direction])
-    return mean, second - mean * mean
+    """(<J_n>, Var J_n) = (n . mu, n^T C n) of _spin_mean_covariance, for a
+    pure state, sector density, or mixture."""
+    mu, cov = _spin_mean_covariance(state)
+    return float(g.direction @ mu), float(g.direction @ cov @ g.direction)
 
 
 def rotate(state: FockVector, axis) -> FockVector:

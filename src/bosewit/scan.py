@@ -355,9 +355,7 @@ def run_scan(
         # F_Q first: a deep run's rows then give its populations on the way
         qfi_values = _evaluate_qfi(runs, directions)
         ratios, degenerate = _evaluate_csi(runs, orders, scales)
-        squeezing, zero_spin = _squeezing(
-            qfi_bound, *_spin_moments(number_weights, weights, z, phi, mode == "fluctuating")
-        )
+        squeezing, zero_spin = _squeezing(qfi_bound, *_spin_moments(number_weights, weights, z, phi))
 
         payloads = {}
 
@@ -467,7 +465,7 @@ def maximize_witness(request: str, n_total: int, budget: int, seed: int, n_compo
         chunk = weights[None, None], z[None, None], phi[None, None]
         try:
             if kind == "xi2":
-                value, skip = _squeezing(float(numbers[0]), *_spin_moments(number_weights, *chunk, False))
+                value, skip = _squeezing(float(numbers[0]), *_spin_moments(number_weights, *chunk))
             elif kind == "csi":
                 value, skip = _evaluate_csi(_chunk_runs(*chunk, numbers, probabilities), orders, scales)
             else:

@@ -448,28 +448,22 @@ def sample_fluctuating_ensemble(
 def analytic_spin_moments(ensemble) -> tuple[float, float, float]:
     """(<J_x>, <J_y>, Var J_z) from the ensemble parameters alone.
 
-    Fixed N:
-        <J_x> =  N sum_k w_k sqrt(z_k(1-z_k)) cos phi_k
-        <J_y> = -N sum_k w_k sqrt(z_k(1-z_k)) sin phi_k
-        Var J_z = N/4 + N(N-1) E[(z-1/2)^2] - N^2 (E[z-1/2])^2
-    The J_y sign follows from the ladder convention a|z,phi;N> =
-    sqrt(N z) e^{i phi} |z,phi;N-1>, under which <a^dag b> carries
-    e^{-i phi}; it matches the exact Fock-space path bit for bit.
-
-    Fluctuating N keeps per-sector expectations and mixes them with the
-    number weights; the cross term then carries <N(N-1)> = <N^2> - <N>:
-        Var J_z = <N>/4 + sum_N p_N N(N-1) E_N[(z-1/2)^2]
-                  - (sum_N p_N N E_N[z-1/2])^2
-    The deterministic-N limit fixes that coefficient uniquely: a
-    (<N^2> - <N>^2) variant would collapse to N/4 - N^2 (...)^2 for a
-    single sector and go negative. The scan evaluates the same closed
-    forms on whole chunks through _spin_moments.
+    A component |z_k, phi_k>^{x N} has <J_x> = N r_k cos phi_k and <J_y> =
+    -N r_k sin phi_k (r_k = sqrt(z_k(1-z_k)); the sign follows from the
+    ladder convention a|z,phi;N> = sqrt(N z) e^{i phi} |z,phi;N-1>), <J_z>
+    = N (z_k - 1/2) and Var J_z = N z_k(1-z_k). The means mix with the
+    weights w_k and p_N, the variance by the law of total variance:
+        Var J_z = sum_N p_N [N sum_k w_k z_k(1-z_k) + N^2 sum_k w_k (z_k - zbar_N)^2]
+                  + sum_N p_N (mu_N - mu)^2,
+    zbar_N = sum_k w_k z_k, mu_N = N (zbar_N - 1/2), mu = sum_N p_N mu_N.
+    Every term is nonnegative, never a difference of raw moments, so one
+    coherent state gives xi^2 = 1 to a few ulp at any N. A fixed N is the
+    one-sector case; the scan evaluates the same form through _spin_moments.
     """
     if isinstance(ensemble, SeparableEnsemble):
-        number_weights, fluctuating = ((ensemble.n_total, 1.0),), False
-        sectors = (ensemble,)
+        number_weights, sectors = ((ensemble.n_total, 1.0),), (ensemble,)
     elif isinstance(ensemble, FluctuatingEnsemble):
-        number_weights, fluctuating = ensemble.number_weights, True
+        number_weights = ensemble.number_weights
         sectors = [ensemble.per_sector[n] for n, _ in number_weights]
     else:
         raise TypeError(f"unsupported ensemble type {type(ensemble).__name__}")
@@ -479,42 +473,33 @@ def analytic_spin_moments(ensemble) -> tuple[float, float, float]:
         params[:, j, : len(sector.components)] = np.array(
             [(w, comp.z, comp.phi) for w, comp in sector.components]
         ).T
-    moments = _spin_moments(number_weights, *params, fluctuating)
-    return tuple(float(value) for value in moments)
+    return tuple(float(value) for value in _spin_moments(number_weights, *params))
 
 
-def _spin_moments(number_weights, weights, z, phi, fluctuating: bool) -> tuple:
-    """(<J_x>, <J_y>, Var J_z) of the closed forms of analytic_spin_moments,
+def _spin_moments(number_weights, weights, z, phi) -> tuple:
+    """(<J_x>, <J_y>, Var J_z) of the closed form of analytic_spin_moments,
     each (...,), for ensembles given as (..., J, K) component weights, z
-    and phi over the J sectors of `number_weights` ((n, p) pairs; one
-    sector with fluctuating False).
+    and phi over the J sectors of `number_weights` ((n, p) pairs).
 
-    The sums run in order from 0.0, and cos, sin and the fixed-N square go
-    through math and float per value, so every value is, bit for bit, the
-    one a scalar loop over the components gives.
+    The sums run in order from 0.0, and cos and sin go through math per
+    value, so every value is, bit for bit, the one a scalar loop over the
+    components and sectors gives.
     """
-    radius = np.sqrt(z * (1.0 - z))
+    spread = z * (1.0 - z)
+    radius = np.sqrt(spread)
     phases = phi.ravel().tolist()
     cos = np.array([math.cos(v) for v in phases]).reshape(phi.shape)
     sin = np.array([math.sin(v) for v in phases]).reshape(phi.shape)
-    s_cos = _in_order(weights * radius * cos)
-    s_sin = _in_order(weights * radius * sin)
-    centered = z - 0.5
-    m1 = _in_order(weights * centered)
-    m2 = _in_order(weights * centered * centered)
-    if not fluctuating:
-        ((n, _),) = number_weights
-        shift = n * m1[..., 0]
-        squares = np.array([v**2 for v in shift.ravel().tolist()]).reshape(shift.shape)
-        var_z = n / 4.0 + n * (n - 1.0) * m2[..., 0] - squares
-        return n * s_cos[..., 0], -n * s_sin[..., 0], var_z
     n = np.array([n for n, _ in number_weights])
     p = np.array([p for _, p in number_weights])
-    jx = _in_order(p * n * s_cos)
-    jy = _in_order(-p * n * s_sin)
-    second = _in_order(p * (n / 4.0 + n * (n - 1.0) * m2))
-    first = _in_order(p * n * m1)
-    return jx, jy, second - first * first
+    jx = _in_order(p * n * _in_order(weights * radius * cos))
+    jy = _in_order(-p * n * _in_order(weights * radius * sin))
+    mean_z = _in_order(weights * z)
+    deviation = z - mean_z[..., None]
+    within = n * _in_order(weights * spread) + n * n * _in_order(weights * deviation * deviation)
+    shift = n * (mean_z - 0.5)
+    between = shift - _in_order(p * shift)[..., None]
+    return jx, jy, _in_order(p * (within + between * between))
 
 
 def _in_order(terms: np.ndarray) -> np.ndarray:

@@ -49,10 +49,9 @@ from .fock import (
     _axis_actions,
     _eigh,
     _factor_populations,
-    _generator_first_two,
     _sectors,
+    _spin_mean_covariance,
     _unit_directions,
-    normally_ordered_moment,
 )
 from .separable import FluctuatingEnsemble, SeparableEnsemble, analytic_spin_moments
 
@@ -463,21 +462,16 @@ def twin_fock_csi_approx(n_total: int, m: int) -> float:
 
 
 def number_squeezing_direct(state) -> float:
-    """eta^2 = Var(n_a - n_b) / <n_a + n_b> from first principles.
-
-    Uses <n_i^2> = <i^dag^2 i^2> + <n_i>, so only normally ordered
-    moments enter. Raises EmptyState when the state carries no particles.
+    """eta^2 = Var(n_a - n_b) / <n_a + n_b> = 4 Var(J_z) / <N> of an exact
+    state, with Var(J_z) the centred C_zz of _spin_mean_covariance: a sum
+    of nonnegative terms, so eta^2 never goes below 0 and a number state
+    gives exactly 0. Raises EmptyState when the state carries no particles.
     """
-    # <n_a>, <n_b> and the order m = 1 correlators G_aa, G_bb, G_ab
-    na, nb, gaa, gbb, gab = (
-        normally_ordered_moment(state, *orders).real
-        for orders in ((1, 0, 0, 1), (0, 1, 1, 0), (2, 0, 0, 2), (0, 2, 2, 0), (1, 1, 1, 1))
-    )
-    n_tot = na + nb
+    _, cov = _spin_mean_covariance(state)
+    n_tot = state.mean_n
     if n_tot <= _EMPTY_STATE_TOL:
         raise EmptyState(f"total particle number {n_tot!r} is too small")
-    second = gaa + na + gbb + nb - 2.0 * gab
-    return _judgeable((second - (na - nb) ** 2) / n_tot, "eta2")
+    return _judgeable(4.0 * float(cov[2, 2]) / n_tot, "eta2")
 
 
 def number_squeezing_from_g2(
@@ -726,8 +720,11 @@ def spin_squeezing(state) -> float:
     estimation.
 
     Accepts exact states (SectorDensity, a pure FockVector among them, and
-    NumberSectorMixture) and parameterized ensembles (SeparableEnsemble,
-    FluctuatingEnsemble; evaluated from the closed-form moments). n_ref is
+    NumberSectorMixture; from _spin_mean_covariance) and parameterized
+    ensembles (SeparableEnsemble, FluctuatingEnsemble; from the closed-form
+    moments), with Var J_z taken about its mean: every coherent spin state
+    lies on the bound, which a difference of raw moments would cross by
+    rounding. n_ref is
     the total particle number, or its mean when the number fluctuates, as
     the input type says.
 
@@ -740,8 +737,8 @@ def spin_squeezing(state) -> float:
         jx, jy, var_z = analytic_spin_moments(state)
     else:
         # any other type than an exact state raises TypeError here
-        (jx, jy, jz), (_, _, second_z) = _generator_first_two(state, np.eye(3))
-        var_z = second_z - jz * jz
+        mu, cov = _spin_mean_covariance(state)
+        jx, jy, var_z = float(mu[0]), float(mu[1]), float(cov[2, 2])
         n_ref = state.mean_n
     value, zero = _squeezing(n_ref, jx, jy, var_z)
     if zero:

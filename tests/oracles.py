@@ -277,32 +277,40 @@ def bound_summary(values, bound, direction, tolerance):
 def spin_moments_loop(ensemble):
     """(<J_x>, <J_y>, Var J_z) of a SeparableEnsemble or FluctuatingEnsemble
     by a plain loop over components and sectors in Python floats: the
-    closed forms of analytic_spin_moments, accumulated from 0.0."""
+    closed form of analytic_spin_moments, accumulated from 0.0. A fixed N
+    is the one sector of weight 1."""
     from bosewit.separable import SeparableEnsemble
 
-    def sums(sector):
-        s_cos = s_sin = m1 = m2 = 0.0
-        for w, comp in sector.components:
+    if isinstance(ensemble, SeparableEnsemble):
+        number_weights = ((ensemble.n_total, 1.0),)
+        per_sector = {ensemble.n_total: ensemble}
+    else:
+        number_weights, per_sector = ensemble.number_weights, ensemble.per_sector
+    jx = jy = mu = 0.0
+    sectors = []
+    for n, p in number_weights:
+        components = per_sector[n].components
+        s_cos = s_sin = mean_z = 0.0
+        for w, comp in components:
             radius = math.sqrt(comp.z * (1.0 - comp.z))
             s_cos += w * radius * math.cos(comp.phi)
             s_sin += w * radius * math.sin(comp.phi)
-            centered = comp.z - 0.5
-            m1 += w * centered
-            m2 += w * centered * centered
-        return s_cos, s_sin, m1, m2
-
-    if isinstance(ensemble, SeparableEnsemble):
-        n = ensemble.n_total
-        s_cos, s_sin, m1, m2 = sums(ensemble)
-        return n * s_cos, -n * s_sin, n / 4.0 + n * (n - 1.0) * m2 - (n * m1) ** 2
-    jx = jy = second = first = 0.0
-    for n, p in ensemble.number_weights:
-        s_cos, s_sin, m1, m2 = sums(ensemble.per_sector[n])
+            mean_z += w * comp.z
+        spread = squares = 0.0
+        for w, comp in components:
+            spread += w * (comp.z * (1.0 - comp.z))
+            deviation = comp.z - mean_z
+            squares += w * deviation * deviation
         jx += p * n * s_cos
         jy += -p * n * s_sin
-        second += p * (n / 4.0 + n * (n - 1.0) * m2)
-        first += p * n * m1
-    return jx, jy, second - first * first
+        shift = n * (mean_z - 0.5)
+        mu += p * shift
+        sectors.append((p, n * spread + n * n * squares, shift))
+    var_z = 0.0
+    for p, within, shift in sectors:
+        between = shift - mu
+        var_z += p * (within + between * between)
+    return jx, jy, var_z
 
 
 def ensemble_payload(ensemble):

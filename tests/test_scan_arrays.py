@@ -7,7 +7,10 @@ new worst case. These tests hold each kernel to the per-object result: the
 one-state row (`oracles.coherent_amplitudes_scalar`, `to_fock`), the
 scalar moment loop (`oracles.spin_moments_loop`, `analytic_spin_moments`,
 `spin_squeezing`) and the payload of the ensemble object
-(`oracles.ensemble_payload`).
+(`oracles.ensemble_payload`). The moment loop is the one closed form for
+fixed and fluctuating N alike, with Var J_z a sum of nonnegative terms
+about the sector and ensemble means (the law of total variance), so
+`_spin_moments` takes no fixed/fluctuating switch.
 """
 
 import json
@@ -69,7 +72,7 @@ def test_array_spin_moments_equal_the_scalar_loop():
     number_weights = distribution.weights()
     seeds = [101, 102, 103, 104]
     weights, z, phi = _draw_chunk(seeds, len(number_weights), 3)
-    moments = _spin_moments(number_weights, weights, z, phi, True)
+    moments = _spin_moments(number_weights, weights, z, phi)
     for i, seed in enumerate(seeds):
         ensemble = sample_fluctuating_ensemble(seed, distribution, 3)
         expected = oracles.spin_moments_loop(ensemble)
@@ -79,7 +82,7 @@ def test_array_spin_moments_equal_the_scalar_loop():
     # enough samples that a square or a sum rounded another way shows
     seeds = list(range(3000))
     weights, z, phi = _draw_chunk(seeds, 1, 5)
-    moments = _spin_moments(((40, 1.0),), weights, z, phi, False)
+    moments = _spin_moments(((40, 1.0),), weights, z, phi)
     for i, seed in enumerate(seeds):
         expected = oracles.spin_moments_loop(sample_ensemble(seed, 40, 5))
         assert np.array([value[i] for value in moments]).tobytes() == np.array(expected).tobytes()
@@ -102,7 +105,7 @@ def test_chunk_squeezing_skips_the_sample_without_mean_spin():
     z = rng.random((3, 1, 3))
     phi = rng.uniform(-math.pi, math.pi, (3, 1, 3))
     z[1, 0] = [0.0, 1.0, 0.0]  # every component a basis state: <J_x> = <J_y> = 0
-    values, zero = _squeezing(12.0, *_spin_moments(((12, 1.0),), weights, z, phi, False))
+    values, zero = _squeezing(12.0, *_spin_moments(((12, 1.0),), weights, z, phi))
     assert list(zero) == [False, True, False]
     for s in range(3):
         ensemble = SeparableEnsemble(

@@ -304,7 +304,7 @@ def test_twin_fock_exact_is_monotonic():
 
 
 def test_number_squeezing_direct_examples():
-    assert number_squeezing_direct(twin_fock(20)) == pytest.approx(0.0, abs=1e-12)
+    assert number_squeezing_direct(twin_fock(20)) == 0.0
     css_half = to_fock(CoherentSpinState(0.5, 0.0, 30))
     assert number_squeezing_direct(css_half) == pytest.approx(1.0, abs=1e-10)
     css_split = to_fock(CoherentSpinState(0.3, 0.0, 50))
