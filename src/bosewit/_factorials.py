@@ -20,9 +20,8 @@ Row helpers give one sector's worth of values as numpy arrays:
 Rows with n <= ``fock._MEMO_N_MAX`` (256; what dropping the memos cost is
 noted there) are memoized, read-only, in one LRU cache per builder: 512
 ratio rows (at most 512 x 257 x 8 B = 1.05 MB) and one log-binomial row
-per n (at most 0.26 MB); ``order_scales`` and ``log_order_scales``
-keep 1024 quadruples and triples of floats. Larger sectors stream their
-rows on every call.
+per n (at most 0.26 MB); ``order_scales`` keeps 1024 quadruples of
+floats. Larger sectors stream their rows on every call.
 """
 
 import math
@@ -95,31 +94,24 @@ def balanced_factorial_ratio(n: int, m: int) -> float:
 @lru_cache(maxsize=1024)
 def order_scales(n: int, m: int) -> tuple:
     """(alpha, log alpha, kappa, log kappa) of the order-2m correlators at
-    n particles, with alpha = falling_factorial(n, 2m) = n!/(n-2m)! and the
-    three scales of log_order_scales. Memoized per (n, m)."""
-    return (falling_factorial(n, 2 * m), *log_order_scales(n, m))
-
-
-@lru_cache(maxsize=1024)
-def log_order_scales(n: int, m: int) -> tuple:
-    """(log alpha, kappa, log kappa) of the order-2m correlators at n
-    particles, without alpha itself: kappa = balanced_factorial_ratio(n, m)
-    = n!(n-2m)!/((n-m)!)^2, inf where it passes the float range.
+    n particles: alpha = falling_factorial(n, 2m) = n!/(n-2m)! and kappa =
+    balanced_factorial_ratio(n, m) = n!(n-2m)!/((n-m)!)^2, each inf where
+    it passes the float range.
 
     log alpha and, where kappa is inf, log kappa are sums of logs,
     sum_{i<2m} log(n-i) and sum_{k=1..m} log1p(m/(n-2m+k)), to about eps
-    relative. Orders with 2m > n give (-inf, 1.0, 0.0). Memoized per
+    relative. Orders with 2m > n give (0.0, -inf, 1.0, 0.0). Memoized per
     (n, m).
     """
     if 2 * m > n:
-        return -math.inf, 1.0, 0.0
+        return 0.0, -math.inf, 1.0, 0.0
     log_alpha = float(np.sum(np.log(np.arange(n - 2 * m + 1, n + 1, dtype=float))))
     kappa = balanced_factorial_ratio(n, m)
     if math.isinf(kappa):
         log_kappa = float(np.sum(np.log1p(m / np.arange(n - 2 * m + 1, n - m + 1, dtype=float))))
     else:
         log_kappa = math.log(kappa)
-    return log_alpha, kappa, log_kappa
+    return falling_factorial(n, 2 * m), log_alpha, kappa, log_kappa
 
 
 def log_binomial(n: int, k: int) -> float:

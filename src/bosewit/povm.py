@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._factorials import order_scales
+from ._factorials import falling_factorial
 from .errors import (
     DimensionMismatch,
     IncompletePovm,
@@ -38,7 +38,7 @@ from .fock import (
     _hermitian,
     normally_ordered_moment,
 )
-from .witnesses import CorrelationIntegrals, _check_order, _log_sum_exp, _scaled
+from .witnesses import CorrelationIntegrals, _check_order, _product_correlators, _scaled
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +224,9 @@ def integrated_gm_separable(
     (not an error) because the bound itself survives. Orders with
     2m > n_total raise OrderTooHigh. A G value past the float range is inf,
     but the sums without alpha_2m travel with the integrals, with their
-    logs as a log-sum-exp over log w_k + m log F_i + m log F_j, so
-    csi_ratio stays finite wherever the true ratio is.
+    logs: they are those of one sector of witnesses._product_correlators
+    (a response rounded below 0 taken as 0), so csi_ratio stays finite
+    wherever the true ratio is.
     """
     m = _check_order(m)
     if n_total < 0:
@@ -243,13 +244,13 @@ def integrated_gm_separable(
     fa, fb = np.array(
         [[region_response(povm, region, state) for _, state in pairs] for region in (region_a, region_b)]
     )
-    sums = (np.array([fa ** (2 * m), fb ** (2 * m), fa**m * fb**m]) @ weights).tolist()
-    with np.errstate(divide="ignore"):
-        # a response rounded below 0 is 0, whose powers are 0
-        log_a, log_b = np.log(np.maximum(fa, 0.0)), np.log(np.maximum(fb, 0.0))
-        terms = np.log(weights) + m * np.array([2.0 * log_a, 2.0 * log_b, log_a + log_b])
-        logs = _log_sum_exp(terms).tolist()
-    alpha, log_alpha, _, _ = order_scales(int(n_total), m)
+    # a response rounded below 0 is 0, whose powers are 0
+    fa, fb = np.maximum(fa, 0.0)[None], np.maximum(fb, 0.0)[None]
+    sums, logs, (log_alpha, _, _) = _product_correlators(
+        weights[None], fa, fb, np.ones(1), (int(n_total),), (m,)
+    )
+    sums, logs, log_alpha = sums[:, 0].tolist(), logs[:, 0].tolist(), float(log_alpha[0])
+    alpha = falling_factorial(int(n_total), 2 * m)
     g_aa, g_bb, g_ab = (_scaled(value, log, alpha, log_alpha) for value, log in zip(sums, logs))
     return CorrelationIntegrals(m, g_aa, g_bb, g_ab, alpha, (sums, logs, (log_alpha, 1.0, 0.0)))
 

@@ -2,9 +2,9 @@
 
 Random separable ensembles are drawn as (weights, z, phi) arrays, and
 every witness is evaluated on them against its separability bound by the
-chunk kernels, each a half of its own: C_2m from the occupation
-populations of real modulus rows, F_Q from the K x K closed forms of the
-drawn product components (complex amplitude rows only where K > N + 1),
+chunk kernels, each a half of its own: C_2m from the closed-form
+correlators of the drawn product components (no row at all), F_Q from
+their K x K closed forms (complex amplitude rows only where K > N + 1),
 and xi^2 from closed-form spin moments. Any violation beyond tolerance
 marks an implementation bug, not physics: the bounds are theorems for
 these states. Reports are deterministic per seed. maximize_witness climbs
@@ -15,14 +15,12 @@ one-sample chunk, and computes only the witness it climbs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import WitnessError
-from .fock import _DRAW_NORM_GUARD, QFI_TOLERANCE, _check_factors, _factor_populations
+from .fock import _DRAW_NORM_GUARD, QFI_TOLERANCE, _check_factors
 from .separable import (
     MAX_PARTICLES,
     NumberDistribution,
@@ -30,7 +28,6 @@ from .separable import (
     SeparableEnsemble,
     _check_draws,
     _check_expanded_size,
-    _coherent_moduli,
     _coherent_rows,
     _draw_components,
     _ensemble_from_arrays,
@@ -41,9 +38,8 @@ from .witnesses import (
     WITNESS_TOLERANCE,
     _check_order,
     _csi_ratios,
-    _log_scales,
     _parse_witness_request,
-    _population_integrals,
+    _product_correlators,
     _product_forms,
     _qfi_forms,
     _squeezing,
@@ -159,95 +155,49 @@ def _ensemble_payload(number_weights, fixed: bool, weights, z, phi) -> dict:
     }
 
 
-@dataclass(eq=False)
-class _Run:
-    """One run of a chunk's sectors (_stack_runs): (S, J, K) weights, z and
-    phi over its J particle numbers, with their probabilities.
-
-    A deep run, one whose K exceeds its width W = max N + 1, takes F_Q from
-    its complex amplitude rows (_coherent_rows, then _qfi_forms, which an
-    eigh of the W x W density compresses to W rows: O(K W^2) per sector)
-    and its populations from the same rows. Any other run takes F_Q from
-    the K x K closed forms of _product_forms (O(K^3) per sector, no row)
-    and its populations from real modulus rows (_coherent_moduli). Both end
-    in the same K-space kernel, witnesses._gram_forms. Rows are checked by
-    _check_factors and not kept: a deep run's F_Q leaves its populations
-    behind, so its rows are built once when F_Q comes first.
-    """
-
-    weights: np.ndarray
-    z: np.ndarray
-    phi: np.ndarray
-    numbers: tuple
-    probabilities: np.ndarray
-
-    @property
-    def deep(self) -> bool:
-        return self.weights.shape[-1] > max(self.numbers) + 1
-
-    def _rows(self) -> np.ndarray:
-        if self.deep:
-            rows = _coherent_rows(self.numbers, self.z, self.phi)
-        else:
-            rows = _coherent_moduli(self.numbers, self.z)
-        _check_factors(self.weights, rows)
-        return rows
-
-    def _weighted(self, rows) -> np.ndarray:
-        return _factor_populations(self.weights, rows) * self.probabilities[:, None]
-
-    @cached_property
-    def populations(self) -> np.ndarray:
-        """p_j P_j, (S, J, W): the weighted occupation populations."""
-        return self._weighted(self._rows())
-
-    @cached_property
-    def forms(self) -> np.ndarray:
-        """The F_Q forms of the run's sectors, (S, J, 9)."""
-        count, _, depth = self.weights.shape
-        if not self.deep:
-            return _product_forms(self.weights, self.z, self.phi, self.numbers).reshape(count, -1, 9)
-        rows = self._rows()
-        if "populations" not in self.__dict__:
-            self.populations = self._weighted(rows)
-        stack = self.weights.reshape(-1, depth), rows.reshape(-1, depth, rows.shape[-1])
-        return _qfi_forms(*stack, self.numbers * count).reshape(count, -1, 9)
-
-
-def _chunk_runs(weights, z, phi, numbers, probabilities) -> list:
-    """The _Run list of S samples given as (S, J, K) weights, z and phi over
-    the J particle numbers (a tuple) with their probabilities: the runs of
-    _stack_runs, each padded only to its own width."""
-    count, _, depth = weights.shape
-    return [
-        _Run(weights[:, run], z[:, run], phi[:, run], numbers[run], probabilities[run])
-        for run in _stack_runs([(count * depth, n + 1) for n in numbers])
-    ]
-
-
-def _evaluate_csi(runs, orders, scales) -> tuple:
+def _evaluate_csi(weights, z, numbers, probabilities, orders) -> tuple:
     """The C_2m half of a chunk's evaluation: C_2m of every order with its
-    degenerate mask, both (S, M), for the _chunk_runs of S samples, with the
-    scales of _log_scales(max N, orders). One _population_integrals call
-    over all runs (the routine behind integrated_g2m) takes every order."""
-    sums, logs = _population_integrals([(run.populations, run.numbers) for run in runs], orders)
-    return _csi_ratios(sums, logs, scales)
+    degenerate mask, both (S, M), for S samples given as (S, J, K) weights
+    and z over the J particle numbers with their probabilities. Each
+    component is a product, so _product_correlators takes the closed form of
+    the correlators, with the mode responses z and 1 - z: no row is built."""
+    return _csi_ratios(*_product_correlators(weights, z, 1.0 - z, probabilities, numbers, orders))
 
 
-def _evaluate_qfi(runs, directions) -> np.ndarray:
+def _evaluate_qfi(weights, z, phi, numbers, probabilities, directions) -> np.ndarray:
     """The F_Q half of a chunk's evaluation: F_Q of every direction, (S, k),
-    for the _chunk_runs of S samples. The number probabilities average each
-    sample's sector forms."""
-    probabilities = np.concatenate([run.probabilities for run in runs])
-    forms = np.concatenate([run.forms for run in runs], axis=1)
+    for S samples given as (S, J, K) weights, z and phi over the J particle
+    numbers (a tuple) with their probabilities, which average each sample's
+    sector forms.
+
+    The sectors go in the runs of _stack_runs, each padded only to its own
+    width W = max N + 1. A deep run, one whose K exceeds W, takes F_Q from
+    its complex amplitude rows (_coherent_rows, checked by _check_factors,
+    then _qfi_forms, which an eigh of the W x W density compresses to W
+    rows: O(K W^2) per sector). Any other run takes it from the K x K closed
+    forms of _product_forms (O(K^3) per sector, no row). Both end in the
+    same K-space kernel, witnesses._gram_forms.
+    """
+    count, _, depth = weights.shape
+    forms = []
+    for run in _stack_runs([(count * depth, n + 1) for n in numbers]):
+        run_weights, run_numbers = weights[:, run], numbers[run]
+        if depth <= max(run_numbers) + 1:
+            forms.append(_product_forms(run_weights, z[:, run], phi[:, run], run_numbers))
+            continue
+        rows = _coherent_rows(run_numbers, z[:, run], phi[:, run])
+        _check_factors(run_weights, rows)
+        stack = run_weights.reshape(-1, depth), rows.reshape(-1, depth, rows.shape[-1])
+        forms.append(_qfi_forms(*stack, run_numbers * count))
+    forms = np.concatenate([form.reshape(count, -1, 9) for form in forms], axis=1)
     forms = (probabilities @ forms).reshape(-1, 3, 3)
     return np.einsum("ka,sab,kb->sk", directions, forms, directions)
 
 
 def _checked_scan(samples, n_total, distribution, n_components, n_directions, csi_orders) -> tuple:
     """run_scan's input checks, made before anything is drawn. Returns the
-    csi orders, the (n, p) sectors, a sample's amplitudes K (N + 1) summed
-    over them, and the _log_scales of the orders at the largest N."""
+    csi orders, the (n, p) sectors and a sample's amplitudes K (N + 1)
+    summed over them."""
     if samples < 1:
         raise ValueError("need at least one sample")
     if (n_total is None) == (distribution is None):
@@ -284,7 +234,7 @@ def _checked_scan(samples, n_total, distribution, n_components, n_directions, cs
                          amplitudes, "K (N + 1) summed over its sectors")
     _check_expanded_size(f"csi order m = {top} at max N = {width - 1}", top * width,
                          "its ratio rows, m (max N + 1)")
-    return orders, number_weights, amplitudes, _log_scales(width - 1, orders)
+    return orders, number_weights, amplitudes
 
 
 def run_scan(
@@ -318,18 +268,19 @@ def run_scan(
     STACK_AMPLITUDES (at least one sample each), as (S, J, K) arrays of
     weights, z and phi drawn as sample_ensemble and
     sample_fluctuating_ensemble draw them; no ensemble object is built,
-    and a worst-case payload only when needed. _chunk_runs splits the
-    chunk's sectors into padded runs; _evaluate_qfi gives every F_Q, from
-    the K x K closed forms of the product components (_product_forms) in
-    each run with K <= W = max N + 1, and from complex amplitude rows and
-    _qfi_forms in a deeper run, where the K x K eigensolve would cost more
-    than the W x W one; _evaluate_csi gives every C_2m, from the populations
-    of real modulus rows (or of a deep run's complex rows, built once for
-    both). One _spin_moments call gives every xi^2 (bit for bit that of
-    the ensemble object). C_2m and F_Q equal, to rounding, those of each
-    sample's own density.
+    and a worst-case payload only when needed. _evaluate_csi gives every
+    C_2m of the chunk from the closed-form correlators of its product
+    components (_product_correlators), in logs where a sum would
+    underflow, so no row is built and no value is lost to underflow at
+    any N. _evaluate_qfi splits the chunk's sectors into padded runs and
+    gives every F_Q, from the K x K closed forms of the product components
+    (_product_forms) in each run with K <= W = max N + 1, and from complex
+    amplitude rows and _qfi_forms in a deeper run, where the K x K
+    eigensolve would cost more than the W x W one. One _spin_moments call
+    gives every xi^2 (bit for bit that of the ensemble object). C_2m and
+    F_Q equal, to rounding, those of each sample's own density.
     """
-    orders, number_weights, amplitudes, scales = _checked_scan(
+    orders, number_weights, amplitudes = _checked_scan(
         samples, n_total, distribution, n_components, n_directions, csi_orders
     )
     mode = "fixed" if distribution is None else "fluctuating"
@@ -351,10 +302,8 @@ def run_scan(
         seeds = [int(s) for s in sample_seeds[start : start + chunk]]
         count = len(seeds)
         weights, z, phi = _draw_chunk(seeds, len(numbers), n_components)
-        runs = _chunk_runs(weights, z, phi, numbers, probabilities)
-        # F_Q first: a deep run's rows then give its populations on the way
-        qfi_values = _evaluate_qfi(runs, directions)
-        ratios, degenerate = _evaluate_csi(runs, orders, scales)
+        ratios, degenerate = _evaluate_csi(weights, z, numbers, probabilities, orders)
+        qfi_values = _evaluate_qfi(weights, z, phi, numbers, probabilities, directions)
         squeezing, zero_spin = _squeezing(qfi_bound, *_spin_moments(number_weights, weights, z, phi))
 
         payloads = {}
@@ -453,7 +402,7 @@ def maximize_witness(request: str, n_total: int, budget: int, seed: int, n_compo
         raise ValueError(f"maximize_witness climbs csi, qfi or xi2, not {request!r}")
     if budget < 1 or restarts < 1:
         raise ValueError("budget and restarts must be at least 1")
-    orders, number_weights, _, scales = _checked_scan(
+    orders, number_weights, _ = _checked_scan(
         1, n_total, None, n_components, 1, [param if kind == "csi" else 1]
     )
     numbers, probabilities = (number_weights[0][0],), np.ones(1)
@@ -467,9 +416,9 @@ def maximize_witness(request: str, n_total: int, budget: int, seed: int, n_compo
             if kind == "xi2":
                 value, skip = _squeezing(float(numbers[0]), *_spin_moments(number_weights, *chunk))
             elif kind == "csi":
-                value, skip = _evaluate_csi(_chunk_runs(*chunk, numbers, probabilities), orders, scales)
+                value, skip = _evaluate_csi(*chunk[:2], numbers, probabilities, orders)
             else:
-                value, skip = _evaluate_qfi(_chunk_runs(*chunk, numbers, probabilities), directions), False
+                value, skip = _evaluate_qfi(*chunk, numbers, probabilities, directions), False
         except WitnessError:
             return -math.inf
         value = float(value.flat[0])

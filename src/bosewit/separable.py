@@ -258,18 +258,46 @@ def _binomial_weights(trials: int, prob: float) -> tuple:
     return tuple((k, p / total) for k, p in raw)
 
 
-def _half_logs(numbers, z) -> tuple:
-    """The log moduli of coherent amplitudes, 0.5 (log C(N, k) + k log z +
-    (N - k) log(1 - z)), shared by _coherent_rows and _coherent_moduli (see
-    there for the shapes). Returns (sizes, z as (..., J, K), the mask of z
-    inside (0, 1), half_log (..., J, K, W) and k <= N (J, 1, W)); the
-    boundary values z = 0 and z = 1 take z = 1/2 here, which overflows at
-    no N, and are set by _normalized.
+def _normalized(rows, sizes, z, inner, phi) -> np.ndarray:
+    """Rows of amplitudes renormalized over their own N + 1 columns, with
+    the boundary rows set: z = 0 gives |0, N> and z = 1 gives
+    e^{i N phi} |N, 0>."""
+    # each norm sums its own N + 1 columns: a sum over the padded width
+    # would group numpy's pairwise summation differently
+    power = np.abs(rows)
+    power *= power
+    norms = np.empty(z.shape)
+    for j, size in enumerate(sizes):
+        np.sum(power[..., j, :, : size + 1], axis=-1, out=norms[..., j, :])
+    rows /= np.sqrt(norms)[..., None]
+    rows[~inner] = 0.0
+    rows[z == 0.0, 0] = 1.0
+    top = z == 1.0
+    tops = np.array(sizes)[np.nonzero(top)[-2]]
+    rows[top, tops] = np.exp(1j * tops * phi[top])
+    return rows
+
+
+def _coherent_rows(numbers, z, phi) -> np.ndarray:
+    """Amplitude rows sqrt(C(N,k)) z^{k/2} (1-z)^{(N-k)/2} e^{i k phi}, one
+    per (z, phi) pair. `numbers` is one N for every pair, with z and phi
+    (..., K) arrays, which gives (..., K, N+1) rows; or the J numbers of a
+    padded stack, with z and phi (..., J, K) arrays whose axis -2 runs over
+    them, which gives (..., J, K, W) rows, W = max N + 1, zero past each N.
+
+    Amplitudes are built in log space, as the exponentials of 0.5 (log C(N,
+    k) + k log z + (N - k) log(1 - z)) + i k phi (so N up to 10^6 cannot
+    overflow), from one stacked table of log-binomial rows, and each row is
+    renormalized once over its own N + 1 columns, keeping its norm at 1 to
+    machine precision. z = 0 and z = 1 give the basis rows |0, N> and
+    e^{i N phi} |N, 0> exactly; the logs take z = 1/2 for them, which
+    overflows at no N. A row is, bit for bit, the one its (N, z, phi) gives
+    alone.
     """
     sizes = [int(numbers)] if np.ndim(numbers) == 0 else [int(n) for n in numbers]
-    z = np.asarray(z, dtype=float)
+    z, phi = np.asarray(z, dtype=float), np.asarray(phi, dtype=float)
     if np.ndim(numbers) == 0:
-        z = z[..., None, :]
+        z, phi = z[..., None, :], phi[..., None, :]
     width = max(sizes) + 1
     table = np.zeros((len(sizes), 1, width))
     for row, n, values in zip(table, sizes, log_binomial_rows(sizes)):
@@ -288,73 +316,19 @@ def _half_logs(numbers, z) -> tuple:
     half_log += table
     half_log += (n - k) * log_rest
     half_log *= 0.5
-    return sizes, z, inner, half_log, k <= n
-
-
-def _normalized(rows, sizes, z, inner, phi) -> np.ndarray:
-    """Rows of _half_logs' exponentials renormalized over their own N + 1
-    columns, with the boundary rows set: z = 0 gives |0, N> and z = 1 gives
-    e^{i N phi} |N, 0> (|N, 0> for real rows)."""
-    # each norm sums its own N + 1 columns: a sum over the padded width
-    # would group numpy's pairwise summation differently
-    power = np.abs(rows)
-    power *= power
-    norms = np.empty(z.shape)
-    for j, size in enumerate(sizes):
-        np.sum(power[..., j, :, : size + 1], axis=-1, out=norms[..., j, :])
-    rows /= np.sqrt(norms)[..., None]
-    rows[~inner] = 0.0
-    rows[z == 0.0, 0] = 1.0
-    top = z == 1.0
-    tops = np.array(sizes)[np.nonzero(top)[-2]]
-    rows[top, tops] = np.exp(1j * tops * phi[top]) if np.iscomplexobj(rows) else 1.0
-    return rows
-
-
-def _coherent_rows(numbers, z, phi) -> np.ndarray:
-    """Amplitude rows sqrt(C(N,k)) z^{k/2} (1-z)^{(N-k)/2} e^{i k phi}, one
-    per (z, phi) pair. `numbers` is one N for every pair, with z and phi
-    (..., K) arrays, which gives (..., K, N+1) rows; or the J numbers of a
-    padded stack, with z and phi (..., J, K) arrays whose axis -2 runs over
-    them, which gives (..., J, K, W) rows, W = max N + 1, zero past each N.
-
-    Amplitudes are built in log space (_half_logs, so N up to 10^6 cannot
-    overflow) from one stacked table of log-binomial rows, and each row is
-    renormalized once over its own N + 1 columns, keeping its norm at 1 to
-    machine precision. z = 0 and z = 1 give the basis rows |0, N> and
-    e^{i N phi} |N, 0> exactly. A row is, bit for bit, the one its (N, z,
-    phi) gives alone.
-    """
-    sizes, z, inner, half_log, valid = _half_logs(numbers, z)
-    phi = np.asarray(phi, dtype=float)
-    if np.ndim(numbers) == 0:
-        phi = phi[..., None, :]
-    k = np.arange(half_log.shape[-1])
     # + i k phi, and the exponential of the columns up to each N
     if min(sizes) == max(sizes):
         rows = 1j * k * phi[..., None]
         rows += half_log
         np.exp(rows, out=rows)
     else:
-        valid = np.broadcast_to(valid, half_log.shape)
+        valid = np.broadcast_to(k <= n, half_log.shape)
         amps = np.broadcast_to(1j * k, valid.shape)[valid]
         amps *= np.broadcast_to(phi[..., None], valid.shape)[valid]
         amps += half_log[valid]
         rows = np.zeros(valid.shape, dtype=np.complex128)
         rows[valid] = np.exp(amps, out=amps)
     rows = _normalized(rows, sizes, z, inner, phi)
-    return rows[..., 0, :, :] if np.ndim(numbers) == 0 else rows
-
-
-def _coherent_moduli(numbers, z) -> np.ndarray:
-    """The moduli |_coherent_rows(numbers, z, phi)|, which do not depend on
-    phi, as real rows of the same shape: all that occupation populations
-    need. Built by the same log-space steps with a real exponential, so
-    each entry is within a few ulps of the modulus of the complex one (not
-    bit for bit: a complex exponential rounds its modulus on its own)."""
-    sizes, z, inner, half_log, valid = _half_logs(numbers, z)
-    rows = np.exp(half_log, out=np.zeros_like(half_log), where=valid)
-    rows = _normalized(rows, sizes, z, inner, None)
     return rows[..., 0, :, :] if np.ndim(numbers) == 0 else rows
 
 

@@ -25,7 +25,6 @@ from ._factorials import (
     balanced_factorial_ratio,
     correlator_rows,
     log_factorials,
-    log_order_scales,
     order_scales,
     ratio_rows,
 )
@@ -129,13 +128,12 @@ def _judgeable(values, what: str):
 # --- integrated correlators -----------------------------------------------------
 
 
-def _population_integrals(runs, orders, per_order: bool = False) -> tuple:
+def _population_integrals(runs, orders) -> tuple:
     """Normalized correlators (sums, logs) of every order m in `orders`,
     for runs of weighted sector populations: each run is (weighted,
-    numbers), p_j P_j (..., J, W) of J sectors with numbers[j] particles
-    each (zero past a sector's own count, W the run's largest count + 1),
-    and every run has the same leading shape. N is the largest count of
-    all runs.
+    numbers), p_j P_j (J, W) of J sectors with numbers[j] particles each
+    (zero past a sector's own count, W the run's largest count + 1). N is
+    the largest count of all runs.
 
     The correlators are diagonal in the |l, n-l> basis. With the ratio
     rows R_k(l) = [l!/(l-k)!] / [N!/(N-k)!] in [0, 1] (_factorials), alpha
@@ -148,17 +146,13 @@ def _population_integrals(runs, orders, per_order: bool = False) -> tuple:
     reverse(R_m)). So C_2m = kappa c / sqrt(a b), and a, b, c never
     overflow. A run of W columns takes the first W entries of each row, so
     the rows are streamed once, over the orders, however many runs there
-    are; each run meets the rows of every order in one BLAS product per
-    block of at most STACK_AMPLITUDES row entries, so no table of all
-    orders is held. One sector of N <= _MEMO_N_MAX takes memoized rows
-    (_factorials.correlator_rows). A sum is within about 2k eps relative
-    for row k.
-
-    A BLAS product rounds a row's sum differently with the number of rows
-    it takes. With `per_order`, every order keeps a block of its own, so
-    each order gets the bits a call with that order alone gives; an order
-    then holds its R_m rows, below STACK_AMPLITUDES entries, until R_2m
-    comes. Otherwise the orders share their blocks.
+    are. A BLAS product rounds a row's sum differently with the number of
+    rows it takes, so every order meets the runs in blocks of its own, of
+    at most STACK_AMPLITUDES row entries, and gets the bits a call with that
+    order alone gives; an order holds its R_m rows until R_2m comes, and no
+    table of all orders is held. One sector of N <= _MEMO_N_MAX takes
+    memoized rows (_factorials.correlator_rows). A sum is within about 2k
+    eps relative for row k.
 
     A sum below _NORMALIZED_FLOOR may have lost terms to underflow: only
     that entry is recomputed, as a log-sum-exp over log(p_j P_j(l)) plus
@@ -166,79 +160,68 @@ def _population_integrals(runs, orders, per_order: bool = False) -> tuple:
     with no population where its row is nonzero is zero by structure and
     is not recomputed.
 
-    Returns sums and logs, both (3, ..., M): a, b, c and their logs (the
-    scales of N come from _log_scales). Orders with 2m > N give zero sums.
+    Returns sums and logs, both (3, M): a, b, c and their logs (the scales
+    of N are order_scales'). Orders with 2m > N give zero sums.
     """
     n = max(max(numbers) for _, numbers in runs)
-    lead = runs[0][0].shape[:-2]
-    flats = [weighted.reshape(-1, weighted.shape[-2] * weighted.shape[-1]) for weighted, _ in runs]
+    flats = [weighted.reshape(1, -1) for weighted, _ in runs]
     orders = [int(m) for m in orders]
     total = len(orders)
     widths = [weighted.shape[-1] for weighted, _ in runs]
     mirrors = [_mirror(width, numbers) for width, (_, numbers) in zip(widths, runs)]
     if len(runs) == 1 and len(runs[0][1]) == 1 and n <= _MEMO_N_MAX:
-        rows = [correlator_rows(n, m) for m in orders]
-        blocks = [[order_rows] for order_rows in rows] if per_order else [rows]
-        sums = np.hstack([flats[0] @ np.concatenate(block).T for block in blocks])
+        sums = np.hstack([flats[0] @ correlator_rows(n, m).T for m in orders])
     else:
         # sums[:, 3 i + kind] of order i; kinds a, b, c
-        sums = np.empty((len(flats[0]), 3 * total))
+        sums = np.empty((1, 3 * total))
         columns = sum(flat.shape[1] for flat in flats)
-        group = range(total) if per_order else [0] * total  # the block of each order
-        at_single, at_double, last = {}, {}, {}
+        at_single, at_double = {}, {}
         for i, m in enumerate(orders):
             at_single.setdefault(m, []).append(i)
             at_double.setdefault(2 * m, []).append(i)
-            last[group[i]] = max(last.get(group[i], 0), 2 * m)
         wanted = sorted(at_single.keys() | at_double.keys())
-        pending = {}  # group -> (a block of rows per run, their columns of sums)
+        pending = {}  # order -> (a block of rows per run, their columns of sums)
         for k, row in zip(wanted, ratio_rows(n, wanted)):
             heads = [row[:width] for width in widths]
             for i in at_double.get(k, ()):
-                blocks, targets = pending.setdefault(group[i], ([[] for _ in runs], []))
+                blocks, targets = pending.setdefault(i, ([[] for _ in runs], []))
                 for block, head, mirror, (_, numbers) in zip(blocks, heads, mirrors, runs):
                     block += [_kind_row(head, mirror, len(numbers), kind, None) for kind in (0, 1)]
                 targets += [3 * i, 3 * i + 1]
             for i in at_single.get(k, ()):
-                blocks, targets = pending.setdefault(group[i], ([[] for _ in runs], []))
+                blocks, targets = pending.setdefault(i, ([[] for _ in runs], []))
                 for block, head, mirror, (_, numbers) in zip(blocks, heads, mirrors, runs):
                     block.append(_kind_row(head, mirror, len(numbers), 2, np.multiply))
                 targets.append(3 * i + 2)
-            for g in {group[i] for i in at_double.get(k, []) + at_single.get(k, [])}:
-                blocks, targets = pending[g]
-                if len(targets) * columns >= STACK_AMPLITUDES or k == last[g]:
+            for i in set(at_double.get(k, []) + at_single.get(k, [])):
+                blocks, targets = pending[i]
+                if len(targets) * columns >= STACK_AMPLITUDES or k == 2 * orders[i]:
                     sums[:, targets] = sum(flat @ np.array(block).T for flat, block in zip(flats, blocks))
-                    del pending[g]
-    sums = sums.reshape(-1, total, 3)
+                    del pending[i]
+    sums = sums.reshape(total, 3)
 
-    lost = sums < _NORMALIZED_FLOOR
-    if not lost.any():
-        return _by_kind(sums, lead), _by_kind(np.log(sums), lead)
     # A sum with no population where its row is nonzero (l >= k; mirrored
     # for b, both for c), as every sum of an order with 2m > N, is zero by
     # structure: its log is -inf, which the fallback would give as well.
-    for i, kind in zip(*np.nonzero(lost.any(axis=0))):
-        samples = np.flatnonzero(lost[:, i, kind])
+    lost = sums < _NORMALIZED_FLOOR
+    for i, kind in zip(*np.nonzero(lost)):
         k = orders[i] if kind == 2 else 2 * orders[i]
-        reached = False
-        for flat, width, mirror, (_, numbers) in zip(flats, widths, mirrors, runs):
-            support = _kind_row(np.arange(width) >= k, mirror, len(numbers), kind, np.logical_and)
-            reached = reached | (flat[samples][:, support] > 0.0).any(axis=1)
-        lost[samples, i, kind] = reached
+        lost[i, kind] = any(
+            (flat[0, _kind_row(np.arange(width) >= k, mirror, len(numbers), kind, np.logical_and)] > 0.0).any()
+            for flat, width, mirror, (_, numbers) in zip(flats, widths, mirrors, runs)
+        )
     with np.errstate(divide="ignore"):
         logs = np.log(sums)
         if lost.any():
-            log_flats = [np.log(flat) for flat in flats]
+            log_flats = [np.log(flat[0]) for flat in flats]
             log_rows = _log_ratio_rows(n)
-            for i, kind in zip(*np.nonzero(lost.any(axis=0))):
+            for i, kind in zip(*np.nonzero(lost)):
                 row = log_rows(orders[i] if kind == 2 else 2 * orders[i])
-                samples = np.flatnonzero(lost[:, i, kind])
-                parts = []
-                for log_flat, width, mirror, (_, numbers) in zip(log_flats, widths, mirrors, runs):
-                    terms = _kind_row(row[:width], mirror, len(numbers), kind, np.add)
-                    parts.append(_log_sum_exp(log_flat[samples] + terms))
-                logs[samples, i, kind] = np.logaddexp.reduce(parts)
-    return _by_kind(sums, lead), _by_kind(logs, lead)
+                logs[i, kind] = np.logaddexp.reduce([
+                    _log_sum_exp(log_flat + _kind_row(row[:width], mirror, len(numbers), kind, np.add))
+                    for log_flat, width, mirror, (_, numbers) in zip(log_flats, widths, mirrors, runs)
+                ])
+    return sums.T, logs.T
 
 
 def _kind_row(head, mirror, count: int, kind: int, pair):
@@ -258,17 +241,6 @@ def _mirror(width: int, numbers):
     and keeps its own index."""
     columns, sizes = np.arange(width), np.array(numbers)[:, None]
     return np.where(columns <= sizes, sizes - columns, columns)
-
-
-def _by_kind(values: np.ndarray, lead: tuple) -> np.ndarray:
-    """(S, M, 3) values as (3, *lead, M)."""
-    return values.transpose(2, 0, 1).reshape(3, *lead, values.shape[1])
-
-
-def _log_scales(n: int, orders) -> np.ndarray:
-    """(log alpha, kappa, log kappa) of N = n for every order, as (3, M):
-    the scales _csi_ratios takes with the sums of _population_integrals."""
-    return np.array([log_order_scales(n, int(m)) for m in orders]).T
 
 
 def _log_ratio_rows(n: int):
@@ -340,7 +312,7 @@ def integrated_g2m_orders(state, orders) -> list:
         (_factor_populations(weights, rows) * number_weights[run, None], run_numbers)
         for run, weights, rows, run_numbers in _padded_stacks([sector for _, sector in sectors])
     ]
-    all_sums, all_logs = _population_integrals(runs, orders, per_order=True)
+    all_sums, all_logs = _population_integrals(runs, orders)
     integrals = []
     for i, m in enumerate(orders):
         alpha, log_alpha, kappa, log_kappa = order_scales(max(numbers), m)
@@ -361,8 +333,9 @@ def integrated_g2m_orders(state, orders) -> list:
 def _csi_ratios(sums, logs, scales) -> tuple:
     """(C_2m, degenerate) elementwise from normalized correlators: sums
     (a, b, c) and their logs as _population_integrals returns them, with
-    the scales (log alpha, kappa, log kappa) of _log_scales, for values or
-    arrays. Plain correlator values (G_aa, G_bb, G_ab) go in with scales
+    the scales (log alpha, kappa, log kappa) of order_scales, or the sums,
+    logs and scales (log alpha, 1, 0) of _product_correlators, for values
+    or arrays. Plain correlator values (G_aa, G_bb, G_ab) go in with scales
     (0, 1, 0).
 
     C_2m = kappa c / sqrt(a b). `degenerate` marks the products G_aa G_bb
@@ -411,8 +384,10 @@ def csi_ratio(integrals: CorrelationIntegrals) -> float:
         normalized = (sums, [_log(value) for value in sums], (0.0, 1.0, 0.0))
     ratio, degenerate = _csi_ratios(*normalized)
     if degenerate:
+        # from the logs: a product of the values may be inf * 0
+        (log_a, log_b, _), (log_alpha, *_) = normalized[1], normalized[2]
         raise DegenerateLocalCorrelation(
-            f"local correlators G_aa*G_bb = {integrals.g_aa * integrals.g_bb!r} too small "
+            f"local correlators G_aa*G_bb = {math.exp(log_a + log_b + 2.0 * log_alpha)!r} too small "
             f"for a ratio at order 2m = {2 * integrals.order_m}"
         )
     return _judgeable(float(ratio), f"csi:{integrals.order_m}")
@@ -642,6 +617,67 @@ def _product_blocks(weights, z, phi, n) -> tuple:
     gram[np.abs(gram) < _AMPLITUDE_FLUSH] = 0.0
     blocks *= (0.5 * n * lower)[..., :, None, :]
     return gram, blocks
+
+
+def _product_correlators(weights, f_a, f_b, probabilities, numbers, orders) -> tuple:
+    """The normalized correlators (sums, logs, scales) _csi_ratios takes, of
+    every order m in `orders`, for sectors that mix products: sector j of
+    (..., J, K) weights holds sum_k w_k |psi_k><psi_k|^{(x) N_j} with
+    probability p_j, N_j = numbers[j], and f_a, f_b (..., J, K) are the
+    responses of the two regions to each psi_k (z and 1 - z for the modes).
+
+    A product gives G_aa = (N_j)_2m f_a^2m, G_bb = (N_j)_2m f_b^2m and G_ab =
+    (N_j)_2m (f_a f_b)^m, so no row is built. With alpha = (N)_2m at the
+    largest N and r_j = (N_j)_2m / alpha in [0, 1], both from one lgamma
+    table, G_aa = alpha a, G_bb = alpha b and G_ab = alpha c for
+        a = sum_j p_j r_j sum_k w_k f_a^2m,
+    and b and c alike with f_b^2m and f_a^m f_b^m: the scales are (log
+    alpha, 1, 0). A sum below _NORMALIZED_FLOOR takes its log from a
+    log-sum-exp of log p_j + log r_j + log w_k + m (2 log f_a, 2 log f_b or
+    log f_a + log f_b), whose terms are exact, so nothing underflows. The
+    orders go in blocks of at most STACK_AMPLITUDES powers over the three
+    sums (one order at a time past that), so the temporaries stay within a
+    fixed multiple of it. Returns sums and logs, both (3, ..., M), and the
+    scales.
+    """
+    lead = weights.shape[:-2]
+    weights, f_a, f_b = (np.reshape(x, (-1, *x.shape[-2:]))[..., None] for x in (weights, f_a, f_b))
+    orders = np.array(orders, dtype=int)
+    g = log_factorials(max(numbers))
+    sizes = np.array(numbers)[:, None]
+
+    def log_falling(n, m):
+        """log (n)_2m, -inf where 2m > n."""
+        return np.where(n >= 2 * m, g[n] - g[np.maximum(n - 2 * m, 0)], -np.inf)
+
+    log_alpha = log_falling(max(numbers), orders)
+    sums = np.empty((3, len(weights), orders.size))
+    logs = np.empty_like(sums)
+    step = max(1, STACK_AMPLITUDES // (3 * weights.size))
+    for start in range(0, orders.size, step):
+        block = slice(start, start + step)
+        m = orders[block]
+        # log r_j over (J, B); a sector short of 2m particles has r_j = 0
+        # (where alpha is 0 as well, the masked difference is -inf - -inf)
+        with np.errstate(invalid="ignore"):
+            log_ratios = np.where(sizes >= 2 * m, log_falling(sizes, m) - log_alpha[block], -np.inf)
+        weighted = probabilities[:, None] * np.exp(log_ratios)
+        half_a, half_b = f_a**m, f_b**m
+        terms = np.stack([f_a ** (2 * m), f_b ** (2 * m), half_a * half_b]) * weights
+        sums[..., block] = np.sum(np.sum(terms, axis=-2) * weighted, axis=-2)
+        lost = sums[..., block] < _NORMALIZED_FLOOR
+        with np.errstate(divide="ignore"):
+            logs[..., block] = np.log(sums[..., block])
+            if not lost.any():
+                continue
+            half_a, half_b = m * np.log(f_a), m * np.log(f_b)
+            terms = np.stack([2.0 * half_a, 2.0 * half_b, half_a + half_b]) + np.log(weights)
+            terms += (np.log(probabilities)[:, None] + log_ratios)[:, None]
+            # the (J, K) terms of each sum last, for one log-sum-exp
+            terms = np.moveaxis(terms, -1, 2).reshape(*lost.shape, -1)
+            logs[..., block] = np.where(lost, _log_sum_exp(terms), logs[..., block])
+    shape = (3, *lead, orders.size)
+    return sums.reshape(shape), logs.reshape(shape), (log_alpha, 1.0, 0.0)
 
 
 def _stack_runs(shapes):

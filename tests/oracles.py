@@ -313,6 +313,51 @@ def spin_moments_loop(ensemble):
     return jx, jy, var_z
 
 
+def _log_sum_exp(terms):
+    """log sum exp of a list of floats in plain Python; -inf for none."""
+    if not terms:
+        return -math.inf
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(term - top) for term in terms))
+
+
+def product_csi_loop(ensemble, m):
+    """C_2m of a SeparableEnsemble or FluctuatingEnsemble by plain loops in
+    log space over its sectors and components, with no array and no row.
+
+    Every component is a product, so sector n (probability p) gives G_aa =
+    p (n)_2m sum_k w_k z_k^2m, G_bb alike with (1 - z_k)^2m and G_ab with
+    z_k^m (1 - z_k)^m. Each G is a log-sum-exp over sectors and components
+    of log p + log (n)_2m + log w_k + the log of the power, with math.lgamma
+    and math.log; the ratio is exp(log G_ab - (log G_aa + log G_bb) / 2).
+    Returns None where G_aa G_bb is 0 (no ratio).
+    """
+    from bosewit.separable import SeparableEnsemble
+
+    if isinstance(ensemble, SeparableEnsemble):
+        number_weights = ((ensemble.n_total, 1.0),)
+        per_sector = {ensemble.n_total: ensemble}
+    else:
+        number_weights, per_sector = ensemble.number_weights, ensemble.per_sector
+    terms = ([], [], [])
+    for n, p in number_weights:
+        if 2 * m > n or p == 0.0:
+            continue
+        base = math.log(p) + math.lgamma(n + 1) - math.lgamma(n - 2 * m + 1)
+        for w, comp in per_sector[n].components:
+            if w == 0.0:
+                continue
+            log_z = math.log(comp.z) if comp.z > 0.0 else -math.inf
+            log_rest = math.log1p(-comp.z) if comp.z < 1.0 else -math.inf
+            for kind, power in enumerate((2 * m * log_z, 2 * m * log_rest, m * (log_z + log_rest))):
+                if power > -math.inf:
+                    terms[kind].append(base + math.log(w) + power)
+    log_aa, log_bb, log_ab = (_log_sum_exp(kind) for kind in terms)
+    if log_aa == -math.inf or log_bb == -math.inf:
+        return None
+    return math.exp(log_ab - 0.5 * (log_aa + log_bb))
+
+
 def ensemble_payload(ensemble):
     """The report form of an ensemble object, as a scan report carries its
     worst-case samples."""

@@ -375,6 +375,23 @@ def test_witness_all_failed_gives_null_verdicts(capsys):
     assert payload["witnesses"]["xi2"]["error"] == "ZeroMeanSpinDirection"
 
 
+def test_a_degenerate_ratio_is_named_from_the_logs(tmp_path, capsys):
+    # every particle in mode a: G_aa = (4000)_2000 passes the float range and
+    # G_bb = 0, so the product of the values is inf * 0 = nan; that of the
+    # logs is 0.0
+    path = tmp_path / "dicke.state"
+    path.write_text("kind = dicke\nn = 4000\nk = 4000\n")
+    code, out, _ = run_cli(
+        capsys, "witness", "--state", str(path), "--witness", "csi:1000", "--timestamp", TS
+    )
+    assert code == 3
+    entry = strict_json(out)["witnesses"]["csi:1000"]
+    assert entry == {
+        "error": "DegenerateLocalCorrelation",
+        "message": "local correlators G_aa*G_bb = 0.0 too small for a ratio at order 2m = 2000",
+    }
+
+
 def test_witness_non_finite_value_is_a_named_error(tmp_path, capsys):
     # C_2000 of the twin-Fock state at N = 4000 is C(2000, 1000) ~ 2e600,
     # past the float range; the report must stay strict JSON and exit 3.

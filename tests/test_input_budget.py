@@ -15,16 +15,16 @@ TS = "2026-01-01T00:00:00+00:00"
 
 @pytest.fixture
 def no_rows(monkeypatch):
-    """Make every binding of _coherent_rows, and the scan's real rows
-    _coherent_moduli, raise, so that an input built before its size check
-    fails the test."""
+    """Make every binding of _coherent_rows, and the scan's draws (after
+    which a scan with K <= N + 1 builds no row at all), raise, so that an
+    input built before its size check fails the test."""
 
     def refuse(*_):
-        raise AssertionError("amplitude rows built before the size check")
+        raise AssertionError("amplitude rows or draws built before the size check")
 
     for module in (separable, statespec, scan):
         monkeypatch.setattr(module, "_coherent_rows", refuse)
-    monkeypatch.setattr(scan, "_coherent_moduli", refuse)
+    monkeypatch.setattr(scan, "_draw_chunk", refuse)
 
 
 def run_cli(capsys, *argv):
@@ -97,20 +97,20 @@ def test_scans_past_the_budget_exit_2_before_any_row(argv, message, capsys, no_r
 
 
 def test_scan_budget_is_inclusive(no_rows):
-    # m (N + 1) = 1024 * 4096 = 2^22 exactly reaches the row stage
-    with pytest.raises(AssertionError, match="amplitude rows built"):
+    # m (N + 1) = 1024 * 4096 = 2^22 exactly reaches the draws
+    with pytest.raises(AssertionError, match="built before the size check"):
         scan.run_scan(samples=1, seed=1, n_total=4095, csi_orders=(1024,))
     with pytest.raises(ValueError, match="expands into 4198400 amplitudes"):
         scan.run_scan(samples=1, seed=1, n_total=4095, csi_orders=(1025,))
     # K (N + 1) summed over the sectors, the rule of state files: one
     # sector of 1000 * 4194 fits, 1000 * 4195 does not
-    with pytest.raises(AssertionError, match="amplitude rows built"):
+    with pytest.raises(AssertionError, match="built before the size check"):
         scan.run_scan(samples=1, seed=1, n_total=4193, n_components=1000, csi_orders=(1,))
     with pytest.raises(ValueError, match="expands into 4195000 amplitudes"):
         scan.run_scan(samples=1, seed=1, n_total=4194, n_components=1000, csi_orders=(1,))
     # and 4 components over the sectors 0..1446 of binomial:1446,0.5 take
     # 4 * 1447 * 1448 / 2 = 4190512; those of binomial:1447,0.5 take 4196304
-    with pytest.raises(AssertionError, match="amplitude rows built"):
+    with pytest.raises(AssertionError, match="built before the size check"):
         scan.run_scan(samples=1, seed=1, distribution=NumberDistribution.binomial(1446, 0.5))
     with pytest.raises(ValueError, match="expands into 4196304 amplitudes"):
         scan.run_scan(samples=1, seed=1, distribution=NumberDistribution.binomial(1447, 0.5))

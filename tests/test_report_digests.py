@@ -11,8 +11,7 @@ They were recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64, and give
 the same bytes at 1, 2, 4 and 8 BLAS threads. Every F_Q of these scans
 ends in the one F_Q kernel, witnesses._gram_forms, an eigh of a small Gram
 matrix: the 4 x 4 closed-form Gram matrices of the four-component scans'
-product components (K <= N + 1, so no amplitude row is built for F_Q, and
-the C_2m populations come from real modulus rows), and for the
+product components (K <= N + 1, so no amplitude row is built), and for the
 1000-component chunks (K > N + 1, from complex amplitude rows) the 13 x 13
 Gram matrices of the 13 rows that an eigh of each 13 x 13 density
 compresses them to. (A thin SVD of those 1000 x 13 chunks, kept only as
@@ -32,6 +31,17 @@ of the number states, where a difference of raw moments gave -4e-15 to
 -6e-15), and the two moved scan worst values (poisson-20 and
 fixed-12-multichunk, xi^2) kept their samples and moved by under 5e-16
 relative.
+
+Every scan takes C_2m from the closed form of its product components'
+correlators (witnesses._product_correlators: sums of w z^2m, w (1 - z)^2m
+and w z^m (1 - z)^m over the components, weighted by p_j (N_j)_2m / (N)_2m
+over the sectors), with no population row. When the digests were re-pinned
+for that change, fixed-40, poisson-20 and fixed-12-multichunk moved: 26
+C_2m worst values, by at most 1.7e-14 relative, each on the same sample,
+and 24 of them toward the exact rational value (the other two stayed
+within 8e-16 of it). No violation or skip count moved, nor any F_Q or xi^2
+value. binomial-10 kept its bytes, and the witness reports, which take C_2m
+from the populations of their states, kept theirs.
 """
 
 import hashlib
@@ -45,11 +55,11 @@ TS = "2026-01-01T00:00:00+00:00"
 DIGESTS = {
     "fixed-40": (
         ("--samples", "20", "--n", "40", "--seed", "3"),
-        "438e2ecee9f95ce7b10d8b60efd83f16fea0d7d5e7cfb1c5028a428564ebf514",
+        "787ea4bc88a1fc7f1bf501a4d3faf885704b5e125a2252a2a148507c9a2be8db",
     ),
     "poisson-20": (
         ("--samples", "5", "--fluctuating", "poisson:20", "--seed", "3"),
-        "3e9ac516657be539de1729bf53e1633279ca9b244ed76d598d8bca6694cd7aaa",
+        "999142cfb15f8316c686a80acd9bf870ebf83d2d37a2d106bf8897b46ba74c08",
     ),
     "binomial-10": (
         ("--samples", "5", "--fluctuating", "binomial:10,0.5", "--seed", "3"),
@@ -58,7 +68,7 @@ DIGESTS = {
     # 12 samples of 1000 components at N = 12 take three chunks
     "fixed-12-multichunk": (
         ("--samples", "12", "--n", "12", "--components", "1000", "--seed", "3"),
-        "f4ed5d03a310d6022cfd853835cd992d881f2e0a31522ec534875296617541ec",
+        "c0babaa93c4f604f8e8e2c2306a1ce1bf563aa027293ee82b8499f6fd921f7cd",
     ),
 }
 

@@ -15,10 +15,10 @@ import math
 import numpy as np
 import pytest
 
-from bosewit import scan, witnesses
+from bosewit import scan, separable, witnesses
 from bosewit.fock import NumberSectorMixture, SectorDensity, _axis_actions
 from bosewit.scan import QFI_TOLERANCE, run_scan
-from bosewit.separable import NumberDistribution, _coherent_moduli, _coherent_rows
+from bosewit.separable import NumberDistribution, _coherent_rows
 from bosewit.witnesses import STACK_AMPLITUDES, WITNESS_TOLERANCE, qfi
 
 import oracles
@@ -129,18 +129,20 @@ def test_a_sample_past_the_stack_budget_is_taken_in_runs(monkeypatch):
     case = dict(samples=3, seed=16, distribution=NumberDistribution.binomial(60, 0.5), n_components=40)
     shapes = []
 
-    def recording(build):
-        def built(*args):
-            rows = build(*args)
-            shapes.append(rows.shape)
-            return rows
-
+    def rows(numbers, z, phi):
+        built = _coherent_rows(numbers, z, phi)
+        shapes.append(built.shape)
         return built
 
-    # the scan's row builders: complex rows where K > N + 1, real moduli
-    # elsewhere; each run is built once
-    monkeypatch.setattr(scan, "_coherent_rows", recording(_coherent_rows))
-    monkeypatch.setattr(scan, "_coherent_moduli", recording(_coherent_moduli))
+    def closed(weights, z, phi, numbers):
+        shapes.append((*weights.shape, max(numbers) + 1))
+        return witnesses._product_forms(weights, z, phi, numbers)
+
+    # each run takes F_Q once: complex rows where K > N + 1 (the sectors up
+    # to N = 38), the closed form elsewhere, with the shape its padded
+    # stack of rows would have
+    monkeypatch.setattr(scan, "_coherent_rows", rows)
+    monkeypatch.setattr(scan, "_product_forms", closed)
     report = run_scan(**case)
     per_sample = len(shapes) // case["samples"]
     assert per_sample >= 2 and len(shapes) == per_sample * case["samples"]
@@ -149,6 +151,23 @@ def test_a_sample_past_the_stack_budget_is_taken_in_runs(monkeypatch):
         assert math.prod(shape) <= STACK_AMPLITUDES or shape[1] == 1
     assert sum(shape[1] for shape in shapes[:per_sample]) == 61
     _assert_matches_the_oracle(report, oracles.scan_per_sample(**case))
+
+
+@pytest.mark.parametrize("n_total, n_components", [(300, 8), (7, 8)])
+def test_a_scan_with_k_at_most_n_plus_1_builds_no_row(n_total, n_components, monkeypatch):
+    # C_2m from the closed form of the product components' correlators and
+    # F_Q from their K x K closed forms: no amplitude or modulus row, up to
+    # K = N + 1 (every row builder ends in _normalized)
+    def refuse(*_):
+        raise AssertionError("the scan built a row")
+
+    monkeypatch.setattr(scan, "_coherent_rows", refuse)
+    monkeypatch.setattr(separable, "_normalized", refuse)
+    report = run_scan(samples=4, seed=21, n_total=n_total, n_components=n_components)
+    assert len(report["csi_orders"]) == n_total // 2
+    assert report["total_violations"] == 0
+    assert all(bound["skipped"] == 0 for bound in report["bounds"])
+
 
 def _sector(n, weights, seed):
     rng = np.random.default_rng(seed)

@@ -371,11 +371,14 @@ def test_the_climb_returns_the_value_of_its_ensemble(request_text, n_components,
 
 
 @pytest.mark.parametrize("request_text, n_total, n_components, skipped", [
-    ("csi:1", 20, 2, ("_evaluate_qfi", "_product_forms", "_qfi_forms")),
+    # C_2m from the closed form of the product correlators: no F_Q, no row
+    ("csi:1", 20, 2, ("_evaluate_qfi", "_product_forms", "_qfi_forms", "_coherent_rows")),
     # K <= N + 1: F_Q from the closed form, with no amplitude row at all
-    ("qfi:z", 20, 2, ("_evaluate_csi", "_population_integrals", "_coherent_rows", "_coherent_moduli")),
+    ("qfi:z", 20, 2, ("_evaluate_csi", "_product_correlators", "_coherent_rows")),
     # K > N + 1: F_Q from the complex rows, and still no correlator
-    ("qfi:z", 3, 5, ("_evaluate_csi", "_population_integrals", "_product_forms")),
+    ("qfi:z", 3, 5, ("_evaluate_csi", "_product_correlators", "_product_forms")),
+    # and C_2m builds no row where K > N + 1 either
+    ("csi:1", 3, 5, ("_evaluate_qfi", "_product_forms", "_qfi_forms", "_coherent_rows")),
 ])
 def test_each_climb_computes_only_its_own_witness(request_text, n_total, n_components, skipped, monkeypatch):
     def refused(*_):
