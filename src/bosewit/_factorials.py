@@ -10,8 +10,7 @@ Row helpers give one sector's worth of values as numpy arrays:
   recurrence R_{k+1}(j) = R_k(j) (j-k)/(n-k). Every entry lies in [0, 1],
   so no row overflows; row k takes 2k - 1 roundings, within k eps of the
   exact ratio wherever that is a normal float. No table of all orders is
-  held. ``ratio_row(n, k)`` is one such row, and ``correlator_rows(n, m)``
-  stacks [R_2m, reverse(R_2m), R_m * reverse(R_m)] for order 2m.
+  held. ``ratio_row(n, k)`` is one such row.
 - ``log_binomial_row(n)`` is [log_binomial(n, i) for i in 0..n], bit for
   bit, from one table of log-factorials (``log_factorials``);
   ``log_binomial_rows(sizes)`` gives the rows of many sizes, and those past
@@ -181,14 +180,6 @@ def ratio_row(n: int, k: int) -> np.ndarray:
     if n <= _MEMO_N_MAX:
         return _cached_ratio_row(n, k)
     return _build_ratio_row(n, k)
-
-
-def correlator_rows(n: int, m: int) -> np.ndarray:
-    """The rows [R_2m, reverse(R_2m), R_m * reverse(R_m)] of one n-particle
-    sector at order 2m as a (3, n+1) array: a population row P gives the
-    normalized correlators a, b, c as rows @ P."""
-    r_m, r_2m = ratio_row(n, m), ratio_row(n, 2 * m)
-    return np.array([r_2m, r_2m[::-1], r_m * r_m[::-1]])
 
 
 def log_binomial_row(n: int) -> np.ndarray:

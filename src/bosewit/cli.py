@@ -8,8 +8,9 @@ manifest (command, arguments, seed, PRNG, version, timestamp) so a report
 is reproducible from its own header; pass --timestamp to pin the one
 field that would otherwise differ between identical runs.
 
-Exit codes: 0 success, 2 input error, 3 at least one witness failed
-(others are still reported), 4 a separable sample broke a bound.
+Exit codes: 0 success, 2 input error (an --out file that cannot be
+written among them), 3 at least one witness failed (others are still
+reported), 4 a separable sample broke a bound.
 """
 
 from __future__ import annotations
@@ -173,11 +174,17 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _write_text(text: str, out: str | None) -> None:
+    """Write a report to stdout or to the --out file. A file that cannot be
+    written is an input error: its message, then SystemExit(2), which main
+    returns as it does argparse's own."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise SystemExit(_fail(f"cannot write {out}: {exc.strerror or exc}")) from exc
 
 
 def _manifest_comment(manifest: RunManifest) -> str:
@@ -546,9 +553,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _parser().parse_args(argv)
+        return args.handler(args, list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    return args.handler(args, list(argv))
 
 
 if __name__ == "__main__":

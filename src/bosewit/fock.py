@@ -29,12 +29,13 @@ from .errors import EigendecompositionFailure, NonHermitianInput
 DEFAULT_N_MAX = 256
 
 # Rows and tables of sectors up to this many particles are memoized: the
-# ratio and log-binomial rows (_factorials), the spin coefficients below and
-# one sector's correlator rows (witnesses._population_integrals). Measured
-# without the memos (2-vCPU x86-64, OpenBLAS on one thread), a pure N = 50
-# state took 109-121 us in integrated_g2m_orders (66 with them) and 108-119
-# us in qfi (84-98), witness_mix lost 9% throughput, and a coherent N = 50
-# C_2m moved by 1-3 ulp, as BLAS rounds the streamed [c, a, b] columns.
+# ratio and log-binomial rows (_factorials) and the spin coefficients below.
+# The correlator loop (witnesses._population_integrals) reads memoized
+# ratio rows when its largest sector is this small and streams them above,
+# with the same bits either way. Measured without the memos (2-vCPU x86-64,
+# OpenBLAS on one thread), a pure N = 50 state took 109-121 us in
+# integrated_g2m_orders (66 with them) and 108-119 us in qfi (84-98), and
+# witness_mix lost 9% throughput.
 _MEMO_N_MAX = 256
 
 # --- tolerances and cutoffs: every one of the package, all absolute ----------

@@ -502,6 +502,8 @@ def parse_state_file(path: str) -> StateSpec:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise StateSpecError(f"cannot read file: {exc.strerror}", str(path), 1, 1) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        # a decode error has no strerror: its own text names the byte
+        reason = getattr(exc, "strerror", None) or exc
+        raise StateSpecError(f"cannot read file: {reason}", str(path), 1, 1) from exc
     return parse_state_text(text, source=str(path))

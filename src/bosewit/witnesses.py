@@ -23,9 +23,9 @@ import numpy as np
 
 from ._factorials import (
     balanced_factorial_ratio,
-    correlator_rows,
     log_factorials,
     order_scales,
+    ratio_row,
     ratio_rows,
 )
 from .errors import (
@@ -129,8 +129,8 @@ def _judgeable(values, what: str):
 
 
 def _population_integrals(runs, orders) -> tuple:
-    """Normalized correlators (sums, logs) of every order m in `orders`,
-    for runs of weighted sector populations: each run is (weighted,
+    """Normalized correlators (sums, logs) of every order m in `orders`
+    (ints), for runs of weighted sector populations: each run is (weighted,
     numbers), p_j P_j (J, W) of J sectors with numbers[j] particles each
     (zero past a sector's own count, W the run's largest count + 1). N is
     the largest count of all runs.
@@ -141,18 +141,15 @@ def _population_integrals(runs, orders) -> tuple:
     alpha b and G_ab = alpha kappa c, where
         a = sum_j p_j P_j . R_2m,
         b = sum_j p_j P_j . R_2m(n_j - .),
-        c = sum_j p_j P_j . (R_m * R_m(n_j - .));
-    one sector gives a = P . R_2m, b = P . reverse(R_2m) and c = P . (R_m *
-    reverse(R_m)). So C_2m = kappa c / sqrt(a b), and a, b, c never
-    overflow. A run of W columns takes the first W entries of each row, so
-    the rows are streamed once, over the orders, however many runs there
-    are. A BLAS product rounds a row's sum differently with the number of
-    rows it takes, so every order meets the runs in blocks of its own, of
-    at most STACK_AMPLITUDES row entries, and gets the bits a call with that
-    order alone gives; an order holds its R_m rows until R_2m comes, and no
-    table of all orders is held. One sector of N <= _MEMO_N_MAX takes
-    memoized rows (_factorials.correlator_rows). A sum is within about 2k
-    eps relative for row k.
+        c = sum_j p_j P_j . (R_m * R_m(n_j - .)).
+    So C_2m = kappa c / sqrt(a b), and a, b, c never overflow.
+
+    One loop takes the rows R_k of every k = m and 2m in ascending k,
+    memoized (ratio_row) when N <= _MEMO_N_MAX, else streamed once
+    (ratio_rows); no table of all orders is held. An order holds its R_m
+    until its R_2m comes, then takes its three sums from one _order_rows
+    block per run, so it gets the bits a call with that order alone gives.
+    A sum is within about 2k eps relative for row k.
 
     A sum below _NORMALIZED_FLOOR may have lost terms to underflow: only
     that entry is recomputed, as a log-sum-exp over log(p_j P_j(l)) plus
@@ -160,79 +157,62 @@ def _population_integrals(runs, orders) -> tuple:
     with no population where its row is nonzero is zero by structure and
     is not recomputed.
 
-    Returns sums and logs, both (3, M): a, b, c and their logs (the scales
-    of N are order_scales'). Orders with 2m > N give zero sums.
+    Returns sums and logs, lists of [a, b, c] and [log a, log b, log c]
+    per order (the scales of N are order_scales'). Orders with 2m > N give
+    zero sums.
     """
     n = max(max(numbers) for _, numbers in runs)
-    flats = [weighted.reshape(1, -1) for weighted, _ in runs]
-    orders = [int(m) for m in orders]
-    total = len(orders)
-    widths = [weighted.shape[-1] for weighted, _ in runs]
-    mirrors = [_mirror(width, numbers) for width, (_, numbers) in zip(widths, runs)]
-    if len(runs) == 1 and len(runs[0][1]) == 1 and n <= _MEMO_N_MAX:
-        sums = np.hstack([flats[0] @ correlator_rows(n, m).T for m in orders])
-    else:
-        # sums[:, 3 i + kind] of order i; kinds a, b, c
-        sums = np.empty((1, 3 * total))
-        columns = sum(flat.shape[1] for flat in flats)
-        at_single, at_double = {}, {}
-        for i, m in enumerate(orders):
-            at_single.setdefault(m, []).append(i)
-            at_double.setdefault(2 * m, []).append(i)
-        wanted = sorted(at_single.keys() | at_double.keys())
-        pending = {}  # order -> (a block of rows per run, their columns of sums)
-        for k, row in zip(wanted, ratio_rows(n, wanted)):
-            heads = [row[:width] for width in widths]
-            for i in at_double.get(k, ()):
-                blocks, targets = pending.setdefault(i, ([[] for _ in runs], []))
-                for block, head, mirror, (_, numbers) in zip(blocks, heads, mirrors, runs):
-                    block += [_kind_row(head, mirror, len(numbers), kind, None) for kind in (0, 1)]
-                targets += [3 * i, 3 * i + 1]
-            for i in at_single.get(k, ()):
-                blocks, targets = pending.setdefault(i, ([[] for _ in runs], []))
-                for block, head, mirror, (_, numbers) in zip(blocks, heads, mirrors, runs):
-                    block.append(_kind_row(head, mirror, len(numbers), 2, np.multiply))
-                targets.append(3 * i + 2)
-            for i in set(at_double.get(k, []) + at_single.get(k, [])):
-                blocks, targets = pending[i]
-                if len(targets) * columns >= STACK_AMPLITUDES or k == 2 * orders[i]:
-                    sums[:, targets] = sum(flat @ np.array(block).T for flat, block in zip(flats, blocks))
-                    del pending[i]
-    sums = sums.reshape(total, 3)
+    stacks = [(weighted.reshape(1, -1), _mirror(weighted.shape[-1], numbers)) for weighted, numbers in runs]
+    single = set(orders)
+    wanted = sorted(single | {2 * m for m in single})
+    rows = (ratio_row(n, k) for k in wanted) if n <= _MEMO_N_MAX else ratio_rows(n, wanted)
+    held, done = {}, {}  # R_m of the orders awaiting R_2m; (c, a, b) of those done
+    for k, row in zip(wanted, rows):
+        if k % 2 == 0 and k // 2 in held:
+            r_m = held.pop(k // 2)
+            done[k // 2] = sum(flat @ _order_rows(r_m, row, mirror, np.multiply).T for flat, mirror in stacks)
+        if k in single:
+            held[k] = row
+    # sums[i, kind] of order i, kinds c, a, b as _order_rows gives them
+    sums = np.array([done[m] for m in orders]).reshape(len(orders), 3)
 
-    # A sum with no population where its row is nonzero (l >= k; mirrored
-    # for b, both for c), as every sum of an order with 2m > N, is zero by
-    # structure: its log is -inf, which the fallback would give as well.
-    lost = sums < _NORMALIZED_FLOOR
-    for i, kind in zip(*np.nonzero(lost)):
-        k = orders[i] if kind == 2 else 2 * orders[i]
-        lost[i, kind] = any(
-            (flat[0, _kind_row(np.arange(width) >= k, mirror, len(numbers), kind, np.logical_and)] > 0.0).any()
-            for flat, width, mirror, (_, numbers) in zip(flats, widths, mirrors, runs)
-        )
+    # A sum is zero by structure, as every sum of an order with 2m > N, when
+    # the populations (never negative) sum to 0 over its row's support: l >=
+    # k, mirrored for b, both for c. Its log stays -inf, as the fallback's.
+    log_rows = None
     with np.errstate(divide="ignore"):
         logs = np.log(sums)
-        if lost.any():
-            log_flats = [np.log(flat[0]) for flat in flats]
-            log_rows = _log_ratio_rows(n)
-            for i, kind in zip(*np.nonzero(lost)):
-                row = log_rows(orders[i] if kind == 2 else 2 * orders[i])
-                logs[i, kind] = np.logaddexp.reduce([
-                    _log_sum_exp(log_flat + _kind_row(row[:width], mirror, len(numbers), kind, np.add))
-                    for log_flat, width, mirror, (_, numbers) in zip(log_flats, widths, mirrors, runs)
+        for i in np.flatnonzero((sums < _NORMALIZED_FLOOR).any(axis=1)):
+            m, columns = orders[i], np.arange(n + 1)
+            support = sum(
+                flat @ _order_rows(columns >= m, columns >= 2 * m, mirror, np.logical_and).T
+                for flat, mirror in stacks
+            )
+            lost = (sums[i] < _NORMALIZED_FLOOR) & (support[0] > 0.0)
+            if lost.any():
+                if log_rows is None:
+                    log_rows, log_flats = _log_ratio_rows(n), [np.log(flat) for flat, _ in stacks]
+                r_m, r_2m = log_rows(m), log_rows(2 * m)
+                logs[i, lost] = np.logaddexp.reduce([
+                    _log_sum_exp(log_flat + _order_rows(r_m, r_2m, mirror, np.add)[lost])
+                    for log_flat, (_, mirror) in zip(log_flats, stacks)
                 ])
-    return sums.T, logs.T
+    return tuple([[a, b, c] for c, a, b in values.tolist()] for values in (sums, logs))
 
 
-def _kind_row(head, mirror, count: int, kind: int, pair):
-    """One order's row over a run's flattened (J W) columns, from its first
-    W entries `head`: head in each of the `count` sectors (kind a), its
-    mirror (b), or pair(head, mirror) (c)."""
-    if kind == 0:
-        return np.tile(head, count)
-    if kind == 1:
-        return head[mirror].ravel()
-    return pair(head, head[mirror]).ravel()
+def _order_rows(r_m, r_2m, mirror, pair) -> np.ndarray:
+    """One order's (3, J W) rows over a run's flattened columns, from the
+    first W entries of its R_m and R_2m, for the (J, W) `mirror` of the
+    run: pair(R_m, R_m mirrored) (c), R_2m in each of the J sectors (a),
+    and R_2m mirrored (b). pair is np.multiply for the values, np.add for
+    their logs and np.logical_and for their supports."""
+    width = mirror.shape[-1]
+    head_m, head_2m = r_m[:width], r_2m[:width]
+    rows = np.empty((3,) + mirror.shape, head_m.dtype)
+    pair(head_m, head_m[mirror], out=rows[0])
+    rows[1] = head_2m
+    rows[2] = head_2m[mirror]
+    return rows.reshape(3, -1)
 
 
 def _mirror(width: int, numbers):
@@ -286,12 +266,12 @@ def integrated_g2m(state, m: int) -> CorrelationIntegrals:
     """Integrated correlators of order 2m for a state or mixture.
 
     The operators are diagonal in the sector basis, so the values come
-    from occupation populations in O(N) per sector, through the normalized
-    rows of _population_integrals (a mixture's sectors in padded runs of
-    consecutive sectors, _stack_runs, so a wide sector never pads narrow
-    ones to its width); the ladder-moment route through normally_ordered_moment
-    gives the same numbers and the tests hold the two to each other.
-    Orders with 2m > N vanish identically. A G value past the float range
+    from occupation populations in O(N) per sector and order, through the
+    one row loop of _population_integrals (a mixture's sectors in padded
+    runs of consecutive sectors, _stack_runs, so a wide sector never pads
+    narrow ones to its width); the ladder-moment route through
+    normally_ordered_moment gives the same numbers and the tests hold the
+    two to each other. Orders with 2m > N vanish identically. A G value past the float range
     is inf, but the normalized sums travel with it, so csi_ratio stays
     finite wherever the true C_2m is.
     """
@@ -301,9 +281,10 @@ def integrated_g2m(state, m: int) -> CorrelationIntegrals:
 
 def integrated_g2m_orders(state, orders) -> list:
     """[integrated_g2m(state, m) for m in orders], bit for bit, from one
-    pass over the populations and the ratio rows: each row is streamed
-    once for all the orders, where one call per order streams every row
-    from k = 0 again."""
+    pass over the populations and the ratio rows R_m and R_2m of all the
+    orders: a row past the memo is streamed once for all of them, where
+    one call per order streams every row from k = 0 again. No orders give
+    []."""
     orders = [_check_order(m) for m in orders]
     sectors = _sectors(state)
     numbers = [sector.n_total for _, sector in sectors]
@@ -312,19 +293,12 @@ def integrated_g2m_orders(state, orders) -> list:
         (_factor_populations(weights, rows) * number_weights[run, None], run_numbers)
         for run, weights, rows, run_numbers in _padded_stacks([sector for _, sector in sectors])
     ]
-    all_sums, all_logs = _population_integrals(runs, orders)
     integrals = []
-    for i, m in enumerate(orders):
+    for m, sums, logs in zip(orders, *_population_integrals(runs, orders)):
         alpha, log_alpha, kappa, log_kappa = order_scales(max(numbers), m)
         prefactor = sum(weight * order_scales(sector.n_total, m)[0] for weight, sector in sectors)
-        sums, logs = all_sums[:, i].tolist(), all_logs[:, i].tolist()
-        g_aa, g_bb, g_ab = map(
-            _scaled,
-            sums,
-            logs,
-            (alpha, alpha, alpha * kappa),
-            (log_alpha, log_alpha, log_alpha + log_kappa),
-        )
+        scales = (alpha, alpha, alpha * kappa), (log_alpha, log_alpha, log_alpha + log_kappa)
+        g_aa, g_bb, g_ab = map(_scaled, sums, logs, *scales)
         normalized = (sums, logs, (log_alpha, kappa, log_kappa))
         integrals.append(CorrelationIntegrals(m, g_aa, g_bb, g_ab, prefactor, normalized))
     return integrals
@@ -332,7 +306,7 @@ def integrated_g2m_orders(state, orders) -> list:
 
 def _csi_ratios(sums, logs, scales) -> tuple:
     """(C_2m, degenerate) elementwise from normalized correlators: sums
-    (a, b, c) and their logs as _population_integrals returns them, with
+    (a, b, c) and their logs as _population_integrals gives them, with
     the scales (log alpha, kappa, log kappa) of order_scales, or the sums,
     logs and scales (log alpha, 1, 0) of _product_correlators, for values
     or arrays. Plain correlator values (G_aa, G_bb, G_ab) go in with scales

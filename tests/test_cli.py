@@ -179,6 +179,33 @@ def test_witness_parse_error_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_state_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.state"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "witness", "--state", str(bad))
+    assert code == 2
+    assert out == ""
+    assert f"{bad}:1:1: cannot read file: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig1"],
+        ["witness", "--state", os.path.join(DATA, "css_050.state")],
+        ["scan-separable", "--samples", "2", "--n", "6"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_out_file_that_cannot_be_written_exits_2(argv, tmp_path, capsys):
+    target = tmp_path / "absent" / "report.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target), "--timestamp", TS)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
 def test_witness_unknown_selection_exits_2(capsys):
     code, _, err = run_cli(
         capsys,

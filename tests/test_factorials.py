@@ -6,7 +6,6 @@ import pytest
 
 from bosewit import _factorials
 from bosewit._factorials import (
-    correlator_rows,
     log_binomial,
     log_binomial_row,
     order_scales,
@@ -92,17 +91,7 @@ def test_orders_far_past_n_stop_at_the_zero_row():
         assert rows[0].any()
         assert all(not row.any() and row.shape == (n + 1,) for row in rows[1:])
         assert not ratio_row(n, 10**12).any()
-        assert not correlator_rows(n, 10**12).any()
     assert time.perf_counter() - start < 5.0
-
-
-def test_correlator_rows_are_the_ratio_rows_of_both_orders():
-    for n, m in ((12, 1), (40, 7), (40, 20), (300, 60)):
-        r_m, r_2m = ratio_rows(n, [m, 2 * m])
-        assert ratio_row(n, m).tobytes() == r_m.tobytes()
-        rows = correlator_rows(n, m)
-        assert rows.shape == (3, n + 1)
-        assert rows.tobytes() == np.array([r_2m, r_2m[::-1], r_m * r_m[::-1]]).tobytes()
 
 
 def test_order_scales_against_exact_integers():
@@ -162,7 +151,6 @@ def test_rows_above_the_dense_cap_are_not_retained():
     rows = _factorials._cached_ratio_row.cache_info()
     binomial = _factorials._cached_log_binomial_row.cache_info()
     ratio_row(n, 3)
-    correlator_rows(n, 3)
     log_binomial_row(n)
     assert _factorials._cached_ratio_row.cache_info() == rows
     assert _factorials._cached_log_binomial_row.cache_info() == binomial

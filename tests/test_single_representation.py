@@ -15,6 +15,7 @@ from bosewit.errors import DegenerateLocalCorrelation, WitnessError
 from bosewit.fock import (
     FockVector,
     GeneratorSpec,
+    NumberSectorMixture,
     SectorDensity,
     angular_moments,
     normally_ordered_moment,
@@ -118,6 +119,14 @@ def test_structural_zero_sums_skip_the_log_sum_exp(monkeypatch):
         with pytest.raises(DegenerateLocalCorrelation):
             csi_ratio(integrated_g2m(FockVector(np.eye(41)[k]), 1))
     assert integrated_g2m(dicke, 1).normalized[0][0] == 0.0
+    # a mixture of |1, N-1> for N = 3..400 is summed over several padded
+    # runs, and no run holds a population at l >= 2, so G_aa is zero by
+    # structure in every run
+    numbers = range(3, 401)
+    mixture = NumberSectorMixture(tuple((1.0 / len(numbers), FockVector(np.eye(n + 1)[1])) for n in numbers))
+    assert len(list(witnesses._padded_stacks([sector for _, sector in mixture.sectors]))) > 1
+    with pytest.raises(DegenerateLocalCorrelation):
+        csi_ratio(integrated_g2m(mixture, 1))
     with pytest.raises(AssertionError, match="fallback taken"):
         integrated_g2m(FockVector(np.eye(2001)[1000]), 500)
 

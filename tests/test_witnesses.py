@@ -633,3 +633,7 @@ def test_all_orders_in_one_pass_equal_one_call_per_order(name):
     assert [_integral_bits(i) for i in together] == [
         _integral_bits(integrated_g2m(state, m)) for m in orders
     ]
+
+
+def test_no_orders_give_no_integrals():
+    assert witnesses.integrated_g2m_orders(to_fock(CoherentSpinState(0.3, 0.0, 20)), []) == []
