@@ -18,9 +18,10 @@ Row helpers give one sector's worth of values as numpy arrays:
 
 Rows with n <= ``fock._MEMO_N_MAX`` (256; what dropping the memos cost is
 noted there) are memoized, read-only, in one LRU cache per builder: 512
-ratio rows (at most 512 x 257 x 8 B = 1.05 MB) and one log-binomial row
-per n (at most 0.26 MB); ``order_scales`` keeps 1024 quadruples of
-floats. Larger sectors stream their rows on every call.
+ratio rows (at most 512 x 257 x 8 B = 1.05 MB, twice the rows the C_2m of
+exact states read for every order at n = 256; scans read none) and one
+log-binomial row per n (at most 0.26 MB); ``order_scales`` keeps 1024
+quadruples of floats. Larger sectors stream their rows on every call.
 """
 
 import math
@@ -146,8 +147,9 @@ def _build_ratio_row(n: int, k: int) -> np.ndarray:
     return _read_only(row)
 
 
-# 512 rows hold the 256 distinct (n, k) of a full-order scan at n = 256 with
-# room to spare, so a scan never cycles the LRU order.
+# 512 rows hold the 256 distinct (n, k) that witnesses._population_integrals,
+# the one reader (scans read none), takes for every order of a state at
+# n = 256, with room to spare, so such a call never cycles the LRU order.
 _cached_ratio_row = lru_cache(maxsize=512)(_build_ratio_row)
 _cached_log_binomial_row = lru_cache(maxsize=_MEMO_N_MAX + 1)(_build_log_binomial_row)
 

@@ -435,8 +435,9 @@ def _build_spin_coefficients(n: int, width: int) -> tuple:
 
 
 # Tables of sectors up to _MEMO_N_MAX padded to at most _MEMO_N_MAX + 1
-# columns are memoized (at most 1024 x 2 x 257 x 8 B = 4.2 MB); a scan or a
-# per-sector report asks for the same few dozen again and again.
+# columns are memoized (at most 1024 x 2 x 257 x 8 B = 4.2 MB); a per-sector
+# report asks for the same few dozen again and again, and so do a scan's
+# runs with K > N + 1, its only route to _axis_actions.
 _cached_spin_coefficients = lru_cache(maxsize=1024)(_build_spin_coefficients)
 
 

@@ -54,64 +54,55 @@ MAX_DIRECTIONS = 1000
 MAX_COMPONENTS = 1000
 
 
-class _BoundTracker:
-    """Running worst case for one bound, in the adverse direction."""
+class _BoundTable:
+    """Running worst cases of a scan's bounds, one column per bound of spec
+    (name, bound, "upper" or "lower", tolerance). A lower bound is judged
+    on negated values, which negation keeps exact, so every column keeps
+    its most adverse value as a maximum: `worst` (-inf until a finite value
+    is recorded), with that sample's payload."""
 
-    def __init__(self, name: str, bound: float, direction: str, tolerance: float):
-        assert direction in ("upper", "lower")
-        self.name = name
-        self.bound = float(bound)
-        self.direction = direction
-        self.tolerance = float(tolerance)
-        self.worst_value = None
-        self.worst_sample = None
-        self.evaluations = 0
-        self.skipped = 0
-        self.violations = 0
+    def __init__(self, specs):
+        self.specs = specs
+        self.sign = np.array([1.0 if direction == "upper" else -1.0 for _, _, direction, _ in specs])
+        self.limit = np.array([s * bound + tol for s, (_, bound, _, tol) in zip(self.sign, specs)])
+        self.worst = np.full(len(specs), -np.inf)
+        self.payloads = [None] * len(specs)
+        self.counts = np.zeros((3, len(specs)), dtype=int)  # evaluations, skipped, violations
 
-    def record_values(self, values, payload_of) -> None:
-        """Record values in sample order.
+    def record(self, values, skip, payload_of) -> None:
+        """Record (S, B) values in sample order, leaving out the entries
+        `skip` marks. A NaN compares False against a bound and would pass,
+        and an infinity would become a worst value that JSON cannot carry:
+        both are violations, never worst values. In each column the first of
+        the most adverse values replaces the worst value only if it beats
+        it, and only then is `payload_of(i, column)` called for its sample
+        index i."""
+        signed = values * self.sign
+        kept, finite = ~skip, np.isfinite(signed)
+        self.counts += np.count_nonzero([kept, skip, kept & (~finite | (signed > self.limit))], axis=1)
+        candidates = np.where(kept & finite, signed, -np.inf)
+        index = np.argmax(candidates, axis=0)
+        best = candidates[index, np.arange(index.size)]
+        for column in np.flatnonzero(best > self.worst):
+            self.worst[column] = best[column]
+            self.payloads[column] = payload_of(int(index[column]), int(column))
 
-        The first of the most adverse values becomes the worst value if it
-        beats the current one, and only then is `payload_of(i)` called for
-        its index i in `values`.
-        """
-        values = np.asarray(values, dtype=float)
-        self.evaluations += values.size
-        finite = np.isfinite(values)
-        # A NaN compares False against the bound and would pass; inf would
-        # become a worst value that JSON cannot carry. Both are failures.
-        self.violations += int(values.size - np.count_nonzero(finite))
-        if not finite.any():
-            return
-        if self.direction == "upper":
-            violated = values > self.bound + self.tolerance
-            index = int(np.argmax(np.where(finite, values, -np.inf)))
-            adverse = self.worst_value is None or values[index] > self.worst_value
-        else:
-            violated = values < self.bound - self.tolerance
-            index = int(np.argmin(np.where(finite, values, np.inf)))
-            adverse = self.worst_value is None or values[index] < self.worst_value
-        self.violations += int(np.count_nonzero(violated & finite))
-        if adverse:
-            self.worst_value = float(values[index])
-            self.worst_sample = payload_of(index)
-
-    def skip(self, count: int = 1):
-        self.skipped += count
-
-    def report(self) -> dict:
-        return {
-            "name": self.name,
-            "bound": self.bound,
-            "direction": self.direction,
-            "tolerance": self.tolerance,
-            "worst_value": self.worst_value,
-            "violations": self.violations,
-            "evaluations": self.evaluations,
-            "skipped": self.skipped,
-            "worst_sample": self.worst_sample,
-        }
+    def report(self, columns) -> list:
+        """One report entry per column in `columns`. A column listed r times
+        stands for r requests of its bound, so its counts are taken r times."""
+        counts = (np.bincount(columns, minlength=len(self.specs)) * self.counts).T.tolist()
+        worst = (self.sign * self.worst).tolist()
+        entries = []
+        for c in columns:
+            name, bound, direction, tolerance = self.specs[c]
+            evaluations, skipped, violations = counts[c]
+            entries.append({
+                "name": name, "bound": bound, "direction": direction, "tolerance": tolerance,
+                "worst_value": worst[c] if self.payloads[c] is not None else None,
+                "violations": violations, "evaluations": evaluations, "skipped": skipped,
+                "worst_sample": self.payloads[c],
+            })
+        return entries
 
 
 def _draw_directions(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -260,9 +251,9 @@ def run_scan(
     replayed in isolation. Before anything is drawn, ValueError refuses
     inputs past MAX_SAMPLES, MAX_DIRECTIONS, MAX_COMPONENTS or (n_total)
     MAX_PARTICLES, and past MAX_EXPANDED_SIZE amplitudes a sample's rows,
-    K (N + 1) summed over its sectors as for a state file, or the largest
-    order's ratio rows m (max N + 1), which bound the orders too: a
-    full-order fixed scan reaches N = 2895.
+    K (N + 1) summed over its sectors as for a state file. The same budget
+    caps the csi orders, and so the report's bounds, by m (max N + 1) for
+    the largest order m: a full-order fixed scan reaches N = 2895.
 
     Samples are evaluated in chunks of as many as that sum lets fit in
     STACK_AMPLITUDES (at least one sample each), as (S, J, K) arrays of
@@ -278,7 +269,10 @@ def run_scan(
     amplitude rows and _qfi_forms in a deeper run, where the K x K
     eigensolve would cost more than the W x W one. One _spin_moments call
     gives every xi^2 (bit for bit that of the ensemble object). C_2m and
-    F_Q equal, to rounding, those of each sample's own density.
+    F_Q equal, to rounding, those of each sample's own density. One
+    _BoundTable.record call judges every bound of the chunk: C_2m of each
+    distinct order, the worst direction's F_Q and xi^2, as (S, B) values
+    with one skip mask (degenerate C_2m, zero mean spin).
     """
     orders, number_weights, amplitudes = _checked_scan(
         samples, n_total, distribution, n_components, n_directions, csi_orders
@@ -291,11 +285,17 @@ def run_scan(
     directions = _draw_directions(master, n_directions)
     sample_seeds = master.integers(2**63, size=samples)
 
-    # one tracker per distinct order, shared by repeats of it
-    by_order = {m: _BoundTracker(f"csi_order_{m}", 1.0, "upper", WITNESS_TOLERANCE) for m in orders}
-    csi_trackers = [by_order[m] for m in orders]
-    qfi_tracker = _BoundTracker("qfi", qfi_bound, "upper", QFI_TOLERANCE)
-    squeezing_tracker = _BoundTracker("spin_squeezing", 1.0, "lower", WITNESS_TOLERANCE)
+    # one column per distinct order, from its first request, reported once
+    # per request of it
+    distinct, first, column_of = np.unique(
+        np.array(orders, dtype=int), return_index=True, return_inverse=True
+    )
+    distinct = distinct.tolist()
+    table = _BoundTable([
+        *((f"csi_order_{m}", 1.0, "upper", WITNESS_TOLERANCE) for m in distinct),
+        ("qfi", qfi_bound, "upper", QFI_TOLERANCE),
+        ("spin_squeezing", 1.0, "lower", WITNESS_TOLERANCE),
+    ])
 
     chunk = max(1, STACK_AMPLITUDES // amplitudes)
     for start in range(0, samples, chunk):
@@ -305,10 +305,15 @@ def run_scan(
         ratios, degenerate = _evaluate_csi(weights, z, numbers, probabilities, orders)
         qfi_values = _evaluate_qfi(weights, z, phi, numbers, probabilities, directions)
         squeezing, zero_spin = _squeezing(qfi_bound, *_spin_moments(number_weights, weights, z, phi))
+        worst_directions = np.argmax(qfi_values, axis=1)
+        values = np.column_stack(
+            [ratios[:, first], qfi_values[np.arange(count), worst_directions], squeezing]
+        )
+        skip = np.column_stack([degenerate[:, first], np.zeros(count, dtype=bool), zero_spin])
 
         payloads = {}
 
-        def payload_of(index, **extra):
+        def payload_of(index, column):
             if index not in payloads:
                 payloads[index] = {
                     "sample_index": start + index,
@@ -317,28 +322,15 @@ def run_scan(
                         number_weights, mode == "fixed", weights[index], z[index], phi[index]
                     ),
                 }
-            return {**payloads[index], **extra}
+            if column < len(distinct):
+                return {**payloads[index], "order_m": distinct[column]}
+            if column == len(distinct):
+                return {**payloads[index], "generator": directions[worst_directions[index]].tolist()}
+            return {**payloads[index]}
 
-        for tracker, m, column, skipped in zip(csi_trackers, orders, ratios.T, degenerate.T):
-            kept = np.flatnonzero(~skipped)
-            tracker.skip(count - kept.size)
-            tracker.record_values(
-                column[kept], lambda i, kept=kept, m=m: payload_of(int(kept[i]), order_m=m)
-            )
+        table.record(values, skip, payload_of)
 
-        worst_directions = np.argmax(qfi_values, axis=1)
-        qfi_tracker.record_values(
-            qfi_values[np.arange(count), worst_directions],
-            lambda i: payload_of(i, generator=directions[worst_directions[i]].tolist()),
-        )
-
-        squeezed = np.flatnonzero(~zero_spin)
-        squeezing_tracker.skip(count - squeezed.size)
-        squeezing_tracker.record_values(
-            squeezing[squeezed], lambda i: payload_of(int(squeezed[i]))
-        )
-
-    bounds = [tracker.report() for tracker in (*csi_trackers, qfi_tracker, squeezing_tracker)]
+    bounds = table.report([*column_of.tolist(), len(distinct), len(distinct) + 1])
     total_violations = int(sum(b["violations"] for b in bounds))
     report = {
         "mode": mode,

@@ -42,8 +42,8 @@ MAX_PARTICLES = 10**6
 # The most amplitudes one input may expand into (64 MiB of complex
 # amplitudes), checked by _check_expanded_size before anything is built:
 # a number distribution (the sum of N + 1 over its support), a state file
-# or a scan sample (the sum of K (N + 1) over its sectors of K components)
-# and a scan's ratio rows (max m (N + 1)).
+# or a scan sample (the sum of K (N + 1) over its sectors of K components),
+# and a scan's csi orders, and so the bounds of its report (max m (N + 1)).
 MAX_EXPANDED_SIZE = 2**22
 
 

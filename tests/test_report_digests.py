@@ -1,11 +1,13 @@
 """Byte-identity of scan-separable and witness reports.
 
 With the manifest timestamp pinned, a report is a pure function of its
-arguments. These digests pin the full text of four scan reports, and of
+arguments. These digests pin the full text of five scan reports, and of
 the JSON and CSV witness reports of six pure states asking for C_2m, eta^2
 and xi^2, so a change to the sampling, the row builder, the state build,
 the witness kernels or the emit that moves any value by one bit, or any
-byte of the layout, fails here.
+byte of the layout, fails here. fixed-200-one-component, the fifth scan
+(recorded at 1 and 2 BLAS threads), holds 100 C_2m bounds, so it pins the
+bound table's worst values, counts and payloads across many columns.
 
 They were recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64, and give
 the same bytes at 1, 2, 4 and 8 BLAS threads. Every F_Q of these scans
@@ -80,6 +82,11 @@ DIGESTS = {
     "fixed-12-multichunk": (
         ("--samples", "12", "--n", "12", "--components", "1000", "--seed", "3"),
         "c0babaa93c4f604f8e8e2c2306a1ce1bf563aa027293ee82b8499f6fd921f7cd",
+    ),
+    # one bound per order: 100 C_2m columns of the scan's bound table
+    "fixed-200-one-component": (
+        ("--samples", "20", "--n", "200", "--components", "1", "--seed", "3"),
+        "371333f17fb6b1dacb9cd911a8eb46ed037ec8edb834deb9dabd412c65ef2007",
     ),
 }
 

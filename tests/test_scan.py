@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bosewit.fock import GeneratorSpec
-from bosewit.scan import _BoundTracker, run_scan
+from bosewit.scan import _BoundTable, run_scan
 from bosewit.separable import NumberDistribution, ensemble_to_state, sample_ensemble
 from bosewit.witnesses import csi_ratio, integrated_g2m, qfi
 
@@ -98,12 +98,17 @@ def test_scan_orders_must_be_positive_integers(orders, bad, mode):
         run_scan(samples=2, seed=1, csi_orders=orders, **mode)
 
 
+def _record(table, values, skip=None, payload_of=lambda i, c: {"sample": i}):
+    values = np.atleast_2d(np.array(values, dtype=float))
+    table.record(values, np.zeros(values.shape, dtype=bool) if skip is None else np.array(skip), payload_of)
+
+
 @pytest.mark.parametrize("direction", ["upper", "lower"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_value_is_a_violation(direction, value):
-    tracker = _BoundTracker("probe", 1.0, direction, 1e-9)
-    tracker.record_values([value], lambda _: {"sample": 0})
-    report = tracker.report()
+    table = _BoundTable([("probe", 1.0, direction, 1e-9)])
+    _record(table, [value], payload_of=lambda i, c: {"sample": 0})
+    (report,) = table.report([0])
     assert report["violations"] == 1
     assert report["evaluations"] == 1
     assert report["worst_value"] is None
@@ -113,14 +118,57 @@ def test_non_finite_value_is_a_violation(direction, value):
 
 @pytest.mark.parametrize(("direction", "worst", "milder"), [("upper", 0.75, 0.5), ("lower", 1.25, 1.5)])
 def test_finite_worst_value_survives_a_nan(direction, worst, milder):
-    tracker = _BoundTracker("probe", 1.0, direction, 1e-9)
+    table = _BoundTable([("probe", 1.0, direction, 1e-9)])
     for sample, value in enumerate((math.nan, worst, math.nan, milder)):
-        tracker.record_values([value], lambda _: {"sample": sample})
-    report = tracker.report()
+        _record(table, [value], payload_of=lambda i, c: {"sample": sample})
+    (report,) = table.report([0])
     assert report["worst_value"] == worst
     assert report["worst_sample"] == {"sample": 1}
     assert report["violations"] == 2
     assert report["evaluations"] == 4
+
+
+def test_one_record_call_judges_an_upper_and_a_lower_column():
+    table = _BoundTable([("up", 1.0, "upper", 1e-9), ("down", 1.0, "lower", 1e-9)])
+    # per column: a NaN, an infinity, a tie for the worst value and a
+    # skipped entry that would beat it
+    values = [[0.5, 1.5], [math.nan, 0.25], [1.5, -math.inf], [math.inf, 0.25], [1.5, math.nan], [2.0, 0.0]]
+    skip = [[False, False]] * 5 + [[True, True]]
+    calls = []
+
+    def payload_of(index, column):
+        calls.append((index, column))
+        return {"sample": index}
+
+    _record(table, values, skip, payload_of)
+    # a tie does not replace the worst value in a later call either
+    _record(table, [[1.5, 0.25]], payload_of=payload_of)
+    assert sorted(calls) == [(1, 1), (2, 0)]
+    up, down = table.report([0, 1])
+    assert (up["worst_value"], up["worst_sample"]) == (1.5, {"sample": 2})
+    assert (down["worst_value"], down["worst_sample"]) == (0.25, {"sample": 1})
+    for report in (up, down):
+        assert (report["violations"], report["evaluations"], report["skipped"]) == (5, 6, 1)
+        json.dumps(report, allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "arguments",
+    [
+        dict(samples=30, seed=4, n_total=12, csi_orders=[1, 2, 1, 3, 2]),
+        dict(samples=3, seed=4, distribution=NumberDistribution.poisson(3.0), csi_orders=[1, 1]),
+    ],
+)
+def test_repeated_csi_orders_are_reported_once_per_request(arguments):
+    report = run_scan(**arguments)
+    orders = arguments["csi_orders"]
+    assert report["csi_orders"] == orders
+    csi = report["bounds"][: len(orders)]
+    assert [b["name"] for b in report["bounds"]] == [f"csi_order_{m}" for m in orders] + ["qfi", "spin_squeezing"]
+    for m, bound in zip(orders, csi):
+        assert bound["evaluations"] == arguments["samples"] * orders.count(m)
+        assert bound["skipped"] == 0
+        assert all(other == bound for other in csi if other["name"] == bound["name"])
 
 
 @pytest.mark.parametrize(
