@@ -127,9 +127,23 @@ def _read_only(values) -> np.ndarray:
     return row
 
 
+# lgamma(i + 1) for i = 0, 1, ...: one read-only table, grown on demand to
+# the largest n asked for (8 MB at MAX_PARTICLES). Each entry is computed
+# alone, so growing it leaves every entry's bits as they were.
+_log_factorial_table = _read_only([0.0])
+
+
 def log_factorials(n: int) -> np.ndarray:
-    """[lgamma(i + 1) for i in 0..n], the logs of 0!..n!, as an array."""
-    return np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    """[lgamma(i + 1) for i in 0..n], the logs of 0!..n!, as a read-only
+    prefix of one table that grows on demand."""
+    global _log_factorial_table
+    table = _log_factorial_table
+    if n >= table.size:
+        table = _read_only(
+            np.concatenate([table, [math.lgamma(i + 1) for i in range(table.size, n + 1)]])
+        )
+        _log_factorial_table = table
+    return table[: n + 1]
 
 
 def _log_binomial_from(g: np.ndarray, n: int) -> np.ndarray:

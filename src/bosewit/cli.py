@@ -84,9 +84,15 @@ def _json_default(value):
 # default=_json_default), byte for byte. json.dumps writes an indented dump
 # through nested pure-Python generators (the C encoder of CPython 3.10 and
 # 3.11 takes no indent), each chunk passing up through every enclosing one;
-# this writer appends each piece once to one list. The recursion is a
-# module-level function handed the list's append, so a call leaves no
-# reference cycle behind.
+# this writer appends each piece once to one list. A dict's text depends
+# only on its contents and its pad, and a scan report embeds one sample's
+# ensemble dict in every bound it is worst for, so each nonempty dict
+# records the range of chunks it emitted and at what pad: met again at the
+# same pad, its chunks are copied instead of walked again. The record holds
+# the dict itself, so its id cannot be reused while the record exists. The
+# recursion is a module-level function, and the list and the record are
+# locals of one _json_text call that nothing they hold refers back to, so
+# a call leaves no reference cycle behind.
 
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -120,23 +126,33 @@ def _key_text(key) -> str:
     return encode_basestring_ascii(text)
 
 
-def _put_value(value, pad: str, put) -> None:
-    """Append the text of `value`, indented from `pad`, piece by piece."""
+def _put_value(value, pad: str, chunks: list, emitted: dict) -> None:
+    """Append the text of `value`, indented from `pad`, piece by piece to
+    `chunks`. `emitted` maps (id, pad) of each nonempty dict written so far
+    to (the dict, its first chunk, its end chunk)."""
+    put = chunks.append
     if isinstance(value, dict):
         if not value:
             put("{}")
             return
+        place = id(value), pad
+        record = emitted.get(place)
+        if record is not None:
+            chunks.extend(chunks[record[1] : record[2]])
+            return
+        start = len(chunks)
         inner = pad + "  "
         separator = "{\n" + inner
         for key, item in sorted(value.items()):
             text = _scalar_text(item)
             if text is None:
                 put(separator + _key_text(key) + ": ")
-                _put_value(item, inner, put)
+                _put_value(item, inner, chunks, emitted)
             else:
                 put(separator + _key_text(key) + ": " + text)
             separator = ",\n" + inner
         put("\n" + pad + "}")
+        emitted[place] = value, start, len(chunks)
     elif isinstance(value, (list, tuple)):
         if not value:
             put("[]")
@@ -150,7 +166,7 @@ def _put_value(value, pad: str, put) -> None:
         for item, text in zip(value, texts):
             if text is None:
                 put(separator)
-                _put_value(item, inner, put)
+                _put_value(item, inner, chunks, emitted)
             else:
                 put(separator + text)
             separator = ",\n" + inner
@@ -158,14 +174,14 @@ def _put_value(value, pad: str, put) -> None:
     else:
         text = _scalar_text(value)
         if text is None:
-            _put_value(_json_default(value), pad, put)
+            _put_value(_json_default(value), pad, chunks, emitted)
         else:
             put(text)
 
 
 def _json_text(value) -> str:
     chunks = []
-    _put_value(value, "", chunks.append)
+    _put_value(value, "", chunks, {})
     return "".join(chunks)
 
 

@@ -121,7 +121,9 @@ def _draw_directions(rng: np.random.Generator, count: int) -> np.ndarray:
 def _draw_chunk(seeds, sectors: int, n_components: int) -> np.ndarray:
     """(weights, z, phi) of one ensemble per seed, as a (3, S, J, K) array:
     each seed's generator draws its J sectors in turn, as sample_ensemble
-    and sample_fluctuating_ensemble do for that seed."""
+    and sample_fluctuating_ensemble do for that seed, two generator calls
+    per sector (_draw_components: 2K uniforms, then K unit gammas), which
+    give what random, uniform and dirichlet give, bit for bit."""
     draws = np.empty((3, len(seeds), sectors, n_components))
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
@@ -258,7 +260,9 @@ def run_scan(
     Samples are evaluated in chunks of as many as that sum lets fit in
     STACK_AMPLITUDES (at least one sample each), as (S, J, K) arrays of
     weights, z and phi drawn as sample_ensemble and
-    sample_fluctuating_ensemble draw them; no ensemble object is built,
+    sample_fluctuating_ensemble draw them, in two generator calls per
+    sector that give the draws of the three calls random, uniform and
+    dirichlet bit for bit (_draw_components); no ensemble object is built,
     and a worst-case payload only when needed. _evaluate_csi gives every
     C_2m of the chunk from the closed-form correlators of its product
     components (_product_correlators), in logs where a sum would

@@ -369,15 +369,23 @@ def ensemble_to_state(ensemble):
 
 
 def _draw_components(rng: np.random.Generator, n_components: int) -> tuple:
-    """(weights, z, phi) of one sector's components, each (n_components,):
-    z uniform on [0,1), phi uniform on [-pi,pi), weights from a flat
-    Dirichlet simplex draw, in that order from `rng`, for every sampler."""
+    """(weights, z, phi) of one sector's K = n_components components, each
+    (K,): z uniform on [0,1), phi uniform on [-pi,pi), weights from a flat
+    Dirichlet simplex draw, in that order from `rng`, for every sampler.
+
+    Two generator calls give, bit for bit and word for word, what the
+    three calls rng.random(K), rng.uniform(-pi, pi, K) and
+    rng.dirichlet(np.ones(K)) give: 2K uniforms, of which the last K are
+    mapped to -pi + 2 pi u as uniform maps them, then K unit gammas,
+    scaled by the reciprocal of their sum taken in order, as dirichlet
+    does for alpha >= 0.1 (g.sum() adds pairwise past 8 terms, which can
+    move the last bit)."""
     if n_components < 1:
         raise ValueError("need at least one component")
-    z = rng.random(n_components)
-    phi = rng.uniform(-math.pi, math.pi, n_components)
-    weights = rng.dirichlet(np.ones(n_components))
-    return weights, z, phi
+    u = rng.random(2 * n_components)
+    gammas = rng.standard_gamma(1.0, n_components)
+    weights = gammas * (1.0 / np.add.accumulate(gammas)[-1])
+    return weights, u[:n_components], -math.pi + 2.0 * math.pi * u[n_components:]
 
 
 def _check_draws(weights, z, phi) -> None:
@@ -398,7 +406,9 @@ def _ensemble_from_arrays(n_total, weights, z, phi) -> SeparableEnsemble:
 
 def sample_ensemble(seed: int, n_total: int, n_components: int) -> SeparableEnsemble:
     """Seeded random ensemble: z uniform on [0,1), phi uniform on [-pi,pi),
-    weights from a flat Dirichlet simplex draw. Same seed, same ensemble."""
+    weights from a flat Dirichlet simplex draw, all from the two generator
+    calls of _draw_components, equal bit for bit to the three calls
+    random, uniform and dirichlet. Same seed, same ensemble."""
     return _ensemble_from_arrays(n_total, *_draw_components(np.random.default_rng(seed), n_components))
 
 

@@ -372,3 +372,13 @@ def ensemble_payload(ensemble):
         "number_weights": [[n, w] for n, w in ensemble.number_weights],
         "sectors": {str(n): components(s) for n, s in sorted(ensemble.per_sector.items())},
     }
+
+
+def draw_components_three_calls(rng, n_components):
+    """(weights, z, phi) of one sector from three generator calls: z from
+    random, phi from uniform on [-pi, pi), the weights from a flat
+    Dirichlet draw."""
+    z = rng.random(n_components)
+    phi = rng.uniform(-math.pi, math.pi, n_components)
+    weights = rng.dirichlet(np.ones(n_components))
+    return weights, z, phi

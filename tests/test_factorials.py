@@ -156,6 +156,15 @@ def test_rows_above_the_dense_cap_are_not_retained():
     assert _factorials._cached_log_binomial_row.cache_info() == binomial
 
 
+def test_log_factorials_are_read_only_prefixes_of_one_table():
+    # every entry is its own lgamma, whatever size the table has grown to
+    for n in (3, 3000, 0, 40, 3001):
+        g = _factorials.log_factorials(n)
+        assert g.tobytes() == np.array([math.lgamma(i + 1) for i in range(n + 1)]).tobytes()
+        assert not g.flags.writeable
+    assert np.shares_memory(_factorials.log_factorials(10), _factorials.log_factorials(2000))
+
+
 def test_log_binomial_rows_share_one_lgamma_table(monkeypatch):
     sizes = [3, 300, 0, 4200, 256, 257, 1000]
     expected = [log_binomial_row(n).tobytes() for n in sizes]

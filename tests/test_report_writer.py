@@ -128,6 +128,50 @@ def test_float_subclasses_take_the_float_repr_path(monkeypatch):
     assert _json_text(values) == json.dumps([0.1, math.nan, {"x": -math.inf}], indent=2)
 
 
+# --- shared subtrees -----------------------------------------------------------------
+
+
+class CountingDict(dict):
+    """A dict that counts the reads of its items."""
+
+    reads = 0
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+
+def _shared_cases():
+    shared = {"weight": 0.25, "z": [0.5, {"phi": -1.0}]}
+    nested = {"ensemble": shared, "order_m": 2}
+    empty = {}
+    numeric = {"w": np.float64(0.125), "n": np.int64(3), "rows": np.arange(4.0).reshape(2, 2)}
+    return {
+        "same depth": {"a": shared, "b": shared, "c": [1, 2]},
+        "two depths": {"a": shared, "b": {"c": shared}, "d": [shared, [shared]]},
+        "list and dict": {"dict": {"x": shared}, "list": [shared, 5], "tuple": (shared,)},
+        "nested shares": [nested, {"ensemble": shared}, nested, shared],
+        "empty": {"a": empty, "b": [empty, empty], "c": {"d": empty}},
+        "numpy values": {"a": numeric, "b": [numeric], "c": {"d": numeric}, "e": numeric},
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_shared_cases()))
+def test_shared_dicts_are_the_stdlib_dump(name):
+    assert_same_as_stdlib(_shared_cases()[name])
+
+
+def test_a_dict_shared_at_one_depth_is_walked_once():
+    shared = CountingDict(weight=0.5, z=[0.25, 0.75])
+    one_pad = {"bounds": [{"worst_sample": shared}, {"worst_sample": shared}], "last": [{"x": shared}]}
+    two_pads = {"a": shared, "b": {"c": shared}, "d": shared}
+    for value, reads in ((one_pad, 1), (two_pads, 2)):
+        expected = stdlib_text(value)
+        shared.reads = 0
+        assert _json_text(value) == expected
+        assert shared.reads == reads
+
+
 # --- every CLI report kind ----------------------------------------------------------
 
 REPORTS = {
