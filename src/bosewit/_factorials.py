@@ -12,16 +12,17 @@ Row helpers give one sector's worth of values as numpy arrays:
   exact ratio wherever that is a normal float. No table of all orders is
   held. ``ratio_row(n, k)`` is one such row.
 - ``log_binomial_row(n)`` is [log_binomial(n, i) for i in 0..n], bit for
-  bit, from one table of log-factorials (``log_factorials``);
-  ``log_binomial_rows(sizes)`` gives the rows of many sizes, and those past
-  the memo below all come from one table of the largest size.
+  bit, from the one growing table of log-factorials (``log_factorials``);
+  ``log_binomial_rows(sizes)`` gives the rows of many sizes from one
+  prefix of that table, of the largest size. Neither is memoized: the
+  table is the memo, and a row is three vector operations on it.
 
-Rows with n <= ``fock._MEMO_N_MAX`` (256; what dropping the memos cost is
-noted there) are memoized, read-only, in one LRU cache per builder: 512
-ratio rows (at most 512 x 257 x 8 B = 1.05 MB, twice the rows the C_2m of
-exact states read for every order at n = 256; scans read none) and one
-log-binomial row per n (at most 0.26 MB); ``order_scales`` keeps 1024
-quadruples of floats. Larger sectors stream their rows on every call.
+Ratio rows with n <= ``fock._MEMO_N_MAX`` (256; what dropping the memo
+cost is noted there) are memoized, read-only, in one LRU cache of 512 rows
+(at most 512 x 257 x 8 B = 1.05 MB, twice the rows the C_2m of exact
+states read for every order at n = 256; scans read none);
+``order_scales`` keeps 1024 quadruples of floats. Larger sectors stream
+their ratio rows on every call.
 """
 
 import math
@@ -152,10 +153,6 @@ def _log_binomial_from(g: np.ndarray, n: int) -> np.ndarray:
     return g[n] - g[: n + 1] - g[n::-1]
 
 
-def _build_log_binomial_row(n: int) -> np.ndarray:
-    return _read_only(_log_binomial_from(log_factorials(n), n))
-
-
 def _build_ratio_row(n: int, k: int) -> np.ndarray:
     (row,) = ratio_rows(n, (k,))
     return _read_only(row)
@@ -165,7 +162,6 @@ def _build_ratio_row(n: int, k: int) -> np.ndarray:
 # the one reader (scans read none), takes for every order of a state at
 # n = 256, with room to spare, so such a call never cycles the LRU order.
 _cached_ratio_row = lru_cache(maxsize=512)(_build_ratio_row)
-_cached_log_binomial_row = lru_cache(maxsize=_MEMO_N_MAX + 1)(_build_log_binomial_row)
 
 
 def ratio_rows(n: int, ks):
@@ -199,19 +195,12 @@ def ratio_row(n: int, k: int) -> np.ndarray:
 
 
 def log_binomial_row(n: int) -> np.ndarray:
-    """[log_binomial(n, i) for i in 0..n] as a read-only array."""
-    if n <= _MEMO_N_MAX:
-        return _cached_log_binomial_row(n)
-    return _build_log_binomial_row(n)
+    """[log_binomial(n, i) for i in 0..n], bit for bit."""
+    return _log_binomial_from(log_factorials(n), n)
 
 
 def log_binomial_rows(sizes) -> list:
-    """[log_binomial_row(n) for n in sizes], bit for bit, with one lgamma
-    table of the largest n for every row past the memo (rows of those
-    sizes are not read-only)."""
-    top = max(sizes)
-    g = log_factorials(top) if top > _MEMO_N_MAX else None
-    return [
-        _cached_log_binomial_row(n) if n <= _MEMO_N_MAX else _log_binomial_from(g, n)
-        for n in sizes
-    ]
+    """[log_binomial_row(n) for n in sizes], bit for bit, from one prefix of
+    the log-factorial table, of the largest n."""
+    g = log_factorials(max(sizes))
+    return [_log_binomial_from(g, n) for n in sizes]

@@ -9,8 +9,8 @@ A superselected state carries one sector per particle number
 mixture (_sectors), so every kernel takes one path. Mode and spin moments
 act on the rows by ladder and tridiagonal generator actions, O(K N) per
 sector, and every spin variance is taken about its mean. Dense (N+1)^2
-matrices appear only where a caller hands one in, asks for one
-(``SectorDensity.matrix``), or needs a rotation. The package's one table
+matrices appear only where a caller hands one in or asks for one
+(``SectorDensity.matrix``, ``generator_matrix``). The package's one table
 of tolerances and cutoffs is below.
 """
 
@@ -29,7 +29,7 @@ from .errors import EigendecompositionFailure, NonHermitianInput
 DEFAULT_N_MAX = 256
 
 # Rows and tables of sectors up to this many particles are memoized: the
-# ratio and log-binomial rows (_factorials) and the spin coefficients below.
+# ratio rows (_factorials) and the spin coefficients below.
 # The correlator loop (witnesses._population_integrals) reads memoized
 # ratio rows when its largest sector is this small and streams them above,
 # with the same bits either way. Measured without the memos (2-vCPU x86-64,
@@ -38,7 +38,7 @@ DEFAULT_N_MAX = 256
 # witness_mix lost 9% throughput.
 _MEMO_N_MAX = 256
 
-# --- tolerances and cutoffs: every one of the package, all absolute ----------
+# --- tolerances and cutoffs: every one of the package, absolute unless noted --
 # input checks: a value outside its tolerance is refused
 _NORM_GUARD = 1e-8  # |amplitudes|^2 of a FockVector against 1
 _STATE_NORM_TOL = 1e-10  # |phi| of a povm.SingleParticleState against 1
@@ -60,11 +60,10 @@ _EMPTY_STATE_TOL = 1e-12  # <N> at or below it: eta^2 has no reference
 _MEAN_SPIN_GUARD = 1e-18  # <J_x>^2 + <J_y>^2 at or below it x max(n^2, 1): no xi^2
 _NORMALIZED_FLOOR = 1e-250  # normalized correlator sums below it are redone in logs
 _POISSON_MASS = 1.0 - 1e-12  # cumulative mass at which a Poisson support ends
-_AXIS_CUTOFF = 1e-15  # rotation angle or axis norm below it is zero (aligning_rotation_axis)
 _DRAW_NORM_GUARD = 1e-8  # Gaussian draws of smaller norm give no scan direction
 _DEGENERATE_DRAW = 1e-12  # smallest eigenvalue of a random POVM's sum at or below it
 # verdict margins: a witness flags entanglement only this far past its bound
-WITNESS_TOLERANCE = 1e-9  # C_2m, F_Q and xi^2 in witness reports; C_2m and xi^2 in scans
+WITNESS_TOLERANCE = 1e-9  # x max(1, |bound|) in witness reports; C_2m and xi^2 in scans
 QFI_TOLERANCE = 1e-6  # F_Q in separable scans
 
 
@@ -477,10 +476,12 @@ def _axis_actions(rows: np.ndarray, numbers) -> np.ndarray:
     return out
 
 
-def _generator_dense(n_total: int, vector) -> np.ndarray:
-    """Dense matrix of vector . J (the vector need not be unit length), from
+def generator_matrix(n_total: int, g: GeneratorSpec) -> np.ndarray:
+    """Dense (N+1) x (N+1) matrix of the collective-spin generator J_n, from
     the sector's spin coefficients."""
-    nx, ny, nz = (float(c) for c in vector)
+    if n_total < 0:
+        raise ValueError("particle number must be nonnegative")
+    nx, ny, nz = (float(c) for c in g.direction)
     diagonal, coupling = _build_spin_coefficients(n_total, n_total + 1)
     mat = np.zeros((n_total + 1, n_total + 1), dtype=np.complex128)
     k = np.arange(n_total + 1)
@@ -488,13 +489,6 @@ def _generator_dense(n_total: int, vector) -> np.ndarray:
     mat[k[1:], k[:-1]] = (nx - 1j * ny) * coupling
     mat[k[:-1], k[1:]] = (nx + 1j * ny) * coupling
     return mat
-
-
-def generator_matrix(n_total: int, g: GeneratorSpec) -> np.ndarray:
-    """Dense (N+1) x (N+1) matrix of the collective-spin generator J_n."""
-    if n_total < 0:
-        raise ValueError("particle number must be nonnegative")
-    return _generator_dense(n_total, g.direction)
 
 
 def _spin_mean_covariance(state) -> tuple:
@@ -526,43 +520,6 @@ def angular_moments(state, g: GeneratorSpec) -> tuple[float, float]:
     pure state, sector density, or mixture."""
     mu, cov = _spin_mean_covariance(state)
     return float(g.direction @ mu), float(g.direction @ cov @ g.direction)
-
-
-def rotate(state: FockVector, axis) -> FockVector:
-    """exp(-i axis . J) |state>; the length of ``axis`` is the angle.
-
-    A zero axis returns the input unchanged. The unitary is applied
-    through the eigendecomposition of axis . J, so the norm survives to
-    machine precision.
-    """
-    if not isinstance(state, FockVector):
-        raise TypeError("rotate acts on pure FockVector states")
-    vec = np.asarray(axis, dtype=float)
-    if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-        raise ValueError("rotation axis must be a finite 3-vector")
-    if np.all(vec == 0.0):
-        return state
-    evals, evecs = hermitian_eig(_generator_dense(state.n_total, vec))
-    phases = np.exp(-1j * evals)
-    rotated = evecs @ (phases * (evecs.conj().T @ state.amplitudes))
-    return FockVector(rotated)
-
-
-def aligning_rotation_axis(g: GeneratorSpec) -> np.ndarray:
-    """Axis v with exp(i v.J) J_z exp(-i v.J) = J_n.
-
-    Rotating a state by ``rotate(state, v)`` therefore turns statistics of
-    J_n into statistics of J_z: Var_{rotated}(J_z) = Var_{state}(J_n).
-    """
-    nx, ny, nz = (float(c) for c in g.direction)
-    angle = math.acos(min(1.0, max(-1.0, nz)))
-    if angle < _AXIS_CUTOFF:
-        return np.zeros(3)
-    # rotation axis n x z_hat = (ny, -nx, 0); degenerate only when n ~ -z_hat
-    norm = math.hypot(nx, ny)
-    if norm < _AXIS_CUTOFF:
-        return np.array([angle, 0.0, 0.0])
-    return (angle / norm) * np.array([ny, -nx, 0.0])
 
 
 def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -226,7 +226,7 @@ def _checked_scan(samples, n_total, distribution, n_components, n_directions, cs
     _check_expanded_size(f"a sample of {len(numbers)} sectors x {n_components} components",
                          amplitudes, "K (N + 1) summed over its sectors")
     _check_expanded_size(f"csi order m = {top} at max N = {width - 1}", top * width,
-                         "its ratio rows, m (max N + 1)")
+                         "its cap on a scan's C_2m bounds, m (max N + 1)")
     return orders, number_weights, amplitudes
 
 

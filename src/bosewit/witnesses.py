@@ -154,8 +154,8 @@ def _population_integrals(runs, orders) -> tuple:
     A sum below _NORMALIZED_FLOOR may have lost terms to underflow: only
     that entry is recomputed, as a log-sum-exp over log(p_j P_j(l)) plus
     log R_k from one lgamma table, within about eps N log N absolute. A sum
-    with no population where its row is nonzero is zero by structure and
-    is not recomputed.
+    with no population where its row is nonzero is zero by structure: its
+    terms are all -inf and its log stays -inf.
 
     Returns sums and logs, lists of [a, b, c] and [log a, log b, log c]
     per order (the scales of N are order_scales'). Orders with 2m > N give
@@ -176,27 +176,18 @@ def _population_integrals(runs, orders) -> tuple:
     # sums[i, kind] of order i, kinds c, a, b as _order_rows gives them
     sums = np.array([done[m] for m in orders]).reshape(len(orders), 3)
 
-    # A sum is zero by structure, as every sum of an order with 2m > N, when
-    # the populations (never negative) sum to 0 over its row's support: l >=
-    # k, mirrored for b, both for c. Its log stays -inf, as the fallback's.
     log_rows = None
     with np.errstate(divide="ignore"):
         logs = np.log(sums)
         for i in np.flatnonzero((sums < _NORMALIZED_FLOOR).any(axis=1)):
-            m, columns = orders[i], np.arange(n + 1)
-            support = sum(
-                flat @ _order_rows(columns >= m, columns >= 2 * m, mirror, np.logical_and).T
-                for flat, mirror in stacks
-            )
-            lost = (sums[i] < _NORMALIZED_FLOOR) & (support[0] > 0.0)
-            if lost.any():
-                if log_rows is None:
-                    log_rows, log_flats = _log_ratio_rows(n), [np.log(flat) for flat, _ in stacks]
-                r_m, r_2m = log_rows(m), log_rows(2 * m)
-                logs[i, lost] = np.logaddexp.reduce([
-                    _log_sum_exp(log_flat + _order_rows(r_m, r_2m, mirror, np.add)[lost])
-                    for log_flat, (_, mirror) in zip(log_flats, stacks)
-                ])
+            if log_rows is None:
+                log_rows, log_flats = _log_ratio_rows(n), [np.log(flat) for flat, _ in stacks]
+            m, lost = orders[i], sums[i] < _NORMALIZED_FLOOR
+            r_m, r_2m = log_rows(m), log_rows(2 * m)
+            logs[i, lost] = np.logaddexp.reduce([
+                _log_sum_exp(log_flat + _order_rows(r_m, r_2m, mirror, np.add)[lost])
+                for log_flat, (_, mirror) in zip(log_flats, stacks)
+            ])
     return tuple([[a, b, c] for c, a, b in values.tolist()] for values in (sums, logs))
 
 
@@ -204,8 +195,8 @@ def _order_rows(r_m, r_2m, mirror, pair) -> np.ndarray:
     """One order's (3, J W) rows over a run's flattened columns, from the
     first W entries of its R_m and R_2m, for the (J, W) `mirror` of the
     run: pair(R_m, R_m mirrored) (c), R_2m in each of the J sectors (a),
-    and R_2m mirrored (b). pair is np.multiply for the values, np.add for
-    their logs and np.logical_and for their supports."""
+    and R_2m mirrored (b). pair is np.multiply for the values and np.add
+    for their logs."""
     width = mirror.shape[-1]
     head_m, head_2m = r_m[:width], r_2m[:width]
     rows = np.empty((3,) + mirror.shape, head_m.dtype)
@@ -776,16 +767,19 @@ def witness_verdict(kind: str, value: float, n_reference: float) -> tuple:
     """(bound, flag) of one witness value against its separable bound.
 
     C_2m <= 1 and F_Q <= n_reference flag a value above the bound, xi^2 >= 1
-    one below it, each beyond WITNESS_TOLERANCE. Number squeezing eta^2 has
-    no bound of its own (sub-shot-noise fluctuations alone do not certify
-    entanglement) and gives (None, None). A NaN or infinite value, of any
-    kind, raises NonFiniteWitnessValue: no bound can judge it.
+    one below it, each beyond WITNESS_TOLERANCE x max(1, |bound|): the F_Q
+    of a coherent state misses N by rounding that grows with N. Number
+    squeezing eta^2 has no bound of its own (sub-shot-noise fluctuations
+    alone do not certify entanglement) and gives (None, None). A NaN or
+    infinite value, of any kind, raises NonFiniteWitnessValue: no bound can
+    judge it.
     """
     _judgeable(value, kind)
     if kind == "csi":
         return 1.0, value > 1.0 + WITNESS_TOLERANCE
     if kind == "qfi":
-        return float(n_reference), value > n_reference + WITNESS_TOLERANCE
+        bound = float(n_reference)
+        return bound, value > bound + WITNESS_TOLERANCE * max(1.0, abs(bound))
     if kind == "xi2":
         return 1.0, value < 1.0 - WITNESS_TOLERANCE
     if kind == "eta2":
@@ -803,7 +797,7 @@ def classify(
     """Assemble witness values into verdicts by witness_verdict.
 
     Flags: any C_2m > 1, any F_Q > n_reference, or xi^2 < 1, each beyond
-    the 1e-9 margin; eta^2 is reported but never flags. At least one
+    witness_verdict's margin; eta^2 is reported but never flags. At least one
     witness value must be supplied, and every one is judged, so a NaN or
     infinite value raises NonFiniteWitnessValue.
     """

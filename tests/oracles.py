@@ -100,6 +100,39 @@ def jz_dense(n):
     return np.diag([k - n / 2.0 for k in range(n + 1)]).astype(complex)
 
 
+# a rotation angle or axis norm below it is zero (aligning_rotation_axis)
+_AXIS_CUTOFF = 1e-15
+
+
+def rotate(state, axis):
+    """exp(-i axis . J) |state> of a FockVector, through the eigendecomposition
+    of the dense axis . J; the length of ``axis`` is the angle, and a zero
+    axis returns the input unchanged."""
+    from bosewit.fock import FockVector
+
+    vec = np.asarray(axis, dtype=float)
+    if not vec.any():
+        return state
+    n = state.n_total
+    generator = vec[0] * jx_dense(n) + vec[1] * jy_dense(n) + vec[2] * jz_dense(n)
+    evals, evecs = np.linalg.eigh(generator)
+    return FockVector(evecs @ (np.exp(-1j * evals) * (evecs.conj().T @ state.amplitudes)))
+
+
+def aligning_rotation_axis(g):
+    """Axis v with exp(i v.J) J_z exp(-i v.J) = J_n of the GeneratorSpec g, so
+    that Var(J_z) of rotate(state, v) is Var(J_n) of the state."""
+    nx, ny, nz = (float(c) for c in g.direction)
+    angle = math.acos(min(1.0, max(-1.0, nz)))
+    if angle < _AXIS_CUTOFF:
+        return np.zeros(3)
+    # rotation axis n x z_hat = (ny, -nx, 0); degenerate only when n ~ -z_hat
+    norm = math.hypot(nx, ny)
+    if norm < _AXIS_CUTOFF:
+        return np.array([angle, 0.0, 0.0])
+    return (angle / norm) * np.array([ny, -nx, 0.0])
+
+
 def random_pure_amplitudes(rng, n):
     amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     return amps / np.linalg.norm(amps)

@@ -450,7 +450,7 @@ def test_a_climb_past_the_dense_cap_stays_within_its_bound(request_text, bound):
     (("qfi:z", 20), {"n_components": 1001}, "n_components must be at most 1000"),
     (("xi2", 10**6 + 1), {}, "n_total must be at most 1000000"),
     (("xi2", 10**6), {"n_components": 5}, "an input may expand into at most 4194304"),
-    (("csi:5", 10**6), {}, "its ratio rows"),
+    (("csi:5", 10**6), {}, "its cap on a scan's C_2m bounds"),
     (("csi:1", 20), {"restarts": 0}, "budget and restarts must be at least 1"),
 ])
 def test_the_climb_refuses_what_a_scan_refuses_before_any_draw(args, kwargs, message, monkeypatch):

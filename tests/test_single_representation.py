@@ -105,30 +105,25 @@ def test_fock_vector_keeps_its_amplitudes_and_norm_guard():
     assert SectorDensity.from_pure(state).matrix.shape == (2, 2)
 
 
-def test_structural_zero_sums_skip_the_log_sum_exp(monkeypatch):
+def test_structural_zero_sums_stay_zero_through_the_log_sum_exp():
     # csi:1 on the Dicke state |1, 39>: G_aa = <a^dag^2 a^2> is zero because
-    # no population sits at l >= 2, so the ratio is degenerate with no log
-    # fallback; twin-Fock N = 2000 at m = 500 has sums that underflow
-    dicke = FockVector(np.eye(41)[1])
-
-    def refuse(terms):
-        raise AssertionError("log-sum-exp fallback taken")
-
-    monkeypatch.setattr(witnesses, "_log_sum_exp", refuse)
+    # no population sits at l >= 2; the log-sum-exp over its terms, all
+    # -inf, leaves the sum 0 and its log -inf, so the ratio is degenerate
+    message = r"^local correlators G_aa\*G_bb = 0\.0 too small for a ratio at order 2m = 2$"
     for k in (0, 1, 39, 40):
-        with pytest.raises(DegenerateLocalCorrelation):
+        with pytest.raises(DegenerateLocalCorrelation, match=message):
             csi_ratio(integrated_g2m(FockVector(np.eye(41)[k]), 1))
-    assert integrated_g2m(dicke, 1).normalized[0][0] == 0.0
+    sums, logs, _ = integrated_g2m(FockVector(np.eye(41)[1]), 1).normalized
+    assert sums[0] == 0.0 and logs[0] == -np.inf
     # a mixture of |1, N-1> for N = 3..400 is summed over several padded
     # runs, and no run holds a population at l >= 2, so G_aa is zero by
     # structure in every run
     numbers = range(3, 401)
     mixture = NumberSectorMixture(tuple((1.0 / len(numbers), FockVector(np.eye(n + 1)[1])) for n in numbers))
     assert len(list(witnesses._padded_stacks([sector for _, sector in mixture.sectors]))) > 1
-    with pytest.raises(DegenerateLocalCorrelation):
+    assert integrated_g2m(mixture, 1).g_aa == 0.0
+    with pytest.raises(DegenerateLocalCorrelation, match=message):
         csi_ratio(integrated_g2m(mixture, 1))
-    with pytest.raises(AssertionError, match="fallback taken"):
-        integrated_g2m(FockVector(np.eye(2001)[1000]), 500)
 
 
 @pytest.mark.parametrize("mean, calls", [(20.0, 1), (250.0, 2)])

@@ -22,11 +22,9 @@ from bosewit.fock import (
     GeneratorSpec,
     NumberSectorMixture,
     SectorDensity,
-    aligning_rotation_axis,
     angular_moments,
     basis_state,
     normally_ordered_moment,
-    rotate,
     twin_fock,
 )
 from bosewit.separable import (
@@ -445,7 +443,7 @@ def test_qfi_rotation_covariance():
         n = int(rng.integers(2, 16))
         state = FockVector(oracles.random_pure_amplitudes(rng, n))
         g = GeneratorSpec.from_vector(rng.normal(size=3))
-        rotated = rotate(state, aligning_rotation_axis(g))
+        rotated = oracles.rotate(state, oracles.aligning_rotation_axis(g))
         assert qfi(state, g) == pytest.approx(
             qfi(rotated, GeneratorSpec.axis("z")), abs=1e-8
         )
@@ -563,11 +561,36 @@ def test_classify_split_ensemble_is_clean():
     [("csi", False, True), ("qfi", False, True), ("xi2", True, False)],
 )
 def test_witness_verdict_flags_only_beyond_the_tolerance(kind, below, above):
+    # the margin is 1e-9 x max(1, |bound|): 12e-9 for F_Q at N = 12
     bound = 12.0 if kind == "qfi" else 1.0
-    for within in (bound - 0.5e-9, bound, bound + 0.5e-9):
+    margin = 1e-9 * bound
+    for within in (bound - 0.5 * margin, bound, bound + 0.5 * margin):
         assert witness_verdict(kind, within, 12.0) == (bound, False)
-    assert witness_verdict(kind, bound - 2e-9, 12.0) == (bound, below)
-    assert witness_verdict(kind, bound + 2e-9, 12.0) == (bound, above)
+    assert witness_verdict(kind, bound - 2 * margin, 12.0) == (bound, below)
+    assert witness_verdict(kind, bound + 2 * margin, 12.0) == (bound, above)
+    if kind == "qfi":
+        # below N = 1 the margin stays 1e-9
+        assert witness_verdict(kind, 0.5 + 0.5e-9, 0.5) == (0.5, False)
+        assert witness_verdict(kind, 0.5 + 2e-9, 0.5) == (0.5, True)
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+def test_coherent_qfi_perpendicular_to_the_bloch_vector_is_never_flagged(n):
+    # F_Q = N along any direction normal to the mean spin; its rounding
+    # grows with N (|F_Q - N| up to ~2e-4 at N = 10^6), past an absolute 1e-9
+    state = to_fock(CoherentSpinState(0.2, 0.7, n))
+    mean = np.array([angular_moments(state, GeneratorSpec.axis(a))[0] for a in "xyz"])
+    first = np.cross(mean, [0.0, 0.0, 1.0])
+    first /= np.linalg.norm(first)
+    second = np.cross(mean, first)
+    second /= np.linalg.norm(second)
+    values = qfi(state, np.array([first, second]))
+    assert np.allclose(values, n, rtol=1e-8, atol=0.0)
+    for value in values:
+        assert witness_verdict("qfi", float(value), n) == (float(n), False)
+    assert not classify(n_reference=n, qfi_by_generator={(1, 0, 0): values[0], (0, 1, 0): values[1]}).entangled_by_qfi
+    # a twin-Fock state still flags: F_Q along x is N (N + 2) / 2
+    assert witness_verdict("qfi", qfi(twin_fock(40), GeneratorSpec.axis("x")), 40) == (40.0, True)
 
 
 def test_witness_verdict_never_flags_eta2():
