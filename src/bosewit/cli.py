@@ -29,17 +29,13 @@ import numpy as np
 
 from ._version import __version__
 from .errors import StateSpecError, WitnessError
-from .fock import NumberSectorMixture
 from .scan import run_scan
 from .separable import PRNG_NAME, NumberDistribution
 from .statespec import parse_state_file
 from .witnesses import (
     _parse_witness_request,
-    csi_ratio,
-    integrated_g2m_orders,
-    number_squeezing_direct,
-    qfi,
-    spin_squeezing,
+    _sector_readers,
+    _state_reader,
     twin_fock_csi_approx,
     twin_fock_csi_exact,
     witness_verdict,
@@ -304,49 +300,21 @@ def _expand_witness_requests(raw_requests):
     return list(requests.values())
 
 
-def _evaluate_witnesses(state, n_reference: float, requests) -> tuple:
+def _evaluate_witnesses(read, n_reference: float, requests) -> tuple:
     """Returns ({key: entry}, verdicts, had_error) for the (key, kind,
-    parameter) requests of _expand_witness_requests. Each entry has
+    parameter) requests of _expand_witness_requests, their values from
+    `read` (a reader of witnesses._state_reader or _sector_readers, which
+    evaluates each kind once for all its requests). Each entry has
     value/bound/flag or error/message; witness failures never abort the
     other witnesses. verdicts, the verdicts of classify, come from the
     flags witness_verdict set, and are None when no witness computed.
-
-    All csi requests are evaluated by one integrated_g2m_orders call, and
-    all qfi requests by one qfi call on their direction stack, so the
-    correlator rows are streamed once and each sector is factorized once;
-    if the qfi call fails, every qfi entry carries the error.
     """
-    csi_orders = [param for _, kind, param in requests if kind == "csi"]
-    csi_integrals = {}
-    if csi_orders:
-        csi_integrals = dict(zip(csi_orders, integrated_g2m_orders(state, csi_orders)))
-    qfi_requests = [(key, param) for key, kind, param in requests if kind == "qfi"]
-    qfi_values, qfi_failure = {}, None
-    if qfi_requests:
-        try:
-            stack = np.array([direction for _, direction in qfi_requests])
-            qfi_values = dict(zip((key for key, _ in qfi_requests), qfi(state, stack)))
-        except WitnessError as exc:
-            # kept as its entry: the exception would hold this frame through
-            # its traceback, a reference cycle
-            qfi_failure = {"error": type(exc).__name__, "message": str(exc)}
     entries = {}
     flagged = set()
     had_error = False
     for key, kind, param in requests:
-        if kind == "qfi" and qfi_failure is not None:
-            had_error = True
-            entries[key] = dict(qfi_failure)
-            continue
         try:
-            if kind == "csi":
-                value = csi_ratio(csi_integrals[param])
-            elif kind == "eta2":
-                value = number_squeezing_direct(state)
-            elif kind == "xi2":
-                value = spin_squeezing(state)
-            else:
-                value = float(qfi_values[key])
+            value = read(key, kind, param)
             bound, flag = witness_verdict(kind, value, n_reference)
         except WitnessError as exc:
             had_error = True
@@ -378,7 +346,9 @@ def _cmd_witness(args, argv) -> int:
         return _fail(str(exc))
     n_reference = state.mean_n
     manifest = RunManifest.create("witness", argv, None, args.timestamp)
-    entries, verdicts, had_error = _evaluate_witnesses(state, n_reference, requests)
+    entries, verdicts, had_error = _evaluate_witnesses(
+        _state_reader(state, requests), n_reference, requests
+    )
     payload = {
         "manifest": asdict(manifest),
         "state": spec.describe(),
@@ -387,24 +357,14 @@ def _cmd_witness(args, argv) -> int:
         "verdicts": verdicts,
     }
     if args.per_sector:
-        if isinstance(state, NumberSectorMixture):
-            sector_reports = []
-            for weight, sector in state.sectors:
-                sector_entries, sector_verdicts, sector_error = _evaluate_witnesses(
-                    sector, float(sector.n_total), requests
-                )
-                had_error = had_error or sector_error
-                sector_reports.append(
-                    {
-                        "n": sector.n_total,
-                        "weight": weight,
-                        "witnesses": sector_entries,
-                        "verdicts": sector_verdicts,
-                    }
-                )
-            payload["per_sector"] = sector_reports
-        else:
-            payload["per_sector"] = []
+        sector_reports = []
+        for n, weight, read in _sector_readers(state, requests):
+            sector_entries, sector_verdicts, sector_error = _evaluate_witnesses(read, float(n), requests)
+            had_error = had_error or sector_error
+            sector_reports.append(
+                {"n": n, "weight": weight, "witnesses": sector_entries, "verdicts": sector_verdicts}
+            )
+        payload["per_sector"] = sector_reports
     if args.format == "json":
         _emit_json(payload, args.out)
     else:

@@ -268,20 +268,25 @@ def _factor_populations(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NumberSectorMixture:
-    """Probability-weighted sector densities, one per particle number.
+    """Probability-weighted sector states, one per particle number.
 
     Cross-sector coherence is unrepresentable by construction, which is
     exactly the superselection structure of particle-number-conserving
-    sources. Sectors are kept sorted by particle number.
+    sources. Sectors are kept sorted by particle number. A sector is a
+    SectorDensity (held as rows) or a separable.SeparableEnsemble (held as
+    product components), as a state file that mixes basis states with
+    coherent kinds builds it; only the witnesses read the second kind.
     """
 
     sectors: tuple
 
     def __post_init__(self):
+        from .separable import SeparableEnsemble  # separable imports this module
+
         entries = tuple(self.sectors)
         for _, sector in entries:
-            if not isinstance(sector, SectorDensity):
-                raise TypeError("mixture entries must be (weight, SectorDensity)")
+            if not isinstance(sector, (SectorDensity, SeparableEnsemble)):
+                raise TypeError("mixture entries must be (weight, SectorDensity or SeparableEnsemble)")
         entries = sorted(entries, key=lambda e: e[1].n_total)
         numbers = [s.n_total for _, s in entries]
         if len(set(numbers)) != len(numbers):
@@ -295,10 +300,13 @@ class NumberSectorMixture:
 
 
 def _sectors(state) -> tuple:
-    """The (weight, SectorDensity) pairs of a state: a number mixture's
-    sectors, or a lone sector (a pure state among them) as the one-sector
-    mixture ((1.0, state),). Any other type raises TypeError."""
+    """The (weight, SectorDensity) pairs of a state held as rows: a number
+    mixture's sectors, or a lone sector (a pure state among them) as the
+    one-sector mixture ((1.0, state),). Any other type, a mixture with a
+    sector held as components among them, raises TypeError."""
     if isinstance(state, NumberSectorMixture):
+        if not all(isinstance(sector, SectorDensity) for _, sector in state.sectors):
+            raise TypeError("a sector held as product components has no amplitude rows")
         return state.sectors
     if isinstance(state, SectorDensity):
         return ((1.0, state),)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import WitnessError
-from .fock import _DRAW_NORM_GUARD, QFI_TOLERANCE, _check_factors
+from .fock import _DRAW_NORM_GUARD, QFI_TOLERANCE
 from .separable import (
     MAX_PARTICLES,
     NumberDistribution,
@@ -28,7 +28,6 @@ from .separable import (
     SeparableEnsemble,
     _check_draws,
     _check_expanded_size,
-    _coherent_rows,
     _draw_components,
     _ensemble_from_arrays,
     _spin_moments,
@@ -37,13 +36,11 @@ from .witnesses import (
     STACK_AMPLITUDES,
     WITNESS_TOLERANCE,
     _check_order,
+    _component_forms,
     _csi_ratios,
     _parse_witness_request,
     _product_correlators,
-    _product_forms,
-    _qfi_forms,
     _squeezing,
-    _stack_runs,
 )
 
 # Input caps, checked before any array is built: the seed array grows with
@@ -161,29 +158,11 @@ def _evaluate_qfi(weights, z, phi, numbers, probabilities, directions) -> np.nda
     """The F_Q half of a chunk's evaluation: F_Q of every direction, (S, k),
     for S samples given as (S, J, K) weights, z and phi over the J particle
     numbers (a tuple) with their probabilities, which average each sample's
-    sector forms.
-
-    The sectors go in the runs of _stack_runs, each padded only to its own
-    width W = max N + 1. A deep run, one whose K exceeds W, takes F_Q from
-    its complex amplitude rows (_coherent_rows, checked by _check_factors,
-    then _qfi_forms, which an eigh of the W x W density compresses to W
-    rows: O(K W^2) per sector). Any other run takes it from the K x K closed
-    forms of _product_forms (O(K^3) per sector, no row). Both end in the
-    same K-space kernel, witnesses._gram_forms.
+    sector forms. The forms come from witnesses._component_forms, whose one
+    rule takes a run of sectors from the K x K closed forms of its product
+    components, or from complex amplitude rows where K > N + 1.
     """
-    count, _, depth = weights.shape
-    forms = []
-    for run in _stack_runs([(count * depth, n + 1) for n in numbers]):
-        run_weights, run_numbers = weights[:, run], numbers[run]
-        if depth <= max(run_numbers) + 1:
-            forms.append(_product_forms(run_weights, z[:, run], phi[:, run], run_numbers))
-            continue
-        rows = _coherent_rows(run_numbers, z[:, run], phi[:, run])
-        _check_factors(run_weights, rows)
-        stack = run_weights.reshape(-1, depth), rows.reshape(-1, depth, rows.shape[-1])
-        forms.append(_qfi_forms(*stack, run_numbers * count))
-    forms = np.concatenate([form.reshape(count, -1, 9) for form in forms], axis=1)
-    forms = (probabilities @ forms).reshape(-1, 3, 3)
+    forms = (probabilities @ _component_forms(weights, z, phi, numbers)).reshape(-1, 3, 3)
     return np.einsum("ka,sab,kb->sk", directions, forms, directions)
 
 
@@ -271,12 +250,13 @@ def run_scan(
     gives every F_Q, from the K x K closed forms of the product components
     (_product_forms) in each run with K <= W = max N + 1, and from complex
     amplitude rows and _qfi_forms in a deeper run, where the K x K
-    eigensolve would cost more than the W x W one. One _spin_moments call
-    gives every xi^2 (bit for bit that of the ensemble object). C_2m and
-    F_Q equal, to rounding, those of each sample's own density. One
-    _BoundTable.record call judges every bound of the chunk: C_2m of each
-    distinct order, the worst direction's F_Q and xi^2, as (S, B) values
-    with one skip mask (degenerate C_2m, zero mean spin).
+    eigensolve would cost more than the W x W one (the one rule of
+    witnesses._component_forms, which the witnesses share). One
+    _spin_moments call gives every xi^2 (bit for bit that of the ensemble
+    object). C_2m and F_Q equal, to rounding, those of each sample's own
+    density. One _BoundTable.record call judges every bound of the chunk:
+    C_2m of each distinct order, the worst direction's F_Q and xi^2, as (S,
+    B) values with one skip mask (degenerate C_2m, zero mean spin).
     """
     orders, number_weights, amplitudes = _checked_scan(
         samples, n_total, distribution, n_components, n_directions, csi_orders

@@ -89,6 +89,10 @@ class SeparableEnsemble:
         weights = _check_weights([w for w, _ in comps], "component").tolist()
         object.__setattr__(self, "components", tuple(zip(weights, (s for _, s in comps))))
 
+    @property
+    def mean_n(self) -> float:
+        return float(self.n_total)
+
 
 @dataclass(frozen=True, eq=False)
 class FluctuatingEnsemble:
@@ -347,12 +351,7 @@ def ensemble_to_state(ensemble):
     callers may densify the result (``.matrix``, an eigensolve); state files
     and scans are bounded by MAX_EXPANDED_SIZE instead.
     """
-    if isinstance(ensemble, FluctuatingEnsemble):
-        parts = [ensemble.per_sector[n] for n, _ in ensemble.number_weights]
-    elif isinstance(ensemble, SeparableEnsemble):
-        parts = [ensemble]
-    else:
-        raise TypeError(f"unsupported ensemble type {type(ensemble).__name__}")
+    parts = [part for _, part in _ensemble_sectors(ensemble)]
     top = max(part.n_total for part in parts)
     if top > DEFAULT_N_MAX:
         raise SectorTooLarge(f"sector N={top} exceeds the dense-matrix cap n_max={DEFAULT_N_MAX}")
@@ -444,26 +443,47 @@ def analytic_spin_moments(ensemble) -> tuple[float, float, float]:
     coherent state gives xi^2 = 1 to a few ulp at any N. A fixed N is the
     one-sector case; the scan evaluates the same form through _spin_moments.
     """
+    return tuple(float(value[0]) for value in _spin_moments(*_component_arrays([_ensemble_sectors(ensemble)])))
+
+
+def _component_arrays(ensembles) -> tuple:
+    """(number_weights (L, J, 2), weights, z, phi (L, J, K)) of L
+    ensembles, each a list of (p, SeparableEnsemble) sectors (as
+    _ensemble_sectors gives them): ensemble l holds sector j, of
+    number_weights[l, j] = (N, p), with the weights, z and phi of its
+    components. Sectors and components past an ensemble's own count are
+    zero padding: p = 0 and w = 0, which add exact zeros to every closed
+    form."""
+    depth = max(len(sectors) for sectors in ensembles)
+    width = max(len(part.components) for sectors in ensembles for _, part in sectors)
+    number_weights = np.zeros((len(ensembles), depth, 2))
+    # (w, z, phi) last, so that each sector takes its components' tuples as
+    # they are
+    params = np.zeros((len(ensembles), depth, width, 3))
+    for l, sectors in enumerate(ensembles):
+        for j, (p, part) in enumerate(sectors):
+            number_weights[l, j] = part.n_total, p
+            params[l, j, : len(part.components)] = [(w, comp.z, comp.phi) for w, comp in part.components]
+    return (number_weights, *params.transpose(3, 0, 1, 2))
+
+
+def _ensemble_sectors(ensemble) -> list:
+    """The (p, SeparableEnsemble) sectors of an ensemble in ascending N, a
+    fixed N as the one sector (1.0, ensemble); TypeError for any other
+    input."""
     if isinstance(ensemble, SeparableEnsemble):
-        number_weights, sectors = ((ensemble.n_total, 1.0),), (ensemble,)
-    elif isinstance(ensemble, FluctuatingEnsemble):
-        number_weights = ensemble.number_weights
-        sectors = [ensemble.per_sector[n] for n, _ in number_weights]
-    else:
-        raise TypeError(f"unsupported ensemble type {type(ensemble).__name__}")
-    # zero-weight padding for sectors with fewer components adds exact zeros
-    params = np.zeros((3, len(sectors), max(len(s.components) for s in sectors)))
-    for j, sector in enumerate(sectors):
-        params[:, j, : len(sector.components)] = np.array(
-            [(w, comp.z, comp.phi) for w, comp in sector.components]
-        ).T
-    return tuple(float(value) for value in _spin_moments(number_weights, *params))
+        return [(1.0, ensemble)]
+    if isinstance(ensemble, FluctuatingEnsemble):
+        return [(p, ensemble.per_sector[n]) for n, p in ensemble.number_weights]
+    raise TypeError(f"unsupported ensemble type {type(ensemble).__name__}")
 
 
 def _spin_moments(number_weights, weights, z, phi) -> tuple:
     """(<J_x>, <J_y>, Var J_z) of the closed form of analytic_spin_moments,
     each (...,), for ensembles given as (..., J, K) component weights, z
-    and phi over the J sectors of `number_weights` ((n, p) pairs).
+    and phi over J sectors: number_weights holds their (N, p) pairs, the
+    same J for every ensemble ((n, p) pairs or a (J, 2) array) or one set
+    per ensemble ((..., J, 2)).
 
     The sums run in order from 0.0, and cos and sin go through math per
     value, so every value is, bit for bit, the one a scalar loop over the
@@ -474,8 +494,9 @@ def _spin_moments(number_weights, weights, z, phi) -> tuple:
     phases = phi.ravel().tolist()
     cos = np.array([math.cos(v) for v in phases]).reshape(phi.shape)
     sin = np.array([math.sin(v) for v in phases]).reshape(phi.shape)
-    n = np.array([n for n, _ in number_weights])
-    p = np.array([p for _, p in number_weights])
+    # N as a float: every product below is exact in integers and in floats
+    pairs = np.asarray(number_weights, dtype=float)
+    n, p = pairs[..., 0], pairs[..., 1]
     jx = _in_order(p * n * _in_order(weights * radius * cos))
     jy = _in_order(-p * n * _in_order(weights * radius * sin))
     mean_z = _in_order(weights * z)

@@ -23,25 +23,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import StateSpecError
-from .fock import (
-    _INPUT_WEIGHT_SUM_TOL,
-    FockVector,
-    NumberSectorMixture,
-    SectorDensity,
-    basis_state,
-    twin_fock,
-)
+from .fock import _INPUT_WEIGHT_SUM_TOL, NumberSectorMixture, basis_state, twin_fock
 from .separable import (
     MAX_EXPANDED_SIZE,
     MAX_PARTICLES,
+    FluctuatingEnsemble,
     NumberDistribution,
+    SeparableEnsemble,
     _check_expanded_size,
-    _coherent_rows,
+    _ensemble_from_arrays,
 )
-from .witnesses import _stack_runs
 
 _KINDS = ("twin_fock", "coherent_spin", "dicke", "mixture", "fluctuating")
 _PURE_KINDS = ("twin_fock", "coherent_spin", "dicke")
@@ -255,31 +247,30 @@ class StateSpec:
     params: dict
 
     def build(self):
-        """Construct the described state (FockVector, SectorDensity, or
-        NumberSectorMixture). Parsing has bounded it to MAX_EXPANDED_SIZE
-        amplitudes, so no cap is applied here. The coherent spin states of
-        a state, its own or its sectors', come from _coherent_states; a
-        mixture's are the K rows of its factored SectorDensity, bit for bit
-        those of ensemble_to_state."""
+        """Construct the described state. Basis states (twin_fock, dicke)
+        are FockVectors, held as amplitude rows. The coherent kinds are held
+        as their product components, with no row: a coherent_spin state is
+        the one-component SeparableEnsemble, a mixture a SeparableEnsemble,
+        and a fluctuating state whose every sector is of a coherent kind (a
+        distribution block among them) a FluctuatingEnsemble. A fluctuating
+        state that mixes the two is a NumberSectorMixture of FockVector and
+        SeparableEnsemble sectors. Parsing has bounded the state to
+        MAX_EXPANDED_SIZE amplitudes, so no cap is applied here."""
         p = self.params
         if self.kind == "twin_fock":
             return twin_fock(p["n"])
-        if self.kind == "coherent_spin":
-            return _coherent_states([self])[0]
         if self.kind == "dicke":
             return basis_state(p["n"], p["k"])
+        if self.kind == "coherent_spin":
+            return _ensemble_from_arrays(p["n"], [1.0], [p["z"]], [p["phi"]])
         if self.kind == "mixture":
-            weights, z, phi = np.array(p["components"]).T
-            return SectorDensity.from_factors(weights, _coherent_rows(p["n"], z, phi))
+            return _ensemble_from_arrays(p["n"], *zip(*p["components"]))
         if self.kind == "fluctuating":
-            coherent = [spec for _, spec in p["sectors"] if spec.kind == "coherent_spin"]
-            built = iter(_coherent_states(coherent) if coherent else ())
-            return NumberSectorMixture(
-                tuple(
-                    (weight, next(built) if spec.kind == "coherent_spin" else spec.build())
-                    for weight, spec in p["sectors"]
-                )
-            )
+            sectors = [(weight, spec.build()) for weight, spec in p["sectors"]]
+            if all(isinstance(sector, SeparableEnsemble) for _, sector in sectors):
+                number_weights = tuple((sector.n_total, weight) for weight, sector in sectors)
+                return FluctuatingEnsemble(number_weights, {sector.n_total: sector for _, sector in sectors})
+            return NumberSectorMixture(tuple(sectors))
         raise AssertionError(f"unreachable kind {self.kind!r}")
 
     def describe(self) -> str:
@@ -295,20 +286,6 @@ class StateSpec:
         if self.kind == "fluctuating":
             return f"fluctuating(sectors={len(p['sectors'])})"
         raise AssertionError(f"unreachable kind {self.kind!r}")
-
-
-def _coherent_states(specs) -> list:
-    """The FockVectors of coherent_spin specs, in order, from one
-    _coherent_rows call per run whose padded stack holds at most
-    STACK_AMPLITUDES amplitudes (_stack_runs; one run for a lone state or a
-    poisson:20 block). Each row is, bit for bit, the one to_fock gives."""
-    states = []
-    for run in _stack_runs([(1, spec.params["n"] + 1) for spec in specs]):
-        params = [spec.params for spec in specs[run]]
-        numbers = [q["n"] for q in params]
-        rows = _coherent_rows(numbers, [[q["z"]] for q in params], [[q["phi"]] for q in params])
-        states += [FockVector(row[0, : n + 1]) for row, n in zip(rows, numbers)]
-    return states
 
 
 def _check_weight_sum(weights, source, line, col, what):

@@ -12,6 +12,12 @@ witnesses particle entanglement. The same logic yields number squeezing
 F_Q <= N, and spin squeezing xi^2 >= 1; this module computes all of them
 for pure sector states, sector densities, and fluctuating-number mixtures,
 and wraps the verdicts in a report.
+
+A state is evaluated sector by sector along one of two routes, chosen in
+one place (_routes): a sector held as amplitude rows (a basis state or a
+density) from its rows, and a sector held as product components (a
+separable ensemble, as state files give the coherent kinds) from the
+closed forms the separable scans use, with no row.
 """
 
 from __future__ import annotations
@@ -45,14 +51,25 @@ from .fock import (
     _SPECTRAL_CUTOFF,
     WITNESS_TOLERANCE,
     GeneratorSpec,
+    NumberSectorMixture,
+    SectorDensity,
     _axis_actions,
+    _check_factors,
     _eigh,
     _factor_populations,
     _sectors,
     _spin_mean_covariance,
     _unit_directions,
 )
-from .separable import FluctuatingEnsemble, SeparableEnsemble, analytic_spin_moments
+from .separable import (
+    FluctuatingEnsemble,
+    SeparableEnsemble,
+    _coherent_rows,
+    _component_arrays,
+    _ensemble_sectors,
+    _in_order,
+    _spin_moments,
+)
 
 # The tolerances and cutoffs, WITNESS_TOLERANCE among them, are in fock.
 _LOG_DEGENERATE_PRODUCT = math.log(_DEGENERATE_PRODUCT)
@@ -125,15 +142,37 @@ def _judgeable(values, what: str):
     return values
 
 
+def _routes(state, weighted: bool = False) -> tuple:
+    """The one dispatch of every witness: (sectors, rows, parts) of a
+    state, its (p, sector) pairs in ascending N (those with p > 0 alone if
+    `weighted`) and the positions among them of the sectors held as
+    amplitude rows (SectorDensity: basis states and densities) and of those
+    held as product components (SeparableEnsemble). A SeparableEnsemble is
+    its own one sector, a FluctuatingEnsemble gives its sectors, and a
+    NumberSectorMixture may hold both kinds; any other type raises
+    TypeError."""
+    if isinstance(state, (SeparableEnsemble, FluctuatingEnsemble)):
+        sectors = _ensemble_sectors(state)
+    elif isinstance(state, NumberSectorMixture):
+        sectors = state.sectors
+    else:
+        sectors = _sectors(state)
+    if weighted:
+        sectors = [(p, sector) for p, sector in sectors if p > 0.0]
+    rows = [j for j, (_, sector) in enumerate(sectors) if isinstance(sector, SectorDensity)]
+    parts = [j for j, (_, sector) in enumerate(sectors) if not isinstance(sector, SectorDensity)]
+    return sectors, rows, parts
+
+
 # --- integrated correlators -----------------------------------------------------
 
 
-def _population_integrals(runs, orders) -> tuple:
+def _population_integrals(runs, orders, n: int) -> tuple:
     """Normalized correlators (sums, logs) of every order m in `orders`
     (ints), for runs of weighted sector populations: each run is (weighted,
     numbers), p_j P_j (J, W) of J sectors with numbers[j] particles each
-    (zero past a sector's own count, W the run's largest count + 1). N is
-    the largest count of all runs.
+    (zero past a sector's own count, W the run's largest count + 1). N = n
+    is at least the largest count of all runs.
 
     The correlators are diagonal in the |l, n-l> basis. With the ratio
     rows R_k(l) = [l!/(l-k)!] / [N!/(N-k)!] in [0, 1] (_factorials), alpha
@@ -157,11 +196,10 @@ def _population_integrals(runs, orders) -> tuple:
     with no population where its row is nonzero is zero by structure: its
     terms are all -inf and its log stays -inf.
 
-    Returns sums and logs, lists of [a, b, c] and [log a, log b, log c]
-    per order (the scales of N are order_scales'). Orders with 2m > N give
-    zero sums.
+    Returns sums and logs, (3, M) arrays of a, b, c and their logs over
+    the M orders (the scales of N are order_scales'). Orders with 2m > N
+    give zero sums.
     """
-    n = max(max(numbers) for _, numbers in runs)
     stacks = [(weighted.reshape(1, -1), _mirror(weighted.shape[-1], numbers)) for weighted, numbers in runs]
     single = set(orders)
     wanted = sorted(single | {2 * m for m in single})
@@ -188,7 +226,8 @@ def _population_integrals(runs, orders) -> tuple:
                 _log_sum_exp(log_flat + _order_rows(r_m, r_2m, mirror, np.add)[lost])
                 for log_flat, (_, mirror) in zip(log_flats, stacks)
             ])
-    return tuple([[a, b, c] for c, a, b in values.tolist()] for values in (sums, logs))
+    # rows a, b, c from the kinds c, a, b
+    return sums.T[[1, 2, 0]], logs.T[[1, 2, 0]]
 
 
 def _order_rows(r_m, r_2m, mirror, pair) -> np.ndarray:
@@ -256,41 +295,83 @@ def _scaled(value: float, log_value: float, scale: float, log_scale: float) -> f
 def integrated_g2m(state, m: int) -> CorrelationIntegrals:
     """Integrated correlators of order 2m for a state or mixture.
 
-    The operators are diagonal in the sector basis, so the values come
-    from occupation populations in O(N) per sector and order, through the
-    one row loop of _population_integrals (a mixture's sectors in padded
-    runs of consecutive sectors, _stack_runs, so a wide sector never pads
-    narrow ones to its width); the ladder-moment route through
-    normally_ordered_moment gives the same numbers and the tests hold the
-    two to each other. Orders with 2m > N vanish identically. A G value past the float range
-    is inf, but the normalized sums travel with it, so csi_ratio stays
-    finite wherever the true C_2m is.
+    The operators are diagonal in the sector basis. A sector held as rows
+    gives its values from occupation populations in O(N) per sector and
+    order, through the one row loop of _population_integrals (a mixture's
+    sectors in padded runs of consecutive sectors, _stack_runs, so a wide
+    sector never pads narrow ones to its width); the ladder-moment route
+    through normally_ordered_moment gives the same numbers and the tests
+    hold the two to each other. A sector held as product components gives
+    them from the closed form of _product_correlators, with no row, exact
+    in logs where its populations would underflow. Orders with 2m > N
+    vanish identically. A G value past the float range is inf, but the
+    normalized sums travel with it, so csi_ratio stays finite wherever the
+    true C_2m is.
     """
     (integrals,) = integrated_g2m_orders(state, (m,))
     return integrals
 
 
 def integrated_g2m_orders(state, orders) -> list:
-    """[integrated_g2m(state, m) for m in orders], bit for bit, from one
-    pass over the populations and the ratio rows R_m and R_2m of all the
-    orders: a row past the memo is streamed once for all of them, where
-    one call per order streams every row from k = 0 again. No orders give
-    []."""
+    """[integrated_g2m(state, m) for m in orders] from one pass over the
+    populations and the ratio rows R_m and R_2m of all the orders (a row
+    past the memo is streamed once for all of them, where one call per
+    order streams every row from k = 0 again), bit for bit for a state
+    held as rows, and one _product_correlators call for the sectors held
+    as components, to rounding: that kernel's powers and sums round
+    differently with the number of orders it takes at once (as in the
+    scans). No orders give [].
+
+    Both routes normalize by alpha = (N)_2m at the largest N of the state.
+    Rows give G_ab = alpha kappa c, components G_ab = alpha c, so a state
+    with sectors of both kinds adds the components' c / kappa to the rows'
+    c, under the rows' scales (log alpha, kappa, log kappa) of
+    order_scales; components alone keep the scales (log alpha, 1, 0), with
+    alpha from the lgamma table, to about eps N relative. The prefactor,
+    sum_j p_j (N_j)_2m, comes from that table for every state, alike.
+    """
     orders = [_check_order(m) for m in orders]
-    sectors = _sectors(state)
+    if not orders:
+        return []
+    sectors, rows, parts = _routes(state)
     numbers = [sector.n_total for _, sector in sectors]
-    number_weights = np.array([weight for weight, _ in sectors])
-    runs = [
-        (_factor_populations(weights, rows) * number_weights[run, None], run_numbers)
-        for run, weights, rows, run_numbers in _padded_stacks([sector for _, sector in sectors])
-    ]
+    top = max(numbers)
+    with np.errstate(over="ignore"):
+        falling = np.exp(_log_falling(log_factorials(top), numbers, np.array(orders)[:, None]))
+    # sum_j p_j (N_j)_2m in order, so each order gets the bits it gets alone
+    prefactors = _in_order(np.array([p for p, _ in sectors]) * falling)
+    if rows:
+        row_sectors = [sectors[j][1] for j in rows]
+        number_weights = np.array([sectors[j][0] for j in rows])
+        runs = [
+            (_factor_populations(weights, amplitudes) * number_weights[run, None], run_numbers)
+            for run, weights, amplitudes, run_numbers in _padded_stacks(row_sectors)
+        ]
+        sums, logs = _population_integrals(runs, orders, top)
+        alpha, log_alpha, kappa, log_kappa = np.array([order_scales(top, m) for m in orders]).T
+    if parts:
+        number_weights, weights, z, _ = _component_arrays([[sectors[j] for j in parts]])
+        part_numbers = [numbers[j] for j in parts]
+        probabilities = number_weights[0, :, 1]
+        part_sums, part_logs, (part_log_alpha, _, _) = _product_correlators(
+            weights[0], z[0], 1.0 - z[0], probabilities, part_numbers, orders, top
+        )
+        if rows:
+            part_sums[2] /= kappa
+            part_logs[2] -= log_kappa
+            sums, logs = sums + part_sums, np.logaddexp(logs, part_logs)
+        else:
+            sums, logs, log_alpha = part_sums, part_logs, part_log_alpha
+            with np.errstate(over="ignore"):
+                alpha = np.exp(log_alpha)
+            kappa, log_kappa = np.ones(len(orders)), np.zeros(len(orders))
     integrals = []
-    for m, sums, logs in zip(orders, *_population_integrals(runs, orders)):
-        alpha, log_alpha, kappa, log_kappa = order_scales(max(numbers), m)
-        prefactor = sum(weight * order_scales(sector.n_total, m)[0] for weight, sector in sectors)
-        scales = (alpha, alpha, alpha * kappa), (log_alpha, log_alpha, log_alpha + log_kappa)
-        g_aa, g_bb, g_ab = map(_scaled, sums, logs, *scales)
-        normalized = (sums, logs, (log_alpha, kappa, log_kappa))
+    columns = zip(orders, sums.T.tolist(), logs.T.tolist(), prefactors.tolist(),
+                  *(np.asarray(x).tolist() for x in (alpha, log_alpha, kappa, log_kappa)))
+    for m, order_sums, order_logs, prefactor, alpha_m, log_alpha_m, kappa_m, log_kappa_m in columns:
+        scales = (alpha_m, alpha_m, alpha_m * kappa_m), (log_alpha_m, log_alpha_m, log_alpha_m + log_kappa_m)
+        g_aa, g_bb, g_ab = map(_scaled, order_sums, order_logs, *scales)
+        normalized = (order_sums, order_logs, (log_alpha_m, kappa_m, log_kappa_m))
         integrals.append(CorrelationIntegrals(m, g_aa, g_bb, g_ab, prefactor, normalized))
     return integrals
 
@@ -348,14 +429,20 @@ def csi_ratio(integrals: CorrelationIntegrals) -> float:
         sums = (integrals.g_aa, integrals.g_bb, integrals.g_ab)
         normalized = (sums, [_log(value) for value in sums], (0.0, 1.0, 0.0))
     ratio, degenerate = _csi_ratios(*normalized)
+    (log_a, log_b, _), (log_alpha, *_) = normalized[1], normalized[2]
+    return _csi_value(integrals.order_m, ratio, degenerate, log_a + log_b + 2.0 * log_alpha)
+
+
+def _csi_value(m: int, ratio, degenerate, log_product) -> float:
+    """C_2m as a float, or DegenerateLocalCorrelation naming the product
+    G_aa G_bb from its log (a product of the values may be inf * 0), or
+    NonFiniteWitnessValue."""
     if degenerate:
-        # from the logs: a product of the values may be inf * 0
-        (log_a, log_b, _), (log_alpha, *_) = normalized[1], normalized[2]
         raise DegenerateLocalCorrelation(
-            f"local correlators G_aa*G_bb = {math.exp(log_a + log_b + 2.0 * log_alpha)!r} too small "
-            f"for a ratio at order 2m = {2 * integrals.order_m}"
+            f"local correlators G_aa*G_bb = {math.exp(log_product)!r} too small "
+            f"for a ratio at order 2m = {2 * m}"
         )
-    return _judgeable(float(ratio), f"csi:{integrals.order_m}")
+    return _judgeable(float(ratio), f"csi:{m}")
 
 
 def twin_fock_csi_exact(n_total: int, m: int) -> float:
@@ -402,16 +489,20 @@ def twin_fock_csi_approx(n_total: int, m: int) -> float:
 
 
 def number_squeezing_direct(state) -> float:
-    """eta^2 = Var(n_a - n_b) / <n_a + n_b> = 4 Var(J_z) / <N> of an exact
-    state, with Var(J_z) the centred C_zz of _spin_mean_covariance: a sum
-    of nonnegative terms, so eta^2 never goes below 0 and a number state
-    gives exactly 0. Raises EmptyState when the state carries no particles.
+    """eta^2 = Var(n_a - n_b) / <n_a + n_b> = 4 Var(J_z) / <N> of a state,
+    with Var(J_z) about its mean from one spin-moment pass (_spin_stats): a
+    sum of nonnegative terms, so eta^2 never goes below 0, a number state
+    gives exactly 0 and a coherent one 4 z (1 - z) to a few ulp. Raises
+    EmptyState when the state carries no particles.
     """
-    _, cov = _spin_mean_covariance(state)
-    n_tot = state.mean_n
-    if n_tot <= _EMPTY_STATE_TOL:
-        raise EmptyState(f"total particle number {n_tot!r} is too small")
-    return _judgeable(4.0 * float(cov[2, 2]) / n_tot, "eta2")
+    n_ref, _, _, var_z = _spin_stats(state)
+    return _eta2(n_ref, var_z)
+
+
+def _eta2(n_ref: float, var_z: float) -> float:
+    if n_ref <= _EMPTY_STATE_TOL:
+        raise EmptyState(f"total particle number {n_ref!r} is too small")
+    return _judgeable(4.0 * var_z / n_ref, "eta2")
 
 
 def number_squeezing_from_g2(
@@ -584,17 +675,28 @@ def _product_blocks(weights, z, phi, n) -> tuple:
     return gram, blocks
 
 
-def _product_correlators(weights, f_a, f_b, probabilities, numbers, orders) -> tuple:
+def _log_falling(g, numbers, orders) -> np.ndarray:
+    """log (N)_2m = log N!/(N - 2m)! from the lgamma table g (log_factorials
+    of at least the largest N), over numbers and orders broadcast together
+    (ints); -inf where 2m > N."""
+    numbers, twice = np.asarray(numbers), 2 * np.asarray(orders)
+    return np.where(numbers >= twice, g[numbers] - g[np.maximum(numbers - twice, 0)], -np.inf)
+
+
+def _product_correlators(weights, f_a, f_b, probabilities, numbers, orders, top=None) -> tuple:
     """The normalized correlators (sums, logs, scales) _csi_ratios takes, of
     every order m in `orders`, for sectors that mix products: sector j of
     (..., J, K) weights holds sum_k w_k |psi_k><psi_k|^{(x) N_j} with
     probability p_j, N_j = numbers[j], and f_a, f_b (..., J, K) are the
     responses of the two regions to each psi_k (z and 1 - z for the modes).
+    numbers and probabilities are (J,), one set for every mixture, or (...,
+    J), one set each.
 
     A product gives G_aa = (N_j)_2m f_a^2m, G_bb = (N_j)_2m f_b^2m and G_ab =
-    (N_j)_2m (f_a f_b)^m, so no row is built. With alpha = (N)_2m at the
-    largest N and r_j = (N_j)_2m / alpha in [0, 1], both from one lgamma
-    table, G_aa = alpha a, G_bb = alpha b and G_ab = alpha c for
+    (N_j)_2m (f_a f_b)^m, so no row is built. With alpha = (N)_2m at N =
+    `top` (by default each mixture's largest N_j) and r_j = (N_j)_2m /
+    alpha, both from one lgamma table, G_aa = alpha a, G_bb = alpha b and
+    G_ab = alpha c for
         a = sum_j p_j r_j sum_k w_k f_a^2m,
     and b and c alike with f_b^2m and f_a^m f_b^m: the scales are (log
     alpha, 1, 0). A sum below _NORMALIZED_FLOOR takes its log from a
@@ -603,19 +705,18 @@ def _product_correlators(weights, f_a, f_b, probabilities, numbers, orders) -> t
     orders go in blocks of at most STACK_AMPLITUDES powers over the three
     sums (one order at a time past that), so the temporaries stay within a
     fixed multiple of it. Returns sums and logs, both (3, ..., M), and the
-    scales.
+    scales, log alpha (M,) for (J,) numbers, else (..., M).
     """
     lead = weights.shape[:-2]
     weights, f_a, f_b = (np.reshape(x, (-1, *x.shape[-2:]))[..., None] for x in (weights, f_a, f_b))
     orders = np.array(orders, dtype=int)
-    g = log_factorials(max(numbers))
-    sizes = np.array(numbers)[:, None]
-
-    def log_falling(n, m):
-        """log (n)_2m, -inf where 2m > n."""
-        return np.where(n >= 2 * m, g[n] - g[np.maximum(n - 2 * m, 0)], -np.inf)
-
-    log_alpha = log_falling(max(numbers), orders)
+    numbers = np.asarray(numbers)
+    top = np.max(numbers, axis=-1) if top is None else np.asarray(top)
+    # (1 or S, J, 1) numbers and (1 or S, J) probabilities, S the mixtures
+    sizes = numbers.reshape(-1, numbers.shape[-1], 1)
+    probabilities = np.reshape(probabilities, sizes.shape[:-1])
+    g = log_factorials(int(max(np.max(top), np.max(numbers))))
+    log_alpha = _log_falling(g, top.reshape(-1, 1), orders)
     sums = np.empty((3, len(weights), orders.size))
     logs = np.empty_like(sums)
     step = max(1, STACK_AMPLITUDES // (3 * weights.size))
@@ -625,8 +726,8 @@ def _product_correlators(weights, f_a, f_b, probabilities, numbers, orders) -> t
         # log r_j over (J, B); a sector short of 2m particles has r_j = 0
         # (where alpha is 0 as well, the masked difference is -inf - -inf)
         with np.errstate(invalid="ignore"):
-            log_ratios = np.where(sizes >= 2 * m, log_falling(sizes, m) - log_alpha[block], -np.inf)
-        weighted = probabilities[:, None] * np.exp(log_ratios)
+            log_ratios = np.where(sizes >= 2 * m, _log_falling(g, sizes, m) - log_alpha[:, None, block], -np.inf)
+        weighted = probabilities[..., None] * np.exp(log_ratios)
         half_a, half_b = f_a**m, f_b**m
         terms = np.stack([f_a ** (2 * m), f_b ** (2 * m), half_a * half_b]) * weights
         sums[..., block] = np.sum(np.sum(terms, axis=-2) * weighted, axis=-2)
@@ -637,12 +738,12 @@ def _product_correlators(weights, f_a, f_b, probabilities, numbers, orders) -> t
                 continue
             half_a, half_b = m * np.log(f_a), m * np.log(f_b)
             terms = np.stack([2.0 * half_a, 2.0 * half_b, half_a + half_b]) + np.log(weights)
-            terms += (np.log(probabilities)[:, None] + log_ratios)[:, None]
+            terms += (np.log(probabilities)[..., None] + log_ratios)[:, :, None]
             # the (J, K) terms of each sum last, for one log-sum-exp
             terms = np.moveaxis(terms, -1, 2).reshape(*lost.shape, -1)
             logs[..., block] = np.where(lost, _log_sum_exp(terms), logs[..., block])
     shape = (3, *lead, orders.size)
-    return sums.reshape(shape), logs.reshape(shape), (log_alpha, 1.0, 0.0)
+    return sums.reshape(shape), logs.reshape(shape), (log_alpha.reshape(*top.shape, orders.size), 1.0, 0.0)
 
 
 def _stack_runs(shapes):
@@ -679,21 +780,66 @@ def _padded_stacks(sectors):
         yield run, weights, rows, numbers
 
 
+def _component_forms(weights, z, phi, numbers) -> np.ndarray:
+    """The F_Q forms (S, J, 9) of S ensembles of products, as (S, J, K)
+    weights, z and phi over the J particle numbers (a tuple): form [s, j]
+    is sector j of ensemble s, F_Q(J_n) = n^T form n.
+
+    The sectors go in the runs of _stack_runs, each padded only to its own
+    width W = max N + 1. A deep run, one whose K exceeds W, takes its forms
+    from complex amplitude rows (_coherent_rows, checked by _check_factors,
+    then _qfi_forms, which an eigh of the W x W density compresses to W
+    rows: O(K W^2) per sector). Any other run takes them from the K x K
+    closed forms of _product_forms (O(K^3) per sector, no row). Both end in
+    the same K-space kernel, _gram_forms. The scans and the witnesses of
+    states held as components both take F_Q through here.
+    """
+    count, _, depth = weights.shape
+    forms = []
+    for run in _stack_runs([(count * depth, n + 1) for n in numbers]):
+        run_weights, run_numbers = weights[:, run], numbers[run]
+        if depth <= max(run_numbers) + 1:
+            forms.append(_product_forms(run_weights, z[:, run], phi[:, run], run_numbers))
+            continue
+        rows = _coherent_rows(run_numbers, z[:, run], phi[:, run])
+        _check_factors(run_weights, rows)
+        stack = run_weights.reshape(-1, depth), rows.reshape(-1, depth, rows.shape[-1])
+        forms.append(_qfi_forms(*stack, run_numbers * count))
+    return np.concatenate([form.reshape(count, -1, 9) for form in forms], axis=1)
+
+
+def _part_forms(parts) -> np.ndarray:
+    """The F_Q forms (J, 9) of J sectors held as components
+    (SeparableEnsembles), through _component_forms, in one stack per
+    component count: no sector is padded to another's K, whose K x K
+    eigensolve would cost it K^3."""
+    forms = np.empty((len(parts), 9))
+    depths = {}
+    for j, part in enumerate(parts):
+        depths.setdefault(len(part.components), []).append(j)
+    for group in depths.values():
+        # the group as the J sectors of one ensemble, their weights unused
+        _, weights, z, phi = _component_arrays([[(1.0, parts[j]) for j in group]])
+        forms[group] = _component_forms(weights, z, phi, tuple(parts[j].n_total for j in group))[0]
+    return forms
+
+
 def qfi(state, g):
     """Quantum Fisher information for rotations generated by J_n.
 
-    Every state goes through one routine, _qfi_forms: the spectral formula
+    Generators conserve N, so a number mixture's matrix is block diagonal
+    and F_Q is the weight-averaged sector value: the number weights average
+    the sectors' quadratic forms (F_Q(J_n) = n^T T n). A sector held as
+    rows takes its form from one routine, _qfi_forms: the spectral formula
     F_Q = 2 sum_{ij} (lam_i - lam_j)^2 / (lam_i + lam_j) |<i|J_n|j>|^2,
     evaluated on the support of each sector (eigenvalues above the 1e-12
     cutoff) from its K factor rows in O(N K min(N, K)), in the space of at
-    most min(K, N + 1) rows (_gram_forms). A pure state is the one-row
-    sector, and its F_Q is 4 Var(J_n) to rounding. Generators conserve N,
-    so a number mixture's matrix is block diagonal and F_Q is the
-    weight-averaged sector value;
-    the sectors go through padded stacks of up to STACK_AMPLITUDES
-    amplitudes, and the number weights average their quadratic forms. Any
-    separable state obeys F_Q <= N (or <N> for fluctuating number); more
-    is entanglement.
+    most min(K, N + 1) rows (_gram_forms), the sectors in padded stacks of
+    up to STACK_AMPLITUDES amplitudes. A pure state is the one-row sector,
+    and its F_Q is 4 Var(J_n) to rounding. Sectors held as product
+    components take their forms as the scans do (_component_forms): the K
+    x K closed forms, with no row, unless K > N + 1. Any separable state
+    obeys F_Q <= N (or <N> for fluctuating number); more is entanglement.
 
     `g` is one GeneratorSpec, which returns a float, or a (k, 3) stack of
     unit directions (checked as GeneratorSpec checks its one), which returns
@@ -703,13 +849,22 @@ def qfi(state, g):
     """
     single = isinstance(g, GeneratorSpec)
     directions = g.direction[None] if single else _unit_directions(g, 2)
-    sectors = [(weight, sector) for weight, sector in _sectors(state) if weight > 0.0]
-    stacks = _padded_stacks([sector for _, sector in sectors])
-    forms = np.concatenate([_qfi_forms(*stack) for _, *stack in stacks])
-    number_weights = np.array([weight for weight, _ in sectors])
-    form = (number_weights @ forms.reshape(len(sectors), 9)).reshape(3, 3)
-    values = _judgeable(np.einsum("ka,ab,kb->k", directions, form, directions), "qfi")
+    values = _judgeable(_qfi_values(state, directions), "qfi")
     return float(values[0]) if single else values
+
+
+def _qfi_values(state, directions) -> np.ndarray:
+    """F_Q of a state along each of the (k, 3) directions, unjudged."""
+    sectors, rows, parts = _routes(state, weighted=True)
+    forms = np.empty((len(sectors), 9))
+    if rows:
+        stacks = _padded_stacks([sectors[j][1] for j in rows])
+        forms[rows] = np.concatenate([_qfi_forms(*stack) for _, *stack in stacks]).reshape(-1, 9)
+    if parts:
+        forms[parts] = _part_forms([sectors[j][1] for j in parts])
+    number_weights = np.array([weight for weight, _ in sectors])
+    form = (number_weights @ forms).reshape(3, 3)
+    return np.einsum("ka,ab,kb->k", directions, form, directions)
 
 
 # --- spin squeezing ----------------------------------------------------------------
@@ -720,27 +875,20 @@ def spin_squeezing(state) -> float:
     xi^2 >= 1, and xi^2 < 1 witnesses entanglement useful for phase
     estimation.
 
-    Accepts exact states (SectorDensity, a pure FockVector among them, and
-    NumberSectorMixture; from _spin_mean_covariance) and parameterized
-    ensembles (SeparableEnsemble, FluctuatingEnsemble; from the closed-form
-    moments), with Var J_z taken about its mean: every coherent spin state
-    lies on the bound, which a difference of raw moments would cross by
-    rounding. n_ref is
-    the total particle number, or its mean when the number fluctuates, as
-    the input type says.
+    Accepts every state the witnesses take (_spin_stats): exact states from
+    their rows, ensembles from the closed-form moments, with Var J_z taken
+    about its mean: every coherent spin state lies on the bound, which a
+    difference of raw moments would cross by rounding. n_ref is the total
+    particle number, or its mean when the number fluctuates.
 
     Raises ZeroMeanSpinDirection when the mean spin has no transverse
     component to reference the variance against, and NonFiniteWitnessValue
     when xi^2 is NaN or infinite.
     """
-    if isinstance(state, (SeparableEnsemble, FluctuatingEnsemble)):
-        n_ref = state.mean_n if isinstance(state, FluctuatingEnsemble) else float(state.n_total)
-        jx, jy, var_z = analytic_spin_moments(state)
-    else:
-        # any other type than an exact state raises TypeError here
-        mu, cov = _spin_mean_covariance(state)
-        jx, jy, var_z = float(mu[0]), float(mu[1]), float(cov[2, 2])
-        n_ref = state.mean_n
+    return _xi2(*_spin_stats(state))
+
+
+def _xi2(n_ref: float, jx: float, jy: float, var_z: float) -> float:
     value, zero = _squeezing(n_ref, jx, jy, var_z)
     if zero:
         raise ZeroMeanSpinDirection(
@@ -750,13 +898,41 @@ def spin_squeezing(state) -> float:
     return _judgeable(float(value), "xi2")
 
 
+def _spin_stats(state) -> tuple:
+    """(n_ref, <J_x>, <J_y>, Var J_z) of a state, as floats, from one pass:
+    eta^2 and xi^2 both read it. With every sector held as components, the
+    closed form of separable._spin_moments, bit for bit the scans'. Else
+    each sector's own moments, from one centred pass over its rows
+    (fock._spin_mean_covariance) or from the closed form, joined by the law
+    of total variance, Var J_z = sum_N p_N [V_N + (mu_N - mu)^2], which
+    gives a state of rows alone the bits of _spin_mean_covariance."""
+    sectors, rows, parts = _routes(state)
+    if parts:
+        number_weights, weights, z, phi = _component_arrays(
+            [[(1.0, sectors[j][1])] for j in parts] if rows else [[sectors[j] for j in parts]]
+        )
+        moments = _spin_moments(number_weights, weights, z, phi)
+        if not rows:
+            return (state.mean_n, *(float(value[0]) for value in moments))
+        shifts = number_weights[:, 0, 0] * (_in_order(weights[:, 0] * z[:, 0]) - 0.5)
+    means = [None] * len(sectors)  # (p, (<J_x>, <J_y>, <J_z>), Var J_z) per sector
+    for i, j in enumerate(parts):
+        means[j] = sectors[j][0], np.array([moments[0][i], moments[1][i], shifts[i]]), moments[2][i]
+    for j in rows:
+        mu, cov = _spin_mean_covariance(sectors[j][1])
+        means[j] = sectors[j][0], mu, cov[2, 2]
+    mu = sum(weight * mean for weight, mean, _ in means)
+    var_z = sum(weight * (var + (mean[2] - mu[2]) * (mean[2] - mu[2])) for weight, mean, var in means)
+    return state.mean_n, float(mu[0]), float(mu[1]), float(var_z)
+
+
 def _squeezing(n_ref: float, jx, jy, var_z) -> tuple:
-    """(xi^2, zero) elementwise from the spin moments, for values or
-    arrays: `zero` marks a mean transverse spin <J_x>^2 + <J_y>^2 at or
+    """(xi^2, zero) elementwise from the spin moments and n_ref, for values
+    or arrays: `zero` marks a mean transverse spin <J_x>^2 + <J_y>^2 at or
     below 1e-18 max(n_ref^2, 1), which leaves no direction to reference the
     variance against; those entries carry no ratio."""
     denom = jx * jx + jy * jy
-    zero = denom <= _MEAN_SPIN_GUARD * max(n_ref * n_ref, 1.0)
+    zero = denom <= _MEAN_SPIN_GUARD * np.maximum(n_ref * n_ref, 1.0)
     return n_ref * var_z / np.where(zero, 1.0, denom), zero
 
 
@@ -865,3 +1041,109 @@ def _parse_witness_request(text: str):
     key = generator.key()
     label = _AXIS_KEYS.get(key) or "{:g},{:g},{:g}".format(*key)
     return (f"qfi:{label}", "qfi", generator.direction)
+
+
+def _state_reader(state, requests):
+    """read(key, kind, parameter) of one state for the (key, kind,
+    parameter) requests of a report: the value of a request, or the
+    WitnessError it raises. A state held wholly as components is read as a
+    stack of one ensemble (_stack_readers). Any other state is read through
+    the public witnesses, each kind computed on its first read, for all its
+    requests at once: every csi order from one integrated_g2m_orders call,
+    every qfi direction from one F_Q pass, and eta^2 and xi^2 from one
+    spin-moment pass."""
+    sectors, rows, _ = _routes(state)
+    if not rows:
+        return _stack_readers([sectors], requests)[0]
+    orders = [param for _, kind, param in requests if kind == "csi"]
+    qfi_keys = [key for key, kind, _ in requests if kind == "qfi"]
+    directions = [param for _, kind, param in requests if kind == "qfi"]
+    memo = {}
+
+    def read(key, kind, param):
+        if kind == "csi":
+            if "csi" not in memo:
+                memo["csi"] = dict(zip(orders, integrated_g2m_orders(state, orders)))
+            return csi_ratio(memo["csi"][param])
+        if kind == "qfi":
+            if "qfi" not in memo:
+                memo["qfi"] = _qfi_values(state, np.array(directions))
+            return float(_judgeable(memo["qfi"], "qfi")[qfi_keys.index(key)])
+        if "spin" not in memo:
+            memo["spin"] = _spin_stats(state)
+        n_ref, jx, jy, var_z = memo["spin"]
+        return _eta2(n_ref, var_z) if kind == "eta2" else _xi2(n_ref, jx, jy, var_z)
+
+    return read
+
+
+def _sector_readers(state, requests) -> list:
+    """(N, p, read) for each sector of a fluctuating state (a
+    NumberSectorMixture or a FluctuatingEnsemble; [] for any other state),
+    read as _state_reader reads a state. A sector held as rows is read
+    alone; the sectors held as components are one stack of one-sector
+    ensembles (_stack_readers)."""
+    if not isinstance(state, (NumberSectorMixture, FluctuatingEnsemble)):
+        return []
+    sectors, rows, parts = _routes(state)
+    readers = [None] * len(sectors)
+    for j in rows:
+        readers[j] = _state_reader(sectors[j][1], requests)
+    if parts:
+        stack = [[(1.0, sectors[j][1])] for j in parts]
+        for j, read in zip(parts, _stack_readers(stack, requests)):
+            readers[j] = read
+    return [(sector.n_total, p, read) for (p, sector), read in zip(sectors, readers)]
+
+
+def _stack_readers(ensembles, requests) -> list:
+    """One read per ensemble of `ensembles`, each a list of (p,
+    SeparableEnsemble) sectors, evaluated as a scan chunk is. Each kind is
+    computed on its first read, for every ensemble and request at once: all
+    C_2m from one _product_correlators call, the F_Q forms from one
+    _component_forms pass per component count (_part_forms), and eta^2 and
+    xi^2 from one _spin_moments call. Each value is the one the public
+    witness gives that ensemble (F_Q to rounding)."""
+    number_weights, weights, z, phi = _component_arrays(ensembles)
+    numbers, probabilities = number_weights[..., 0].astype(int), number_weights[..., 1]
+    n_ref = [float(sum(part.n_total * p for p, part in sectors)) for sectors in ensembles]
+    orders = {param: i for i, (_, kind, param) in enumerate(r for r in requests if r[1] == "csi")}
+    qfi_keys = [key for key, kind, _ in requests if kind == "qfi"]
+    memo = {}
+
+    def evaluated(kind):
+        if kind in memo:
+            return memo[kind]
+        if kind == "csi":
+            normalized = _product_correlators(weights, z, 1.0 - z, probabilities, numbers, list(orders))
+            (log_a, log_b, _), (log_alpha, _, _) = normalized[1], normalized[2]
+            memo[kind] = (*_csi_ratios(*normalized), log_a + log_b + 2.0 * log_alpha)
+        elif kind == "qfi":
+            directions = np.array([param for _, kind, param in requests if kind == "qfi"])
+            # each ensemble's sector forms averaged by its probabilities (a
+            # padding sector weighs 0)
+            forms = np.zeros((*probabilities.shape, 9))
+            at = [(l, j) for l, sectors in enumerate(ensembles) for j in range(len(sectors))]
+            forms[tuple(zip(*at))] = _part_forms([ensembles[l][j][1] for l, j in at])
+            forms = np.einsum("lj,ljf->lf", probabilities, forms).reshape(-1, 3, 3)
+            memo[kind] = np.einsum("ka,sab,kb->sk", directions, forms, directions)
+        else:
+            memo[kind] = [value.tolist() for value in _spin_moments(number_weights, weights, z, phi)]
+        return memo[kind]
+
+    def reader(l):
+        def read(key, kind, param):
+            if kind == "csi":
+                i = orders[param]
+                ratios, degenerate, log_products = evaluated("csi")
+                return _csi_value(param, ratios[l, i], degenerate[l, i], log_products[l, i])
+            if kind == "qfi":
+                return float(_judgeable(evaluated("qfi")[l], "qfi")[qfi_keys.index(key)])
+            jx, jy, var_z = evaluated("spin")
+            if kind == "eta2":
+                return _eta2(n_ref[l], var_z[l])
+            return _xi2(n_ref[l], jx[l], jy[l], var_z[l])
+
+        return read
+
+    return [reader(l) for l in range(len(ensembles))]

@@ -565,33 +565,39 @@ def test_qfi_requests_share_one_factorization_per_sector(capsys, monkeypatch):
     from bosewit import witnesses
 
     calls = []
-    original = witnesses._qfi_forms
 
-    def counting(weights, rows, numbers):
-        calls.append(list(numbers))
-        return original(weights, rows, numbers)
+    def counting(name, kernel):
+        def counted(*args):
+            calls.append((name, list(args[-1])))
+            return kernel(*args)
 
-    monkeypatch.setattr(witnesses, "_qfi_forms", counting)
+        return counted
+
+    # the twin-Fock sector (N = 4) is held as rows, the mixture sector (N =
+    # 20) as product components
+    monkeypatch.setattr(witnesses, "_qfi_forms", counting("rows", witnesses._qfi_forms))
+    monkeypatch.setattr(witnesses, "_product_forms", counting("closed", witnesses._product_forms))
     argv = ["witness", "--state", os.path.join(DATA, "masked_mixture.state"),
             "--witness", "all", "--witness", "qfi:x", "--witness", "qfi:y", "--timestamp", TS]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    # both sectors in one stacked factorization, which serves all three
-    # directions at once
-    assert calls == [[4, 20]]
+    # each sector in one factorization, which serves all three directions
+    # at once
+    assert calls == [("rows", [4]), ("closed", [20])]
     assert sorted(strict_json(out)["witnesses"]) == ["csi:1", "eta2", "qfi:x", "qfi:y", "qfi:z", "xi2"]
     calls.clear()
     run_cli(capsys, *argv, "--per-sector")
-    assert calls == [[4, 20], [4], [20]]
+    assert sorted(calls) == sorted([("rows", [4]), ("closed", [20])] * 2)
 
 
 def test_failed_qfi_call_marks_every_qfi_entry(capsys, monkeypatch):
     from bosewit.errors import EmptyState
 
-    def failing(state, g):
+    def failing(parts):
         raise EmptyState("no particles")
 
-    monkeypatch.setattr("bosewit.cli.qfi", failing)
+    # the F_Q forms of the file's one component sector
+    monkeypatch.setattr("bosewit.witnesses._part_forms", failing)
     code, out, _ = run_cli(
         capsys, "witness", "--state", os.path.join(DATA, "css_050.state"),
         "--witness", "csi:1", "--witness", "qfi:x", "--witness", "qfi:0,0.6,0.8", "--timestamp", TS,
@@ -741,21 +747,22 @@ def test_scan_without_components_exits_2(capsys, components):
 
 
 def test_csi_requests_share_one_correlator_pass(capsys, monkeypatch):
-    # every csi order of a scope comes from one integrated_g2m_orders call,
-    # with the bits of one integrated_g2m call per order and its errors per entry
-    from bosewit import cli
+    # every csi order of a scope comes from one integrated_g2m_orders call
+    # (the sectors held as components from one stacked kernel call), with
+    # the bits of one integrated_g2m call per order and its errors per entry
+    from bosewit import witnesses
     from bosewit.errors import DegenerateLocalCorrelation
     from bosewit.statespec import parse_state_file
     from bosewit.witnesses import csi_ratio, integrated_g2m
 
     calls = []
-    shared = cli.integrated_g2m_orders
+    shared = witnesses.integrated_g2m_orders
 
     def counting(state, orders):
         calls.append(list(orders))
         return shared(state, orders)
 
-    monkeypatch.setattr(cli, "integrated_g2m_orders", counting)
+    monkeypatch.setattr(witnesses, "integrated_g2m_orders", counting)
     path = os.path.join(DATA, "masked_mixture.state")
     orders = [3, 1, 7, 2, 12]
     argv = ["witness", "--state", path, "--per-sector", "--witness", "qfi:x"]
@@ -767,7 +774,8 @@ def test_csi_requests_share_one_correlator_pass(capsys, monkeypatch):
     scopes = [(state, payload["witnesses"])]
     for (_, sector), report in zip(state.sectors, payload["per_sector"]):
         scopes.append((sector, report["witnesses"]))
-    assert calls == [orders] * len(scopes)
+    # the whole state and its twin-Fock sector; not the mixture sector
+    assert calls == [orders] * 2
     errors = 0
     for scope_state, entries in scopes:
         for m in orders:

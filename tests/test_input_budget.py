@@ -2,12 +2,11 @@
 the input and checked before any amplitude row is built, bounds every
 state file and every scan."""
 
-import numpy as np
 import pytest
 
-from bosewit import scan, separable, statespec
+from bosewit import scan, separable, witnesses
 from bosewit.cli import main
-from bosewit.separable import CoherentSpinState, NumberDistribution, to_fock
+from bosewit.separable import CoherentSpinState, NumberDistribution
 from bosewit.statespec import parse_state_text
 
 TS = "2026-01-01T00:00:00+00:00"
@@ -22,7 +21,7 @@ def no_rows(monkeypatch):
     def refuse(*_):
         raise AssertionError("amplitude rows or draws built before the size check")
 
-    for module in (separable, statespec, scan):
+    for module in (separable, witnesses):
         monkeypatch.setattr(module, "_coherent_rows", refuse)
     monkeypatch.setattr(scan, "_draw_chunk", refuse)
 
@@ -116,19 +115,18 @@ def test_scan_budget_is_inclusive(no_rows):
         scan.run_scan(samples=1, seed=1, distribution=NumberDistribution.binomial(1447, 0.5))
 
 
-def test_mixture_file_past_256_builds_the_bits_of_ensemble_to_state(tmp_path, capsys):
+def test_mixture_file_past_256_builds_its_components(tmp_path, capsys):
     text = (
         "kind = mixture\nn = 300\n"
         "component:\n    weight = 0.25\n    z = 0.2\n"
         "component:\n    weight = 0.75\n    z = 0.7\n    phi = 1.0\n"
     )
     state = parse_state_text(text).build()
-    # ensemble_to_state refuses N = 300, but builds each sector's rows as
-    # to_fock builds each component's
-    components = (CoherentSpinState(0.2, 0.0, 300), CoherentSpinState(0.7, 1.0, 300))
-    expected = np.array([to_fock(component).amplitudes for component in components])
-    assert state.weights.tobytes() == np.array([0.25, 0.75]).tobytes()
-    assert state.vectors.tobytes() == expected.tobytes()
+    # ensemble_to_state refuses N = 300; the file is held as its components
+    assert state.components == (
+        (0.25, CoherentSpinState(0.2, 0.0, 300)),
+        (0.75, CoherentSpinState(0.7, 1.0, 300)),
+    )
     path = tmp_path / "mixture300.state"
     path.write_text(text)
     code, out, _ = run_cli(capsys, "witness", "--state", str(path), "--timestamp", TS)

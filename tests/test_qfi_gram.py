@@ -315,8 +315,8 @@ def test_scan_worst_values_match_the_svd_route(name, monkeypatch):
 
     report = run_scan(**DIGEST_SCANS[name])
     with monkeypatch.context() as patch:
-        patch.setattr(scan, "_product_forms", closed)
-        patch.setattr(scan, "_qfi_forms", rows)
+        patch.setattr(witnesses, "_product_forms", closed)
+        patch.setattr(witnesses, "_qfi_forms", rows)
         svd = run_scan(**DIGEST_SCANS[name])
     deep = name == "fixed-12-multichunk"
     assert (calls["closed"] > 0, calls["rows"] > 0) == (not deep, deep)

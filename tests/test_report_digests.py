@@ -2,8 +2,9 @@
 
 With the manifest timestamp pinned, a report is a pure function of its
 arguments. These digests pin the full text of five scan reports, and of
-the JSON and CSV witness reports of six pure states asking for C_2m, eta^2
-and xi^2, so a change to the sampling, the row builder, the state build,
+the JSON and CSV witness reports of six pure states (three coherent ones,
+held as components, and three basis states, held as rows) asking for
+C_2m, eta^2 and xi^2, so a change to the sampling, the row builder, the state build,
 the witness kernels or the emit that moves any value by one bit, or any
 byte of the layout, fails here. fixed-200-one-component, the fifth scan
 (recorded at 1 and 2 BLAS threads), holds 100 C_2m bounds, so it pins the
@@ -55,6 +56,19 @@ change: b moved by 1 ulp at both orders, csi:1 from 1.0000000000000002
 to 0.9999999999999999 and csi:7 from 0.9999999999999983 to
 0.9999999999999987, both toward the exact 1. The states of N > 256 took
 the c, a, b order before as well, and kept their bytes.
+
+A state file of a coherent kind is now held as its product components and
+evaluated from the scans' closed forms (C_2m from
+witnesses._product_correlators, eta^2 and xi^2 from
+separable._spin_moments), with no row, so the three coherent reports were
+re-pinned once more, every moved value toward the exact one (C_2m = 1,
+xi^2 = 1, eta^2 = 4 z (1 - z)): coherent-50 csi:1 from 1 - 1.1e-16 and
+csi:7 from 1 - 1.3e-15 to 1, eta^2 from 1 + 2.2e-15 and xi^2 from 1 +
+1.6e-15 to 1; coherent-300 csi:1 from 1 - 3.3e-16 to 1, csi:7 from 1 -
+1.1e-16 to 1 + 2.2e-16, eta^2 from 0.84 + 3.0e-15 to 0.84 and xi^2 from 1 +
+3.1e-15 to 1 + 2.2e-16; coherent-10000 csi:7 from 1 + 1.1e-15 to 1 +
+2.2e-16, eta^2 from 0.84 - 8.1e-14 to 0.84 and xi^2 from 1 - 9.5e-14 to 1
+(csi:1 stayed 1). The basis-state reports kept their bytes.
 """
 
 import hashlib
@@ -114,12 +128,12 @@ WITNESS_STATES = {
 }
 
 WITNESS_DIGESTS = {
-    ("coherent-50", "json"): (0, "0d92a213423fa9dd4327c73386c446af7a49c41c82392012c3e9e33b13923db4"),
-    ("coherent-50", "csv"): (0, "c0d6847f4ecc33e61e1bc6815c62d77bea75aa5cd88dcecd6c7a6e5deca82daa"),
-    ("coherent-300", "json"): (0, "ef828f08dd067ffc766eaffb1c675bab635b7f5a348aab00399f567639fa1c71"),
-    ("coherent-300", "csv"): (0, "055a3024fbeaa62a2cad0f7afb6392ebca0760364cb159068ab280f2f2980891"),
-    ("coherent-10000", "json"): (0, "e9c156a53c4f2ad182fb5f7b8312cc88b123f5eb2eec583d6e5bffc41e906413"),
-    ("coherent-10000", "csv"): (0, "2e96893cb99dc5bf00e0d623fd8fa6aaa606233259f850300e15759419831e0b"),
+    ("coherent-50", "json"): (0, "4afa1ba2663170464fec589a33ece73289e35ec6cd0d3dfc642d2d83a7e2d892"),
+    ("coherent-50", "csv"): (0, "ab21a243ab6a8376555e7fca613d9d9b72b1b45b0ba64abec6eb0fad0f569035"),
+    ("coherent-300", "json"): (0, "8c29b6d7dd501f4587058df7395a917011c89d0a6416471e76eefd670203b39d"),
+    ("coherent-300", "csv"): (0, "c9a42e87eece3e763ec465fa0ce74d3a8eac8767733e26c4209e381fc8aa48b7"),
+    ("coherent-10000", "json"): (0, "4653e29fb36c3a0eeff9f848e515f5fc1c338b1d461cce0ac47a88b5f112cc54"),
+    ("coherent-10000", "csv"): (0, "59ccc55e00372d19580e228252f0c710f60074e8ca7bcad81b6328784cc44667"),
     ("twin-fock-20", "json"): (3, "03c3a8c19bb4f8dac1fdd6be25225fa03b877b88475fed8e568191a87624219f"),
     ("twin-fock-20", "csv"): (3, "8ee5df152a54a27c694204bdbf09d9bdfe192b6900a01e8d66873489789e239f"),
     ("dicke-40-1", "json"): (3, "26e91e2dd32aec693bbb70f0c2a104da4a1486f0df48ce9ea415e93c8b2ac5a0"),

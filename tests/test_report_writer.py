@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bosewit import cli
+from bosewit import cli, witnesses
 from bosewit.cli import _json_default, _json_text, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -245,10 +245,10 @@ def test_requests_leave_no_cyclic_garbage(capsys):
 def test_a_failed_shared_qfi_call_leaves_no_cyclic_garbage(capsys, monkeypatch):
     from bosewit.errors import EmptyState
 
-    def failing(state, directions):
+    def failing(parts):
         raise EmptyState("no particles")
 
-    monkeypatch.setattr(cli, "qfi", failing)
+    monkeypatch.setattr(witnesses, "_part_forms", failing)
     argv = ["witness", "--state", os.path.join(DATA, "css_050.state"), "--timestamp", TS]
     argv += ["--witness", "qfi:x", "--witness", "qfi:y"]
     assert main(argv) == 3

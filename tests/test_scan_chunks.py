@@ -92,8 +92,8 @@ def test_chunked_scan_matches_the_per_sample_loop(name, monkeypatch):
         return recorded
 
     monkeypatch.setattr(scan, "_csi_ratios", recording)
-    monkeypatch.setattr(scan, "_qfi_forms", route("rows", witnesses._qfi_forms))
-    monkeypatch.setattr(scan, "_product_forms", route("closed", witnesses._product_forms))
+    monkeypatch.setattr(witnesses, "_qfi_forms", route("rows", witnesses._qfi_forms))
+    monkeypatch.setattr(witnesses, "_product_forms", route("closed", witnesses._product_forms))
     report = run_scan(**case)
     sizes = [chunk] * (len(masks) - 1) + [case["samples"] % chunk]
     assert [len(mask) for mask in masks] == sizes
@@ -134,15 +134,17 @@ def test_a_sample_past_the_stack_budget_is_taken_in_runs(monkeypatch):
         shapes.append(built.shape)
         return built
 
+    product_forms = witnesses._product_forms
+
     def closed(weights, z, phi, numbers):
         shapes.append((*weights.shape, max(numbers) + 1))
-        return witnesses._product_forms(weights, z, phi, numbers)
+        return product_forms(weights, z, phi, numbers)
 
     # each run takes F_Q once: complex rows where K > N + 1 (the sectors up
     # to N = 38), the closed form elsewhere, with the shape its padded
     # stack of rows would have
-    monkeypatch.setattr(scan, "_coherent_rows", rows)
-    monkeypatch.setattr(scan, "_product_forms", closed)
+    monkeypatch.setattr(witnesses, "_coherent_rows", rows)
+    monkeypatch.setattr(witnesses, "_product_forms", closed)
     report = run_scan(**case)
     per_sample = len(shapes) // case["samples"]
     assert per_sample >= 2 and len(shapes) == per_sample * case["samples"]
@@ -161,7 +163,7 @@ def test_a_scan_with_k_at_most_n_plus_1_builds_no_row(n_total, n_components, mon
     def refuse(*_):
         raise AssertionError("the scan built a row")
 
-    monkeypatch.setattr(scan, "_coherent_rows", refuse)
+    monkeypatch.setattr(witnesses, "_coherent_rows", refuse)
     monkeypatch.setattr(separable, "_normalized", refuse)
     report = run_scan(samples=4, seed=21, n_total=n_total, n_components=n_components)
     assert len(report["csi_orders"]) == n_total // 2

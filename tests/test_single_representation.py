@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bosewit import statespec, witnesses
+from bosewit import separable, witnesses
 from bosewit.errors import DegenerateLocalCorrelation, WitnessError
 from bosewit.fock import (
     FockVector,
@@ -21,7 +21,7 @@ from bosewit.fock import (
     normally_ordered_moment,
 )
 from bosewit.povm import random_complete_povm, second_quantized_g2
-from bosewit.separable import CoherentSpinState, to_fock
+from bosewit.separable import CoherentSpinState, FluctuatingEnsemble, NumberDistribution, to_fock
 from bosewit.statespec import parse_state_text
 from bosewit.witnesses import (
     csi_ratio,
@@ -126,25 +126,22 @@ def test_structural_zero_sums_stay_zero_through_the_log_sum_exp():
         csi_ratio(integrated_g2m(mixture, 1))
 
 
-@pytest.mark.parametrize("mean, calls", [(20.0, 1), (250.0, 2)])
-def test_a_distribution_block_is_built_by_few_row_calls(mean, calls, monkeypatch):
-    # poisson:20 (60 sectors up to N = 80) fits one padded stack; poisson:250
-    # (370 sectors up to N = 369) is built in runs of at most STACK_AMPLITUDES
-    seen = []
+@pytest.mark.parametrize("mean", [20.0, 250.0])
+def test_a_distribution_block_builds_no_row(mean, monkeypatch):
+    # poisson:20 (60 sectors up to N = 80) and poisson:250 (370 sectors up to
+    # N = 369) are held as their product components: every row builder ends
+    # in _normalized, and the build calls none
+    def refuse(*_):
+        raise AssertionError("the build made an amplitude row")
 
-    def counting_rows(numbers, z, phi):
-        seen.append(len(numbers))
-        return rows(numbers, z, phi)
-
-    rows = statespec._coherent_rows
-    monkeypatch.setattr(statespec, "_coherent_rows", counting_rows)
+    monkeypatch.setattr(separable, "_normalized", refuse)
     text = (
         "kind = fluctuating\nz = 0.37\nphi = -2.1\n"
         f"distribution:\n    kind = poisson\n    mean = {mean}\n"
     )
     state = parse_state_text(text).build()
-    assert len(seen) == calls and sum(seen) == len(state.sectors)
-    for _, sector in state.sectors:
-        expected = to_fock(CoherentSpinState(0.37, -2.1, sector.n_total))
-        assert type(sector) is FockVector
-        assert sector.amplitudes.tobytes() == expected.amplitudes.tobytes()
+    assert type(state) is FluctuatingEnsemble
+    assert state.number_weights == NumberDistribution.poisson(mean).weights()
+    for n, _ in state.number_weights:
+        ((weight, component),) = state.per_sector[n].components
+        assert weight == 1.0 and component == CoherentSpinState(0.37, -2.1, n)

@@ -6,7 +6,13 @@ import pytest
 
 from bosewit.errors import StateSpecError
 from bosewit.fock import FockVector, NumberSectorMixture, SectorDensity, twin_fock
-from bosewit.separable import CoherentSpinState, to_fock
+from bosewit.separable import (
+    CoherentSpinState,
+    FluctuatingEnsemble,
+    SeparableEnsemble,
+    ensemble_to_state,
+    to_fock,
+)
 from bosewit.statespec import parse_state_file, parse_state_text
 
 
@@ -39,8 +45,11 @@ def test_coherent_spin_defaults_and_build():
     )
     assert spec.params["phi"] == 0.0
     state = spec.build()
+    # held as its one product component, whose rows are to_fock's
+    assert isinstance(state, SeparableEnsemble)
+    assert state.components == ((1.0, CoherentSpinState(0.3, 0.0, 50)),)
     expected = to_fock(CoherentSpinState(0.3, 0.0, 50))
-    np.testing.assert_allclose(state.amplitudes, expected.amplitudes, atol=1e-14)
+    np.testing.assert_allclose(ensemble_to_state(state).vectors[0], expected.amplitudes, atol=1e-14)
 
 
 def test_coherent_spin_phase_wrapping():
@@ -84,9 +93,11 @@ def test_mixture_builds_density():
         """
     )
     state = spec.build()
-    assert isinstance(state, SectorDensity)
+    assert isinstance(state, SeparableEnsemble)
     assert state.n_total == 10
-    assert np.trace(state.matrix).real == pytest.approx(1.0, abs=1e-12)
+    density = ensemble_to_state(state)
+    assert isinstance(density, SectorDensity)
+    assert np.trace(density.matrix).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mixture_weight_renormalization_within_tolerance():
@@ -144,9 +155,9 @@ def test_fluctuating_poisson_distribution():
         """
     )
     state = spec.build()
-    assert isinstance(state, NumberSectorMixture)
+    assert isinstance(state, FluctuatingEnsemble)
     assert state.mean_n == pytest.approx(6.0, abs=1e-6)
-    total = sum(w for w, _ in state.sectors)
+    total = sum(w for _, w in state.number_weights)
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -162,7 +173,7 @@ def test_fluctuating_binomial_and_deterministic():
         """
     )
     state = spec.build()
-    assert [s.n_total for _, s in state.sectors] == [0, 1, 2, 3, 4]
+    assert [n for n, _ in state.number_weights] == [0, 1, 2, 3, 4]
     spec = parse(
         """\
         kind = fluctuating
@@ -174,8 +185,8 @@ def test_fluctuating_binomial_and_deterministic():
         """
     )
     state = spec.build()
-    assert len(state.sectors) == 1
-    assert state.sectors[0][1].n_total == 7
+    assert state.number_weights == ((7, 1.0),)
+    assert state.per_sector[7].n_total == 7
 
 
 def test_fluctuating_nested_dicke_sector():
