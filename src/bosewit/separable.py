@@ -443,28 +443,40 @@ def analytic_spin_moments(ensemble) -> tuple[float, float, float]:
     coherent state gives xi^2 = 1 to a few ulp at any N. A fixed N is the
     one-sector case; the scan evaluates the same form through _spin_moments.
     """
-    return tuple(float(value[0]) for value in _spin_moments(*_component_arrays([_ensemble_sectors(ensemble)])))
+    sectors = _ensemble_sectors(ensemble)
+    parts = [part for _, part in sectors]
+    p = np.array([p for p, _ in sectors])
+    n = np.array([part.n_total for part in parts], dtype=float)
+    return tuple(float(value) for value in _joined_moments(p, n, _part_moments(parts)))
 
 
-def _component_arrays(ensembles) -> tuple:
-    """(number_weights (L, J, 2), weights, z, phi (L, J, K)) of L
-    ensembles, each a list of (p, SeparableEnsemble) sectors (as
-    _ensemble_sectors gives them): ensemble l holds sector j, of
-    number_weights[l, j] = (N, p), with the weights, z and phi of its
-    components. Sectors and components past an ensemble's own count are
-    zero padding: p = 0 and w = 0, which add exact zeros to every closed
-    form."""
-    depth = max(len(sectors) for sectors in ensembles)
-    width = max(len(part.components) for sectors in ensembles for _, part in sectors)
-    number_weights = np.zeros((len(ensembles), depth, 2))
-    # (w, z, phi) last, so that each sector takes its components' tuples as
-    # they are
-    params = np.zeros((len(ensembles), depth, width, 3))
-    for l, sectors in enumerate(ensembles):
-        for j, (p, part) in enumerate(sectors):
-            number_weights[l, j] = part.n_total, p
-            params[l, j, : len(part.components)] = [(w, comp.z, comp.phi) for w, comp in part.components]
-    return (number_weights, *params.transpose(3, 0, 1, 2))
+def _component_groups(parts):
+    """Yield (at, weights, z, phi) for the sectors held as components
+    (SeparableEnsembles) `parts`, one group per component count K: `at`
+    lists the group's positions in parts, and weights, z and phi are its
+    (G, K) arrays. No sector is padded to another's K, so the groups hold
+    sum_j K_j entries in all."""
+    depths = {}
+    for j, part in enumerate(parts):
+        depths.setdefault(len(part.components), []).append(j)
+    for at in depths.values():
+        # (w, z, phi) last, so that each sector takes its components'
+        # tuples as they are
+        params = np.empty((len(at), len(parts[at[0]].components), 3))
+        for i, j in enumerate(at):
+            params[i] = [(w, comp.z, comp.phi) for w, comp in parts[j].components]
+        yield at, *params.transpose(2, 0, 1)
+
+
+def _part_moments(parts) -> np.ndarray:
+    """The (4, J) spin moments of _sector_moments for the J sectors held
+    as components `parts`, evaluated per component count
+    (_component_groups)."""
+    moments = np.empty((4, len(parts)))
+    for at, weights, z, phi in _component_groups(parts):
+        n = np.array([parts[j].n_total for j in at], dtype=float)
+        moments[:, at] = _sector_moments(weights, z, phi, n)
+    return moments
 
 
 def _ensemble_sectors(ensemble) -> list:
@@ -481,30 +493,50 @@ def _ensemble_sectors(ensemble) -> list:
 def _spin_moments(number_weights, weights, z, phi) -> tuple:
     """(<J_x>, <J_y>, Var J_z) of the closed form of analytic_spin_moments,
     each (...,), for ensembles given as (..., J, K) component weights, z
-    and phi over J sectors: number_weights holds their (N, p) pairs, the
-    same J for every ensemble ((n, p) pairs or a (J, 2) array) or one set
-    per ensemble ((..., J, 2)).
+    and phi over the J sectors of `number_weights` ((n, p) pairs).
 
     The sums run in order from 0.0, and cos and sin go through math per
     value, so every value is, bit for bit, the one a scalar loop over the
     components and sectors gives.
     """
+    # N as a float: every product below is exact in integers and in floats
+    pairs = np.asarray(number_weights, dtype=float)
+    n, p = pairs[..., 0], pairs[..., 1]
+    return _joined_moments(p, n, _sector_moments(weights, z, phi, n))
+
+
+def _sector_moments(weights, z, phi, n) -> tuple:
+    """Each sector's spin moments, (x, y, <J_z>, Var J_z), each (..., J),
+    for (..., J, K) component weights, z and phi at N = n (..., J): x and
+    y are <J_x> / N and <J_y> / N, sum_k w_k r_k cos phi_k and -sum_k w_k
+    r_k sin phi_k, and <J_z> = N (zbar - 1/2) and Var J_z = N sum_k w_k
+    z_k (1 - z_k) + N^2 sum_k w_k (z_k - zbar)^2 are those of
+    analytic_spin_moments. Components of weight 0 (zero padding) add exact
+    zeros."""
     spread = z * (1.0 - z)
     radius = np.sqrt(spread)
     phases = phi.ravel().tolist()
     cos = np.array([math.cos(v) for v in phases]).reshape(phi.shape)
     sin = np.array([math.sin(v) for v in phases]).reshape(phi.shape)
-    # N as a float: every product below is exact in integers and in floats
-    pairs = np.asarray(number_weights, dtype=float)
-    n, p = pairs[..., 0], pairs[..., 1]
-    jx = _in_order(p * n * _in_order(weights * radius * cos))
-    jy = _in_order(-p * n * _in_order(weights * radius * sin))
     mean_z = _in_order(weights * z)
     deviation = z - mean_z[..., None]
     within = n * _in_order(weights * spread) + n * n * _in_order(weights * deviation * deviation)
-    shift = n * (mean_z - 0.5)
-    between = shift - _in_order(p * shift)[..., None]
-    return jx, jy, _in_order(p * (within + between * between))
+    return _in_order(weights * radius * cos), -_in_order(weights * radius * sin), n * (mean_z - 0.5), within
+
+
+def _joined_moments(p, scale, moments) -> tuple:
+    """(<J_x>, <J_y>, Var J_z) of sectors mixed with probabilities p over
+    the last axis, from each sector's (x, y, <J_z>, Var J_z) `moments`:
+    the means are sum_j p_j scale_j x_j and sum_j p_j scale_j y_j (scale N
+    for the per-particle means of _sector_moments, 1 for means as they
+    are), and the variance joins by the law of total variance, Var J_z =
+    sum_j p_j [V_j + (mu_j - mu)^2] with mu = sum_j p_j mu_j. Every sum
+    runs in order from 0.0. The one join of every closed form and of the
+    witnesses' sectors, whichever route gave their moments."""
+    x, y, mean_z, var_z = moments
+    weights = p * scale
+    between = mean_z - _in_order(p * mean_z)[..., None]
+    return _in_order(weights * x), _in_order(weights * y), _in_order(p * (var_z + between * between))
 
 
 def _in_order(terms: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ from .errors import (
     EmptyState,
     NonFiniteWitnessValue,
     OrderTooHigh,
+    WitnessError,
     ZeroMeanSpinDirection,
 )
 from .fock import (
@@ -65,10 +66,11 @@ from .separable import (
     FluctuatingEnsemble,
     SeparableEnsemble,
     _coherent_rows,
-    _component_arrays,
+    _component_groups,
     _ensemble_sectors,
     _in_order,
-    _spin_moments,
+    _joined_moments,
+    _part_moments,
 )
 
 # The tolerances and cutoffs, WITNESS_TOLERANCE among them, are in fock.
@@ -142,23 +144,20 @@ def _judgeable(values, what: str):
     return values
 
 
-def _routes(state, weighted: bool = False) -> tuple:
+def _routes(state) -> tuple:
     """The one dispatch of every witness: (sectors, rows, parts) of a
-    state, its (p, sector) pairs in ascending N (those with p > 0 alone if
-    `weighted`) and the positions among them of the sectors held as
-    amplitude rows (SectorDensity: basis states and densities) and of those
-    held as product components (SeparableEnsemble). A SeparableEnsemble is
-    its own one sector, a FluctuatingEnsemble gives its sectors, and a
-    NumberSectorMixture may hold both kinds; any other type raises
-    TypeError."""
+    state, its (p, sector) pairs in ascending N and the positions among
+    them of the sectors held as amplitude rows (SectorDensity: basis states
+    and densities) and of those held as product components
+    (SeparableEnsemble). A SeparableEnsemble is its own one sector, a
+    FluctuatingEnsemble gives its sectors, and a NumberSectorMixture may
+    hold both kinds; any other type raises TypeError."""
     if isinstance(state, (SeparableEnsemble, FluctuatingEnsemble)):
         sectors = _ensemble_sectors(state)
     elif isinstance(state, NumberSectorMixture):
         sectors = state.sectors
     else:
         sectors = _sectors(state)
-    if weighted:
-        sectors = [(p, sector) for p, sector in sectors if p > 0.0]
     rows = [j for j, (_, sector) in enumerate(sectors) if isinstance(sector, SectorDensity)]
     parts = [j for j, (_, sector) in enumerate(sectors) if not isinstance(sector, SectorDensity)]
     return sectors, rows, parts
@@ -317,8 +316,9 @@ def integrated_g2m_orders(state, orders) -> list:
     populations and the ratio rows R_m and R_2m of all the orders (a row
     past the memo is streamed once for all of them, where one call per
     order streams every row from k = 0 again), bit for bit for a state
-    held as rows, and one _product_correlators call for the sectors held
-    as components, to rounding: that kernel's powers and sums round
+    held as rows, and one _product_correlators call per component count
+    for the sectors held as components (_part_correlators), to rounding:
+    that kernel's powers and sums over a sector's components round
     differently with the number of orders it takes at once (as in the
     scans). No orders give [].
 
@@ -326,20 +326,17 @@ def integrated_g2m_orders(state, orders) -> list:
     Rows give G_ab = alpha kappa c, components G_ab = alpha c, so a state
     with sectors of both kinds adds the components' c / kappa to the rows'
     c, under the rows' scales (log alpha, kappa, log kappa) of
-    order_scales; components alone keep the scales (log alpha, 1, 0), with
-    alpha from the lgamma table, to about eps N relative. The prefactor,
-    sum_j p_j (N_j)_2m, comes from that table for every state, alike.
+    order_scales; components alone keep the scales (log alpha, 1, 0) of
+    _product_correlators, with alpha from its lgamma table, to about eps N
+    relative. The sectors held as components add their sums in order and
+    their logs by log-sum-exp. The prefactor, sum_j p_j (N_j)_2m, is exact
+    from order_scales for every state alike.
     """
     orders = [_check_order(m) for m in orders]
     if not orders:
         return []
     sectors, rows, parts = _routes(state)
-    numbers = [sector.n_total for _, sector in sectors]
-    top = max(numbers)
-    with np.errstate(over="ignore"):
-        falling = np.exp(_log_falling(log_factorials(top), numbers, np.array(orders)[:, None]))
-    # sum_j p_j (N_j)_2m in order, so each order gets the bits it gets alone
-    prefactors = _in_order(np.array([p for p, _ in sectors]) * falling)
+    top = max(sector.n_total for _, sector in sectors)
     if rows:
         row_sectors = [sectors[j][1] for j in rows]
         number_weights = np.array([sectors[j][0] for j in rows])
@@ -350,30 +347,49 @@ def integrated_g2m_orders(state, orders) -> list:
         sums, logs = _population_integrals(runs, orders, top)
         alpha, log_alpha, kappa, log_kappa = np.array([order_scales(top, m) for m in orders]).T
     if parts:
-        number_weights, weights, z, _ = _component_arrays([[sectors[j] for j in parts]])
-        part_numbers = [numbers[j] for j in parts]
-        probabilities = number_weights[0, :, 1]
-        part_sums, part_logs, (part_log_alpha, _, _) = _product_correlators(
-            weights[0], z[0], 1.0 - z[0], probabilities, part_numbers, orders, top
+        probabilities = np.array([sectors[j][0] for j in parts])
+        part_sums, part_logs, part_log_alpha = _part_correlators(
+            [sectors[j][1] for j in parts], probabilities, np.full(len(parts), top), orders
         )
+        part_sums, part_logs = _in_order(part_sums.swapaxes(1, 2)), np.logaddexp.reduce(part_logs, axis=1)
         if rows:
             part_sums[2] /= kappa
             part_logs[2] -= log_kappa
             sums, logs = sums + part_sums, np.logaddexp(logs, part_logs)
         else:
-            sums, logs, log_alpha = part_sums, part_logs, part_log_alpha
+            # every sector shares the one alpha of N = top
+            sums, logs, log_alpha = part_sums, part_logs, part_log_alpha[0]
             with np.errstate(over="ignore"):
                 alpha = np.exp(log_alpha)
             kappa, log_kappa = np.ones(len(orders)), np.zeros(len(orders))
     integrals = []
-    columns = zip(orders, sums.T.tolist(), logs.T.tolist(), prefactors.tolist(),
+    columns = zip(orders, sums.T.tolist(), logs.T.tolist(),
                   *(np.asarray(x).tolist() for x in (alpha, log_alpha, kappa, log_kappa)))
-    for m, order_sums, order_logs, prefactor, alpha_m, log_alpha_m, kappa_m, log_kappa_m in columns:
+    for m, order_sums, order_logs, alpha_m, log_alpha_m, kappa_m, log_kappa_m in columns:
+        prefactor = sum(p * order_scales(sector.n_total, m)[0] for p, sector in sectors)
         scales = (alpha_m, alpha_m, alpha_m * kappa_m), (log_alpha_m, log_alpha_m, log_alpha_m + log_kappa_m)
         g_aa, g_bb, g_ab = map(_scaled, order_sums, order_logs, *scales)
         normalized = (order_sums, order_logs, (log_alpha_m, kappa_m, log_kappa_m))
         integrals.append(CorrelationIntegrals(m, g_aa, g_bb, g_ab, prefactor, normalized))
     return integrals
+
+
+def _part_correlators(parts, probabilities, tops, orders) -> tuple:
+    """The normalized correlators of _product_correlators, sums and logs
+    (3, J, M) and log alpha (J, M), of the J sectors held as components
+    `parts`, each its own mixture: sector j weighs probabilities[j] and is
+    normalized by alpha = (N)_2m at N = tops[j]. One kernel call per
+    component count (_component_groups), so no sector is padded to
+    another's K."""
+    sums = np.empty((3, len(parts), len(orders)))
+    logs = np.empty_like(sums)
+    log_alpha = np.empty((len(parts), len(orders)))
+    for at, weights, z, _ in _component_groups(parts):
+        numbers = [[parts[j].n_total] for j in at]
+        sums[:, at], logs[:, at], (log_alpha[at], _, _) = _product_correlators(
+            weights[:, None], z[:, None], 1.0 - z[:, None], probabilities[at, None], numbers, orders, tops[at]
+        )
+    return sums, logs, log_alpha
 
 
 def _csi_ratios(sums, logs, scales) -> tuple:
@@ -809,18 +825,14 @@ def _component_forms(weights, z, phi, numbers) -> np.ndarray:
 
 
 def _part_forms(parts) -> np.ndarray:
-    """The F_Q forms (J, 9) of J sectors held as components
+    """The F_Q forms (J, 9) of the J sectors held as components `parts`
     (SeparableEnsembles), through _component_forms, in one stack per
-    component count: no sector is padded to another's K, whose K x K
-    eigensolve would cost it K^3."""
+    component count (_component_groups): no sector is padded to another's
+    K, whose K x K eigensolve would cost it K^3."""
     forms = np.empty((len(parts), 9))
-    depths = {}
-    for j, part in enumerate(parts):
-        depths.setdefault(len(part.components), []).append(j)
-    for group in depths.values():
-        # the group as the J sectors of one ensemble, their weights unused
-        _, weights, z, phi = _component_arrays([[(1.0, parts[j]) for j in group]])
-        forms[group] = _component_forms(weights, z, phi, tuple(parts[j].n_total for j in group))[0]
+    for at, weights, z, phi in _component_groups(parts):
+        # the group as the sectors of one ensemble
+        forms[at] = _component_forms(weights[None], z[None], phi[None], tuple(parts[j].n_total for j in at))[0]
     return forms
 
 
@@ -855,15 +867,19 @@ def qfi(state, g):
 
 def _qfi_values(state, directions) -> np.ndarray:
     """F_Q of a state along each of the (k, 3) directions, unjudged."""
-    sectors, rows, parts = _routes(state, weighted=True)
+    sectors, rows, parts = _routes(state)
+    # a sector of weight 0 adds nothing, and is not evaluated
+    rows = [j for j in rows if sectors[j][0] > 0.0]
+    parts = [j for j in parts if sectors[j][0] > 0.0]
     forms = np.empty((len(sectors), 9))
     if rows:
         stacks = _padded_stacks([sectors[j][1] for j in rows])
         forms[rows] = np.concatenate([_qfi_forms(*stack) for _, *stack in stacks]).reshape(-1, 9)
     if parts:
         forms[parts] = _part_forms([sectors[j][1] for j in parts])
-    number_weights = np.array([weight for weight, _ in sectors])
-    form = (number_weights @ forms).reshape(3, 3)
+    kept = sorted(rows + parts)
+    number_weights = np.array([sectors[j][0] for j in kept])
+    form = (number_weights @ forms[kept]).reshape(3, 3)
     return np.einsum("ka,ab,kb->k", directions, form, directions)
 
 
@@ -900,30 +916,24 @@ def _xi2(n_ref: float, jx: float, jy: float, var_z: float) -> float:
 
 def _spin_stats(state) -> tuple:
     """(n_ref, <J_x>, <J_y>, Var J_z) of a state, as floats, from one pass:
-    eta^2 and xi^2 both read it. With every sector held as components, the
-    closed form of separable._spin_moments, bit for bit the scans'. Else
-    each sector's own moments, from one centred pass over its rows
-    (fock._spin_mean_covariance) or from the closed form, joined by the law
-    of total variance, Var J_z = sum_N p_N [V_N + (mu_N - mu)^2], which
-    gives a state of rows alone the bits of _spin_mean_covariance."""
+    eta^2 and xi^2 both read it. Each sector gives its own moments, from
+    one centred pass over its rows (fock._spin_mean_covariance) or from the
+    closed form of its components (separable._part_moments, whose
+    transverse means are per particle, so they weigh p N), and
+    separable._joined_moments joins them by the law of total variance. A
+    state of rows alone gets the bits of _spin_mean_covariance, and one of
+    components alone those of analytic_spin_moments."""
     sectors, rows, parts = _routes(state)
-    if parts:
-        number_weights, weights, z, phi = _component_arrays(
-            [[(1.0, sectors[j][1])] for j in parts] if rows else [[sectors[j] for j in parts]]
-        )
-        moments = _spin_moments(number_weights, weights, z, phi)
-        if not rows:
-            return (state.mean_n, *(float(value[0]) for value in moments))
-        shifts = number_weights[:, 0, 0] * (_in_order(weights[:, 0] * z[:, 0]) - 0.5)
-    means = [None] * len(sectors)  # (p, (<J_x>, <J_y>, <J_z>), Var J_z) per sector
-    for i, j in enumerate(parts):
-        means[j] = sectors[j][0], np.array([moments[0][i], moments[1][i], shifts[i]]), moments[2][i]
+    scale = np.ones(len(sectors))
+    moments = np.empty((4, len(sectors)))
     for j in rows:
         mu, cov = _spin_mean_covariance(sectors[j][1])
-        means[j] = sectors[j][0], mu, cov[2, 2]
-    mu = sum(weight * mean for weight, mean, _ in means)
-    var_z = sum(weight * (var + (mean[2] - mu[2]) * (mean[2] - mu[2])) for weight, mean, var in means)
-    return state.mean_n, float(mu[0]), float(mu[1]), float(var_z)
+        moments[:, j] = (*mu, cov[2, 2])
+    if parts:
+        moments[:, parts] = _part_moments([sectors[j][1] for j in parts])
+        scale[parts] = [sectors[j][1].n_total for j in parts]
+    p = np.array([p for p, _ in sectors])
+    return (state.mean_n, *(float(value) for value in _joined_moments(p, scale, moments)))
 
 
 def _squeezing(n_ref: float, jx, jy, var_z) -> tuple:
@@ -1043,35 +1053,50 @@ def _parse_witness_request(text: str):
     return (f"qfi:{label}", "qfi", generator.direction)
 
 
+@dataclass(frozen=True)
+class _Failure:
+    """A WitnessError kept by _once: its type and message."""
+
+    error: type
+    message: str
+
+
+def _once(memo, kind, compute):
+    """memo[kind], computed as compute() on its first use. A WitnessError
+    is kept as its type and message (the exception would hold the frames
+    of its traceback), and every use raises it again, as a new exception."""
+    if kind not in memo:
+        try:
+            memo[kind] = compute()
+        except WitnessError as exc:
+            memo[kind] = _Failure(type(exc), str(exc))
+    value = memo[kind]
+    if isinstance(value, _Failure):
+        raise value.error(value.message)
+    return value
+
+
 def _state_reader(state, requests):
     """read(key, kind, parameter) of one state for the (key, kind,
     parameter) requests of a report: the value of a request, or the
-    WitnessError it raises. A state held wholly as components is read as a
-    stack of one ensemble (_stack_readers). Any other state is read through
-    the public witnesses, each kind computed on its first read, for all its
-    requests at once: every csi order from one integrated_g2m_orders call,
-    every qfi direction from one F_Q pass, and eta^2 and xi^2 from one
-    spin-moment pass."""
-    sectors, rows, _ = _routes(state)
-    if not rows:
-        return _stack_readers([sectors], requests)[0]
+    WitnessError it raises. The state is read through the public
+    witnesses, each kind computed once (_once), on its first read, for all
+    its requests at once: every csi order from one integrated_g2m_orders
+    call, every qfi direction from one F_Q pass, and eta^2 and xi^2 from
+    one spin-moment pass."""
     orders = [param for _, kind, param in requests if kind == "csi"]
     qfi_keys = [key for key, kind, _ in requests if kind == "qfi"]
-    directions = [param for _, kind, param in requests if kind == "qfi"]
+    directions = np.array([param for _, kind, param in requests if kind == "qfi"])
     memo = {}
 
     def read(key, kind, param):
         if kind == "csi":
-            if "csi" not in memo:
-                memo["csi"] = dict(zip(orders, integrated_g2m_orders(state, orders)))
-            return csi_ratio(memo["csi"][param])
+            integrals = _once(memo, kind, lambda: dict(zip(orders, integrated_g2m_orders(state, orders))))
+            return csi_ratio(integrals[param])
         if kind == "qfi":
-            if "qfi" not in memo:
-                memo["qfi"] = _qfi_values(state, np.array(directions))
-            return float(_judgeable(memo["qfi"], "qfi")[qfi_keys.index(key)])
-        if "spin" not in memo:
-            memo["spin"] = _spin_stats(state)
-        n_ref, jx, jy, var_z = memo["spin"]
+            values = _once(memo, kind, lambda: _qfi_values(state, directions))
+            return float(_judgeable(values, "qfi")[qfi_keys.index(key)])
+        n_ref, jx, jy, var_z = _once(memo, "spin", lambda: _spin_stats(state))
         return _eta2(n_ref, var_z) if kind == "eta2" else _xi2(n_ref, jx, jy, var_z)
 
     return read
@@ -1079,71 +1104,70 @@ def _state_reader(state, requests):
 
 def _sector_readers(state, requests) -> list:
     """(N, p, read) for each sector of a fluctuating state (a
-    NumberSectorMixture or a FluctuatingEnsemble; [] for any other state),
-    read as _state_reader reads a state. A sector held as rows is read
-    alone; the sectors held as components are one stack of one-sector
-    ensembles (_stack_readers)."""
+    NumberSectorMixture or a FluctuatingEnsemble; [] for any other state):
+    a sector held as rows is read alone, as _state_reader reads a state,
+    and the sectors held as components as one stack (_stack_readers)."""
     if not isinstance(state, (NumberSectorMixture, FluctuatingEnsemble)):
         return []
     sectors, rows, parts = _routes(state)
     readers = [None] * len(sectors)
     for j in rows:
         readers[j] = _state_reader(sectors[j][1], requests)
-    if parts:
-        stack = [[(1.0, sectors[j][1])] for j in parts]
-        for j, read in zip(parts, _stack_readers(stack, requests)):
-            readers[j] = read
+    for j, read in zip(parts, _stack_readers([sectors[j][1] for j in parts], requests)):
+        readers[j] = read
     return [(sector.n_total, p, read) for (p, sector), read in zip(sectors, readers)]
 
 
-def _stack_readers(ensembles, requests) -> list:
-    """One read per ensemble of `ensembles`, each a list of (p,
-    SeparableEnsemble) sectors, evaluated as a scan chunk is. Each kind is
-    computed on its first read, for every ensemble and request at once: all
-    C_2m from one _product_correlators call, the F_Q forms from one
-    _component_forms pass per component count (_part_forms), and eta^2 and
-    xi^2 from one _spin_moments call. Each value is the one the public
-    witness gives that ensemble (F_Q to rounding)."""
-    number_weights, weights, z, phi = _component_arrays(ensembles)
-    numbers, probabilities = number_weights[..., 0].astype(int), number_weights[..., 1]
-    n_ref = [float(sum(part.n_total * p for p, part in sectors)) for sectors in ensembles]
-    orders = {param: i for i, (_, kind, param) in enumerate(r for r in requests if r[1] == "csi")}
+def _stack_readers(parts, requests) -> list:
+    """One read per sector held as components (SeparableEnsemble) of
+    `parts`, each giving what _state_reader gives that sector alone, with
+    the sectors evaluated together as a scan chunk is: each kind on its
+    first read, for every sector and request at once, C_2m and the F_Q
+    forms in one kernel call per component count (_part_correlators,
+    _part_forms), and eta^2 and xi^2 from one closed-form pass
+    (_part_moments). Where the stack raises a WitnessError, each sector is
+    evaluated again alone, so only the sectors that fail alone carry it."""
+    numbers = np.array([part.n_total for part in parts])
+    orders = [param for _, kind, param in requests if kind == "csi"]
     qfi_keys = [key for key, kind, _ in requests if kind == "qfi"]
-    memo = {}
+    directions = np.array([param for _, kind, param in requests if kind == "qfi"])
 
-    def evaluated(kind):
-        if kind in memo:
-            return memo[kind]
+    def evaluate(kind, at):
+        # the values of `kind` for the sectors at positions `at`, one entry
+        # per sector
+        group, n = [parts[l] for l in at], numbers[at]
         if kind == "csi":
-            normalized = _product_correlators(weights, z, 1.0 - z, probabilities, numbers, list(orders))
-            (log_a, log_b, _), (log_alpha, _, _) = normalized[1], normalized[2]
-            memo[kind] = (*_csi_ratios(*normalized), log_a + log_b + 2.0 * log_alpha)
-        elif kind == "qfi":
-            directions = np.array([param for _, kind, param in requests if kind == "qfi"])
-            # each ensemble's sector forms averaged by its probabilities (a
-            # padding sector weighs 0)
-            forms = np.zeros((*probabilities.shape, 9))
-            at = [(l, j) for l, sectors in enumerate(ensembles) for j in range(len(sectors))]
-            forms[tuple(zip(*at))] = _part_forms([ensembles[l][j][1] for l, j in at])
-            forms = np.einsum("lj,ljf->lf", probabilities, forms).reshape(-1, 3, 3)
-            memo[kind] = np.einsum("ka,sab,kb->sk", directions, forms, directions)
-        else:
-            memo[kind] = [value.tolist() for value in _spin_moments(number_weights, weights, z, phi)]
-        return memo[kind]
+            sums, logs, log_alpha = _part_correlators(group, np.ones(len(at)), n, orders)
+            ratios, degenerate = _csi_ratios(sums, logs, (log_alpha, 1.0, 0.0))
+            return list(zip(ratios, degenerate, logs[0] + logs[1] + 2.0 * log_alpha))
+        if kind == "qfi":
+            forms = _part_forms(group).reshape(-1, 3, 3)
+            return np.einsum("ka,sab,kb->sk", directions, forms, directions)
+        # each sector as its own one-sector state
+        moments = _joined_moments(1.0, n[:, None].astype(float), _part_moments(group)[..., None])
+        return np.array(moments).T.tolist()
+
+    shared, own = {}, [{} for _ in parts]
+
+    def value(kind, l):
+        try:
+            return _once(shared, kind, lambda: evaluate(kind, range(len(parts))))[l]
+        except WitnessError:
+            return evaluate(kind, [l])[0]
 
     def reader(l):
         def read(key, kind, param):
             if kind == "csi":
-                i = orders[param]
-                ratios, degenerate, log_products = evaluated("csi")
-                return _csi_value(param, ratios[l, i], degenerate[l, i], log_products[l, i])
+                ratios, degenerate, log_products = _once(own[l], kind, lambda: value(kind, l))
+                i = orders.index(param)
+                return _csi_value(param, ratios[i], degenerate[i], log_products[i])
             if kind == "qfi":
-                return float(_judgeable(evaluated("qfi")[l], "qfi")[qfi_keys.index(key)])
-            jx, jy, var_z = evaluated("spin")
-            if kind == "eta2":
-                return _eta2(n_ref[l], var_z[l])
-            return _xi2(n_ref[l], jx[l], jy[l], var_z[l])
+                values = _once(own[l], kind, lambda: value(kind, l))
+                return float(_judgeable(values, "qfi")[qfi_keys.index(key)])
+            jx, jy, var_z = _once(own[l], "spin", lambda: value("spin", l))
+            n_ref = float(numbers[l])
+            return _eta2(n_ref, var_z) if kind == "eta2" else _xi2(n_ref, jx, jy, var_z)
 
         return read
 
-    return [reader(l) for l in range(len(ensembles))]
+    return [reader(l) for l in range(len(parts))]

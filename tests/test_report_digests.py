@@ -59,8 +59,8 @@ the c, a, b order before as well, and kept their bytes.
 
 A state file of a coherent kind is now held as its product components and
 evaluated from the scans' closed forms (C_2m from
-witnesses._product_correlators, eta^2 and xi^2 from
-separable._spin_moments), with no row, so the three coherent reports were
+witnesses._product_correlators, eta^2 and xi^2 from the closed form of
+separable._spin_moments, per sector), with no row, so the three coherent reports were
 re-pinned once more, every moved value toward the exact one (C_2m = 1,
 xi^2 = 1, eta^2 = 4 z (1 - z)): coherent-50 csi:1 from 1 - 1.1e-16 and
 csi:7 from 1 - 1.3e-15 to 1, eta^2 from 1 + 2.2e-15 and xi^2 from 1 +

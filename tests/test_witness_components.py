@@ -4,7 +4,7 @@
 sector files as separable ensembles, and every witness takes them through
 the closed forms the scans use (C_2m from witnesses._product_correlators,
 F_Q from witnesses._component_forms, eta^2 and xi^2 from
-separable._spin_moments), with no amplitude row. Rows underflow at high
+separable._part_moments), with no amplitude row. Rows underflow at high
 orders, where the true C_2m of a coherent state is still exactly 1; the
 components do not. These tests hold the closed forms to 1 at every order
 up to N = 10^4, to the log-space loop `oracles.product_csi_loop`, and, at
@@ -15,12 +15,14 @@ sectors of a `--per-sector` report fail, and why.
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bosewit.cli import main
-from bosewit.errors import WitnessError
+from bosewit._factorials import falling_factorial
+from bosewit.errors import EmptyState, WitnessError
 from bosewit.fock import GeneratorSpec, NumberSectorMixture
 from bosewit.separable import FluctuatingEnsemble, SeparableEnsemble, ensemble_to_state
 from bosewit.statespec import parse_state_text
@@ -133,9 +135,9 @@ sector:
 def _public(state, requests):
     """read(key, kind, parameter) through the public witnesses: the
     reference of the CLI's readers. The csi orders go in one
-    integrated_g2m_orders call, as the readers take them: over several
-    sectors held as components, the kernel's sum over the sectors rounds
-    differently with the number of orders it takes at once."""
+    integrated_g2m_orders call, as the readers take them: the kernel's sum
+    over a sector's components rounds differently with the number of
+    orders it takes at once."""
     orders = [param for _, kind, param in requests if kind == "csi"]
 
     def read(key, kind, param):
@@ -195,21 +197,142 @@ def _assert_same(read, alone, request, rel):
         assert read(*request) == expected, request
 
 
-def test_stacked_values_are_those_of_the_public_witnesses():
-    # a distribution read whole as a stack of one ensemble, and its sectors
-    # as a stack of one-sector ensembles, with the bits of the public
-    # witnesses on each (C_2m, eta^2, xi^2; F_Q to rounding)
-    text = "kind = fluctuating\nz = 0.3\nphi = 0.4\ndistribution:\n    kind = poisson\n    mean = 20\n"
+UNEVEN = """\
+kind = fluctuating
+sector:
+    weight = 0.3
+    n = 7
+    component:
+        weight = 0.5
+        z = 0.1
+        phi = 0.3
+    component:
+        weight = 0.5
+        z = 0.8
+        phi = -1.0
+sector:
+    weight = 0.3
+    n = 11
+    kind = coherent_spin
+    z = 0.45
+sector:
+    weight = 0.4
+    n = 16
+    component:
+        weight = 0.25
+        z = 0.6
+    component:
+        weight = 0.5
+        z = 0.05
+        phi = 2.5
+    component:
+        weight = 0.25
+        z = 0.9
+        phi = 1.0
+"""
+
+
+@pytest.mark.parametrize("text", [
+    "kind = fluctuating\nz = 0.3\nphi = 0.4\ndistribution:\n    kind = poisson\n    mean = 20\n", UNEVEN,
+])
+def test_the_sector_stack_reads_each_sector_as_the_public_witnesses_do(text):
+    # the component sectors of --per-sector read as one stack, with the
+    # bits of the public witnesses on each sector alone (C_2m, eta^2, xi^2;
+    # F_Q to rounding), whatever the sectors' component counts
     state = parse_state_text(text).build()
+    assert isinstance(state, FluctuatingEnsemble)
     requests = [("csi:1", "csi", 1), ("csi:3", "csi", 3), ("eta2", "eta2", None), ("xi2", "xi2", None),
                 ("qfi:y", "qfi", np.array([0.0, 1.0, 0.0]))]
-    scopes = [(state, _state_reader(state, requests))]
     readers = _sector_readers(state, requests)
     assert [n for n, _, _ in readers] == [n for n, _ in state.number_weights]
-    scopes += [(state.per_sector[n], read) for n, _, read in readers]
-    for scope, read in scopes:
+    for n, _, read in readers:
         for request in requests:
-            _assert_same(read, _public(scope, requests), request, rel=1e-12 if request[1] == "qfi" else 0.0)
+            rel = 1e-12 if request[1] == "qfi" else 0.0
+            _assert_same(read, _public(state.per_sector[n], requests), request, rel=rel)
+
+
+def test_prefactor_alpha_is_the_exact_number_weighted_falling_factorial():
+    state = parse_state_text(MIXED).build()
+    for m, integrals in zip((1, 2, 3), integrated_g2m_orders(state, (1, 2, 3))):
+        exact = sum(p * falling_factorial(sector.n_total, 2 * m) for p, sector in state.sectors)
+        assert integrals.prefactor_alpha == exact
+
+
+def test_uneven_component_counts_are_evaluated_without_padding():
+    # one sector of 3000 components beside 400 of one component each: the
+    # witnesses group the sectors by component count, where padding every
+    # sector to the largest count would hold 400 x 3000 entries per array
+    lines = ["kind = fluctuating", "sector:", "    weight = 0.5", "    n = 1"]
+    for _ in range(3000):
+        lines += ["    component:", f"        weight = {1.0 / 3000!r}", "        z = 0.4", "        phi = 0.7"]
+    for n in range(2, 402):
+        lines += ["sector:", f"    weight = {0.5 / 400!r}", f"    n = {n}", "    kind = coherent_spin",
+                  f"    z = {0.1 + n / 1000!r}"]
+    state = parse_state_text("\n".join(lines) + "\n").build()
+    requests = [(f"csi:{m}", "csi", m) for m in (1, 2, 5)] + [
+        ("qfi:x", "qfi", np.array([1.0, 0.0, 0.0])), ("eta2", "eta2", None), ("xi2", "xi2", None)]
+    tracemalloc.start()
+    try:
+        values = [_state_reader(state, requests)(*request) for request in requests]
+        sector_values = []
+        for _, _, read in _sector_readers(state, requests):
+            for request in requests:
+                try:
+                    sector_values.append(read(*request))
+                except WitnessError:  # orders past a small sector's N
+                    pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.isfinite(values)) and len(sector_values) > 6 * 390
+    assert peak < 4 * 2**20, peak
+
+
+def _failing_for(n_failing, calls):
+    """A stand-in for witnesses._part_forms that records the particle
+    numbers of each call and fails on any stack that holds a sector of
+    n_failing particles."""
+    from bosewit import witnesses
+
+    original = witnesses._part_forms
+
+    def part_forms(parts):
+        numbers = [part.n_total for part in parts]
+        calls.append(numbers)
+        if n_failing in numbers:
+            raise EmptyState("no particles")
+        return original(parts)
+
+    return part_forms
+
+
+def test_a_failed_kernel_runs_once_per_state(capsys, monkeypatch):
+    from bosewit import witnesses
+
+    calls = []
+    monkeypatch.setattr(witnesses, "_part_forms", _failing_for(50, calls))
+    code, report = _witness(capsys, os.path.join(DATA, "css_050.state"), "qfi:x", "qfi:y", "qfi:z")
+    assert code == 3 and calls == [[50]]
+    for entry in report["witnesses"].values():
+        assert entry == {"error": "EmptyState", "message": "no particles"}
+
+
+def test_a_failed_stack_marks_only_the_sectors_that_fail_alone(tmp_path, capsys, monkeypatch):
+    from bosewit import witnesses
+
+    path = tmp_path / "poisson5.state"
+    path.write_text("kind = fluctuating\nz = 0.3\nphi = 0.4\ndistribution:\n    kind = poisson\n    mean = 5\n")
+    numbers = [n for n, _ in parse_state_text(path.read_text()).build().number_weights]
+    calls = []
+    monkeypatch.setattr(witnesses, "_part_forms", _failing_for(3, calls))
+    code, report = _witness(capsys, path, "qfi:x", "qfi:z", "csi:2", per_sector=True)
+    assert code == 3
+    # the whole state, the stack of its sectors, then each sector alone
+    assert calls == [numbers, numbers] + [[n] for n in numbers]
+    assert "error" in report["witnesses"]["qfi:x"] and "value" in report["witnesses"]["csi:2"]
+    failed = {(s["n"], key) for s in report["per_sector"] for key, e in s["witnesses"].items() if "error" in e}
+    # csi:2 needs N >= 4 in every reading
+    assert failed == {(3, "qfi:x"), (3, "qfi:z")} | {(n, "csi:2") for n in range(4)}
 
 
 def test_structural_skips_still_fail_their_sectors(tmp_path, capsys):
