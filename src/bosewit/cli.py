@@ -19,10 +19,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -85,12 +87,19 @@ def _json_default(value):
 # ensemble dict in every bound it is worst for, so each nonempty dict
 # records the range of chunks it emitted and at what pad: met again at the
 # same pad, its chunks are copied instead of walked again. The record holds
-# the dict itself, so its id cannot be reused while the record exists. The
-# recursion is a module-level function, and the list and the record are
-# locals of one _json_text call that nothing they hold refers back to, so
-# a call leaves no reference cycle behind.
+# the dict itself, so its id cannot be reused while the record exists. A
+# regular table (a list of same-key dicts or of same-length lists, every
+# value a scalar, such as a sector's components; or a dict of such lists,
+# such as an ensemble's sectors) is one template for its shape, made once
+# per call and filled by % with the texts of its leaves, from one
+# map(float.__repr__) pass when all are floats. A list whose first row holds
+# a container is no table, and no leaf is formatted before the whole table
+# is known to be flat. The recursion is a module-level function, and the list
+# and the memo are locals of one _json_text call that nothing they hold
+# refers back to, so a call leaves no reference cycle behind.
 
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_LEAF_KINDS = {str, int, float, bool, type(None)}  # a table's leaves (numpy's are walked)
 
 
 def _scalar_text(value) -> str | None:
@@ -122,47 +131,116 @@ def _key_text(key) -> str:
     return encode_basestring_ascii(text)
 
 
-def _put_value(value, pad: str, chunks: list, emitted: dict) -> None:
-    """Append the text of `value`, indented from `pad`, piece by piece to
-    `chunks`. `emitted` maps (id, pad) of each nonempty dict written so far
-    to (the dict, its first chunk, its end chunk)."""
+def _wrap(parts, pad: str, brackets: str = "[]") -> str:
+    inner = pad + "  "
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + brackets[1]
+
+
+def _key_part(key, part: str) -> str:
+    return _key_text(key).replace("%", "%%") + ": " + part
+
+
+def _table(lists: list):
+    """(shape, leaves, whether all are floats) of nonempty lists whose rows
+    are dicts of the same str keys (shape the sorted keys) or lists of one
+    length (shape that length), all values scalars; None for other lists."""
+    if set(map(type, lists)) != {list} or not all(lists):
+        return None
+    rows = list(chain.from_iterable(lists))
+    first = rows[0]
+    kinds = set(map(type, rows))
+    if kinds == {dict} and set(map(type, first)) == {str}:
+        shape, heads = tuple(sorted(first)), first.values()
+    elif kinds <= {list, tuple}:
+        shape, heads = len(first), first
+    else:
+        return None
+    if not heads or set(map(len, rows)) != {len(heads)} or not set(map(type, heads)) <= _LEAF_KINDS:
+        return None
+    if type(shape) is int:
+        leaves = list(chain.from_iterable(rows))
+    else:
+        try:  # a row as long as the first that holds all its keys has its keys
+            leaves = [row[key] for row in rows for key in shape]
+        except KeyError:
+            return None
+    kinds = set(map(type, leaves))
+    return (shape, leaves, kinds == {float}) if kinds <= _LEAF_KINDS else None
+
+
+def _template(shape, count: int, pad: str, memo: dict) -> str:
+    """The text of `count` rows of `shape` at `pad`, %s for each leaf."""
+    place = shape, count, pad
+    if place not in memo:
+        if type(shape) is int:
+            row = _wrap(["%s"] * shape, pad + "  ")
+        else:
+            row = _wrap([_key_part(key, "%s") for key in shape], pad + "  ", "{}")
+        memo[place] = _wrap([row] * count, pad)
+    return memo[place]
+
+
+def _fill(template: str, leaves: list, floats: bool) -> str:
+    finite = floats and math.isfinite(sum(leaves))  # else some leaf may be NaN or inf
+    return template % tuple(map(float.__repr__ if finite else _scalar_text, leaves))
+
+
+def _put_value(value, pad: str, chunks: list, memo: dict) -> None:
+    """Append the text of `value`, indented from `pad`, to `chunks`. `memo`
+    maps (id, pad) of each nonempty dict written so far to (the dict, its
+    first chunk, its end chunk), and (shape, row count, pad) of each table
+    to its template."""
     put = chunks.append
     if isinstance(value, dict):
         if not value:
             put("{}")
             return
         place = id(value), pad
-        record = emitted.get(place)
+        record = memo.get(place)
         if record is not None:
             chunks.extend(chunks[record[1] : record[2]])
             return
         start = len(chunks)
         inner = pad + "  "
+        items = sorted(value.items())
+        table = _table([item for _, item in items]) if type(items[0][1]) is list else None
+        if table is not None:  # a dict of tables
+            shape, leaves, floats = table
+            parts = [_key_part(key, _template(shape, len(rows), inner, memo)) for key, rows in items]
+            put(_fill(_wrap(parts, pad, "{}"), leaves, floats))
+            memo[place] = value, start, len(chunks)
+            return
         separator = "{\n" + inner
-        for key, item in sorted(value.items()):
+        for key, item in items:
+            key = encode_basestring_ascii(key) if type(key) is str else _key_text(key)
             text = _scalar_text(item)
             if text is None:
-                put(separator + _key_text(key) + ": ")
-                _put_value(item, inner, chunks, emitted)
+                put(separator + key + ": ")
+                _put_value(item, inner, chunks, memo)
             else:
-                put(separator + _key_text(key) + ": " + text)
+                put(separator + key + ": " + text)
             separator = ",\n" + inner
         put("\n" + pad + "}")
-        emitted[place] = value, start, len(chunks)
+        memo[place] = value, start, len(chunks)
     elif isinstance(value, (list, tuple)):
         if not value:
             put("[]")
             return
-        inner = pad + "  "
+        table = _table([value]) if isinstance(value[0], (dict, list, tuple)) else None
+        if table is not None:
+            shape, leaves, floats = table
+            put(_fill(_template(shape, len(value), pad, memo), leaves, floats))
+            return
         texts = list(map(_scalar_text, value))
         if None not in texts:
-            put("[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]")
+            put(_wrap(texts, pad))
             return
+        inner = pad + "  "
         separator = "[\n" + inner
         for item, text in zip(value, texts):
             if text is None:
                 put(separator)
-                _put_value(item, inner, chunks, emitted)
+                _put_value(item, inner, chunks, memo)
             else:
                 put(separator + text)
             separator = ",\n" + inner
@@ -170,7 +248,7 @@ def _put_value(value, pad: str, chunks: list, emitted: dict) -> None:
     else:
         text = _scalar_text(value)
         if text is None:
-            _put_value(_json_default(value), pad, chunks, emitted)
+            _put_value(_json_default(value), pad, chunks, memo)
         else:
             put(text)
 
@@ -400,22 +478,32 @@ def _cmd_witness(args, argv) -> int:
 # --- scan-separable ----------------------------------------------------------------
 
 
+# the form of each --fluctuating kind, named when its parameters do not parse
+_DISTRIBUTION_FORMS = {
+    "poisson": "poisson:MEAN with a number MEAN",
+    "binomial": "binomial:TRIALS,PROB with an integer TRIALS and a number PROB",
+    "deterministic": "deterministic:N with an integer N",
+}
+
+
 def _parse_distribution(text: str) -> NumberDistribution:
     kind, _, param = text.partition(":")
     kind = kind.strip().lower()
-    if kind == "poisson":
-        return NumberDistribution.poisson(float(param))
-    if kind == "binomial":
-        parts = param.split(",")
-        if len(parts) != 2:
-            raise ValueError("binomial needs 'binomial:TRIALS,PROB'")
-        return NumberDistribution.binomial(int(parts[0]), float(parts[1]))
-    if kind == "deterministic":
-        return NumberDistribution.deterministic(int(param))
-    raise ValueError(
-        f"unknown distribution {text!r}; use poisson:MEAN, binomial:TRIALS,PROB "
-        "or deterministic:N"
-    )
+    if kind not in _DISTRIBUTION_FORMS:
+        raise ValueError(
+            f"unknown distribution {text!r}; use poisson:MEAN, binomial:TRIALS,PROB "
+            "or deterministic:N"
+        )
+    try:
+        if kind == "binomial":
+            trials, prob = param.split(",")
+            numbers = int(trials), float(prob)
+        else:
+            numbers = (float(param) if kind == "poisson" else int(param),)
+    except ValueError:
+        form = _DISTRIBUTION_FORMS[kind]
+        raise ValueError(f"--fluctuating {kind} needs {form}; got {text!r}") from None
+    return getattr(NumberDistribution, kind)(*numbers)
 
 
 def _cmd_scan(args, argv) -> int:

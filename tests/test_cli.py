@@ -518,6 +518,25 @@ def test_scan_argument_errors(capsys):
     assert "gaussian" in err
 
 
+@pytest.mark.parametrize(
+    "dist,form",
+    [
+        ("poisson:", "poisson:MEAN with a number MEAN"),
+        ("poisson:abc", "poisson:MEAN with a number MEAN"),
+        ("binomial:,0.5", "binomial:TRIALS,PROB with an integer TRIALS and a number PROB"),
+        ("binomial:10,", "binomial:TRIALS,PROB with an integer TRIALS and a number PROB"),
+        ("deterministic:", "deterministic:N with an integer N"),
+        ("deterministic:2.5", "deterministic:N with an integer N"),
+    ],
+)
+def test_a_fluctuating_value_that_does_not_parse_names_the_flag_and_form(dist, form, capsys):
+    code, out, err = run_cli(capsys, "scan-separable", "--samples", "1", "--fluctuating", dist)
+    assert code == 2
+    assert out == ""
+    kind = dist.partition(":")[0]
+    assert err == f"error: --fluctuating {kind} needs {form}; got {dist!r}\n"
+
+
 def test_scan_fluctuating_smoke(capsys):
     code, out, _ = run_cli(
         capsys,

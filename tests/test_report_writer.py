@@ -82,6 +82,83 @@ def test_writer_is_the_stdlib_dump_byte_for_byte(value):
     assert_same_as_stdlib(value)
 
 
+# regular tables, which the writer writes from one template per shape: lists
+# of same-key dicts, of same-length lists, and dicts of such lists
+_TABLE_LEAVES = (
+    _FLOATS
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=4)
+    | _FLOATS.map(np.float64)
+    | st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64)
+)
+_FLOAT_LEAVES = _FLOATS | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+_TABLE_KEYS = st.text(max_size=4) | st.sampled_from(
+    ["%", "%s", "%%", "%(a)s", '"', "\\", "\x00\x1f\x7f", "café ☃", "\U0001f600", "a\nb"]
+)
+
+
+@st.composite
+def _row_shapes(draw):
+    """Rows of one shape: same-key dicts with 1 to 5 keys, or lists of one
+    length from 1 to 5, with leaves of one kind or of many."""
+    leaves = draw(st.sampled_from([_TABLE_LEAVES, _FLOAT_LEAVES]))
+    if draw(st.booleans()):
+        keys = draw(st.lists(_TABLE_KEYS, min_size=1, max_size=5, unique=True))
+        return st.fixed_dictionaries({key: leaves for key in keys})
+    width = draw(st.integers(min_value=1, max_value=5))
+    return st.lists(leaves, min_size=width, max_size=width)
+
+
+_TABLES = _row_shapes().flatmap(lambda row: st.lists(row, min_size=1, max_size=6))
+_TABLE_VALUES = (
+    _TABLES
+    # dicts of tables of one shape, as an ensemble's sectors, and of many
+    | _row_shapes().flatmap(
+        lambda row: st.dictionaries(_TABLE_KEYS, st.lists(row, min_size=1, max_size=4), max_size=4)
+    )
+    | st.dictionaries(_TABLE_KEYS, _TABLES, max_size=4)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TABLE_VALUES, st.integers(min_value=0, max_value=2))
+def test_tables_are_the_stdlib_dump_byte_for_byte(table, depth):
+    value = table
+    for _ in range(depth):  # at a deeper pad, as in a report
+        value = {"x": [value, 1]}
+    assert_same_as_stdlib(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        # keys that compare equal but print differently are not one shape
+        [{1: 0.5}, {1.0: 0.5}],
+        [{True: 1.0}, {1: 1.0}],
+        [{0.0: 1.0}, {-0.0: 1.0}],
+        {"a": [{1: 0.5}], "b": [{1.0: 0.5}]},
+        {"a": [{"%s": 1.0, "%": 2.0, "%%": 3.0}], "%d": [{"%s": 4.0, "%": 5.0, "%%": 6.0}]},
+        [{"a": 1.0}, {"b": 1.0}],
+        [{"a": 1.0, "b": 2.0}, {"a": 1.0, "c": 2.0}],
+        [{"a": 1.0}, {"a": 1.0, "b": 2.0}],
+        [[1.0], [2.0, 3.0]],
+        [[1.0, [2.0]], [3.0, 4.0]],
+        [{"a": 1.0}, [1.0]],
+        [{"a": np.float32(0.5)}, {"a": np.bool_(True)}],
+        {"a": [[1.0]], "b": []},
+        {"a": [[1.0]], "b": [{"c": 1.0}]},
+        {"a": [[1.0, math.nan]], "b": [[math.inf, -math.inf]]},
+        [[1e308, 1e308], [-0.0, 5e-324]],
+        [(1.0, 2.0), [3.0, 4.0]],
+    ],
+)
+def test_near_tables_are_the_stdlib_dump(value):
+    assert_same_as_stdlib(value)
+
+
 @pytest.mark.parametrize(
     "value",
     [
@@ -172,6 +249,27 @@ def test_a_dict_shared_at_one_depth_is_walked_once():
         assert shared.reads == reads
 
 
+def test_an_ensemble_shared_by_several_bounds_is_walked_once():
+    ensemble = CountingDict(
+        number_weights=[[0, 0.25], [1, 0.75]],
+        sectors={
+            "0": [{"phi": 0.5, "weight": 1.0, "z": 0.25}],
+            "1": [{"phi": -1.0, "weight": 0.5, "z": 0.5}, {"phi": 2.0, "weight": 0.5, "z": 0.75}],
+        },
+    )
+    flat = CountingDict(weight=0.5, z=0.25)
+    bounds = [
+        {"name": f"bound {i}", "rows": [flat, flat], "worst_sample": {"ensemble": ensemble}}
+        for i in range(4)
+    ]
+    value = {"bounds": bounds}
+    expected = stdlib_text(value)
+    ensemble.reads = flat.reads = 0
+    assert _json_text(value) == expected
+    assert ensemble.reads == 1
+    assert flat.reads == 1
+
+
 # --- every CLI report kind ----------------------------------------------------------
 
 REPORTS = {
@@ -193,6 +291,7 @@ REPORTS = {
         "qfi:x",
     ],
     "scan-fixed": ["scan-separable", "--samples", "5", "--n", "12", "--seed", "3"],
+    "scan-one-component": ["scan-separable", "--samples", "3", "--n", "12", "--components", "1"],
     "scan-fluctuating": [
         "scan-separable",
         "--samples",
