@@ -28,8 +28,12 @@ from .separable import (
     SeparableEnsemble,
     _check_draws,
     _check_expanded_size,
+    _child_generator,
+    _components,
     _draw_components,
     _ensemble_from_arrays,
+    _fill_sectors,
+    _seed_words,
     _spin_moments,
 )
 from .witnesses import (
@@ -49,6 +53,11 @@ from .witnesses import (
 MAX_SAMPLES = 10**7
 MAX_DIRECTIONS = 1000
 MAX_COMPONENTS = 1000
+
+# Samples whose child seeds are hashed in one pass (_seed_words), rounded
+# down to whole chunks: the pass has a fixed cost of tens of microseconds,
+# several times a per-seed hash, and its words take 32 bytes per sample.
+SEED_BLOCK = 4096
 
 
 class _BoundTable:
@@ -115,17 +124,22 @@ def _draw_directions(rng: np.random.Generator, count: int) -> np.ndarray:
     return directions
 
 
-def _draw_chunk(seeds, sectors: int, n_components: int) -> np.ndarray:
-    """(weights, z, phi) of one ensemble per seed, as a (3, S, J, K) array:
-    each seed's generator draws its J sectors in turn, as sample_ensemble
-    and sample_fluctuating_ensemble do for that seed, two generator calls
-    per sector (_draw_components: 2K uniforms, then K unit gammas), which
-    give what random, uniform and dirichlet give, bit for bit."""
-    draws = np.empty((3, len(seeds), sectors, n_components))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        for j in range(sectors):
-            draws[:, i, j] = _draw_components(rng, n_components)
+def _draw_chunk(seeds, sectors: int, n_components: int, words=None) -> np.ndarray:
+    """(weights, z, phi) of one ensemble per seed, as a (3, S, J, K) array.
+    Each seed's child generator is the one default_rng(seed) gives, seeded
+    in C from the seed's SeedSequence words (`words`, the (S, 4) rows
+    _seed_words gives for `seeds`, when run_scan has hashed them with their
+    block; else hashed here). It draws its J sectors in turn, as
+    sample_ensemble and sample_fluctuating_ensemble do for that seed, two
+    generator calls per sector into the chunk's array (_fill_sectors: 2K
+    uniforms, then K unit gammas), and _components maps the whole chunk at
+    once to what random, uniform and dirichlet give, bit for bit."""
+    if words is None:
+        words = _seed_words(seeds)
+    draws = np.empty((len(words), sectors, 3 * n_components))
+    for sample_words, sample in zip(words, draws):
+        _fill_sectors(_child_generator(sample_words), sample)
+    draws = _components(draws)
     _check_draws(*draws)
     return draws
 
@@ -229,34 +243,39 @@ def run_scan(
 
     The master seed fixes the generator directions and one child seed per
     sample, so reports are reproducible and individual samples can be
-    replayed in isolation. Before anything is drawn, ValueError refuses
-    inputs past MAX_SAMPLES, MAX_DIRECTIONS, MAX_COMPONENTS or (n_total)
-    MAX_PARTICLES, and past MAX_EXPANDED_SIZE amplitudes a sample's rows,
-    K (N + 1) summed over its sectors as for a state file. The same budget
-    caps the csi orders, and so the report's bounds, by m (max N + 1) for
-    the largest order m: a full-order fixed scan reaches N = 2895.
+    replayed in isolation: a sample's child generator is the one
+    default_rng(child seed) gives, seeded from the same SeedSequence words,
+    which _seed_words computes for the child seeds of SEED_BLOCK samples
+    (rounded down to whole chunks, at least one) in one pass. Before
+    anything is drawn, ValueError refuses inputs past MAX_SAMPLES,
+    MAX_DIRECTIONS, MAX_COMPONENTS or (n_total) MAX_PARTICLES, and past
+    MAX_EXPANDED_SIZE amplitudes a sample's rows, K (N + 1) summed over its
+    sectors as for a state file. The same budget caps the csi orders, and
+    so the report's bounds, by m (max N + 1) for the largest order m: a
+    full-order fixed scan reaches N = 2895.
 
     Samples are evaluated in chunks of as many as that sum lets fit in
     STACK_AMPLITUDES (at least one sample each), as (S, J, K) arrays of
     weights, z and phi drawn as sample_ensemble and
-    sample_fluctuating_ensemble draw them, in two generator calls per
-    sector that give the draws of the three calls random, uniform and
-    dirichlet bit for bit (_draw_components); no ensemble object is built,
-    and a worst-case payload only when needed. _evaluate_csi gives every
-    C_2m of the chunk from the closed-form correlators of its product
-    components (_product_correlators), in logs where a sum would
-    underflow, so no row is built and no value is lost to underflow at
-    any N. _evaluate_qfi splits the chunk's sectors into padded runs and
-    gives every F_Q, from the K x K closed forms of the product components
-    (_product_forms) in each run with K <= W = max N + 1, and from complex
-    amplitude rows and _qfi_forms in a deeper run, where the K x K
-    eigensolve would cost more than the W x W one (the one rule of
-    witnesses._component_forms, which the witnesses share). One
-    _spin_moments call gives every xi^2 (bit for bit that of the ensemble
-    object). C_2m and F_Q equal, to rounding, those of each sample's own
-    density. One _BoundTable.record call judges every bound of the chunk:
-    C_2m of each distinct order, the worst direction's F_Q and xi^2, as (S,
-    B) values with one skip mask (degenerate C_2m, zero mean spin).
+    sample_fluctuating_ensemble draw them (_draw_chunk): two generator
+    calls per sector into the chunk's array, mapped for the whole chunk at
+    once to the draws of the three calls random, uniform and dirichlet, bit
+    for bit; no ensemble object is built, and a worst-case payload only
+    when needed. _evaluate_csi gives every C_2m of the chunk from the
+    closed-form correlators of its product components
+    (_product_correlators), in logs where a sum would underflow, so no row
+    is built and no value is lost to underflow at any N. _evaluate_qfi
+    splits the chunk's sectors into padded runs and gives every F_Q, from
+    the K x K closed forms of the product components (_product_forms) in
+    each run with K <= W = max N + 1, and from complex amplitude rows and
+    _qfi_forms in a deeper run, where the K x K eigensolve would cost more
+    than the W x W one (the one rule of witnesses._component_forms, which
+    the witnesses share). One _spin_moments call gives every xi^2 (bit for
+    bit that of the ensemble object). C_2m and F_Q equal, to rounding,
+    those of each sample's own density. One _BoundTable.record call judges
+    every bound of the chunk: C_2m of each distinct order, the worst
+    direction's F_Q and xi^2, as (S, B) values with one skip mask
+    (degenerate C_2m, zero mean spin).
     """
     orders, number_weights, amplitudes = _checked_scan(
         samples, n_total, distribution, n_components, n_directions, csi_orders
@@ -282,10 +301,14 @@ def run_scan(
     ])
 
     chunk = max(1, STACK_AMPLITUDES // amplitudes)
+    block = chunk * max(1, SEED_BLOCK // chunk)
     for start in range(0, samples, chunk):
-        seeds = [int(s) for s in sample_seeds[start : start + chunk]]
+        if start % block == 0:
+            block_words = _seed_words(sample_seeds[start : start + block])
+        seeds = sample_seeds[start : start + chunk].tolist()
         count = len(seeds)
-        weights, z, phi = _draw_chunk(seeds, len(numbers), n_components)
+        words = block_words[start % block : start % block + count]
+        weights, z, phi = _draw_chunk(seeds, len(numbers), n_components, words)
         ratios, degenerate = _evaluate_csi(weights, z, numbers, probabilities, orders)
         qfi_values = _evaluate_qfi(weights, z, phi, numbers, probabilities, directions)
         squeezing, zero_spin = _squeezing(qfi_bound, *_spin_moments(number_weights, weights, z, phi))

@@ -12,7 +12,9 @@ directly.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -367,24 +369,133 @@ def ensemble_to_state(ensemble):
 # --- seeded sampling ----------------------------------------------------------
 
 
-def _draw_components(rng: np.random.Generator, n_components: int) -> tuple:
-    """(weights, z, phi) of one sector's K = n_components components, each
-    (K,): z uniform on [0,1), phi uniform on [-pi,pi), weights from a flat
-    Dirichlet simplex draw, in that order from `rng`, for every sampler.
+# The hash constants of numpy's SeedSequence, tabulated: the k-th hash of
+# a seed's entropy pool takes INIT * MULT^k and INIT * MULT^(k + 1) (mod
+# 2^32) whatever the data, 16 of them to fill and mix a pool of four words,
+# and 8 more of their own to give the eight words PCG64 seeds itself from.
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & 0xFFFFFFFF)
+    return np.array(constants, dtype=np.uint32)
 
-    Two generator calls give, bit for bit and word for word, what the
-    three calls rng.random(K), rng.uniform(-pi, pi, K) and
-    rng.dirichlet(np.ones(K)) give: 2K uniforms, of which the last K are
-    mapped to -pi + 2 pi u as uniform maps them, then K unit gammas,
-    scaled by the reciprocal of their sum taken in order, as dirichlet
-    does for alpha >= 0.1 (g.sum() adds pairwise past 8 terms, which can
-    move the last bit)."""
+
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_LEFT, _MIX_RIGHT, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_OTHER_WORDS = [[d for d in range(4) if d != s] for s in range(4)]
+
+
+def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of (..., n) uint32 values against a run of
+    n + 1 constants, all in uint32 so that no promotion rule matters."""
+    values = (values ^ constants[:-1]) * constants[1:]
+    return values ^ (values >> _XSHIFT)
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """(S, 4) uint64 words, np.random.SeedSequence(s).generate_state(4,
+    np.uint64) of each seed s, from one vectorized pass of SeedSequence's
+    hash over the S seeds. A seed's entropy is its low and high 32-bit
+    words; a seed below 2^32 has only the low one, and SeedSequence pads
+    its pool with hashes of 0, so it hashes as if the high word were 0.
+    Seeds outside [0, 2^64) are a ValueError. The words are put together
+    with shifts, so they hold on any byte order."""
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu"):
+        # a list mixing ints past 2^63 with others makes a float64 array
+        seeds = np.array([operator.index(s) for s in seeds], dtype=object)
+    if seeds.size and not (int(seeds.min()) >= 0 and int(seeds.max()) < 2**64):
+        raise ValueError("child seeds must be integers in [0, 2**64)")
+    seeds = seeds.astype(np.uint64)
+    pool = np.zeros((seeds.size, 4), dtype=np.uint32)
+    pool[:, 0] = seeds & np.uint64(0xFFFFFFFF)
+    pool[:, 1] = seeds >> np.uint64(32)
+    pool = _hashmix(pool, _POOL_HASH[:5])
+    # each word in turn is hashed into every other word
+    for source, others in enumerate(_OTHER_WORDS):
+        hashed = _hashmix(pool[:, source, None], _POOL_HASH[4 + 3 * source : 8 + 3 * source])
+        mixed = pool[:, others] * _MIX_LEFT - hashed * _MIX_RIGHT
+        pool[:, others] = mixed ^ (mixed >> _XSHIFT)
+    state = _hashmix(np.tile(pool, 2), _STATE_HASH).astype(np.uint64)
+    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The SeedSequence of a seed whose words _seed_words has computed, as
+    PCG64 asks for it: generate_state(4, np.uint64) gives those words. The
+    class is made on first use, because importing numpy.random (about 5 MB
+    and 9 ms) is left to the commands that draw."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise NotImplementedError("only PCG64's four uint64 words are known")
+            return self.words
+
+    return SeedWords
+
+
+def _child_generator(words: np.ndarray) -> np.random.Generator:
+    """The generator default_rng(seed) gives, for the seed whose
+    _seed_words row is `words`: PCG64 seeds itself in C from them."""
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+
+
+def _fill_sectors(rng: np.random.Generator, draws: np.ndarray) -> None:
+    """Draw each (3K,) row of `draws`, one sector of K components, from
+    `rng` in turn, in place, in two generator calls: 2K uniforms, then K
+    unit gammas. _components maps them to (weights, z, phi)."""
+    uniforms = 2 * (draws.shape[-1] // 3)
+    for sector in draws:
+        rng.random(out=sector[:uniforms])
+        rng.standard_gamma(1.0, out=sector[uniforms:])
+
+
+def _components(draws: np.ndarray) -> np.ndarray:
+    """(3, ..., K) weights, z and phi of (..., 3K) sector draws made by
+    _fill_sectors, in one pass over all of them: z uniform on [0,1), phi
+    uniform on [-pi,pi), weights from a flat Dirichlet simplex draw.
+
+    For each sector this is, bit for bit, what the three calls
+    rng.random(K), rng.uniform(-pi, pi, K) and rng.dirichlet(np.ones(K))
+    give from the same words: z the first K uniforms, phi the next K mapped
+    to -pi + 2 pi u as uniform maps them, the weights the K gammas scaled
+    by the reciprocal of their sum taken in order, as dirichlet does for
+    alpha >= 0.1 (g.sum() adds pairwise past 8 terms, which can move the
+    last bit). Both maps are elementwise or in-order sums, so a chunk of
+    sectors gives each sector's values."""
+    k = draws.shape[-1] // 3
+    components = np.empty((3, *draws.shape[:-1], k))
+    weights, z, phi = components
+    gammas = draws[..., 2 * k :]
+    np.multiply(gammas, 1.0 / np.add.accumulate(gammas, axis=-1)[..., -1:], out=weights)
+    z[...] = draws[..., :k]
+    np.multiply(draws[..., k : 2 * k], 2.0 * math.pi, out=phi)
+    phi += -math.pi
+    return components
+
+
+def _draw_sectors(rng: np.random.Generator, sectors: int, n_components: int) -> np.ndarray:
+    """(3, J, K) weights, z and phi of J = `sectors` sectors of K =
+    n_components components, drawn from `rng` in turn (_fill_sectors,
+    _components), as every sampler draws them."""
     if n_components < 1:
         raise ValueError("need at least one component")
-    u = rng.random(2 * n_components)
-    gammas = rng.standard_gamma(1.0, n_components)
-    weights = gammas * (1.0 / np.add.accumulate(gammas)[-1])
-    return weights, u[:n_components], -math.pi + 2.0 * math.pi * u[n_components:]
+    draws = np.empty((sectors, 3 * n_components))
+    _fill_sectors(rng, draws)
+    return _components(draws)
+
+
+def _draw_components(rng: np.random.Generator, n_components: int) -> np.ndarray:
+    """(weights, z, phi) of one sector's K = n_components components, each
+    (K,), drawn from `rng` as _draw_sectors draws a sector."""
+    return _draw_sectors(rng, 1, n_components)[:, 0]
 
 
 def _check_draws(weights, z, phi) -> None:
@@ -406,8 +517,8 @@ def _ensemble_from_arrays(n_total, weights, z, phi) -> SeparableEnsemble:
 def sample_ensemble(seed: int, n_total: int, n_components: int) -> SeparableEnsemble:
     """Seeded random ensemble: z uniform on [0,1), phi uniform on [-pi,pi),
     weights from a flat Dirichlet simplex draw, all from the two generator
-    calls of _draw_components, equal bit for bit to the three calls
-    random, uniform and dirichlet. Same seed, same ensemble."""
+    calls of _draw_sectors, equal bit for bit to the three calls random,
+    uniform and dirichlet. Same seed, same ensemble."""
     return _ensemble_from_arrays(n_total, *_draw_components(np.random.default_rng(seed), n_components))
 
 
@@ -417,10 +528,10 @@ def sample_fluctuating_ensemble(
     """Seeded fluctuating-number ensemble with an independent random
     separable ensemble in every sector the distribution supports, drawn
     from one generator in ascending N."""
-    rng = np.random.default_rng(seed)
     number_weights = distribution.weights()
+    sectors = _draw_sectors(np.random.default_rng(seed), len(number_weights), n_components)
     per_sector = {
-        n: _ensemble_from_arrays(n, *_draw_components(rng, n_components)) for n, _ in number_weights
+        n: _ensemble_from_arrays(n, *sectors[:, j]) for j, (n, _) in enumerate(number_weights)
     }
     return FluctuatingEnsemble(number_weights, per_sector)
 

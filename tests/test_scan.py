@@ -183,7 +183,10 @@ def test_scan_caps_are_checked_before_anything_is_built(overrides, message, monk
     def refuse(*args, **kwargs):
         raise AssertionError("a generator was built before the caps were checked")
 
+    # the master generator and the child generators, which are seeded from
+    # their SeedSequence words without default_rng
     monkeypatch.setattr("bosewit.scan.np.random.default_rng", refuse)
+    monkeypatch.setattr("bosewit.scan.np.random.PCG64", refuse)
     arguments = {"samples": 2, "seed": 1, "n_total": 6, **overrides}
     with pytest.raises(ValueError, match=message):
         run_scan(**arguments)
