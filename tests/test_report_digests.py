@@ -69,9 +69,16 @@ csi:7 from 1 - 1.3e-15 to 1, eta^2 from 1 + 2.2e-15 and xi^2 from 1 +
 3.1e-15 to 1 + 2.2e-16; coherent-10000 csi:7 from 1 + 1.1e-15 to 1 +
 2.2e-16, eta^2 from 0.84 - 8.1e-14 to 0.84 and xi^2 from 1 - 9.5e-14 to 1
 (csi:1 stayed 1). The basis-state reports kept their bytes.
+
+Three `--per-sector` reports, JSON and CSV, pin the whole-state entries
+beside every sector's: a `distribution:` file (poisson mean 20 at one z
+and phi: sectors 0 and 1 fail csi:1, sector 0 eta2 and xi2, so exit 3), a
+`sector:` file of 2, 1 and 3 components, and tests/data/masked_mixture.state
+(a twin-Fock sector held as rows beside a mixture held as components).
 """
 
 import hashlib
+import os
 
 import pytest
 
@@ -151,6 +158,55 @@ def test_pure_state_witness_report_is_byte_identical(name, fmt, tmp_path, monkey
     requests = [arg for r in ("csi:1", "csi:7", "eta2", "xi2") for arg in ("--witness", r)]
     code = main(
         ["witness", "--state", f"{name}.state", "--format", fmt, "--timestamp", TS, *requests]
+    )
+    out = capsys.readouterr().out
+    assert code == expected_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Fluctuating states, read whole and per sector (--per-sector), each
+# written to a bare file name as above.
+with open(os.path.join(os.path.dirname(__file__), "data", "masked_mixture.state")) as _handle:
+    _MASKED = _handle.read()
+
+PER_SECTOR_STATES = {
+    "poisson-20": (
+        "kind = fluctuating\nz = 0.3\nphi = 0.4\n"
+        "distribution:\n    kind = poisson\n    mean = 20\n"
+    ),
+    "sectors-2-1-3": (
+        "kind = fluctuating\n"
+        "sector:\n    weight = 0.3\n    n = 7\n"
+        "    component:\n        weight = 0.5\n        z = 0.1\n        phi = 0.3\n"
+        "    component:\n        weight = 0.5\n        z = 0.8\n        phi = -1.0\n"
+        "sector:\n    weight = 0.3\n    n = 11\n    kind = coherent_spin\n    z = 0.45\n"
+        "sector:\n    weight = 0.4\n    n = 16\n"
+        "    component:\n        weight = 0.25\n        z = 0.6\n"
+        "    component:\n        weight = 0.5\n        z = 0.05\n        phi = 2.5\n"
+        "    component:\n        weight = 0.25\n        z = 0.9\n        phi = 1.0\n"
+    ),
+    "masked-mixture": _MASKED,
+}
+
+PER_SECTOR_DIGESTS = {
+    ("poisson-20", "json"): (3, "7930b8e7a854a6dee27ae73efaf17ad28c638762f9a5a8a202808f0618ac85b9"),
+    ("poisson-20", "csv"): (3, "f029eb06515810943afedd5df59d88d0dca74edfd873700615d81eca0c9d2268"),
+    ("sectors-2-1-3", "json"): (0, "d36d2240f48828c19d26d7d420cfae893b1f0720a9db1e7091398f63e4984c2a"),
+    ("sectors-2-1-3", "csv"): (0, "9edae09695da3c42519ca35a6d9adb67ec974bbdd7a3166919cfbf58efd4a746"),
+    ("masked-mixture", "json"): (3, "334a1b99e769d98a23ff80a6acd75f012c80060ce68dc69bbb53639631edebe8"),
+    ("masked-mixture", "csv"): (3, "81081569a5b73e946e6c3f5f6a84b49b01dd4763fdd244198734d86758dd99c8"),
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(PER_SECTOR_DIGESTS))
+def test_per_sector_witness_report_is_byte_identical(name, fmt, tmp_path, monkeypatch, capsys):
+    expected_code, digest = PER_SECTOR_DIGESTS[name, fmt]
+    (tmp_path / f"{name}.state").write_text(PER_SECTOR_STATES[name])
+    monkeypatch.chdir(tmp_path)
+    requests = [arg for r in ("all", "csi:3", "qfi:x") for arg in ("--witness", r)]
+    code = main(
+        ["witness", "--state", f"{name}.state", "--per-sector", "--format", fmt, "--timestamp", TS,
+         *requests]
     )
     out = capsys.readouterr().out
     assert code == expected_code
