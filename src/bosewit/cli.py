@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import operator
+import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache
 from itertools import chain
@@ -36,11 +39,9 @@ from .separable import PRNG_NAME, NumberDistribution
 from .statespec import parse_state_file
 from .witnesses import (
     _parse_witness_request,
-    _sector_readers,
-    _state_reader,
+    _readings,
     twin_fock_csi_approx,
     twin_fock_csi_exact,
-    witness_verdict,
 )
 
 EXIT_OK = 0
@@ -65,6 +66,11 @@ class RunManifest:
         if timestamp is None:
             timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         return cls(command, list(argv), seed, PRNG_NAME, __version__, timestamp)
+
+    def as_dict(self) -> dict:
+        """dataclasses.asdict(self), without its recursive deep copy (a
+        twentieth of its cost): the fields are scalars and one str list."""
+        return {**vars(self), "arguments": list(self.arguments)}
 
 
 def _json_default(value):
@@ -94,12 +100,18 @@ def _json_default(value):
 # per call and filled by % with the texts of its leaves, from one
 # map(float.__repr__) pass when all are floats. A list whose first row holds
 # a container is no table, and no leaf is formatted before the whole table
-# is known to be flat. The recursion is a module-level function, and the list
+# is known to be flat. A list of records (dicts of str keys whose values are
+# scalars or records, such as the per_sector rows of witness) is written
+# the same way, each row by the template of its nested shape, the list as
+# one %. The recursion is a module-level function, and the list
 # and the memo are locals of one _json_text call that nothing they hold
 # refers back to, so a call leaves no reference cycle behind.
 
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _LEAF_KINDS = {str, int, float, bool, type(None)}  # a table's leaves (numpy's are walked)
+_RECORD_KINDS = _LEAF_KINDS | {dict}
+_LEAF_TEXTS = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,  # but for _FLOAT_WORDS
+               bool: {True: "true", False: "false"}.__getitem__, type(None): {None: "null"}.__getitem__}
 
 
 def _scalar_text(value) -> str | None:
@@ -180,9 +192,61 @@ def _template(shape, count: int, pad: str, memo: dict) -> str:
     return memo[place]
 
 
+def _record(value: dict, memo: dict, leaves: list):
+    """The shape of a record, a dict of str keys whose values are scalars
+    or nonempty records, appending its leaves in sorted key order to
+    `leaves`: its sorted keys, a record's key as (key, its shape); None for
+    other dicts. memo keeps the sorted keys and a getter of each key order."""
+    kinds = set(map(type, value.values()))
+    if not kinds <= _RECORD_KINDS:
+        return None
+    order = memo.get((tuple(value),))
+    if order is None:
+        keys = tuple(sorted(value)) if set(map(type, value)) == {str} else ()
+        order = memo[(tuple(value),)] = keys, operator.itemgetter(*keys) if len(keys) > 1 else lambda row: (row[keys[0]],)
+    keys, get = order
+    if not keys:
+        return None
+    items = get(value)
+    if dict not in kinds:
+        leaves += items
+        return keys
+    shape = []
+    for key, item in zip(keys, items):
+        if type(item) is dict:
+            nested = _record(item, memo, leaves) if item else None
+            if nested is None:
+                return None
+            key = key, nested
+        else:
+            leaves.append(item)
+        shape.append(key)
+    return tuple(shape)
+
+
+def _nests_scalars(value: dict) -> bool:
+    """Whether a dict and the dicts it holds hold only scalars and dicts:
+    a first row's cheap test before _record sorts any keys."""
+    return set(map(type, value.values())) <= _RECORD_KINDS and all(
+        _nests_scalars(item) for item in value.values() if type(item) is dict)
+
+
+def _record_template(shape, pad: str, memo: dict) -> str:
+    """The text of a record of `shape` at `pad`, %s for each leaf."""
+    if (shape, pad) not in memo:
+        parts = [_key_part(key, "%s") if type(key) is str else
+                 _key_part(key[0], _record_template(key[1], pad + "  ", memo)) for key in shape]
+        memo[shape, pad] = _wrap(parts, pad, "{}")
+    return memo[shape, pad]
+
+
 def _fill(template: str, leaves: list, floats: bool) -> str:
-    finite = floats and math.isfinite(sum(leaves))  # else some leaf may be NaN or inf
-    return template % tuple(map(float.__repr__ if finite else _scalar_text, leaves))
+    if floats and math.isfinite(sum(leaves)):  # else some leaf may be NaN or inf
+        return template % tuple(map(float.__repr__, leaves))
+    texts = [_LEAF_TEXTS[type(leaf)](leaf) for leaf in leaves]
+    if not _FLOAT_WORDS.keys().isdisjoint(texts):
+        texts = [_FLOAT_WORDS.get(text, text) for text in texts]
+    return template % tuple(texts)
 
 
 def _put_value(value, pad: str, chunks: list, memo: dict) -> None:
@@ -231,6 +295,14 @@ def _put_value(value, pad: str, chunks: list, memo: dict) -> None:
             shape, leaves, floats = table
             put(_fill(_template(shape, len(value), pad, memo), leaves, floats))
             return
+        shapes, leaves = [], []  # a list of records, each row by its shape
+        for row in value if type(value[0]) is dict and _nests_scalars(value[0]) else ():
+            shapes.append(_record(row, memo, leaves) if type(row) is dict and row else None)
+            if shapes[-1] is None:
+                break
+        if shapes and shapes[-1] is not None:
+            put(_fill(_wrap([_record_template(shape, pad + "  ", memo) for shape in shapes], pad), leaves, False))
+            return
         texts = list(map(_scalar_text, value))
         if None not in texts:
             put(_wrap(texts, pad))
@@ -277,8 +349,19 @@ def _write_text(text: str, out: str | None) -> None:
         raise SystemExit(_fail(f"cannot write {out}: {exc.strerror or exc}")) from exc
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse, before any work and before the file is made or truncated, an
+    --out file whose directory is missing or not writable."""
+    if out is None:
+        return
+    folder = os.path.dirname(out) or "."
+    reason = errno.EACCES if os.path.isdir(folder) else errno.ENOENT
+    if reason == errno.ENOENT or not os.access(folder, os.W_OK):
+        raise SystemExit(_fail(f"cannot write {out}: {os.strerror(reason)}"))
+
+
 def _manifest_comment(manifest: RunManifest) -> str:
-    return "# manifest: " + json.dumps(asdict(manifest), sort_keys=True, default=_json_default)
+    return "# manifest: " + json.dumps(manifest.as_dict(), sort_keys=True, default=_json_default)
 
 
 def _fail(message: str) -> int:
@@ -338,7 +421,7 @@ def _cmd_fig1(args, argv) -> int:
                 }
             )
     if args.format == "json":
-        _emit_json({"manifest": asdict(manifest), "rows": rows}, args.out)
+        _emit_json({"manifest": manifest.as_dict(), "rows": rows}, args.out)
     else:
         buffer = io.StringIO()
         buffer.write(_manifest_comment(manifest) + "\n")
@@ -378,38 +461,29 @@ def _expand_witness_requests(raw_requests):
     return list(requests.values())
 
 
-def _evaluate_witnesses(read, n_reference: float, requests) -> tuple:
-    """Returns ({key: entry}, verdicts, had_error) for the (key, kind,
-    parameter) requests of _expand_witness_requests, their values from
-    `read` (a reader of witnesses._state_reader or _sector_readers, which
-    evaluates each kind once for all its requests). Each entry has
-    value/bound/flag or error/message; witness failures never abort the
-    other witnesses. verdicts, the verdicts of classify, come from the
-    flags witness_verdict set, and are None when no witness computed.
-    """
-    entries = {}
-    flagged = set()
-    had_error = False
-    for key, kind, param in requests:
-        try:
-            value = read(key, kind, param)
-            bound, flag = witness_verdict(kind, value, n_reference)
-        except WitnessError as exc:
-            had_error = True
-            entries[key] = {"error": type(exc).__name__, "message": str(exc)}
-            continue
-        entries[key] = {"value": value, "bound": bound, "flag": flag}
-        if flag:
-            flagged.add(kind)
-    if all("error" in entry for entry in entries.values()):
-        return entries, None, had_error
-    verdicts = {
-        "entangled_by_csi": "csi" in flagged,
-        "entangled_by_qfi": "qfi" in flagged,
-        "entangled_by_spin_squeezing": "xi2" in flagged,
-        "any_entangled": bool(flagged),
-    }
-    return entries, verdicts, had_error
+def _entries(requests, count: int, columns) -> list:
+    """[(entries, verdicts, had_error)] of `count` readings of the (key,
+    kind, parameter) requests, from their columns (witnesses._readings):
+    each entry has value/bound/flag or error/message, so a failed witness
+    aborts no other; verdicts, those of classify, come from the flags set,
+    and are None when no witness of the reading computed."""
+    entries, flagged, errors = [{} for _ in range(count)], [set() for _ in range(count)], [0] * count
+    for key, kind, _ in requests:
+        values, bounds, flags, failures = columns[key]
+        for entry, value, bound, flag in zip(entries, values, bounds, flags):
+            entry[key] = {"value": value, "bound": bound, "flag": flag}
+        for s in [s for s, flag in enumerate(flags) if flag and s not in failures]:
+            flagged[s].add(kind)
+        for s, failure in failures.items():
+            entries[s][key] = {"error": failure.error.__name__, "message": failure.message}
+            errors[s] += 1
+    verdicts = [None if failed == len(requests) else {
+        "entangled_by_csi": "csi" in kinds,
+        "entangled_by_qfi": "qfi" in kinds,
+        "entangled_by_spin_squeezing": "xi2" in kinds,
+        "any_entangled": bool(kinds),
+    } for kinds, failed in zip(flagged, errors)]
+    return list(zip(entries, verdicts, [failed > 0 for failed in errors]))
 
 
 def _cmd_witness(args, argv) -> int:
@@ -424,25 +498,21 @@ def _cmd_witness(args, argv) -> int:
         return _fail(str(exc))
     n_reference = state.mean_n
     manifest = RunManifest.create("witness", argv, None, args.timestamp)
-    entries, verdicts, had_error = _evaluate_witnesses(
-        _state_reader(state, requests), n_reference, requests
-    )
+    sectors, columns = _readings(state, requests, args.per_sector)
+    (entries, verdicts, had_error), *readings = _entries(requests, 1 + len(sectors), columns)
     payload = {
-        "manifest": asdict(manifest),
+        "manifest": manifest.as_dict(),
         "state": spec.describe(),
         "n_reference": n_reference,
         "witnesses": entries,
         "verdicts": verdicts,
     }
     if args.per_sector:
-        sector_reports = []
-        for n, weight, read in _sector_readers(state, requests):
-            sector_entries, sector_verdicts, sector_error = _evaluate_witnesses(read, float(n), requests)
-            had_error = had_error or sector_error
-            sector_reports.append(
-                {"n": n, "weight": weight, "witnesses": sector_entries, "verdicts": sector_verdicts}
-            )
-        payload["per_sector"] = sector_reports
+        had_error = had_error or any(error for _, _, error in readings)
+        payload["per_sector"] = [
+            {"n": n, "weight": weight, "witnesses": sector_entries, "verdicts": sector_verdicts}
+            for (n, weight), (sector_entries, sector_verdicts, _) in zip(sectors, readings)
+        ]
     if args.format == "json":
         _emit_json(payload, args.out)
     else:
@@ -527,7 +597,7 @@ def _cmd_scan(args, argv) -> int:
         )
     except ValueError as exc:
         return _fail(str(exc))
-    payload = {"manifest": asdict(manifest), **report}
+    payload = {"manifest": manifest.as_dict(), **report}
     _emit_json(payload, args.out)
     if report["total_violations"] > 0:
         print(
@@ -617,6 +687,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _parser().parse_args(argv)
+        _check_out(args.out)
         return args.handler(args, list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK

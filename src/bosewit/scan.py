@@ -31,7 +31,7 @@ from .separable import (
     _child_generator,
     _components,
     _draw_components,
-    _ensemble_from_arrays,
+    _ensembles,
     _fill_sectors,
     _seed_words,
     _spin_moments,
@@ -442,4 +442,4 @@ def maximize_witness(request: str, n_total: int, budget: int, seed: int, n_compo
             current, current_score = proposal, value
         if value > best_score:
             best_score, best = value, proposal
-    return sign * best_score, None if best is None else _ensemble_from_arrays(numbers[0], *best)
+    return sign * best_score, None if best is None else _ensembles(numbers[:1], np.array(best), [n_components])[0]

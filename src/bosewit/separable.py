@@ -13,6 +13,7 @@ directly.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .errors import SectorTooLarge
 from .fock import (
     _POISSON_MASS,
     DEFAULT_N_MAX,
+    _WEIGHT_SUM_TOL,
     FockVector,
     NumberSectorMixture,
     SectorDensity,
@@ -71,29 +73,70 @@ class CoherentSpinState:
         object.__setattr__(self, "phi", phi)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SeparableEnsemble:
-    """Finite positive mixture of coherent spin states at fixed N."""
+    """Finite positive mixture of coherent spin states at fixed N, held as
+    `params`, the (3, K) read-only array of its component weights, z and
+    phi; `components` gives them as (weight, CoherentSpinState) pairs."""
 
     n_total: int
-    components: tuple
+    params: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_total", int(self.n_total))
-        comps = tuple(self.components)
+    def __init__(self, n_total: int, components):
+        comps = tuple(components)
         for _, state in comps:
             if not isinstance(state, CoherentSpinState):
                 raise TypeError("components must be (weight, CoherentSpinState)")
-            if state.n_total != self.n_total:
-                raise ValueError(
-                    f"component particle number {state.n_total} != ensemble {self.n_total}"
-                )
-        weights = _check_weights([w for w, _ in comps], "component").tolist()
-        object.__setattr__(self, "components", tuple(zip(weights, (s for _, s in comps))))
+            if state.n_total != int(n_total):
+                raise ValueError(f"component particle number {state.n_total} != ensemble {int(n_total)}")
+        weights = _check_weights([w for w, _ in comps], "component")
+        params = np.array([weights, [s.z for _, s in comps], [s.phi for _, s in comps]])
+        params.setflags(write=False)
+        _hold(self, int(n_total), params)
+
+    @property
+    def components(self) -> tuple:
+        weights, z, phi = self.params.tolist()
+        return tuple((w, CoherentSpinState(zi, p, self.n_total)) for w, zi, p in zip(weights, z, phi))
 
     @property
     def mean_n(self) -> float:
         return float(self.n_total)
+
+
+def _hold(ensemble: SeparableEnsemble, n_total: int, params: np.ndarray) -> SeparableEnsemble:
+    object.__setattr__(ensemble, "n_total", n_total)
+    object.__setattr__(ensemble, "params", params)
+    return ensemble
+
+
+def _ensembles(numbers, params: np.ndarray, sizes) -> list:
+    """SeparableEnsembles of numbers[j] particles, sector j holding the next
+    sizes[j] columns of the (3, sum K) component weights, z and phi `params`
+    as a view, all checked at once as SeparableEnsemble(n, components)
+    checks each (the first failure raising CoherentSpinState's or
+    fock._check_weights' own error)."""
+    if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in numbers):
+        raise ValueError("particle number must be a nonnegative integer")
+    if 0 in sizes:
+        raise ValueError("need at least one component weight")
+    ends = list(itertools.accumulate(sizes))
+    starts = [end - size for end, size in zip(ends, sizes)]
+    weights, z, phi = params
+    # by the extremes (a NaN fails every comparison) and the sums in one
+    # pass, which differ from a sector's own by ulps: half the tolerance
+    # leaves every sector that may fail to the checks of the sector alone
+    (w_low, z_low, phi_low), (w_high, z_high, phi_high) = (
+        (params.min(axis=1).tolist(), params.max(axis=1).tolist()) if ends else ((0.0,) * 3, (0.0,) * 3))
+    in_range = w_low >= 0.0 and w_high < math.inf and 0.0 <= z_low and z_high <= 1.0 and -math.pi <= phi_low <= phi_high <= math.pi
+    sums = np.add.reduceat(weights, starts).tolist() if ends else []
+    if not (in_range and all(abs(total - 1.0) <= 0.5 * _WEIGHT_SUM_TOL for total in sums)):
+        for a, b in zip(starts, ends):
+            for zi, pi in zip(z[a:b], phi[a:b]):
+                CoherentSpinState(zi, pi, 0)
+            _check_weights(weights[a:b], "component")
+    params.setflags(write=False)  # and so every view of it
+    return [_hold(object.__new__(SeparableEnsemble), int(n), params[:, a:b]) for n, a, b in zip(numbers, starts, ends)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,7 +402,7 @@ def ensemble_to_state(ensemble):
         raise SectorTooLarge(f"sector N={top} exceeds the dense-matrix cap n_max={DEFAULT_N_MAX}")
     densities = []
     for part in parts:
-        weights, z, phi = np.array([(w, comp.z, comp.phi) for w, comp in part.components]).T
+        weights, z, phi = part.params
         densities.append(SectorDensity.from_factors(weights, _coherent_rows(part.n_total, z, phi)))
     if isinstance(ensemble, SeparableEnsemble):
         return densities[0]
@@ -506,20 +549,12 @@ def _check_draws(weights, z, phi) -> None:
     _check_weights(weights, "drawn components'")
 
 
-def _ensemble_from_arrays(n_total, weights, z, phi) -> SeparableEnsemble:
-    comps = tuple(
-        (float(w), CoherentSpinState(float(zi), float(pi), n_total))
-        for w, zi, pi in zip(weights, z, phi)
-    )
-    return SeparableEnsemble(n_total, comps)
-
-
 def sample_ensemble(seed: int, n_total: int, n_components: int) -> SeparableEnsemble:
     """Seeded random ensemble: z uniform on [0,1), phi uniform on [-pi,pi),
     weights from a flat Dirichlet simplex draw, all from the two generator
     calls of _draw_sectors, equal bit for bit to the three calls random,
     uniform and dirichlet. Same seed, same ensemble."""
-    return _ensemble_from_arrays(n_total, *_draw_components(np.random.default_rng(seed), n_components))
+    return _ensembles([n_total], _draw_components(np.random.default_rng(seed), n_components), [n_components])[0]
 
 
 def sample_fluctuating_ensemble(
@@ -529,11 +564,10 @@ def sample_fluctuating_ensemble(
     separable ensemble in every sector the distribution supports, drawn
     from one generator in ascending N."""
     number_weights = distribution.weights()
-    sectors = _draw_sectors(np.random.default_rng(seed), len(number_weights), n_components)
-    per_sector = {
-        n: _ensemble_from_arrays(n, *sectors[:, j]) for j, (n, _) in enumerate(number_weights)
-    }
-    return FluctuatingEnsemble(number_weights, per_sector)
+    numbers = [n for n, _ in number_weights]
+    sectors = _draw_sectors(np.random.default_rng(seed), len(numbers), n_components)
+    ensembles = _ensembles(numbers, sectors.reshape(3, -1), [n_components] * len(numbers))
+    return FluctuatingEnsemble(number_weights, dict(zip(numbers, ensembles)))
 
 
 # --- closed-form collective-spin moments --------------------------------------
@@ -565,18 +599,13 @@ def _component_groups(parts):
     """Yield (at, weights, z, phi) for the sectors held as components
     (SeparableEnsembles) `parts`, one group per component count K: `at`
     lists the group's positions in parts, and weights, z and phi are its
-    (G, K) arrays. No sector is padded to another's K, so the groups hold
-    sum_j K_j entries in all."""
+    (G, K) arrays, stacked from the sectors' params. No sector is padded to
+    another's K, so the groups hold sum_j K_j entries in all."""
     depths = {}
     for j, part in enumerate(parts):
-        depths.setdefault(len(part.components), []).append(j)
-    for at in depths.values():
-        # (w, z, phi) last, so that each sector takes its components'
-        # tuples as they are
-        params = np.empty((len(at), len(parts[at[0]].components), 3))
-        for i, j in enumerate(at):
-            params[i] = [(w, comp.z, comp.phi) for w, comp in parts[j].components]
-        yield at, *params.transpose(2, 0, 1)
+        depths.setdefault(part.params.shape[1], []).append(j)
+    for depth, at in depths.items():
+        yield at, *np.concatenate([parts[j].params for j in at], axis=1).reshape(3, len(at), depth)
 
 
 def _part_moments(parts) -> np.ndarray:

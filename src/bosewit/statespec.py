@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import StateSpecError
 from .fock import _INPUT_WEIGHT_SUM_TOL, NumberSectorMixture, basis_state, twin_fock
 from .separable import (
@@ -30,13 +32,13 @@ from .separable import (
     MAX_PARTICLES,
     FluctuatingEnsemble,
     NumberDistribution,
-    SeparableEnsemble,
     _check_expanded_size,
-    _ensemble_from_arrays,
+    _ensembles,
 )
 
 _KINDS = ("twin_fock", "coherent_spin", "dicke", "mixture", "fluctuating")
 _PURE_KINDS = ("twin_fock", "coherent_spin", "dicke")
+_COHERENT_KINDS = ("coherent_spin", "mixture")  # held as product components
 
 
 @dataclass(frozen=True)
@@ -261,16 +263,16 @@ class StateSpec:
             return twin_fock(p["n"])
         if self.kind == "dicke":
             return basis_state(p["n"], p["k"])
-        if self.kind == "coherent_spin":
-            return _ensemble_from_arrays(p["n"], [1.0], [p["z"]], [p["phi"]])
-        if self.kind == "mixture":
-            return _ensemble_from_arrays(p["n"], *zip(*p["components"]))
         if self.kind == "fluctuating":
-            sectors = [(weight, spec.build()) for weight, spec in p["sectors"]]
-            if all(isinstance(sector, SeparableEnsemble) for _, sector in sectors):
+            coherent = [spec for _, spec in p["sectors"] if spec.kind in _COHERENT_KINDS]
+            ensembles = iter(_component_ensembles(coherent))
+            sectors = [(w, next(ensembles) if spec.kind in _COHERENT_KINDS else spec.build()) for w, spec in p["sectors"]]
+            if len(coherent) == len(sectors):
                 number_weights = tuple((sector.n_total, weight) for weight, sector in sectors)
                 return FluctuatingEnsemble(number_weights, {sector.n_total: sector for _, sector in sectors})
             return NumberSectorMixture(tuple(sectors))
+        if self.kind in _COHERENT_KINDS:
+            return _component_ensembles([self])[0]
         raise AssertionError(f"unreachable kind {self.kind!r}")
 
     def describe(self) -> str:
@@ -286,6 +288,14 @@ class StateSpec:
         if self.kind == "fluctuating":
             return f"fluctuating(sectors={len(p['sectors'])})"
         raise AssertionError(f"unreachable kind {self.kind!r}")
+
+
+def _component_ensembles(specs) -> list:
+    """The SeparableEnsembles of coherent_spin and mixture specs, built from
+    one (3, sum K) array of their components and checked at once."""
+    groups = [spec.params.get("components") or ((1.0, spec.params["z"], spec.params["phi"]),) for spec in specs]
+    params = np.array([c for components in groups for c in components], dtype=float).reshape(-1, 3)
+    return _ensembles([spec.params["n"] for spec in specs], params.T.copy(), [len(c) for c in groups])
 
 
 def _check_weight_sum(weights, source, line, col, what):

@@ -138,7 +138,10 @@ def _judgeable(values, what: str):
     """`values` unchanged when all are finite, else NonFiniteWitnessValue
     naming `what` and the first NaN or infinity: no bound can judge it. Each
     public witness returns its value through here; witness_verdict too."""
-    for value in values.ravel().tolist() if isinstance(values, np.ndarray) else (float(values),):
+    flat = values.ravel().tolist() if isinstance(values, np.ndarray) else (float(values),)
+    if math.isfinite(sum(flat)):  # else a NaN or infinity, or a sum past the float range
+        return values
+    for value in flat:
         if not math.isfinite(value):
             raise NonFiniteWitnessValue(f"{what} evaluated to {value!r}, which no bound can judge")
     return values
@@ -154,7 +157,8 @@ def _routes(state) -> tuple:
     hold both kinds; any other type raises TypeError."""
     if isinstance(state, (SeparableEnsemble, FluctuatingEnsemble)):
         sectors = _ensemble_sectors(state)
-    elif isinstance(state, NumberSectorMixture):
+        return sectors, [], list(range(len(sectors)))
+    if isinstance(state, NumberSectorMixture):
         sectors = state.sectors
     else:
         sectors = _sectors(state)
@@ -335,6 +339,21 @@ def integrated_g2m_orders(state, orders) -> list:
     orders = [_check_order(m) for m in orders]
     if not orders:
         return []
+    sectors, sums, logs, scales = _normalized_correlators(state, orders)
+    integrals = []
+    columns = zip(orders, sums.T.tolist(), logs.T.tolist(), *(np.asarray(x).tolist() for x in scales))
+    for m, order_sums, order_logs, alpha_m, log_alpha_m, kappa_m, log_kappa_m in columns:
+        prefactor = sum(p * order_scales(sector.n_total, m)[0] for p, sector in sectors)
+        scales = (alpha_m, alpha_m, alpha_m * kappa_m), (log_alpha_m, log_alpha_m, log_alpha_m + log_kappa_m)
+        g_aa, g_bb, g_ab = map(_scaled, order_sums, order_logs, *scales)
+        normalized = (order_sums, order_logs, (log_alpha_m, kappa_m, log_kappa_m))
+        integrals.append(CorrelationIntegrals(m, g_aa, g_bb, g_ab, prefactor, normalized))
+    return integrals
+
+
+def _normalized_correlators(state, orders) -> tuple:
+    """(sectors, sums, logs, (alpha, log alpha, kappa, log kappa)) of
+    integrated_g2m_orders: sums and logs (3, M), scales (M,)."""
     sectors, rows, parts = _routes(state)
     top = max(sector.n_total for _, sector in sectors)
     if rows:
@@ -362,16 +381,7 @@ def integrated_g2m_orders(state, orders) -> list:
             with np.errstate(over="ignore"):
                 alpha = np.exp(log_alpha)
             kappa, log_kappa = np.ones(len(orders)), np.zeros(len(orders))
-    integrals = []
-    columns = zip(orders, sums.T.tolist(), logs.T.tolist(),
-                  *(np.asarray(x).tolist() for x in (alpha, log_alpha, kappa, log_kappa)))
-    for m, order_sums, order_logs, alpha_m, log_alpha_m, kappa_m, log_kappa_m in columns:
-        prefactor = sum(p * order_scales(sector.n_total, m)[0] for p, sector in sectors)
-        scales = (alpha_m, alpha_m, alpha_m * kappa_m), (log_alpha_m, log_alpha_m, log_alpha_m + log_kappa_m)
-        g_aa, g_bb, g_ab = map(_scaled, order_sums, order_logs, *scales)
-        normalized = (order_sums, order_logs, (log_alpha_m, kappa_m, log_kappa_m))
-        integrals.append(CorrelationIntegrals(m, g_aa, g_bb, g_ab, prefactor, normalized))
-    return integrals
+    return sectors, sums, logs, (alpha, log_alpha, kappa, log_kappa)
 
 
 def _part_correlators(parts, probabilities, tops, orders) -> tuple:
@@ -865,8 +875,9 @@ def qfi(state, g):
     return float(values[0]) if single else values
 
 
-def _qfi_values(state, directions) -> np.ndarray:
-    """F_Q of a state along each of the (k, 3) directions, unjudged."""
+def _qfi_values(state, directions, part_forms=None) -> np.ndarray:
+    """F_Q of a state along each of the (k, 3) directions, unjudged (with
+    the forms of its sectors held as components, if given)."""
     sectors, rows, parts = _routes(state)
     # a sector of weight 0 adds nothing, and is not evaluated
     rows = [j for j in rows if sectors[j][0] > 0.0]
@@ -876,7 +887,7 @@ def _qfi_values(state, directions) -> np.ndarray:
         stacks = _padded_stacks([sectors[j][1] for j in rows])
         forms[rows] = np.concatenate([_qfi_forms(*stack) for _, *stack in stacks]).reshape(-1, 9)
     if parts:
-        forms[parts] = _part_forms([sectors[j][1] for j in parts])
+        forms[parts] = _part_forms([sectors[j][1] for j in parts]) if part_forms is None else _value_or_raise(part_forms)
     kept = sorted(rows + parts)
     number_weights = np.array([sectors[j][0] for j in kept])
     form = (number_weights @ forms[kept]).reshape(3, 3)
@@ -914,7 +925,7 @@ def _xi2(n_ref: float, jx: float, jy: float, var_z: float) -> float:
     return _judgeable(float(value), "xi2")
 
 
-def _spin_stats(state) -> tuple:
+def _spin_stats(state, part_moments=None) -> tuple:
     """(n_ref, <J_x>, <J_y>, Var J_z) of a state, as floats, from one pass:
     eta^2 and xi^2 both read it. Each sector gives its own moments, from
     one centred pass over its rows (fock._spin_mean_covariance) or from the
@@ -922,7 +933,8 @@ def _spin_stats(state) -> tuple:
     transverse means are per particle, so they weigh p N), and
     separable._joined_moments joins them by the law of total variance. A
     state of rows alone gets the bits of _spin_mean_covariance, and one of
-    components alone those of analytic_spin_moments."""
+    components alone those of analytic_spin_moments. part_moments are
+    those of the sectors held as components, if given."""
     sectors, rows, parts = _routes(state)
     scale = np.ones(len(sectors))
     moments = np.empty((4, len(sectors)))
@@ -930,7 +942,7 @@ def _spin_stats(state) -> tuple:
         mu, cov = _spin_mean_covariance(sectors[j][1])
         moments[:, j] = (*mu, cov[2, 2])
     if parts:
-        moments[:, parts] = _part_moments([sectors[j][1] for j in parts])
+        moments[:, parts] = _part_moments([sectors[j][1] for j in parts]) if part_moments is None else _value_or_raise(part_moments)
         scale[parts] = [sectors[j][1].n_total for j in parts]
     p = np.array([p for p, _ in sectors])
     return (state.mean_n, *(float(value) for value in _joined_moments(p, scale, moments)))
@@ -949,7 +961,7 @@ def _squeezing(n_ref: float, jx, jy, var_z) -> tuple:
 # --- combined verdicts ---------------------------------------------------------------
 
 
-def witness_verdict(kind: str, value: float, n_reference: float) -> tuple:
+def witness_verdict(kind: str, value, n_reference) -> tuple:
     """(bound, flag) of one witness value against its separable bound.
 
     C_2m <= 1 and F_Q <= n_reference flag a value above the bound, xi^2 >= 1
@@ -958,19 +970,22 @@ def witness_verdict(kind: str, value: float, n_reference: float) -> tuple:
     squeezing eta^2 has no bound of its own (sub-shot-noise fluctuations
     alone do not certify entanglement) and gives (None, None). A NaN or
     infinite value, of any kind, raises NonFiniteWitnessValue: no bound can
-    judge it.
+    judge it. An array is judged elementwise, against n_reference
+    broadcast with it: an array of flags, and its first NaN or infinity
+    raises as it does alone.
     """
     _judgeable(value, kind)
-    if kind == "csi":
-        return 1.0, value > 1.0 + WITNESS_TOLERANCE
-    if kind == "qfi":
-        bound = float(n_reference)
-        return bound, value > bound + WITNESS_TOLERANCE * max(1.0, abs(bound))
-    if kind == "xi2":
-        return 1.0, value < 1.0 - WITNESS_TOLERANCE
     if kind == "eta2":
         return None, None
-    raise ValueError(f"unknown witness kind {kind!r}")
+    if kind == "qfi":
+        bound = n_reference if isinstance(n_reference, np.ndarray) else float(n_reference)
+        flag = value > bound + WITNESS_TOLERANCE * np.maximum(1.0, np.abs(bound))
+    elif kind in ("csi", "xi2"):
+        bound = 1.0
+        flag = value < 1.0 - WITNESS_TOLERANCE if kind == "xi2" else value > 1.0 + WITNESS_TOLERANCE
+    else:
+        raise ValueError(f"unknown witness kind {kind!r}")
+    return bound, flag if isinstance(flag, np.ndarray) else bool(flag)
 
 
 def classify(
@@ -1055,119 +1070,153 @@ def _parse_witness_request(text: str):
 
 @dataclass(frozen=True)
 class _Failure:
-    """A WitnessError kept by _once: its type and message."""
+    """A WitnessError as its type and message (not its traceback's frames)."""
 
     error: type
     message: str
 
 
-def _once(memo, kind, compute):
-    """memo[kind], computed as compute() on its first use. A WitnessError
-    is kept as its type and message (the exception would hold the frames
-    of its traceback), and every use raises it again, as a new exception."""
-    if kind not in memo:
-        try:
-            memo[kind] = compute()
-        except WitnessError as exc:
-            memo[kind] = _Failure(type(exc), str(exc))
-    value = memo[kind]
+def _attempt(compute):
+    """compute(), or the _Failure of the WitnessError it raises."""
+    try:
+        return compute()
+    except WitnessError as exc:
+        return _Failure(type(exc), str(exc))
+
+
+def _value_or_raise(value):
+    """`value`, or the WitnessError of a _Failure, raised again."""
     if isinstance(value, _Failure):
         raise value.error(value.message)
     return value
 
 
-def _state_reader(state, requests):
-    """read(key, kind, parameter) of one state for the (key, kind,
-    parameter) requests of a report: the value of a request, or the
-    WitnessError it raises. The state is read through the public
-    witnesses, each kind computed once (_once), on its first read, for all
-    its requests at once: every csi order from one integrated_g2m_orders
-    call, every qfi direction from one F_Q pass, and eta^2 and xi^2 from
-    one spin-moment pass."""
+def _readings(state, requests, per_sector: bool) -> tuple:
+    """(sectors, columns): the _columns of the (key, kind, parameter)
+    requests over the readings of the state, whole first, then, with
+    per_sector, of each sector of a NumberSectorMixture or a
+    FluctuatingEnsemble, whose (N, p) pairs `sectors` lists ([] otherwise).
+
+    Each kind takes one pass for all its requests. A sector held as rows is
+    read alone; the sectors held as components, as one stack, whose F_Q
+    forms and spin moments the whole state joins (its C_2m normalizes at
+    its largest N: a call of its own; and it leaves out sectors of weight
+    0, so it shares the forms only where none weighs 0, as a run of
+    _stack_runs takes its route from its sectors). A stack that raises a
+    WitnessError fails the whole state, and each sector is read alone."""
     orders = [param for _, kind, param in requests if kind == "csi"]
-    qfi_keys = [key for key, kind, _ in requests if kind == "qfi"]
-    directions = np.array([param for _, kind, param in requests if kind == "qfi"])
-    memo = {}
-
-    def read(key, kind, param):
-        if kind == "csi":
-            integrals = _once(memo, kind, lambda: dict(zip(orders, integrated_g2m_orders(state, orders))))
-            return csi_ratio(integrals[param])
-        if kind == "qfi":
-            values = _once(memo, kind, lambda: _qfi_values(state, directions))
-            return float(_judgeable(values, "qfi")[qfi_keys.index(key)])
-        n_ref, jx, jy, var_z = _once(memo, "spin", lambda: _spin_stats(state))
-        return _eta2(n_ref, var_z) if kind == "eta2" else _xi2(n_ref, jx, jy, var_z)
-
-    return read
-
-
-def _sector_readers(state, requests) -> list:
-    """(N, p, read) for each sector of a fluctuating state (a
-    NumberSectorMixture or a FluctuatingEnsemble; [] for any other state):
-    a sector held as rows is read alone, as _state_reader reads a state,
-    and the sectors held as components as one stack (_stack_readers)."""
-    if not isinstance(state, (NumberSectorMixture, FluctuatingEnsemble)):
-        return []
+    directions = np.array([param for _, kind, param in requests if kind == "qfi"]).reshape(-1, 3)
+    spin = any(kind in ("eta2", "xi2") for _, kind, _ in requests)
+    kinds = [kind for kind, wanted in zip(("csi", "qfi", "spin"), (orders, len(directions), spin)) if wanted]
+    shapes = {"csi": (3, len(orders)), "qfi": (len(directions),), "spin": (3,)}
+    if not (per_sector and isinstance(state, (NumberSectorMixture, FluctuatingEnsemble))):
+        whole = _read(state, orders, directions, kinds)
+        failed = {kind: {0: value} if isinstance(value, _Failure) else {} for kind, value in whole.items()}
+        values = {kind: np.full((1, *shapes[kind]), np.nan) if failed[kind] else whole[kind] for kind in kinds}
+        return [], _columns(requests, [state.mean_n], values, failed)
     sectors, rows, parts = _routes(state)
-    readers = [None] * len(sectors)
+    group = [sectors[j][1] for j in parts]
+    numbers = np.array([part.n_total for part in group], dtype=int)
+    kernels = {
+        "csi": lambda at: _part_correlators([group[l] for l in at], np.ones(len(at)), numbers[at], orders),
+        "qfi": lambda at: _part_forms([group[l] for l in at]),
+        "spin": lambda at: _part_moments([group[l] for l in at]),
+    }
+    stacks = {kind: _attempt(lambda: kernels[kind](range(len(parts)))) for kind in kinds} if parts else {}
+    forms = stacks.get("qfi") if all(sectors[j][0] > 0.0 for j in parts) else None
+    values = {kind: np.full((1 + len(sectors), *shapes[kind]), np.nan) for kind in kinds}
+    failed = {kind: {} for kind in kinds}
+
+    def put(kind, at, value):  # the values of the readings at positions `at`, or their failure
+        if isinstance(value, _Failure):
+            failed[kind].update(dict.fromkeys(at, value))
+        else:
+            values[kind][at] = value
+
+    for kind, value in _read(state, orders, directions, kinds, forms, stacks.get("spin")).items():
+        put(kind, [0], value)
     for j in rows:
-        readers[j] = _state_reader(sectors[j][1], requests)
-    for j, read in zip(parts, _stack_readers([sectors[j][1] for j in parts], requests)):
-        readers[j] = read
-    return [(sector.n_total, p, read) for (p, sector), read in zip(sectors, readers)]
+        for kind, value in _read(sectors[j][1], orders, directions, kinds).items():
+            put(kind, [1 + j], value)
+    for kind, stacked in stacks.items():
+        if not isinstance(stacked, _Failure):
+            put(kind, [1 + j for j in parts], _stack_values(kind, stacked, numbers, directions))
+            continue
+        for l, j in enumerate(parts):
+            value = _attempt(lambda: kernels[kind]([l]))
+            put(kind, [1 + j], value if isinstance(value, _Failure) else _stack_values(kind, value, numbers[[l]], directions))
+    pairs = [(sector.n_total, p) for p, sector in sectors]
+    return pairs, _columns(requests, [state.mean_n] + [float(n) for n, _ in pairs], values, failed)
 
 
-def _stack_readers(parts, requests) -> list:
-    """One read per sector held as components (SeparableEnsemble) of
-    `parts`, each giving what _state_reader gives that sector alone, with
-    the sectors evaluated together as a scan chunk is: each kind on its
-    first read, for every sector and request at once, C_2m and the F_Q
-    forms in one kernel call per component count (_part_correlators,
-    _part_forms), and eta^2 and xi^2 from one closed-form pass
-    (_part_moments). Where the stack raises a WitnessError, each sector is
-    evaluated again alone, so only the sectors that fail alone carry it."""
-    numbers = np.array([part.n_total for part in parts])
-    orders = [param for _, kind, param in requests if kind == "csi"]
-    qfi_keys = [key for key, kind, _ in requests if kind == "qfi"]
-    directions = np.array([param for _, kind, param in requests if kind == "qfi"])
+def _read(state, orders, directions, kinds, part_forms=None, part_moments=None) -> dict:
+    """{kind: (1, ...) value or _Failure} of a state read whole: the rows
+    of _csi_rows, F_Q along each direction, and (<J_x>, <J_y>, Var J_z)."""
+    compute = {
+        "csi": lambda: _csi_rows(*_normalized_correlators(state, orders)[1:]),
+        "qfi": lambda: _qfi_values(state, directions, part_forms),
+        "spin": lambda: _spin_stats(state, part_moments)[1:],
+    }
+    return {kind: _attempt(lambda: np.asarray(compute[kind]())[None]) for kind in kinds}
 
-    def evaluate(kind, at):
-        # the values of `kind` for the sectors at positions `at`, one entry
-        # per sector
-        group, n = [parts[l] for l in at], numbers[at]
+
+def _csi_rows(sums, logs, scales) -> np.ndarray:
+    """(..., 3, M) rows C_2m, degenerate (1.0 or 0.0) and log(G_aa G_bb) of
+    _csi_ratios, from normalized correlators and the last 3 of their scales."""
+    scales = scales[-3:]
+    ratios, degenerate = _csi_ratios(sums, logs, scales)
+    return np.array([ratios, degenerate, logs[0] + logs[1] + 2.0 * scales[0]]).swapaxes(0, -2)
+
+
+def _stack_values(kind, stacked, numbers, directions) -> np.ndarray:
+    """`kind`'s values of each sector of a stack read alone, from its kernel output."""
+    if kind == "csi":
+        return _csi_rows(stacked[0], stacked[1], (stacked[2], 1.0, 0.0))
+    if kind == "qfi":
+        return np.einsum("ka,sab,kb->sk", directions, stacked.reshape(-1, 3, 3), directions)
+    return np.array(_joined_moments(1.0, numbers[:, None].astype(float), stacked[..., None])).T
+
+
+def _columns(requests, n_refs, values, failed) -> dict:
+    """{key: (values, bounds, flags, failures)} of each request over S
+    readings of reference numbers n_refs, from each kernel kind's (S, ...)
+    values and {s: _Failure}: S values, bounds and flags (one
+    witness_verdict call per kind) and {s: _Failure}. A failed kernel fails
+    its kind; the scalar rules (_csi_value, qfi's _judgeable, _eta2, _xi2),
+    run on the entries they may refuse, give the other errors."""
+    count, n_list = len(n_refs), [float(n) for n in n_refs]
+    n_refs, requested = np.array(n_list), {}
+    for key, kind, param in requests:
+        requested.setdefault(kind, []).append((key, param))
+    columns = {}
+    for kind, asked in requested.items():
+        # the (S, k) values, the entries that may fail, and their rule
+        raw, failures = (values["spin"], failed["spin"]) if kind in ("eta2", "xi2") else (values[kind], failed[kind])
         if kind == "csi":
-            sums, logs, log_alpha = _part_correlators(group, np.ones(len(at)), n, orders)
-            ratios, degenerate = _csi_ratios(sums, logs, (log_alpha, 1.0, 0.0))
-            return list(zip(ratios, degenerate, logs[0] + logs[1] + 2.0 * log_alpha))
-        if kind == "qfi":
-            forms = _part_forms(group).reshape(-1, 3, 3)
-            return np.einsum("ka,sab,kb->sk", directions, forms, directions)
-        # each sector as its own one-sector state
-        moments = _joined_moments(1.0, n[:, None].astype(float), _part_moments(group)[..., None])
-        return np.array(moments).T.tolist()
-
-    shared, own = {}, [{} for _ in parts]
-
-    def value(kind, l):
-        try:
-            return _once(shared, kind, lambda: evaluate(kind, range(len(parts))))[l]
-        except WitnessError:
-            return evaluate(kind, [l])[0]
-
-    def reader(l):
-        def read(key, kind, param):
-            if kind == "csi":
-                ratios, degenerate, log_products = _once(own[l], kind, lambda: value(kind, l))
-                i = orders.index(param)
-                return _csi_value(param, ratios[i], degenerate[i], log_products[i])
-            if kind == "qfi":
-                values = _once(own[l], kind, lambda: value(kind, l))
-                return float(_judgeable(values, "qfi")[qfi_keys.index(key)])
-            jx, jy, var_z = _once(own[l], "spin", lambda: value("spin", l))
-            n_ref = float(numbers[l])
-            return _eta2(n_ref, var_z) if kind == "eta2" else _xi2(n_ref, jx, jy, var_z)
-
-        return read
-
-    return [reader(l) for l in range(len(parts))]
+            table, guards = raw[:, 0], raw[:, 1].T.tolist()
+            rule = lambda s, i: _csi_value(asked[i][1], raw[s, 0, i], raw[s, 1, i], raw[s, 2, i])
+        elif kind == "qfi":
+            table, guards, rule = raw, None, lambda s, i: _judgeable(raw[s], "qfi")
+        elif kind == "eta2":  # a reference at or below the guard fails, whatever its value
+            table = (4.0 * raw[:, 2] / np.maximum(n_refs, _EMPTY_STATE_TOL))[:, None]
+            guards, rule = [[n <= _EMPTY_STATE_TOL for n in n_list]], lambda s, i: _eta2(n_list[s], float(raw[s, 2]))
+        else:
+            table, zero = _squeezing(n_refs, raw[:, 0], raw[:, 1], raw[:, 2])
+            table, guards, rule = table[:, None], [zero.tolist()], lambda s, i: _xi2(n_list[s], *raw[s].tolist())
+        lists, kind_failures, judged = table.T.tolist(), [failures] * table.shape[1], table
+        for i, column in enumerate(lists):
+            for s, value in enumerate(column):
+                finite = math.isfinite(value)
+                if not finite and judged is table:  # it fails: 0.0 in its place
+                    judged = np.where(np.isfinite(table), table, 0.0)
+                if finite and not (guards and guards[i][s]) or s in failures:
+                    continue
+                failure = _attempt(lambda: rule(s, i))
+                if isinstance(failure, _Failure):
+                    kind_failures[i] = {**kind_failures[i], s: failure}
+        bound, flags = witness_verdict(kind, judged, n_refs[:, None])
+        bounds = bound[:, 0].tolist() if isinstance(bound, np.ndarray) else [bound] * count
+        flags = [bounds] if flags is None else flags.T.tolist()  # eta2: no bound, no flag
+        for (key, _), column, flag, key_failures in zip(asked, lists, flags, kind_failures):
+            columns[key] = column, bounds, flag, key_failures
+    return columns

@@ -206,6 +206,38 @@ def test_an_out_file_that_cannot_be_written_exits_2(argv, tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("command", ["witness", "scan-separable", "fig1"])
+@pytest.mark.parametrize("folder_exists", [False, True])
+def test_an_unwritable_out_is_refused_before_the_work(command, folder_exists, tmp_path, capsys, monkeypatch):
+    # a missing directory, or one that may not be written (os.access is
+    # patched: the tests may run as root), exits 2 before the state file is
+    # read or a sample drawn, and leaves an existing file as it was
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work began")
+
+    monkeypatch.setattr("bosewit.cli.parse_state_file", no_work)
+    monkeypatch.setattr("bosewit.cli.run_scan", no_work)
+    monkeypatch.setattr("bosewit.cli.twin_fock_csi_exact", no_work)
+    argv = {
+        "witness": ["witness", "--state", os.path.join(DATA, "css_050.state")],
+        "scan-separable": ["scan-separable", "--samples", "2", "--n", "6"],
+        "fig1": ["fig1"],
+    }[command]
+    if folder_exists:  # but os.access refuses it
+        target = tmp_path / "report.json"
+        target.write_text("kept")
+        real_access = os.access
+        monkeypatch.setattr("os.access", lambda path, mode: False if str(path) == str(tmp_path) else real_access(path, mode))
+        reason = "Permission denied"
+    else:
+        target = tmp_path / "absent" / "report.json"
+        reason = "No such file or directory"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target), "--timestamp", TS)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {target}: {reason}\n"
+    assert target.read_text() == "kept" if folder_exists else not target.exists()
+
+
 def test_witness_unknown_selection_exits_2(capsys):
     code, _, err = run_cli(
         capsys,
@@ -606,7 +638,9 @@ def test_qfi_requests_share_one_factorization_per_sector(capsys, monkeypatch):
     assert sorted(strict_json(out)["witnesses"]) == ["csi:1", "eta2", "qfi:x", "qfi:y", "qfi:z", "xi2"]
     calls.clear()
     run_cli(capsys, *argv, "--per-sector")
-    assert sorted(calls) == sorted([("rows", [4]), ("closed", [20])] * 2)
+    # the rows sector again alone; the component sector's forms serve the
+    # whole state and the sector
+    assert sorted(calls) == [("closed", [20]), ("rows", [4]), ("rows", [4])]
 
 
 def test_failed_qfi_call_marks_every_qfi_entry(capsys, monkeypatch):
@@ -766,22 +800,23 @@ def test_scan_without_components_exits_2(capsys, components):
 
 
 def test_csi_requests_share_one_correlator_pass(capsys, monkeypatch):
-    # every csi order of a scope comes from one integrated_g2m_orders call
-    # (the sectors held as components from one stacked kernel call), with
-    # the bits of one integrated_g2m call per order and its errors per entry
+    # every csi order of a scope comes from one correlator pass, the one of
+    # integrated_g2m_orders (the sectors held as components from one
+    # stacked kernel call), with the bits of one integrated_g2m call per
+    # order and its errors per entry
     from bosewit import witnesses
     from bosewit.errors import DegenerateLocalCorrelation
     from bosewit.statespec import parse_state_file
     from bosewit.witnesses import csi_ratio, integrated_g2m
 
     calls = []
-    shared = witnesses.integrated_g2m_orders
+    shared = witnesses._normalized_correlators
 
     def counting(state, orders):
         calls.append(list(orders))
         return shared(state, orders)
 
-    monkeypatch.setattr(witnesses, "integrated_g2m_orders", counting)
+    monkeypatch.setattr(witnesses, "_normalized_correlators", counting)
     path = os.path.join(DATA, "masked_mixture.state")
     orders = [3, 1, 7, 2, 12]
     argv = ["witness", "--state", path, "--per-sector", "--witness", "qfi:x"]

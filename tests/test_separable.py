@@ -3,6 +3,7 @@ and the stochastic bound prober."""
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from bosewit.separable import (
     NumberDistribution,
     SeparableEnsemble,
     _draw_components,
+    _ensembles,
     analytic_spin_moments,
     ensemble_to_state,
     sample_ensemble,
@@ -104,6 +106,29 @@ def test_ensemble_validation():
         SeparableEnsemble(5, ((1.0, css),))
     with pytest.raises(ValueError):
         SeparableEnsemble(4, ((-0.2, css), (1.2, css)))
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (1, 1.5, "population fraction z=1.5 outside [0, 1]"),
+    (1, np.nan, "population fraction z=nan outside [0, 1]"),
+    (2, -4.0, "relative phase phi=-4.0 outside [-pi, pi]"),
+    (0, -0.25, "component weight -0.25 must be finite and nonnegative"),
+    (0, np.inf, "component weight inf must be finite and nonnegative"),
+    (0, 0.75, "component weights sum to 1.25, expected 1"),
+])
+def test_component_arrays_are_checked_as_each_ensemble_alone(column, value, message):
+    # three sectors of 1, 2 and 1 components, checked at once: a bad entry
+    # in the second sector raises what SeparableEnsemble(n, components)
+    # raises for that sector alone
+    params = np.array([[1.0, 0.5, 0.5, 1.0], [0.2, 0.3, 0.4, 0.5], [0.0, 1.0, -1.0, 2.0]])
+    held = _ensembles([3, 5, 8], params.copy(), [1, 2, 1])
+    assert [e.n_total for e in held] == [3, 5, 8]
+    assert held[1].components == ((0.5, CoherentSpinState(0.3, 1.0, 5)), (0.5, CoherentSpinState(0.4, -1.0, 5)))
+    params[column, 2] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _ensembles([3, 5, 8], params, [1, 2, 1])
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        _ensembles([3, -5, 8], params, [1, 2, 1])
 
 
 def test_ensemble_to_state_rank_one_and_diagonal():

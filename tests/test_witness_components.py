@@ -13,6 +13,7 @@ sectors of a `--per-sector` report fail, and why.
 """
 
 import json
+import math
 import os
 import re
 import tracemalloc
@@ -27,8 +28,7 @@ from bosewit.fock import GeneratorSpec, NumberSectorMixture
 from bosewit.separable import FluctuatingEnsemble, SeparableEnsemble, ensemble_to_state
 from bosewit.statespec import parse_state_text
 from bosewit.witnesses import (
-    _sector_readers,
-    _state_reader,
+    _readings,
     csi_ratio,
     integrated_g2m_orders,
     number_squeezing_direct,
@@ -130,6 +130,30 @@ sector:
     z = 0.35
     phi = 2.0
 """
+
+
+def _reader(columns, s):
+    """read(key, kind, parameter) of reading s of witnesses._readings'
+    columns: its value of a request, or the error it carries, raised."""
+
+    def read(key, kind, param):
+        values, _, _, failures = columns[key]
+        if s in failures:
+            raise failures[s].error(failures[s].message)
+        return float(values[s])
+
+    return read
+
+
+def _state_reader(state, requests):
+    return _reader(_readings(state, requests, False)[1], 0)
+
+
+def _sector_readers(state, requests):
+    """(N, p, read) of each sector of a fluctuating state, read with
+    --per-sector (the readings after the whole state's)."""
+    sectors, columns = _readings(state, requests, True)
+    return [(n, p, _reader(columns, 1 + s)) for s, (n, p) in enumerate(sectors)]
 
 
 def _public(state, requests):
@@ -327,8 +351,9 @@ def test_a_failed_stack_marks_only_the_sectors_that_fail_alone(tmp_path, capsys,
     monkeypatch.setattr(witnesses, "_part_forms", _failing_for(3, calls))
     code, report = _witness(capsys, path, "qfi:x", "qfi:z", "csi:2", per_sector=True)
     assert code == 3
-    # the whole state, the stack of its sectors, then each sector alone
-    assert calls == [numbers, numbers] + [[n] for n in numbers]
+    # the stack of the sectors, which the whole state shares, then each
+    # sector alone
+    assert calls == [numbers] + [[n] for n in numbers]
     assert "error" in report["witnesses"]["qfi:x"] and "value" in report["witnesses"]["csi:2"]
     failed = {(s["n"], key) for s in report["per_sector"] for key, e in s["witnesses"].items() if "error" in e}
     # csi:2 needs N >= 4 in every reading
@@ -384,3 +409,92 @@ def test_one_spin_moment_pass_per_exact_state(tmp_path, capsys, monkeypatch):
     code, _ = _witness(capsys, os.path.join(DATA, "masked_mixture.state"), "eta2", "xi2", per_sector=True)
     # the whole state's twin-Fock sector, then that sector alone
     assert code == 3 and calls == [4, 4]
+
+
+def test_a_distribution_file_is_read_whole_and_per_sector_in_one_kernel_pass(tmp_path, capsys, monkeypatch):
+    # the whole state joins the F_Q forms and spin moments of its sectors'
+    # stack; C_2m takes a call for the whole state (normalized at its
+    # largest N) and one for the stack (each sector at its own N)
+    from bosewit import witnesses
+
+    calls = []
+    for name in ("_part_correlators", "_part_forms", "_part_moments"):
+        kernel = getattr(witnesses, name)
+        monkeypatch.setattr(witnesses, name, lambda *args, kernel=kernel, name=name: calls.append(name) or kernel(*args))
+    path = tmp_path / "poisson20.state"
+    path.write_text("kind = fluctuating\nz = 0.3\nphi = 0.4\ndistribution:\n    kind = poisson\n    mean = 20\n")
+    code, report = _witness(capsys, path, "all", "qfi:x", "csi:2", per_sector=True)
+    assert code == 3 and len(report["per_sector"]) > 50
+    assert sorted(calls) == ["_part_correlators", "_part_correlators", "_part_forms", "_part_moments"]
+
+
+def test_building_a_distribution_file_makes_no_coherent_spin_state(monkeypatch):
+    # its sectors are checked and held as one array of components
+    from bosewit import separable
+
+    made = []
+    checks = separable.CoherentSpinState.__post_init__
+    monkeypatch.setattr(separable.CoherentSpinState, "__post_init__", lambda self: made.append(self) or checks(self))
+    spec = parse_state_text("kind = fluctuating\nz = 0.3\nphi = 0.4\ndistribution:\n    kind = poisson\n    mean = 20\n")
+    state = spec.build()
+    assert isinstance(state, FluctuatingEnsemble) and len(state.number_weights) > 50
+    assert made == []
+    # the components read back as the coherent spin states they hold
+    assert state.per_sector[20].components == ((1.0, separable.CoherentSpinState(0.3, 0.4, 20)),)
+
+
+def test_non_finite_sector_values_fail_only_their_entries(tmp_path, capsys, monkeypatch):
+    # non-finite F_Q forms in two sectors of the stack: each of those
+    # sectors' qfi entries carries the error of the sector's first non-finite
+    # qfi value, as that sector alone gives it; every other entry keeps its value
+    from bosewit import witnesses
+
+    original = witnesses._part_forms
+
+    def part_forms(parts):
+        forms = original(parts)
+        numbers = [part.n_total for part in parts]
+        if 3 in numbers:
+            forms[numbers.index(3)] = np.nan
+        if 7 in numbers:  # qfi:x is inf, qfi:z nan (0 inf): the first names the error
+            forms[numbers.index(7)] = [np.inf, 0, 0, 0, 0, 0, 0, 0, 1.0]
+        return forms
+
+    monkeypatch.setattr(witnesses, "_part_forms", part_forms)
+    path = tmp_path / "poisson5.state"
+    path.write_text("kind = fluctuating\nz = 0.3\nphi = 0.4\ndistribution:\n    kind = poisson\n    mean = 5\n")
+    code, report = _witness(capsys, path, "qfi:x", "qfi:z", "csi:2", per_sector=True)
+    assert code == 3
+    # the whole state takes the stack's forms, so it fails as well
+    assert report["witnesses"]["qfi:x"]["error"] == "NonFiniteWitnessValue" and "value" in report["witnesses"]["csi:2"]
+    for sector in report["per_sector"]:
+        for key in ("qfi:x", "qfi:z"):
+            entry = sector["witnesses"][key]
+            if sector["n"] in (3, 7):
+                bad = "nan" if sector["n"] == 3 else "inf"
+                assert entry == {"error": "NonFiniteWitnessValue",
+                                 "message": f"qfi evaluated to {bad}, which no bound can judge"}, sector
+            else:
+                assert "value" in entry and math.isfinite(entry["value"]), sector
+
+
+def test_a_sector_of_weight_zero_keeps_the_whole_state_to_its_own_forms(tmp_path, capsys):
+    # the whole state leaves out a sector of weight 0, whose presence in a
+    # run of the stack would change the route of n = 1 (K = 3 > N + 1): its
+    # F_Q is the public witness's, bit for bit, with and without --per-sector
+    text = "kind = fluctuating\nsector:\n    weight = 1.0\n    n = 1\n"
+    for w, z, phi in ((0.3, 0.2, 0.3), (0.3, 0.7, -1.1), (0.4, 0.45, 2.0)):
+        text += f"    component:\n        weight = {w}\n        z = {z}\n        phi = {phi}\n"
+    text += "sector:\n    weight = 0.0\n    n = 9\n"
+    for w, z, phi in ((0.2, 0.1, 0.0), (0.5, 0.6, 0.5), (0.3, 0.9, -2.5)):
+        text += f"    component:\n        weight = {w}\n        z = {z}\n        phi = {phi}\n"
+    path = tmp_path / "zero.state"
+    path.write_text(text)
+    state = parse_state_text(text).build()
+    requests = ("qfi:x", "qfi:z", "qfi:0.6,0,0.8")
+    for per_sector in (False, True):
+        code, report = _witness(capsys, path, *requests, per_sector=per_sector)
+        assert code == 0
+        for key, direction in zip(requests, ([1.0, 0, 0], [0, 0, 1.0], [0.6, 0, 0.8])):
+            assert report["witnesses"][key]["value"] == qfi(state, GeneratorSpec(np.array(direction)))
+    assert [s["n"] for s in report["per_sector"]] == [1, 9]

@@ -2,6 +2,7 @@
 quantum Fisher information, and combined verdicts."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from bosewit.errors import (
     ZeroMeanSpinDirection,
 )
 from bosewit.fock import (
+    WITNESS_TOLERANCE,
     FockVector,
     GeneratorSpec,
     NumberSectorMixture,
@@ -591,6 +593,40 @@ def test_coherent_qfi_perpendicular_to_the_bloch_vector_is_never_flagged(n):
     assert not classify(n_reference=n, qfi_by_generator={(1, 0, 0): values[0], (0, 1, 0): values[1]}).entangled_by_qfi
     # a twin-Fock state still flags: F_Q along x is N (N + 2) / 2
     assert witness_verdict("qfi", qfi(twin_fock(40), GeneratorSpec.axis("x")), 40) == (40.0, True)
+
+
+@pytest.mark.parametrize("kind, n", [("csi", 12.0), ("xi2", 12.0), ("qfi", 12.0), ("qfi", 0.5), ("qfi", -0.0),
+                                     ("qfi", 1e6), ("eta2", 1e6)])
+def test_array_verdicts_follow_the_scalar_rule(kind, n):
+    # exactly at the bound, at bound +- WITNESS_TOLERANCE max(1, |bound|)
+    # and one float past each, at -0.0, and at N = 10^6
+    bound = n if kind == "qfi" else 1.0
+    margin = WITNESS_TOLERANCE * max(1.0, abs(bound))
+    values = [bound, bound + margin, bound - margin, -0.0, 0.0]
+    values += [np.nextafter(bound + margin, np.inf), np.nextafter(bound - margin, -np.inf)]
+    values = np.array(values)
+    bounds, flags = witness_verdict(kind, values, np.full(values.shape, n))
+    if kind == "eta2":
+        assert (bounds, flags) == (None, None)
+        return
+    assert flags.dtype == bool
+    for value, array_bound, flag in zip(values.tolist(), np.broadcast_to(bounds, values.shape).tolist(), flags.tolist()):
+        assert (array_bound, flag) == witness_verdict(kind, value, n), value
+    # and the margin scales with max(1, |bound|): a quarter of it inside
+    # flags nothing, a quarter of it outside flags
+    sign = -1.0 if kind == "xi2" else 1.0
+    near = np.array([bound + sign * 0.75 * margin, bound + sign * 1.25 * margin])
+    assert witness_verdict(kind, near, np.full(2, n))[1].tolist() == [False, True]
+
+
+@pytest.mark.parametrize("kind", ["csi", "qfi", "xi2", "eta2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_array_verdicts_refuse_the_first_non_finite_value_as_alone(kind, bad):
+    values = np.array([0.5, bad, np.nan if bad != bad else 1.5, -bad])
+    with pytest.raises(NonFiniteWitnessValue) as alone:
+        witness_verdict(kind, bad, 12.0)
+    with pytest.raises(NonFiniteWitnessValue, match=re.escape(str(alone.value))):
+        witness_verdict(kind, values, np.full(values.shape, 12.0))
 
 
 def test_witness_verdict_never_flags_eta2():
