@@ -62,9 +62,8 @@ _NORMALIZED_FLOOR = 1e-250  # normalized correlator sums below it are redone in 
 _POISSON_MASS = 1.0 - 1e-12  # cumulative mass at which a Poisson support ends
 _DRAW_NORM_GUARD = 1e-8  # Gaussian draws of smaller norm give no scan direction
 _DEGENERATE_DRAW = 1e-12  # smallest eigenvalue of a random POVM's sum at or below it
-# verdict margins: a witness flags entanglement only this far past its bound
-WITNESS_TOLERANCE = 1e-9  # x max(1, |bound|) in witness reports; C_2m and xi^2 in scans
-QFI_TOLERANCE = 1e-6  # F_Q in separable scans
+# verdict margin: a witness flags entanglement only this x max(1, |bound|) past its bound
+WITNESS_TOLERANCE = 1e-9  # the one margin of every bound, in witness reports and scans
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import WitnessError
-from .fock import _DRAW_NORM_GUARD, QFI_TOLERANCE
+from .fock import _DRAW_NORM_GUARD
 from .separable import (
     MAX_PARTICLES,
     NumberDistribution,
@@ -38,7 +38,8 @@ from .separable import (
 )
 from .witnesses import (
     STACK_AMPLITUDES,
-    WITNESS_TOLERANCE,
+    _BOUND_SIDES,
+    _bound_rule,
     _check_order,
     _component_forms,
     _csi_ratios,
@@ -273,9 +274,9 @@ def run_scan(
     the witnesses share). One _spin_moments call gives every xi^2 (bit for
     bit that of the ensemble object). C_2m and F_Q equal, to rounding,
     those of each sample's own density. One _BoundTable.record call judges
-    every bound of the chunk: C_2m of each distinct order, the worst
-    direction's F_Q and xi^2, as (S, B) values with one skip mask
-    (degenerate C_2m, zero mean spin).
+    every bound of the chunk at the side and margin of witnesses._bound_rule:
+    C_2m of each distinct order, the worst direction's F_Q and xi^2, as
+    (S, B) values with one skip mask (degenerate C_2m, zero mean spin).
     """
     orders, number_weights, amplitudes = _checked_scan(
         samples, n_total, distribution, n_components, n_directions, csi_orders
@@ -294,11 +295,9 @@ def run_scan(
         np.array(orders, dtype=int), return_index=True, return_inverse=True
     )
     distinct = distinct.tolist()
-    table = _BoundTable([
-        *((f"csi_order_{m}", 1.0, "upper", WITNESS_TOLERANCE) for m in distinct),
-        ("qfi", qfi_bound, "upper", QFI_TOLERANCE),
-        ("spin_squeezing", 1.0, "lower", WITNESS_TOLERANCE),
-    ])
+    rule = {kind: _bound_rule(kind, qfi_bound) for kind in ("csi", "qfi", "xi2")}
+    table = _BoundTable([*((f"csi_order_{m}", *rule["csi"]) for m in distinct),
+                         ("qfi", *rule["qfi"]), ("spin_squeezing", *rule["xi2"])])
 
     chunk = max(1, STACK_AMPLITUDES // amplitudes)
     block = chunk * max(1, SEED_BLOCK // chunk)
@@ -397,7 +396,7 @@ def maximize_witness(request: str, n_total: int, budget: int, seed: int, n_compo
     None, and the value -inf (inf for xi2), if no proposal was feasible.
     """
     _, kind, param = _parse_witness_request(request)
-    if kind not in ("csi", "qfi", "xi2"):
+    if _BOUND_SIDES.get(kind) is None:
         raise ValueError(f"maximize_witness climbs csi, qfi or xi2, not {request!r}")
     if budget < 1 or restarts < 1:
         raise ValueError("budget and restarts must be at least 1")
@@ -406,7 +405,7 @@ def maximize_witness(request: str, n_total: int, budget: int, seed: int, n_compo
     )
     numbers, probabilities = (number_weights[0][0],), np.ones(1)
     directions = np.reshape(param if kind == "qfi" else [], (-1, 3))
-    sign = -1.0 if kind == "xi2" else 1.0
+    sign = 1.0 if _BOUND_SIDES[kind] == "upper" else -1.0
 
     def score(weights, z, phi) -> float:
         """sign * the witness of one ensemble, -inf if it is infeasible."""

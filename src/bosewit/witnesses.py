@@ -106,7 +106,7 @@ class CorrelationIntegrals:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Computed witness values plus boolean verdicts at WITNESS_TOLERANCE."""
+    """Computed witness values plus boolean verdicts by witness_verdict."""
 
     n_reference: float
     csi_by_order: dict = field(default_factory=dict)
@@ -961,30 +961,34 @@ def _squeezing(n_ref: float, jx, jy, var_z) -> tuple:
 # --- combined verdicts ---------------------------------------------------------------
 
 
-def witness_verdict(kind: str, value, n_reference) -> tuple:
-    """(bound, flag) of one witness value against its separable bound.
+_BOUND_SIDES = {"csi": "upper", "qfi": "upper", "xi2": "lower", "eta2": None}
 
-    C_2m <= 1 and F_Q <= n_reference flag a value above the bound, xi^2 >= 1
-    one below it, each beyond WITNESS_TOLERANCE x max(1, |bound|): the F_Q
-    of a coherent state misses N by rounding that grows with N. Number
-    squeezing eta^2 has no bound of its own (sub-shot-noise fluctuations
-    alone do not certify entanglement) and gives (None, None). A NaN or
-    infinite value, of any kind, raises NonFiniteWitnessValue: no bound can
-    judge it. An array is judged elementwise, against n_reference
-    broadcast with it: an array of flags, and its first NaN or infinity
-    raises as it does alone.
-    """
-    _judgeable(value, kind)
-    if kind == "eta2":
-        return None, None
-    if kind == "qfi":
-        bound = n_reference if isinstance(n_reference, np.ndarray) else float(n_reference)
-        flag = value > bound + WITNESS_TOLERANCE * np.maximum(1.0, np.abs(bound))
-    elif kind in ("csi", "xi2"):
-        bound = 1.0
-        flag = value < 1.0 - WITNESS_TOLERANCE if kind == "xi2" else value > 1.0 + WITNESS_TOLERANCE
-    else:
+
+def _bound_rule(kind: str, n_reference) -> tuple:
+    """(bound, side, margin) of a kind's separable bound in witness reports
+    and scans: C_2m upper at 1, F_Q upper at n_reference (arrays for an
+    array), xi^2 lower at 1, each with margin WITNESS_TOLERANCE x max(1,
+    |bound|), as a coherent state's F_Q misses N by rounding that grows with
+    N. eta^2 has side None: sub-shot-noise fluctuations alone prove nothing."""
+    if kind not in _BOUND_SIDES:
         raise ValueError(f"unknown witness kind {kind!r}")
+    bound = (n_reference if isinstance(n_reference, np.ndarray) else float(n_reference)) if kind == "qfi" else 1.0
+    scale = np.maximum(1.0, np.abs(bound)) if isinstance(bound, np.ndarray) else max(1.0, abs(bound))
+    return bound, _BOUND_SIDES[kind], WITNESS_TOLERANCE * scale
+
+
+def witness_verdict(kind: str, value, n_reference) -> tuple:
+    """(bound, flag) of one witness value: the flag marks a value past its
+    separable bound, on the side _bound_rule gives, by more than its margin;
+    eta^2 has no bound and gives (None, None). A NaN or infinite value, of
+    any kind, raises NonFiniteWitnessValue. An array is judged elementwise
+    against n_reference broadcast with it; its first NaN or infinity raises
+    as it does alone."""
+    _judgeable(value, kind)
+    bound, side, margin = _bound_rule(kind, n_reference)
+    if side is None:
+        return None, None
+    flag = value > bound + margin if side == "upper" else value < bound - margin
     return bound, flag if isinstance(flag, np.ndarray) else bool(flag)
 
 
@@ -995,13 +999,10 @@ def classify(
     xi2: float | None = None,
     qfi_by_generator: dict | None = None,
 ) -> WitnessReport:
-    """Assemble witness values into verdicts by witness_verdict.
-
-    Flags: any C_2m > 1, any F_Q > n_reference, or xi^2 < 1, each beyond
-    witness_verdict's margin; eta^2 is reported but never flags. At least one
+    """Assemble witness values into verdicts: any C_2m, F_Q or xi^2 that
+    witness_verdict flags; eta^2 is reported but never flags. At least one
     witness value must be supplied, and every one is judged, so a NaN or
-    infinite value raises NonFiniteWitnessValue.
-    """
+    infinite value raises NonFiniteWitnessValue."""
     if csi_by_order is None and eta2 is None and xi2 is None and qfi_by_generator is None:
         raise ValueError("at least one computed witness is required")
     csi = dict(csi_by_order or {})

@@ -70,6 +70,18 @@ csi:7 from 1 - 1.3e-15 to 1, eta^2 from 1 + 2.2e-15 and xi^2 from 1 +
 2.2e-16, eta^2 from 0.84 - 8.1e-14 to 0.84 and xi^2 from 1 - 9.5e-14 to 1
 (csi:1 stayed 1). The basis-state reports kept their bytes.
 
+Every bound of a scan report states in `tolerance` the margin the scan
+judged it at, WITNESS_TOLERANCE x max(1, |bound|), the margin of witness
+reports (witnesses._bound_rule). Until then F_Q took a flat 1e-6 in scans,
+so the five scan digests were re-pinned for that change, at the default
+BLAS thread count and at one thread: in each report only the qfi bound's
+`tolerance` line moved, from 1e-06 to 4e-08 (fixed-40),
+1.9999999999982868e-08 (poisson-20, bound 19.999999999982865), 5e-09
+(binomial-10), 1.2000000000000002e-08 (fixed-12-multichunk) and
+2.0000000000000002e-07 (fixed-200-one-component). No violation, skip
+count, worst value or sample moved: every worst F_Q lies at least 1.1e-3
+below its bound. The witness reports kept their bytes.
+
 Three `--per-sector` reports, JSON and CSV, pin the whole-state entries
 beside every sector's: a `distribution:` file (poisson mean 20 at one z
 and phi: sectors 0 and 1 fail csi:1, sector 0 eta2 and xi2, so exit 3), a
@@ -89,25 +101,25 @@ TS = "2026-01-01T00:00:00+00:00"
 DIGESTS = {
     "fixed-40": (
         ("--samples", "20", "--n", "40", "--seed", "3"),
-        "787ea4bc88a1fc7f1bf501a4d3faf885704b5e125a2252a2a148507c9a2be8db",
+        "958ca6c770ec24cdc020d4c55921696c4c0eeb015afe2d70a2f1b65b16b29885",
     ),
     "poisson-20": (
         ("--samples", "5", "--fluctuating", "poisson:20", "--seed", "3"),
-        "999142cfb15f8316c686a80acd9bf870ebf83d2d37a2d106bf8897b46ba74c08",
+        "2d547f3625630bb55c79515e2b5f494605cc2c365eeeed7a1a7da57ace5707b1",
     ),
     "binomial-10": (
         ("--samples", "5", "--fluctuating", "binomial:10,0.5", "--seed", "3"),
-        "0f5352fbe1546d2635f80583730baa61147371562b99745438dd618176e766eb",
+        "2b8b677427a5f25d67dd3b9d13ca7978da14d26c74b66c2fd835d17f6a38631c",
     ),
     # 12 samples of 1000 components at N = 12 take three chunks
     "fixed-12-multichunk": (
         ("--samples", "12", "--n", "12", "--components", "1000", "--seed", "3"),
-        "c0babaa93c4f604f8e8e2c2306a1ce1bf563aa027293ee82b8499f6fd921f7cd",
+        "1667aed108807bce2c18b19f97565259362e51bd55df65f4332bcde361ae7f85",
     ),
     # one bound per order: 100 C_2m columns of the scan's bound table
     "fixed-200-one-component": (
         ("--samples", "20", "--n", "200", "--components", "1", "--seed", "3"),
-        "371333f17fb6b1dacb9cd911a8eb46ed037ec8edb834deb9dabd412c65ef2007",
+        "aafb9dcdc92450dfe3aa90a57dfb82dd5801aa825952568f63ad55907a85107a",
     ),
 }
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bosewit import witnesses
+from bosewit import scan, witnesses
 from bosewit._factorials import ratio_rows
 from bosewit.errors import (
     DegenerateLocalCorrelation,
@@ -595,11 +595,71 @@ def test_coherent_qfi_perpendicular_to_the_bloch_vector_is_never_flagged(n):
     assert witness_verdict("qfi", qfi(twin_fock(40), GeneratorSpec.axis("x")), 40) == (40.0, True)
 
 
+def test_a_scan_judges_coherent_qfi_at_the_margin_of_witness_reports(monkeypatch):
+    # 40 one-component samples at N = 10^6, each with the direction normal to
+    # its mean spin among the scan's directions, so its worst F_Q is N up to
+    # rounding (+4.9e-5 at most here): within 1e-9 x N, the margin of witness
+    # reports. An absolute margin of 1e-6 would flag 18 of the 40.
+    n, rng = 10**6, np.random.default_rng(3)
+    z, phi = rng.random(40), rng.uniform(-np.pi, np.pi, 40)
+    draws = np.array([np.ones(40), z, phi])[:, :, None, None]
+    radius = np.sqrt(z * (1.0 - z))  # mean spin per particle: (r cos phi, -r sin phi, z - 1/2)
+    normals = np.cross(np.column_stack([radius * np.cos(phi), -radius * np.sin(phi), z - 0.5]), [0.0, 0.0, 1.0])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    drawn = []
+
+    def draw_chunk(seeds, sectors, n_components, words=None):
+        drawn.extend(seeds)
+        return draws[:, len(drawn) - len(seeds) : len(drawn)].copy()
+
+    monkeypatch.setattr(scan, "_draw_chunk", draw_chunk)
+    monkeypatch.setattr(scan, "_draw_directions", lambda rng, count: normals[:count])
+    report = scan.run_scan(40, 0, n_total=n, n_components=1, n_directions=40, csi_orders=[1])
+    assert len(drawn) == 40
+    (bound,) = [b for b in report["bounds"] if b["name"] == "qfi"]
+    assert (bound["violations"], bound["evaluations"], bound["tolerance"]) == (0, 40, 1e-9 * n)
+    assert 1e-6 < bound["worst_value"] - n <= 1e-9 * n
+    assert report["total_violations"] == 0
+
+
+# a scan shape whose F_Q bound is each reference number of the cases below
+_SCAN_SHAPES = {
+    1.0: dict(distribution=NumberDistribution.deterministic(1)),
+    0.5: dict(distribution=NumberDistribution.binomial(1, 0.5)),
+    12.0: dict(n_total=12),
+    40.0: dict(n_total=40),
+    1e6: dict(n_total=10**6, n_components=1, csi_orders=[1]),
+    19.999999999982865: dict(distribution=NumberDistribution.poisson(20.0)),
+}
+_SCAN_COLUMNS = {"csi": "csi_order_1", "qfi": "qfi", "xi2": "spin_squeezing"}
+
+
+def _scan_spec(kind, n):
+    """The spec of `kind`'s column in the bound table run_scan builds for a
+    one-sample scan whose F_Q bound is n."""
+    built = []
+
+    class Recording(scan._BoundTable):
+        def __init__(self, specs):
+            built.append(specs)
+            super().__init__(specs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scan, "_BoundTable", Recording)
+        scan.run_scan(1, 0, **_SCAN_SHAPES[n])
+    (spec,) = [spec for spec in built[0] if spec[0] == _SCAN_COLUMNS[kind]]
+    return spec
+
+
 @pytest.mark.parametrize("kind, n", [("csi", 12.0), ("xi2", 12.0), ("qfi", 12.0), ("qfi", 0.5), ("qfi", -0.0),
-                                     ("qfi", 1e6), ("eta2", 1e6)])
+                                     ("qfi", 1.0), ("qfi", 40.0), ("qfi", 1e6), ("qfi", 19.999999999982865),
+                                     ("csi", 1e6), ("xi2", 19.999999999982865), ("eta2", 1e6)])
 def test_array_verdicts_follow_the_scalar_rule(kind, n):
     # exactly at the bound, at bound +- WITNESS_TOLERANCE max(1, |bound|)
-    # and one float past each, at -0.0, and at N = 10^6
+    # and one float past each, at -0.0, at N = 1, 40 and 10^6 and at the
+    # mean of poisson:20; each value also recorded alone by the column of a
+    # scan's bound table, which counts a violation exactly where the
+    # verdict flags (no scan has the F_Q bound -0.0)
     bound = n if kind == "qfi" else 1.0
     margin = WITNESS_TOLERANCE * max(1.0, abs(bound))
     values = [bound, bound + margin, bound - margin, -0.0, 0.0]
@@ -617,6 +677,15 @@ def test_array_verdicts_follow_the_scalar_rule(kind, n):
     sign = -1.0 if kind == "xi2" else 1.0
     near = np.array([bound + sign * 0.75 * margin, bound + sign * 1.25 * margin])
     assert witness_verdict(kind, near, np.full(2, n))[1].tolist() == [False, True]
+    if n not in _SCAN_SHAPES:
+        return
+    spec = _scan_spec(kind, n)
+    for value in [*values.tolist(), *near.tolist(), math.nan, math.inf, -math.inf]:
+        table = scan._BoundTable([spec])
+        table.record(np.array([[value]]), np.zeros((1, 1), dtype=bool), lambda index, column: {})
+        # a NaN or an infinity, which no verdict judges, is a violation
+        flag = not math.isfinite(value) or witness_verdict(kind, value, n)[1]
+        assert table.counts[:, 0].tolist() == [1, 0, int(flag)], value
 
 
 @pytest.mark.parametrize("kind", ["csi", "qfi", "xi2", "eta2"])
