@@ -87,6 +87,11 @@ beside every sector's: a `distribution:` file (poisson mean 20 at one z
 and phi: sectors 0 and 1 fail csi:1, sector 0 eta2 and xi2, so exit 3), a
 `sector:` file of 2, 1 and 3 components, and tests/data/masked_mixture.state
 (a twin-Fock sector held as rows beside a mixture held as components).
+Two more pin the report writer's rows where their shapes change: a
+`distribution:` file of poisson mean 100 (179 sectors, asking csi:2 as
+well, so the low-N sectors carry error entries between rows of values)
+and a `sector:` file whose twin-Fock and Dicke sectors, held as rows,
+alternate with component sectors of K = 1, 2 and 4.
 """
 
 import hashlib
@@ -198,7 +203,37 @@ PER_SECTOR_STATES = {
         "    component:\n        weight = 0.25\n        z = 0.9\n        phi = 1.0\n"
     ),
     "masked-mixture": _MASKED,
+    # 179 sectors; the low-N ones fail csi:2 and csi:3 (2m > N), and eta2 and
+    # xi2 at N = 0, so error rows sit among the value rows (exit 3)
+    "poisson-100": (
+        "kind = fluctuating\nz = 0.3\nphi = 0.4\n"
+        "distribution:\n    kind = poisson\n    mean = 100\n"
+    ),
+    # twin-Fock rows (no mean spin, so no xi2; N = 2 fails csi:1 too) between
+    # component sectors of K = 1, 2 and 4, so rows of several shapes alternate
+    "sectors-mixed-shapes": (
+        "kind = fluctuating\n"
+        "sector:\n    weight = 0.1\n    n = 2\n    kind = twin_fock\n"
+        "sector:\n    weight = 0.15\n    n = 5\n"
+        "    component:\n        weight = 0.4\n        z = 0.2\n        phi = 0.3\n"
+        "    component:\n        weight = 0.6\n        z = 0.7\n        phi = -1.2\n"
+        "sector:\n    weight = 0.15\n    n = 8\n    kind = coherent_spin\n    z = 0.35\n    phi = 0.9\n"
+        "sector:\n    weight = 0.1\n    n = 10\n    kind = twin_fock\n"
+        "sector:\n    weight = 0.2\n    n = 12\n"
+        "    component:\n        weight = 0.1\n        z = 0.15\n"
+        "    component:\n        weight = 0.2\n        z = 0.5\n        phi = 1.0\n"
+        "    component:\n        weight = 0.3\n        z = 0.85\n        phi = -0.5\n"
+        "    component:\n        weight = 0.4\n        z = 0.4\n        phi = 2.0\n"
+        "sector:\n    weight = 0.1\n    n = 15\n    kind = coherent_spin\n    z = 0.6\n"
+        "sector:\n    weight = 0.1\n    n = 20\n"
+        "    component:\n        weight = 0.5\n        z = 0.25\n        phi = 0.1\n"
+        "    component:\n        weight = 0.5\n        z = 0.75\n        phi = 3.0\n"
+        "sector:\n    weight = 0.1\n    n = 24\n    kind = dicke\n    k = 12\n"
+    ),
 }
+
+# the requests of each report, unless it names its own
+PER_SECTOR_REQUESTS = {"poisson-100": ("all", "csi:2", "csi:3", "qfi:x")}
 
 PER_SECTOR_DIGESTS = {
     ("poisson-20", "json"): (3, "7930b8e7a854a6dee27ae73efaf17ad28c638762f9a5a8a202808f0618ac85b9"),
@@ -207,6 +242,10 @@ PER_SECTOR_DIGESTS = {
     ("sectors-2-1-3", "csv"): (0, "9edae09695da3c42519ca35a6d9adb67ec974bbdd7a3166919cfbf58efd4a746"),
     ("masked-mixture", "json"): (3, "334a1b99e769d98a23ff80a6acd75f012c80060ce68dc69bbb53639631edebe8"),
     ("masked-mixture", "csv"): (3, "81081569a5b73e946e6c3f5f6a84b49b01dd4763fdd244198734d86758dd99c8"),
+    ("poisson-100", "json"): (3, "add626a0e4eb3de8e277ec8e1b9c0b003951c7e814722d900878626a6cb1f37f"),
+    ("poisson-100", "csv"): (3, "eb38570e553edf0b6755c7b1573503abdbf5826fc35351fa4875566e072f0b9c"),
+    ("sectors-mixed-shapes", "json"): (3, "0fa9ca60ef4056ca6953d122ba26664806966d989a5d1d96b91a65bc4b1da02d"),
+    ("sectors-mixed-shapes", "csv"): (3, "788b2c0d11056bd253ae11e4a92af3be70448e5b8e2fa1f3235c1251d8349f50"),
 }
 
 
@@ -215,7 +254,8 @@ def test_per_sector_witness_report_is_byte_identical(name, fmt, tmp_path, monkey
     expected_code, digest = PER_SECTOR_DIGESTS[name, fmt]
     (tmp_path / f"{name}.state").write_text(PER_SECTOR_STATES[name])
     monkeypatch.chdir(tmp_path)
-    requests = [arg for r in ("all", "csi:3", "qfi:x") for arg in ("--witness", r)]
+    requested = PER_SECTOR_REQUESTS.get(name, ("all", "csi:3", "qfi:x"))
+    requests = [arg for r in requested for arg in ("--witness", r)]
     code = main(
         ["witness", "--state", f"{name}.state", "--per-sector", "--format", fmt, "--timestamp", TS,
          *requests]
