@@ -192,13 +192,14 @@ def _template(shape, count: int, pad: str, memo: dict) -> str:
     return memo[place]
 
 
-def _record(value: dict, memo: dict, leaves: list):
-    """The shape of a record, a dict of str keys whose values are scalars
-    or nonempty records, appending its leaves in sorted key order to
-    `leaves`: its sorted keys, a record's key as (key, its shape); None for
-    other dicts. memo keeps the sorted keys and a getter of each key order."""
-    kinds = set(map(type, value.values()))
-    if not kinds <= _RECORD_KINDS:
+def _record(value, memo: dict):
+    """The shape of a record, a nonempty dict of str keys whose values are
+    scalars or records: (its size, a getter of its values in sorted key
+    order, the (position, shape) of each value that is a record, its
+    description: the sorted keys, a record's key as (key, its
+    description)); None for other values. memo keeps the sorted keys and
+    the getter of each key order."""
+    if type(value) is not dict or not value or not set(map(type, value.values())) <= _RECORD_KINDS:
         return None
     order = memo.get((tuple(value),))
     if order is None:
@@ -207,21 +208,66 @@ def _record(value: dict, memo: dict, leaves: list):
     keys, get = order
     if not keys:
         return None
-    items = get(value)
-    if dict not in kinds:
-        leaves += items
-        return keys
-    shape = []
-    for key, item in zip(keys, items):
+    nested, description = [], []
+    for position, (key, item) in enumerate(zip(keys, get(value))):
         if type(item) is dict:
-            nested = _record(item, memo, leaves) if item else None
-            if nested is None:
+            shape = _record(item, memo)
+            if shape is None:
                 return None
-            key = key, nested
-        else:
-            leaves.append(item)
-        shape.append(key)
-    return tuple(shape)
+            nested.append((position, shape))
+            key = key, shape[3]
+        description.append(key)
+    return len(keys), get, tuple(nested), tuple(description)
+
+
+def _take(row, shape, leaves: list) -> bool:
+    """Append the leaves of a record of `shape` to `leaves` in its order;
+    False, some perhaps appended, for a row of another size, keys (a row of
+    the shape's size that holds all its keys has its keys) or records."""
+    size, get, nested, _ = shape
+    if type(row) is not dict or len(row) != size:
+        return False
+    try:
+        items = get(row)
+    except KeyError:
+        return False
+    if not nested:
+        leaves += items
+        return True
+    start = 0
+    for position, inner in nested:
+        leaves += items[start:position]
+        if not _take(items[position], inner, leaves):
+            return False
+        start = position + 1
+    leaves += items[start:]
+    return True
+
+
+def _records(rows: list, pad: str, memo: dict) -> str | None:
+    """The text of a list of records at `pad`, or None for other lists:
+    each row by the template of its shape, learned from the first row of
+    that shape (_record) and taken by every further one (_take), the list
+    filled by one %. A row that fits the shape of the row before in all but
+    a leaf's kind (a record, a list, a numpy scalar in a leaf's place)
+    fails the fill, and the rows are taken again, each leaf checked with its
+    row."""
+    for strict in (False, True):
+        leaves, parts, shape = [], [], None
+        for row in rows:
+            mark = len(leaves)
+            if shape is None or not _take(row, shape, leaves) or strict and not set(map(type, leaves[mark:])) <= _LEAF_KINDS:
+                del leaves[mark:]
+                shape = _record(row, memo)
+                if shape is None:
+                    return None
+                _take(row, shape, leaves)
+                template = _record_template(shape[3], pad + "  ", memo)
+            parts.append(template)
+        try:
+            return _fill(_wrap(parts, pad), leaves, False)
+        except KeyError:  # a leaf of no leaf kind (_LEAF_TEXTS): taken again, strictly
+            pass
 
 
 def _nests_scalars(value: dict) -> bool:
@@ -231,13 +277,13 @@ def _nests_scalars(value: dict) -> bool:
         _nests_scalars(item) for item in value.values() if type(item) is dict)
 
 
-def _record_template(shape, pad: str, memo: dict) -> str:
-    """The text of a record of `shape` at `pad`, %s for each leaf."""
-    if (shape, pad) not in memo:
+def _record_template(description, pad: str, memo: dict) -> str:
+    """The text of a record of `description` at `pad`, %s for each leaf."""
+    if (description, pad) not in memo:
         parts = [_key_part(key, "%s") if type(key) is str else
-                 _key_part(key[0], _record_template(key[1], pad + "  ", memo)) for key in shape]
-        memo[shape, pad] = _wrap(parts, pad, "{}")
-    return memo[shape, pad]
+                 _key_part(key[0], _record_template(key[1], pad + "  ", memo)) for key in description]
+        memo[description, pad] = _wrap(parts, pad, "{}")
+    return memo[description, pad]
 
 
 def _fill(template: str, leaves: list, floats: bool) -> str:
@@ -295,13 +341,9 @@ def _put_value(value, pad: str, chunks: list, memo: dict) -> None:
             shape, leaves, floats = table
             put(_fill(_template(shape, len(value), pad, memo), leaves, floats))
             return
-        shapes, leaves = [], []  # a list of records, each row by its shape
-        for row in value if type(value[0]) is dict and _nests_scalars(value[0]) else ():
-            shapes.append(_record(row, memo, leaves) if type(row) is dict and row else None)
-            if shapes[-1] is None:
-                break
-        if shapes and shapes[-1] is not None:
-            put(_fill(_wrap([_record_template(shape, pad + "  ", memo) for shape in shapes], pad), leaves, False))
+        text = _records(value, pad, memo) if type(value[0]) is dict and _nests_scalars(value[0]) else None
+        if text is not None:
+            put(text)
             return
         texts = list(map(_scalar_text, value))
         if None not in texts:
@@ -461,29 +503,27 @@ def _expand_witness_requests(raw_requests):
     return list(requests.values())
 
 
-def _entries(requests, count: int, columns) -> list:
-    """[(entries, verdicts, had_error)] of `count` readings of the (key,
-    kind, parameter) requests, from their columns (witnesses._readings):
-    each entry has value/bound/flag or error/message, so a failed witness
-    aborts no other; verdicts, those of classify, come from the flags set,
-    and are None when no witness of the reading computed."""
-    entries, flagged, errors = [{} for _ in range(count)], [set() for _ in range(count)], [0] * count
-    for key, kind, _ in requests:
-        values, bounds, flags, failures = columns[key]
-        for entry, value, bound, flag in zip(entries, values, bounds, flags):
+def _entries(columns) -> list:
+    """[(entries, verdicts, had_error)] of each reading, from the columns
+    of witnesses._readings: each entry has value/bound/flag or
+    error/message, so a failed witness aborts no other; verdicts, those of
+    classify, come from the flags of the entries that hold, and are None
+    when no witness of the reading computed."""
+    keys, values, bounds, flags, failures, verdicts = columns
+    entries = [{} for _ in verdicts]
+    for key, *column in zip(keys, values, bounds, flags):
+        for entry, value, bound, flag in zip(entries, *column):
             entry[key] = {"value": value, "bound": bound, "flag": flag}
-        for s in [s for s, flag in enumerate(flags) if flag and s not in failures]:
-            flagged[s].add(kind)
-        for s, failure in failures.items():
+    readings = [
+        (entry, {"entangled_by_csi": csi, "entangled_by_qfi": qfi, "entangled_by_spin_squeezing": xi2, "any_entangled": any_},
+         False)
+        for entry, (csi, qfi, xi2, any_) in zip(entries, verdicts)
+    ]
+    for s, failed in failures.items():
+        for key, failure in failed.items():
             entries[s][key] = {"error": failure.error.__name__, "message": failure.message}
-            errors[s] += 1
-    verdicts = [None if failed == len(requests) else {
-        "entangled_by_csi": "csi" in kinds,
-        "entangled_by_qfi": "qfi" in kinds,
-        "entangled_by_spin_squeezing": "xi2" in kinds,
-        "any_entangled": bool(kinds),
-    } for kinds, failed in zip(flagged, errors)]
-    return list(zip(entries, verdicts, [failed > 0 for failed in errors]))
+        readings[s] = entries[s], None if len(failed) == len(keys) else readings[s][1], True
+    return readings
 
 
 def _cmd_witness(args, argv) -> int:
@@ -499,7 +539,7 @@ def _cmd_witness(args, argv) -> int:
     n_reference = state.mean_n
     manifest = RunManifest.create("witness", argv, None, args.timestamp)
     sectors, columns = _readings(state, requests, args.per_sector)
-    (entries, verdicts, had_error), *readings = _entries(requests, 1 + len(sectors), columns)
+    (entries, verdicts, had_error), *readings = _entries(columns)
     payload = {
         "manifest": manifest.as_dict(),
         "state": spec.describe(),

@@ -592,30 +592,33 @@ def analytic_spin_moments(ensemble) -> tuple[float, float, float]:
     parts = [part for _, part in sectors]
     p = np.array([p for p, _ in sectors])
     n = np.array([part.n_total for part in parts], dtype=float)
-    return tuple(float(value) for value in _joined_moments(p, n, _part_moments(parts)))
+    return tuple(float(value) for value in _joined_moments(p, n, _part_moments(_component_groups(parts))))
 
 
-def _component_groups(parts):
-    """Yield (at, weights, z, phi) for the sectors held as components
+def _component_groups(parts) -> list:
+    """[(at, weights, z, phi, numbers)] of the sectors held as components
     (SeparableEnsembles) `parts`, one group per component count K: `at`
-    lists the group's positions in parts, and weights, z and phi are its
-    (G, K) arrays, stacked from the sectors' params. No sector is padded to
-    another's K, so the groups hold sum_j K_j entries in all."""
+    lists the group's positions in parts, weights, z and phi are its (G, K)
+    arrays, stacked from the sectors' params, and numbers its sectors' N (a
+    tuple of ints). No sector is padded to another's K, so the groups hold
+    sum_j K_j entries in all. The _part_ kernels take the groups, so one
+    grouping serves every kernel of a request."""
     depths = {}
     for j, part in enumerate(parts):
         depths.setdefault(part.params.shape[1], []).append(j)
-    for depth, at in depths.items():
-        yield at, *np.concatenate([parts[j].params for j in at], axis=1).reshape(3, len(at), depth)
+    return [
+        (at, *np.concatenate([parts[j].params for j in at], axis=1).reshape(3, len(at), depth),
+         tuple(parts[j].n_total for j in at))
+        for depth, at in depths.items()
+    ]
 
 
-def _part_moments(parts) -> np.ndarray:
-    """The (4, J) spin moments of _sector_moments for the J sectors held
-    as components `parts`, evaluated per component count
-    (_component_groups)."""
-    moments = np.empty((4, len(parts)))
-    for at, weights, z, phi in _component_groups(parts):
-        n = np.array([parts[j].n_total for j in at], dtype=float)
-        moments[:, at] = _sector_moments(weights, z, phi, n)
+def _part_moments(groups) -> np.ndarray:
+    """The (4, J) spin moments of _sector_moments for the J sectors of the
+    component groups `groups` (_component_groups), one pass per group."""
+    moments = np.empty((4, sum(len(at) for at, *_ in groups)))
+    for at, weights, z, phi, numbers in groups:
+        moments[:, at] = _sector_moments(weights, z, phi, np.array(numbers, dtype=float))
     return moments
 
 

@@ -23,6 +23,7 @@ closed forms the separable scans use, with no row.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -351,9 +352,10 @@ def integrated_g2m_orders(state, orders) -> list:
     return integrals
 
 
-def _normalized_correlators(state, orders) -> tuple:
+def _normalized_correlators(state, orders, groups=None) -> tuple:
     """(sectors, sums, logs, (alpha, log alpha, kappa, log kappa)) of
-    integrated_g2m_orders: sums and logs (3, M), scales (M,)."""
+    integrated_g2m_orders: sums and logs (3, M), scales (M,); `groups` are
+    the _component_groups of its sectors held as components, if given."""
     sectors, rows, parts = _routes(state)
     top = max(sector.n_total for _, sector in sectors)
     if rows:
@@ -367,9 +369,9 @@ def _normalized_correlators(state, orders) -> tuple:
         alpha, log_alpha, kappa, log_kappa = np.array([order_scales(top, m) for m in orders]).T
     if parts:
         probabilities = np.array([sectors[j][0] for j in parts])
-        part_sums, part_logs, part_log_alpha = _part_correlators(
-            [sectors[j][1] for j in parts], probabilities, np.full(len(parts), top), orders
-        )
+        if groups is None:
+            groups = _component_groups([sectors[j][1] for j in parts])
+        part_sums, part_logs, part_log_alpha = _part_correlators(groups, probabilities, np.full(len(parts), top), orders)
         part_sums, part_logs = _in_order(part_sums.swapaxes(1, 2)), np.logaddexp.reduce(part_logs, axis=1)
         if rows:
             part_sums[2] /= kappa
@@ -384,20 +386,19 @@ def _normalized_correlators(state, orders) -> tuple:
     return sectors, sums, logs, (alpha, log_alpha, kappa, log_kappa)
 
 
-def _part_correlators(parts, probabilities, tops, orders) -> tuple:
+def _part_correlators(groups, probabilities, tops, orders) -> tuple:
     """The normalized correlators of _product_correlators, sums and logs
-    (3, J, M) and log alpha (J, M), of the J sectors held as components
-    `parts`, each its own mixture: sector j weighs probabilities[j] and is
-    normalized by alpha = (N)_2m at N = tops[j]. One kernel call per
-    component count (_component_groups), so no sector is padded to
-    another's K."""
-    sums = np.empty((3, len(parts), len(orders)))
+    (3, J, M) and log alpha (J, M), of the J sectors of the component
+    groups `groups` (_component_groups), each its own mixture: sector j
+    weighs probabilities[j] and is normalized by alpha = (N)_2m at N =
+    tops[j]. One kernel call per group, so no sector is padded to another's
+    K."""
+    sums = np.empty((3, len(probabilities), len(orders)))
     logs = np.empty_like(sums)
-    log_alpha = np.empty((len(parts), len(orders)))
-    for at, weights, z, _ in _component_groups(parts):
-        numbers = [[parts[j].n_total] for j in at]
+    log_alpha = np.empty((len(probabilities), len(orders)))
+    for at, weights, z, _, numbers in groups:
         sums[:, at], logs[:, at], (log_alpha[at], _, _) = _product_correlators(
-            weights[:, None], z[:, None], 1.0 - z[:, None], probabilities[at, None], numbers, orders, tops[at]
+            weights[:, None], z[:, None], 1.0 - z[:, None], probabilities[at, None], np.reshape(numbers, (-1, 1)), orders, tops[at]
         )
     return sums, logs, log_alpha
 
@@ -834,16 +835,27 @@ def _component_forms(weights, z, phi, numbers) -> np.ndarray:
     return np.concatenate([form.reshape(count, -1, 9) for form in forms], axis=1)
 
 
-def _part_forms(parts) -> np.ndarray:
-    """The F_Q forms (J, 9) of the J sectors held as components `parts`
-    (SeparableEnsembles), through _component_forms, in one stack per
-    component count (_component_groups): no sector is padded to another's
-    K, whose K x K eigensolve would cost it K^3."""
-    forms = np.empty((len(parts), 9))
-    for at, weights, z, phi in _component_groups(parts):
+def _part_forms(groups) -> np.ndarray:
+    """The F_Q forms (J, 9) of the J sectors of the component groups
+    `groups` (_component_groups), through _component_forms, in one stack
+    per group: no sector is padded to another's K, whose K x K eigensolve
+    would cost it K^3."""
+    forms = np.empty((sum(len(at) for at, *_ in groups), 9))
+    for at, weights, z, phi, numbers in groups:
         # the group as the sectors of one ensemble
-        forms[at] = _component_forms(weights[None], z[None], phi[None], tuple(parts[j].n_total for j in at))[0]
+        forms[at] = _component_forms(weights[None], z[None], phi[None], numbers)[0]
     return forms
+
+
+def _weighed_groups(groups, weighed) -> list:
+    """The component groups of the sectors whose entry of `weighed` (bools
+    over the sectors) holds, renumbered among them, each in its order: F_Q
+    leaves out the sectors of weight 0."""
+    if all(weighed):
+        return groups
+    place, weighed = np.cumsum(weighed) - 1, np.array(weighed)
+    return [(place[at][keep].tolist(), weights[keep], z[keep], phi[keep], tuple(np.compress(keep, numbers).tolist()))
+            for at, weights, z, phi, numbers in groups for keep in [weighed[at]] if keep.any()]
 
 
 def qfi(state, g):
@@ -875,19 +887,24 @@ def qfi(state, g):
     return float(values[0]) if single else values
 
 
-def _qfi_values(state, directions, part_forms=None) -> np.ndarray:
+def _qfi_values(state, directions, groups=None, part_forms=None) -> np.ndarray:
     """F_Q of a state along each of the (k, 3) directions, unjudged (with
-    the forms of its sectors held as components, if given)."""
+    the _component_groups of its sectors held as components, or their
+    forms, if given)."""
     sectors, rows, parts = _routes(state)
     # a sector of weight 0 adds nothing, and is not evaluated
     rows = [j for j in rows if sectors[j][0] > 0.0]
-    parts = [j for j in parts if sectors[j][0] > 0.0]
+    weighed = [sectors[j][0] > 0.0 for j in parts]
     forms = np.empty((len(sectors), 9))
     if rows:
         stacks = _padded_stacks([sectors[j][1] for j in rows])
         forms[rows] = np.concatenate([_qfi_forms(*stack) for _, *stack in stacks]).reshape(-1, 9)
+    if any(weighed) and part_forms is None:
+        groups = _component_groups([sectors[j][1] for j in parts]) if groups is None else groups
+        part_forms = _part_forms(_weighed_groups(groups, weighed))
+    parts = [j for j, weight in zip(parts, weighed) if weight]
     if parts:
-        forms[parts] = _part_forms([sectors[j][1] for j in parts]) if part_forms is None else _value_or_raise(part_forms)
+        forms[parts] = _value_or_raise(part_forms)
     kept = sorted(rows + parts)
     number_weights = np.array([sectors[j][0] for j in kept])
     form = (number_weights @ forms[kept]).reshape(3, 3)
@@ -925,7 +942,7 @@ def _xi2(n_ref: float, jx: float, jy: float, var_z: float) -> float:
     return _judgeable(float(value), "xi2")
 
 
-def _spin_stats(state, part_moments=None) -> tuple:
+def _spin_stats(state, groups=None, part_moments=None) -> tuple:
     """(n_ref, <J_x>, <J_y>, Var J_z) of a state, as floats, from one pass:
     eta^2 and xi^2 both read it. Each sector gives its own moments, from
     one centred pass over its rows (fock._spin_mean_covariance) or from the
@@ -934,7 +951,8 @@ def _spin_stats(state, part_moments=None) -> tuple:
     separable._joined_moments joins them by the law of total variance. A
     state of rows alone gets the bits of _spin_mean_covariance, and one of
     components alone those of analytic_spin_moments. part_moments are
-    those of the sectors held as components, if given."""
+    those of the sectors held as components, and groups their
+    _component_groups, if given."""
     sectors, rows, parts = _routes(state)
     scale = np.ones(len(sectors))
     moments = np.empty((4, len(sectors)))
@@ -942,7 +960,9 @@ def _spin_stats(state, part_moments=None) -> tuple:
         mu, cov = _spin_mean_covariance(sectors[j][1])
         moments[:, j] = (*mu, cov[2, 2])
     if parts:
-        moments[:, parts] = _part_moments([sectors[j][1] for j in parts]) if part_moments is None else _value_or_raise(part_moments)
+        if part_moments is None:
+            part_moments = _part_moments(_component_groups([sectors[j][1] for j in parts]) if groups is None else groups)
+        moments[:, parts] = _value_or_raise(part_moments)
         scale[parts] = [sectors[j][1].n_total for j in parts]
     p = np.array([p for p, _ in sectors])
     return (state.mean_n, *(float(value) for value in _joined_moments(p, scale, moments)))
@@ -1098,32 +1118,35 @@ def _readings(state, requests, per_sector: bool) -> tuple:
     per_sector, of each sector of a NumberSectorMixture or a
     FluctuatingEnsemble, whose (N, p) pairs `sectors` lists ([] otherwise).
 
-    Each kind takes one pass for all its requests. A sector held as rows is
-    read alone; the sectors held as components, as one stack, whose F_Q
-    forms and spin moments the whole state joins (its C_2m normalizes at
-    its largest N: a call of its own; and it leaves out sectors of weight
-    0, so it shares the forms only where none weighs 0, as a run of
-    _stack_runs takes its route from its sectors). A stack that raises a
-    WitnessError fails the whole state, and each sector is read alone."""
+    The sectors held as components are grouped once (_component_groups),
+    and every kernel of the request takes those groups. Each kind takes one
+    pass for all its requests. A sector held as rows is read alone; the
+    sectors held as components, as one stack, whose F_Q forms and spin
+    moments the whole state joins (its C_2m normalizes at its largest N: a
+    call of its own; and it leaves out sectors of weight 0, so it shares
+    the forms only where none weighs 0, as a run of _stack_runs takes its
+    route from its sectors). A stack that raises a WitnessError fails the
+    whole state, and each sector is read alone."""
     orders = [param for _, kind, param in requests if kind == "csi"]
     directions = np.array([param for _, kind, param in requests if kind == "qfi"]).reshape(-1, 3)
     spin = any(kind in ("eta2", "xi2") for _, kind, _ in requests)
     kinds = [kind for kind, wanted in zip(("csi", "qfi", "spin"), (orders, len(directions), spin)) if wanted]
     shapes = {"csi": (3, len(orders)), "qfi": (len(directions),), "spin": (3,)}
+    sectors, rows, parts = _routes(state)
+    group = [sectors[j][1] for j in parts]
+    groups = _component_groups(group)
     if not (per_sector and isinstance(state, (NumberSectorMixture, FluctuatingEnsemble))):
-        whole = _read(state, orders, directions, kinds)
+        whole = _read(state, orders, directions, kinds, groups)
         failed = {kind: {0: value} if isinstance(value, _Failure) else {} for kind, value in whole.items()}
         values = {kind: np.full((1, *shapes[kind]), np.nan) if failed[kind] else whole[kind] for kind in kinds}
         return [], _columns(requests, [state.mean_n], values, failed)
-    sectors, rows, parts = _routes(state)
-    group = [sectors[j][1] for j in parts]
     numbers = np.array([part.n_total for part in group], dtype=int)
-    kernels = {
-        "csi": lambda at: _part_correlators([group[l] for l in at], np.ones(len(at)), numbers[at], orders),
-        "qfi": lambda at: _part_forms([group[l] for l in at]),
-        "spin": lambda at: _part_moments([group[l] for l in at]),
+    kernels = {  # of the sectors of `groups`, each at its own N, `tops`
+        "csi": lambda groups, tops: _part_correlators(groups, np.ones(len(tops)), tops, orders),
+        "qfi": lambda groups, tops: _part_forms(groups),
+        "spin": lambda groups, tops: _part_moments(groups),
     }
-    stacks = {kind: _attempt(lambda: kernels[kind](range(len(parts)))) for kind in kinds} if parts else {}
+    stacks = {kind: _attempt(lambda: kernels[kind](groups, numbers)) for kind in kinds} if parts else {}
     forms = stacks.get("qfi") if all(sectors[j][0] > 0.0 for j in parts) else None
     values = {kind: np.full((1 + len(sectors), *shapes[kind]), np.nan) for kind in kinds}
     failed = {kind: {} for kind in kinds}
@@ -1134,7 +1157,7 @@ def _readings(state, requests, per_sector: bool) -> tuple:
         else:
             values[kind][at] = value
 
-    for kind, value in _read(state, orders, directions, kinds, forms, stacks.get("spin")).items():
+    for kind, value in _read(state, orders, directions, kinds, groups, forms, stacks.get("spin")).items():
         put(kind, [0], value)
     for j in rows:
         for kind, value in _read(sectors[j][1], orders, directions, kinds).items():
@@ -1144,19 +1167,19 @@ def _readings(state, requests, per_sector: bool) -> tuple:
             put(kind, [1 + j for j in parts], _stack_values(kind, stacked, numbers, directions))
             continue
         for l, j in enumerate(parts):
-            value = _attempt(lambda: kernels[kind]([l]))
+            value = _attempt(lambda: kernels[kind](_component_groups([group[l]]), numbers[[l]]))
             put(kind, [1 + j], value if isinstance(value, _Failure) else _stack_values(kind, value, numbers[[l]], directions))
     pairs = [(sector.n_total, p) for p, sector in sectors]
     return pairs, _columns(requests, [state.mean_n] + [float(n) for n, _ in pairs], values, failed)
 
 
-def _read(state, orders, directions, kinds, part_forms=None, part_moments=None) -> dict:
+def _read(state, orders, directions, kinds, groups=None, part_forms=None, part_moments=None) -> dict:
     """{kind: (1, ...) value or _Failure} of a state read whole: the rows
     of _csi_rows, F_Q along each direction, and (<J_x>, <J_y>, Var J_z)."""
     compute = {
-        "csi": lambda: _csi_rows(*_normalized_correlators(state, orders)[1:]),
-        "qfi": lambda: _qfi_values(state, directions, part_forms),
-        "spin": lambda: _spin_stats(state, part_moments)[1:],
+        "csi": lambda: _csi_rows(*_normalized_correlators(state, orders, groups)[1:]),
+        "qfi": lambda: _qfi_values(state, directions, groups, part_forms),
+        "spin": lambda: _spin_stats(state, groups, part_moments)[1:],
     }
     return {kind: _attempt(lambda: np.asarray(compute[kind]())[None]) for kind in kinds}
 
@@ -1178,46 +1201,63 @@ def _stack_values(kind, stacked, numbers, directions) -> np.ndarray:
     return np.array(_joined_moments(1.0, numbers[:, None].astype(float), stacked[..., None])).T
 
 
-def _columns(requests, n_refs, values, failed) -> dict:
-    """{key: (values, bounds, flags, failures)} of each request over S
-    readings of reference numbers n_refs, from each kernel kind's (S, ...)
-    values and {s: _Failure}: S values, bounds and flags (one
-    witness_verdict call per kind) and {s: _Failure}. A failed kernel fails
-    its kind; the scalar rules (_csi_value, qfi's _judgeable, _eta2, _xi2),
-    run on the entries they may refuse, give the other errors."""
-    count, n_list = len(n_refs), [float(n) for n in n_refs]
-    n_refs, requested = np.array(n_list), {}
+def _columns(requests, n_refs, values, failed) -> tuple:
+    """(keys, values, bounds, flags, failures, verdicts) of the (key, kind,
+    parameter) requests over S readings of reference numbers n_refs, from
+    each kernel kind's (S, ...) values and {s: _Failure}: the keys by kind,
+    C_2m, F_Q, xi^2, eta^2; one row of S values, bounds and flags per key
+    (eta^2 has bound and flag None); {s: {key: _Failure}}; and S rows of
+    whether an entry that holds flags, among the C_2m, the F_Q, the xi^2 and
+    all. Each kind's values come from one array pass over the readings, and
+    each row is judged against the limit row, bound plus or minus margin,
+    of _bound_rule, by the one comparison of its side. A failed kernel
+    fails its kind; the scalar rules (_csi_value, qfi's _judgeable, _eta2,
+    _xi2) run only on the entries they may refuse (a NaN or infinity, a
+    degenerate C_2m, an empty reference or no mean spin) and give the other
+    errors."""
+    n_list = [float(n) for n in n_refs]
+    n_refs, none = np.array(n_list), [None] * len(n_list)
+    asked = {"csi": [], "qfi": [], "xi2": [], "eta2": []}  # in the order of the verdicts
     for key, kind, param in requests:
-        requested.setdefault(kind, []).append((key, param))
-    columns = {}
-    for kind, asked in requested.items():
-        # the (S, k) values, the entries that may fail, and their rule
-        raw, failures = (values["spin"], failed["spin"]) if kind in ("eta2", "xi2") else (values[kind], failed[kind])
-        if kind == "csi":
-            table, guards = raw[:, 0], raw[:, 1].T.tolist()
-            rule = lambda s, i: _csi_value(asked[i][1], raw[s, 0, i], raw[s, 1, i], raw[s, 2, i])
+        asked[kind].append((key, param))
+    csi, qfi, spin = values.get("csi"), values.get("qfi"), values.get("spin")
+    rules = {
+        "csi": lambda s, i: _csi_value(asked["csi"][i][1], *csi[s, :, i]),
+        "qfi": lambda s, i: _judgeable(qfi[s], "qfi"),
+        "xi2": lambda s, i: _xi2(n_list[s], *spin[s].tolist()),
+        "eta2": lambda s, i: _eta2(n_list[s], float(spin[s, 2])),
+    }
+    keys, table, bounds, flags, failures = [], [], [], [], {}
+    verdicts = [[False] * 4 for _ in n_list]
+    for position, (kind, wanted) in enumerate(asked.items()):
+        if not wanted:
+            continue
+        if kind == "csi":  # each row of values, and of the entries the rule may refuse
+            rows, guards = csi[:, 0].T.tolist(), csi[:, 1].T.tolist()
         elif kind == "qfi":
-            table, guards, rule = raw, None, lambda s, i: _judgeable(raw[s], "qfi")
-        elif kind == "eta2":  # a reference at or below the guard fails, whatever its value
-            table = (4.0 * raw[:, 2] / np.maximum(n_refs, _EMPTY_STATE_TOL))[:, None]
-            guards, rule = [[n <= _EMPTY_STATE_TOL for n in n_list]], lambda s, i: _eta2(n_list[s], float(raw[s, 2]))
+            rows, guards = qfi.T.tolist(), None
+        elif kind == "xi2":
+            rows, guards = ([row] for row in np.array(_squeezing(n_refs, *spin.T)).tolist())
         else:
-            table, zero = _squeezing(n_refs, raw[:, 0], raw[:, 1], raw[:, 2])
-            table, guards, rule = table[:, None], [zero.tolist()], lambda s, i: _xi2(n_list[s], *raw[s].tolist())
-        lists, kind_failures, judged = table.T.tolist(), [failures] * table.shape[1], table
-        for i, column in enumerate(lists):
-            for s, value in enumerate(column):
-                finite = math.isfinite(value)
-                if not finite and judged is table:  # it fails: 0.0 in its place
-                    judged = np.where(np.isfinite(table), table, 0.0)
-                if finite and not (guards and guards[i][s]) or s in failures:
-                    continue
-                failure = _attempt(lambda: rule(s, i))
-                if isinstance(failure, _Failure):
-                    kind_failures[i] = {**kind_failures[i], s: failure}
-        bound, flags = witness_verdict(kind, judged, n_refs[:, None])
-        bounds = bound[:, 0].tolist() if isinstance(bound, np.ndarray) else [bound] * count
-        flags = [bounds] if flags is None else flags.T.tolist()  # eta2: no bound, no flag
-        for (key, _), column, flag, key_failures in zip(asked, lists, flags, kind_failures):
-            columns[key] = column, bounds, flag, key_failures
-    return columns
+            rows = [(4.0 * spin[:, 2] / np.maximum(n_refs, _EMPTY_STATE_TOL)).tolist()]
+            guards = [[n <= _EMPTY_STATE_TOL for n in n_list]]
+        bound, side, margin = _bound_rule(kind, n_refs)
+        limit = bound + margin if side == "upper" else bound - margin
+        bound, limit = ([bound] * len(n_list), [limit] * len(n_list)) if side is None or isinstance(bound, float) else (bound.tolist(), limit.tolist())
+        passes = operator.gt if side == "upper" else operator.lt
+        for i, ((key, _), row) in enumerate(zip(wanted, rows)):
+            flag = none if side is None else list(map(passes, row, limit))
+            if not math.isfinite(sum(row)) or guards and True in guards[i]:
+                for s in [s for s, value in enumerate(row) if not math.isfinite(value) or guards and guards[i][s]]:
+                    failure = failed["spin" if kind in ("xi2", "eta2") else kind].get(s) or _attempt(lambda: rules[kind](s, i))
+                    if isinstance(failure, _Failure):
+                        failures.setdefault(s, {})[key] = failure
+                        if side is not None:
+                            flag[s] = False  # no verdict of it
+            for s in [s for s, hit in enumerate(flag) if hit] if True in flag else ():
+                verdicts[s][position] = verdicts[s][3] = True
+            keys.append(key)
+            table.append(row)
+            bounds.append(none if side is None else bound)
+            flags.append(flag)
+    return keys, table, bounds, flags, failures, verdicts

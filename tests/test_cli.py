@@ -812,9 +812,9 @@ def test_csi_requests_share_one_correlator_pass(capsys, monkeypatch):
     calls = []
     shared = witnesses._normalized_correlators
 
-    def counting(state, orders):
+    def counting(state, orders, *groups):
         calls.append(list(orders))
-        return shared(state, orders)
+        return shared(state, orders, *groups)
 
     monkeypatch.setattr(witnesses, "_normalized_correlators", counting)
     path = os.path.join(DATA, "masked_mixture.state")

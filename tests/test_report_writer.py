@@ -7,6 +7,7 @@ refuses. `main` takes its parser from a cache, so a second request in one
 process must give the bytes a fresh process gives.
 """
 
+import copy
 import gc
 import json
 import math
@@ -268,6 +269,136 @@ def test_an_ensemble_shared_by_several_bounds_is_walked_once():
     assert _json_text(value) == expected
     assert ensemble.reads == 1
     assert flat.reads == 1
+
+
+# --- lists of records ---------------------------------------------------------------
+#
+# A list of records (dicts of str keys whose values are scalars or records,
+# such as the per_sector rows of witness) is written row by row: the first
+# row of a shape teaches the writer its keys, getter and template, and each
+# further row of that shape is taken by them. These lists repeat one nested
+# shape and then break it, row by row.
+
+_RECORD_LEAVES = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=4)
+)
+
+
+@st.composite
+def _record_shapes(draw, depth=2):
+    """{key: None for a leaf, or the shape of a nested record}."""
+    keys = draw(st.lists(_TABLE_KEYS, min_size=1, max_size=4, unique=True))
+    return {key: draw(_record_shapes(depth - 1)) if depth and draw(st.booleans()) else None for key in keys}
+
+
+def _records_of(shape):
+    return st.fixed_dictionaries(
+        {key: _RECORD_LEAVES if inner is None else _records_of(inner) for key, inner in shape.items()}
+    )
+
+
+def _slots(record):
+    """(dict, key) of every value of a record and of its nested records."""
+    slots = [(record, key) for key in record]
+    for item in list(record.values()):
+        if type(item) is dict:
+            slots += _slots(item)
+    return slots
+
+
+_BREAKS = ("order", "missing", "extra", "list", "none", "nonfinite", "nonstr", "intkeys", "shared")
+
+
+def _broken(draw, row, rows):
+    """A copy of `row` with one break of its shape, or a row of `rows`
+    itself, shared."""
+    kind = draw(st.sampled_from(_BREAKS))
+    if kind == "shared":
+        return draw(st.sampled_from(rows))
+    row = copy.deepcopy(row)
+    if not _slots(row):  # a row emptied by an earlier break
+        return row
+    record, key = draw(st.sampled_from(_slots(row)))
+    value = record[key]
+    if kind == "order":  # the same keys, inserted in another order
+        target = value if type(value) is dict else record
+        items = list(target.items())
+        target.clear()
+        target.update(reversed(items))
+    elif kind == "missing":
+        del record[key]
+    elif kind == "extra":
+        record[f"{key}+"] = draw(_RECORD_LEAVES)
+    elif kind == "list":
+        record[key] = list(value.values()) if type(value) is dict else [value]
+    elif kind == "none":
+        record[key] = None
+    elif kind == "nonfinite":
+        record[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "nonstr":  # beside str keys: the stdlib's sort refuses it
+        record[draw(st.sampled_from([1, 2.5, True, None]))] = 0.5
+    else:  # a nested record of int keys only
+        record[key] = dict(enumerate(value.values())) if type(value) is dict else {0: value}
+    return row
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=2))
+def test_lists_of_records_that_break_their_shape_are_the_stdlib_dump(data, depth):
+    shape = data.draw(_record_shapes())
+    rows = data.draw(st.lists(_records_of(shape), min_size=2, max_size=8))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        at = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        rows[at] = _broken(data.draw, rows[at], rows)
+    value = rows
+    for _ in range(depth):
+        value = {"x": [value, 1]}
+    assert_same_as_stdlib(value)
+
+
+def _sector_row(n, broken=None):
+    entry = {"value": 0.5 + n, "bound": 1.0, "flag": False}
+    row = {
+        "n": n,
+        "weight": 0.125,
+        "witnesses": {"csi:1": dict(entry), "eta2": {"value": 0.25, "bound": None, "flag": None}},
+        "verdicts": {"any_entangled": False, "entangled_by_csi": n % 2 == 0},
+    }
+    if broken == "error":
+        row["witnesses"]["csi:1"] = {"error": "DegenerateLocalCorrelation", "message": "too small"}
+    elif broken == "none":
+        row["verdicts"] = None
+    elif broken == "numpy":
+        row["weight"] = np.float64(0.125)
+    elif broken == "list":
+        row["witnesses"]["eta2"] = [0.25, None]
+    return row
+
+
+@pytest.mark.parametrize("broken", [None, "error", "none", "numpy", "list"])
+def test_rows_of_one_shape_take_the_shape_of_the_row_before(broken, monkeypatch):
+    # the rows of the first shape teach the writer once; a row of another
+    # shape in the middle teaches it again, and the row after it once more
+    learned = []
+    record = cli._record
+    monkeypatch.setattr(cli, "_record", lambda value, memo: learned.append(value) or record(value, memo))
+    rows = [_sector_row(n, broken if n == 5 else None) for n in range(10)]
+    assert _json_text(rows) == stdlib_text(rows)
+    tops = [value for value in learned if any(value is row for row in rows)]
+    if broken is None:
+        assert tops == [rows[0]]
+    elif broken == "error":  # a row of its own shape
+        assert tops == [rows[0], rows[5], rows[6]]
+    elif broken == "none":
+        # row 6 holds a record where the shape of row 5 holds None: it fails
+        # the fill, and the rows are taken again, each with its leaves checked
+        assert [id(top) for top in tops] == [id(rows[n]) for n in (0, 5, 0, 5, 6)]
+    else:  # a leaf of no leaf kind: no list of records, the rows walked dict by dict
+        assert rows[5] in tops
 
 
 # --- every CLI report kind ----------------------------------------------------------

@@ -136,11 +136,13 @@ def _reader(columns, s):
     """read(key, kind, parameter) of reading s of witnesses._readings'
     columns: its value of a request, or the error it carries, raised."""
 
+    keys, values, _, _, failures, _ = columns
+
     def read(key, kind, param):
-        values, _, _, failures = columns[key]
-        if s in failures:
-            raise failures[s].error(failures[s].message)
-        return float(values[s])
+        failure = failures.get(s, {}).get(key)
+        if failure is not None:
+            raise failure.error(failure.message)
+        return float(values[keys.index(key)][s])
 
     return read
 
@@ -312,6 +314,15 @@ def test_uneven_component_counts_are_evaluated_without_padding():
     assert peak < 4 * 2**20, peak
 
 
+def _group_numbers(groups):
+    """The particle numbers of the sectors of component groups
+    (separable._component_groups), in the order of their sectors."""
+    numbers = {}
+    for at, *_, group_numbers in groups:
+        numbers.update(zip(at, group_numbers))
+    return [numbers[j] for j in sorted(numbers)]
+
+
 def _failing_for(n_failing, calls):
     """A stand-in for witnesses._part_forms that records the particle
     numbers of each call and fails on any stack that holds a sector of
@@ -320,12 +331,12 @@ def _failing_for(n_failing, calls):
 
     original = witnesses._part_forms
 
-    def part_forms(parts):
-        numbers = [part.n_total for part in parts]
+    def part_forms(groups):
+        numbers = _group_numbers(groups)
         calls.append(numbers)
         if n_failing in numbers:
             raise EmptyState("no particles")
-        return original(parts)
+        return original(groups)
 
     return part_forms
 
@@ -428,6 +439,37 @@ def test_a_distribution_file_is_read_whole_and_per_sector_in_one_kernel_pass(tmp
     assert sorted(calls) == ["_part_correlators", "_part_correlators", "_part_forms", "_part_moments"]
 
 
+@pytest.mark.parametrize(
+    "text,requests,per_sector",
+    [
+        # the whole state and the stack of its 60 sectors
+        ("kind = fluctuating\nz = 0.3\nphi = 0.4\ndistribution:\n    kind = poisson\n    mean = 20\n",
+         ("all", "qfi:x", "csi:2"), True),
+        # C_2m, F_Q and the spin moments of one mixture read whole
+        ("kind = mixture\nn = 30\ncomponent:\n    weight = 0.4\n    z = 0.2\n"
+         "component:\n    weight = 0.6\n    z = 0.7\n    phi = 1.0\n", ("all",), False),
+    ],
+)
+def test_a_request_groups_its_component_sectors_once(text, requests, per_sector, tmp_path, capsys, monkeypatch):
+    # every kernel of the request takes the one grouping by component count
+    from bosewit import separable, witnesses
+
+    calls = []
+    grouping = separable._component_groups
+
+    def counting(parts):
+        calls.append(len(parts))
+        return grouping(parts)
+
+    monkeypatch.setattr(separable, "_component_groups", counting)
+    monkeypatch.setattr(witnesses, "_component_groups", counting)
+    path = tmp_path / "components.state"
+    path.write_text(text)
+    code, report = _witness(capsys, path, *requests, per_sector=per_sector)
+    assert code in (0, 3) and len(report.get("per_sector", [])) == (60 if per_sector else 0)
+    assert calls == [60 if per_sector else 1]
+
+
 def test_building_a_distribution_file_makes_no_coherent_spin_state(monkeypatch):
     # its sectors are checked and held as one array of components
     from bosewit import separable
@@ -451,9 +493,9 @@ def test_non_finite_sector_values_fail_only_their_entries(tmp_path, capsys, monk
 
     original = witnesses._part_forms
 
-    def part_forms(parts):
-        forms = original(parts)
-        numbers = [part.n_total for part in parts]
+    def part_forms(groups):
+        forms = original(groups)
+        numbers = _group_numbers(groups)
         if 3 in numbers:
             forms[numbers.index(3)] = np.nan
         if 7 in numbers:  # qfi:x is inf, qfi:z nan (0 inf): the first names the error
@@ -498,3 +540,29 @@ def test_a_sector_of_weight_zero_keeps_the_whole_state_to_its_own_forms(tmp_path
         for key, direction in zip(requests, ([1.0, 0, 0], [0, 0, 1.0], [0.6, 0, 0.8])):
             assert report["witnesses"][key]["value"] == qfi(state, GeneratorSpec(np.array(direction)))
     assert [s["n"] for s in report["per_sector"]] == [1, 9]
+
+
+def test_sectors_of_weight_zero_among_the_groups_leave_the_others_forms_alone(tmp_path, capsys):
+    # sectors of weight 0 before, between and after the others, in both
+    # component groups: the whole state's F_Q is, bit for bit, the one of
+    # the file without them, read whole or with --per-sector
+    def sector(weight, n, components):
+        lines = f"sector:\n    weight = {weight}\n    n = {n}\n"
+        for w, z, phi in components:
+            lines += f"    component:\n        weight = {w}\n        z = {z}\n        phi = {phi}\n"
+        return lines
+
+    two, one = [(0.5, 0.2, 0.3), (0.5, 0.75, -1.0)], [(1.0, 0.4, 2.0)]
+    kept = [sector(0.25, 5, two), sector(0.5, 8, one), sector(0.25, 12, two)]
+    zero = [sector(0.0, 3, two), sector(0.0, 6, one), sector(0.0, 10, two), sector(0.0, 20, one)]
+    with_zero = "".join([zero[0], kept[0], zero[1], kept[1], zero[2], kept[2], zero[3]])
+    requests = ("qfi:x", "qfi:z", "qfi:0.6,0,0.8")
+    reports = []
+    for name, text in (("kept", "".join(kept)), ("zero", with_zero)):
+        path = tmp_path / f"{name}.state"
+        path.write_text("kind = fluctuating\n" + text)
+        for per_sector in (False, True):
+            code, report = _witness(capsys, path, *requests, per_sector=per_sector)
+            assert code == 0
+            reports.append([report["witnesses"][key]["value"] for key in requests])
+    assert reports[0] == reports[1] == reports[2] == reports[3]

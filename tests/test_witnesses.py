@@ -698,6 +698,105 @@ def test_array_verdicts_refuse_the_first_non_finite_value_as_alone(kind, bad):
         witness_verdict(kind, values, np.full(values.shape, 12.0))
 
 
+def test_one_verdict_pass_judges_each_entry_as_its_scalar_rule_alone():
+    # witnesses._columns judges every key of every reading in one pass; each
+    # entry must carry the value, bound and flag of witness_verdict on its
+    # value alone, or the error and message of its scalar rule (_csi_value,
+    # _judgeable, _eta2, _xi2) or of its failed kernel, and each reading the
+    # verdicts of classify over the entries that hold
+    from bosewit.cli import _entries
+    from bosewit.errors import WitnessError
+    from bosewit.witnesses import _columns, _csi_value, _eta2, _Failure, _judgeable, _xi2
+
+    n_refs = [0.0, 1.0, 12.0, 40.0, 19.999999999982865, 1e6, 12.0, 40.0]
+    up = lambda value: float(np.nextafter(value, np.inf))
+    margin = lambda n: WITNESS_TOLERANCE * max(1.0, n)
+    # (ratio, degenerate, log G_aa G_bb) of csi:1 and csi:3 per reading
+    csi = [
+        [(math.nan, 1.0, -math.inf), (0.0, 1.0, -800.0)],  # both degenerate
+        [(math.nan, 0.0, 1.0), (1.0 + margin(1.0), 0.0, 1.0)],
+        [(math.inf, 0.0, 1.0), (up(1.0 + margin(1.0)), 0.0, 1.0)],
+        [(-math.inf, 0.0, 1.0), (0.99, 0.0, 1.0)],
+        [(1.0, 0.0, 2.0), (-0.0, 0.0, 2.0)],
+        [(1.0 + 2 * margin(1.0), 0.0, 3.0), (1.0 - margin(1.0), 0.0, 3.0)],
+        [(0.5, 0.0, 1.0), (1.5, 0.0, 1.0)],
+        [(1.5, 1.0, -700.0), (0.5, 1.0, -710.0)],  # degenerate, though a value
+    ]
+    qfi = [  # along x and z; at most one NaN or infinity per reading
+        [0.0, 0.0],
+        [math.inf, 0.5],
+        [12.0 + margin(12.0), up(12.0 + margin(12.0))],
+        [-math.inf, 40.5],
+        [19.999999999982865 + 2 * margin(20.0), 19.0],
+        [1e6 + margin(1e6), 1e6 + 2 * margin(1e6)],
+        [math.nan, math.nan],  # its kernel failed
+        [math.nan, math.nan],
+    ]
+    spin = [  # <J_x>, <J_y>, Var J_z
+        [0.0, 0.0, 0.0],  # no particle, no mean spin
+        [0.3, 0.1, 0.2],
+        [1.0, 2.0, math.nan],
+        [1e-10, 0.0, 4.0],  # a mean spin below the guard
+        [3.0, 4.0, 0.5],  # xi^2 = 0.4
+        [1e5, 0.0, math.inf],
+        [2.0, 0.0, 3.0],
+        [0.0, 0.0, math.nan],
+    ]
+    values = {
+        "csi": np.array(csi).transpose(0, 2, 1),
+        "qfi": np.array(qfi),
+        "spin": np.array(spin),
+    }
+    failed = {"csi": {}, "qfi": {6: _Failure(EmptyState, "no particles"), 7: _Failure(EmptyState, "none")}, "spin": {}}
+    requests = [("csi:1", "csi", 1), ("qfi:x", "qfi", None), ("eta2", "eta2", None), ("csi:3", "csi", 3),
+                ("xi2", "xi2", None), ("qfi:z", "qfi", None)]
+
+    def alone(key, kind, s):
+        n = n_refs[s]
+        failure = failed.get("spin" if kind in ("eta2", "xi2") else kind, {}).get(s)
+        if failure is not None:
+            return {"error": failure.error.__name__, "message": failure.message}
+        try:
+            if kind == "csi":
+                i = [1, 3].index(int(key[4:]))
+                value = _csi_value(int(key[4:]), *csi[s][i])
+            elif kind == "qfi":
+                value = _judgeable(qfi[s]["xz".index(key[4:])], "qfi")
+            elif kind == "eta2":
+                value = _eta2(n, spin[s][2])
+            else:
+                value = _xi2(n, *spin[s])
+            bound, flag = witness_verdict(kind, value, n)
+        except WitnessError as exc:
+            return {"error": type(exc).__name__, "message": str(exc)}
+        return {"value": value, "bound": bound, "flag": flag}
+
+    readings = _entries(_columns(requests, n_refs, values, failed))
+    assert len(readings) == len(n_refs)
+    kinds_flagged = set()
+    for s, (entries, verdicts, had_error) in enumerate(readings):
+        expected = {key: alone(key, kind, s) for key, kind, _ in requests}
+        assert entries == expected, s
+        assert had_error == any("error" in entry for entry in expected.values())
+        holding = {key: entry for key, entry in expected.items() if "value" in entry}
+        if not holding:
+            assert verdicts is None, s
+            continue
+        flagged = {kind for key, kind, _ in requests if holding.get(key, {}).get("flag")}
+        kinds_flagged |= flagged
+        assert verdicts == {
+            "entangled_by_csi": "csi" in flagged,
+            "entangled_by_qfi": "qfi" in flagged,
+            "entangled_by_spin_squeezing": "xi2" in flagged,
+            "any_entangled": bool(flagged),
+        }, s
+    # every kind of error and every side of a bound came up
+    errors = {entry["error"] for entries, _, _ in readings for entry in entries.values() if "error" in entry}
+    assert errors == {"DegenerateLocalCorrelation", "NonFiniteWitnessValue", "EmptyState", "ZeroMeanSpinDirection"}
+    assert kinds_flagged == {"csi", "qfi", "xi2"}
+    assert readings[7][1] is None
+
+
 def test_witness_verdict_never_flags_eta2():
     assert witness_verdict("eta2", 0.1, 12.0) == (None, None)
 
