@@ -101,9 +101,9 @@ def _json_default(value):
 # map(float.__repr__) pass when all are floats. A list whose first row holds
 # a container is no table, and no leaf is formatted before the whole table
 # is known to be flat. A list of records (dicts of str keys whose values are
-# scalars or records, such as the per_sector rows of witness) is written
-# the same way, each row by the template of its nested shape, the list as
-# one %. The recursion is a module-level function, and the list
+# scalars or records, such as the per_sector rows of witness) is one % as
+# well: a shape is walked at its first row, further rows taken by its
+# getters. The recursion is a module-level function, and the list
 # and the memo are locals of one _json_text call that nothing they hold
 # refers back to, so a call leaves no reference cycle behind.
 
