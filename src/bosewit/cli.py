@@ -250,24 +250,22 @@ def _records(rows: list, pad: str, memo: dict) -> str | None:
     that shape (_record) and taken by every further one (_take), the list
     filled by one %. A row that fits the shape of the row before in all but
     a leaf's kind (a record, a list, a numpy scalar in a leaf's place)
-    fails the fill, and the rows are taken again, each leaf checked with its
-    row."""
-    for strict in (False, True):
-        leaves, parts, shape = [], [], None
-        for row in rows:
-            mark = len(leaves)
-            if shape is None or not _take(row, shape, leaves) or strict and not set(map(type, leaves[mark:])) <= _LEAF_KINDS:
-                del leaves[mark:]
-                shape = _record(row, memo)
-                if shape is None:
-                    return None
-                _take(row, shape, leaves)
-                template = _record_template(shape[3], pad + "  ", memo)
-            parts.append(template)
-        try:
-            return _fill(_wrap(parts, pad), leaves, False)
-        except KeyError:  # a leaf of no leaf kind (_LEAF_TEXTS): taken again, strictly
-            pass
+    fails the fill, and the list is no list of records."""
+    leaves, parts, shape = [], [], None
+    for row in rows:
+        mark = len(leaves)
+        if shape is None or not _take(row, shape, leaves):
+            del leaves[mark:]
+            shape = _record(row, memo)
+            if shape is None:
+                return None
+            _take(row, shape, leaves)
+            template = _record_template(shape[3], pad + "  ", memo)
+        parts.append(template)
+    try:
+        return _fill(_wrap(parts, pad), leaves, False)
+    except KeyError:  # a leaf of no leaf kind (_LEAF_TEXTS)
+        return None
 
 
 def _nests_scalars(value: dict) -> bool:

@@ -847,17 +847,6 @@ def _part_forms(groups) -> np.ndarray:
     return forms
 
 
-def _weighed_groups(groups, weighed) -> list:
-    """The component groups of the sectors whose entry of `weighed` (bools
-    over the sectors) holds, renumbered among them, each in its order: F_Q
-    leaves out the sectors of weight 0."""
-    if all(weighed):
-        return groups
-    place, weighed = np.cumsum(weighed) - 1, np.array(weighed)
-    return [(place[at][keep].tolist(), weights[keep], z[keep], phi[keep], tuple(np.compress(keep, numbers).tolist()))
-            for at, weights, z, phi, numbers in groups for keep in [weighed[at]] if keep.any()]
-
-
 def qfi(state, g):
     """Quantum Fisher information for rotations generated by J_n.
 
@@ -887,24 +876,20 @@ def qfi(state, g):
     return float(values[0]) if single else values
 
 
-def _qfi_values(state, directions, groups=None, part_forms=None) -> np.ndarray:
-    """F_Q of a state along each of the (k, 3) directions, unjudged (with
-    the _component_groups of its sectors held as components, or their
-    forms, if given)."""
+def _qfi_values(state, directions, part_forms=None) -> np.ndarray:
+    """F_Q of a state along each of the (k, 3) directions, unjudged;
+    part_forms(), if given, gives the forms of its sectors held as
+    components."""
     sectors, rows, parts = _routes(state)
     # a sector of weight 0 adds nothing, and is not evaluated
     rows = [j for j in rows if sectors[j][0] > 0.0]
-    weighed = [sectors[j][0] > 0.0 for j in parts]
+    parts = [j for j in parts if sectors[j][0] > 0.0]
     forms = np.empty((len(sectors), 9))
     if rows:
         stacks = _padded_stacks([sectors[j][1] for j in rows])
         forms[rows] = np.concatenate([_qfi_forms(*stack) for _, *stack in stacks]).reshape(-1, 9)
-    if any(weighed) and part_forms is None:
-        groups = _component_groups([sectors[j][1] for j in parts]) if groups is None else groups
-        part_forms = _part_forms(_weighed_groups(groups, weighed))
-    parts = [j for j, weight in zip(parts, weighed) if weight]
     if parts:
-        forms[parts] = _value_or_raise(part_forms)
+        forms[parts] = part_forms() if part_forms else _part_forms(_component_groups([sectors[j][1] for j in parts]))
     kept = sorted(rows + parts)
     number_weights = np.array([sectors[j][0] for j in kept])
     form = (number_weights @ forms[kept]).reshape(3, 3)
@@ -942,7 +927,7 @@ def _xi2(n_ref: float, jx: float, jy: float, var_z: float) -> float:
     return _judgeable(float(value), "xi2")
 
 
-def _spin_stats(state, groups=None, part_moments=None) -> tuple:
+def _spin_stats(state, part_moments=None) -> tuple:
     """(n_ref, <J_x>, <J_y>, Var J_z) of a state, as floats, from one pass:
     eta^2 and xi^2 both read it. Each sector gives its own moments, from
     one centred pass over its rows (fock._spin_mean_covariance) or from the
@@ -950,9 +935,8 @@ def _spin_stats(state, groups=None, part_moments=None) -> tuple:
     transverse means are per particle, so they weigh p N), and
     separable._joined_moments joins them by the law of total variance. A
     state of rows alone gets the bits of _spin_mean_covariance, and one of
-    components alone those of analytic_spin_moments. part_moments are
-    those of the sectors held as components, and groups their
-    _component_groups, if given."""
+    components alone those of analytic_spin_moments. part_moments(), if
+    given, gives those of the sectors held as components."""
     sectors, rows, parts = _routes(state)
     scale = np.ones(len(sectors))
     moments = np.empty((4, len(sectors)))
@@ -960,9 +944,7 @@ def _spin_stats(state, groups=None, part_moments=None) -> tuple:
         mu, cov = _spin_mean_covariance(sectors[j][1])
         moments[:, j] = (*mu, cov[2, 2])
     if parts:
-        if part_moments is None:
-            part_moments = _part_moments(_component_groups([sectors[j][1] for j in parts]) if groups is None else groups)
-        moments[:, parts] = _value_or_raise(part_moments)
+        moments[:, parts] = part_moments() if part_moments else _part_moments(_component_groups([sectors[j][1] for j in parts]))
         scale[parts] = [sectors[j][1].n_total for j in parts]
     p = np.array([p for p, _ in sectors])
     return (state.mean_n, *(float(value) for value in _joined_moments(p, scale, moments)))
@@ -1126,7 +1108,8 @@ def _readings(state, requests, per_sector: bool) -> tuple:
     call of its own; and it leaves out sectors of weight 0, so it shares
     the forms only where none weighs 0, as a run of _stack_runs takes its
     route from its sectors). A stack that raises a WitnessError fails the
-    whole state, and each sector is read alone."""
+    whole state, and each sector is read alone. Each stack is evaluated
+    when first read, so a state read whole takes only those it joins."""
     orders = [param for _, kind, param in requests if kind == "csi"]
     directions = np.array([param for _, kind, param in requests if kind == "qfi"]).reshape(-1, 3)
     spin = any(kind in ("eta2", "xi2") for _, kind, _ in requests)
@@ -1135,19 +1118,28 @@ def _readings(state, requests, per_sector: bool) -> tuple:
     sectors, rows, parts = _routes(state)
     group = [sectors[j][1] for j in parts]
     groups = _component_groups(group)
-    if not (per_sector and isinstance(state, (NumberSectorMixture, FluctuatingEnsemble))):
-        whole = _read(state, orders, directions, kinds, groups)
-        failed = {kind: {0: value} if isinstance(value, _Failure) else {} for kind, value in whole.items()}
-        values = {kind: np.full((1, *shapes[kind]), np.nan) if failed[kind] else whole[kind] for kind in kinds}
-        return [], _columns(requests, [state.mean_n], values, failed)
     numbers = np.array([part.n_total for part in group], dtype=int)
     kernels = {  # of the sectors of `groups`, each at its own N, `tops`
         "csi": lambda groups, tops: _part_correlators(groups, np.ones(len(tops)), tops, orders),
         "qfi": lambda groups, tops: _part_forms(groups),
         "spin": lambda groups, tops: _part_moments(groups),
     }
-    stacks = {kind: _attempt(lambda: kernels[kind](groups, numbers)) for kind in kinds} if parts else {}
-    forms = stacks.get("qfi") if all(sectors[j][0] > 0.0 for j in parts) else None
+    split = per_sector and isinstance(state, (NumberSectorMixture, FluctuatingEnsemble))
+    stacks = {}
+
+    def stack(kind):  # a kernel over `groups`, or its failure, evaluated when first read
+        if kind not in stacks:
+            stacks[kind] = _attempt(lambda: kernels[kind](groups, numbers))
+        return stacks[kind]
+
+    shared = {kind: lambda kind=kind: _value_or_raise(stack(kind)) for kind in ("qfi", "spin")}
+    if not all(sectors[j][0] > 0.0 for j in parts):
+        del shared["qfi"]
+    whole = _read(state, orders, directions, kinds, groups, shared)
+    if not split:
+        failed = {kind: {0: value} if isinstance(value, _Failure) else {} for kind, value in whole.items()}
+        values = {kind: np.full((1, *shapes[kind]), np.nan) if failed[kind] else whole[kind] for kind in kinds}
+        return [], _columns(requests, [state.mean_n], values, failed)
     values = {kind: np.full((1 + len(sectors), *shapes[kind]), np.nan) for kind in kinds}
     failed = {kind: {} for kind in kinds}
 
@@ -1157,12 +1149,13 @@ def _readings(state, requests, per_sector: bool) -> tuple:
         else:
             values[kind][at] = value
 
-    for kind, value in _read(state, orders, directions, kinds, groups, forms, stacks.get("spin")).items():
+    for kind, value in whole.items():
         put(kind, [0], value)
     for j in rows:
         for kind, value in _read(sectors[j][1], orders, directions, kinds).items():
             put(kind, [1 + j], value)
-    for kind, stacked in stacks.items():
+    for kind in kinds if parts else ():
+        stacked = stack(kind)
         if not isinstance(stacked, _Failure):
             put(kind, [1 + j for j in parts], _stack_values(kind, stacked, numbers, directions))
             continue
@@ -1173,13 +1166,17 @@ def _readings(state, requests, per_sector: bool) -> tuple:
     return pairs, _columns(requests, [state.mean_n] + [float(n) for n, _ in pairs], values, failed)
 
 
-def _read(state, orders, directions, kinds, groups=None, part_forms=None, part_moments=None) -> dict:
+def _read(state, orders, directions, kinds, groups=None, shared=None) -> dict:
     """{kind: (1, ...) value or _Failure} of a state read whole: the rows
-    of _csi_rows, F_Q along each direction, and (<J_x>, <J_y>, Var J_z)."""
+    of _csi_rows, F_Q along each direction, and (<J_x>, <J_y>, Var J_z).
+    `groups` are the _component_groups of its sectors held as components,
+    and `shared` maps "qfi" and "spin", if given, to functions that give
+    their F_Q forms and spin moments."""
+    shared = shared or {}
     compute = {
         "csi": lambda: _csi_rows(*_normalized_correlators(state, orders, groups)[1:]),
-        "qfi": lambda: _qfi_values(state, directions, groups, part_forms),
-        "spin": lambda: _spin_stats(state, groups, part_moments)[1:],
+        "qfi": lambda: _qfi_values(state, directions, shared.get("qfi")),
+        "spin": lambda: _spin_stats(state, shared.get("spin"))[1:],
     }
     return {kind: _attempt(lambda: np.asarray(compute[kind]())[None]) for kind in kinds}
 
@@ -1201,6 +1198,9 @@ def _stack_values(kind, stacked, numbers, directions) -> np.ndarray:
     return np.array(_joined_moments(1.0, numbers[:, None].astype(float), stacked[..., None])).T
 
 
+_VERDICT_SLOTS = {"csi": 0, "qfi": 1, "xi2": 2}  # eta^2 gives no verdict; 3 is any of them
+
+
 def _columns(requests, n_refs, values, failed) -> tuple:
     """(keys, values, bounds, flags, failures, verdicts) of the (key, kind,
     parameter) requests over S readings of reference numbers n_refs, from
@@ -1217,7 +1217,7 @@ def _columns(requests, n_refs, values, failed) -> tuple:
     errors."""
     n_list = [float(n) for n in n_refs]
     n_refs, none = np.array(n_list), [None] * len(n_list)
-    asked = {"csi": [], "qfi": [], "xi2": [], "eta2": []}  # in the order of the verdicts
+    asked = {"csi": [], "qfi": [], "xi2": [], "eta2": []}
     for key, kind, param in requests:
         asked[kind].append((key, param))
     csi, qfi, spin = values.get("csi"), values.get("qfi"), values.get("spin")
@@ -1229,7 +1229,7 @@ def _columns(requests, n_refs, values, failed) -> tuple:
     }
     keys, table, bounds, flags, failures = [], [], [], [], {}
     verdicts = [[False] * 4 for _ in n_list]
-    for position, (kind, wanted) in enumerate(asked.items()):
+    for kind, wanted in asked.items():
         if not wanted:
             continue
         if kind == "csi":  # each row of values, and of the entries the rule may refuse
@@ -1254,8 +1254,8 @@ def _columns(requests, n_refs, values, failed) -> tuple:
                         failures.setdefault(s, {})[key] = failure
                         if side is not None:
                             flag[s] = False  # no verdict of it
-            for s in [s for s, hit in enumerate(flag) if hit] if True in flag else ():
-                verdicts[s][position] = verdicts[s][3] = True
+            for s in [s for s, hit in enumerate(flag) if hit] if kind in _VERDICT_SLOTS and True in flag else ():
+                verdicts[s][_VERDICT_SLOTS[kind]] = verdicts[s][3] = True
             keys.append(key)
             table.append(row)
             bounds.append(none if side is None else bound)

@@ -797,6 +797,20 @@ def test_one_verdict_pass_judges_each_entry_as_its_scalar_rule_alone():
     assert readings[7][1] is None
 
 
+def test_a_flag_of_eta2_sets_no_verdict(monkeypatch):
+    # the verdicts of a reading come from its C_2m, F_Q and xi^2 flags
+    # alone: an eta^2 judged against a bound sets none of them
+    from bosewit import witnesses
+    from bosewit.cli import _entries
+
+    monkeypatch.setitem(witnesses._BOUND_SIDES, "eta2", "lower")
+    columns = witnesses._columns([("eta2", "eta2", None)], [12.0], {"spin": np.array([[3.0, 4.0, 0.5]])}, {"spin": {}})
+    assert columns[3] == [[True]]  # eta^2 = 1/6, past its bound
+    (entries, verdicts, had_error), = _entries(columns)
+    assert entries["eta2"]["flag"] is True and not had_error
+    assert not any(verdicts.values())
+
+
 def test_witness_verdict_never_flags_eta2():
     assert witness_verdict("eta2", 0.1, 12.0) == (None, None)
 
