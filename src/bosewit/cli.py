@@ -391,12 +391,13 @@ def _write_text(text: str, out: str | None) -> None:
 
 def _check_out(out: str | None) -> None:
     """Refuse, before any work and before the file is made or truncated, an
-    --out file whose directory is missing or not writable."""
+    --out file that names a directory or whose directory is missing or not
+    writable."""
     if out is None:
         return
     folder = os.path.dirname(out) or "."
-    reason = errno.EACCES if os.path.isdir(folder) else errno.ENOENT
-    if reason == errno.ENOENT or not os.access(folder, os.W_OK):
+    reason = errno.EISDIR if os.path.isdir(out) else errno.EACCES if os.path.isdir(folder) else errno.ENOENT
+    if reason != errno.EACCES or not os.access(folder, os.W_OK):
         raise SystemExit(_fail(f"cannot write {out}: {os.strerror(reason)}"))
 
 

@@ -181,12 +181,14 @@ def _evaluate_qfi(weights, z, phi, numbers, probabilities, directions) -> np.nda
     return np.einsum("ka,sab,kb->sk", directions, forms, directions)
 
 
-def _checked_scan(samples, n_total, distribution, n_components, n_directions, csi_orders) -> tuple:
+def _checked_scan(samples, seed, n_total, distribution, n_components, n_directions, csi_orders) -> tuple:
     """run_scan's input checks, made before anything is drawn. Returns the
     csi orders, the (n, p) sectors and a sample's amplitudes K (N + 1)
     summed over them."""
     if samples < 1:
         raise ValueError("need at least one sample")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer; got {seed}")
     if (n_total is None) == (distribution is None):
         raise ValueError("give exactly one of n_total or distribution")
     for name, value, cap in (
@@ -248,12 +250,12 @@ def run_scan(
     default_rng(child seed) gives, seeded from the same SeedSequence words,
     which _seed_words computes for the child seeds of SEED_BLOCK samples
     (rounded down to whole chunks, at least one) in one pass. Before
-    anything is drawn, ValueError refuses inputs past MAX_SAMPLES,
-    MAX_DIRECTIONS, MAX_COMPONENTS or (n_total) MAX_PARTICLES, and past
-    MAX_EXPANDED_SIZE amplitudes a sample's rows, K (N + 1) summed over its
-    sectors as for a state file. The same budget caps the csi orders, and
-    so the report's bounds, by m (max N + 1) for the largest order m: a
-    full-order fixed scan reaches N = 2895.
+    anything is drawn, ValueError refuses a negative seed, inputs past
+    MAX_SAMPLES, MAX_DIRECTIONS, MAX_COMPONENTS or (n_total) MAX_PARTICLES,
+    and past MAX_EXPANDED_SIZE amplitudes a sample's rows, K (N + 1)
+    summed over its sectors as for a state file. The same budget caps the
+    csi orders, and so the report's bounds, by m (max N + 1) for the
+    largest order m: a full-order fixed scan reaches N = 2895.
 
     Samples are evaluated in chunks of as many as that sum lets fit in
     STACK_AMPLITUDES (at least one sample each), as (S, J, K) arrays of
@@ -279,7 +281,7 @@ def run_scan(
     (S, B) values with one skip mask (degenerate C_2m, zero mean spin).
     """
     orders, number_weights, amplitudes = _checked_scan(
-        samples, n_total, distribution, n_components, n_directions, csi_orders
+        samples, seed, n_total, distribution, n_components, n_directions, csi_orders
     )
     mode = "fixed" if distribution is None else "fluctuating"
     numbers = tuple(n for n, _ in number_weights)
@@ -401,7 +403,7 @@ def maximize_witness(request: str, n_total: int, budget: int, seed: int, n_compo
     if budget < 1 or restarts < 1:
         raise ValueError("budget and restarts must be at least 1")
     orders, number_weights, _ = _checked_scan(
-        1, n_total, None, n_components, 1, [param if kind == "csi" else 1]
+        1, seed, n_total, None, n_components, 1, [param if kind == "csi" else 1]
     )
     numbers, probabilities = (number_weights[0][0],), np.ones(1)
     directions = np.reshape(param if kind == "qfi" else [], (-1, 3))

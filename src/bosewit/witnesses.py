@@ -1087,18 +1087,12 @@ def _attempt(compute):
         return _Failure(type(exc), str(exc))
 
 
-def _value_or_raise(value):
-    """`value`, or the WitnessError of a _Failure, raised again."""
-    if isinstance(value, _Failure):
-        raise value.error(value.message)
-    return value
-
-
 def _readings(state, requests, per_sector: bool) -> tuple:
     """(sectors, columns): the _columns of the (key, kind, parameter)
     requests over the readings of the state, whole first, then, with
     per_sector, of each sector of a NumberSectorMixture or a
-    FluctuatingEnsemble, whose (N, p) pairs `sectors` lists ([] otherwise).
+    FluctuatingEnsemble, whose (N, p) pairs `sectors` lists ([] otherwise:
+    the same flow with no sectors).
 
     The sectors held as components are grouped once (_component_groups),
     and every kernel of the request takes those groups. Each kind takes one
@@ -1107,9 +1101,9 @@ def _readings(state, requests, per_sector: bool) -> tuple:
     moments the whole state joins (its C_2m normalizes at its largest N: a
     call of its own; and it leaves out sectors of weight 0, so it shares
     the forms only where none weighs 0, as a run of _stack_runs takes its
-    route from its sectors). A stack that raises a WitnessError fails the
-    whole state, and each sector is read alone. Each stack is evaluated
-    when first read, so a state read whole takes only those it joins."""
+    route from its sectors). Each stack is evaluated when first read, so a
+    state read whole takes only those it joins. The kernels judge nothing:
+    every error entry comes from the scalar rule of its witness (_columns)."""
     orders = [param for _, kind, param in requests if kind == "csi"]
     directions = np.array([param for _, kind, param in requests if kind == "qfi"]).reshape(-1, 3)
     spin = any(kind in ("eta2", "xi2") for _, kind, _ in requests)
@@ -1119,56 +1113,37 @@ def _readings(state, requests, per_sector: bool) -> tuple:
     group = [sectors[j][1] for j in parts]
     groups = _component_groups(group)
     numbers = np.array([part.n_total for part in group], dtype=int)
-    kernels = {  # of the sectors of `groups`, each at its own N, `tops`
-        "csi": lambda groups, tops: _part_correlators(groups, np.ones(len(tops)), tops, orders),
-        "qfi": lambda groups, tops: _part_forms(groups),
-        "spin": lambda groups, tops: _part_moments(groups),
+    kernels = {  # of the sectors of `groups`, each at its own N
+        "csi": lambda: _part_correlators(groups, np.ones(len(numbers)), numbers, orders),
+        "qfi": lambda: _part_forms(groups),
+        "spin": lambda: _part_moments(groups),
     }
-    split = per_sector and isinstance(state, (NumberSectorMixture, FluctuatingEnsemble))
     stacks = {}
 
-    def stack(kind):  # a kernel over `groups`, or its failure, evaluated when first read
+    def stack(kind):  # a kernel over `groups`, evaluated when first read
         if kind not in stacks:
-            stacks[kind] = _attempt(lambda: kernels[kind](groups, numbers))
+            stacks[kind] = kernels[kind]()
         return stacks[kind]
 
-    shared = {kind: lambda kind=kind: _value_or_raise(stack(kind)) for kind in ("qfi", "spin")}
+    shared = {kind: lambda kind=kind: stack(kind) for kind in ("qfi", "spin")}
     if not all(sectors[j][0] > 0.0 for j in parts):
         del shared["qfi"]
-    whole = _read(state, orders, directions, kinds, groups, shared)
-    if not split:
-        failed = {kind: {0: value} if isinstance(value, _Failure) else {} for kind, value in whole.items()}
-        values = {kind: np.full((1, *shapes[kind]), np.nan) if failed[kind] else whole[kind] for kind in kinds}
-        return [], _columns(requests, [state.mean_n], values, failed)
-    values = {kind: np.full((1 + len(sectors), *shapes[kind]), np.nan) for kind in kinds}
-    failed = {kind: {} for kind in kinds}
-
-    def put(kind, at, value):  # the values of the readings at positions `at`, or their failure
-        if isinstance(value, _Failure):
-            failed[kind].update(dict.fromkeys(at, value))
-        else:
-            values[kind][at] = value
-
-    for kind, value in whole.items():
-        put(kind, [0], value)
-    for j in rows:
-        for kind, value in _read(sectors[j][1], orders, directions, kinds).items():
-            put(kind, [1 + j], value)
-    for kind in kinds if parts else ():
-        stacked = stack(kind)
-        if not isinstance(stacked, _Failure):
-            put(kind, [1 + j for j in parts], _stack_values(kind, stacked, numbers, directions))
-            continue
-        for l, j in enumerate(parts):
-            value = _attempt(lambda: kernels[kind](_component_groups([group[l]]), numbers[[l]]))
-            put(kind, [1 + j], value if isinstance(value, _Failure) else _stack_values(kind, value, numbers[[l]], directions))
-    pairs = [(sector.n_total, p) for p, sector in sectors]
-    return pairs, _columns(requests, [state.mean_n] + [float(n) for n, _ in pairs], values, failed)
+    values = _read(state, orders, directions, kinds, groups, shared)
+    split = per_sector and isinstance(state, (NumberSectorMixture, FluctuatingEnsemble))
+    pairs = [(sector.n_total, p) for p, sector in sectors] if split else []
+    if pairs:  # the whole reading, then each sector's at 1 + its position
+        values = {kind: np.concatenate([values[kind], np.full((len(pairs), *shapes[kind]), np.nan)]) for kind in kinds}
+        for j in rows:
+            for kind, value in _read(sectors[j][1], orders, directions, kinds).items():
+                values[kind][1 + j] = value[0]
+        for kind in kinds if parts else ():
+            values[kind][[1 + j for j in parts]] = _stack_values(kind, stack(kind), numbers, directions)
+    return pairs, _columns(requests, [state.mean_n] + [float(n) for n, _ in pairs], values)
 
 
 def _read(state, orders, directions, kinds, groups=None, shared=None) -> dict:
-    """{kind: (1, ...) value or _Failure} of a state read whole: the rows
-    of _csi_rows, F_Q along each direction, and (<J_x>, <J_y>, Var J_z).
+    """{kind: (1, ...) values} of a state read whole: the rows of
+    _csi_rows, F_Q along each direction, and (<J_x>, <J_y>, Var J_z).
     `groups` are the _component_groups of its sectors held as components,
     and `shared` maps "qfi" and "spin", if given, to functions that give
     their F_Q forms and spin moments."""
@@ -1178,7 +1153,7 @@ def _read(state, orders, directions, kinds, groups=None, shared=None) -> dict:
         "qfi": lambda: _qfi_values(state, directions, shared.get("qfi")),
         "spin": lambda: _spin_stats(state, shared.get("spin"))[1:],
     }
-    return {kind: _attempt(lambda: np.asarray(compute[kind]())[None]) for kind in kinds}
+    return {kind: np.asarray(compute[kind]())[None] for kind in kinds}
 
 
 def _csi_rows(sums, logs, scales) -> np.ndarray:
@@ -1201,20 +1176,19 @@ def _stack_values(kind, stacked, numbers, directions) -> np.ndarray:
 _VERDICT_SLOTS = {"csi": 0, "qfi": 1, "xi2": 2}  # eta^2 gives no verdict; 3 is any of them
 
 
-def _columns(requests, n_refs, values, failed) -> tuple:
+def _columns(requests, n_refs, values) -> tuple:
     """(keys, values, bounds, flags, failures, verdicts) of the (key, kind,
     parameter) requests over S readings of reference numbers n_refs, from
-    each kernel kind's (S, ...) values and {s: _Failure}: the keys by kind,
-    C_2m, F_Q, xi^2, eta^2; one row of S values, bounds and flags per key
-    (eta^2 has bound and flag None); {s: {key: _Failure}}; and S rows of
-    whether an entry that holds flags, among the C_2m, the F_Q, the xi^2 and
-    all. Each kind's values come from one array pass over the readings, and
-    each row is judged against the limit row, bound plus or minus margin,
-    of _bound_rule, by the one comparison of its side. A failed kernel
-    fails its kind; the scalar rules (_csi_value, qfi's _judgeable, _eta2,
-    _xi2) run only on the entries they may refuse (a NaN or infinity, a
-    degenerate C_2m, an empty reference or no mean spin) and give the other
-    errors."""
+    each kernel kind's (S, ...) values: the keys by kind, C_2m, F_Q, xi^2,
+    eta^2; one row of S values, bounds and flags per key (eta^2 has bound
+    and flag None); {s: {key: _Failure}}; and S rows of whether an entry
+    that holds flags, among the C_2m, the F_Q, the xi^2 and all. Each
+    kind's values come from one array pass over the readings, and each row
+    is judged against the limit row, bound plus or minus margin, of
+    _bound_rule, by the one comparison of its side. The scalar rules
+    (_csi_value, qfi's _judgeable, _eta2, _xi2) run only on the entries
+    they may refuse (a NaN or infinity, a degenerate C_2m, an empty
+    reference or no mean spin), and give every error."""
     n_list = [float(n) for n in n_refs]
     n_refs, none = np.array(n_list), [None] * len(n_list)
     asked = {"csi": [], "qfi": [], "xi2": [], "eta2": []}
@@ -1249,7 +1223,7 @@ def _columns(requests, n_refs, values, failed) -> tuple:
             flag = none if side is None else list(map(passes, row, limit))
             if not math.isfinite(sum(row)) or guards and True in guards[i]:
                 for s in [s for s, value in enumerate(row) if not math.isfinite(value) or guards and guards[i][s]]:
-                    failure = failed["spin" if kind in ("xi2", "eta2") else kind].get(s) or _attempt(lambda: rules[kind](s, i))
+                    failure = _attempt(lambda: rules[kind](s, i))
                     if isinstance(failure, _Failure):
                         failures.setdefault(s, {})[key] = failure
                         if side is not None:

@@ -207,11 +207,12 @@ def test_an_out_file_that_cannot_be_written_exits_2(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["witness", "scan-separable", "fig1"])
-@pytest.mark.parametrize("folder_exists", [False, True])
+@pytest.mark.parametrize("folder_exists", [False, True, "directory"])
 def test_an_unwritable_out_is_refused_before_the_work(command, folder_exists, tmp_path, capsys, monkeypatch):
-    # a missing directory, or one that may not be written (os.access is
-    # patched: the tests may run as root), exits 2 before the state file is
-    # read or a sample drawn, and leaves an existing file as it was
+    # a missing directory, one that may not be written (os.access is
+    # patched: the tests may run as root), or an --out that names an
+    # existing directory exits 2 before the state file is read or a sample
+    # drawn, and leaves an existing file as it was
     def no_work(*args, **kwargs):
         raise AssertionError("the work began")
 
@@ -223,7 +224,11 @@ def test_an_unwritable_out_is_refused_before_the_work(command, folder_exists, tm
         "scan-separable": ["scan-separable", "--samples", "2", "--n", "6"],
         "fig1": ["fig1"],
     }[command]
-    if folder_exists:  # but os.access refuses it
+    if folder_exists == "directory":
+        target = tmp_path / "reports"
+        target.mkdir()
+        reason = "Is a directory"
+    elif folder_exists:  # but os.access refuses it
         target = tmp_path / "report.json"
         target.write_text("kept")
         real_access = os.access
@@ -235,7 +240,10 @@ def test_an_unwritable_out_is_refused_before_the_work(command, folder_exists, tm
     code, out, err = run_cli(capsys, *argv, "--out", str(target), "--timestamp", TS)
     assert code == 2 and out == ""
     assert err == f"error: cannot write {target}: {reason}\n"
-    assert target.read_text() == "kept" if folder_exists else not target.exists()
+    if folder_exists == "directory":
+        assert target.is_dir() and not any(target.iterdir())
+    else:
+        assert target.read_text() == "kept" if folder_exists else not target.exists()
 
 
 def test_witness_unknown_selection_exits_2(capsys):
@@ -643,25 +651,6 @@ def test_qfi_requests_share_one_factorization_per_sector(capsys, monkeypatch):
     assert sorted(calls) == [("closed", [20]), ("rows", [4]), ("rows", [4])]
 
 
-def test_failed_qfi_call_marks_every_qfi_entry(capsys, monkeypatch):
-    from bosewit.errors import EmptyState
-
-    def failing(parts):
-        raise EmptyState("no particles")
-
-    # the F_Q forms of the file's one component sector
-    monkeypatch.setattr("bosewit.witnesses._part_forms", failing)
-    code, out, _ = run_cli(
-        capsys, "witness", "--state", os.path.join(DATA, "css_050.state"),
-        "--witness", "csi:1", "--witness", "qfi:x", "--witness", "qfi:0,0.6,0.8", "--timestamp", TS,
-    )
-    assert code == 3
-    entries = strict_json(out)["witnesses"]
-    assert "value" in entries["csi:1"]
-    for key in ("qfi:x", "qfi:0,0.6,0.8"):
-        assert entries[key] == {"error": "EmptyState", "message": "no particles"}
-
-
 def test_pure_state_n_above_the_cap_exits_2(capsys, tmp_path):
     path = tmp_path / "big.state"
     path.write_text("kind = coherent_spin\nn = 1000001\nz = 0.5\n")
@@ -698,6 +687,13 @@ def test_scan_distribution_past_a_cap_exits_2(capsys, dist, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_a_negative_seed_exits_2_naming_the_seed(capsys):
+    code, out, err = run_cli(capsys, "scan-separable", "--samples", "2", "--n", "12", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer; got -1\n"
 
 
 def test_witness_distribution_past_the_particle_cap_exits_2(capsys, tmp_path):

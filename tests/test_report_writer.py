@@ -468,28 +468,6 @@ def test_requests_leave_no_cyclic_garbage(capsys):
         gc.enable()
 
 
-def test_a_failed_shared_qfi_call_leaves_no_cyclic_garbage(capsys, monkeypatch):
-    from bosewit.errors import EmptyState
-
-    def failing(parts):
-        raise EmptyState("no particles")
-
-    monkeypatch.setattr(witnesses, "_part_forms", failing)
-    argv = ["witness", "--state", os.path.join(DATA, "css_050.state"), "--timestamp", TS]
-    argv += ["--witness", "qfi:x", "--witness", "qfi:y"]
-    assert main(argv) == 3
-    capsys.readouterr()
-    gc.collect()
-    gc.disable()
-    try:
-        assert main(argv) == 3
-        entries = json.loads(capsys.readouterr().out)["witnesses"]
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-    assert entries["qfi:x"] == entries["qfi:y"] == {"error": "EmptyState", "message": "no particles"}
-
-
 # --- one parser per process ---------------------------------------------------------
 
 

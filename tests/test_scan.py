@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bosewit.fock import GeneratorSpec
-from bosewit.scan import _BoundTable, run_scan
+from bosewit.scan import _BoundTable, maximize_witness, run_scan
 from bosewit.separable import NumberDistribution, ensemble_to_state, sample_ensemble
 from bosewit.witnesses import csi_ratio, integrated_g2m, qfi
 
@@ -85,6 +85,11 @@ def test_scan_argument_validation():
         run_scan(samples=2, seed=1, n_total=6, csi_orders=[4])
     with pytest.raises(ValueError, match="direction"):
         run_scan(samples=2, seed=1, n_total=6, n_directions=0)
+    # numpy's own refusal of a negative seed named neither the seed nor its value
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer; got -1$"):
+        run_scan(samples=2, seed=-1, n_total=6)
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer; got -1$"):
+        maximize_witness("csi:1", 6, 5, -1)
 
 
 @pytest.mark.parametrize("orders, bad", [

@@ -20,10 +20,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bosewit.cli import main
 from bosewit._factorials import falling_factorial
-from bosewit.errors import EmptyState, WitnessError
+from bosewit.errors import WitnessError
 from bosewit.fock import GeneratorSpec, NumberSectorMixture
 from bosewit.separable import FluctuatingEnsemble, SeparableEnsemble, ensemble_to_state
 from bosewit.statespec import parse_state_text
@@ -323,54 +325,6 @@ def _group_numbers(groups):
     return [numbers[j] for j in sorted(numbers)]
 
 
-def _failing_for(n_failing, calls):
-    """A stand-in for witnesses._part_forms that records the particle
-    numbers of each call and fails on any stack that holds a sector of
-    n_failing particles."""
-    from bosewit import witnesses
-
-    original = witnesses._part_forms
-
-    def part_forms(groups):
-        numbers = _group_numbers(groups)
-        calls.append(numbers)
-        if n_failing in numbers:
-            raise EmptyState("no particles")
-        return original(groups)
-
-    return part_forms
-
-
-def test_a_failed_kernel_runs_once_per_state(capsys, monkeypatch):
-    from bosewit import witnesses
-
-    calls = []
-    monkeypatch.setattr(witnesses, "_part_forms", _failing_for(50, calls))
-    code, report = _witness(capsys, os.path.join(DATA, "css_050.state"), "qfi:x", "qfi:y", "qfi:z")
-    assert code == 3 and calls == [[50]]
-    for entry in report["witnesses"].values():
-        assert entry == {"error": "EmptyState", "message": "no particles"}
-
-
-def test_a_failed_stack_marks_only_the_sectors_that_fail_alone(tmp_path, capsys, monkeypatch):
-    from bosewit import witnesses
-
-    path = tmp_path / "poisson5.state"
-    path.write_text("kind = fluctuating\nz = 0.3\nphi = 0.4\ndistribution:\n    kind = poisson\n    mean = 5\n")
-    numbers = [n for n, _ in parse_state_text(path.read_text()).build().number_weights]
-    calls = []
-    monkeypatch.setattr(witnesses, "_part_forms", _failing_for(3, calls))
-    code, report = _witness(capsys, path, "qfi:x", "qfi:z", "csi:2", per_sector=True)
-    assert code == 3
-    # the stack of the sectors, which the whole state shares, then each
-    # sector alone
-    assert calls == [numbers] + [[n] for n in numbers]
-    assert "error" in report["witnesses"]["qfi:x"] and "value" in report["witnesses"]["csi:2"]
-    failed = {(s["n"], key) for s in report["per_sector"] for key, e in s["witnesses"].items() if "error" in e}
-    # csi:2 needs N >= 4 in every reading
-    assert failed == {(3, "qfi:x"), (3, "qfi:z")} | {(n, "csi:2") for n in range(4)}
-
-
 def test_structural_skips_still_fail_their_sectors(tmp_path, capsys):
     # N = 0 has no C_2, no eta^2 and no mean spin, N = 1 no C_2: named
     # errors, and exit 3, as with rows
@@ -396,6 +350,143 @@ def test_structural_skips_still_fail_their_sectors(tmp_path, capsys):
     assert code == 3
     errors = [(s["n"], key) for s in report["per_sector"] for key, e in s["witnesses"].items() if "error" in e]
     assert errors == [(4, "xi2")]
+
+
+POISSON = "kind = fluctuating\nz = 0.3\nphi = 0.4\ndistribution:\n    kind = poisson\n    mean = {}\n"
+WEIGHT_0 = """\
+kind = fluctuating
+sector:
+    weight = 0.0
+    n = 3
+    component:
+        weight = 1.0
+        z = 0.2
+sector:
+    weight = 0.5
+    n = 6
+    kind = twin_fock
+sector:
+    weight = 0.5
+    n = 8
+    component:
+        weight = 0.5
+        z = 0.3
+        phi = 0.1
+    component:
+        weight = 0.5
+        z = 0.7
+"""
+DLC, ZMSD = "DegenerateLocalCorrelation", "ZeroMeanSpinDirection"
+# (file, requests, --per-sector, its error entries as (n or None, key, error))
+EDGE_FILES = {
+    "poisson_5": (POISSON.format(5), [], True,
+                  {(0, "csi:1", DLC), (0, "eta2", "EmptyState"), (0, "xi2", ZMSD), (1, "csi:1", DLC)}),
+    "twin_fock": ("kind = twin_fock\nn = 10\n", ["all", "csi:3"], False, {(None, "csi:3", DLC), (None, "xi2", ZMSD)}),
+    "dicke_k0": ("kind = dicke\nn = 10\nk = 0\n", ["all", "csi:3"], False,
+                 {(None, "csi:1", DLC), (None, "csi:3", DLC), (None, "xi2", ZMSD)}),
+    "masked_mixture": (None, [], True, {(4, "xi2", ZMSD)}),
+    "weight_0": (WEIGHT_0, ["all", "qfi:x", "csi:2"], True, {(3, "csi:2", DLC), (6, "csi:2", DLC), (6, "xi2", ZMSD)}),
+    # poisson:3 reaches N = 22, below 2m = 60
+    "orders_past_n": (POISSON.format(3), ["csi:30", "qfi:x", "xi2"], True,
+                      {(n, "csi:30", DLC) for n in [None, *range(23)]} | {(0, "xi2", ZMSD)}),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_FILES)
+def test_the_kernels_raise_no_witness_error(name, tmp_path, capsys, monkeypatch):
+    # the kernels of a request judge nothing: on these edge files no
+    # WitnessError is made before witnesses._columns, whose scalar rules
+    # give every error entry of the report, one each
+    from bosewit import witnesses
+
+    text, requests, per_sector, expected = EDGE_FILES[name]
+    path = os.path.join(DATA, "masked_mixture.state") if text is None else tmp_path / f"{name}.state"
+    if text is not None:
+        path.write_text(text)
+    made, at_columns = [], []
+    init, columns = WitnessError.__init__, witnesses._columns
+
+    def recorded(self, *args):
+        made.append(type(self).__name__)
+        init(self, *args)
+
+    def recording_columns(*args):
+        at_columns.append(list(made))
+        return columns(*args)
+
+    monkeypatch.setattr(WitnessError, "__init__", recorded)
+    monkeypatch.setattr(witnesses, "_columns", recording_columns)
+    code, report = _witness(capsys, path, *requests, per_sector=per_sector)
+    errors = [(None, key, e["error"]) for key, e in report["witnesses"].items() if "error" in e]
+    errors += [(s["n"], key, e["error"]) for s in report.get("per_sector", []) for key, e in s["witnesses"].items() if "error" in e]
+    assert at_columns == [[]]
+    assert code == 3 and set(errors) == expected
+    assert sorted(made) == sorted(error for *_, error in errors)
+
+
+def _whole_reading(capsys, path, requests, per_sector):
+    """The JSON text of the overall witnesses and verdicts of a report."""
+    _, report = _witness(capsys, path, *requests, per_sector=per_sector)
+    return json.dumps([report["witnesses"], report["verdicts"]], sort_keys=True)
+
+
+@pytest.mark.parametrize("requests", [[], ["all", "csi:2", "csi:3", "qfi:x"]])
+@pytest.mark.parametrize("name", ["poisson:20", "poisson:1000", "masked_mixture"])
+def test_the_whole_reading_does_not_depend_on_per_sector(name, requests, tmp_path, capsys):
+    path = os.path.join(DATA, "masked_mixture.state")
+    if name.startswith("poisson"):
+        path = tmp_path / "poisson.state"
+        path.write_text(POISSON.format(name[8:]))
+    whole = _whole_reading(capsys, path, requests, False)
+    assert _whole_reading(capsys, path, requests, True) == whole
+
+
+_UNIT = st.floats(0.01, 1.0)
+_PHASE = st.floats(-3.0, 3.0)
+_SECTOR = st.one_of(
+    st.integers(1, 8).map(lambda k: ("twin_fock", 2 * k, "    kind = twin_fock\n")),
+    st.tuples(st.integers(0, 16), st.integers(0, 16)).map(
+        lambda t: ("dicke", max(t), f"    kind = dicke\n    k = {min(t)}\n")),
+    st.tuples(st.integers(0, 16), st.lists(st.tuples(st.integers(1, 4), _UNIT, _PHASE), min_size=1, max_size=4)).map(
+        lambda t: ("components", t[0], "".join(
+            f"    component:\n        weight = {w / sum(c[0] for c in t[1])!r}\n        z = {z!r}\n        phi = {phi!r}\n"
+            for w, z, phi in t[1]))),
+)
+_SECTOR_FILES = st.lists(st.tuples(_SECTOR, st.integers(0, 3)), min_size=1, max_size=5,
+                         unique_by=lambda t: t[0][1]).filter(lambda sectors: any(w for _, w in sectors))
+_DISTRIBUTIONS = st.one_of(
+    st.floats(0.0, 30.0).map(lambda mean: f"    kind = poisson\n    mean = {mean!r}\n"),
+    st.tuples(st.integers(0, 30), st.floats(0.0, 1.0)).map(
+        lambda t: f"    kind = binomial\n    trials = {t[0]}\n    prob = {t[1]!r}\n"),
+    st.integers(0, 30).map(lambda n: f"    kind = deterministic\n    n = {n}\n"),
+)
+
+
+def _sector_file(sectors) -> str:
+    total = sum(w for _, w in sectors)
+    text = "kind = fluctuating\n"
+    for (_, n, body), w in sectors:
+        text += f"sector:\n    weight = {w / total!r}\n    n = {n}\n{body}"
+    return text
+
+
+# capsys is read out after each report, so it may serve every example
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    text=st.one_of(
+        _SECTOR_FILES.map(_sector_file),
+        st.tuples(_DISTRIBUTIONS, _UNIT, _PHASE).map(
+            lambda t: f"kind = fluctuating\nz = {t[1]!r}\nphi = {t[2]!r}\ndistribution:\n{t[0]}"),
+    ),
+    requests=st.sampled_from([[], ["all", "csi:2", "csi:3", "qfi:x"], ["qfi:0.6,0,0.8", "csi:5", "xi2"]]),
+)
+def test_the_whole_reading_of_any_file_does_not_depend_on_per_sector(text, requests, tmp_path_factory, capsys):
+    # mixed sectors held as rows (twin-Fock, Dicke) and as components (K =
+    # 1-4), some of weight 0, and number distributions: the sectors read
+    # with --per-sector leave the overall witnesses and verdicts as they are
+    path = tmp_path_factory.mktemp("files") / "mixed.state"
+    path.write_text(text)
+    assert _whole_reading(capsys, path, requests, True) == _whole_reading(capsys, path, requests, False)
 
 
 def test_one_spin_moment_pass_per_exact_state(tmp_path, capsys, monkeypatch):

@@ -702,11 +702,11 @@ def test_one_verdict_pass_judges_each_entry_as_its_scalar_rule_alone():
     # witnesses._columns judges every key of every reading in one pass; each
     # entry must carry the value, bound and flag of witness_verdict on its
     # value alone, or the error and message of its scalar rule (_csi_value,
-    # _judgeable, _eta2, _xi2) or of its failed kernel, and each reading the
-    # verdicts of classify over the entries that hold
+    # _judgeable, _eta2, _xi2), and each reading the verdicts of classify
+    # over the entries that hold
     from bosewit.cli import _entries
     from bosewit.errors import WitnessError
-    from bosewit.witnesses import _columns, _csi_value, _eta2, _Failure, _judgeable, _xi2
+    from bosewit.witnesses import _columns, _csi_value, _eta2, _judgeable, _xi2
 
     n_refs = [0.0, 1.0, 12.0, 40.0, 19.999999999982865, 1e6, 12.0, 40.0]
     up = lambda value: float(np.nextafter(value, np.inf))
@@ -729,7 +729,7 @@ def test_one_verdict_pass_judges_each_entry_as_its_scalar_rule_alone():
         [-math.inf, 40.5],
         [19.999999999982865 + 2 * margin(20.0), 19.0],
         [1e6 + margin(1e6), 1e6 + 2 * margin(1e6)],
-        [math.nan, math.nan],  # its kernel failed
+        [math.nan, math.nan],  # NaN readings, judged by _judgeable
         [math.nan, math.nan],
     ]
     spin = [  # <J_x>, <J_y>, Var J_z
@@ -747,15 +747,11 @@ def test_one_verdict_pass_judges_each_entry_as_its_scalar_rule_alone():
         "qfi": np.array(qfi),
         "spin": np.array(spin),
     }
-    failed = {"csi": {}, "qfi": {6: _Failure(EmptyState, "no particles"), 7: _Failure(EmptyState, "none")}, "spin": {}}
     requests = [("csi:1", "csi", 1), ("qfi:x", "qfi", None), ("eta2", "eta2", None), ("csi:3", "csi", 3),
                 ("xi2", "xi2", None), ("qfi:z", "qfi", None)]
 
     def alone(key, kind, s):
         n = n_refs[s]
-        failure = failed.get("spin" if kind in ("eta2", "xi2") else kind, {}).get(s)
-        if failure is not None:
-            return {"error": failure.error.__name__, "message": failure.message}
         try:
             if kind == "csi":
                 i = [1, 3].index(int(key[4:]))
@@ -771,7 +767,7 @@ def test_one_verdict_pass_judges_each_entry_as_its_scalar_rule_alone():
             return {"error": type(exc).__name__, "message": str(exc)}
         return {"value": value, "bound": bound, "flag": flag}
 
-    readings = _entries(_columns(requests, n_refs, values, failed))
+    readings = _entries(_columns(requests, n_refs, values))
     assert len(readings) == len(n_refs)
     kinds_flagged = set()
     for s, (entries, verdicts, had_error) in enumerate(readings):
@@ -804,7 +800,7 @@ def test_a_flag_of_eta2_sets_no_verdict(monkeypatch):
     from bosewit.cli import _entries
 
     monkeypatch.setitem(witnesses._BOUND_SIDES, "eta2", "lower")
-    columns = witnesses._columns([("eta2", "eta2", None)], [12.0], {"spin": np.array([[3.0, 4.0, 0.5]])}, {"spin": {}})
+    columns = witnesses._columns([("eta2", "eta2", None)], [12.0], {"spin": np.array([[3.0, 4.0, 0.5]])})
     assert columns[3] == [[True]]  # eta^2 = 1/6, past its bound
     (entries, verdicts, had_error), = _entries(columns)
     assert entries["eta2"]["flag"] is True and not had_error
